@@ -13,9 +13,7 @@ One executable, one subcommand per calculator or simulator:
 
 Stochastic commands record their seed in the output; identical inputs give
 byte-identical output (`--deterministic` suppresses the one timestamp field).
-Computation and validation failures exit 1, usage errors exit 2.  The
-environment variable MONOGAMY_THREADS caps parallel workers inside module
-operations.
+Computation and validation failures exit 1, usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -294,7 +292,8 @@ def qkd_keylen_cmd(n_range, t_text, gamma, epsilon, s_text, delta_target, fmt,
 @click.option("--gamma", type=float, required=True)
 @click.option("--epsilon", type=float, default=0.05, show_default=True)
 @click.option("--noise", type=float, default=0.0, show_default=True,
-              help="Flip probability of the classical device model.")
+              help="Flip probability of the classical device model; "
+                   "must be 0 with --device epr.")
 @click.option("--device", type=click.Choice(["honest", "epr"]), default="honest",
               show_default=True, help="'epr' runs the exact quantum device (n <= 5).")
 @click.option("--trials", type=int, default=1000, show_default=True)

@@ -182,6 +182,29 @@ def _join_labels(labels: Sequence[str]) -> str:
     return sep.join(labels)
 
 
+def power_elements(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Every n-fold tensor product of per-round element stacks.
+
+    Factor i is a stack E_i[x, a, a'].  Row (x_1, ..., x_n) of the result is
+    E_1[x_1] ⊗ ... ⊗ E_n[x_n]; rows run lexicographically, round 1 most
+    significant.
+    """
+    out = np.asarray(factors[0], dtype=complex)
+    for f in factors[1:]:
+        f = np.asarray(f, dtype=complex)
+        k, d = out.shape[0] * f.shape[0], out.shape[1] * f.shape[1]
+        out = (out[:, None, :, None, :, None] * f[None, :, None, :, None, :]).reshape(k, d, d)
+    return out
+
+
+def _repeated(povms: Mapping[str, tuple[np.ndarray, ...]], thetas: Sequence[str],
+              n: int) -> dict[str, tuple[np.ndarray, ...]]:
+    """n-fold repetition of a basis-indexed POVM family, keyed by joined labels."""
+    stacks = {t: np.stack(povms[t]) for t in thetas}
+    return {_join_labels(ts): tuple(power_elements([stacks[t] for t in ts]))
+            for ts in itertools.product(thetas, repeat=n)}
+
+
 def game_power(game: MonogamyGame, n: int) -> MonogamyGame:
     """n-fold parallel repetition: POVMs are n-fold tensor products."""
     if n < 1:
@@ -192,18 +215,12 @@ def game_power(game: MonogamyGame, n: int) -> MonogamyGame:
     if terms > POWER_TERM_GUARD:
         raise CapacityError(f"{terms} POVM entries exceed the exact-evaluation "
                             f"guard of {POWER_TERM_GUARD}")
-    thetas = [_join_labels(ts) for ts in itertools.product(game.thetas, repeat=n)]
     outcomes = [_join_labels(xs) for xs in itertools.product(game.outcomes, repeat=n)]
     base_parts = game.theta_parts or {t: (t,) for t in game.thetas}
-    povms: dict[str, tuple[np.ndarray, ...]] = {}
-    parts: dict[str, tuple[str, ...]] = {}
-    for ts, theta_label in zip(itertools.product(game.thetas, repeat=n), thetas):
-        elems = []
-        for xs in itertools.product(range(len(game.outcomes)), repeat=n):
-            elems.append(linalg.tensor(*[game.povms[t][x] for t, x in zip(ts, xs)]))
-        povms[theta_label] = tuple(elems)
-        parts[theta_label] = sum((base_parts[t] for t in ts), ())
-    return MonogamyGame(dim_a=game.dim_a**n, thetas=tuple(thetas),
+    parts = {_join_labels(ts): sum((base_parts[t] for t in ts), ())
+             for ts in itertools.product(game.thetas, repeat=n)}
+    povms = _repeated(game.povms, game.thetas, n)
+    return MonogamyGame(dim_a=game.dim_a**n, thetas=tuple(povms),
                         outcomes=tuple(outcomes), povms=povms, theta_parts=parts)
 
 
@@ -249,21 +266,65 @@ def _check_compatible(game: MonogamyGame, strategy: Strategy) -> None:
                                       f"outcome count")
 
 
+def _party_dim(povms) -> int:
+    return next(iter(povms.values()))[0].shape[0]
+
+
+def conditional_states(elements: np.ndarray, rho: np.ndarray, dim_a: int) -> np.ndarray:
+    """tr_A[(E_x ⊗ 1) rho] for each E_x of a stack E[x, a, a'] on the first factor.
+
+    These are the unnormalized states the rest of the system is left in,
+    returned as an (|X|, m, m) stack with m = dim(rho) / dim_a.
+    """
+    m, rem = divmod(rho.shape[0], dim_a)
+    if rem:
+        raise DimensionError(f"state dimension {rho.shape[0]} is not a multiple "
+                             f"of {dim_a}")
+    # rho[(a', i), (a, j)] -> rows (a, a'), columns (i, j)
+    r = rho.reshape(dim_a, m, dim_a, m).transpose(2, 0, 1, 3).reshape(dim_a * dim_a, m * m)
+    return (elements.reshape(len(elements), -1) @ r).reshape(-1, m, m)
+
+
+def win_terms(game: MonogamyGame, bob_povms, charlie_povms, rho: np.ndarray,
+              q: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """tr(Pi^theta rho) for every basis, in `game.thetas` order.
+
+    Contracts rho, as an (a, b, c, a', b', c') tensor, one basis at a time,
+    without building Pi^theta.  `q` is a pair of index arrays of shape
+    (|Q|, |X|): row k gives, for each outcome of Alice, the outcome Bob and
+    Charlie must name under the k-th allowed displacement pair.  None is the
+    plain game, whose only pair is the identity.
+    """
+    db, dc = _party_dim(bob_povms), _party_dim(charlie_povms)
+    if rho.shape[0] != game.dim_a * db * dc:
+        raise DimensionError(f"state dimension {rho.shape[0]} != "
+                             f"{game.dim_a} x {db} x {dc}")
+    if q is None:
+        q = (np.arange(len(game.outcomes))[None],) * 2
+    bob_idx, charlie_idx = q
+    out = np.empty(len(game.thetas))
+    for i, theta in enumerate(game.thetas):
+        sigma = conditional_states(np.stack(game.povms[theta]), rho, game.dim_a)
+        sigma = sigma.reshape(-1, db, dc, db, dc)
+        p = np.stack(bob_povms[theta])[bob_idx]
+        c = np.stack(charlie_povms[theta])[charlie_idx]
+        # sum_k sum_x tr((P_k(x) ⊗ Q_k(x)) sigma_x)
+        out[i] = np.einsum("kxbq,kxcr,xqrbc->", p, c, sigma).real
+    return out
+
+
 def win_operator(game: MonogamyGame, bob_povms, charlie_povms, theta: str) -> np.ndarray:
     """The winning operator for one basis: sum_x F_x ⊗ P_x ⊗ Q_x."""
-    terms = [linalg.tensor(game.povms[theta][i], bob_povms[theta][i], charlie_povms[theta][i])
-             for i in range(len(game.outcomes))]
-    return sum(terms)
+    f, p, c = (np.stack(povms[theta]) for povms in (game.povms, bob_povms, charlie_povms))
+    d = f.shape[1] * p.shape[1] * c.shape[1]
+    return np.einsum("xap,xbq,xcr->abcpqr", f, p, c).reshape(d, d)
 
 
 def per_theta_win_terms(game: MonogamyGame, strategy: Strategy) -> dict[str, float]:
     """tr(Pi^theta rho) for every basis; the winning probability is their mean."""
     _check_compatible(game, strategy)
-    out = {}
-    for theta in game.thetas:
-        op = win_operator(game, strategy.bob_povms, strategy.charlie_povms, theta)
-        out[theta] = float(np.trace(op @ strategy.rho_abc).real)
-    return out
+    terms = win_terms(game, strategy.bob_povms, strategy.charlie_povms, strategy.rho_abc)
+    return dict(zip(game.thetas, terms.tolist()))
 
 
 def winning_probability(game: MonogamyGame, strategy: Strategy) -> float:
@@ -308,29 +369,17 @@ def identity_q_set(outcomes: Sequence[str]) -> QSet:
     return QSet(tuple(outcomes), ((dict(ident), dict(ident)),))
 
 
-def q_win_operator(game: MonogamyGame, bob_povms, charlie_povms,
-                   q: QSet, theta: str) -> np.ndarray:
-    """sum_x F_x ⊗ sum_q P_{pi_B(x)} ⊗ Q_{pi_C(x)} for one basis."""
-    idx = {x: i for i, x in enumerate(game.outcomes)}
-    total = None
-    for x in game.outcomes:
-        inner = sum(np.kron(bob_povms[theta][idx[pb[x]]], charlie_povms[theta][idx[pc[x]]])
-                    for pb, pc in q.pairs)
-        term = np.kron(game.povms[theta][idx[x]], inner)
-        total = term if total is None else total + term
-    return total
-
-
 def winning_probability_with_q(game: MonogamyGame, strategy: Strategy, q: QSet) -> float:
     """Winning probability when any displacement pair in the Q-set counts as a win."""
     _check_compatible(game, strategy)
     if tuple(q.outcomes) != tuple(game.outcomes):
         raise ValidationError("Q-set outcome alphabet does not match the game")
-    total = 0.0
-    for theta in game.thetas:
-        op = q_win_operator(game, strategy.bob_povms, strategy.charlie_povms, q, theta)
-        total += float(np.trace(op @ strategy.rho_abc).real)
-    return total / len(game.thetas)
+    idx = {x: i for i, x in enumerate(game.outcomes)}
+    bob_idx = np.array([[idx[pb[x]] for x in game.outcomes] for pb, _ in q.pairs])
+    charlie_idx = np.array([[idx[pc[x]] for x in game.outcomes] for _, pc in q.pairs])
+    terms = win_terms(game, strategy.bob_povms, strategy.charlie_povms,
+                      strategy.rho_abc, (bob_idx, charlie_idx))
+    return float(sum(terms.tolist()) / len(game.thetas))
 
 
 def xor_permutation_family(n: int, alphabet_size_theta: int) -> list[dict]:
@@ -425,27 +474,12 @@ def product_strategy(strategy: Strategy, n: int) -> Strategy:
     if n == 1:
         return strategy
     da, db, dc = strategy.dims
-    rho = strategy.rho_abc
-    big = rho
-    for _ in range(n - 1):
-        big = np.kron(big, rho)
+    big = power_elements([strategy.rho_abc[None]] * n)[0]
     # interleaved factor list (A1 B1 C1 A2 B2 C2 ...) -> grouped by party
     dims = [da, db, dc] * n
     order = [3 * i for i in range(n)] + [3 * i + 1 for i in range(n)] + \
             [3 * i + 2 for i in range(n)]
     big = linalg.reorder_systems(big, dims, order)
-
-    def power_povms(povms: Mapping[str, tuple[np.ndarray, ...]]) -> dict:
-        thetas = sorted(povms.keys())
-        out = {}
-        for ts in itertools.product(thetas, repeat=n):
-            label = _join_labels(ts)
-            elems = []
-            n_out = len(next(iter(povms.values())))
-            for xs in itertools.product(range(n_out), repeat=n):
-                elems.append(linalg.tensor(*[povms[t][x] for t, x in zip(ts, xs)]))
-            out[label] = tuple(elems)
-        return out
-
     return Strategy(big, (da**n, db**n, dc**n),
-                    power_povms(strategy.bob_povms), power_povms(strategy.charlie_povms))
+                    _repeated(strategy.bob_povms, sorted(strategy.bob_povms), n),
+                    _repeated(strategy.charlie_povms, sorted(strategy.charlie_povms), n))

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -27,6 +26,7 @@ import numpy as np
 from . import linalg
 from .bounds import BB84_ROUND_VALUE, binary_entropy
 from .errors import CapacityError, DimensionError, DomainError, ValidationError
+from .games import bb84_game, conditional_states, maximally_entangled_density, power_elements
 from .rand import rng_for
 from .uncertainty import CqEnsemble
 
@@ -388,22 +388,6 @@ class TripartiteQuantumDevice:
             state = linalg.partial_trace(state, (da, self.device_dim, extra), keep=[0, 1])
         self.state = state
         self._povms = povms
-        self._alice_cache: dict[str, list[np.ndarray]] = {}
-
-    def _alice_projectors(self, theta_key: str) -> list[np.ndarray]:
-        projs = self._alice_cache.get(theta_key)
-        if projs is None:
-            h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-            singles = []
-            for ch in theta_key:
-                basis = np.eye(2, dtype=complex) if ch == "0" else h
-                singles.append([np.outer(basis[:, b], basis[:, b].conj()) for b in (0, 1)])
-            projs = []
-            for x in range(2**self.n):
-                bits = [(x >> (self.n - 1 - i)) & 1 for i in range(self.n)]
-                projs.append(reduce(np.kron, [singles[i][b] for i, b in enumerate(bits)]))
-            self._alice_cache[theta_key] = projs
-        return projs
 
     def _povm_for(self, theta_key: str) -> Sequence[np.ndarray]:
         if callable(self._povms):
@@ -414,22 +398,14 @@ class TripartiteQuantumDevice:
         if theta.size != self.n:
             raise DimensionError(f"device built for n={self.n}, got {theta.size} rounds")
         theta_key = "".join(str(int(b)) for b in theta)
-        projs = self._alice_projectors(theta_key)
         povm = self._povm_for(theta_key)
         if len(povm) != 2**self.n:
             raise ValidationError("device POVM must have one element per outcome string")
-        dims = (2**self.n, self.device_dim)
-        probs = []
-        conditionals = []
-        for f in projs:
-            op = linalg.tensor(f, np.eye(self.device_dim)) @ self.state
-            p = float(np.trace(op).real)
-            probs.append(max(p, 0.0))
-            conditionals.append(op)
-        probs = np.asarray(probs)
+        conditionals = conditional_states(_bb84_projectors(theta_key), self.state, 2**self.n)
+        probs = np.clip(np.trace(conditionals, axis1=1, axis2=2).real, 0.0, None)
         probs = probs / probs.sum()
         x_idx = int(rng.choice(len(probs), p=probs))
-        sigma = linalg.hermitianize(linalg.partial_trace(conditionals[x_idx], dims, keep=[1]))
+        sigma = linalg.hermitianize(conditionals[x_idx])
         tr = float(np.trace(sigma).real)
         sigma = sigma / tr if tr > 1e-14 else np.eye(self.device_dim) / self.device_dim
         y_probs = np.array([max(float(np.trace(sigma @ e).real), 0.0) for e in povm])
@@ -438,29 +414,18 @@ class TripartiteQuantumDevice:
         return _int_to_bits(x_idx, self.n), _int_to_bits(y_idx, self.n)
 
 
+def _bb84_projectors(theta_key: str) -> np.ndarray:
+    """The n-qubit BB84 measurement for a basis string such as "0110", one
+    projector per outcome string, in lexicographic order."""
+    povms = bb84_game().povms
+    return power_elements([np.stack(povms[ch]) for ch in theta_key])
+
+
 def epr_device(n: int) -> TripartiteQuantumDevice:
     """Honest quantum device: maximally entangled pairs measured in the
     announced basis, so outcomes match Alice's exactly."""
     da = 2**n
-    v = np.zeros(da * da, dtype=complex)
-    for i in range(da):
-        v[i * da + i] = 1.0
-    v /= np.sqrt(da)
-    state = np.outer(v, v.conj())
-
-    def povms(theta_key: str) -> Sequence[np.ndarray]:
-        h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        singles = []
-        for ch in theta_key:
-            basis = np.eye(2, dtype=complex) if ch == "0" else h
-            singles.append([np.outer(basis[:, b], basis[:, b].conj()) for b in (0, 1)])
-        out = []
-        for y in range(2**n):
-            bits = [(y >> (n - 1 - i)) & 1 for i in range(n)]
-            out.append(reduce(np.kron, [singles[i][b] for i, b in enumerate(bits)]))
-        return out
-
-    return TripartiteQuantumDevice(n, state, da, povms)
+    return TripartiteQuantumDevice(n, maximally_entangled_density(da), da, _bb84_projectors)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +457,12 @@ class ProtocolTranscript:
         return float(np.mean(self.x != self.y))
 
 
+def _check_noise_applies(noise_flip_prob: float, device) -> None:
+    if device is not None and noise_flip_prob != 0.0:
+        raise ValidationError("the flip probability applies only to the built-in "
+                              "classical device; a given device brings its own noise")
+
+
 def simulate_eqkd(params: QkdParams, noise_flip_prob: float = 0.0,
                   device=None, seed: int = 0) -> ProtocolTranscript:
     """One protocol run: measurement, sampled comparison with abort rule,
@@ -499,8 +470,9 @@ def simulate_eqkd(params: QkdParams, noise_flip_prob: float = 0.0,
 
     With `device=None` the classical reference device with the given flip
     probability is used; any object with `sample_round(theta, rng)` and a
-    `max_n` attribute can stand in.
+    `max_n` attribute can stand in, and then the flip probability must be 0.
     """
+    _check_noise_applies(noise_flip_prob, device)
     if device is None:
         device = HonestNoisyDevice(noise_flip_prob)
     if params.n > device.max_n:
@@ -544,9 +516,11 @@ def run_eqkd_trials(params: QkdParams, noise_flip_prob: float, trials: int,
     depend on scheduling; quantum devices fall back to one full run per trial
     with per-trial derived seeds.  Reported Hoeffding violations count trials
     whose full error rate exceeds the sampled rate by more than epsilon.
+    A given device brings its own noise, so `noise_flip_prob` must then be 0.
     """
     if trials < 1:
         raise DomainError("trials must be positive")
+    _check_noise_applies(noise_flip_prob, device)
     if device is not None and not isinstance(device, HonestNoisyDevice):
         aborts = key_matches = completed = violations = 0
         for trial in range(trials):

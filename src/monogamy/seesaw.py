@@ -12,31 +12,19 @@ lower bound on the optimal game value.  Matching upper bounds come from
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import CapacityError, DimensionError, DomainError, ValidationError
-from .games import (MonogamyGame, Strategy, constant_guess_povms, win_operator,
-                    winning_probability)
+from .games import (MonogamyGame, Strategy, _party_dim, conditional_states,
+                    constant_guess_povms, win_operator, win_terms, winning_probability)
 from .rand import random_projective_povm, rng_for
 from .uncertainty import helstrom_binary_povm, pgm_povm
 
 # total Hilbert-space dimension the dense eigensolver is allowed to touch
 STATE_DIM_GUARD = 4096
-
-
-def worker_count() -> int:
-    """Parallel restart workers, capped by the MONOGAMY_THREADS env var (default 1)."""
-    raw = os.environ.get("MONOGAMY_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        raise ValidationError(f"MONOGAMY_THREADS must be an integer, got {raw!r}")
-    return max(1, k)
 
 
 @dataclass(frozen=True)
@@ -79,14 +67,19 @@ def optimal_state_step(game: MonogamyGame, bob_povms, charlie_povms):
     Returns (rank-1 density matrix, top eigenvalue); the eigenvalue equals the
     winning probability of the returned state.  Degenerate top eigenvalues are
     broken deterministically: first column of the eigensolver output sorted by
-    descending eigenvalue.
+    descending eigenvalue.  LAPACK can fail to converge on a highly
+    degenerate spectrum; the solver then retries once on the upper triangle,
+    which holds the same data since the operator is hermitianized.
     """
     op = None
     for theta in game.thetas:
         term = win_operator(game, bob_povms, charlie_povms, theta)
         op = term if op is None else op + term
     op = linalg.hermitianize(op / len(game.thetas))
-    evals, vecs = np.linalg.eigh(op)
+    try:
+        evals, vecs = np.linalg.eigh(op)
+    except np.linalg.LinAlgError:
+        evals, vecs = np.linalg.eigh(op, UPLO="U")
     top = vecs[:, ::-1][:, 0]
     rho = np.outer(top, top.conj())
     return rho, float(evals[-1])
@@ -96,24 +89,19 @@ def _conditional_operators(game: MonogamyGame, rho: np.ndarray, fixed_povms,
                            party: str, theta: str):
     """Per-outcome operators on the optimized party's space: partial traces of
     (F_x ⊗ 1 ⊗ fixed_x) rho over the other two systems."""
-    d_total = rho.shape[0]
-    d_fixed = next(iter(fixed_povms.values()))[0].shape[0]
-    d_opt, rem = divmod(d_total, game.dim_a * d_fixed)
+    d_fixed = _party_dim(fixed_povms)
+    d_opt, rem = divmod(rho.shape[0], game.dim_a * d_fixed)
     if rem or d_opt < 1:
         raise DimensionError("state dimension incompatible with game and fixed POVMs")
-    sigmas = []
-    for i in range(len(game.outcomes)):
-        f = game.povms[theta][i]
-        q = fixed_povms[theta][i]
-        if party == "B":
-            op = linalg.tensor(f, np.eye(d_opt), q)
-            dims, keep = (game.dim_a, d_opt, d_fixed), [1]
-        else:
-            op = linalg.tensor(f, q, np.eye(d_opt))
-            dims, keep = (game.dim_a, d_fixed, d_opt), [2]
-        sigma = linalg.partial_trace(op @ rho, dims, keep)
-        sigmas.append(linalg.hermitianize(sigma))
-    return sigmas
+    sigma = conditional_states(np.stack(game.povms[theta]), rho, game.dim_a)
+    fixed = np.stack(fixed_povms[theta])
+    if party == "B":
+        sigma = sigma.reshape(-1, d_opt, d_fixed, d_opt, d_fixed)
+        sigmas = np.einsum("xcr,xbrsc->xbs", fixed, sigma)
+    else:
+        sigma = sigma.reshape(-1, d_fixed, d_opt, d_fixed, d_opt)
+        sigmas = np.einsum("xbq,xqcbs->xcs", fixed, sigma)
+    return [linalg.hermitianize(s) for s in sigmas]
 
 
 def optimal_povm_step(game: MonogamyGame, rho, fixed_party_povms, party: str):
@@ -170,11 +158,11 @@ def _run_restart(game: MonogamyGame, cfg: SeesawConfig, restart: int,
             fixed = charlie if party == "B" else bob
             cand = optimal_povm_step(game, rho, fixed, party)
             if party == "B":
-                cand_value = _value_of(game, rho, cand, charlie)
+                cand_value = win_terms(game, cand, charlie, rho).mean()
                 if cand_value >= value - 1e-12:
                     bob, value = cand, cand_value
             else:
-                cand_value = _value_of(game, rho, bob, cand)
+                cand_value = win_terms(game, bob, cand, rho).mean()
                 if cand_value >= value - 1e-12:
                     charlie, value = cand, cand_value
         # re-validates density and POVM invariants every cycle
@@ -189,40 +177,20 @@ def _run_restart(game: MonogamyGame, cfg: SeesawConfig, restart: int,
                         trajectory=tuple(trajectory), restart=restart, seed=cfg.seed)
 
 
-def _party_dim(povms) -> int:
-    return next(iter(povms.values()))[0].shape[0]
-
-
-def _value_of(game, rho, bob, charlie) -> float:
-    total = 0.0
-    for theta in game.thetas:
-        total += float(np.trace(win_operator(game, bob, charlie, theta) @ rho).real)
-    return total / len(game.thetas)
-
-
 def seesaw(game: MonogamyGame, cfg: SeesawConfig, init_povms=None) -> SeesawResult:
     """Best strategy over seeded random restarts.
 
     `init_povms`, when given as (bob_povms, charlie_povms), replaces the
     random initialization of restart 0; remaining restarts stay random.
-    Restarts run independently (parallel when MONOGAMY_THREADS > 1) and the
-    merge picks the maximal value, breaking ties toward the lowest restart
-    index.
+    Restarts run one after another and the merge picks the maximal value,
+    breaking ties toward the lowest restart index.
     """
     total_dim = game.dim_a * cfg.bob_dim * cfg.charlie_dim
     if total_dim > STATE_DIM_GUARD:
         raise CapacityError(f"total dimension {total_dim} exceeds the seesaw "
                             f"guard of {STATE_DIM_GUARD}")
-    indices = list(range(cfg.restarts))
-    workers = min(worker_count(), cfg.restarts)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda r: _run_restart(game, cfg, r,
-                                       init_povms if r == 0 else None), indices))
-    else:
-        results = [_run_restart(game, cfg, r, init_povms if r == 0 else None)
-                   for r in indices]
+    results = [_run_restart(game, cfg, r, init_povms if r == 0 else None)
+               for r in range(cfg.restarts)]
     best = results[0]
     for res in results[1:]:
         if res.value > best.value:

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, DomainError, ValidationError
+from .games import _validate_povm, conditional_states
 
 WEIGHT_ATOL = 1e-9
 
@@ -204,29 +205,24 @@ def post_measurement_state(rho_abc, dims: Sequence[int], f0, f1):
     da, db, dc = dims
     if rho.shape[0] != da * db * dc:
         raise DimensionError(f"state dimension {rho.shape[0]} != product of {dims}")
-    povms = {0: list(f0), 1: list(f1)}
-    for theta, elems in povms.items():
-        total = sum(linalg.require_square(e) for e in elems)
-        if total.shape[0] != da:
-            raise DimensionError("POVMs must act on the first factor")
-        if np.max(np.abs(total - np.eye(da))) > 1e-8:
-            raise ValidationError(f"POVM {theta} does not sum to the identity")
-        if not all(linalg.is_psd(e) for e in elems):
-            raise ValidationError(f"POVM {theta} has a non-PSD element")
+    povms = {theta: _validate_povm(elems, da, str(theta))
+             for theta, elems in enumerate((f0, f1))}
     alphabet = tuple(str(i) for i in range(len(povms[0])))
     if len(povms[1]) != len(alphabet):
         raise ValidationError("the two POVMs must share an outcome count")
     b_out, c_out = {}, {}
     for theta, elems in povms.items():
+        sigma = conditional_states(np.stack(elems), rho, da).reshape(-1, db, dc, db, dc)
+        marginals_b = np.einsum("xbcsc->xbs", sigma)
+        marginals_c = np.einsum("xbcbr->xcr", sigma)
         weights = []
         conds_b, conds_c = {}, {}
-        for i, e in enumerate(elems):
-            op = linalg.tensor(e, np.eye(db * dc)) @ rho
-            p = float(np.trace(op).real)
+        for i, (mb, mc) in enumerate(zip(marginals_b, marginals_c)):
+            p = float(np.trace(mb).real)
             weights.append(max(p, 0.0))
             if p > 1e-14:
-                sb = linalg.hermitianize(linalg.partial_trace(op, dims, keep=[1])) / p
-                sc = linalg.hermitianize(linalg.partial_trace(op, dims, keep=[2])) / p
+                sb = linalg.hermitianize(mb) / p
+                sc = linalg.hermitianize(mc) / p
             else:
                 sb = np.eye(db, dtype=complex) / db
                 sc = np.eye(dc, dtype=complex) / dc

@@ -1,0 +1,51 @@
+"""Smoke test of the benchmark's span tracer, so the harness does not rot.
+
+No timing is asserted: only that every traced target still exists and that
+a call through the package is counted.
+"""
+
+from __future__ import annotations
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+import monogamy.games
+from monogamy.seesaw import bb84_optimal_unentangled_strategy
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    module = importlib.import_module("spans")
+    yield module
+    sys.modules.pop("spans", None)
+
+
+def test_every_target_resolves(spans):
+    for name, module_name, attr, _, _ in spans.TARGETS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), name
+
+
+def test_tracer_counts_one_winning_probability_call(spans):
+    game = monogamy.games.bb84_game()
+    strategy = bb84_optimal_unentangled_strategy()
+    original = monogamy.games.winning_probability
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert monogamy.games.winning_probability is not original
+        monogamy.games.winning_probability(game, strategy)
+    finally:
+        tracer.uninstall()
+    assert monogamy.games.winning_probability is original
+    assert tracer.stats["games.winning_probability"].calls == 1
+    assert tracer.stats["linalg.tensor"].calls == 0
+    assert tracer.stats["linalg.partial_trace"].calls == 0

@@ -111,6 +111,13 @@ def test_qkd_sim_aggregate(capsys):
     assert doc["seed"] == 5
 
 
+def test_qkd_sim_epr_device_rejects_noise(capsys):
+    code, _, err = run(capsys, "qkd-sim", "--n", "2", "--t", "1", "--gamma", "0",
+                       "--device", "epr", "--noise", "0.01", "--trials", "3")
+    assert code == 1
+    assert "flip probability" in err
+
+
 def test_seesaw_reaches_single_round_value(capsys):
     code, out, _ = run(capsys, "seesaw", "--game", "bb84", "--n", "1",
                        "--restarts", "20", "--seed", "7", "--deterministic")

@@ -1,0 +1,133 @@
+"""The tensor contractions against a direct kron + partial-trace oracle.
+
+The oracle builds every operator densely with ``np.kron`` and applies it to
+the full state, exactly as the definitions read; the package contracts the
+state as a tensor and never builds those operators.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from monogamy import linalg
+from monogamy.games import (MonogamyGame, QSet, Strategy, power_elements, win_operator,
+                            win_terms, winning_probability, winning_probability_with_q)
+from monogamy.rand import random_density, random_povm, rng_for
+from monogamy.seesaw import _conditional_operators
+from monogamy.uncertainty import post_measurement_state
+
+ATOL = 1e-12
+
+
+def kron(*mats) -> np.ndarray:
+    out = np.eye(1, dtype=complex)
+    for m in mats:
+        out = np.kron(out, m)
+    return out
+
+
+def oracle_win_operator(f, p, c, pairs=None) -> np.ndarray:
+    """sum_x F_x ⊗ sum_(pb, pc) P_pb(x) ⊗ Q_pc(x); no pairs is the identity pair."""
+    pairs = pairs or [(range(len(f)), range(len(f)))]
+    return sum(kron(f[x], p[pb[x]], c[pc[x]]) for x in range(len(f)) for pb, pc in pairs)
+
+
+def random_case(seed, da, db, dc, n_out, n_theta):
+    rng = rng_for(seed)
+    thetas = tuple(str(t) for t in range(n_theta))
+    outcomes = tuple(str(x) for x in range(n_out))
+    game = MonogamyGame(da, thetas, outcomes,
+                        {t: random_povm(da, n_out, rng) for t in thetas})
+    bob = {t: tuple(random_povm(db, n_out, rng)) for t in thetas}
+    charlie = {t: tuple(random_povm(dc, n_out, rng)) for t in thetas}
+    strategy = Strategy(random_density(da * db * dc, rng), (da, db, dc), bob, charlie)
+    perms = [tuple(int(i) for i in rng.permutation(n_out)) for _ in range(6)]
+    pairs = list(dict.fromkeys(zip(perms[::2], perms[1::2])))
+    return game, strategy, pairs
+
+
+cases = st.builds(random_case, seed=st.integers(0, 2**32 - 1), da=st.integers(1, 3),
+                  db=st.integers(1, 3), dc=st.integers(1, 3), n_out=st.integers(2, 3),
+                  n_theta=st.integers(2, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases, st.booleans())
+def test_win_terms_and_operator_match_oracle(case, with_q):
+    game, s, pairs = case
+    pairs = pairs if with_q else None
+    q = None if pairs is None else tuple(np.array(side) for side in zip(*pairs))
+    terms = win_terms(game, s.bob_povms, s.charlie_povms, s.rho_abc, q)
+    for theta, term in zip(game.thetas, terms):
+        f, p, c = game.povms[theta], s.bob_povms[theta], s.charlie_povms[theta]
+        op = oracle_win_operator(f, p, c, pairs)
+        assert abs(term - np.trace(op @ s.rho_abc).real) <= ATOL
+        if pairs is None:
+            np.testing.assert_allclose(
+                win_operator(game, s.bob_povms, s.charlie_povms, theta), op,
+                atol=ATOL, rtol=0)
+    if pairs is None:
+        assert abs(winning_probability(game, s) - terms.mean()) <= ATOL
+    else:
+        labels = game.outcomes
+        qset = QSet(labels, tuple(({x: labels[pb[i]] for i, x in enumerate(labels)},
+                                   {x: labels[pc[i]] for i, x in enumerate(labels)})
+                                  for pb, pc in pairs))
+        assert abs(winning_probability_with_q(game, s, qset) - terms.mean()) <= ATOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases)
+def test_conditional_operators_match_oracle(case):
+    game, s, _ = case
+    da, db, dc = s.dims
+    for theta in game.thetas:
+        f = game.povms[theta]
+        for party, fixed, keep in (("B", s.charlie_povms, 1), ("C", s.bob_povms, 2)):
+            sigmas = _conditional_operators(game, s.rho_abc, fixed, party, theta)
+            for x, sigma in enumerate(sigmas):
+                if party == "B":
+                    op = kron(f[x], np.eye(db), fixed[theta][x])
+                else:
+                    op = kron(f[x], fixed[theta][x], np.eye(dc))
+                expected = linalg.partial_trace(op @ s.rho_abc, s.dims, [keep])
+                np.testing.assert_allclose(sigma, linalg.hermitianize(expected),
+                                           atol=ATOL, rtol=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases)
+def test_post_measurement_state_matches_oracle(case):
+    game, s, _ = case
+    da, db, dc = s.dims
+    f0, f1 = (game.povms[t] for t in game.thetas[:2])
+    b_ens, c_ens = post_measurement_state(s.rho_abc, s.dims, f0, f1)
+    for theta, elems in enumerate((f0, f1)):
+        ops = [kron(e, np.eye(db * dc)) @ s.rho_abc for e in elems]
+        weights = np.array([np.trace(op).real for op in ops])
+        np.testing.assert_allclose(b_ens[theta].weights, weights / weights.sum(),
+                                   atol=ATOL, rtol=0)
+        for x, op in enumerate(ops):
+            for ens, keep in ((b_ens, 1), (c_ens, 2)):
+                expected = linalg.partial_trace(op, s.dims, [keep]) / weights[x]
+                np.testing.assert_allclose(ens[theta].conditionals[str(x)],
+                                           linalg.hermitianize(expected),
+                                           atol=ATOL, rtol=0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shapes=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                       min_size=1, max_size=3))
+def test_power_elements_matches_kron(seed, shapes):
+    rng = rng_for(seed)
+    factors = [rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+               for k, d in shapes]
+    out = power_elements(factors)
+    # lexicographic, round 1 most significant
+    expected = [kron(*(f[x] for f, x in zip(factors, xs)))
+                for xs in itertools.product(*(range(k) for k, _ in shapes))]
+    np.testing.assert_array_equal(out, np.array(expected))

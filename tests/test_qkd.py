@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from monogamy import linalg
 from monogamy.errors import (CapacityError, DimensionError, DomainError,
                              ValidationError)
-from monogamy.qkd import (LinearCode, QkdParams,
+from monogamy.qkd import (HonestNoisyDevice, LinearCode, QkdParams,
                           TripartiteQuantumDevice, delta_terms, epr_device,
                           max_key_length, noise_threshold, run_eqkd_trials,
                           secdef_gap, security_delta, simulate_eqkd,
@@ -489,6 +489,16 @@ def test_run_trials_deterministic():
     a = run_eqkd_trials(qp(), 0.05, 300, seed=21)
     b = run_eqkd_trials(qp(), 0.05, 300, seed=21)
     assert a == b
+
+
+def test_device_runs_reject_a_flip_probability():
+    params = QkdParams(n=2, t=1, s=0, ell=1, gamma=0.0, epsilon=0.05)
+    with pytest.raises(ValidationError):
+        simulate_eqkd(params, noise_flip_prob=0.01, device=epr_device(2), seed=0)
+    with pytest.raises(ValidationError):
+        run_eqkd_trials(params, 0.01, 3, seed=0, device=epr_device(2))
+    with pytest.raises(ValidationError):
+        run_eqkd_trials(params, 0.01, 3, seed=0, device=HonestNoisyDevice(0.01))
 
 
 def test_run_trials_quantum_device_path():

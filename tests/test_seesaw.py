@@ -8,7 +8,7 @@ import pytest
 from monogamy.bounds import BB84_ROUND_VALUE, bb84_parallel_value
 from monogamy.errors import CapacityError, DomainError
 from monogamy.games import (MonogamyGame, bb84_game, constant_guess_povms,
-                            game_power, winning_probability)
+                            game_power, product_strategy, winning_probability)
 from monogamy.seesaw import (SeesawConfig, bb84_optimal_unentangled_strategy,
                              optimal_povm_step, optimal_state_step, seesaw)
 
@@ -146,12 +146,21 @@ def test_sandwich_between_search_and_norm_bound():
         assert norm == pytest.approx(closed, abs=1e-6)
 
 
-def test_seesaw_parallel_restarts_match_serial(monkeypatch):
-    g = bb84_game()
-    cfg = SeesawConfig(seed=4, restarts=6, bob_dim=2, charlie_dim=2)
-    serial = seesaw(g, cfg)
-    monkeypatch.setenv("MONOGAMY_THREADS", "3")
-    threaded = seesaw(g, cfg)
-    assert threaded.value == serial.value
-    assert threaded.restart == serial.restart
-    assert threaded.trajectory == serial.trajectory
+def test_state_step_retries_upper_triangle_when_eigh_fails(monkeypatch):
+    g = game_power(bb84_game(), 2)
+    s = product_strategy(bb84_optimal_unentangled_strategy(), 2)
+    expected = optimal_state_step(g, s.bob_povms, s.charlie_povms)
+    eigh = np.linalg.eigh
+    calls = []
+
+    def lower_fails(a, UPLO="L"):
+        calls.append(UPLO)
+        if UPLO == "L":
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a, UPLO=UPLO)
+
+    monkeypatch.setattr(np.linalg, "eigh", lower_fails)
+    rho, value = optimal_state_step(g, s.bob_povms, s.charlie_povms)
+    assert calls == ["L", "U"]
+    assert value == pytest.approx(expected[1], abs=1e-12)
+    np.testing.assert_allclose(rho, expected[0], atol=1e-10)

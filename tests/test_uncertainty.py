@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from monogamy import linalg
-from monogamy.errors import DomainError, ValidationError
+from monogamy.errors import DimensionError, DomainError, ValidationError
 from monogamy.games import bb84_game, maximally_entangled_density
 from monogamy.rand import random_density, random_povm
 from monogamy.uncertainty import (CqEnsemble, check_uncertainty_relation,
@@ -95,6 +95,19 @@ def test_post_measurement_weights_normalize_per_basis(rng):
     for theta in (0, 1):
         assert b_ens[theta].weights.sum() == pytest.approx(1.0, abs=1e-10)
         assert c_ens[theta].weights.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("bad_f0, error", [
+    ((2 * KET0, KET1 - KET0), ValidationError),          # element not PSD
+    ((KET0, 0.5 * KET1), ValidationError),               # does not sum to 1
+    ((np.eye(3, dtype=complex), np.zeros((3, 3))), DimensionError),
+], ids=["not-psd", "incomplete", "wrong-dimension"])
+def test_post_measurement_rejects_invalid_povm(rng, bad_f0, error):
+    rho = random_density(8, rng)
+    with pytest.raises(error):
+        post_measurement_state(rho, (2, 2, 2), bad_f0, F1)
+    with pytest.raises(error):
+        post_measurement_state(rho, (2, 2, 2), F0, bad_f0)
 
 
 # ---------------------------------------------------------------------------
