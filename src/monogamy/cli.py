@@ -187,7 +187,7 @@ def seesaw_cmd(game, n, bob_dim, charlie_dim, restarts, seed, tol, max_iters,
                include_strategy, output, deterministic):
     """Search for a high-value strategy; the value is a certified lower bound."""
     base = _load_game(game)
-    played = game_power(base, n) if n > 1 else base
+    played = game_power(base, n)
     cfg = SeesawConfig(max_iters=max_iters, tol=tol, seed=seed,
                        bob_dim=bob_dim, charlie_dim=charlie_dim,
                        restarts=restarts)

@@ -28,18 +28,6 @@ from .errors import DimensionError, ValidationError
 from .games import MonogamyGame, Strategy
 from .posver import TimingScenario
 
-SCHEMAS: dict[str, dict[str, str]] = {
-    "matrix": {"rows": "int >= 1", "cols": "int >= 1",
-               "re": "rows*cols floats, row-major", "im": "rows*cols floats, row-major"},
-    "game": {"kind": "'game'", "dim_a": "int >= 1", "thetas": "[str]",
-             "outcomes": "[str]", "povms": "{theta: [matrix]}"},
-    "strategy": {"kind": "'strategy'", "dims": "[dA, dB, dC]", "rho_abc": "matrix",
-                 "bob_povms": "{theta: [matrix]}", "charlie_povms": "{theta: [matrix]}"},
-    "scenario": {"kind": "'scenario'", "v0": "float", "v1": "float", "pos": "float"},
-    "ur_instance": {"kind": "'ur_instance'", "dims": "[dA, dB, dC]",
-                    "rho_abc": "matrix", "f0": "[matrix]", "f1": "[matrix]"},
-}
-
 
 def matrix_to_json(m) -> dict[str, Any]:
     a = np.asarray(m, dtype=complex)

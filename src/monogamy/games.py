@@ -1,11 +1,15 @@
 """Monogamy games, strategies, and exact winning-probability evaluation.
 
-A game is a basis-indexed family of POVMs on Alice's system; a strategy is a
-tripartite state together with per-basis POVMs for the two guessing parties.
-Everything here is exact, desk-scale evaluation; closed-form bounds for large
-round counts live in :mod:`monogamy.bounds`.
+A game is one basis-stacked POVM array F[theta, x, a, a'] on Alice's system;
+a strategy is a tripartite state with two such stacks, P[theta, x, b, b'] and
+Q[theta, x, c, c'], for the two guessing parties.  These read-only arrays are
+the only stored form and every evaluator reads them.  Everything here is
+exact, desk-scale evaluation; closed-form bounds for large round counts live
+in :mod:`monogamy.bounds`.
 
-Labels for bases and outcomes are strings.  Tensor-power labels are the
+Basis and outcome labels are strings used only at the edges: constructors
+accept label-keyed mappings, ``povms`` views map labels to rows, and a
+strategy is matched to a game by basis label.  Tensor-power labels are the
 concatenations of the single-round labels (joined with "," when any base
 label has more than one character, so round-trips stay unambiguous).
 """
@@ -15,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -29,32 +34,73 @@ POVM_COMPLETENESS_ATOL = 1e-8
 POWER_TERM_GUARD = 10**6
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex)
-    out.setflags(write=False)
-    return out
+def _frozen(a) -> np.ndarray:
+    """`a` as a read-only complex array.  One that already is read-only and
+    owns its data is kept as it is; anything else is copied once."""
+    if not (isinstance(a, np.ndarray) and a.dtype == complex and a.flags.owndata
+            and not a.flags.writeable):
+        a = np.array(a, dtype=complex)
+        a.setflags(write=False)
+    return a
 
 
-def _validate_povm(elements: Sequence[np.ndarray], dim: int, label: str) -> tuple[np.ndarray, ...]:
-    elems = []
-    for i, e in enumerate(elements):
-        e = linalg.require_square(e)
-        if e.shape[0] != dim:
-            raise DimensionError(f"POVM '{label}' element {i} has dimension "
-                                 f"{e.shape[0]}, expected {dim}")
-        if not linalg.is_psd(e):
-            raise ValidationError(f"POVM '{label}' element {i} is not Hermitian PSD")
-        elems.append(_frozen(e))
-    total = sum(elems)
-    if np.max(np.abs(total - np.eye(dim))) > POVM_COMPLETENESS_ATOL:
+def _psd(stack: np.ndarray) -> np.ndarray:
+    """Per matrix of a (k, d, d) stack: Hermitian within HERMITIAN_ATOL and no
+    eigenvalue below PSD_EIG_FLOOR."""
+    adjoint = stack.conj().swapaxes(-1, -2)
+    ok = np.abs(stack - adjoint).max(axis=(-2, -1)) <= linalg.HERMITIAN_ATOL
+    if ok.all():
+        ok = np.linalg.eigvalsh((stack + adjoint) / 2).min(axis=-1) >= linalg.PSD_EIG_FLOOR
+    return ok
+
+
+def _validate_povm(elements: np.ndarray, label: str) -> None:
+    """Check one (|X|, d, d) POVM stack in place: Hermitian PSD elements that
+    sum to the identity."""
+    ok = _psd(elements)
+    if not ok.all():
+        raise ValidationError(f"POVM '{label}' element {int(np.argmin(ok))} "
+                              f"is not Hermitian PSD")
+    total = elements.sum(axis=0)
+    if np.max(np.abs(total - np.eye(elements.shape[-1]))) > POVM_COMPLETENESS_ATOL:
         raise ValidationError(f"POVM '{label}' does not sum to the identity")
-    return tuple(elems)
 
 
-@dataclass(frozen=True)
+def _povm_stack(povms, keys: Sequence[str], dim: int, who: str = "") -> np.ndarray:
+    """A checked, read-only (|keys|, |X|, dim, dim) stack, rows in `keys`
+    order, copied at most once.  A label-keyed mapping must cover exactly
+    `keys`; its one copy is the stack itself."""
+    if isinstance(povms, Mapping):
+        povms = {str(k): v for k, v in povms.items()}
+        if set(povms) != set(keys):
+            raise ValidationError(f"{who}POVMs cover bases {sorted(povms)}, "
+                                  f"expected {sorted(keys)}")
+        if len({len(povms[k]) for k in keys}) != 1:
+            raise ValidationError(f"{who}POVMs have inconsistent outcome counts")
+        for key in keys:
+            for x, e in enumerate(povms[key]):
+                if np.shape(e) != (dim, dim):
+                    raise DimensionError(f"POVM '{who}{key}' element {x} has shape "
+                                         f"{np.shape(e)}, expected ({dim}, {dim})")
+        stack = np.array([povms[k] for k in keys], dtype=complex)
+        stack.setflags(write=False)
+    else:
+        stack = _frozen(povms)
+    if stack.ndim != 4 or stack.shape[0] != len(keys) or stack.shape[2:] != (dim, dim):
+        raise DimensionError(f"{who}POVM stack has shape {stack.shape}, expected "
+                             f"({len(keys)}, |X|, {dim}, {dim})")
+    for key, block in zip(keys, stack):
+        _validate_povm(block, f"{who}{key}")
+    return stack
+
+
+@dataclass(frozen=True, eq=False)
 class MonogamyGame:
     """Basis-indexed POVM family {F_x^theta} on a dim_a-dimensional system.
 
+    `povms`, label-keyed (theta -> elements in `outcomes` order) or already
+    stacked, is stored once as the read-only (|Theta|, |X|, dim_a, dim_a)
+    array `elements`; `povms` then becomes a read-only label view of it.
     Games built by :func:`game_power` carry the per-round decomposition of
     each basis label in `theta_parts`; single-round games leave it None.
     """
@@ -62,69 +108,85 @@ class MonogamyGame:
     dim_a: int
     thetas: tuple[str, ...]
     outcomes: tuple[str, ...]
-    povms: Mapping[str, tuple[np.ndarray, ...]]
+    povms: Mapping[str, Sequence[np.ndarray]] | np.ndarray
     theta_parts: Mapping[str, tuple[str, ...]] | None = None
+    elements: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dim_a < 1:
             raise DimensionError("dim_a must be positive")
-        object.__setattr__(self, "thetas", tuple(str(t) for t in self.thetas))
-        object.__setattr__(self, "outcomes", tuple(str(x) for x in self.outcomes))
-        if len(set(self.thetas)) != len(self.thetas) or not self.thetas:
-            raise ValidationError("basis labels must be non-empty and distinct")
-        if len(set(self.outcomes)) != len(self.outcomes) or not self.outcomes:
-            raise ValidationError("outcome labels must be non-empty and distinct")
-        povms = {}
-        for theta in self.thetas:
-            if theta not in self.povms:
-                raise ValidationError(f"missing POVM for basis '{theta}'")
-            elems = self.povms[theta]
-            if len(elems) != len(self.outcomes):
-                raise ValidationError(f"POVM for basis '{theta}' has {len(elems)} "
-                                      f"elements, expected {len(self.outcomes)}")
-            povms[theta] = _validate_povm(elems, self.dim_a, theta)
-        object.__setattr__(self, "povms", povms)
+        for name, what in (("thetas", "basis"), ("outcomes", "outcome")):
+            labels = tuple(str(t) for t in getattr(self, name))
+            if len(set(labels)) != len(labels) or not labels:
+                raise ValidationError(f"{what} labels must be non-empty and distinct")
+            object.__setattr__(self, name, labels)
+        elements = _povm_stack(self.povms, self.thetas, self.dim_a)
+        if elements.shape[1] != len(self.outcomes):
+            raise ValidationError(f"POVMs have {elements.shape[1]} elements, "
+                                  f"expected {len(self.outcomes)}")
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "povms", MappingProxyType(dict(zip(self.thetas, elements))))
         if self.theta_parts is not None:
             parts = {str(t): tuple(str(p) for p in ps)
                      for t, ps in self.theta_parts.items()}
             if set(parts.keys()) != set(self.thetas):
                 raise ValidationError("theta_parts must cover exactly the basis labels")
-            lengths = {len(ps) for ps in parts.values()}
-            if len(lengths) != 1:
+            if len({len(ps) for ps in parts.values()}) != 1:
                 raise ValidationError("theta_parts entries must share one round count")
             object.__setattr__(self, "theta_parts", parts)
 
     def element(self, theta: str, outcome: str) -> np.ndarray:
-        return self.povms[theta][self.outcomes.index(outcome)]
+        return self.elements[self.thetas.index(theta), self.outcomes.index(outcome)]
+
+    def __reduce__(self):
+        return MonogamyGame, (self.dim_a, self.thetas, self.outcomes, self.elements,
+                              self.theta_parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Strategy:
-    """Tripartite state plus per-basis guessing POVMs for both parties."""
+    """Tripartite state plus per-basis guessing POVMs for both parties.
+
+    Each party's POVMs, label-keyed or stacked with rows in `thetas` order
+    (default: the order of Bob's keys), are stored once as the read-only
+    stacks `bob` and `charlie`, each (|Theta|, |X|, d, d); `bob_povms` and
+    `charlie_povms` then become read-only label views.  Both parties must
+    cover the same bases.
+    """
 
     rho_abc: np.ndarray
     dims: tuple[int, int, int]
-    bob_povms: Mapping[str, tuple[np.ndarray, ...]]
-    charlie_povms: Mapping[str, tuple[np.ndarray, ...]]
+    bob_povms: Mapping[str, Sequence[np.ndarray]] | np.ndarray
+    charlie_povms: Mapping[str, Sequence[np.ndarray]] | np.ndarray
+    thetas: tuple[str, ...] | None = None
+    bob: np.ndarray = field(init=False, repr=False)
+    charlie: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
         if len(dims) != 3 or any(d < 1 for d in dims):
             raise DimensionError(f"dims must be three positive integers, got {self.dims}")
         object.__setattr__(self, "dims", dims)
-        rho = linalg.require_density(self.rho_abc, "rho_abc")
-        if rho.shape[0] != dims[0] * dims[1] * dims[2]:
-            raise DimensionError(f"state dimension {rho.shape[0]} != product of {dims}")
-        object.__setattr__(self, "rho_abc", _frozen(rho))
-        for name, povms, dim in (("bob", self.bob_povms, dims[1]),
-                                 ("charlie", self.charlie_povms, dims[2])):
-            checked = {}
-            counts = {len(v) for v in povms.values()}
-            if len(counts) > 1:
-                raise ValidationError(f"{name} POVMs have inconsistent outcome counts")
-            for theta, elems in povms.items():
-                checked[str(theta)] = _validate_povm(elems, dim, f"{name}:{theta}")
-            object.__setattr__(self, f"{name}_povms", checked)
+        rho = _frozen(self.rho_abc)
+        if rho.shape != (math.prod(dims),) * 2:
+            raise DimensionError(f"state shape {rho.shape} does not match dims {dims}")
+        if not _psd(rho[None]).all():
+            raise ValidationError("rho_abc is not positive semi-definite within tolerance")
+        if abs(np.trace(rho) - 1.0) > linalg.TRACE_ATOL:
+            raise ValidationError(f"rho_abc has trace {np.trace(rho).real!r}, expected 1")
+        object.__setattr__(self, "rho_abc", rho)
+        thetas = self.bob_povms if self.thetas is None else self.thetas
+        if isinstance(thetas, np.ndarray):
+            raise ValidationError("stacked POVMs need their basis order `thetas`")
+        thetas = tuple(str(t) for t in thetas)
+        object.__setattr__(self, "thetas", thetas)
+        for name, dim in (("bob", dims[1]), ("charlie", dims[2])):
+            stack = _povm_stack(getattr(self, f"{name}_povms"), thetas, dim, f"{name}:")
+            object.__setattr__(self, name, stack)
+            object.__setattr__(self, f"{name}_povms", MappingProxyType(dict(zip(thetas, stack))))
+
+    def __reduce__(self):
+        return Strategy, (self.rho_abc, self.dims, self.bob, self.charlie, self.thetas)
 
 
 def pure_strategy(state_vector, dims, bob_povms, charlie_povms) -> Strategy:
@@ -156,9 +218,8 @@ def maximally_entangled_density(d: int) -> np.ndarray:
     if d < 1:
         raise DimensionError("d must be positive")
     rho = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            rho[i * d + i, j * d + j] = 1.0 / d
+    diagonal = np.arange(d) * (d + 1)  # the index of |ii>
+    rho[np.ix_(diagonal, diagonal)] = 1.0 / d
     return rho
 
 
@@ -168,13 +229,9 @@ def bb84_game() -> MonogamyGame:
     All projector entries are 0, 1 or +-1/2, so the elements are exact in
     floating point.
     """
-    povms = {
-        "0": (np.array([[1, 0], [0, 0]], dtype=complex),
-              np.array([[0, 0], [0, 1]], dtype=complex)),
-        "1": (np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex),
-              np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)),
-    }
-    return MonogamyGame(dim_a=2, thetas=("0", "1"), outcomes=("0", "1"), povms=povms)
+    elements = np.array([[[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+                         [[[0.5, 0.5], [0.5, 0.5]], [[0.5, -0.5], [-0.5, 0.5]]]])
+    return MonogamyGame(dim_a=2, thetas=("0", "1"), outcomes=("0", "1"), povms=elements)
 
 
 def _join_labels(labels: Sequence[str]) -> str:
@@ -197,12 +254,21 @@ def power_elements(factors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _repeated(povms: Mapping[str, tuple[np.ndarray, ...]], thetas: Sequence[str],
-              n: int) -> dict[str, tuple[np.ndarray, ...]]:
-    """n-fold repetition of a basis-indexed POVM family, keyed by joined labels."""
-    stacks = {t: np.stack(povms[t]) for t in thetas}
-    return {_join_labels(ts): tuple(power_elements([stacks[t] for t in ts]))
-            for ts in itertools.product(thetas, repeat=n)}
+def _power_stack(family: np.ndarray, n: int) -> np.ndarray:
+    """n-fold repetition of a (|Theta|, |X|, d, d) family as one read-only
+    stack.  Basis strings run lexicographically, round 1 most significant,
+    and each row is the :func:`power_elements` block of its rounds, written
+    into the preallocated stack."""
+    k, m, d, _ = family.shape
+    out = np.empty((k**n, m**n, d**n, d**n), dtype=complex)
+    for i, ts in enumerate(itertools.product(range(k), repeat=n)):
+        out[i] = power_elements([family[t] for t in ts])
+    out.setflags(write=False)
+    return out
+
+
+def _power_labels(labels: Sequence[str], n: int) -> list[str]:
+    return [_join_labels(ls) for ls in itertools.product(labels, repeat=n)]
 
 
 def game_power(game: MonogamyGame, n: int) -> MonogamyGame:
@@ -215,13 +281,12 @@ def game_power(game: MonogamyGame, n: int) -> MonogamyGame:
     if terms > POWER_TERM_GUARD:
         raise CapacityError(f"{terms} POVM entries exceed the exact-evaluation "
                             f"guard of {POWER_TERM_GUARD}")
-    outcomes = [_join_labels(xs) for xs in itertools.product(game.outcomes, repeat=n)]
     base_parts = game.theta_parts or {t: (t,) for t in game.thetas}
     parts = {_join_labels(ts): sum((base_parts[t] for t in ts), ())
              for ts in itertools.product(game.thetas, repeat=n)}
-    povms = _repeated(game.povms, game.thetas, n)
-    return MonogamyGame(dim_a=game.dim_a**n, thetas=tuple(povms),
-                        outcomes=tuple(outcomes), povms=povms, theta_parts=parts)
+    return MonogamyGame(game.dim_a**n, _power_labels(game.thetas, n),
+                        _power_labels(game.outcomes, n), _power_stack(game.elements, n),
+                        parts)
 
 
 def overlap(game: MonogamyGame) -> float:
@@ -236,38 +301,36 @@ def overlap(game: MonogamyGame) -> float:
     """
     if len(game.thetas) < 2:
         raise DomainError("overlap requires at least two bases")
-    roots = {(t, i): linalg.psd_sqrt(e)
-             for t in game.thetas for i, e in enumerate(game.povms[t])}
+    roots = [[linalg.psd_sqrt(e) for e in povm] for povm in game.elements]
     parts = game.theta_parts
     best = 0.0
-    for ta, tb in itertools.permutations(game.thetas, 2):
-        if parts is not None and any(a == b for a, b in zip(parts[ta], parts[tb])):
+    for (a, ta), (b, tb) in itertools.permutations(enumerate(game.thetas), 2):
+        if parts is not None and any(p == q for p, q in zip(parts[ta], parts[tb])):
             continue
-        for i in range(len(game.outcomes)):
-            for j in range(len(game.outcomes)):
-                m = roots[(ta, i)] @ roots[(tb, j)]
-                gram = m.conj().T @ m
-                val = float(max(np.linalg.eigh(linalg.hermitianize(gram))[0][-1], 0.0))
-                best = max(best, val)
+        for root_a, root_b in itertools.product(roots[a], roots[b]):
+            m = root_a @ root_b
+            gram = m.conj().T @ m
+            val = float(max(np.linalg.eigh(linalg.hermitianize(gram))[0][-1], 0.0))
+            best = max(best, val)
     assert 1.0 / len(game.outcomes) - 1e-9 <= best <= 1.0 + 1e-9
     return best
 
 
-def _check_compatible(game: MonogamyGame, strategy: Strategy) -> None:
+def _aligned(game: MonogamyGame, strategy: Strategy) -> tuple[np.ndarray, np.ndarray]:
+    """The strategy's Bob and Charlie stacks with rows in `game.thetas` order,
+    reindexed by label only when the two basis orders differ."""
     if strategy.dims[0] != game.dim_a:
         raise DimensionError(f"strategy Alice dimension {strategy.dims[0]} != "
                              f"game dimension {game.dim_a}")
-    for name, povms in (("bob", strategy.bob_povms), ("charlie", strategy.charlie_povms)):
-        for theta in game.thetas:
-            if theta not in povms:
-                raise ValidationError(f"{name} POVMs missing basis '{theta}'")
-            if len(povms[theta]) != len(game.outcomes):
-                raise ValidationError(f"{name} POVM for basis '{theta}' has wrong "
-                                      f"outcome count")
-
-
-def _party_dim(povms) -> int:
-    return next(iter(povms.values()))[0].shape[0]
+    if {strategy.bob.shape[1], strategy.charlie.shape[1]} != {len(game.outcomes)}:
+        raise ValidationError("strategy POVMs have the wrong outcome count")
+    if strategy.thetas == game.thetas:
+        return strategy.bob, strategy.charlie
+    missing = set(game.thetas) - set(strategy.thetas)
+    if missing:
+        raise ValidationError(f"strategy POVMs missing bases {sorted(missing)}")
+    idx = [strategy.thetas.index(t) for t in game.thetas]
+    return strategy.bob[idx], strategy.charlie[idx]
 
 
 def conditional_states(elements: np.ndarray, rho: np.ndarray, dim_a: int) -> np.ndarray:
@@ -285,17 +348,18 @@ def conditional_states(elements: np.ndarray, rho: np.ndarray, dim_a: int) -> np.
     return (elements.reshape(len(elements), -1) @ r).reshape(-1, m, m)
 
 
-def win_terms(game: MonogamyGame, bob_povms, charlie_povms, rho: np.ndarray,
+def win_terms(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray, rho: np.ndarray,
               q: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """tr(Pi^theta rho) for every basis, in `game.thetas` order.
 
-    Contracts rho, as an (a, b, c, a', b', c') tensor, one basis at a time,
-    without building Pi^theta.  `q` is a pair of index arrays of shape
-    (|Q|, |X|): row k gives, for each outcome of Alice, the outcome Bob and
-    Charlie must name under the k-th allowed displacement pair.  None is the
-    plain game, whose only pair is the identity.
+    `bob` and `charlie` are (|Theta|, |X|, d, d) stacks whose rows follow
+    `game.thetas`.  Contracts rho, as an (a, b, c, a', b', c') tensor, one
+    basis at a time, without building Pi^theta.  `q` is a pair of index
+    arrays of shape (|Q|, |X|): row k gives, for each outcome of Alice, the
+    outcome Bob and Charlie must name under the k-th allowed displacement
+    pair.  None is the plain game, whose only pair is the identity.
     """
-    db, dc = _party_dim(bob_povms), _party_dim(charlie_povms)
+    db, dc = bob.shape[-1], charlie.shape[-1]
     if rho.shape[0] != game.dim_a * db * dc:
         raise DimensionError(f"state dimension {rho.shape[0]} != "
                              f"{game.dim_a} x {db} x {dc}")
@@ -303,34 +367,33 @@ def win_terms(game: MonogamyGame, bob_povms, charlie_povms, rho: np.ndarray,
         q = (np.arange(len(game.outcomes))[None],) * 2
     bob_idx, charlie_idx = q
     out = np.empty(len(game.thetas))
-    for i, theta in enumerate(game.thetas):
-        sigma = conditional_states(np.stack(game.povms[theta]), rho, game.dim_a)
-        sigma = sigma.reshape(-1, db, dc, db, dc)
-        p = np.stack(bob_povms[theta])[bob_idx]
-        c = np.stack(charlie_povms[theta])[charlie_idx]
+    for i, f in enumerate(game.elements):
+        sigma = conditional_states(f, rho, game.dim_a).reshape(-1, db, dc, db, dc)
         # sum_k sum_x tr((P_k(x) ⊗ Q_k(x)) sigma_x)
-        out[i] = np.einsum("kxbq,kxcr,xqrbc->", p, c, sigma).real
+        out[i] = np.einsum("kxbq,kxcr,xqrbc->", bob[i][bob_idx], charlie[i][charlie_idx],
+                           sigma).real
     return out
 
 
-def win_operator(game: MonogamyGame, bob_povms, charlie_povms, theta: str) -> np.ndarray:
-    """The winning operator for one basis: sum_x F_x ⊗ P_x ⊗ Q_x."""
-    f, p, c = (np.stack(povms[theta]) for povms in (game.povms, bob_povms, charlie_povms))
+def win_operator(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray,
+                 theta: str) -> np.ndarray:
+    """The winning operator for one basis: sum_x F_x ⊗ P_x ⊗ Q_x, with the
+    stacks' rows following `game.thetas`."""
+    i = game.thetas.index(theta)
+    f, p, c = game.elements[i], bob[i], charlie[i]
     d = f.shape[1] * p.shape[1] * c.shape[1]
     return np.einsum("xap,xbq,xcr->abcpqr", f, p, c).reshape(d, d)
 
 
 def per_theta_win_terms(game: MonogamyGame, strategy: Strategy) -> dict[str, float]:
     """tr(Pi^theta rho) for every basis; the winning probability is their mean."""
-    _check_compatible(game, strategy)
-    terms = win_terms(game, strategy.bob_povms, strategy.charlie_povms, strategy.rho_abc)
+    terms = win_terms(game, *_aligned(game, strategy), strategy.rho_abc)
     return dict(zip(game.thetas, terms.tolist()))
 
 
 def winning_probability(game: MonogamyGame, strategy: Strategy) -> float:
     """Probability that both parties guess Alice's outcome, basis uniform."""
-    terms = per_theta_win_terms(game, strategy)
-    return float(sum(terms.values()) / len(game.thetas))
+    return float(sum(per_theta_win_terms(game, strategy).values()) / len(game.thetas))
 
 
 @dataclass(frozen=True)
@@ -371,14 +434,13 @@ def identity_q_set(outcomes: Sequence[str]) -> QSet:
 
 def winning_probability_with_q(game: MonogamyGame, strategy: Strategy, q: QSet) -> float:
     """Winning probability when any displacement pair in the Q-set counts as a win."""
-    _check_compatible(game, strategy)
+    bob, charlie = _aligned(game, strategy)
     if tuple(q.outcomes) != tuple(game.outcomes):
         raise ValidationError("Q-set outcome alphabet does not match the game")
     idx = {x: i for i, x in enumerate(game.outcomes)}
     bob_idx = np.array([[idx[pb[x]] for x in game.outcomes] for pb, _ in q.pairs])
     charlie_idx = np.array([[idx[pc[x]] for x in game.outcomes] for _, pc in q.pairs])
-    terms = win_terms(game, strategy.bob_povms, strategy.charlie_povms,
-                      strategy.rho_abc, (bob_idx, charlie_idx))
+    terms = win_terms(game, bob, charlie, strategy.rho_abc, (bob_idx, charlie_idx))
     return float(sum(terms.tolist()) / len(game.thetas))
 
 
@@ -398,14 +460,10 @@ def xor_permutation_family(n: int, alphabet_size_theta: int) -> list[dict]:
         raise CapacityError("digit labels support alphabet sizes up to 10")
     if q**n > POWER_TERM_GUARD:
         raise CapacityError(f"{q**n} permutations exceed the capacity guard")
-    points = ["".join(p) for p in itertools.product(*(["".join(str(d) for d in range(q))] * n))]
-    family = []
-    for shift in itertools.product(range(q), repeat=n):
-        perm = {}
-        for label in points:
-            perm[label] = "".join(str((int(c) + s) % q) for c, s in zip(label, shift))
-        family.append(perm)
-    return family
+    points = ["".join(p) for p in itertools.product("0123456789"[:q], repeat=n)]
+    return [{label: "".join(str((int(c) + s) % q) for c, s in zip(label, shift))
+             for label in points}
+            for shift in itertools.product(range(q), repeat=n)]
 
 
 def bit_strings(n: int) -> list[str]:
@@ -421,6 +479,14 @@ def _weight_at_most(n: int, bound: float) -> list[str]:
     return [k for k in bit_strings(n) if k.count("1") <= w_max]
 
 
+def _xor_q_set(n: int, shifts: Sequence[tuple[str, str]]) -> QSet:
+    """The pairs (x ⊕ k, x ⊕ k') for the given shifts (k, k')."""
+    outcomes = bit_strings(n)
+    pairs = tuple(tuple({x: _xor_label(x, s) for x in outcomes} for s in ks)
+                  for ks in shifts)
+    return QSet(tuple(outcomes), pairs, tuple(shifts))
+
+
 def hamming_q_set(n: int, gamma: float, gamma_prime: float) -> QSet:
     """XOR displacement pairs (x ⊕ k, x ⊕ k') with wt(k) <= gamma n and
     wt(k') <= gamma' n, on the length-n binary outcome alphabet."""
@@ -429,20 +495,10 @@ def hamming_q_set(n: int, gamma: float, gamma_prime: float) -> QSet:
             raise DomainError(f"{name} must lie in [0, 1/2], got {g}")
     if n < 1:
         raise DomainError("n must be positive")
-    outcomes = bit_strings(n)
-    if (len(outcomes)) ** 2 > POWER_TERM_GUARD:
+    if 4**n > POWER_TERM_GUARD:
         raise CapacityError("outcome alphabet exceeds the capacity guard")
-    ks = _weight_at_most(n, gamma * n)
-    kps = _weight_at_most(n, gamma_prime * n)
-    pairs = []
-    shifts = []
-    for k in ks:
-        pb = {x: _xor_label(x, k) for x in outcomes}
-        for kp in kps:
-            pc = {x: _xor_label(x, kp) for x in outcomes}
-            pairs.append((dict(pb), pc))
-            shifts.append((k, kp))
-    qset = QSet(tuple(outcomes), tuple(pairs), tuple(shifts))
+    qset = _xor_q_set(n, [(k, kp) for k in _weight_at_most(n, gamma * n)
+                          for kp in _weight_at_most(n, gamma_prime * n)])
     cap = 2.0 ** (n * binary_entropy(gamma) + n * binary_entropy(gamma_prime))
     assert len(qset) <= cap * (1 + 1e-12)
     return qset
@@ -454,21 +510,15 @@ def same_string_q_set(n: int, gamma: float) -> QSet:
         raise DomainError(f"gamma must lie in [0, 1/2], got {gamma}")
     if n < 1:
         raise DomainError("n must be positive")
-    outcomes = bit_strings(n)
-    pairs = []
-    shifts = []
-    for k in _weight_at_most(n, gamma * n):
-        perm = {x: _xor_label(x, k) for x in outcomes}
-        pairs.append((dict(perm), dict(perm)))
-        shifts.append((k, k))
-    qset = QSet(tuple(outcomes), tuple(pairs), tuple(shifts))
+    qset = _xor_q_set(n, [(k, k) for k in _weight_at_most(n, gamma * n)])
     assert len(qset) <= 2.0 ** (n * binary_entropy(gamma)) * (1 + 1e-12)
     return qset
 
 
 def product_strategy(strategy: Strategy, n: int) -> Strategy:
     """n-fold product of a single-round strategy, systems regrouped to
-    (A_1..A_n)(B_1..B_n)(C_1..C_n) order."""
+    (A_1..A_n)(B_1..B_n)(C_1..C_n) order.  Basis strings run over the
+    single-round strategy's basis order, as in :func:`game_power`."""
     if n < 1:
         raise DomainError("n must be positive")
     if n == 1:
@@ -480,6 +530,5 @@ def product_strategy(strategy: Strategy, n: int) -> Strategy:
     order = [3 * i for i in range(n)] + [3 * i + 1 for i in range(n)] + \
             [3 * i + 2 for i in range(n)]
     big = linalg.reorder_systems(big, dims, order)
-    return Strategy(big, (da**n, db**n, dc**n),
-                    _repeated(strategy.bob_povms, sorted(strategy.bob_povms), n),
-                    _repeated(strategy.charlie_povms, sorted(strategy.charlie_povms), n))
+    return Strategy(big, (da**n, db**n, dc**n), _power_stack(strategy.bob, n),
+                    _power_stack(strategy.charlie, n), _power_labels(strategy.thetas, n))

@@ -27,7 +27,6 @@ from .errors import DimensionError, NotPsdError, ValidationError
 HERMITIAN_ATOL = 1e-10
 PSD_EIG_FLOOR = -1e-8
 TRACE_ATOL = 1e-8
-EQ_ATOL = 1e-8
 
 
 def as_matrix(m) -> np.ndarray:

@@ -35,11 +35,12 @@ LOG2_INV_ROUND_VALUE = -math.log2(BB84_ROUND_VALUE)
 MAX_DECODE_BLOCK = 20
 _TRIAL_BATCH = 4096
 
-# rng derivation streams so protocol randomness, code construction and
-# Monte-Carlo batches never overlap
+# rng derivation streams so protocol randomness, code construction,
+# Monte-Carlo batches and per-trial device runs never overlap
 _ROUND_STREAM = 0
 _CODE_STREAM = 1
 _BATCH_STREAM = 2
+_TRIAL_STREAM = 3
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +388,7 @@ class TripartiteQuantumDevice:
         if extra > 1:
             state = linalg.partial_trace(state, (da, self.device_dim, extra), keep=[0, 1])
         self.state = state
-        self._povms = povms
-
-    def _povm_for(self, theta_key: str) -> Sequence[np.ndarray]:
-        if callable(self._povms):
-            return self._povms(theta_key)
-        return self._povms[theta_key]
+        self._povm_for = povms if callable(povms) else povms.__getitem__
 
     def sample_round(self, theta: np.ndarray, rng: np.random.Generator):
         if theta.size != self.n:
@@ -417,8 +413,7 @@ class TripartiteQuantumDevice:
 def _bb84_projectors(theta_key: str) -> np.ndarray:
     """The n-qubit BB84 measurement for a basis string such as "0110", one
     projector per outcome string, in lexicographic order."""
-    povms = bb84_game().povms
-    return power_elements([np.stack(povms[ch]) for ch in theta_key])
+    return power_elements(bb84_game().elements[[int(ch) for ch in theta_key]])
 
 
 def epr_device(n: int) -> TripartiteQuantumDevice:
@@ -457,10 +452,20 @@ class ProtocolTranscript:
         return float(np.mean(self.x != self.y))
 
 
-def _check_noise_applies(noise_flip_prob: float, device) -> None:
-    if device is not None and noise_flip_prob != 0.0:
+def _checked_device(params: QkdParams, noise_flip_prob: float, device):
+    """The device a run measures with, after the one set of checks every run
+    needs: noise, device capacity, and key length."""
+    if device is None:
+        device = HonestNoisyDevice(noise_flip_prob)
+    elif noise_flip_prob != 0.0:
         raise ValidationError("the flip probability applies only to the built-in "
                               "classical device; a given device brings its own noise")
+    if params.n > device.max_n:
+        raise CapacityError(f"device supports at most {device.max_n} rounds, "
+                            f"got n={params.n}")
+    if params.ell > params.n - params.t:
+        raise ValidationError("key length cannot exceed the unsampled rounds")
+    return device
 
 
 def simulate_eqkd(params: QkdParams, noise_flip_prob: float = 0.0,
@@ -472,19 +477,16 @@ def simulate_eqkd(params: QkdParams, noise_flip_prob: float = 0.0,
     probability is used; any object with `sample_round(theta, rng)` and a
     `max_n` attribute can stand in, and then the flip probability must be 0.
     """
-    _check_noise_applies(noise_flip_prob, device)
-    if device is None:
-        device = HonestNoisyDevice(noise_flip_prob)
-    if params.n > device.max_n:
-        raise CapacityError(f"device supports at most {device.max_n} rounds, "
-                            f"got n={params.n}")
-    if params.ell > params.n - params.t:
-        raise ValidationError("key length cannot exceed the unsampled rounds")
-    rng = rng_for(seed, _ROUND_STREAM)
+    device = _checked_device(params, noise_flip_prob, device)
+    return _protocol_run(params, device, LinearCode(params.n - params.t, params.s, seed=seed),
+                         rng_for(seed, _ROUND_STREAM), seed)
+
+
+def _protocol_run(params: QkdParams, device, code: LinearCode,
+                  rng: np.random.Generator, seed: int) -> ProtocolTranscript:
     theta = rng.integers(0, 2, size=params.n, dtype=np.uint8)
     x, y = device.sample_round(theta, rng)
-    x = _as_bits(x)
-    y = _as_bits(y)
+    x, y = _as_bits(x), _as_bits(y)
     if x.size != params.n or y.size != params.n:
         raise DimensionError("device output length mismatch")
     sample = np.sort(rng.choice(params.n, size=params.t, replace=False))
@@ -496,7 +498,6 @@ def simulate_eqkd(params: QkdParams, noise_flip_prob: float = 0.0,
                                   key=None, key_hat=None, **base)
     rest = np.setdiff1d(np.arange(params.n), sample)
     x_rest, y_rest = x[rest], y[rest]
-    code = LinearCode(params.n - params.t, params.s, seed=seed)
     syndrome = code.encode(x_rest)
     x_hat = code.decode(y_rest, syndrome)
     hash_seed = rng.integers(0, 2, size=max(x_rest.size + params.ell - 1, 0),
@@ -513,36 +514,29 @@ def run_eqkd_trials(params: QkdParams, noise_flip_prob: float, trials: int,
 
     The classical device path vectorizes the measurement and abort stages in
     fixed-size batches with per-batch derived generators, so results do not
-    depend on scheduling; quantum devices fall back to one full run per trial
-    with per-trial derived seeds.  Reported Hoeffding violations count trials
-    whose full error rate exceeds the sampled rate by more than epsilon.
-    A given device brings its own noise, so `noise_flip_prob` must then be 0.
+    depend on scheduling; quantum devices fall back to one full run per trial,
+    trial k drawing from derivation path (seed, trial stream, k).  Both paths
+    share one syndrome code per call.  Reported Hoeffding violations count
+    trials whose full error rate exceeds the sampled rate by more than
+    epsilon.  A given device brings its own noise, so `noise_flip_prob` must
+    then be 0.
     """
     if trials < 1:
         raise DomainError("trials must be positive")
-    _check_noise_applies(noise_flip_prob, device)
-    if device is not None and not isinstance(device, HonestNoisyDevice):
-        aborts = key_matches = completed = violations = 0
-        for trial in range(trials):
-            tr = simulate_eqkd(params, noise_flip_prob, device=device,
-                               seed=(seed << 20) + trial)
-            if tr.aborted:
-                aborts += 1
-            else:
-                completed += 1
-                key_matches += int(np.array_equal(tr.key, tr.key_hat))
-            if tr.full_error_rate > tr.sample_error_rate + params.epsilon:
-                violations += 1
-        return _aggregate(params, seed, trials, aborts, completed, key_matches,
-                          violations)
-
-    flip_prob = device.flip_prob if device is not None else float(noise_flip_prob)
-    if not 0.0 <= flip_prob <= 1.0:
-        raise DomainError("noise flip probability must lie in [0, 1]")
-    if params.ell > params.n - params.t:
-        raise ValidationError("key length cannot exceed the unsampled rounds")
+    device = _checked_device(params, noise_flip_prob, device)
     n, t = params.n, params.t
     code = LinearCode(n - t, params.s, seed=seed)
+    if not isinstance(device, HonestNoisyDevice):
+        aborts = key_matches = violations = 0
+        for trial in range(trials):
+            tr = _protocol_run(params, device, code, rng_for(seed, _TRIAL_STREAM, trial),
+                               seed)
+            aborts += int(tr.aborted)
+            key_matches += int(not tr.aborted and np.array_equal(tr.key, tr.key_hat))
+            violations += int(tr.full_error_rate > tr.sample_error_rate + params.epsilon)
+        return _aggregate(params, seed, trials, aborts, trials - aborts, key_matches,
+                          violations)
+
     aborts = key_matches = completed = violations = 0
     done = 0
     batch_index = 0
@@ -550,7 +544,7 @@ def run_eqkd_trials(params: QkdParams, noise_flip_prob: float, trials: int,
         nb = min(_TRIAL_BATCH, trials - done)
         rng = rng_for(seed, _BATCH_STREAM, batch_index)
         x = rng.integers(0, 2, size=(nb, n), dtype=np.uint8)
-        y = x ^ (rng.random((nb, n)) < flip_prob).astype(np.uint8)
+        y = x ^ (rng.random((nb, n)) < device.flip_prob).astype(np.uint8)
         order = np.argsort(rng.random((nb, n)), axis=1)
         sample_idx = np.sort(order[:, :t], axis=1)
         rest_idx = np.sort(order[:, t:], axis=1)

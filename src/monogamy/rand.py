@@ -30,12 +30,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_pure_density(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    return np.outer(v, v.conj())
-
-
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
     """Mixed state from a normalized complex Wishart matrix."""
     rank = dim if rank is None else int(rank)
@@ -47,8 +41,9 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
 
 
 def random_projective_povm(dim: int, outcomes: int,
-                           rng: np.random.Generator) -> list[np.ndarray]:
-    """Projective POVM with `outcomes` elements on a `dim`-dimensional space.
+                           rng: np.random.Generator) -> np.ndarray:
+    """Projective POVM with `outcomes` elements on a `dim`-dimensional space,
+    as an (outcomes, dim, dim) stack.
 
     Columns of a Haar unitary are dealt to outcomes as evenly as possible with
     a random rotation and shuffle; when dim < outcomes some elements are zero.
@@ -58,11 +53,8 @@ def random_projective_povm(dim: int, outcomes: int,
     u = haar_unitary(dim, rng)
     slots = (np.arange(dim) + rng.integers(outcomes)) % outcomes
     rng.shuffle(slots)
-    povm = []
-    for x in range(outcomes):
-        cols = u[:, slots == x]
-        povm.append(cols @ cols.conj().T)
-    return povm
+    cols = [u[:, slots == x] for x in range(outcomes)]
+    return np.array([c @ c.conj().T for c in cols])
 
 
 def random_povm(dim: int, outcomes: int, rng: np.random.Generator) -> list[np.ndarray]:

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import linalg
 from .errors import CapacityError, DimensionError, DomainError, ValidationError
-from .games import (MonogamyGame, Strategy, _party_dim, conditional_states,
-                    constant_guess_povms, win_operator, win_terms, winning_probability)
+from .games import (MonogamyGame, Strategy, conditional_states, constant_guess_povms,
+                    win_operator, win_terms, winning_probability)
 from .rand import random_projective_povm, rng_for
 from .uncertainty import helstrom_binary_povm, pgm_povm
 
@@ -60,9 +60,10 @@ class SeesawResult:
                 "seed": self.seed}
 
 
-def optimal_state_step(game: MonogamyGame, bob_povms, charlie_povms):
+def optimal_state_step(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray):
     """Best state for fixed measurements: top eigenvector of the averaged
-    winning operator.
+    winning operator.  `bob` and `charlie` are (|Theta|, |X|, d, d) stacks
+    whose rows follow `game.thetas`.
 
     Returns (rank-1 density matrix, top eigenvalue); the eigenvalue equals the
     winning probability of the returned state.  Degenerate top eigenvalues are
@@ -71,10 +72,7 @@ def optimal_state_step(game: MonogamyGame, bob_povms, charlie_povms):
     degenerate spectrum; the solver then retries once on the upper triangle,
     which holds the same data since the operator is hermitianized.
     """
-    op = None
-    for theta in game.thetas:
-        term = win_operator(game, bob_povms, charlie_povms, theta)
-        op = term if op is None else op + term
+    op = sum(win_operator(game, bob, charlie, theta) for theta in game.thetas)
     op = linalg.hermitianize(op / len(game.thetas))
     try:
         evals, vecs = np.linalg.eigh(op)
@@ -85,28 +83,29 @@ def optimal_state_step(game: MonogamyGame, bob_povms, charlie_povms):
     return rho, float(evals[-1])
 
 
-def _conditional_operators(game: MonogamyGame, rho: np.ndarray, fixed_povms,
-                           party: str, theta: str):
-    """Per-outcome operators on the optimized party's space: partial traces of
-    (F_x ⊗ 1 ⊗ fixed_x) rho over the other two systems."""
-    d_fixed = _party_dim(fixed_povms)
+def _conditional_operators(game: MonogamyGame, rho: np.ndarray, fixed: np.ndarray,
+                           party: str) -> np.ndarray:
+    """Per-basis, per-outcome operators on the optimized party's space:
+    partial traces of (F_x ⊗ 1 ⊗ fixed_x) rho over the other two systems, as
+    a (|Theta|, |X|, d, d) stack.  They are Hermitian up to rounding; the
+    measurement updates take their Hermitian parts."""
+    d_fixed = fixed.shape[-1]
     d_opt, rem = divmod(rho.shape[0], game.dim_a * d_fixed)
     if rem or d_opt < 1:
         raise DimensionError("state dimension incompatible with game and fixed POVMs")
-    sigma = conditional_states(np.stack(game.povms[theta]), rho, game.dim_a)
-    fixed = np.stack(fixed_povms[theta])
-    if party == "B":
-        sigma = sigma.reshape(-1, d_opt, d_fixed, d_opt, d_fixed)
-        sigmas = np.einsum("xcr,xbrsc->xbs", fixed, sigma)
-    else:
-        sigma = sigma.reshape(-1, d_fixed, d_opt, d_fixed, d_opt)
-        sigmas = np.einsum("xbq,xqcbs->xcs", fixed, sigma)
-    return [linalg.hermitianize(s) for s in sigmas]
+    spec, dims = (("xcr,xbrsc->xbs", (d_opt, d_fixed)) if party == "B"
+                  else ("xbq,xqcbs->xcs", (d_fixed, d_opt)))
+    out = np.empty(fixed.shape[:2] + (d_opt, d_opt), dtype=complex)
+    for i, f in enumerate(game.elements):
+        sigma = conditional_states(f, rho, game.dim_a).reshape(-1, *dims, *dims)
+        out[i] = np.einsum(spec, fixed[i], sigma)
+    return out
 
 
-def optimal_povm_step(game: MonogamyGame, rho, fixed_party_povms, party: str):
+def optimal_povm_step(game: MonogamyGame, rho, fixed: np.ndarray, party: str) -> np.ndarray:
     """Re-optimize one party's per-basis POVMs with the state and the other
-    party fixed.
+    party's (|Theta|, |X|, d, d) stack `fixed` held; returns the new stack,
+    rows in `game.thetas` order.
 
     Binary outcomes are solved exactly by the Helstrom projector (the zero
     eigenspace of the conditional difference goes to outcome 0); larger
@@ -116,14 +115,13 @@ def optimal_povm_step(game: MonogamyGame, rho, fixed_party_povms, party: str):
     if party not in ("B", "C"):
         raise ValidationError(f"party must be 'B' or 'C', got {party!r}")
     rho = linalg.require_density(rho, "rho")
-    out = {}
-    for theta in game.thetas:
-        sigmas = _conditional_operators(game, rho, fixed_party_povms, party, theta)
-        if len(sigmas) == 2:
-            p0, p1, _ = helstrom_binary_povm(sigmas[0], sigmas[1])
-            out[theta] = (p0, p1)
+    sigmas = _conditional_operators(game, rho, fixed, party)
+    out = np.empty_like(sigmas)
+    for s, povm in zip(sigmas, out):
+        if len(s) == 2:
+            povm[0], povm[1], _ = helstrom_binary_povm(s[0], s[1])
         else:
-            out[theta] = tuple(pgm_povm(sigmas))
+            povm[:] = pgm_povm(s)
     return out
 
 
@@ -141,33 +139,27 @@ def _run_restart(game: MonogamyGame, cfg: SeesawConfig, restart: int,
     rng = rng_for(cfg.seed, restart)
     n_out = len(game.outcomes)
     if init_povms is not None:
-        bob = {t: tuple(e) for t, e in init_povms[0].items()}
-        charlie = {t: tuple(e) for t, e in init_povms[1].items()}
+        bob, charlie = init_povms
     else:
-        bob = {t: tuple(random_projective_povm(cfg.bob_dim, n_out, rng))
-               for t in game.thetas}
-        charlie = {t: tuple(random_projective_povm(cfg.charlie_dim, n_out, rng))
-                   for t in game.thetas}
+        bob = np.array([random_projective_povm(cfg.bob_dim, n_out, rng)
+                        for _ in game.thetas])
+        charlie = np.array([random_projective_povm(cfg.charlie_dim, n_out, rng)
+                            for _ in game.thetas])
     trajectory: list[float] = []
     prev = -np.inf
-    strategy = None
-    value = 0.0
     for _ in range(cfg.max_iters):
         rho, value = optimal_state_step(game, bob, charlie)
-        for party in ("B", "C"):
-            fixed = charlie if party == "B" else bob
-            cand = optimal_povm_step(game, rho, fixed, party)
-            if party == "B":
-                cand_value = win_terms(game, cand, charlie, rho).mean()
-                if cand_value >= value - 1e-12:
-                    bob, value = cand, cand_value
-            else:
-                cand_value = win_terms(game, bob, cand, rho).mean()
-                if cand_value >= value - 1e-12:
-                    charlie, value = cand, cand_value
+        cand = optimal_povm_step(game, rho, charlie, "B")
+        cand_value = win_terms(game, cand, charlie, rho).mean()
+        if cand_value >= value - 1e-12:
+            bob, value = cand, cand_value
+        cand = optimal_povm_step(game, rho, bob, "C")
+        cand_value = win_terms(game, bob, cand, rho).mean()
+        if cand_value >= value - 1e-12:
+            charlie, value = cand, cand_value
         # re-validates density and POVM invariants every cycle
-        dims = (game.dim_a, _party_dim(bob), _party_dim(charlie))
-        strategy = Strategy(rho, dims, bob, charlie)
+        dims = (game.dim_a, bob.shape[-1], charlie.shape[-1])
+        strategy = Strategy(rho, dims, bob, charlie, game.thetas)
         value = winning_probability(game, strategy)
         trajectory.append(value)
         if value - prev < cfg.tol:
@@ -180,8 +172,9 @@ def _run_restart(game: MonogamyGame, cfg: SeesawConfig, restart: int,
 def seesaw(game: MonogamyGame, cfg: SeesawConfig, init_povms=None) -> SeesawResult:
     """Best strategy over seeded random restarts.
 
-    `init_povms`, when given as (bob_povms, charlie_povms), replaces the
-    random initialization of restart 0; remaining restarts stay random.
+    `init_povms`, when given as (bob, charlie) stacks whose rows follow
+    `game.thetas`, replaces the random initialization of restart 0;
+    remaining restarts stay random.
     Restarts run one after another and the merge picks the maximal value,
     breaking ties toward the lowest restart index.
     """
@@ -191,8 +184,4 @@ def seesaw(game: MonogamyGame, cfg: SeesawConfig, init_povms=None) -> SeesawResu
                             f"guard of {STATE_DIM_GUARD}")
     results = [_run_restart(game, cfg, r, init_povms if r == 0 else None)
                for r in range(cfg.restarts)]
-    best = results[0]
-    for res in results[1:]:
-        if res.value > best.value:
-            best = res
-    return best
+    return max(results, key=lambda res: res.value)

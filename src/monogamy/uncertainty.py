@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, DomainError, ValidationError
-from .games import _validate_povm, conditional_states
+from .games import MonogamyGame, conditional_states
 
 WEIGHT_ATOL = 1e-9
 
@@ -205,33 +205,20 @@ def post_measurement_state(rho_abc, dims: Sequence[int], f0, f1):
     da, db, dc = dims
     if rho.shape[0] != da * db * dc:
         raise DimensionError(f"state dimension {rho.shape[0]} != product of {dims}")
-    povms = {theta: _validate_povm(elems, da, str(theta))
-             for theta, elems in enumerate((f0, f1))}
-    alphabet = tuple(str(i) for i in range(len(povms[0])))
-    if len(povms[1]) != len(alphabet):
-        raise ValidationError("the two POVMs must share an outcome count")
+    alphabet = tuple(str(i) for i in range(len(f0)))
+    povms = MonogamyGame(da, ("0", "1"), alphabet, {"0": f0, "1": f1}).elements
     b_out, c_out = {}, {}
-    for theta, elems in povms.items():
-        sigma = conditional_states(np.stack(elems), rho, da).reshape(-1, db, dc, db, dc)
+    for theta, elems in enumerate(povms):
+        sigma = conditional_states(elems, rho, da).reshape(-1, db, dc, db, dc)
         marginals_b = np.einsum("xbcsc->xbs", sigma)
-        marginals_c = np.einsum("xbcbr->xcr", sigma)
-        weights = []
-        conds_b, conds_c = {}, {}
-        for i, (mb, mc) in enumerate(zip(marginals_b, marginals_c)):
-            p = float(np.trace(mb).real)
-            weights.append(max(p, 0.0))
-            if p > 1e-14:
-                sb = linalg.hermitianize(mb) / p
-                sc = linalg.hermitianize(mc) / p
-            else:
-                sb = np.eye(db, dtype=complex) / db
-                sc = np.eye(dc, dtype=complex) / dc
-            conds_b[str(i)] = sb
-            conds_c[str(i)] = sc
-        w = np.asarray(weights)
+        p = np.trace(marginals_b, axis1=1, axis2=2).real
+        w = np.clip(p, 0.0, None)
         w = w / w.sum()
-        b_out[theta] = CqEnsemble(alphabet, w, conds_b)
-        c_out[theta] = CqEnsemble(alphabet, w.copy(), conds_c)
+        for out, marginals, d in ((b_out, marginals_b, db),
+                                  (c_out, np.einsum("xbcbr->xcr", sigma), dc)):
+            conds = {str(i): linalg.hermitianize(m) / p[i] if p[i] > 1e-14
+                     else np.eye(d, dtype=complex) / d for i, m in enumerate(marginals)}
+            out[theta] = CqEnsemble(alphabet, w.copy(), conds)
     return b_out, c_out
 
 

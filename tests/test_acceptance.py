@@ -83,8 +83,7 @@ def test_criterion_02_strong_parallel_repetition_desk_scale():
         product_round = product_strategy(s1_result.strategy, 2)
         seeded = seesaw(g2, SeesawConfig(seed=6, restarts=1, max_iters=60,
                                          bob_dim=4, charlie_dim=4),
-                        init_povms=(product_round.bob_povms,
-                                    product_round.charlie_povms))
+                        init_povms=(product_round.bob, product_round.charlie))
         assert seeded.value <= bb84_parallel_value(2) + 1e-6
 
         from monogamy.seesaw import bb84_optimal_unentangled_strategy
@@ -122,10 +121,10 @@ def test_criterion_04_cross_term_norm_property():
             g = game_power(bb84_game(), n)
             n_out = len(g.outcomes)
             for _ in range(count):
-                bob = {t: tuple(random_projective_povm(2, n_out, rng))
-                       for t in g.thetas}
-                charlie = {t: tuple(random_projective_povm(2, n_out, rng))
-                           for t in g.thetas}
+                bob = np.array([random_projective_povm(2, n_out, rng)
+                                for _ in g.thetas])
+                charlie = np.array([random_projective_povm(2, n_out, rng)
+                                    for _ in g.thetas])
                 ops = {t: win_operator(g, bob, charlie, t) for t in g.thetas}
                 for ta, tb in itertools.combinations(g.thetas, 2):
                     t_dist = sum(a != b for a, b in zip(ta, tb))

@@ -226,6 +226,20 @@ def test_seesaw_loads_game_fixture(tmp_path, capsys):
     assert doc["result"]["value"] == pytest.approx(BB84_ROUND_VALUE, abs=1e-6)
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_seesaw_rejects_nonpositive_rounds(tmp_path, capsys, n):
+    from monogamy.games import MonogamyGame, bb84_game
+    one_basis = MonogamyGame(dim_a=2, thetas=("0",), outcomes=("0", "1"),
+                             povms={"0": bb84_game().povms["0"]})
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(game_to_json(one_basis)))
+    code, out, err = run(capsys, "seesaw", "--game", str(path), "--n", n,
+                         "--restarts", "1", "--deterministic")
+    assert code == 1
+    assert out == ""
+    assert "n must be a positive integer" in err
+
+
 def test_posver_simulate_scenario_fixture(tmp_path, capsys):
     from monogamy.fixtures import scenario_to_json
     from monogamy.posver import TimingScenario

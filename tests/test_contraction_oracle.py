@@ -60,23 +60,31 @@ def test_win_terms_and_operator_match_oracle(case, with_q):
     game, s, pairs = case
     pairs = pairs if with_q else None
     q = None if pairs is None else tuple(np.array(side) for side in zip(*pairs))
-    terms = win_terms(game, s.bob_povms, s.charlie_povms, s.rho_abc, q)
+    terms = win_terms(game, s.bob, s.charlie, s.rho_abc, q)
     for theta, term in zip(game.thetas, terms):
+        # the oracle reads the label-keyed views, the package the stacks
         f, p, c = game.povms[theta], s.bob_povms[theta], s.charlie_povms[theta]
         op = oracle_win_operator(f, p, c, pairs)
         assert abs(term - np.trace(op @ s.rho_abc).real) <= ATOL
         if pairs is None:
-            np.testing.assert_allclose(
-                win_operator(game, s.bob_povms, s.charlie_povms, theta), op,
-                atol=ATOL, rtol=0)
-    if pairs is None:
-        assert abs(winning_probability(game, s) - terms.mean()) <= ATOL
-    else:
-        labels = game.outcomes
-        qset = QSet(labels, tuple(({x: labels[pb[i]] for i, x in enumerate(labels)},
-                                   {x: labels[pc[i]] for i, x in enumerate(labels)})
-                                  for pb, pc in pairs))
-        assert abs(winning_probability_with_q(game, s, qset) - terms.mean()) <= ATOL
+            np.testing.assert_allclose(win_operator(game, s.bob, s.charlie, theta), op,
+                                       atol=ATOL, rtol=0)
+    # the same strategy with its bases stored in reverse order is realigned
+    # to the game by label
+    order = game.thetas[::-1]
+    reversed_s = Strategy(s.rho_abc, s.dims, {t: s.bob_povms[t] for t in order},
+                          {t: s.charlie_povms[t] for t in order})
+    assert reversed_s.thetas == order
+    for strategy in (s, reversed_s):
+        if pairs is None:
+            assert abs(winning_probability(game, strategy) - terms.mean()) <= ATOL
+        else:
+            labels = game.outcomes
+            qset = QSet(labels, tuple(({x: labels[pb[i]] for i, x in enumerate(labels)},
+                                       {x: labels[pc[i]] for i, x in enumerate(labels)})
+                                      for pb, pc in pairs))
+            assert abs(winning_probability_with_q(game, strategy, qset)
+                       - terms.mean()) <= ATOL
 
 
 @settings(max_examples=40, deadline=None)
@@ -84,11 +92,13 @@ def test_win_terms_and_operator_match_oracle(case, with_q):
 def test_conditional_operators_match_oracle(case):
     game, s, _ = case
     da, db, dc = s.dims
-    for theta in game.thetas:
-        f = game.povms[theta]
-        for party, fixed, keep in (("B", s.charlie_povms, 1), ("C", s.bob_povms, 2)):
-            sigmas = _conditional_operators(game, s.rho_abc, fixed, party, theta)
-            for x, sigma in enumerate(sigmas):
+    for party, fixed, keep in (("B", s.charlie_povms, 1), ("C", s.bob_povms, 2)):
+        stack = s.charlie if party == "B" else s.bob
+        sigmas = _conditional_operators(game, s.rho_abc, stack, party)
+        assert sigmas.shape[:2] == (len(game.thetas), len(game.outcomes))
+        for theta, per_theta in zip(game.thetas, sigmas):
+            f = game.povms[theta]
+            for x, sigma in enumerate(per_theta):
                 if party == "B":
                     op = kron(f[x], np.eye(db), fixed[theta][x])
                 else:

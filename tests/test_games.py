@@ -88,6 +88,70 @@ def test_game_power_capacity_guard():
         game_power(bb84_game(), 12)
 
 
+def test_game_power_peak_memory_is_one_stack():
+    # the elements are written once, into one preallocated stack
+    import tracemalloc
+    base = bb84_game()
+    tracemalloc.start()
+    try:
+        g5 = game_power(base, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g5.elements.shape == (32, 32, 32, 32)
+    assert g5.elements.nbytes == 16 * 2**20
+    assert peak <= 1.25 * g5.elements.nbytes
+
+
+def test_game_stores_one_read_only_stack():
+    g = bb84_game()
+    assert g.elements.shape == (2, 2, 2, 2)
+    assert not g.elements.flags.writeable
+    np.testing.assert_array_equal(g.povms["1"], g.elements[1])
+    with pytest.raises(TypeError):
+        g.povms["0"] = g.povms["1"]
+    with pytest.raises(ValueError):
+        g.elements[0, 0, 0, 0] = 0.0
+
+
+def test_game_does_not_alias_label_keyed_input():
+    ket0 = KET0.copy()
+    g = MonogamyGame(dim_a=2, thetas=("0",), outcomes=("0", "1"),
+                     povms={"0": (ket0, np.eye(2) - ket0)})
+    ket0[0, 0] = 0.0
+    np.testing.assert_array_equal(g.element("0", "0"), KET0)
+
+
+def test_game_keeps_a_handed_over_frozen_stack():
+    stack = np.array(bb84_game().elements)
+    stack.setflags(write=False)
+    g = MonogamyGame(2, ("0", "1"), ("0", "1"), stack)
+    assert g.elements is stack
+    np.testing.assert_array_equal(g.povms["1"], bb84_game().povms["1"])
+    # a writable stack is copied, so later writes cannot reach the game
+    writable = np.array(stack)
+    g = MonogamyGame(2, ("0", "1"), ("0", "1"), writable)
+    writable[0, 0] = 0.0
+    np.testing.assert_array_equal(g.elements, stack)
+
+
+def test_game_and_strategy_pickle_round_trip():
+    import pickle
+    g = game_power(bb84_game(), 2)
+    s = product_strategy(bb84_optimal_unentangled_strategy(), 2)
+    g2, s2 = pickle.loads(pickle.dumps(g)), pickle.loads(pickle.dumps(s))
+    assert (g2.thetas, g2.outcomes, g2.theta_parts) == (g.thetas, g.outcomes, g.theta_parts)
+    np.testing.assert_array_equal(g2.elements, g.elements)
+    assert s2.thetas == s.thetas
+    assert winning_probability(g2, s2) == winning_probability(g, s)
+
+
+def test_game_rejects_wrong_element_shape():
+    with pytest.raises(DimensionError):
+        MonogamyGame(dim_a=2, thetas=("0",), outcomes=("0", "1"),
+                     povms={"0": (KET0, np.eye(3))})
+
+
 # ---------------------------------------------------------------------------
 # overlap
 
@@ -166,7 +230,7 @@ def test_winning_probability_bounded_by_operator_norm(rng):
         for _ in range(8):
             s = random_strategy(g, 2, 2, rng)
             value = winning_probability(g, s)
-            total = sum(win_operator(g, s.bob_povms, s.charlie_povms, t)
+            total = sum(win_operator(g, s.bob, s.charlie, t)
                         for t in g.thetas)
             assert 0.0 <= value <= 1.0 + 1e-12
             assert value <= linalg.schatten_inf_norm(total) / len(g.thetas) + 1e-9
@@ -176,7 +240,7 @@ def test_averaged_win_operator_norm_at_most_one(rng):
     g = bb84_game()
     for _ in range(10):
         s = random_strategy(g, 2, 3, rng)
-        total = sum(win_operator(g, s.bob_povms, s.charlie_povms, t)
+        total = sum(win_operator(g, s.bob, s.charlie, t)
                     for t in g.thetas)
         assert linalg.schatten_inf_norm(total) / len(g.thetas) <= 1.0 + 1e-10
 
@@ -195,7 +259,7 @@ def test_cross_term_norm_bound(rng):
         g = game_power(bb84_game(), n)
         for _ in range(6):
             s = random_strategy(g, 2, 2, rng)
-            ops = {t: win_operator(g, s.bob_povms, s.charlie_povms, t)
+            ops = {t: win_operator(g, s.bob, s.charlie, t)
                    for t in g.thetas}
             for ta, tb in itertools.combinations(g.thetas, 2):
                 t_dist = sum(a != b for a, b in zip(ta, tb))
@@ -374,6 +438,54 @@ def test_product_strategy_values_match_powers():
         sn = product_strategy(s1, n)
         assert winning_probability(gn, sn) == \
             pytest.approx(BB84_ROUND_VALUE**n, abs=1e-9)
+
+
+def test_strategy_basis_order_does_not_change_its_value(rng):
+    g = game_power(bb84_game(), 2)
+    s = random_strategy(g, 2, 2, rng)
+    order = g.thetas[::-1]
+    flipped = Strategy(s.rho_abc, s.dims, {t: s.bob_povms[t] for t in order},
+                       {t: s.charlie_povms[t] for t in order})
+    assert flipped.thetas == order
+    assert per_theta_win_terms(g, flipped) == per_theta_win_terms(g, s)
+    assert winning_probability(g, flipped) == winning_probability(g, s)
+    q = hamming_q_set(2, 0.5, 0.5)
+    assert winning_probability_with_q(g, flipped, q) == \
+        winning_probability_with_q(g, s, q)
+
+
+def test_strategy_parties_must_cover_the_same_bases():
+    g = bb84_game()
+    guess = constant_guess_povms(g.thetas, g.outcomes, "0", dim=1)
+    rho = np.kron(np.eye(2, dtype=complex) / 2, np.eye(1, dtype=complex))
+    with pytest.raises(ValidationError):
+        Strategy(rho, (2, 1, 1), guess, {"0": guess["0"]})
+
+
+def test_strategy_missing_a_game_basis_is_rejected():
+    g = bb84_game()
+    guess = constant_guess_povms(("0",), g.outcomes, "0", dim=1)
+    rho = np.kron(np.eye(2, dtype=complex) / 2, np.eye(1, dtype=complex))
+    s = Strategy(rho, (2, 1, 1), guess, dict(guess))
+    with pytest.raises(ValidationError):
+        winning_probability(g, s)
+
+
+def test_product_strategy_follows_an_unsorted_basis_order():
+    base = bb84_game()
+    g = MonogamyGame(dim_a=2, thetas=("1", "0"), outcomes=("0", "1"),
+                     povms={"1": base.povms["1"], "0": base.povms["0"]})
+    # Bob measures exactly as Alice does, on his half of a maximally
+    # entangled pair; Charlie guesses "0"
+    rho = np.kron(maximally_entangled_density(2), np.eye(1, dtype=complex))
+    s1 = Strategy(rho, (2, 2, 1), g.povms,
+                  constant_guess_povms(g.thetas, g.outcomes, "0", dim=1))
+    g2, s2 = game_power(g, 2), product_strategy(s1, 2)
+    assert g2.thetas == ("11", "10", "01", "00")
+    assert s2.thetas == g2.thetas
+    np.testing.assert_allclose(s2.bob, g2.elements, atol=1e-12, rtol=0)
+    assert winning_probability(g2, s2) == \
+        pytest.approx(winning_probability(g, s1) ** 2, abs=1e-12)
 
 
 def test_product_strategy_of_entangled_round(rng):

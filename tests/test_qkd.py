@@ -501,6 +501,40 @@ def test_device_runs_reject_a_flip_probability():
         run_eqkd_trials(params, 0.01, 3, seed=0, device=HonestNoisyDevice(0.01))
 
 
+def test_run_trials_checks_device_capacity_before_batching():
+    class SmallDevice(HonestNoisyDevice):
+        max_n = 8
+
+    with pytest.raises(CapacityError):
+        simulate_eqkd(qp(n=64, t=16, s=0, ell=0), 0.0, device=SmallDevice(0.0), seed=0)
+    with pytest.raises(CapacityError):
+        run_eqkd_trials(qp(n=64, t=16, s=0, ell=0), 0.0, 10, seed=0,
+                        device=SmallDevice(0.0))
+
+
+def test_quantum_trials_derive_generators_from_seed_and_trial(monkeypatch):
+    # trial k of seed s draws from a path that names s and k separately, so
+    # (seed 1, trial 0) and (seed 0, trial 2^20) cannot share a stream
+    import monogamy.qkd as qkd
+    paths = []
+
+    def recording_rng_for(seed, *stream):
+        paths.append((seed, *stream))
+        return rng_for(seed, *stream)
+
+    monkeypatch.setattr(qkd, "rng_for", recording_rng_for)
+    params = QkdParams(n=4, t=1, s=2, ell=1, gamma=0.0, epsilon=0.05)
+    for seed in (0, 1):
+        paths.clear()
+        run_eqkd_trials(params, 0.0, 3, seed=seed, device=epr_device(4))
+        assert all(p[0] == seed for p in paths)
+        # one syndrome code per run: its chunk paths are drawn once
+        assert len(paths) == len(set(paths))
+        trial_paths = [p for p in paths if p[1] != qkd._CODE_STREAM]
+        assert [p[-1] for p in trial_paths] == [0, 1, 2]
+        assert len({p[1:-1] for p in trial_paths}) == 1
+
+
 def test_run_trials_quantum_device_path():
     params = QkdParams(n=2, t=1, s=0, ell=1, gamma=0.0, epsilon=0.05)
     agg = run_eqkd_trials(params, 0.0, 30, seed=2, device=epr_device(2))

@@ -7,16 +7,18 @@ import pytest
 
 from monogamy.bounds import BB84_ROUND_VALUE, bb84_parallel_value
 from monogamy.errors import CapacityError, DomainError
-from monogamy.games import (MonogamyGame, bb84_game, constant_guess_povms,
-                            game_power, product_strategy, winning_probability)
+from monogamy.games import (MonogamyGame, bb84_game, game_power, product_strategy,
+                            winning_probability)
 from monogamy.seesaw import (SeesawConfig, bb84_optimal_unentangled_strategy,
                              optimal_povm_step, optimal_state_step, seesaw)
 
 
 def test_state_step_for_constant_guessers():
     g = bb84_game()
-    guess = constant_guess_povms(g.thetas, g.outcomes, "0", dim=1)
-    rho, value = optimal_state_step(g, guess, dict(guess))
+    # every basis: the 1-dimensional identity on outcome "0"
+    guess = np.zeros((2, 2, 1, 1), dtype=complex)
+    guess[:, 0] = 1.0
+    rho, value = optimal_state_step(g, guess, guess)
     assert value == pytest.approx(BB84_ROUND_VALUE, abs=1e-12)
     # optimal sender state is cos(pi/8)|0> + sin(pi/8)|1>
     phi = np.array([np.cos(np.pi / 8), np.sin(np.pi / 8)])
@@ -26,9 +28,8 @@ def test_state_step_for_constant_guessers():
 
 def test_state_step_flat_spectrum_uniform_answers():
     g = bb84_game()
-    uniform = {t: (np.eye(2, dtype=complex) / 2, np.eye(2, dtype=complex) / 2)
-               for t in g.thetas}
-    rho, value = optimal_state_step(g, uniform, dict(uniform))
+    uniform = np.broadcast_to(np.eye(2, dtype=complex) / 2, (2, 2, 2, 2))
+    rho, value = optimal_state_step(g, uniform, uniform)
     assert value == pytest.approx(0.25, abs=1e-12)
     assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
     assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-10)
@@ -38,8 +39,8 @@ def test_state_step_value_never_exceeds_one(rng):
     from monogamy.rand import random_projective_povm
     g = bb84_game()
     for _ in range(10):
-        bob = {t: tuple(random_projective_povm(2, 2, rng)) for t in g.thetas}
-        charlie = {t: tuple(random_projective_povm(2, 2, rng)) for t in g.thetas}
+        bob = np.array([random_projective_povm(2, 2, rng) for _ in g.thetas])
+        charlie = np.array([random_projective_povm(2, 2, rng) for _ in g.thetas])
         _, value = optimal_state_step(g, bob, charlie)
         assert value <= 1.0 + 1e-10
 
@@ -47,17 +48,18 @@ def test_state_step_value_never_exceeds_one(rng):
 def test_povm_step_returns_constant_guess_for_optimal_state():
     g = bb84_game()
     s = bb84_optimal_unentangled_strategy()
-    new_bob = optimal_povm_step(g, s.rho_abc, s.charlie_povms, "B")
-    for theta in g.thetas:
-        np.testing.assert_allclose(new_bob[theta][0], np.eye(1), atol=1e-12)
-        np.testing.assert_allclose(new_bob[theta][1], np.zeros((1, 1)), atol=1e-12)
+    new_bob = optimal_povm_step(g, s.rho_abc, s.charlie, "B")
+    assert new_bob.shape == (len(g.thetas), 2, 1, 1)
+    for povm in new_bob:
+        np.testing.assert_allclose(povm[0], np.eye(1), atol=1e-12)
+        np.testing.assert_allclose(povm[1], np.zeros((1, 1)), atol=1e-12)
 
 
 def test_povm_step_rejects_bad_party():
     g = bb84_game()
     s = bb84_optimal_unentangled_strategy()
     with pytest.raises(ValueError):
-        optimal_povm_step(g, s.rho_abc, s.charlie_povms, "D")
+        optimal_povm_step(g, s.rho_abc, s.charlie, "D")
 
 
 def test_seesaw_bb84_single_round_converges():
@@ -101,7 +103,7 @@ def test_seesaw_respects_product_initialization():
     g = bb84_game()
     s = bb84_optimal_unentangled_strategy()
     cfg = SeesawConfig(seed=0, restarts=1)
-    result = seesaw(g, cfg, init_povms=(s.bob_povms, s.charlie_povms))
+    result = seesaw(g, cfg, init_povms=(s.bob, s.charlie))
     assert result.value == pytest.approx(BB84_ROUND_VALUE, abs=1e-9)
     assert result.iterations <= 3
 
@@ -138,7 +140,7 @@ def test_sandwich_between_search_and_norm_bound():
         search = seesaw(g, SeesawConfig(seed=0, restarts=20)).value
         closed = bb84_parallel_value(n)
         norm = linalg.schatten_inf_norm(
-            sum(win_operator(g, sn.bob_povms, sn.charlie_povms, t)
+            sum(win_operator(g, sn.bob, sn.charlie, t)
                 for t in g.thetas)) / 2**n
         assert search <= closed + 1e-9
         assert closed <= norm + 1e-9
@@ -149,7 +151,7 @@ def test_sandwich_between_search_and_norm_bound():
 def test_state_step_retries_upper_triangle_when_eigh_fails(monkeypatch):
     g = game_power(bb84_game(), 2)
     s = product_strategy(bb84_optimal_unentangled_strategy(), 2)
-    expected = optimal_state_step(g, s.bob_povms, s.charlie_povms)
+    expected = optimal_state_step(g, s.bob, s.charlie)
     eigh = np.linalg.eigh
     calls = []
 
@@ -160,7 +162,7 @@ def test_state_step_retries_upper_triangle_when_eigh_fails(monkeypatch):
         return eigh(a, UPLO=UPLO)
 
     monkeypatch.setattr(np.linalg, "eigh", lower_fails)
-    rho, value = optimal_state_step(g, s.bob_povms, s.charlie_povms)
+    rho, value = optimal_state_step(g, s.bob, s.charlie)
     assert calls == ["L", "U"]
     assert value == pytest.approx(expected[1], abs=1e-12)
     np.testing.assert_allclose(rho, expected[0], atol=1e-10)
