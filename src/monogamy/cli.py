@@ -27,6 +27,7 @@ from datetime import datetime, timezone
 from typing import Sequence
 
 import click
+from click.core import ParameterSource
 
 from . import bounds as bounds_mod
 from . import fixtures as fixtures_mod
@@ -84,6 +85,16 @@ def _emit_csv(header: Sequence[str], rows: Sequence[Sequence], output: str | Non
     _write_text(buf.getvalue(), output)
 
 
+def _reject_unused(reason: str, *names: str) -> None:
+    """A usage error for the first of the named options the user gave,
+    which `reason` leaves unused; an option left at its default passes."""
+    ctx = click.get_current_context()
+    for param in ctx.command.params:
+        if param.name in names and \
+                ctx.get_parameter_source(param.name) is not ParameterSource.DEFAULT:
+            raise click.UsageError(f"{param.opts[0]} has no effect {reason}", ctx)
+
+
 def _load_game(name: str):
     if name == "bb84":
         return bb84_game()
@@ -125,12 +136,17 @@ def bounds_cmd(game, c_value, theta_count, q_cardinality, n_range, gamma,
                gamma_prime, same_string, fmt, output, deterministic):
     """Closed-form upper bounds on the n-round winning probability."""
     if game == "bb84":
+        _reject_unused("with --game bb84", "c_value", "theta_count")
         c_value, theta_count = 0.5, 2
     elif game == "general":
         if c_value is None:
             raise click.UsageError("--c is required for --game general")
     else:
         raise click.UsageError(f"unknown game {game!r}; use 'bb84' or 'general'")
+    if same_string:
+        _reject_unused("with --same-string", "q_cardinality", "gamma_prime")
+    elif gamma is not None or gamma_prime is not None:
+        _reject_unused("with --gamma or --gamma-prime", "q_cardinality")
     reports = []
     for n in _parse_range(n_range):
         inputs = {"n": n, "c": c_value, "theta_count": theta_count,
@@ -382,6 +398,8 @@ def posver_simulate_cmd(scenario_path, n, prover, position, trials, seed, output
         kind, scenario = fixtures_mod.load_fixture(scenario_path)
         if kind != "scenario":
             raise ValidationError(f"{scenario_path}: expected a scenario fixture")
+    if prover != "single":
+        _reject_unused(f"with --prover {prover}", "position")
     if prover == "honest":
         model = posver_mod.HonestProver()
     elif prover == "breidbart":
@@ -411,6 +429,7 @@ def ur_check_cmd(fixture, random_count, seed, output, deterministic):
     """Check the two-observer guessing tradeoff for a fixture or random states."""
     rows = []
     if fixture is not None:
+        _reject_unused("with a fixture", "random_count", "seed")
         kind, obj = fixtures_mod.load_fixture(fixture)
         if kind != "ur_instance":
             raise ValidationError(f"{fixture}: expected an ur_instance fixture")

@@ -1,8 +1,13 @@
-"""Error types shared across the package.
+"""Error types shared across the package, and the one memory budget.
 
 All of them subclass ValueError so plain ``except ValueError`` keeps working;
 the CLI maps any of these to exit code 1.
 """
+
+# Bytes one call may hold in its largest arrays at the same time.  Every
+# routine whose memory grows with its inputs predicts that figure from the
+# inputs alone and passes it to `require_bytes` before it allocates.
+MEMORY_BUDGET = 2**31
 
 
 class DimensionError(ValueError):
@@ -24,4 +29,18 @@ class DomainError(ValueError):
 
 
 class CapacityError(ValueError):
-    """A request exceeds the desk-scale capacity guard of an exact evaluator."""
+    """A request exceeds a fixed capacity: the bytes it would allocate exceed
+    `MEMORY_BUDGET` (raised by `require_bytes` before anything is
+    allocated), or a device or label format supports no more rounds or
+    symbols."""
+
+
+def require_bytes(nbytes: int, what: str) -> None:
+    """Refuse, with a CapacityError naming `what`, a call predicted to hold
+    more than `MEMORY_BUDGET` bytes at once.  The budget is read at call
+    time; `nbytes` should be a Python int, which cannot overflow."""
+    nbytes = int(nbytes)
+    if nbytes > MEMORY_BUDGET:
+        size = f"{nbytes:,} bytes" if nbytes.bit_length() <= 64 else "over 2^64 bytes"
+        raise CapacityError(f"{what} needs {size}, over the memory budget of "
+                            f"{MEMORY_BUDGET:,} bytes")

@@ -26,12 +26,18 @@ import numpy as np
 
 from . import linalg
 from .bounds import binary_entropy
-from .errors import CapacityError, DimensionError, DomainError, ValidationError
+from .errors import (CapacityError, DimensionError, DomainError, ValidationError,
+                     require_bytes)
 
 POVM_COMPLETENESS_ATOL = 1e-8
 
-# exact evaluation guard: |Theta|^n * |X|^n terms at most
-POWER_TERM_GUARD = 10**6
+# Byte costs the memory predictions charge, from tracemalloc peaks: a complex
+# entry takes 16 B; a power-game basis label, with its parts tuple and its
+# row view, 610-690 B and an outcome label 130-140 B; one entry of a label
+# dict or of the tuples QSet builds to find duplicate pairs, 75-85 B.
+_BASIS_LABEL_BYTES = 1024
+_OUTCOME_LABEL_BYTES = 256
+_LABEL_ENTRY_BYTES = 128
 
 
 def _frozen(a) -> np.ndarray:
@@ -267,6 +273,15 @@ def _power_stack(family: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _power_stack_bytes(shape: Sequence[int], n: int) -> int:
+    """Peak bytes of :func:`_power_stack` and the validation of its result:
+    the stack, three basis blocks of temporaries (measured: 2.5), and the
+    basis labels."""
+    k, m, d = (int(x) for x in shape[:3])
+    block = 16 * (m * d * d)**n
+    return k**n * (block + _BASIS_LABEL_BYTES) + 3 * block
+
+
 def _power_labels(labels: Sequence[str], n: int) -> list[str]:
     return [_join_labels(ls) for ls in itertools.product(labels, repeat=n)]
 
@@ -277,10 +292,8 @@ def game_power(game: MonogamyGame, n: int) -> MonogamyGame:
         raise DomainError("n must be a positive integer")
     if n == 1:
         return game
-    terms = (len(game.thetas) * len(game.outcomes)) ** n
-    if terms > POWER_TERM_GUARD:
-        raise CapacityError(f"{terms} POVM entries exceed the exact-evaluation "
-                            f"guard of {POWER_TERM_GUARD}")
+    require_bytes(_power_stack_bytes(game.elements.shape, n)
+                  + len(game.outcomes)**n * _OUTCOME_LABEL_BYTES, f"game_power(n={n})")
     base_parts = game.theta_parts or {t: (t,) for t in game.thetas}
     parts = {_join_labels(ts): sum((base_parts[t] for t in ts), ())
              for ts in itertools.product(game.thetas, repeat=n)}
@@ -458,8 +471,8 @@ def xor_permutation_family(n: int, alphabet_size_theta: int) -> list[dict]:
         raise DomainError("alphabet size must be at least 2")
     if q > 10:
         raise CapacityError("digit labels support alphabet sizes up to 10")
-    if q**n > POWER_TERM_GUARD:
-        raise CapacityError(f"{q**n} permutations exceed the capacity guard")
+    # q^n permutations, each a dict over the q^n points
+    require_bytes(q**(2 * n) * _LABEL_ENTRY_BYTES, f"xor_permutation_family(n={n})")
     points = ["".join(p) for p in itertools.product("0123456789"[:q], repeat=n)]
     return [{label: "".join(str((int(c) + s) % q) for c, s in zip(label, shift))
              for label in points}
@@ -474,9 +487,24 @@ def _xor_label(x: str, k: str) -> str:
     return "".join("1" if a != b else "0" for a, b in zip(x, k))
 
 
+def _max_weight(bound: float) -> int:
+    return int(math.floor(bound + 1e-9))
+
+
 def _weight_at_most(n: int, bound: float) -> list[str]:
-    w_max = int(math.floor(bound + 1e-9))
+    w_max = _max_weight(bound)
     return [k for k in bit_strings(n) if k.count("1") <= w_max]
+
+
+def _count_weight_at_most(n: int, bound: float) -> int:
+    return sum(math.comb(n, w) for w in range(min(_max_weight(bound), n) + 1))
+
+
+def _require_xor_q_set(n: int, pairs: int, what: str) -> None:
+    """Charge a Q-set of `pairs` pairs on n bits: two label dicts over the
+    2^n outcomes per pair, and as many entries again in the tuples its
+    duplicate check builds."""
+    require_bytes(4 * pairs * 2**n * _LABEL_ENTRY_BYTES, what)
 
 
 def _xor_q_set(n: int, shifts: Sequence[tuple[str, str]]) -> QSet:
@@ -495,8 +523,8 @@ def hamming_q_set(n: int, gamma: float, gamma_prime: float) -> QSet:
             raise DomainError(f"{name} must lie in [0, 1/2], got {g}")
     if n < 1:
         raise DomainError("n must be positive")
-    if 4**n > POWER_TERM_GUARD:
-        raise CapacityError("outcome alphabet exceeds the capacity guard")
+    _require_xor_q_set(n, _count_weight_at_most(n, gamma * n)
+                       * _count_weight_at_most(n, gamma_prime * n), f"hamming_q_set(n={n})")
     qset = _xor_q_set(n, [(k, kp) for k in _weight_at_most(n, gamma * n)
                           for kp in _weight_at_most(n, gamma_prime * n)])
     cap = 2.0 ** (n * binary_entropy(gamma) + n * binary_entropy(gamma_prime))
@@ -510,6 +538,7 @@ def same_string_q_set(n: int, gamma: float) -> QSet:
         raise DomainError(f"gamma must lie in [0, 1/2], got {gamma}")
     if n < 1:
         raise DomainError("n must be positive")
+    _require_xor_q_set(n, _count_weight_at_most(n, gamma * n), f"same_string_q_set(n={n})")
     qset = _xor_q_set(n, [(k, k) for k in _weight_at_most(n, gamma * n)])
     assert len(qset) <= 2.0 ** (n * binary_entropy(gamma)) * (1 + 1e-12)
     return qset
@@ -523,12 +552,20 @@ def product_strategy(strategy: Strategy, n: int) -> Strategy:
         raise DomainError("n must be positive")
     if n == 1:
         return strategy
+    dims = strategy.dims * n  # interleaved: A1 B1 C1 A2 B2 C2 ...
+    d = math.prod(dims)
+    # the product and its regrouped copy, then Strategy's PSD check of the
+    # kept state (measured: 3.5 state-sized arrays at once, the state included)
+    require_bytes(16 * 4 * d * d + _power_stack_bytes(strategy.bob.shape, n)
+                  + _power_stack_bytes(strategy.charlie.shape, n), f"product_strategy(n={n})")
+    order = [3 * i + party for party in range(3) for i in range(n)]
+    axes, grouped = order + [3 * n + i for i in order], [dims[i] for i in order]
+    interleaved = power_elements([strategy.rho_abc[None]] * n)[0].reshape(dims + dims)
+    # written once into an array that owns its data, which Strategy keeps
+    rho = np.empty((d, d), dtype=complex)
+    rho.reshape(grouped + grouped)[...] = interleaved.transpose(axes)
+    del interleaved
+    rho.setflags(write=False)
     da, db, dc = strategy.dims
-    big = power_elements([strategy.rho_abc[None]] * n)[0]
-    # interleaved factor list (A1 B1 C1 A2 B2 C2 ...) -> grouped by party
-    dims = [da, db, dc] * n
-    order = [3 * i for i in range(n)] + [3 * i + 1 for i in range(n)] + \
-            [3 * i + 2 for i in range(n)]
-    big = linalg.reorder_systems(big, dims, order)
-    return Strategy(big, (da**n, db**n, dc**n), _power_stack(strategy.bob, n),
+    return Strategy(rho, (da**n, db**n, dc**n), _power_stack(strategy.bob, n),
                     _power_stack(strategy.charlie, n), _power_labels(strategy.thetas, n))

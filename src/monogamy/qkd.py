@@ -10,8 +10,9 @@ The security statement is the closed-form failure bound
 with b the single-round BB84 game value shared with :mod:`monogamy.bounds`.
 The simulator executes the protocol itself (sampling, abort rule, syndrome
 correction, Toeplitz hashing) with a pluggable device: a classical noise
-model at up to 64 rounds, or a full tripartite quantum device at up to 5
-rounds to exercise the POVM plumbing.  An eavesdropper is never simulated;
+model at up to 2^20 rounds, or a full tripartite quantum device at up to 5
+rounds to exercise the POVM plumbing.  Run sizes are further bounded by the
+memory budget of :mod:`monogamy.errors`.  An eavesdropper is never simulated;
 the delta formula is the security claim and is computed exactly.
 """
 
@@ -25,15 +26,24 @@ import numpy as np
 
 from . import linalg
 from .bounds import BB84_ROUND_VALUE, binary_entropy
-from .errors import CapacityError, DimensionError, DomainError, ValidationError
+from .errors import (CapacityError, DimensionError, DomainError, ValidationError,
+                     require_bytes)
 from .games import bb84_game, conditional_states, maximally_entangled_density, power_elements
 from .rand import rng_for
 from .uncertainty import CqEnsemble
 
 LOG2_INV_ROUND_VALUE = -math.log2(BB84_ROUND_VALUE)
 
-MAX_DECODE_BLOCK = 20
 _TRIAL_BATCH = 4096
+_CHUNK_LEN = 16
+
+# Byte costs the memory predictions charge, from tracemalloc peaks: a trial
+# batch holds 19.2-19.4 B per (trial, round) entry, a Toeplitz product 17 B
+# per matrix entry, a decode table 8 B per word and its construction
+# 9 B per (word, bit) plus 8-16 B per (word, syndrome row).
+_TRIAL_ENTRY_BYTES = 20
+_HASH_ENTRY_BYTES = 17
+_CHUNK_BYTES = 512  # one chunk's bounds, row count and parity matrix object
 
 # rng derivation streams so protocol randomness, code construction,
 # Monte-Carlo batches and per-trial device runs never overlap
@@ -222,9 +232,18 @@ def toeplitz_hash(seed_bits, input_bits, ell: int) -> np.ndarray:
     if seed.size != length + ell - 1:
         raise DimensionError(f"seed length {seed.size} != input length {length} "
                              f"+ ell {ell} - 1")
+    require_bytes(_hash_bytes(length, ell), f"toeplitz_hash({ell} x {length})")
     idx = np.arange(ell)[:, None] + (length - 1) - np.arange(length)[None, :]
     matrix = seed[idx]
     return ((matrix @ x.astype(np.int64)) % 2).astype(np.uint8)
+
+
+def _hash_bytes(length: int, ell: int) -> int:
+    """Peak bytes of :func:`toeplitz_hash`: the ell x L index matrix (int64),
+    the gathered seed bits and their int64 copy for the product, and int64
+    rows and columns."""
+    ell, length = int(ell), int(length)
+    return _HASH_ENTRY_BYTES * ell * length + 24 * (ell + length)
 
 
 def _bits_to_int(bits: np.ndarray) -> int:
@@ -243,19 +262,23 @@ def _int_to_bits(value: int, width: int) -> np.ndarray:
 class LinearCode:
     """Seeded random linear code with chunked brute-force decoding.
 
-    The input is split into chunks of at most `chunk_len` (<= 20) bits;
-    syndrome rows are distributed across chunks proportionally.  Decoding
-    finds, per chunk, the bit string consistent with the syndrome that is
-    nearest in Hamming distance to the received chunk; ties go to the
-    lexicographically smallest string.
+    The input is split into chunks of at most `chunk_len` bits; syndrome
+    rows are distributed across chunks proportionally.  Decoding finds, per
+    chunk, the bit string consistent with the syndrome that is nearest in
+    Hamming distance to the received chunk; ties go to the lexicographically
+    smallest string.  Each chunk with rows gets a decode table of 2^width
+    syndromes on first use; the memory budget bounds them all at
+    construction.
     """
 
     def __init__(self, length: int, syndrome_bits: int, seed: int,
-                 chunk_len: int = 16):
-        if chunk_len < 1 or chunk_len > MAX_DECODE_BLOCK:
-            raise CapacityError(f"chunk_len must lie in [1, {MAX_DECODE_BLOCK}]")
+                 chunk_len: int = _CHUNK_LEN):
+        if chunk_len < 1:
+            raise DomainError("chunk_len must be positive")
         if length < 0 or syndrome_bits < 0:
             raise DomainError("length and syndrome_bits must be non-negative")
+        require_bytes(_code_bytes(length, syndrome_bits, chunk_len),
+                      f"LinearCode({length}, {syndrome_bits}, chunk_len={chunk_len})")
         self.length = int(length)
         self.syndrome_bits = int(syndrome_bits)
         self.seed = int(seed)
@@ -341,6 +364,22 @@ class LinearCode:
         return out
 
 
+def _code_bytes(length: int, syndrome_bits: int, chunk_len: int) -> int:
+    """Peak bytes of a :class:`LinearCode` with every decode table built:
+    the chunk bookkeeping, the parity rows, one table for each chunk that
+    has rows (at most min(chunks, syndrome bits) of them), and the
+    construction temporaries of the widest table."""
+    length, rows = int(length), int(syndrome_bits)
+    if length == 0:
+        return 0
+    width = min(int(chunk_len), length)
+    chunks = -(-length // width)
+    tables = min(chunks, rows)
+    chunk_rows = -(-rows * width // length)  # the most rows one chunk gets
+    build = 2**width * (9 * width + 16 * chunk_rows + 16) if tables else 0
+    return chunks * _CHUNK_BYTES + rows * width + 8 * 2**width * tables + build
+
+
 # ---------------------------------------------------------------------------
 # device models
 
@@ -376,8 +415,7 @@ class TripartiteQuantumDevice:
 
     def __init__(self, n: int, state, device_dim: int,
                  povms: Mapping[str, Sequence[np.ndarray]] | Callable[[str], Sequence[np.ndarray]]):
-        if n < 1 or n > self.max_n:
-            raise CapacityError(f"quantum device supports 1..{self.max_n} rounds")
+        self.check_rounds(n)
         self.n = int(n)
         self.device_dim = int(device_dim)
         da = 2**self.n
@@ -389,6 +427,11 @@ class TripartiteQuantumDevice:
             state = linalg.partial_trace(state, (da, self.device_dim, extra), keep=[0, 1])
         self.state = state
         self._povm_for = povms if callable(povms) else povms.__getitem__
+
+    @classmethod
+    def check_rounds(cls, n: int) -> None:
+        if n < 1 or n > cls.max_n:
+            raise CapacityError(f"quantum device supports 1..{cls.max_n} rounds")
 
     def sample_round(self, theta: np.ndarray, rng: np.random.Generator):
         if theta.size != self.n:
@@ -419,6 +462,7 @@ def _bb84_projectors(theta_key: str) -> np.ndarray:
 def epr_device(n: int) -> TripartiteQuantumDevice:
     """Honest quantum device: maximally entangled pairs measured in the
     announced basis, so outcomes match Alice's exactly."""
+    TripartiteQuantumDevice.check_rounds(n)  # before the 4^n x 4^n state
     da = 2**n
     return TripartiteQuantumDevice(n, maximally_entangled_density(da), da, _bb84_projectors)
 
@@ -525,8 +569,13 @@ def run_eqkd_trials(params: QkdParams, noise_flip_prob: float, trials: int,
         raise DomainError("trials must be positive")
     device = _checked_device(params, noise_flip_prob, device)
     n, t = params.n, params.t
+    batched = isinstance(device, HonestNoisyDevice)
+    # the batch arrays, the code with its decode tables, and one hash
+    require_bytes((_TRIAL_ENTRY_BYTES * min(_TRIAL_BATCH, trials) * n if batched else 0)
+                  + _code_bytes(n - t, params.s, _CHUNK_LEN) + _hash_bytes(n - t, params.ell),
+                  f"run_eqkd_trials(n={n}, trials={trials})")
     code = LinearCode(n - t, params.s, seed=seed)
-    if not isinstance(device, HonestNoisyDevice):
+    if not batched:
         aborts = key_matches = violations = 0
         for trial in range(trials):
             tr = _protocol_run(params, device, code, rng_for(seed, _TRIAL_STREAM, trial),

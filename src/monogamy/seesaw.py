@@ -17,14 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import CapacityError, DimensionError, DomainError, ValidationError
+from .errors import DimensionError, DomainError, ValidationError, require_bytes
 from .games import (MonogamyGame, Strategy, conditional_states, constant_guess_povms,
                     win_operator, win_terms, winning_probability)
 from .rand import random_projective_povm, rng_for
 from .uncertainty import helstrom_binary_povm, pgm_povm
-
-# total Hilbert-space dimension the dense eigensolver is allowed to touch
-STATE_DIM_GUARD = 4096
 
 
 @dataclass(frozen=True)
@@ -149,6 +146,7 @@ def _run_restart(game: MonogamyGame, cfg: SeesawConfig, restart: int,
     prev = -np.inf
     for _ in range(cfg.max_iters):
         rho, value = optimal_state_step(game, bob, charlie)
+        strategy = None  # frees the last cycle's copy of the state
         cand = optimal_povm_step(game, rho, charlie, "B")
         cand_value = win_terms(game, cand, charlie, rho).mean()
         if cand_value >= value - 1e-12:
@@ -169,19 +167,33 @@ def _run_restart(game: MonogamyGame, cfg: SeesawConfig, restart: int,
                         trajectory=tuple(trajectory), restart=restart, seed=cfg.seed)
 
 
+def _search_bytes(game: MonogamyGame, cfg: SeesawConfig) -> int:
+    """Peak bytes of a search, from D = d_A d_B d_C.  Measured at D = 256 and
+    512: 7.03 D x D complex arrays at once (the state, the best restart's
+    state and the POVM step's density check), or 4 of them plus the
+    conditional states tr_A[(F_x ⊗ 1) rho] while contracting; and a few
+    copies of the party stacks."""
+    d = game.dim_a * cfg.bob_dim * cfg.charlie_dim
+    bases, outcomes = game.elements.shape[:2]
+    conditional = outcomes * (d // game.dim_a)**2
+    stacks = bases * outcomes * (cfg.bob_dim**2 + cfg.charlie_dim**2)
+    return 16 * (max(15 * d * d // 2, 4 * d * d + conditional) + 4 * stacks)
+
+
 def seesaw(game: MonogamyGame, cfg: SeesawConfig, init_povms=None) -> SeesawResult:
     """Best strategy over seeded random restarts.
 
     `init_povms`, when given as (bob, charlie) stacks whose rows follow
     `game.thetas`, replaces the random initialization of restart 0;
     remaining restarts stay random.
-    Restarts run one after another and the merge picks the maximal value,
-    breaking ties toward the lowest restart index.
+    Restarts run one after another and only the best result so far is kept,
+    ties going to the lowest restart index.
     """
     total_dim = game.dim_a * cfg.bob_dim * cfg.charlie_dim
-    if total_dim > STATE_DIM_GUARD:
-        raise CapacityError(f"total dimension {total_dim} exceeds the seesaw "
-                            f"guard of {STATE_DIM_GUARD}")
-    results = [_run_restart(game, cfg, r, init_povms if r == 0 else None)
-               for r in range(cfg.restarts)]
-    return max(results, key=lambda res: res.value)
+    require_bytes(_search_bytes(game, cfg), f"seesaw at total dimension {total_dim}")
+    best = None
+    for r in range(cfg.restarts):
+        result = _run_restart(game, cfg, r, init_povms if r == 0 else None)
+        if best is None or result.value > best.value:
+            best = result
+    return best

@@ -158,6 +158,29 @@ def test_posver_simulate_single_needs_position(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, argv", [
+    ("--c", ("bounds", "--game", "bb84", "--c", "0.3")),
+    ("--theta-count", ("bounds", "--game", "bb84", "--theta-count", "3")),
+    ("--q", ("bounds", "--game", "bb84", "--gamma", "0.05", "--q", "2")),
+    ("--q", ("bounds", "--game", "general", "--c", "0.25", "--gamma-prime", "0.05",
+             "--q", "2")),
+    ("--q", ("bounds", "--gamma", "0.1", "--same-string", "--q", "2")),
+    ("--gamma-prime", ("bounds", "--gamma", "0.1", "--gamma-prime", "0.1",
+                       "--same-string")),
+    ("--position", ("posver", "simulate", "--prover", "breidbart", "--position", "0.5",
+                    "--trials", "10")),
+    ("--position", ("posver", "simulate", "--prover", "honest", "--position", "0.5",
+                    "--trials", "10")),
+    ("--random", ("ur-check", "instance.json", "--random", "5")),
+    ("--seed", ("ur-check", "instance.json", "--seed", "3")),
+])
+def test_an_option_the_command_would_ignore_is_a_usage_error(capsys, flag, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{flag} has no effect" in err
+
+
 def test_ur_check_random(capsys):
     code, out, _ = run(capsys, "ur-check", "--random", "3", "--seed", "11",
                        "--deterministic")

@@ -502,3 +502,36 @@ def test_product_strategy_of_entangled_round(rng):
 def test_strategy_state_purity():
     s = bb84_optimal_unentangled_strategy()
     assert np.trace(s.rho_abc @ s.rho_abc).real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_product_strategy_state_is_the_regrouped_tensor_power(rng):
+    # oracle: the kron power of the round state with its tensor factors
+    # permuted from (A1 B1 C1 A2 ...) to (A1 A2 ...)(B1 ...)(C1 ...)
+    dims = (2, 2, 3)
+    s1 = random_strategy(MonogamyGame(2, ("0",), ("0", "1"), bb84_game().elements[:1]),
+                         2, 3, rng)
+    s3 = product_strategy(s1, 3)
+    big = linalg.tensor(s1.rho_abc, s1.rho_abc, s1.rho_abc)
+    order = [0, 3, 6, 1, 4, 7, 2, 5, 8]
+    np.testing.assert_array_equal(s3.rho_abc,
+                                  linalg.reorder_systems(big, dims * 3, order))
+    assert s3.dims == (8, 8, 27)
+    assert s3.rho_abc.flags.owndata and not s3.rho_abc.flags.writeable
+
+
+def test_product_strategy_copies_its_state_once():
+    # entangled (2, 2, 1) BB84 round at n = 5: the state and Bob's stack are
+    # 16 MiB each; the state is written once and kept without a copy, and
+    # Strategy's PSD check adds its temporaries (88 MiB peak before)
+    import tracemalloc
+    g = bb84_game()
+    s1 = Strategy(maximally_entangled_density(2), (2, 2, 1), g.povms,
+                  constant_guess_povms(g.thetas, g.outcomes, "0"))
+    tracemalloc.start()
+    try:
+        s5 = product_strategy(s1, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s5.rho_abc.nbytes == s5.bob.nbytes == 16 * 2**20
+    assert peak <= 76 * 2**20

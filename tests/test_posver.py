@@ -181,6 +181,7 @@ def test_simulate_rounds_deterministic_and_capped():
     b = simulate_pv_rounds(SCENARIO, 3, BreidbartPair(), 1000, seed=1)
     assert a == b
     with pytest.raises(CapacityError):
-        simulate_pv_rounds(SCENARIO, 65, HonestProver(), 10, seed=0)
+        # ten rounds of 2^30 qubits need about 200 GiB
+        simulate_pv_rounds(SCENARIO, 2**30, HonestProver(), 10, seed=0)
     with pytest.raises(DomainError):
         simulate_pv_rounds(SCENARIO, 0, HonestProver(), 10, seed=0)

@@ -414,6 +414,19 @@ def test_simulate_device_capacity():
         simulate_eqkd(qp(n=64, t=16, s=0, ell=0), 0.0, device=epr_device(5), seed=0)
 
 
+def test_epr_device_checks_rounds_before_building_its_state():
+    # six rounds would first build a 4096 x 4096 state (256 MiB)
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            epr_device(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_simulate_device_length_mismatch():
     class BadDevice:
         max_n = 64
