@@ -34,36 +34,16 @@ POVM_COMPLETENESS_ATOL = 1e-8
 # Byte costs the memory predictions charge, from tracemalloc peaks: a complex
 # entry takes 16 B; a power-game basis label, with its parts tuple and its
 # row view, 610-690 B and an outcome label 130-140 B; one entry of a label
-# dict or of the tuples QSet builds to find duplicate pairs, 75-85 B.
+# dict, 80-85 B, or 90-93 B with its share of QSet's duplicate-pair keys.
 _BASIS_LABEL_BYTES = 1024
 _OUTCOME_LABEL_BYTES = 256
 _LABEL_ENTRY_BYTES = 128
 
 
-def _frozen(a) -> np.ndarray:
-    """`a` as a read-only complex array.  One that already is read-only and
-    owns its data is kept as it is; anything else is copied once."""
-    if not (isinstance(a, np.ndarray) and a.dtype == complex and a.flags.owndata
-            and not a.flags.writeable):
-        a = np.array(a, dtype=complex)
-        a.setflags(write=False)
-    return a
-
-
-def _psd(stack: np.ndarray) -> np.ndarray:
-    """Per matrix of a (k, d, d) stack: Hermitian within HERMITIAN_ATOL and no
-    eigenvalue below PSD_EIG_FLOOR."""
-    adjoint = stack.conj().swapaxes(-1, -2)
-    ok = np.abs(stack - adjoint).max(axis=(-2, -1)) <= linalg.HERMITIAN_ATOL
-    if ok.all():
-        ok = np.linalg.eigvalsh((stack + adjoint) / 2).min(axis=-1) >= linalg.PSD_EIG_FLOOR
-    return ok
-
-
 def _validate_povm(elements: np.ndarray, label: str) -> None:
     """Check one (|X|, d, d) POVM stack in place: Hermitian PSD elements that
     sum to the identity."""
-    ok = _psd(elements)
+    ok = linalg.hermitian_psd(elements)
     if not ok.all():
         raise ValidationError(f"POVM '{label}' element {int(np.argmin(ok))} "
                               f"is not Hermitian PSD")
@@ -88,10 +68,8 @@ def _povm_stack(povms, keys: Sequence[str], dim: int, who: str = "") -> np.ndarr
                 if np.shape(e) != (dim, dim):
                     raise DimensionError(f"POVM '{who}{key}' element {x} has shape "
                                          f"{np.shape(e)}, expected ({dim}, {dim})")
-        stack = np.array([povms[k] for k in keys], dtype=complex)
-        stack.setflags(write=False)
-    else:
-        stack = _frozen(povms)
+        povms = [povms[k] for k in keys]
+    stack = linalg.frozen(povms)
     if stack.ndim != 4 or stack.shape[0] != len(keys) or stack.shape[2:] != (dim, dim):
         raise DimensionError(f"{who}POVM stack has shape {stack.shape}, expected "
                              f"({len(keys)}, |X|, {dim}, {dim})")
@@ -173,14 +151,10 @@ class Strategy:
         if len(dims) != 3 or any(d < 1 for d in dims):
             raise DimensionError(f"dims must be three positive integers, got {self.dims}")
         object.__setattr__(self, "dims", dims)
-        rho = _frozen(self.rho_abc)
+        rho = linalg.frozen(self.rho_abc)
         if rho.shape != (math.prod(dims),) * 2:
             raise DimensionError(f"state shape {rho.shape} does not match dims {dims}")
-        if not _psd(rho[None]).all():
-            raise ValidationError("rho_abc is not positive semi-definite within tolerance")
-        if abs(np.trace(rho) - 1.0) > linalg.TRACE_ATOL:
-            raise ValidationError(f"rho_abc has trace {np.trace(rho).real!r}, expected 1")
-        object.__setattr__(self, "rho_abc", rho)
+        object.__setattr__(self, "rho_abc", linalg.require_density(rho, "rho_abc"))
         thetas = self.bob_povms if self.thetas is None else self.thetas
         if isinstance(thetas, np.ndarray):
             raise ValidationError("stacked POVMs need their basis order `thetas`")
@@ -275,8 +249,8 @@ def _power_stack(family: np.ndarray, n: int) -> np.ndarray:
 
 def _power_stack_bytes(shape: Sequence[int], n: int) -> int:
     """Peak bytes of :func:`_power_stack` and the validation of its result:
-    the stack, three basis blocks of temporaries (measured: 2.5), and the
-    basis labels."""
+    the stack, three basis blocks of temporaries (measured: 1.5-1.65), and
+    the basis labels."""
     k, m, d = (int(x) for x in shape[:3])
     block = 16 * (m * d * d)**n
     return k**n * (block + _BASIS_LABEL_BYTES) + 3 * block
@@ -431,7 +405,8 @@ class QSet:
                         set(perm.values()) != set(self.outcomes):
                     raise ValidationError("Q-set entries must be bijections on the "
                                           "outcome set")
-            key = (tuple(sorted(pb.items())), tuple(sorted(pc.items())))
+            # each map as its images in `outcomes` order
+            key = tuple(tuple(perm[x] for x in self.outcomes) for perm in (pb, pc))
             if key in seen:
                 raise ValidationError("duplicate permutation pair in Q-set")
             seen.add(key)
@@ -502,9 +477,8 @@ def _count_weight_at_most(n: int, bound: float) -> int:
 
 def _require_xor_q_set(n: int, pairs: int, what: str) -> None:
     """Charge a Q-set of `pairs` pairs on n bits: two label dicts over the
-    2^n outcomes per pair, and as many entries again in the tuples its
-    duplicate check builds."""
-    require_bytes(4 * pairs * 2**n * _LABEL_ENTRY_BYTES, what)
+    2^n outcomes per pair."""
+    require_bytes(2 * pairs * 2**n * _LABEL_ENTRY_BYTES, what)
 
 
 def _xor_q_set(n: int, shifts: Sequence[tuple[str, str]]) -> QSet:
@@ -555,8 +529,8 @@ def product_strategy(strategy: Strategy, n: int) -> Strategy:
     dims = strategy.dims * n  # interleaved: A1 B1 C1 A2 B2 C2 ...
     d = math.prod(dims)
     # the product and its regrouped copy, then Strategy's PSD check of the
-    # kept state (measured: 3.5 state-sized arrays at once, the state included)
-    require_bytes(16 * 4 * d * d + _power_stack_bytes(strategy.bob.shape, n)
+    # kept state (measured: 2.5 state-sized arrays at once, the state included)
+    require_bytes(16 * 3 * d * d + _power_stack_bytes(strategy.bob.shape, n)
                   + _power_stack_bytes(strategy.charlie.shape, n), f"product_strategy(n={n})")
     order = [3 * i + party for party in range(3) for i in range(n)]
     axes, grouped = order + [3 * n + i for i in order], [dims[i] for i in order]

@@ -1,18 +1,22 @@
 """Dense complex linear algebra for states, POVMs and operator-norm bounds.
 
-Everything operates on plain 2-d complex ``numpy`` arrays.  Conventions fixed
-once and used everywhere:
+Matrices are plain complex ``numpy`` arrays.  Conventions fixed once and used
+everywhere:
 
 * row-major storage, 0-based indexing; in tensor products factor 0 is the
   leftmost factor,
 * the deterministic Hermitian eigensolver (``numpy.linalg.eigh``) backs every
   spectral computation; singular values of a general matrix come from the
   eigenvalues of ``M^dagger M`` with non-negativity clipping,
-* Hermiticity is checked entrywise with tolerance ``HERMITIAN_ATOL``,
-  positive semi-definiteness with eigenvalue floor ``PSD_EIG_FLOOR``, and
-  unit trace with ``TRACE_ATOL``; properties are always checked by these
-  predicates, never assumed,
-* functions never mutate their inputs and always return fresh arrays.
+* one predicate, :func:`hermitian_psd`, decides Hermiticity (entrywise within
+  ``HERMITIAN_ATOL``) and positive semi-definiteness (eigenvalue floor
+  ``PSD_EIG_FLOOR``) for a single matrix or a (..., d, d) stack; with the
+  unit-trace test (``TRACE_ATOL``) it backs ``is_hermitian``, ``is_psd``,
+  ``is_density`` and ``require_density``, and properties are always checked
+  by it, never assumed,
+* no function mutates its inputs.  The predicates read ndarray input in
+  place, without a copy; an object that keeps a checked array keeps a
+  read-only copy of it made by :func:`frozen`.
 """
 
 from __future__ import annotations
@@ -44,44 +48,84 @@ def require_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def frozen(a) -> np.ndarray:
+    """`a` as a read-only complex array.  One that already is read-only and
+    owns its data is kept as it is; anything else is copied once, so the
+    caller's array stays writable and is never aliased."""
+    if not (isinstance(a, np.ndarray) and a.dtype == complex and a.flags.owndata
+            and not a.flags.writeable):
+        a = np.array(a, dtype=complex)
+        a.setflags(write=False)
+    return a
+
+
 def hermitianize(m: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (M + M^dagger)/2."""
-    m = as_matrix(m)
-    return (m + m.conj().T) / 2
+    """The Hermitian part (M + M^dagger)/2 of a matrix or of each matrix of a stack."""
+    return (m + np.conj(m).swapaxes(-1, -2)) / 2
 
 
-def is_hermitian(m, atol: float = HERMITIAN_ATOL) -> bool:
-    """Max absolute entry deviation between M and M^dagger is at most `atol`."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.max(np.abs(m - m.conj().T)) <= atol)
+def _numeric(m) -> np.ndarray:
+    """`m` as an array of at least two dimensions; a floating or complex
+    ndarray is returned as it is."""
+    a = np.asarray(m)
+    if a.dtype.kind not in "fc":
+        a = a.astype(complex)
+    if a.ndim < 2:
+        raise DimensionError(f"expected a matrix or a stack of matrices, got ndim={a.ndim}")
+    return a
 
 
-def is_psd(m, eig_floor: float = PSD_EIG_FLOOR, atol: float = HERMITIAN_ATOL) -> bool:
-    """Hermitian within `atol` and no eigenvalue below `eig_floor`."""
-    m = as_matrix(m)
-    if not is_hermitian(m, atol=atol):
-        return False
-    evals = np.linalg.eigvalsh(hermitianize(m))
-    return bool(evals.min() >= eig_floor)
+def hermitian_psd(m, psd: bool = True) -> np.ndarray:
+    """Per matrix of a (..., d, d) stack: Hermitian within HERMITIAN_ATOL and,
+    when `psd`, no eigenvalue of its Hermitian part below PSD_EIG_FLOOR.
+
+    The eigenvalues are taken only when every matrix is Hermitian.  A
+    non-square shape is not Hermitian.  ndarray input is read in place; the
+    one temporary of its size holds M^dagger - M, then (M + M^dagger)/2.
+    """
+    a = _numeric(m)
+    if a.shape[-1] != a.shape[-2]:
+        return np.zeros(a.shape[:-2], dtype=bool)
+    buf = np.conj(a)
+    adjoint = buf.swapaxes(-1, -2)
+    adjoint -= a
+    ok = np.abs(adjoint).max(axis=(-2, -1)) <= HERMITIAN_ATOL
+    if psd and ok.all():
+        np.conj(a, out=buf)
+        adjoint += a
+        adjoint /= 2
+        ok = np.linalg.eigvalsh(adjoint).min(axis=-1) >= PSD_EIG_FLOOR
+    return ok
 
 
-def is_density(m, trace_atol: float = TRACE_ATOL) -> bool:
-    """PSD with unit trace within `trace_atol`."""
-    m = as_matrix(m)
-    if not is_psd(m):
-        return False
-    return bool(abs(np.trace(m) - 1.0) <= trace_atol)
+def _unit_trace(a: np.ndarray) -> np.ndarray:
+    return np.abs(np.trace(a, axis1=-2, axis2=-1) - 1.0) <= TRACE_ATOL
+
+
+def is_hermitian(m) -> bool:
+    return bool(hermitian_psd(m, psd=False).all())
+
+
+def is_psd(m) -> bool:
+    return bool(hermitian_psd(m).all())
+
+
+def is_density(m) -> bool:
+    """PSD with unit trace, for a matrix or every matrix of a stack."""
+    a = _numeric(m)
+    return bool(hermitian_psd(a).all() and _unit_trace(a).all())
 
 
 def require_density(m, what: str = "state") -> np.ndarray:
-    m = require_square(m)
-    if not is_psd(m):
+    """`m` as an array, not copied, once it is checked to be a density matrix."""
+    a = _numeric(m)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"{what} must be a square matrix, got shape {a.shape}")
+    if not hermitian_psd(a):
         raise ValidationError(f"{what} is not positive semi-definite within tolerance")
-    if abs(np.trace(m) - 1.0) > TRACE_ATOL:
-        raise ValidationError(f"{what} has trace {np.trace(m).real!r}, expected 1")
-    return m
+    if not _unit_trace(a):
+        raise ValidationError(f"{what} has trace {np.trace(a).real!r}, expected 1")
+    return a
 
 
 def schatten_inf_norm(m) -> float:
@@ -96,14 +140,6 @@ def schatten_inf_norm(m) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
-def trace_norm(m) -> float:
-    """Trace norm of a Hermitian matrix (sum of absolute eigenvalues)."""
-    m = require_square(m)
-    if not is_hermitian(m):
-        raise ValidationError("trace_norm implemented for Hermitian input only")
-    return float(np.sum(np.abs(np.linalg.eigvalsh(hermitianize(m)))))
-
-
 def psd_sqrt(a) -> np.ndarray:
     """Hermitian PSD square root via eigendecomposition.
 
@@ -116,7 +152,7 @@ def psd_sqrt(a) -> np.ndarray:
     if not is_hermitian(a):
         raise ValidationError("psd_sqrt requires Hermitian input")
     if np.max(np.abs(a @ a - a)) <= 1e-12:
-        return as_matrix(a)
+        return a
     evals, vecs = np.linalg.eigh(hermitianize(a))
     if evals.min() < PSD_EIG_FLOOR:
         raise NotPsdError(f"eigenvalue {evals.min():g} below PSD floor {PSD_EIG_FLOOR:g}")
@@ -174,21 +210,6 @@ def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
         tens = np.trace(tens, axis1=j, axis2=j + tens.ndim // 2)
     d_keep = int(np.prod([dims[i] for i in keep]))
     return tens.reshape(d_keep, d_keep)
-
-
-def reorder_systems(m, dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
-    """Permute tensor factors so factor order[i] becomes the i-th factor."""
-    m = require_square(m)
-    dims = _check_dims(m, dims)
-    n = len(dims)
-    order = [int(i) for i in order]
-    if sorted(order) != list(range(n)):
-        raise ValidationError(f"order {order} is not a permutation of 0..{n - 1}")
-    tens = m.reshape(dims + dims)
-    axes = order + [i + n for i in order]
-    out = np.transpose(tens, axes)
-    d = int(np.prod(dims))
-    return out.reshape(d, d)
 
 
 def overlap_of_pair(a, b) -> float:

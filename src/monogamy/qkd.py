@@ -425,7 +425,7 @@ class TripartiteQuantumDevice:
             raise DimensionError("state dimension incompatible with 2^n x device_dim")
         if extra > 1:
             state = linalg.partial_trace(state, (da, self.device_dim, extra), keep=[0, 1])
-        self.state = state
+        self.state = linalg.frozen(state)
         self._povm_for = povms if callable(povms) else povms.__getitem__
 
     @classmethod

@@ -69,8 +69,12 @@ def optimal_state_step(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray)
     degenerate spectrum; the solver then retries once on the upper triangle,
     which holds the same data since the operator is hermitianized.
     """
-    op = sum(win_operator(game, bob, charlie, theta) for theta in game.thetas)
-    op = linalg.hermitianize(op / len(game.thetas))
+    d = game.dim_a * bob.shape[-1] * charlie.shape[-1]
+    op = np.zeros((d, d), dtype=complex)
+    for theta in game.thetas:
+        op += win_operator(game, bob, charlie, theta)
+    op /= len(game.thetas)
+    op = linalg.hermitianize(op)
     try:
         evals, vecs = np.linalg.eigh(op)
     except np.linalg.LinAlgError:
@@ -145,8 +149,8 @@ def _run_restart(game: MonogamyGame, cfg: SeesawConfig, restart: int,
     trajectory: list[float] = []
     prev = -np.inf
     for _ in range(cfg.max_iters):
+        rho = None  # the state step does not need the last cycle's state
         rho, value = optimal_state_step(game, bob, charlie)
-        strategy = None  # frees the last cycle's copy of the state
         cand = optimal_povm_step(game, rho, charlie, "B")
         cand_value = win_terms(game, cand, charlie, rho).mean()
         if cand_value >= value - 1e-12:
@@ -155,29 +159,33 @@ def _run_restart(game: MonogamyGame, cfg: SeesawConfig, restart: int,
         cand_value = win_terms(game, bob, cand, rho).mean()
         if cand_value >= value - 1e-12:
             charlie, value = cand, cand_value
-        # re-validates density and POVM invariants every cycle
-        dims = (game.dim_a, bob.shape[-1], charlie.shape[-1])
-        strategy = Strategy(rho, dims, bob, charlie, game.thetas)
-        value = winning_probability(game, strategy)
+        # winning_probability's arithmetic, without building a Strategy
+        value = sum(win_terms(game, bob, charlie, rho).tolist()) / len(game.thetas)
         trajectory.append(value)
         if value - prev < cfg.tol:
             break
         prev = value
-    return SeesawResult(strategy=strategy, value=value, iterations=len(trajectory),
-                        trajectory=tuple(trajectory), restart=restart, seed=cfg.seed)
+    # the last cycle, checked once; the state is handed over without a copy
+    rho.setflags(write=False)
+    strategy = Strategy(rho, (game.dim_a, bob.shape[-1], charlie.shape[-1]), bob, charlie,
+                        game.thetas)
+    return SeesawResult(strategy=strategy, value=winning_probability(game, strategy),
+                        iterations=len(trajectory), trajectory=tuple(trajectory),
+                        restart=restart, seed=cfg.seed)
 
 
 def _search_bytes(game: MonogamyGame, cfg: SeesawConfig) -> int:
-    """Peak bytes of a search, from D = d_A d_B d_C.  Measured at D = 256 and
-    512: 7.03 D x D complex arrays at once (the state, the best restart's
-    state and the POVM step's density check), or 4 of them plus the
+    """Peak bytes of a search, from D = d_A d_B d_C.  Measured at D = 256 to
+    1024: 4.03-4.31 D x D complex arrays at once (the best restart's state,
+    and the averaged win operator with hermitianize's two temporaries, or the
+    operator, its eigenvectors and the new state), or 3 of them plus the
     conditional states tr_A[(F_x ⊗ 1) rho] while contracting; and a few
     copies of the party stacks."""
     d = game.dim_a * cfg.bob_dim * cfg.charlie_dim
     bases, outcomes = game.elements.shape[:2]
     conditional = outcomes * (d // game.dim_a)**2
     stacks = bases * outcomes * (cfg.bob_dim**2 + cfg.charlie_dim**2)
-    return 16 * (max(15 * d * d // 2, 4 * d * d + conditional) + 4 * stacks)
+    return 16 * (max(9 * d * d // 2, 3 * d * d + conditional) + 4 * stacks)
 
 
 def seesaw(game: MonogamyGame, cfg: SeesawConfig, init_povms=None) -> SeesawResult:
@@ -191,9 +199,5 @@ def seesaw(game: MonogamyGame, cfg: SeesawConfig, init_povms=None) -> SeesawResu
     """
     total_dim = game.dim_a * cfg.bob_dim * cfg.charlie_dim
     require_bytes(_search_bytes(game, cfg), f"seesaw at total dimension {total_dim}")
-    best = None
-    for r in range(cfg.restarts):
-        result = _run_restart(game, cfg, r, init_povms if r == 0 else None)
-        if best is None or result.value > best.value:
-            best = result
-    return best
+    return max((_run_restart(game, cfg, r, init_povms if r == 0 else None)
+                for r in range(cfg.restarts)), key=lambda result: result.value)

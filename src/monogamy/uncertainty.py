@@ -53,12 +53,12 @@ class CqEnsemble:
         for x in self.alphabet:
             if x not in self.conditionals:
                 raise ValidationError(f"missing conditional state for '{x}'")
-            rho = linalg.require_density(self.conditionals[x], f"conditional '{x}'")
+            rho = linalg.frozen(self.conditionals[x])
+            linalg.require_density(rho, f"conditional '{x}'")
             if dim is None:
                 dim = rho.shape[0]
             elif rho.shape[0] != dim:
                 raise DimensionError("conditional states must share one dimension")
-            rho.setflags(write=False)
             conds[x] = rho
         object.__setattr__(self, "conditionals", conds)
 

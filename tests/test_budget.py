@@ -53,9 +53,9 @@ def _cases():
     line = TimingScenario(0.0, 2.0, 1.0)
     return [
         ("game_power", bb84_game, lambda g: game_power(g, 5), True),
-        ("product_strategy", _entangled_round, lambda s: product_strategy(s, 4), True),
+        ("product_strategy", _entangled_round, lambda s: product_strategy(s, 5), True),
         ("seesaw", bb84_game,
-         lambda g: seesaw(g, SeesawConfig(bob_dim=16, charlie_dim=8, restarts=1,
+         lambda g: seesaw(g, SeesawConfig(bob_dim=16, charlie_dim=16, restarts=1,
                                           max_iters=1)), True),
         ("LinearCode", lambda: None, lambda _: _build_all_tables(64, 16), True),
         ("toeplitz_hash", lambda: (bits, bits[:1024]),

@@ -21,6 +21,8 @@ from monogamy.games import (MonogamyGame, QSet, Strategy, bb84_game,
 from monogamy.rand import random_density, random_projective_povm
 from monogamy.seesaw import bb84_optimal_unentangled_strategy
 
+from conftest import reorder_systems
+
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
@@ -514,7 +516,7 @@ def test_product_strategy_state_is_the_regrouped_tensor_power(rng):
     big = linalg.tensor(s1.rho_abc, s1.rho_abc, s1.rho_abc)
     order = [0, 3, 6, 1, 4, 7, 2, 5, 8]
     np.testing.assert_array_equal(s3.rho_abc,
-                                  linalg.reorder_systems(big, dims * 3, order))
+                                  reorder_systems(big, dims * 3, order))
     assert s3.dims == (8, 8, 27)
     assert s3.rho_abc.flags.owndata and not s3.rho_abc.flags.writeable
 

@@ -11,7 +11,7 @@ from monogamy import linalg
 from monogamy.errors import DimensionError, NotPsdError, ValidationError
 from monogamy.rand import random_density, rng_for
 
-from conftest import random_psd
+from conftest import random_psd, reorder_systems
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -198,8 +198,8 @@ def test_partial_trace_dimension_mismatch():
 def test_reorder_systems_roundtrip(rng):
     dims = (2, 3, 2)
     m = random_psd(12, rng)
-    swapped = linalg.reorder_systems(m, dims, (2, 0, 1))
-    back = linalg.reorder_systems(swapped, (2, 2, 3), (1, 2, 0))
+    swapped = reorder_systems(m, dims, (2, 0, 1))
+    back = reorder_systems(swapped, (2, 2, 3), (1, 2, 0))
     np.testing.assert_allclose(back, m, atol=1e-13)
 
 
@@ -208,7 +208,7 @@ def test_reorder_systems_matches_kron_swap(rng):
     b = random_psd(3, rng)
     ab = linalg.tensor(a, b)
     ba = linalg.tensor(b, a)
-    np.testing.assert_allclose(linalg.reorder_systems(ab, (2, 3), (1, 0)), ba,
+    np.testing.assert_allclose(reorder_systems(ab, (2, 3), (1, 0)), ba,
                                atol=1e-13)
 
 
@@ -327,3 +327,43 @@ def test_rng_for_is_reproducible():
     c = rng_for(7, 4).standard_normal(5)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_predicate_checks_each_matrix_of_a_stack():
+    stack = np.array([PLUS, np.diag([1.0, -1.0]), np.array([[0, 1], [0, 0]])], dtype=complex)
+    np.testing.assert_array_equal(linalg.hermitian_psd(stack, psd=False), [True, True, False])
+    np.testing.assert_array_equal(linalg.hermitian_psd(stack[:2]), [True, False])
+    assert not linalg.is_hermitian(np.ones((2, 3)))
+    with pytest.raises(DimensionError):
+        linalg.is_psd(np.ones(3))
+
+
+def test_predicates_read_their_input_in_place(rng):
+    rho = random_density(4, rng)
+    before = rho.copy()
+    assert linalg.require_density(rho) is rho
+    assert linalg.is_density(rho) and linalg.is_hermitian(rho)
+    np.testing.assert_array_equal(rho, before)
+    assert rho.flags.writeable
+
+
+def test_require_density_peak_memory():
+    # the Hermiticity residual, its moduli and the Hermitian part share one
+    # temporary of the state's size: 1.5 state-sized arrays at D = 512
+    import tracemalloc
+    d = 512
+    rho = random_density(d, rng_for(0))
+    tracemalloc.start()
+    try:
+        linalg.require_density(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * d * d * 16 + 2**20
+
+
+def test_hermitianize_takes_the_hermitian_part_of_each_matrix(rng):
+    stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    out = linalg.hermitianize(stack)
+    for m, h in zip(stack, out):
+        np.testing.assert_array_equal(h, (m + m.conj().T) / 2)

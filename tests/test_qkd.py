@@ -427,6 +427,16 @@ def test_epr_device_checks_rounds_before_building_its_state():
     assert peak < 2**20
 
 
+def test_quantum_device_keeps_a_frozen_copy_of_the_callers_state():
+    honest = epr_device(1)
+    state = np.array(honest.state)
+    device = TripartiteQuantumDevice(1, state, honest.device_dim, honest._povm_for)
+    assert state.flags.writeable
+    assert not np.shares_memory(state, device.state)
+    assert not device.state.flags.writeable
+    np.testing.assert_array_equal(device.state, state)
+
+
 def test_simulate_device_length_mismatch():
     class BadDevice:
         max_n = 64

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from monogamy.bounds import BB84_ROUND_VALUE, bb84_parallel_value
-from monogamy.errors import CapacityError, DomainError
-from monogamy.games import (MonogamyGame, bb84_game, game_power, product_strategy,
-                            winning_probability)
+from monogamy.errors import CapacityError, DomainError, ValidationError
+from monogamy.games import (MonogamyGame, Strategy, bb84_game, game_power,
+                            product_strategy, winning_probability)
 from monogamy.seesaw import (SeesawConfig, bb84_optimal_unentangled_strategy,
                              optimal_povm_step, optimal_state_step, seesaw)
 
@@ -62,6 +62,15 @@ def test_povm_step_rejects_bad_party():
         optimal_povm_step(g, s.rho_abc, s.charlie, "D")
 
 
+@pytest.mark.parametrize("rho", [np.diag([1.5, -0.5]), np.eye(2) / 4],
+                         ids=["not-psd", "trace-one-half"])
+def test_povm_step_rejects_a_state_that_is_not_a_density(rho):
+    g = bb84_game()
+    s = bb84_optimal_unentangled_strategy()
+    with pytest.raises(ValidationError):
+        optimal_povm_step(g, rho.astype(complex), s.charlie, "B")
+
+
 def test_seesaw_bb84_single_round_converges():
     result = seesaw(bb84_game(), SeesawConfig(seed=11, restarts=20))
     assert result.value == pytest.approx(BB84_ROUND_VALUE, abs=1e-6)
@@ -106,6 +115,36 @@ def test_seesaw_respects_product_initialization():
     result = seesaw(g, cfg, init_povms=(s.bob, s.charlie))
     assert result.value == pytest.approx(BB84_ROUND_VALUE, abs=1e-9)
     assert result.iterations <= 3
+
+
+def test_seesaw_checks_one_strategy_per_restart(monkeypatch):
+    import sys
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(Strategy(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(sys.modules["monogamy.seesaw"], "Strategy", counted)
+    g2 = game_power(bb84_game(), 2)
+    result = seesaw(g2, SeesawConfig(seed=1, restarts=3, bob_dim=2, charlie_dim=2))
+    assert len(built) == 3
+    assert result.strategy in built
+    assert result.value == result.trajectory[-1] == winning_probability(g2, result.strategy)
+
+
+def test_seesaw_peak_memory():
+    # bob 16 x charlie 8 on a qubit, D = 256: the state, the averaged win
+    # operator and its temporaries stay within 4.5 D x D complex arrays
+    import tracemalloc
+    d = 256
+    tracemalloc.start()
+    try:
+        seesaw(bb84_game(), SeesawConfig(bob_dim=16, charlie_dim=8, restarts=1, max_iters=4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * d * d * 16 + 2**20
 
 
 def test_seesaw_capacity_guard():

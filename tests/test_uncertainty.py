@@ -18,6 +18,8 @@ from monogamy.uncertainty import (CqEnsemble, check_uncertainty_relation,
                                   pgm_guessing_lower_bound, pgm_povm,
                                   post_measurement_state, ur_bound_n)
 
+from conftest import reorder_systems
+
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -50,6 +52,16 @@ def test_ensemble_validates_conditionals():
     with pytest.raises(ValidationError):
         CqEnsemble(("0", "1"), np.array([0.5, 0.5]),
                    {"0": KET0, "1": 2 * KET1})
+
+
+def test_ensemble_keeps_frozen_copies_of_the_callers_states():
+    rho0, rho1 = KET0.copy(), PLUS.copy()
+    e = binary_ensemble(0.3, rho0, rho1)
+    for mine, kept in ((rho0, e.conditionals["0"]), (rho1, e.conditionals["1"])):
+        assert mine.flags.writeable
+        assert not np.shares_memory(mine, kept)
+        assert not kept.flags.writeable
+        np.testing.assert_array_equal(kept, mine)
 
 
 def test_joint_density_shape_and_trace():
@@ -317,7 +329,7 @@ def test_half_entangled_mixture_single_round():
     # observers' guessing probability is exactly 3/4 per basis
     tau = np.eye(2, dtype=complex) / 2
     branch_ab = linalg.tensor(maximally_entangled_density(2), tau)
-    branch_ac = linalg.reorder_systems(
+    branch_ac = reorder_systems(
         linalg.tensor(maximally_entangled_density(2), tau), (2, 2, 2), (0, 2, 1))
     rho = 0.5 * branch_ab + 0.5 * branch_ac
     rep = check_uncertainty_relation(rho, (2, 2, 2), F0, F1)
