@@ -35,7 +35,7 @@ from . import posver as posver_mod
 from . import qkd as qkd_mod
 from . import uncertainty as ur_mod
 from .errors import ValidationError
-from .games import bb84_game, game_power, overlap
+from .games import MonogamyGame, bb84_game, game_power, overlap
 from .rand import random_density, random_povm, rng_for
 from .seesaw import SeesawConfig, seesaw as run_seesaw
 
@@ -209,10 +209,10 @@ def seesaw_cmd(game, n, bob_dim, charlie_dim, restarts, seed, tol, max_iters,
                        restarts=restarts)
     result = run_seesaw(played, cfg)
     payload = result.to_dict()
-    if len(base.thetas) >= 2:
-        c = overlap(base)
+    if len(base.thetas) >= 2:  # the bound over all rounds of one round's family
+        one_round = MonogamyGame(base.dim_a, base.thetas, base.outcomes, base.elements)
         payload["upper_bound"] = bounds_mod.general_upper_bound(
-            c, len(base.thetas), 1, n)
+            overlap(one_round), len(base.thetas), 1, played.rounds)
     if include_strategy:
         payload["strategy"] = fixtures_mod.strategy_to_json(result.strategy)
     _emit_json("seesaw", {"game": game, "n": n, "bob_dim": bob_dim,

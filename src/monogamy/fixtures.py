@@ -6,10 +6,13 @@ A complex matrix is stored row-major as
 
 and the structured kinds wrap it:
 
-    game        {"kind": "game", "dim_a", "thetas", "outcomes", "povms"}
+    game        {"kind": "game", "dim_a", "thetas", "outcomes", "povms", "rounds"}
     strategy    {"kind": "strategy", "dims", "rho_abc", "bob_povms", "charlie_povms"}
     scenario    {"kind": "scenario", "v0", "v1", "pos"}
     ur_instance {"kind": "ur_instance", "dims", "rho_abc", "f0", "f1"}
+
+A game holds one round's POVMs and the optional round count (default 1); a
+document with the retired per-basis "theta_parts" is refused.
 
 Loading funnels everything through the package constructors, so structural
 validation and the physical invariants (POVM completeness, density checks)
@@ -63,22 +66,21 @@ def _povms_from_json(doc) -> dict[str, list[np.ndarray]]:
 
 
 def game_to_json(game: MonogamyGame) -> dict[str, Any]:
-    doc = {"kind": "game", "dim_a": game.dim_a, "thetas": list(game.thetas),
-           "outcomes": list(game.outcomes), "povms": _povms_to_json(game.povms)}
-    if game.theta_parts is not None:
-        doc["theta_parts"] = {t: list(p) for t, p in game.theta_parts.items()}
-    return doc
+    return {"kind": "game", "dim_a": game.dim_a, "thetas": list(game.thetas),
+            "outcomes": list(game.outcomes), "povms": _povms_to_json(game.povms),
+            "rounds": game.rounds}
 
 
 def game_from_json(doc: Mapping[str, Any]) -> MonogamyGame:
-    parts = doc.get("theta_parts")
+    if "theta_parts" in doc:  # read as one round, its overlap would change
+        raise ValidationError('game documents give a single-round family and '
+                              'its "rounds"; "theta_parts" is not read')
     try:
         return MonogamyGame(dim_a=int(doc["dim_a"]),
                             thetas=tuple(doc["thetas"]),
                             outcomes=tuple(doc["outcomes"]),
                             povms=_povms_from_json(doc["povms"]),
-                            theta_parts={t: tuple(p) for t, p in parts.items()}
-                            if parts else None)
+                            rounds=doc.get("rounds", 1))
     except KeyError as exc:
         raise ValidationError(f"game document missing field {exc}")
 

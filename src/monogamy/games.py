@@ -9,9 +9,9 @@ in :mod:`monogamy.bounds`.
 
 Basis and outcome labels are strings used only at the edges: constructors
 accept label-keyed mappings, ``povms`` views map labels to rows, and a
-strategy is matched to a game by basis label.  Tensor-power labels are the
-concatenations of the single-round labels (joined with "," when any base
-label has more than one character, so round-trips stay unambiguous).
+strategy is matched to a game by basis label.  A game of n rounds keeps one
+round's family; its n-round labels concatenate the per-round labels (joined
+with "," when any base label has more than one character).
 """
 
 from __future__ import annotations
@@ -32,11 +32,10 @@ from .errors import (CapacityError, DimensionError, DomainError, ValidationError
 POVM_COMPLETENESS_ATOL = 1e-8
 
 # Byte costs the memory predictions charge, from tracemalloc peaks: a complex
-# entry takes 16 B; a power-game basis label, with its parts tuple and its
-# row view, 610-690 B and an outcome label 130-140 B; one entry of a label
-# dict, 80-85 B, or 90-93 B with its share of QSet's duplicate-pair keys.
+# entry takes 16 B; a product strategy's basis label with its row view, under
+# 690 B; one entry of a label dict, 80-85 B, or 90-93 B with its share of
+# QSet's duplicate-pair keys.
 _BASIS_LABEL_BYTES = 1024
-_OUTCOME_LABEL_BYTES = 256
 _LABEL_ENTRY_BYTES = 128
 
 
@@ -80,25 +79,30 @@ def _povm_stack(povms, keys: Sequence[str], dim: int, who: str = "") -> np.ndarr
 
 @dataclass(frozen=True, eq=False)
 class MonogamyGame:
-    """Basis-indexed POVM family {F_x^theta} on a dim_a-dimensional system.
+    """Basis-indexed POVM family {F_x^theta} on a dim_a-dimensional system,
+    played for `rounds` rounds in parallel.
 
     `povms`, label-keyed (theta -> elements in `outcomes` order) or already
     stacked, is stored once as the read-only (|Theta|, |X|, dim_a, dim_a)
-    array `elements`; `povms` then becomes a read-only label view of it.
-    Games built by :func:`game_power` carry the per-round decomposition of
-    each basis label in `theta_parts`; single-round games leave it None.
+    array `elements` of one round; `povms` then becomes a read-only label view
+    of it.  Over n rounds Alice measures F_x1^theta1 ⊗ ... ⊗ F_xn^thetan on
+    A_1 ... A_n; bases and outcomes are strings of per-round ones, round 1
+    most significant.
     """
 
     dim_a: int
     thetas: tuple[str, ...]
     outcomes: tuple[str, ...]
     povms: Mapping[str, Sequence[np.ndarray]] | np.ndarray
-    theta_parts: Mapping[str, tuple[str, ...]] | None = None
+    rounds: int = 1
     elements: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dim_a < 1:
             raise DimensionError("dim_a must be positive")
+        if int(self.rounds) != self.rounds or self.rounds < 1:
+            raise DomainError("rounds must be a positive integer")
+        object.__setattr__(self, "rounds", int(self.rounds))
         for name, what in (("thetas", "basis"), ("outcomes", "outcome")):
             labels = tuple(str(t) for t in getattr(self, name))
             if len(set(labels)) != len(labels) or not labels:
@@ -110,21 +114,30 @@ class MonogamyGame:
                                   f"expected {len(self.outcomes)}")
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "povms", MappingProxyType(dict(zip(self.thetas, elements))))
-        if self.theta_parts is not None:
-            parts = {str(t): tuple(str(p) for p in ps)
-                     for t, ps in self.theta_parts.items()}
-            if set(parts.keys()) != set(self.thetas):
-                raise ValidationError("theta_parts must cover exactly the basis labels")
-            if len({len(ps) for ps in parts.values()}) != 1:
-                raise ValidationError("theta_parts entries must share one round count")
-            object.__setattr__(self, "theta_parts", parts)
+
+    @property
+    def alice_dim(self) -> int:
+        """Alice's dimension over all rounds."""
+        return self.dim_a**self.rounds
+
+    @property
+    def basis_labels(self) -> tuple[str, ...]:
+        """The n-round basis labels, built on each access."""
+        return _power_labels(self.thetas, self.rounds)
+
+    def factors(self):
+        """For each n-round basis, in `basis_labels` order, the
+        (rounds, |X|, dim_a, dim_a) stack of its per-round POVMs."""
+        for ts in itertools.product(range(len(self.thetas)), repeat=self.rounds):
+            yield self.elements[list(ts)]
 
     def element(self, theta: str, outcome: str) -> np.ndarray:
+        """F_x^theta of one round."""
         return self.elements[self.thetas.index(theta), self.outcomes.index(outcome)]
 
     def __reduce__(self):
         return MonogamyGame, (self.dim_a, self.thetas, self.outcomes, self.elements,
-                              self.theta_parts)
+                              self.rounds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,9 +227,9 @@ def bb84_game() -> MonogamyGame:
     return MonogamyGame(dim_a=2, thetas=("0", "1"), outcomes=("0", "1"), povms=elements)
 
 
-def _join_labels(labels: Sequence[str]) -> str:
+def _power_labels(labels: Sequence[str], n: int) -> tuple[str, ...]:
     sep = "" if all(len(l) == 1 for l in labels) else ","
-    return sep.join(labels)
+    return tuple(sep.join(ls) for ls in itertools.product(labels, repeat=n))
 
 
 def power_elements(factors: Sequence[np.ndarray]) -> np.ndarray:
@@ -256,24 +269,17 @@ def _power_stack_bytes(shape: Sequence[int], n: int) -> int:
     return k**n * (block + _BASIS_LABEL_BYTES) + 3 * block
 
 
-def _power_labels(labels: Sequence[str], n: int) -> list[str]:
-    return [_join_labels(ls) for ls in itertools.product(labels, repeat=n)]
-
-
 def game_power(game: MonogamyGame, n: int) -> MonogamyGame:
-    """n-fold parallel repetition: POVMs are n-fold tensor products."""
+    """n-fold parallel repetition: the same checked single-round family,
+    played for n times as many rounds.  Nothing is copied or checked again,
+    since tensor products of POVMs are POVMs."""
     if n < 1:
         raise DomainError("n must be a positive integer")
     if n == 1:
         return game
-    require_bytes(_power_stack_bytes(game.elements.shape, n)
-                  + len(game.outcomes)**n * _OUTCOME_LABEL_BYTES, f"game_power(n={n})")
-    base_parts = game.theta_parts or {t: (t,) for t in game.thetas}
-    parts = {_join_labels(ts): sum((base_parts[t] for t in ts), ())
-             for ts in itertools.product(game.thetas, repeat=n)}
-    return MonogamyGame(game.dim_a**n, _power_labels(game.thetas, n),
-                        _power_labels(game.outcomes, n), _power_stack(game.elements, n),
-                        parts)
+    power = object.__new__(MonogamyGame)
+    power.__dict__.update(vars(game), rounds=game.rounds * n)
+    return power
 
 
 def overlap(game: MonogamyGame) -> float:
@@ -282,80 +288,81 @@ def overlap(game: MonogamyGame) -> float:
     max over theta != theta' and outcomes x, x' of
     ||sqrt(F_x^theta) sqrt(F_x'^theta')||^2; always within [1/|X|, 1].
 
-    For round-structured games built by :func:`game_power` the basis pair
-    ranges over strings that differ in every round, which keeps the overlap
-    multiplicative: overlap(G^n) = overlap(G)^n.
+    Over n rounds the basis pair ranges over strings that differ in every
+    round, which keeps the overlap multiplicative: the n-round overlap is the
+    single-round one to the n-th power.
     """
     if len(game.thetas) < 2:
         raise DomainError("overlap requires at least two bases")
-    roots = [[linalg.psd_sqrt(e) for e in povm] for povm in game.elements]
-    parts = game.theta_parts
-    best = 0.0
-    for (a, ta), (b, tb) in itertools.permutations(enumerate(game.thetas), 2):
-        if parts is not None and any(p == q for p, q in zip(parts[ta], parts[tb])):
-            continue
-        for root_a, root_b in itertools.product(roots[a], roots[b]):
-            m = root_a @ root_b
-            gram = m.conj().T @ m
-            val = float(max(np.linalg.eigh(linalg.hermitianize(gram))[0][-1], 0.0))
-            best = max(best, val)
+    best = max(linalg.overlap_of_pair(a, b)
+               for fa, fb in itertools.combinations(game.elements, 2) for a in fa for b in fb)
     assert 1.0 / len(game.outcomes) - 1e-9 <= best <= 1.0 + 1e-9
-    return best
+    return best**game.rounds
 
 
 def _aligned(game: MonogamyGame, strategy: Strategy) -> tuple[np.ndarray, np.ndarray]:
-    """The strategy's Bob and Charlie stacks with rows in `game.thetas` order,
-    reindexed by label only when the two basis orders differ."""
-    if strategy.dims[0] != game.dim_a:
+    """The strategy's Bob and Charlie stacks with rows in `game.basis_labels`
+    order, reindexed by label only when the two basis orders differ."""
+    if strategy.dims[0] != game.alice_dim:
         raise DimensionError(f"strategy Alice dimension {strategy.dims[0]} != "
-                             f"game dimension {game.dim_a}")
-    if {strategy.bob.shape[1], strategy.charlie.shape[1]} != {len(game.outcomes)}:
+                             f"game dimension {game.alice_dim}")
+    if {strategy.bob.shape[1], strategy.charlie.shape[1]} != {len(game.outcomes)**game.rounds}:
         raise ValidationError("strategy POVMs have the wrong outcome count")
-    if strategy.thetas == game.thetas:
+    labels = game.basis_labels
+    if strategy.thetas == labels:
         return strategy.bob, strategy.charlie
-    missing = set(game.thetas) - set(strategy.thetas)
+    missing = set(labels) - set(strategy.thetas)
     if missing:
         raise ValidationError(f"strategy POVMs missing bases {sorted(missing)}")
-    idx = [strategy.thetas.index(t) for t in game.thetas]
+    idx = [strategy.thetas.index(t) for t in labels]
     return strategy.bob[idx], strategy.charlie[idx]
 
 
-def conditional_states(elements: np.ndarray, rho: np.ndarray, dim_a: int) -> np.ndarray:
-    """tr_A[(E_x ⊗ 1) rho] for each E_x of a stack E[x, a, a'] on the first factor.
+def conditional_states(factors: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
+    """tr_A[(E_x ⊗ 1) rho] for every outcome string x of a product
+    measurement E_x = E_1[x_1] ⊗ ... ⊗ E_n[x_n] on the first factors
+    A_1 ... A_n of rho; factor i is a stack E_i[x, a, a'].
 
     These are the unnormalized states the rest of the system is left in,
-    returned as an (|X|, m, m) stack with m = dim(rho) / dim_a.
+    returned as an (|X_1| ... |X_n|, m, m) stack, outcome strings
+    lexicographic with round 1 most significant.  Alice's rounds are traced
+    out one at a time, last round first, each with one matmul.
     """
-    m, rem = divmod(rho.shape[0], dim_a)
+    pre = math.prod(f.shape[-1] for f in factors)
+    m, rem = divmod(rho.shape[0], pre)
     if rem:
         raise DimensionError(f"state dimension {rho.shape[0]} is not a multiple "
-                             f"of {dim_a}")
-    # rho[(a', i), (a, j)] -> rows (a, a'), columns (i, j)
-    r = rho.reshape(dim_a, m, dim_a, m).transpose(2, 0, 1, 3).reshape(dim_a * dim_a, m * m)
-    return (elements.reshape(len(elements), -1) @ r).reshape(-1, m, m)
+                             f"of {pre}")
+    out = rho
+    for f in reversed(factors):
+        d = f.shape[-1]
+        pre //= d
+        # out[k, (p, a', i), (q, a, j)] -> rows (a, a'), columns (k, p, i, q, j)
+        r = out.reshape(-1, pre, d, m, pre, d, m).transpose(5, 2, 0, 1, 3, 4, 6)
+        out = (f.reshape(len(f), -1) @ r.reshape(d * d, -1)).reshape(-1, pre * m, pre * m)
+    return out
 
 
 def win_terms(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray, rho: np.ndarray,
               q: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """tr(Pi^theta rho) for every basis, in `game.thetas` order.
+    """tr(Pi^theta rho) for every n-round basis, in `game.basis_labels` order.
 
-    `bob` and `charlie` are (|Theta|, |X|, d, d) stacks whose rows follow
-    `game.thetas`.  Contracts rho, as an (a, b, c, a', b', c') tensor, one
-    basis at a time, without building Pi^theta.  `q` is a pair of index
-    arrays of shape (|Q|, |X|): row k gives, for each outcome of Alice, the
-    outcome Bob and Charlie must name under the k-th allowed displacement
-    pair.  None is the plain game, whose only pair is the identity.
+    `bob` and `charlie` are (|Theta|, |X|, d, d) stacks over the n-round bases
+    and outcomes.  Contracts rho one basis at a time, without building
+    Pi^theta.  `q` is a pair of index arrays of shape (|Q|, |X|): row k gives,
+    for each outcome of Alice, the outcome Bob and Charlie must name under the
+    k-th allowed displacement pair.  None is the plain game.
     """
     db, dc = bob.shape[-1], charlie.shape[-1]
-    if rho.shape[0] != game.dim_a * db * dc:
+    if rho.shape[0] != game.alice_dim * db * dc:
         raise DimensionError(f"state dimension {rho.shape[0]} != "
-                             f"{game.dim_a} x {db} x {dc}")
+                             f"{game.alice_dim} x {db} x {dc}")
     if q is None:
-        q = (np.arange(len(game.outcomes))[None],) * 2
+        q = (np.arange(len(game.outcomes)**game.rounds)[None],) * 2
     bob_idx, charlie_idx = q
-    out = np.empty(len(game.thetas))
-    for i, f in enumerate(game.elements):
-        sigma = conditional_states(f, rho, game.dim_a).reshape(-1, db, dc, db, dc)
+    out = np.empty(len(game.thetas)**game.rounds)
+    for i, factors in enumerate(game.factors()):
+        sigma = conditional_states(factors, rho).reshape(-1, db, dc, db, dc)
         # sum_k sum_x tr((P_k(x) ⊗ Q_k(x)) sigma_x)
         out[i] = np.einsum("kxbq,kxcr,xqrbc->", bob[i][bob_idx], charlie[i][charlie_idx],
                            sigma).real
@@ -364,23 +371,32 @@ def win_terms(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray, rho: np.
 
 def win_operator(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray,
                  theta: str) -> np.ndarray:
-    """The winning operator for one basis: sum_x F_x ⊗ P_x ⊗ Q_x, with the
-    stacks' rows following `game.thetas`."""
-    i = game.thetas.index(theta)
-    f, p, c = game.elements[i], bob[i], charlie[i]
-    d = f.shape[1] * p.shape[1] * c.shape[1]
-    return np.einsum("xap,xbq,xcr->abcpqr", f, p, c).reshape(d, d)
+    """The winning operator for one n-round basis: sum_x F_x ⊗ P_x ⊗ Q_x,
+    with the stacks' rows following `game.basis_labels`.  Starts from the
+    last round's F ⊗ P ⊗ Q and adds Alice's rounds from last to first."""
+    i = game.basis_labels.index(theta)
+    f = game.elements[list(np.unravel_index(i, (len(game.thetas),) * game.rounds))]
+    k = len(game.outcomes)
+    db, dc = bob.shape[-1], charlie.shape[-1]
+    m = game.dim_a * db * dc
+    op = np.einsum("xap,kxbq,kxcr->kabcpqr", f[-1], bob[i].reshape(-1, k, db, db),
+                   charlie[i].reshape(-1, k, dc, dc))
+    for e in f[-2::-1]:
+        op = np.einsum("xap,kxbq->kabpq", e, op.reshape(-1, k, m, m))
+        m *= game.dim_a
+    return op.reshape(m, m)
 
 
 def per_theta_win_terms(game: MonogamyGame, strategy: Strategy) -> dict[str, float]:
     """tr(Pi^theta rho) for every basis; the winning probability is their mean."""
     terms = win_terms(game, *_aligned(game, strategy), strategy.rho_abc)
-    return dict(zip(game.thetas, terms.tolist()))
+    return dict(zip(game.basis_labels, terms.tolist()))
 
 
 def winning_probability(game: MonogamyGame, strategy: Strategy) -> float:
     """Probability that both parties guess Alice's outcome, basis uniform."""
-    return float(sum(per_theta_win_terms(game, strategy).values()) / len(game.thetas))
+    terms = per_theta_win_terms(game, strategy)
+    return float(sum(terms.values()) / len(terms))
 
 
 @dataclass(frozen=True)
@@ -423,13 +439,14 @@ def identity_q_set(outcomes: Sequence[str]) -> QSet:
 def winning_probability_with_q(game: MonogamyGame, strategy: Strategy, q: QSet) -> float:
     """Winning probability when any displacement pair in the Q-set counts as a win."""
     bob, charlie = _aligned(game, strategy)
-    if tuple(q.outcomes) != tuple(game.outcomes):
+    outcomes = _power_labels(game.outcomes, game.rounds)
+    if tuple(q.outcomes) != outcomes:
         raise ValidationError("Q-set outcome alphabet does not match the game")
-    idx = {x: i for i, x in enumerate(game.outcomes)}
-    bob_idx = np.array([[idx[pb[x]] for x in game.outcomes] for pb, _ in q.pairs])
-    charlie_idx = np.array([[idx[pc[x]] for x in game.outcomes] for _, pc in q.pairs])
+    idx = {x: i for i, x in enumerate(outcomes)}
+    bob_idx = np.array([[idx[pb[x]] for x in outcomes] for pb, _ in q.pairs])
+    charlie_idx = np.array([[idx[pc[x]] for x in outcomes] for _, pc in q.pairs])
     terms = win_terms(game, bob, charlie, strategy.rho_abc, (bob_idx, charlie_idx))
-    return float(sum(terms.tolist()) / len(game.thetas))
+    return float(sum(terms.tolist()) / len(terms))
 
 
 def xor_permutation_family(n: int, alphabet_size_theta: int) -> list[dict]:

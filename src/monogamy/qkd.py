@@ -440,7 +440,7 @@ class TripartiteQuantumDevice:
         povm = self._povm_for(theta_key)
         if len(povm) != 2**self.n:
             raise ValidationError("device POVM must have one element per outcome string")
-        conditionals = conditional_states(_bb84_projectors(theta_key), self.state, 2**self.n)
+        conditionals = conditional_states(bb84_game().elements[theta.astype(int)], self.state)
         probs = np.clip(np.trace(conditionals, axis1=1, axis2=2).real, 0.0, None)
         probs = probs / probs.sum()
         x_idx = int(rng.choice(len(probs), p=probs))

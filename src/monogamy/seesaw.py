@@ -1,8 +1,9 @@
 """Alternating-optimization search for high-value game strategies.
 
 Each block step is either exact (state step: top eigenvector of the averaged
-winning operator; binary-outcome measurement step: Helstrom projector) or a
-feasibility-preserving pretty-good-measurement step for larger alphabets,
+winning operator; binary-outcome measurement step: Helstrom projector; for
+guessers without quantum memory, one joint step of both to their best reply)
+or a feasibility-preserving pretty-good-measurement step for larger alphabets,
 guarded so the trajectory never decreases.  Every value the search reports is
 the exactly evaluated winning probability of a valid strategy, hence a true
 lower bound on the optimal game value.  Matching upper bounds come from
@@ -60,7 +61,7 @@ class SeesawResult:
 def optimal_state_step(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray):
     """Best state for fixed measurements: top eigenvector of the averaged
     winning operator.  `bob` and `charlie` are (|Theta|, |X|, d, d) stacks
-    whose rows follow `game.thetas`.
+    whose rows follow `game.basis_labels`.
 
     Returns (rank-1 density matrix, top eigenvalue); the eigenvalue equals the
     winning probability of the returned state.  Degenerate top eigenvalues are
@@ -69,11 +70,12 @@ def optimal_state_step(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray)
     degenerate spectrum; the solver then retries once on the upper triangle,
     which holds the same data since the operator is hermitianized.
     """
-    d = game.dim_a * bob.shape[-1] * charlie.shape[-1]
+    labels = game.basis_labels
+    d = game.alice_dim * bob.shape[-1] * charlie.shape[-1]
     op = np.zeros((d, d), dtype=complex)
-    for theta in game.thetas:
+    for theta in labels:
         op += win_operator(game, bob, charlie, theta)
-    op /= len(game.thetas)
+    op /= len(labels)
     op = linalg.hermitianize(op)
     try:
         evals, vecs = np.linalg.eigh(op)
@@ -91,22 +93,32 @@ def _conditional_operators(game: MonogamyGame, rho: np.ndarray, fixed: np.ndarra
     a (|Theta|, |X|, d, d) stack.  They are Hermitian up to rounding; the
     measurement updates take their Hermitian parts."""
     d_fixed = fixed.shape[-1]
-    d_opt, rem = divmod(rho.shape[0], game.dim_a * d_fixed)
+    d_opt, rem = divmod(rho.shape[0], game.alice_dim * d_fixed)
     if rem or d_opt < 1:
         raise DimensionError("state dimension incompatible with game and fixed POVMs")
     spec, dims = (("xcr,xbrsc->xbs", (d_opt, d_fixed)) if party == "B"
                   else ("xbq,xqcbs->xcs", (d_fixed, d_opt)))
     out = np.empty(fixed.shape[:2] + (d_opt, d_opt), dtype=complex)
-    for i, f in enumerate(game.elements):
-        sigma = conditional_states(f, rho, game.dim_a).reshape(-1, *dims, *dims)
+    for i, factors in enumerate(game.factors()):
+        sigma = conditional_states(factors, rho).reshape(-1, *dims, *dims)
         out[i] = np.einsum(spec, fixed[i], sigma)
     return out
+
+
+def _joint_guess(game: MonogamyGame, rho: np.ndarray) -> np.ndarray:
+    """The best reply of two guessers without quantum memory, who win a round
+    only together: both name Alice's likeliest outcome in every basis, ties
+    going to the lowest outcome."""
+    probs = np.array([conditional_states(f, rho).real.reshape(-1) for f in game.factors()])
+    guess = np.zeros(probs.shape + (1, 1), dtype=complex)
+    guess[np.arange(len(probs)), probs.argmax(axis=1)] = 1.0
+    return guess
 
 
 def optimal_povm_step(game: MonogamyGame, rho, fixed: np.ndarray, party: str) -> np.ndarray:
     """Re-optimize one party's per-basis POVMs with the state and the other
     party's (|Theta|, |X|, d, d) stack `fixed` held; returns the new stack,
-    rows in `game.thetas` order.
+    rows in `game.basis_labels` order.
 
     Binary outcomes are solved exactly by the Helstrom projector (the zero
     eigenspace of the conditional difference goes to outcome 0); larger
@@ -138,37 +150,43 @@ def bb84_optimal_unentangled_strategy() -> Strategy:
 def _run_restart(game: MonogamyGame, cfg: SeesawConfig, restart: int,
                  init_povms=None) -> SeesawResult:
     rng = rng_for(cfg.seed, restart)
-    n_out = len(game.outcomes)
+    n_bases, n_out = len(game.thetas)**game.rounds, len(game.outcomes)**game.rounds
     if init_povms is not None:
         bob, charlie = init_povms
     else:
         bob = np.array([random_projective_povm(cfg.bob_dim, n_out, rng)
-                        for _ in game.thetas])
+                        for _ in range(n_bases)])
         charlie = np.array([random_projective_povm(cfg.charlie_dim, n_out, rng)
-                            for _ in game.thetas])
+                            for _ in range(n_bases)])
     trajectory: list[float] = []
     prev = -np.inf
     for _ in range(cfg.max_iters):
         rho = None  # the state step does not need the last cycle's state
         rho, value = optimal_state_step(game, bob, charlie)
-        cand = optimal_povm_step(game, rho, charlie, "B")
-        cand_value = win_terms(game, cand, charlie, rho).mean()
-        if cand_value >= value - 1e-12:
-            bob, value = cand, cand_value
-        cand = optimal_povm_step(game, rho, bob, "C")
-        cand_value = win_terms(game, bob, cand, rho).mean()
-        if cand_value >= value - 1e-12:
-            charlie, value = cand, cand_value
+        if bob.shape[-1] == charlie.shape[-1] == 1:
+            # one joint step, which no step of one guesser alone can improve on
+            cand = _joint_guess(game, rho)
+            if win_terms(game, cand, cand, rho).mean() >= value - 1e-12:
+                bob = charlie = cand
+        else:
+            cand = optimal_povm_step(game, rho, charlie, "B")
+            cand_value = win_terms(game, cand, charlie, rho).mean()
+            if cand_value >= value - 1e-12:
+                bob, value = cand, cand_value
+            cand = optimal_povm_step(game, rho, bob, "C")
+            cand_value = win_terms(game, bob, cand, rho).mean()
+            if cand_value >= value - 1e-12:
+                charlie, value = cand, cand_value
         # winning_probability's arithmetic, without building a Strategy
-        value = sum(win_terms(game, bob, charlie, rho).tolist()) / len(game.thetas)
+        value = sum(win_terms(game, bob, charlie, rho).tolist()) / n_bases
         trajectory.append(value)
         if value - prev < cfg.tol:
             break
         prev = value
     # the last cycle, checked once; the state is handed over without a copy
     rho.setflags(write=False)
-    strategy = Strategy(rho, (game.dim_a, bob.shape[-1], charlie.shape[-1]), bob, charlie,
-                        game.thetas)
+    strategy = Strategy(rho, (game.alice_dim, bob.shape[-1], charlie.shape[-1]), bob,
+                        charlie, game.basis_labels)
     return SeesawResult(strategy=strategy, value=winning_probability(game, strategy),
                         iterations=len(trajectory), trajectory=tuple(trajectory),
                         restart=restart, seed=cfg.seed)
@@ -179,12 +197,12 @@ def _search_bytes(game: MonogamyGame, cfg: SeesawConfig) -> int:
     1024: 4.03-4.31 D x D complex arrays at once (the best restart's state,
     and the averaged win operator with hermitianize's two temporaries, or the
     operator, its eigenvectors and the new state), or 3 of them plus the
-    conditional states tr_A[(F_x ⊗ 1) rho] while contracting; and a few
-    copies of the party stacks."""
-    d = game.dim_a * cfg.bob_dim * cfg.charlie_dim
-    bases, outcomes = game.elements.shape[:2]
-    conditional = outcomes * (d // game.dim_a)**2
-    stacks = bases * outcomes * (cfg.bob_dim**2 + cfg.charlie_dim**2)
+    conditional states after the first or the last round is traced out; and
+    a few copies of the party stacks."""
+    d = game.alice_dim * cfg.bob_dim * cfg.charlie_dim
+    x = len(game.outcomes)
+    conditional = max(x**j * (d // game.dim_a**j)**2 for j in (1, game.rounds))
+    stacks = (len(game.thetas) * x)**game.rounds * (cfg.bob_dim**2 + cfg.charlie_dim**2)
     return 16 * (max(9 * d * d // 2, 3 * d * d + conditional) + 4 * stacks)
 
 
@@ -192,12 +210,12 @@ def seesaw(game: MonogamyGame, cfg: SeesawConfig, init_povms=None) -> SeesawResu
     """Best strategy over seeded random restarts.
 
     `init_povms`, when given as (bob, charlie) stacks whose rows follow
-    `game.thetas`, replaces the random initialization of restart 0;
+    `game.basis_labels`, replaces the random initialization of restart 0;
     remaining restarts stay random.
     Restarts run one after another and only the best result so far is kept,
     ties going to the lowest restart index.
     """
-    total_dim = game.dim_a * cfg.bob_dim * cfg.charlie_dim
+    total_dim = game.alice_dim * cfg.bob_dim * cfg.charlie_dim
     require_bytes(_search_bytes(game, cfg), f"seesaw at total dimension {total_dim}")
     return max((_run_restart(game, cfg, r, init_povms if r == 0 else None)
                 for r in range(cfg.restarts)), key=lambda result: result.value)

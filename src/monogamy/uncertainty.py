@@ -209,7 +209,7 @@ def post_measurement_state(rho_abc, dims: Sequence[int], f0, f1):
     povms = MonogamyGame(da, ("0", "1"), alphabet, {"0": f0, "1": f1}).elements
     b_out, c_out = {}, {}
     for theta, elems in enumerate(povms):
-        sigma = conditional_states(elems, rho, da).reshape(-1, db, dc, db, dc)
+        sigma = conditional_states([elems], rho).reshape(-1, db, dc, db, dc)
         marginals_b = np.einsum("xbcsc->xbs", sigma)
         p = np.trace(marginals_b, axis1=1, axis2=2).real
         w = np.clip(p, 0.0, None)

@@ -119,14 +119,14 @@ def test_criterion_04_cross_term_norm_property():
         plan = [(1, 67), (2, 67), (3, 66)]
         for n, count in plan:
             g = game_power(bb84_game(), n)
-            n_out = len(g.outcomes)
+            labels, n_out = g.basis_labels, len(g.outcomes)**n
             for _ in range(count):
                 bob = np.array([random_projective_povm(2, n_out, rng)
-                                for _ in g.thetas])
+                                for _ in labels])
                 charlie = np.array([random_projective_povm(2, n_out, rng)
-                                    for _ in g.thetas])
-                ops = {t: win_operator(g, bob, charlie, t) for t in g.thetas}
-                for ta, tb in itertools.combinations(g.thetas, 2):
+                                    for _ in labels])
+                ops = {t: win_operator(g, bob, charlie, t) for t in labels}
+                for ta, tb in itertools.combinations(labels, 2):
                     t_dist = sum(a != b for a, b in zip(ta, tb))
                     norm = linalg.schatten_inf_norm(ops[ta] @ ops[tb])
                     assert norm <= 2.0 ** (-t_dist / 2.0) + 1e-8

@@ -2,11 +2,15 @@
 the bytes its largest arrays hold at once, and refuses a call over
 `errors.MEMORY_BUDGET` before it allocates anything.
 
-Each case below runs at a moderate size.  Under a lowered budget the call
-must be refused with a tracemalloc peak below 1 MiB; under the real budget
-the peak must stay within the prediction, and a prediction for numpy arrays
-must not exceed twice the peak.  The last tests refuse real sizes of
-GiB to TiB with the builders patched out, so they allocate nothing.
+Each case below runs at the smallest of its sizes whose prediction reaches
+8 MiB, so a routine that comes to need less memory moves to a larger size by
+itself.  Under a lowered budget the call must be refused with a tracemalloc
+peak below 1 MiB; under the real budget the peak must stay within the
+prediction, and a prediction for numpy arrays must not exceed twice the
+peak.  Each traced call follows one untraced call at the case's smallest
+size, which takes the one-time allocations of numpy and the package out of
+the peak.  The last tests refuse real sizes of GiB to TiB with the
+allocating code patched out, so they allocate nothing.
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ from monogamy.games import (Strategy, bb84_game, constant_guess_povms, game_powe
                             same_string_q_set, xor_permutation_family)
 from monogamy.posver import BreidbartPair, TimingScenario, simulate_pv_rounds
 from monogamy.qkd import LinearCode, QkdParams, run_eqkd_trials, toeplitz_hash
-from monogamy.seesaw import SeesawConfig, seesaw
+from monogamy.seesaw import SeesawConfig, _search_bytes, seesaw
 
 MiB = 2**20
+FLOOR = 8 * MiB
 GUARDED = ["monogamy.games", "monogamy.seesaw", "monogamy.qkd", "monogamy.posver"]
 
 
@@ -44,34 +49,73 @@ def _build_all_tables(length: int, rows: int) -> LinearCode:
     return code
 
 
+def _hash_inputs(ell: int):
+    bits = np.random.default_rng(0).integers(0, 2, 3 * ell - 1, dtype=np.uint8)
+    return bits, bits[:2 * ell], ell
+
+
 def _cases():
-    """(name, prepare, call, numpy): prepare() builds the inputs outside the
-    traced region and call(inputs) runs the guarded routine; `numpy` says
-    whether the prediction counts numpy arrays rather than label dicts."""
-    bits = np.random.default_rng(0).integers(0, 2, 1024 + 511, dtype=np.uint8)
-    qkd = QkdParams(n=512, t=64, s=0, ell=0, gamma=0.05, epsilon=0.05)
+    """(name, sizes, prepare, call, numpy): prepare(size) builds the inputs
+    outside the traced region and call(inputs) runs the guarded routine;
+    sizes run upward from a tiny one; `numpy` says whether the prediction
+    counts numpy arrays rather than label dicts."""
     line = TimingScenario(0.0, 2.0, 1.0)
     return [
-        ("game_power", bb84_game, lambda g: game_power(g, 5), True),
-        ("product_strategy", _entangled_round, lambda s: product_strategy(s, 5), True),
-        ("seesaw", bb84_game,
-         lambda g: seesaw(g, SeesawConfig(bob_dim=16, charlie_dim=16, restarts=1,
-                                          max_iters=1)), True),
-        ("LinearCode", lambda: None, lambda _: _build_all_tables(64, 16), True),
-        ("toeplitz_hash", lambda: (bits, bits[:1024]),
-         lambda a: toeplitz_hash(a[0], a[1], 512), True),
-        ("run_eqkd_trials", lambda: qkd, lambda p: run_eqkd_trials(p, 0.01, 512, seed=0),
+        ("product_strategy", range(2, 9), lambda n: (_entangled_round(), n),
+         lambda a: product_strategy(*a), True),
+        ("seesaw", range(2, 33),
+         lambda d: (bb84_game(), SeesawConfig(bob_dim=d, charlie_dim=d, restarts=1,
+                                              max_iters=1)),
+         lambda a: seesaw(*a), True),
+        ("LinearCode", range(8, 65), lambda n: n, lambda n: _build_all_tables(n, n // 4),
          True),
-        ("simulate_pv_rounds", lambda: line,
-         lambda sc: simulate_pv_rounds(sc, 8, BreidbartPair(), 65536, seed=0), True),
-        ("hamming_q_set", lambda: None, lambda _: hamming_q_set(6, 0.34, 0.34), False),
-        ("same_string_q_set", lambda: None, lambda _: same_string_q_set(8, 0.5), False),
-        ("xor_permutation_family", lambda: None, lambda _: xor_permutation_family(8, 2),
-         False),
+        ("toeplitz_hash", range(64, 4097, 64), _hash_inputs, lambda a: toeplitz_hash(*a),
+         True),
+        ("run_eqkd_trials", range(128, 4097, 64),
+         lambda n: QkdParams(n=n, t=n // 8, s=0, ell=0, gamma=0.05, epsilon=0.05),
+         lambda p: run_eqkd_trials(p, 0.01, 512, seed=0), True),
+        ("simulate_pv_rounds", range(1, 65), lambda n: n,
+         lambda n: simulate_pv_rounds(line, n, BreidbartPair(), 65536, seed=0), True),
+        ("hamming_q_set", range(2, 10), lambda n: n,
+         lambda n: hamming_q_set(n, 0.34, 0.34), False),
+        ("same_string_q_set", range(2, 12), lambda n: n,
+         lambda n: same_string_q_set(n, 0.5), False),
+        ("xor_permutation_family", range(2, 10), lambda n: n,
+         lambda n: xor_permutation_family(n, 2), False),
     ]
 
 
 CASES = {case[0]: case for case in _cases()}
+
+
+class _Predicted(Exception):
+    """Raised in place of the first require_bytes call, with its bytes."""
+
+
+def _prediction(call, inputs) -> int:
+    """The outermost prediction of call(inputs), taken before it allocates."""
+    seen = []
+
+    def stop(nbytes, what):
+        seen.append(nbytes)
+        raise _Predicted
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in GUARDED:
+            mp.setattr(sys.modules[name], "require_bytes", stop)
+        with pytest.raises(_Predicted):
+            call(inputs)
+    return seen[0]
+
+
+def _sized(name):
+    """(inputs at the smallest size, inputs at the first size whose
+    prediction reaches FLOOR)."""
+    _, sizes, prepare, call, _ = CASES[name]
+    for size in sizes:
+        if _prediction(call, prepare(size)) >= FLOOR:
+            return prepare(sizes[0]), prepare(size)
+    pytest.fail(f"no size of {name} is predicted to need {FLOOR} bytes")
 
 
 def _traced_peak(fn):
@@ -100,8 +144,9 @@ def predictions(monkeypatch):
 
 @pytest.mark.parametrize("name", CASES)
 def test_refused_before_allocating(name, monkeypatch):
-    _, prepare, call, _ = CASES[name]
-    inputs = prepare()
+    call = CASES[name][3]
+    warm, inputs = _sized(name)
+    call(warm)
     monkeypatch.setattr(errors, "MEMORY_BUDGET", MiB)
     refused = []
 
@@ -116,8 +161,10 @@ def test_refused_before_allocating(name, monkeypatch):
 
 @pytest.mark.parametrize("name", CASES)
 def test_prediction_bounds_the_peak(name, predictions):
-    _, prepare, call, numpy_site = CASES[name]
-    inputs = prepare()
+    call, numpy_site = CASES[name][3:]
+    warm, inputs = _sized(name)
+    call(warm)
+    predictions.clear()
     peak = _traced_peak(lambda: call(inputs))
     predicted = predictions[0]
     assert isinstance(predicted, int)
@@ -135,18 +182,21 @@ def test_budget_is_one_documented_constant():
 
 
 # ---------------------------------------------------------------------------
-# real sizes, with the allocating builders replaced by a failing sentinel
+# real sizes, with the allocating code replaced by a failing sentinel
 
 
 def _sentinel(*args, **kwargs):
     pytest.fail("the guard let an oversized request reach its builder")
 
 
-def test_game_power_refuses_seven_rounds_of_bb84(monkeypatch):
-    # (2 * 2 * 2^2)^7 entries of 16 B: 4 GiB
-    monkeypatch.setattr(sys.modules["monogamy.games"], "_power_stack", _sentinel)
+def test_seesaw_refuses_twelve_rounds_of_bb84(monkeypatch):
+    # D = 2^12 with classical guessers: 4.5 D^2 complex entries, plus
+    # 2^12 x 2^12 guesses per party, over 2 GiB; eleven rounds fit
+    cfg = SeesawConfig()
+    assert _search_bytes(game_power(bb84_game(), 11), cfg) <= errors.MEMORY_BUDGET
+    monkeypatch.setattr(sys.modules["monogamy.seesaw"], "_run_restart", _sentinel)
     with pytest.raises(CapacityError):
-        game_power(bb84_game(), 7)
+        seesaw(game_power(bb84_game(), 12), cfg)
 
 
 def test_hamming_q_set_refuses_before_building_pairs(monkeypatch):
@@ -156,7 +206,7 @@ def test_hamming_q_set_refuses_before_building_pairs(monkeypatch):
         hamming_q_set(9, 0.5, 0.5)
 
 
-def test_cli_seesaw_refuses_seven_rounds(monkeypatch, capsys):
-    monkeypatch.setattr(sys.modules["monogamy.games"], "_power_stack", _sentinel)
-    assert dispatch(["seesaw", "--game", "bb84", "--n", "7"]) == 1
+def test_cli_seesaw_refuses_twelve_rounds(monkeypatch, capsys):
+    monkeypatch.setattr(sys.modules["monogamy.seesaw"], "_run_restart", _sentinel)
+    assert dispatch(["seesaw", "--game", "bb84", "--n", "12"]) == 1
     assert "memory budget" in capsys.readouterr().err

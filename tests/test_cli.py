@@ -249,6 +249,30 @@ def test_seesaw_loads_game_fixture(tmp_path, capsys):
     assert doc["result"]["value"] == pytest.approx(BB84_ROUND_VALUE, abs=1e-6)
 
 
+def test_seesaw_bounds_a_fixture_of_several_rounds_by_its_round(tmp_path, capsys):
+    # two rounds of BB84 in the fixture, played twice: four rounds in all
+    from monogamy.bounds import bb84_parallel_value
+    from monogamy.games import bb84_game, game_power
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(game_to_json(game_power(bb84_game(), 2))))
+    code, out, _ = run(capsys, "seesaw", "--game", str(path), "--n", "2", "--restarts",
+                       "2", "--seed", "1", "--no-include-strategy", "--deterministic")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["upper_bound"] == pytest.approx(bb84_parallel_value(4), abs=1e-12)
+    assert result["value"] <= result["upper_bound"] + 1e-9
+
+
+def test_seesaw_runs_eight_rounds_of_bb84(capsys):
+    # the dense eight-round game would hold 2^48 complex entries
+    from monogamy.bounds import bb84_parallel_value
+    code, out, _ = run(capsys, "seesaw", "--game", "bb84", "--n", "8", "--restarts", "1",
+                       "--no-include-strategy", "--deterministic")
+    assert code == 0
+    assert json.loads(out)["result"]["value"] == \
+        pytest.approx(bb84_parallel_value(8), abs=1e-9)
+
+
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_seesaw_rejects_nonpositive_rounds(tmp_path, capsys, n):
     from monogamy.games import MonogamyGame, bb84_game

@@ -2,7 +2,9 @@
 
 The oracle builds every operator densely with ``np.kron`` and applies it to
 the full state, exactly as the definitions read; the package contracts the
-state as a tensor and never builds those operators.
+state as a tensor and never builds those operators.  For games of several
+rounds the oracle's measurements are the dense n-fold products of
+``power_elements``, while the package traces out Alice's rounds one by one.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from monogamy import linalg
-from monogamy.games import (MonogamyGame, QSet, Strategy, power_elements, win_operator,
-                            win_terms, winning_probability, winning_probability_with_q)
+from monogamy.games import (MonogamyGame, QSet, Strategy, game_power, power_elements,
+                            win_operator, win_terms, winning_probability,
+                            winning_probability_with_q)
 from monogamy.rand import random_density, random_povm, rng_for
 from monogamy.seesaw import _conditional_operators
 from monogamy.uncertainty import post_measurement_state
@@ -125,6 +128,57 @@ def test_post_measurement_state_matches_oracle(case):
                 expected = linalg.partial_trace(op, s.dims, [keep]) / weights[x]
                 np.testing.assert_allclose(ens[theta].conditionals[str(x)],
                                            linalg.hermitianize(expected),
+                                           atol=ATOL, rtol=0)
+
+
+def random_power_case(seed, da, db, dc, n_out, rounds):
+    """A random two-basis family played for `rounds` rounds, its dense n-fold
+    measurements, and random guessers, state and displacement pairs over the
+    n-round bases and outcomes."""
+    rng = rng_for(seed)
+    outcomes = tuple(str(x) for x in range(n_out))
+    family = MonogamyGame(da, ("0", "1"), outcomes,
+                          {t: random_povm(da, n_out, rng) for t in ("0", "1")})
+    game = game_power(family, rounds)
+    dense = np.array([power_elements(factors) for factors in game.factors()])
+    bases, n_str = dense.shape[:2]
+    bob = np.array([random_povm(db, n_str, rng) for _ in range(bases)])
+    charlie = np.array([random_povm(dc, n_str, rng) for _ in range(bases)])
+    rho = random_density(da**rounds * db * dc, rng)
+    perms = [tuple(int(i) for i in rng.permutation(n_str)) for _ in range(6)]
+    pairs = list(dict.fromkeys(zip(perms[::2], perms[1::2])))
+    return game, dense, bob, charlie, rho, pairs
+
+
+power_cases = st.builds(random_power_case, seed=st.integers(0, 2**32 - 1),
+                        da=st.integers(1, 2), db=st.integers(1, 2), dc=st.integers(1, 2),
+                        n_out=st.integers(2, 3), rounds=st.integers(1, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(power_cases, st.booleans())
+def test_round_by_round_contractions_match_the_dense_oracle(case, with_q):
+    game, dense, bob, charlie, rho, pairs = case
+    pairs = pairs if with_q else None
+    q = None if pairs is None else tuple(np.array(side) for side in zip(*pairs))
+    terms = win_terms(game, bob, charlie, rho, q)
+    labels = game.basis_labels
+    assert len(terms) == len(labels) == len(dense)
+    dims = (game.alice_dim, bob.shape[-1], charlie.shape[-1])
+    sigmas = {party: _conditional_operators(game, rho, fixed, party)
+              for party, fixed in (("B", charlie), ("C", bob))}
+    for i, theta in enumerate(labels):
+        op = oracle_win_operator(dense[i], bob[i], charlie[i], pairs)
+        assert abs(terms[i] - np.trace(op @ rho).real) <= ATOL
+        if pairs is None:
+            np.testing.assert_allclose(win_operator(game, bob, charlie, theta), op,
+                                       atol=ATOL, rtol=0)
+        for x, f in enumerate(dense[i]):
+            measured = {"B": kron(f, np.eye(dims[1]), charlie[i][x]),
+                        "C": kron(f, bob[i][x], np.eye(dims[2]))}
+            for party, keep in (("B", 1), ("C", 2)):
+                expected = linalg.partial_trace(measured[party] @ rho, dims, [keep])
+                np.testing.assert_allclose(sigmas[party][i][x], expected,
                                            atol=ATOL, rtol=0)
 
 

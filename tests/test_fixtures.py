@@ -12,7 +12,7 @@ from monogamy.fixtures import (game_from_json, game_to_json, load_fixture,
                                matrix_from_json, matrix_to_json,
                                scenario_from_json, scenario_to_json,
                                strategy_from_json, strategy_to_json)
-from monogamy.games import bb84_game, game_power
+from monogamy.games import bb84_game, game_power, overlap
 from monogamy.posver import TimingScenario
 from monogamy.seesaw import bb84_optimal_unentangled_strategy
 
@@ -41,10 +41,33 @@ def test_game_round_trip():
     back = game_from_json(json.loads(json.dumps(doc)))
     assert back.thetas == g.thetas
     assert back.outcomes == g.outcomes
-    assert back.theta_parts == g.theta_parts
+    assert back.rounds == g.rounds
     for theta in g.thetas:
         for a, b in zip(back.povms[theta], g.povms[theta]):
             np.testing.assert_allclose(a, b, atol=0)
+
+
+def test_game_round_trip_keeps_the_round_count():
+    g = game_power(bb84_game(), 3)
+    doc = json.loads(json.dumps(game_to_json(g)))
+    assert doc["rounds"] == 3 and sorted(doc["povms"]) == ["0", "1"]
+    back = game_from_json(doc)
+    assert (back.dim_a, back.rounds, back.alice_dim) == (2, 3, 8)
+    np.testing.assert_array_equal(back.elements, g.elements)
+    assert overlap(back) == overlap(g) == 0.5**3
+    # a document without "rounds" is one round
+    del doc["rounds"]
+    assert game_from_json(doc).rounds == 1
+
+
+def test_game_document_with_theta_parts_is_rejected():
+    # read as one round, it would silently change the game's overlap
+    doc = game_to_json(game_power(bb84_game(), 2))
+    del doc["rounds"]
+    doc["theta_parts"] = {"00": ["0", "0"], "01": ["0", "1"],
+                          "10": ["1", "0"], "11": ["1", "1"]}
+    with pytest.raises(ValidationError, match="rounds"):
+        game_from_json(doc)
 
 
 def test_strategy_round_trip():

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from monogamy import linalg
-from monogamy.bounds import BB84_ROUND_VALUE, binary_entropy
-from monogamy.errors import (CapacityError, DimensionError, DomainError,
-                             ValidationError)
+from monogamy.bounds import BB84_ROUND_VALUE, bb84_parallel_value, binary_entropy
+from monogamy.errors import DimensionError, DomainError, ValidationError
 from monogamy.games import (MonogamyGame, QSet, Strategy, bb84_game,
                             constant_guess_povms, game_power, hamming_q_set,
                             identity_q_set, maximally_entangled_density, overlap,
-                            per_theta_win_terms, product_strategy, pure_strategy,
+                            per_theta_win_terms, power_elements, product_strategy,
+                            pure_strategy,
                             same_string_q_set, win_operator, winning_probability,
                             winning_probability_with_q, xor_permutation_family)
 from monogamy.rand import random_density, random_projective_povm
@@ -28,11 +28,12 @@ PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
 
 def random_strategy(game, d_b, d_c, rng) -> Strategy:
-    dims = (game.dim_a, d_b, d_c)
+    dims = (game.alice_dim, d_b, d_c)
     rho = random_density(dims[0] * dims[1] * dims[2], rng)
-    n_out = len(game.outcomes)
-    bob = {t: tuple(random_projective_povm(d_b, n_out, rng)) for t in game.thetas}
-    charlie = {t: tuple(random_projective_povm(d_c, n_out, rng)) for t in game.thetas}
+    n_out = len(game.outcomes)**game.rounds
+    bob = {t: tuple(random_projective_povm(d_b, n_out, rng)) for t in game.basis_labels}
+    charlie = {t: tuple(random_projective_povm(d_c, n_out, rng))
+               for t in game.basis_labels}
     return Strategy(rho, dims, bob, charlie)
 
 
@@ -73,36 +74,43 @@ def test_game_power_one_is_same_game():
 
 def test_game_power_elements_are_tensor_products():
     g2 = game_power(bb84_game(), 2)
-    np.testing.assert_array_equal(g2.element("01", "00"),
-                                  linalg.tensor(KET0, PLUS))
-    assert g2.dim_a == 4
-    assert len(g2.thetas) == 4 and len(g2.outcomes) == 4
+    dense = dict(zip(g2.basis_labels, (power_elements(f) for f in g2.factors())))
+    # basis "01", outcome "00"
+    np.testing.assert_array_equal(dense["01"][0], linalg.tensor(KET0, PLUS))
+    assert g2.alice_dim == 4 and g2.rounds == 2
+    assert len(dense) == 4 and len(dense["01"]) == 4
 
 
 def test_game_power_completeness_for_all_theta_strings():
     g3 = game_power(bb84_game(), 3)
-    for theta in g3.thetas:
-        np.testing.assert_allclose(sum(g3.povms[theta]), np.eye(8), atol=1e-12)
+    assert len(g3.basis_labels) == 8
+    for factors in g3.factors():
+        np.testing.assert_allclose(power_elements(factors).sum(axis=0), np.eye(8),
+                                   atol=1e-12)
 
 
-def test_game_power_capacity_guard():
-    with pytest.raises(CapacityError):
-        game_power(bb84_game(), 12)
+def test_game_power_twelve_rounds_needs_no_capacity_guard():
+    # the dense stack of 12 rounds would hold 2^60 entries
+    g = game_power(bb84_game(), 12)
+    assert g.rounds == 12 and g.alice_dim == 2**12
+    assert game_power(g, 2).rounds == 24
 
 
 def test_game_power_peak_memory_is_one_stack():
-    # the elements are written once, into one preallocated stack
+    # the power game shares its round's frozen stack and allocates nothing
+    # that grows with the round count
     import tracemalloc
     base = bb84_game()
+    game_power(base, 2)
     tracemalloc.start()
     try:
-        g5 = game_power(base, 5)
+        g20 = game_power(base, 20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert g5.elements.shape == (32, 32, 32, 32)
-    assert g5.elements.nbytes == 16 * 2**20
-    assert peak <= 1.25 * g5.elements.nbytes
+    assert g20.elements is base.elements
+    assert (g20.dim_a, g20.thetas, g20.rounds) == (2, ("0", "1"), 20)
+    assert peak < 64 * 2**10
 
 
 def test_game_stores_one_read_only_stack():
@@ -142,7 +150,7 @@ def test_game_and_strategy_pickle_round_trip():
     g = game_power(bb84_game(), 2)
     s = product_strategy(bb84_optimal_unentangled_strategy(), 2)
     g2, s2 = pickle.loads(pickle.dumps(g)), pickle.loads(pickle.dumps(s))
-    assert (g2.thetas, g2.outcomes, g2.theta_parts) == (g.thetas, g.outcomes, g.theta_parts)
+    assert (g2.thetas, g2.outcomes, g2.rounds) == (g.thetas, g.outcomes, g.rounds)
     np.testing.assert_array_equal(g2.elements, g.elements)
     assert s2.thetas == s.thetas
     assert winning_probability(g2, s2) == winning_probability(g, s)
@@ -233,9 +241,9 @@ def test_winning_probability_bounded_by_operator_norm(rng):
             s = random_strategy(g, 2, 2, rng)
             value = winning_probability(g, s)
             total = sum(win_operator(g, s.bob, s.charlie, t)
-                        for t in g.thetas)
+                        for t in g.basis_labels)
             assert 0.0 <= value <= 1.0 + 1e-12
-            assert value <= linalg.schatten_inf_norm(total) / len(g.thetas) + 1e-9
+            assert value <= linalg.schatten_inf_norm(total) / 2**n + 1e-9
 
 
 def test_averaged_win_operator_norm_at_most_one(rng):
@@ -262,8 +270,8 @@ def test_cross_term_norm_bound(rng):
         for _ in range(6):
             s = random_strategy(g, 2, 2, rng)
             ops = {t: win_operator(g, s.bob, s.charlie, t)
-                   for t in g.thetas}
-            for ta, tb in itertools.combinations(g.thetas, 2):
+                   for t in g.basis_labels}
+            for ta, tb in itertools.combinations(g.basis_labels, 2):
                 t_dist = sum(a != b for a, b in zip(ta, tb))
                 norm = linalg.schatten_inf_norm(ops[ta] @ ops[tb])
                 assert norm <= 2.0 ** (-t_dist / 2) + 1e-8
@@ -287,15 +295,16 @@ def test_q_value_by_brute_force_enumeration(rng):
     s = random_strategy(g, 2, 2, rng)
     q = hamming_q_set(2, 0.5, 0.0)
     expect = 0.0
-    idx = {x: i for i, x in enumerate(g.outcomes)}
-    for theta in g.thetas:
-        for x in g.outcomes:
+    idx = {x: i for i, x in enumerate(q.outcomes)}
+    for theta, factors in zip(g.basis_labels, g.factors()):
+        f = power_elements(factors)
+        for x in q.outcomes:
             for pb, pc in q.pairs:
-                op = np.kron(np.kron(g.povms[theta][idx[x]],
+                op = np.kron(np.kron(f[idx[x]],
                                      s.bob_povms[theta][idx[pb[x]]]),
                              s.charlie_povms[theta][idx[pc[x]]])
                 expect += np.trace(op @ s.rho_abc).real
-    expect /= len(g.thetas)
+    expect /= len(g.basis_labels)
     assert winning_probability_with_q(g, s, q) == pytest.approx(expect, abs=1e-10)
 
 
@@ -303,7 +312,7 @@ def test_q_value_uniform_answers_is_cardinality_over_sixteen(rng):
     # uniform guessing wins each of the |Q| displacement pairs with 1/16
     g = game_power(bb84_game(), 2)
     uniform = {t: tuple(np.eye(1, dtype=complex) / 4 for _ in range(4))
-               for t in g.thetas}
+               for t in g.basis_labels}
     rho = np.kron(random_density(4, rng), np.eye(1, dtype=complex))
     s = Strategy(rho, (4, 1, 1), uniform, uniform)
     q = hamming_q_set(2, 0.5, 0.0)
@@ -442,10 +451,17 @@ def test_product_strategy_values_match_powers():
             pytest.approx(BB84_ROUND_VALUE**n, abs=1e-9)
 
 
+def test_product_strategy_reaches_the_parallel_value_up_to_eight_rounds():
+    s1 = bb84_optimal_unentangled_strategy()
+    for n in range(1, 9):
+        value = winning_probability(game_power(bb84_game(), n), product_strategy(s1, n))
+        assert abs(value - bb84_parallel_value(n)) <= 1e-12
+
+
 def test_strategy_basis_order_does_not_change_its_value(rng):
     g = game_power(bb84_game(), 2)
     s = random_strategy(g, 2, 2, rng)
-    order = g.thetas[::-1]
+    order = g.basis_labels[::-1]
     flipped = Strategy(s.rho_abc, s.dims, {t: s.bob_povms[t] for t in order},
                        {t: s.charlie_povms[t] for t in order})
     assert flipped.thetas == order
@@ -483,9 +499,10 @@ def test_product_strategy_follows_an_unsorted_basis_order():
     s1 = Strategy(rho, (2, 2, 1), g.povms,
                   constant_guess_povms(g.thetas, g.outcomes, "0", dim=1))
     g2, s2 = game_power(g, 2), product_strategy(s1, 2)
-    assert g2.thetas == ("11", "10", "01", "00")
-    assert s2.thetas == g2.thetas
-    np.testing.assert_allclose(s2.bob, g2.elements, atol=1e-12, rtol=0)
+    assert g2.basis_labels == ("11", "10", "01", "00")
+    assert s2.thetas == g2.basis_labels
+    dense = [power_elements(factors) for factors in g2.factors()]
+    np.testing.assert_allclose(s2.bob, dense, atol=1e-12, rtol=0)
     assert winning_probability(g2, s2) == \
         pytest.approx(winning_probability(g, s1) ** 2, abs=1e-12)
 
@@ -529,6 +546,7 @@ def test_product_strategy_copies_its_state_once():
     g = bb84_game()
     s1 = Strategy(maximally_entangled_density(2), (2, 2, 1), g.povms,
                   constant_guess_povms(g.thetas, g.outcomes, "0"))
+    product_strategy(s1, 2)  # one-time allocations of numpy and the package
     tracemalloc.start()
     try:
         s5 = product_strategy(s1, 5)

@@ -83,6 +83,14 @@ def test_seesaw_bb84_two_rounds_converges():
     assert result.value == pytest.approx(bb84_parallel_value(2), abs=1e-6)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_seesaw_classical_guessers_reach_the_parallel_value(n):
+    # one-dimensional guessers win a round only together; the joint move
+    # gets them out of agreeing on a wrong guess
+    result = seesaw(game_power(bb84_game(), n), SeesawConfig(seed=0, restarts=20))
+    assert result.value == pytest.approx(bb84_parallel_value(n), abs=1e-9)
+
+
 def test_seesaw_trajectory_monotone_and_value_consistent(rng):
     g2 = game_power(bb84_game(), 2)
     for seed in (1, 5):
@@ -138,6 +146,8 @@ def test_seesaw_peak_memory():
     # operator and its temporaries stay within 4.5 D x D complex arrays
     import tracemalloc
     d = 256
+    # one-time allocations of numpy and the package, untraced
+    seesaw(bb84_game(), SeesawConfig(bob_dim=2, charlie_dim=2, restarts=1, max_iters=1))
     tracemalloc.start()
     try:
         seesaw(bb84_game(), SeesawConfig(bob_dim=16, charlie_dim=8, restarts=1, max_iters=4))
@@ -180,7 +190,7 @@ def test_sandwich_between_search_and_norm_bound():
         closed = bb84_parallel_value(n)
         norm = linalg.schatten_inf_norm(
             sum(win_operator(g, sn.bob, sn.charlie, t)
-                for t in g.thetas)) / 2**n
+                for t in g.basis_labels)) / 2**n
         assert search <= closed + 1e-9
         assert closed <= norm + 1e-9
         assert search == pytest.approx(closed, abs=1e-6)
