@@ -31,8 +31,7 @@ class DomainError(ValueError):
 class CapacityError(ValueError):
     """A request exceeds a fixed capacity: the bytes it would allocate exceed
     `MEMORY_BUDGET` (raised by `require_bytes` before anything is
-    allocated), or a device or label format supports no more rounds or
-    symbols."""
+    allocated), or a device supports no more rounds."""
 
 
 def require_bytes(nbytes: int, what: str) -> None:

@@ -11,7 +11,8 @@ Basis and outcome labels are strings used only at the edges: constructors
 accept label-keyed mappings, ``povms`` views map labels to rows, and a
 strategy is matched to a game by basis label.  A game of n rounds keeps one
 round's family; its n-round labels concatenate the per-round labels (joined
-with "," when any base label has more than one character).
+with "," when any base label has more than one character).  A Q-set of
+allowed displacements is two arrays of outcome-index rows, with no labels.
 """
 
 from __future__ import annotations
@@ -26,17 +27,14 @@ import numpy as np
 
 from . import linalg
 from .bounds import binary_entropy
-from .errors import (CapacityError, DimensionError, DomainError, ValidationError,
-                     require_bytes)
+from .errors import DimensionError, DomainError, ValidationError, require_bytes
 
 POVM_COMPLETENESS_ATOL = 1e-8
 
 # Byte costs the memory predictions charge, from tracemalloc peaks: a complex
-# entry takes 16 B; a product strategy's basis label with its row view, under
-# 690 B; one entry of a label dict, 80-85 B, or 90-93 B with its share of
-# QSet's duplicate-pair keys.
+# entry takes 16 B, an outcome index 8 B; a product strategy's basis label
+# with its row view, under 690 B.
 _BASIS_LABEL_BYTES = 1024
-_LABEL_ENTRY_BYTES = 128
 
 
 def _validate_povm(elements: np.ndarray, label: str) -> None:
@@ -343,38 +341,72 @@ def conditional_states(factors: Sequence[np.ndarray], rho: np.ndarray) -> np.nda
     return out
 
 
+def _win_terms_bytes(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray,
+                     rho: np.ndarray, q: QSet | None) -> int:
+    """Peak bytes of :func:`win_terms` beyond its inputs.  One basis's
+    conditional states are held throughout; while the next basis's are
+    computed, conditional_states holds, round by round, its last result, the
+    reordered copy it multiplies and their product.  A product Q-set adds
+    both smeared stacks and one gathered row of a stack; after the states,
+    a zipped one gathers K rows of one basis's elements for each party."""
+    k, d = len(game.outcomes), game.dim_a
+    held, size, states = 0, rho.size, 0
+    for _ in range(game.rounds):
+        product = size * k // d**2
+        states = max(states, held + size + product)
+        held = size = product
+    if q is not None and q.product:
+        states += 2 * (bob.size + charlie.size)
+    rows = 0 if q is None or q.product else len(q.bob)
+    return 16 * (size + max(states, rows * (bob[0].size + charlie[0].size)))
+
+
+def _smeared(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_k P[theta, row_k(x)] for a (|Theta|, |X|, d, d) stack P,
+    accumulated one row at a time."""
+    out = stack[:, rows[0]]
+    for row in rows[1:]:
+        out += stack[:, row]
+    return out
+
+
 def win_terms(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray, rho: np.ndarray,
-              q: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+              q: QSet | None = None) -> np.ndarray:
     """tr(Pi^theta rho) for every n-round basis, in `game.basis_labels` order.
 
     `bob` and `charlie` are (|Theta|, |X|, d, d) stacks over the n-round bases
     and outcomes.  Contracts rho one basis at a time, without building
-    Pi^theta.  `q` is a pair of index arrays of shape (|Q|, |X|): row k gives,
-    for each outcome of Alice, the outcome Bob and Charlie must name under the
-    k-th allowed displacement pair.  None is the plain game.
+    Pi^theta.  `q` is the Q-set of allowed displacement pairs, None the plain
+    game.
     """
     db, dc = bob.shape[-1], charlie.shape[-1]
     if rho.shape[0] != game.alice_dim * db * dc:
         raise DimensionError(f"state dimension {rho.shape[0]} != "
                              f"{game.alice_dim} x {db} x {dc}")
-    if q is None:
-        q = (np.arange(len(game.outcomes)**game.rounds)[None],) * 2
-    bob_idx, charlie_idx = q
+    if q is not None and q.bob.shape[1] != bob.shape[1]:
+        raise ValidationError(f"Q-set rows cover {q.bob.shape[1]} outcomes, "
+                              f"the game has {bob.shape[1]}")
+    require_bytes(_win_terms_bytes(game, bob, charlie, rho, q), "win_terms")
+    if q is not None and q.product:
+        # exact: sum_(k,k') P_k ⊗ Q_k' = (sum_k P_k) ⊗ (sum_k' Q_k'), one pair
+        bob, charlie, q = _smeared(bob, q.bob), _smeared(charlie, q.charlie), None
+    # the rows each party must name; None, the plain game, is one identity row
+    bob_rows, charlie_rows = (None, None) if q is None else (q.bob, q.charlie)
     out = np.empty(len(game.thetas)**game.rounds)
     for i, factors in enumerate(game.factors()):
         sigma = conditional_states(factors, rho).reshape(-1, db, dc, db, dc)
         # sum_k sum_x tr((P_k(x) ⊗ Q_k(x)) sigma_x)
-        out[i] = np.einsum("kxbq,kxcr,xqrbc->", bob[i][bob_idx], charlie[i][charlie_idx],
+        out[i] = np.einsum("kxbq,kxcr,xqrbc->", bob[i][bob_rows], charlie[i][charlie_rows],
                            sigma).real
     return out
 
 
 def win_operator(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray,
-                 theta: str) -> np.ndarray:
-    """The winning operator for one n-round basis: sum_x F_x ⊗ P_x ⊗ Q_x,
-    with the stacks' rows following `game.basis_labels`.  Starts from the
-    last round's F ⊗ P ⊗ Q and adds Alice's rounds from last to first."""
-    i = game.basis_labels.index(theta)
+                 i: int) -> np.ndarray:
+    """The winning operator for the n-round basis at index `i` of
+    `game.basis_labels`: sum_x F_x ⊗ P_x ⊗ Q_x, with the stacks' rows
+    following that order.  Starts from the last round's F ⊗ P ⊗ Q and adds
+    Alice's rounds from last to first."""
     f = game.elements[list(np.unravel_index(i, (len(game.thetas),) * game.rounds))]
     k = len(game.outcomes)
     db, dc = bob.shape[-1], charlie.shape[-1]
@@ -399,60 +431,63 @@ def winning_probability(game: MonogamyGame, strategy: Strategy) -> float:
     return float(sum(terms.values()) / len(terms))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QSet:
     """Allowed displacement pairs for the imperfect-guessing win condition.
 
-    Each pair is (bob_map, charlie_map): bijections outcome -> outcome.  For
-    the binary XOR families `shift_pairs` records the originating bit-string
-    shifts (k, k').
+    `bob` (Kb, |X|) and `charlie` (Kc, |X|) hold rows of outcome indices,
+    each a permutation of range(|X|) over the n-round outcome strings: row k
+    maps Alice's outcome x to the outcome a party must name.  The pairs are
+    the rows zipped, (bob[k], charlie[k]), or with `product`, which the
+    Hamming constructor sets, every (bob[k], charlie[k']).  Both are stored
+    as read-only integer arrays, and no pair may repeat.
     """
 
-    outcomes: tuple[str, ...]
-    pairs: tuple[tuple[dict, dict], ...]
-    shift_pairs: tuple[tuple[str, str], ...] = field(default=())
+    bob: np.ndarray
+    charlie: np.ndarray
+    product: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "outcomes", tuple(str(x) for x in self.outcomes))
-        seen = set()
-        for pb, pc in self.pairs:
-            for perm in (pb, pc):
-                if set(perm.keys()) != set(self.outcomes) or \
-                        set(perm.values()) != set(self.outcomes):
-                    raise ValidationError("Q-set entries must be bijections on the "
-                                          "outcome set")
-            # each map as its images in `outcomes` order
-            key = tuple(tuple(perm[x] for x in self.outcomes) for perm in (pb, pc))
-            if key in seen:
-                raise ValidationError("duplicate permutation pair in Q-set")
-            seen.add(key)
+        for name in ("bob", "charlie"):
+            rows = np.asarray(getattr(self, name))
+            if not (np.issubdtype(rows.dtype, np.integer) and linalg.permutation_rows(rows)):
+                raise ValidationError(f"Q-set {name} rows must be bijections on the "
+                                      f"outcome indices, as a (K, |X|) integer array")
+            object.__setattr__(self, name, linalg.frozen(rows, np.intp))
+        if self.bob.shape[1] != self.charlie.shape[1] or \
+                not (self.product or len(self.bob) == len(self.charlie)):
+            raise ValidationError("Q-set rows must cover one outcome count, with one "
+                                  "Charlie row per Bob row unless `product` is set")
+        # a product set repeats a pair exactly when a party repeats a row
+        if self.product:
+            checked = [self.bob, self.charlie]
+        else:
+            checked = [np.hstack([self.bob, self.charlie])]
+        if any(len(np.unique(r, axis=0)) < len(r) for r in checked):
+            raise ValidationError("duplicate permutation pair in Q-set")
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.bob) * len(self.charlie) if self.product else len(self.bob)
 
 
-def identity_q_set(outcomes: Sequence[str]) -> QSet:
-    ident = {str(x): str(x) for x in outcomes}
-    return QSet(tuple(outcomes), ((dict(ident), dict(ident)),))
+def identity_q_set(size: int) -> QSet:
+    """The plain win condition over `size` outcome strings, as a Q-set."""
+    rows = np.arange(size)[None]
+    return QSet(rows, rows)
 
 
 def winning_probability_with_q(game: MonogamyGame, strategy: Strategy, q: QSet) -> float:
     """Winning probability when any displacement pair in the Q-set counts as a win."""
-    bob, charlie = _aligned(game, strategy)
-    outcomes = _power_labels(game.outcomes, game.rounds)
-    if tuple(q.outcomes) != outcomes:
-        raise ValidationError("Q-set outcome alphabet does not match the game")
-    idx = {x: i for i, x in enumerate(outcomes)}
-    bob_idx = np.array([[idx[pb[x]] for x in outcomes] for pb, _ in q.pairs])
-    charlie_idx = np.array([[idx[pc[x]] for x in outcomes] for _, pc in q.pairs])
-    terms = win_terms(game, bob, charlie, strategy.rho_abc, (bob_idx, charlie_idx))
+    terms = win_terms(game, *_aligned(game, strategy), strategy.rho_abc, q)
     return float(sum(terms.tolist()) / len(terms))
 
 
-def xor_permutation_family(n: int, alphabet_size_theta: int) -> list[dict]:
+def xor_permutation_family(n: int, alphabet_size_theta: int) -> np.ndarray:
     """All coordinatewise shifts of Theta^n: |Theta|^n mutually orthogonal
     permutations whose displacement has a point-independent Hamming weight.
 
+    Row s maps outcome index x to the index of the digit-wise sum
+    (x + s) mod |Theta|, strings lexicographic with round 1 most significant.
     The family partitions by shift weight t with multiplicity
     C(n, t) (|Theta|-1)^t.
     """
@@ -461,63 +496,52 @@ def xor_permutation_family(n: int, alphabet_size_theta: int) -> list[dict]:
         raise DomainError("n must be positive")
     if q < 2:
         raise DomainError("alphabet size must be at least 2")
-    if q > 10:
-        raise CapacityError("digit labels support alphabet sizes up to 10")
-    # q^n permutations, each a dict over the q^n points
-    require_bytes(q**(2 * n) * _LABEL_ENTRY_BYTES, f"xor_permutation_family(n={n})")
-    points = ["".join(p) for p in itertools.product("0123456789"[:q], repeat=n)]
-    return [{label: "".join(str((int(c) + s) % q) for c, s in zip(label, shift))
-             for label in points}
-            for shift in itertools.product(range(q), repeat=n)]
+    size = q**n
+    # the family and one digit's shifted outer sum
+    require_bytes(2 * 8 * size**2, f"xor_permutation_family(n={n})")
+    out = np.zeros((size, size), dtype=np.intp)
+    shifted = np.empty_like(out)
+    for digit in np.indices((q,) * n).reshape(n, -1):
+        np.add.outer(digit, digit, out=shifted)
+        shifted %= q
+        out *= q
+        out += shifted
+    return out
 
 
-def bit_strings(n: int) -> list[str]:
-    return ["".join(b) for b in itertools.product("01", repeat=n)]
+def _max_weight(n: int, gamma: float) -> int:
+    return int(math.floor(gamma * n + 1e-9))
 
 
-def _xor_label(x: str, k: str) -> str:
-    return "".join("1" if a != b else "0" for a, b in zip(x, k))
+def _shift_count(n: int, gamma: float, name: str) -> int:
+    """The number of n-bit shifts of Hamming weight at most gamma n, after
+    checking gamma and n."""
+    if not 0.0 <= gamma <= 0.5:
+        raise DomainError(f"{name} must lie in [0, 1/2], got {gamma}")
+    if n < 1:
+        raise DomainError("n must be positive")
+    return sum(math.comb(n, w) for w in range(_max_weight(n, gamma) + 1))
 
 
-def _max_weight(bound: float) -> int:
-    return int(math.floor(bound + 1e-9))
-
-
-def _weight_at_most(n: int, bound: float) -> list[str]:
-    w_max = _max_weight(bound)
-    return [k for k in bit_strings(n) if k.count("1") <= w_max]
-
-
-def _count_weight_at_most(n: int, bound: float) -> int:
-    return sum(math.comb(n, w) for w in range(min(_max_weight(bound), n) + 1))
-
-
-def _require_xor_q_set(n: int, pairs: int, what: str) -> None:
-    """Charge a Q-set of `pairs` pairs on n bits: two label dicts over the
-    2^n outcomes per pair."""
-    require_bytes(2 * pairs * 2**n * _LABEL_ENTRY_BYTES, what)
-
-
-def _xor_q_set(n: int, shifts: Sequence[tuple[str, str]]) -> QSet:
-    """The pairs (x ⊕ k, x ⊕ k') for the given shifts (k, k')."""
-    outcomes = bit_strings(n)
-    pairs = tuple(tuple({x: _xor_label(x, s) for x in outcomes} for s in ks)
-                  for ks in shifts)
-    return QSet(tuple(outcomes), pairs, tuple(shifts))
+def _shift_rows(n: int, gamma: float) -> np.ndarray:
+    """The read-only rows x -> x ⊕ k over the n-bit outcome indices, one per
+    shift k of Hamming weight at most gamma n, k ascending."""
+    points = np.arange(2**n, dtype=np.intp)
+    weights = sum((points >> b) & 1 for b in range(n))
+    rows = points[weights <= _max_weight(n, gamma), None] ^ points
+    rows.setflags(write=False)
+    return rows
 
 
 def hamming_q_set(n: int, gamma: float, gamma_prime: float) -> QSet:
     """XOR displacement pairs (x ⊕ k, x ⊕ k') with wt(k) <= gamma n and
-    wt(k') <= gamma' n, on the length-n binary outcome alphabet."""
-    for name, g in (("gamma", gamma), ("gamma_prime", gamma_prime)):
-        if not 0.0 <= g <= 0.5:
-            raise DomainError(f"{name} must lie in [0, 1/2], got {g}")
-    if n < 1:
-        raise DomainError("n must be positive")
-    _require_xor_q_set(n, _count_weight_at_most(n, gamma * n)
-                       * _count_weight_at_most(n, gamma_prime * n), f"hamming_q_set(n={n})")
-    qset = _xor_q_set(n, [(k, kp) for k in _weight_at_most(n, gamma * n)
-                          for kp in _weight_at_most(n, gamma_prime * n)])
+    wt(k') <= gamma' n, on the length-n binary outcome alphabet: the product
+    of Bob's and Charlie's shift rows."""
+    kb, kc = _shift_count(n, gamma, "gamma"), _shift_count(n, gamma_prime, "gamma_prime")
+    # both parties' rows, and the copy, sorted copy and result of np.unique
+    # over the larger party's, which QSet checks one party at a time
+    require_bytes(8 * 2**n * (kb + kc + 3 * max(kb, kc)), f"hamming_q_set(n={n})")
+    qset = QSet(_shift_rows(n, gamma), _shift_rows(n, gamma_prime), product=True)
     cap = 2.0 ** (n * binary_entropy(gamma) + n * binary_entropy(gamma_prime))
     assert len(qset) <= cap * (1 + 1e-12)
     return qset
@@ -525,12 +549,12 @@ def hamming_q_set(n: int, gamma: float, gamma_prime: float) -> QSet:
 
 def same_string_q_set(n: int, gamma: float) -> QSet:
     """XOR displacement pairs with both parties shifted by the same k."""
-    if not 0.0 <= gamma <= 0.5:
-        raise DomainError(f"gamma must lie in [0, 1/2], got {gamma}")
-    if n < 1:
-        raise DomainError("n must be positive")
-    _require_xor_q_set(n, _count_weight_at_most(n, gamma * n), f"same_string_q_set(n={n})")
-    qset = _xor_q_set(n, [(k, k) for k in _weight_at_most(n, gamma * n)])
+    k = _shift_count(n, gamma, "gamma")
+    # the rows both parties share, and the copy, sorted copy and result of
+    # np.unique over the pairs side by side, which QSet checks at once
+    require_bytes(8 * 2**n * 7 * k, f"same_string_q_set(n={n})")
+    rows = _shift_rows(n, gamma)
+    qset = QSet(rows, rows)
     assert len(qset) <= 2.0 ** (n * binary_entropy(gamma)) * (1 + 1e-12)
     return qset
 

@@ -48,13 +48,13 @@ def require_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def frozen(a) -> np.ndarray:
-    """`a` as a read-only complex array.  One that already is read-only and
-    owns its data is kept as it is; anything else is copied once, so the
+def frozen(a, dtype=complex) -> np.ndarray:
+    """`a` as a read-only array of `dtype`.  One that already is read-only
+    and owns its data is kept as it is; anything else is copied once, so the
     caller's array stays writable and is never aliased."""
-    if not (isinstance(a, np.ndarray) and a.dtype == complex and a.flags.owndata
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.owndata
             and not a.flags.writeable):
-        a = np.array(a, dtype=complex)
+        a = np.array(a, dtype=dtype)
         a.setflags(write=False)
     return a
 
@@ -223,29 +223,20 @@ def overlap_of_pair(a, b) -> float:
     return float(max(np.linalg.eigvalsh(hermitianize(gram))[-1], 0.0))
 
 
-def cyclic_permutations(n: int) -> list[tuple[int, ...]]:
-    """The n cyclic shifts of [0..n-1]; a mutually orthogonal permutation set."""
+def permutation_rows(a) -> bool:
+    """Whether `a` is a non-empty 2-D array each of whose rows permutes
+    range(a.shape[1])."""
+    a = np.asarray(a)
+    return (a.ndim == 2 and a.size > 0
+            and bool((np.sort(a, axis=1) == np.arange(a.shape[1])).all()))
+
+
+def cyclic_permutations(n: int) -> np.ndarray:
+    """The n cyclic shifts of [0..n-1] as rows; a mutually orthogonal
+    permutation set."""
     if n < 1:
         raise DimensionError("n must be positive")
-    return [tuple((i + k) % n for i in range(n)) for k in range(n)]
-
-
-def _validate_orthogonal_perms(perms: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
-    if len(perms) != n:
-        raise ValidationError(f"need exactly {n} permutations, got {len(perms)}")
-    clean = []
-    for p in perms:
-        p = tuple(int(i) for i in p)
-        if sorted(p) != list(range(n)):
-            raise ValidationError(f"{p} is not a permutation of 0..{n - 1}")
-        clean.append(p)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if any(clean[i][k] == clean[j][k] for k in range(n)):
-                raise ValidationError(
-                    f"permutations {i} and {j} are not orthogonal (agree at some point)"
-                )
-    return clean
+    return (np.arange(n)[:, None] + np.arange(n)) % n
 
 
 def kittaneh_sum_bound(ops: Sequence[np.ndarray],
@@ -269,10 +260,15 @@ def kittaneh_sum_bound(ops: Sequence[np.ndarray],
         if not is_psd(a):
             raise NotPsdError("operators must be Hermitian PSD")
     n = len(mats)
-    perms = _validate_orthogonal_perms(perms, n)
+    perms = np.asarray(perms)
+    if perms.shape != (n, n) or not permutation_rows(perms):
+        raise ValidationError(f"need {n} permutations of 0..{n - 1}, got {perms.tolist()}")
+    # two permutations agree at a point exactly when a column repeats a value
+    if not permutation_rows(perms.T):
+        raise ValidationError("the permutations are not mutually orthogonal")
     roots = [psd_sqrt(a) for a in mats]
     lhs = schatten_inf_norm(sum(mats))
     rhs = 0.0
-    for p in perms:
+    for p in perms.astype(int):
         rhs += max(schatten_inf_norm(roots[i] @ roots[p[i]]) for i in range(n))
     return lhs, rhs

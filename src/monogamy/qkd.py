@@ -384,6 +384,10 @@ def _code_bytes(length: int, syndrome_bits: int, chunk_len: int) -> int:
 # device models
 
 
+# the checked single-round BB84 stack (basis, outcome, 2, 2), built once
+_BB84_ELEMENTS = bb84_game().elements
+
+
 class HonestNoisyDevice:
     """Classical reference device: outcomes equal Alice's bits, flipped
     independently with probability `flip_prob`."""
@@ -440,7 +444,7 @@ class TripartiteQuantumDevice:
         povm = self._povm_for(theta_key)
         if len(povm) != 2**self.n:
             raise ValidationError("device POVM must have one element per outcome string")
-        conditionals = conditional_states(bb84_game().elements[theta.astype(int)], self.state)
+        conditionals = conditional_states(_BB84_ELEMENTS[theta.astype(int)], self.state)
         probs = np.clip(np.trace(conditionals, axis1=1, axis2=2).real, 0.0, None)
         probs = probs / probs.sum()
         x_idx = int(rng.choice(len(probs), p=probs))
@@ -456,7 +460,7 @@ class TripartiteQuantumDevice:
 def _bb84_projectors(theta_key: str) -> np.ndarray:
     """The n-qubit BB84 measurement for a basis string such as "0110", one
     projector per outcome string, in lexicographic order."""
-    return power_elements(bb84_game().elements[[int(ch) for ch in theta_key]])
+    return power_elements(_BB84_ELEMENTS[[int(ch) for ch in theta_key]])
 
 
 def epr_device(n: int) -> TripartiteQuantumDevice:

@@ -70,12 +70,12 @@ def optimal_state_step(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray)
     degenerate spectrum; the solver then retries once on the upper triangle,
     which holds the same data since the operator is hermitianized.
     """
-    labels = game.basis_labels
     d = game.alice_dim * bob.shape[-1] * charlie.shape[-1]
     op = np.zeros((d, d), dtype=complex)
-    for theta in labels:
-        op += win_operator(game, bob, charlie, theta)
-    op /= len(labels)
+    n_bases = len(game.thetas)**game.rounds
+    for i in range(n_bases):
+        op += win_operator(game, bob, charlie, i)
+    op /= n_bases
     op = linalg.hermitianize(op)
     try:
         evals, vecs = np.linalg.eigh(op)

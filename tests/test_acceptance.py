@@ -125,7 +125,7 @@ def test_criterion_04_cross_term_norm_property():
                                 for _ in labels])
                 charlie = np.array([random_projective_povm(2, n_out, rng)
                                     for _ in labels])
-                ops = {t: win_operator(g, bob, charlie, t) for t in labels}
+                ops = {t: win_operator(g, bob, charlie, i) for i, t in enumerate(labels)}
                 for ta, tb in itertools.combinations(labels, 2):
                     t_dist = sum(a != b for a, b in zip(ta, tb))
                     norm = linalg.schatten_inf_norm(ops[ta] @ ops[tb])

@@ -6,8 +6,7 @@ Each case below runs at the smallest of its sizes whose prediction reaches
 8 MiB, so a routine that comes to need less memory moves to a larger size by
 itself.  Under a lowered budget the call must be refused with a tracemalloc
 peak below 1 MiB; under the real budget the peak must stay within the
-prediction, and a prediction for numpy arrays must not exceed twice the
-peak.  Each traced call follows one untraced call at the case's smallest
+prediction, and the prediction must not exceed twice the peak.  Each traced call follows one untraced call at the case's smallest
 size, which takes the one-time allocations of numpy and the package out of
 the peak.  The last tests refuse real sizes of GiB to TiB with the
 allocating code patched out, so they allocate nothing.
@@ -15,6 +14,7 @@ allocating code patched out, so they allocate nothing.
 
 from __future__ import annotations
 
+import itertools
 import sys
 import tracemalloc
 
@@ -24,9 +24,10 @@ import pytest
 from monogamy import errors
 from monogamy.cli import dispatch
 from monogamy.errors import CapacityError
-from monogamy.games import (Strategy, bb84_game, constant_guess_povms, game_power,
+from monogamy.games import (QSet, Strategy, bb84_game, constant_guess_povms, game_power,
                             hamming_q_set, maximally_entangled_density, product_strategy,
-                            same_string_q_set, xor_permutation_family)
+                            same_string_q_set, winning_probability_with_q,
+                            xor_permutation_family)
 from monogamy.posver import BreidbartPair, TimingScenario, simulate_pv_rounds
 from monogamy.qkd import LinearCode, QkdParams, run_eqkd_trials, toeplitz_hash
 from monogamy.seesaw import SeesawConfig, _search_bytes, seesaw
@@ -54,34 +55,46 @@ def _hash_inputs(ell: int):
     return bits, bits[:2 * ell], ell
 
 
+def _q_value_inputs(d: int):
+    """The two-round BB84 game; a maximally mixed state with Bob and Charlie
+    of dimension d, who always name outcome "00"; and every pair of
+    permutations of the four outcomes, as zipped Q-set rows."""
+    g = game_power(bb84_game(), 2)
+    guess = constant_guess_povms(g.basis_labels, ("00", "01", "10", "11"), "00", dim=d)
+    dim = 4 * d * d
+    s = Strategy(np.eye(dim, dtype=complex) / dim, (4, d, d), guess, guess)
+    perms = np.array(list(itertools.permutations(range(4))))
+    q = QSet(np.repeat(perms, len(perms), axis=0), np.tile(perms, (len(perms), 1)))
+    return g, s, q
+
+
 def _cases():
-    """(name, sizes, prepare, call, numpy): prepare(size) builds the inputs
-    outside the traced region and call(inputs) runs the guarded routine;
-    sizes run upward from a tiny one; `numpy` says whether the prediction
-    counts numpy arrays rather than label dicts."""
+    """(name, sizes, prepare, call): prepare(size) builds the inputs outside
+    the traced region and call(inputs) runs the guarded routine; sizes run
+    upward from a tiny one."""
     line = TimingScenario(0.0, 2.0, 1.0)
     return [
         ("product_strategy", range(2, 9), lambda n: (_entangled_round(), n),
-         lambda a: product_strategy(*a), True),
+         lambda a: product_strategy(*a)),
         ("seesaw", range(2, 33),
          lambda d: (bb84_game(), SeesawConfig(bob_dim=d, charlie_dim=d, restarts=1,
                                               max_iters=1)),
-         lambda a: seesaw(*a), True),
-        ("LinearCode", range(8, 65), lambda n: n, lambda n: _build_all_tables(n, n // 4),
-         True),
-        ("toeplitz_hash", range(64, 4097, 64), _hash_inputs, lambda a: toeplitz_hash(*a),
-         True),
+         lambda a: seesaw(*a)),
+        ("LinearCode", range(8, 65), lambda n: n, lambda n: _build_all_tables(n, n // 4)),
+        ("toeplitz_hash", range(64, 4097, 64), _hash_inputs, lambda a: toeplitz_hash(*a)),
         ("run_eqkd_trials", range(128, 4097, 64),
          lambda n: QkdParams(n=n, t=n // 8, s=0, ell=0, gamma=0.05, epsilon=0.05),
-         lambda p: run_eqkd_trials(p, 0.01, 512, seed=0), True),
+         lambda p: run_eqkd_trials(p, 0.01, 512, seed=0)),
         ("simulate_pv_rounds", range(1, 65), lambda n: n,
-         lambda n: simulate_pv_rounds(line, n, BreidbartPair(), 65536, seed=0), True),
-        ("hamming_q_set", range(2, 10), lambda n: n,
-         lambda n: hamming_q_set(n, 0.34, 0.34), False),
-        ("same_string_q_set", range(2, 12), lambda n: n,
-         lambda n: same_string_q_set(n, 0.5), False),
-        ("xor_permutation_family", range(2, 10), lambda n: n,
-         lambda n: xor_permutation_family(n, 2), False),
+         lambda n: simulate_pv_rounds(line, n, BreidbartPair(), 65536, seed=0)),
+        ("hamming_q_set", range(2, 16), lambda n: n,
+         lambda n: hamming_q_set(n, 0.34, 0.34)),
+        ("same_string_q_set", range(2, 16), lambda n: n,
+         lambda n: same_string_q_set(n, 0.5)),
+        ("xor_permutation_family", range(2, 14), lambda n: n,
+         lambda n: xor_permutation_family(n, 2)),
+        ("winning_probability_with_q", range(2, 33), _q_value_inputs,
+         lambda a: winning_probability_with_q(*a)),
     ]
 
 
@@ -111,7 +124,7 @@ def _prediction(call, inputs) -> int:
 def _sized(name):
     """(inputs at the smallest size, inputs at the first size whose
     prediction reaches FLOOR)."""
-    _, sizes, prepare, call, _ = CASES[name]
+    _, sizes, prepare, call = CASES[name]
     for size in sizes:
         if _prediction(call, prepare(size)) >= FLOOR:
             return prepare(sizes[0]), prepare(size)
@@ -161,7 +174,7 @@ def test_refused_before_allocating(name, monkeypatch):
 
 @pytest.mark.parametrize("name", CASES)
 def test_prediction_bounds_the_peak(name, predictions):
-    call, numpy_site = CASES[name][3:]
+    call = CASES[name][3]
     warm, inputs = _sized(name)
     call(warm)
     predictions.clear()
@@ -170,8 +183,7 @@ def test_prediction_bounds_the_peak(name, predictions):
     assert isinstance(predicted, int)
     assert peak >= 4 * MiB
     assert peak <= predicted + MiB
-    if numpy_site:
-        assert predicted <= 2 * peak
+    assert predicted <= 2 * peak
 
 
 def test_budget_is_one_documented_constant():
@@ -200,10 +212,13 @@ def test_seesaw_refuses_twelve_rounds_of_bb84(monkeypatch):
 
 
 def test_hamming_q_set_refuses_before_building_pairs(monkeypatch):
-    # 2^18 pairs of two dicts over 2^9 outcomes: 2^28 label entries
-    monkeypatch.setattr(sys.modules["monogamy.games"], "_xor_q_set", _sentinel)
+    # 9,908 shift rows per party over 2^14 outcomes, with the check's
+    # copies: 6.5 GB; thirteen rounds (4,096 rows per party) fit
+    monkeypatch.setattr(sys.modules["monogamy.games"], "_shift_rows", _sentinel)
     with pytest.raises(CapacityError):
-        hamming_q_set(9, 0.5, 0.5)
+        hamming_q_set(14, 0.5, 0.5)
+    with pytest.raises(pytest.fail.Exception, match="oversized request"):
+        hamming_q_set(13, 0.5, 0.5)
 
 
 def test_cli_seesaw_refuses_twelve_rounds(monkeypatch, capsys):

@@ -5,6 +5,8 @@ the full state, exactly as the definitions read; the package contracts the
 state as a tensor and never builds those operators.  For games of several
 rounds the oracle's measurements are the dense n-fold products of
 ``power_elements``, while the package traces out Alice's rounds one by one.
+A product Q-set, which the package smears into one row pair, is checked
+against the same pairs listed as zipped rows.
 """
 
 from __future__ import annotations
@@ -62,15 +64,15 @@ cases = st.builds(random_case, seed=st.integers(0, 2**32 - 1), da=st.integers(1,
 def test_win_terms_and_operator_match_oracle(case, with_q):
     game, s, pairs = case
     pairs = pairs if with_q else None
-    q = None if pairs is None else tuple(np.array(side) for side in zip(*pairs))
+    q = None if pairs is None else QSet(*zip(*pairs))
     terms = win_terms(game, s.bob, s.charlie, s.rho_abc, q)
-    for theta, term in zip(game.thetas, terms):
+    for i, (theta, term) in enumerate(zip(game.thetas, terms)):
         # the oracle reads the label-keyed views, the package the stacks
         f, p, c = game.povms[theta], s.bob_povms[theta], s.charlie_povms[theta]
         op = oracle_win_operator(f, p, c, pairs)
         assert abs(term - np.trace(op @ s.rho_abc).real) <= ATOL
         if pairs is None:
-            np.testing.assert_allclose(win_operator(game, s.bob, s.charlie, theta), op,
+            np.testing.assert_allclose(win_operator(game, s.bob, s.charlie, i), op,
                                        atol=ATOL, rtol=0)
     # the same strategy with its bases stored in reverse order is realigned
     # to the game by label
@@ -82,11 +84,7 @@ def test_win_terms_and_operator_match_oracle(case, with_q):
         if pairs is None:
             assert abs(winning_probability(game, strategy) - terms.mean()) <= ATOL
         else:
-            labels = game.outcomes
-            qset = QSet(labels, tuple(({x: labels[pb[i]] for i, x in enumerate(labels)},
-                                       {x: labels[pc[i]] for i, x in enumerate(labels)})
-                                      for pb, pc in pairs))
-            assert abs(winning_probability_with_q(game, strategy, qset)
+            assert abs(winning_probability_with_q(game, strategy, q)
                        - terms.mean()) <= ATOL
 
 
@@ -160,7 +158,7 @@ power_cases = st.builds(random_power_case, seed=st.integers(0, 2**32 - 1),
 def test_round_by_round_contractions_match_the_dense_oracle(case, with_q):
     game, dense, bob, charlie, rho, pairs = case
     pairs = pairs if with_q else None
-    q = None if pairs is None else tuple(np.array(side) for side in zip(*pairs))
+    q = None if pairs is None else QSet(*zip(*pairs))
     terms = win_terms(game, bob, charlie, rho, q)
     labels = game.basis_labels
     assert len(terms) == len(labels) == len(dense)
@@ -171,7 +169,7 @@ def test_round_by_round_contractions_match_the_dense_oracle(case, with_q):
         op = oracle_win_operator(dense[i], bob[i], charlie[i], pairs)
         assert abs(terms[i] - np.trace(op @ rho).real) <= ATOL
         if pairs is None:
-            np.testing.assert_allclose(win_operator(game, bob, charlie, theta), op,
+            np.testing.assert_allclose(win_operator(game, bob, charlie, i), op,
                                        atol=ATOL, rtol=0)
         for x, f in enumerate(dense[i]):
             measured = {"B": kron(f, np.eye(dims[1]), charlie[i][x]),
@@ -180,6 +178,32 @@ def test_round_by_round_contractions_match_the_dense_oracle(case, with_q):
                 expected = linalg.partial_trace(measured[party] @ rho, dims, [keep])
                 np.testing.assert_allclose(sigmas[party][i][x], expected,
                                            atol=ATOL, rtol=0)
+
+
+def random_product_q_set(seed, n_str):
+    """A product Q-set of one to four distinct random rows per party."""
+    rng = rng_for(seed, 1)
+    rows = [np.unique([rng.permutation(n_str) for _ in range(int(rng.integers(1, 5)))],
+                      axis=0) for _ in range(2)]
+    return QSet(*rows, product=True)
+
+
+product_cases = st.builds(random_power_case, seed=st.integers(0, 2**32 - 1),
+                          da=st.integers(1, 2), db=st.integers(1, 2), dc=st.integers(1, 2),
+                          n_out=st.just(2), rounds=st.integers(1, 4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(product_cases, st.integers(0, 2**32 - 1))
+def test_smeared_product_set_matches_its_zipped_expansion(case, seed):
+    game, _, bob, charlie, rho, _ = case
+    q = random_product_q_set(seed, bob.shape[1])
+    # every (Bob row, Charlie row) pair, Bob's row most significant
+    zipped = QSet(np.repeat(q.bob, len(q.charlie), axis=0),
+                  np.tile(q.charlie, (len(q.bob), 1)))
+    assert len(zipped) == len(q)
+    np.testing.assert_allclose(win_terms(game, bob, charlie, rho, q),
+                               win_terms(game, bob, charlie, rho, zipped), atol=ATOL, rtol=0)
 
 
 @settings(max_examples=30, deadline=None)

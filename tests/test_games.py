@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,8 +241,8 @@ def test_winning_probability_bounded_by_operator_norm(rng):
         for _ in range(8):
             s = random_strategy(g, 2, 2, rng)
             value = winning_probability(g, s)
-            total = sum(win_operator(g, s.bob, s.charlie, t)
-                        for t in g.basis_labels)
+            total = sum(win_operator(g, s.bob, s.charlie, i)
+                        for i in range(len(g.basis_labels)))
             assert 0.0 <= value <= 1.0 + 1e-12
             assert value <= linalg.schatten_inf_norm(total) / 2**n + 1e-9
 
@@ -250,8 +251,8 @@ def test_averaged_win_operator_norm_at_most_one(rng):
     g = bb84_game()
     for _ in range(10):
         s = random_strategy(g, 2, 3, rng)
-        total = sum(win_operator(g, s.bob, s.charlie, t)
-                    for t in g.thetas)
+        total = sum(win_operator(g, s.bob, s.charlie, i)
+                    for i in range(len(g.thetas)))
         assert linalg.schatten_inf_norm(total) / len(g.thetas) <= 1.0 + 1e-10
 
 
@@ -269,8 +270,8 @@ def test_cross_term_norm_bound(rng):
         g = game_power(bb84_game(), n)
         for _ in range(6):
             s = random_strategy(g, 2, 2, rng)
-            ops = {t: win_operator(g, s.bob, s.charlie, t)
-                   for t in g.basis_labels}
+            ops = {t: win_operator(g, s.bob, s.charlie, i)
+                   for i, t in enumerate(g.basis_labels)}
             for ta, tb in itertools.combinations(g.basis_labels, 2):
                 t_dist = sum(a != b for a, b in zip(ta, tb))
                 norm = linalg.schatten_inf_norm(ops[ta] @ ops[tb])
@@ -281,10 +282,17 @@ def test_cross_term_norm_bound(rng):
 # Q-sets
 
 
+def q_pairs(q: QSet) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The Q-set's displacement pairs as (Bob row, Charlie row)."""
+    if q.product:
+        return [(pb, pc) for pb in q.bob for pc in q.charlie]
+    return list(zip(q.bob, q.charlie))
+
+
 def test_identity_q_set_reduces_to_plain_value(rng):
     g = bb84_game()
     s = random_strategy(g, 2, 2, rng)
-    q = identity_q_set(g.outcomes)
+    q = identity_q_set(len(g.outcomes))
     assert winning_probability_with_q(g, s, q) == \
         pytest.approx(winning_probability(g, s), abs=1e-12)
 
@@ -295,14 +303,12 @@ def test_q_value_by_brute_force_enumeration(rng):
     s = random_strategy(g, 2, 2, rng)
     q = hamming_q_set(2, 0.5, 0.0)
     expect = 0.0
-    idx = {x: i for i, x in enumerate(q.outcomes)}
     for theta, factors in zip(g.basis_labels, g.factors()):
         f = power_elements(factors)
-        for x in q.outcomes:
-            for pb, pc in q.pairs:
-                op = np.kron(np.kron(f[idx[x]],
-                                     s.bob_povms[theta][idx[pb[x]]]),
-                             s.charlie_povms[theta][idx[pc[x]]])
+        for x in range(len(f)):
+            for pb, pc in q_pairs(q):
+                op = np.kron(np.kron(f[x], s.bob_povms[theta][pb[x]]),
+                             s.charlie_povms[theta][pc[x]])
                 expect += np.trace(op @ s.rho_abc).real
     expect /= len(g.basis_labels)
     assert winning_probability_with_q(g, s, q) == pytest.approx(expect, abs=1e-10)
@@ -328,63 +334,89 @@ def test_full_q_set_with_deterministic_strategies_wins_always(rng):
     rho = np.kron(random_density(2, rng), np.eye(1, dtype=complex))
     s = Strategy(rho, (2, 1, 1), bob, charlie)
     fam = xor_permutation_family(1, 2)
-    q = QSet(g.outcomes, tuple((dict(pb), dict(pc))
-                               for pb in fam for pc in fam))
+    q = QSet(fam, fam, product=True)
     assert len(q) == 4  # every displacement pair allowed
     assert winning_probability_with_q(g, s, q) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_q_set_rejects_duplicates():
-    ident = {"0": "0", "1": "1"}
+    ident = [[0, 1]]
     with pytest.raises(ValidationError):
-        QSet(("0", "1"), ((dict(ident), dict(ident)), (dict(ident), dict(ident))))
+        QSet(ident * 2, ident * 2)
+    with pytest.raises(ValidationError):
+        QSet(ident * 2, [[1, 0]], product=True)
+    # zipped pairs repeat only when both rows do
+    assert len(QSet(ident * 2, [[0, 1], [1, 0]])) == 2
 
 
 def test_q_set_rejects_non_bijection():
-    squash = {"0": "0", "1": "0"}
-    ident = {"0": "0", "1": "1"}
     with pytest.raises(ValidationError):
-        QSet(("0", "1"), ((squash, ident),))
+        QSet([[0, 0]], [[0, 1]])
+    with pytest.raises(ValidationError):
+        QSet([[0, 2]], [[0, 1]])
+
+
+def test_q_set_rejects_malformed_rows():
+    for bob, charlie in (([[0.0, 1.0]], [[0, 1]]), ([0, 1], [[0, 1]]),
+                         (np.empty((0, 2), dtype=int), [[0, 1]]),
+                         ([[0, 1]], [[0, 1, 2]]), ([[0, 1]], [[0, 1], [1, 0]])):
+        with pytest.raises(ValidationError):
+            QSet(bob, charlie)
+
+
+def test_q_set_keeps_read_only_copies():
+    rows = np.array([[0, 1], [1, 0]])
+    q = QSet(rows, rows)
+    rows[0] = (1, 0)
+    np.testing.assert_array_equal(q.bob, [[0, 1], [1, 0]])
+    assert not q.bob.flags.writeable and not q.charlie.flags.writeable
+
+
+def test_q_set_width_must_match_the_game(rng):
+    g = game_power(bb84_game(), 2)
+    s = random_strategy(g, 1, 1, rng)
+    with pytest.raises(ValidationError):
+        winning_probability_with_q(g, s, hamming_q_set(3, 0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
 # XOR permutation families
 
 
+def displacement_weights(fam: np.ndarray, n: int, q: int) -> np.ndarray:
+    """Per row and point, the number of digits in which the row moves the point."""
+    digits = np.array(np.unravel_index(np.arange(q**n), (q,) * n))
+    return (digits[:, None, :] != digits[:, fam]).sum(axis=0)
+
+
 def test_xor_family_binary_single_round():
     fam = xor_permutation_family(1, 2)
-    assert fam[0] == {"0": "0", "1": "1"}
-    assert fam[1] == {"0": "1", "1": "0"}
+    np.testing.assert_array_equal(fam, [[0, 1], [1, 0]])
 
 
 def test_xor_family_weight_profile():
     fam = xor_permutation_family(2, 2)
-    assert len(fam) == 4
-    profile: dict[int, int] = {}
-    for perm in fam:
-        weights = {sum(a != b for a, b in zip(t, perm[t])) for t in perm}
-        assert len(weights) == 1  # displacement weight independent of the point
-        w = weights.pop()
-        profile[w] = profile.get(w, 0) + 1
-    assert profile == {0: 1, 1: 2, 2: 1}
+    assert fam.shape == (4, 4)
+    weights = displacement_weights(fam, 2, 2)
+    # the displacement weight is independent of the point
+    assert (weights == weights[:, :1]).all()
+    assert sorted(weights[:, 0].tolist()) == [0, 1, 1, 2]
 
 
 def test_xor_family_mutual_orthogonality():
-    for n, q in ((2, 2), (1, 3), (2, 3)):
+    for n, q in ((2, 2), (1, 3), (2, 3), (1, 11)):
         fam = xor_permutation_family(n, q)
-        assert len(fam) == q**n
+        assert fam.shape == (q**n, q**n)
         for i in range(len(fam)):
             for j in range(i + 1, len(fam)):
-                assert all(fam[i][t] != fam[j][t] for t in fam[i])
+                assert (fam[i] != fam[j]).all()
+        # every row is a permutation, so the family is a valid Q-set
+        assert len(QSet(fam, fam)) == q**n
 
 
 def test_xor_family_multiplicities_general_alphabet():
-    fam = xor_permutation_family(2, 3)
-    profile: dict[int, int] = {}
-    for perm in fam:
-        w = sum(a != b for a, b in zip("00", perm["00"]))
-        profile[w] = profile.get(w, 0) + 1
-    assert profile == {0: 1, 1: math.comb(2, 1) * 2, 2: math.comb(2, 2) * 4}
+    weights = displacement_weights(xor_permutation_family(2, 3), 2, 3)[:, 0]
+    assert np.bincount(weights).tolist() == [1, math.comb(2, 1) * 2, math.comb(2, 2) * 4]
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +426,16 @@ def test_xor_family_multiplicities_general_alphabet():
 def test_hamming_q_set_zero_gammas_is_identity_pair():
     q = hamming_q_set(3, 0.0, 0.0)
     assert len(q) == 1
-    ident = {x: x for x in q.outcomes}
-    assert q.pairs[0] == (ident, ident)
+    for rows in (q.bob, q.charlie):
+        np.testing.assert_array_equal(rows, [np.arange(8)])
+
+
+def test_hamming_q_set_rows_are_xor_shifts():
+    q = hamming_q_set(3, 1 / 3, 0.0)
+    assert q.product
+    shifts = q.bob[:, 0]
+    assert shifts.tolist() == [0, 1, 2, 4]
+    np.testing.assert_array_equal(q.bob, shifts[:, None] ^ np.arange(8))
 
 
 def test_hamming_q_set_counts():
@@ -417,10 +457,40 @@ def test_same_string_q_set():
     q0 = same_string_q_set(2, 0.0)
     assert len(q0) == 1
     q = same_string_q_set(3, 1.0 / 3.0)
+    assert not q.product
     assert len(q) == 1 + math.comb(3, 1)
-    for pb, pc in q.pairs:
-        assert pb == pc
+    np.testing.assert_array_equal(q.bob, q.charlie)
     assert len(q) <= 2 ** (3 * binary_entropy(1.0 / 3.0))
+
+
+def test_zero_gamma_hamming_value_is_the_parallel_value_at_eight_rounds():
+    s = product_strategy(bb84_optimal_unentangled_strategy(), 8)
+    value = winning_probability_with_q(game_power(bb84_game(), 8), s,
+                                       hamming_q_set(8, 0.0, 0.0))
+    assert abs(value - bb84_parallel_value(8)) <= 1e-12
+
+
+def test_hamming_value_of_the_seven_round_product_strategy():
+    # the value the label-dict evaluation gave for the 4,096 pairs
+    s = product_strategy(bb84_optimal_unentangled_strategy(), 7)
+    value = winning_probability_with_q(game_power(bb84_game(), 7), s,
+                                       hamming_q_set(7, 0.5, 0.5))
+    assert abs(value - 0.9888980479297647) <= 1e-12
+
+
+def test_eight_round_hamming_set_builds_and_evaluates_in_little_memory():
+    g = game_power(bb84_game(), 8)
+    s = product_strategy(bb84_optimal_unentangled_strategy(), 8)
+    tracemalloc.start()
+    try:
+        q = hamming_q_set(8, 0.5, 0.5)
+        value = winning_probability_with_q(g, s, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(q) == 163**2
+    assert peak < 32 * 2**20
+    assert bb84_parallel_value(8) < value <= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -189,8 +189,8 @@ def test_sandwich_between_search_and_norm_bound():
         search = seesaw(g, SeesawConfig(seed=0, restarts=20)).value
         closed = bb84_parallel_value(n)
         norm = linalg.schatten_inf_norm(
-            sum(win_operator(g, sn.bob, sn.charlie, t)
-                for t in g.basis_labels)) / 2**n
+            sum(win_operator(g, sn.bob, sn.charlie, i)
+                for i in range(len(g.basis_labels)))) / 2**n
         assert search <= closed + 1e-9
         assert closed <= norm + 1e-9
         assert search == pytest.approx(closed, abs=1e-6)
