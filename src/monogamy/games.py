@@ -458,13 +458,13 @@ class QSet:
                 not (self.product or len(self.bob) == len(self.charlie)):
             raise ValidationError("Q-set rows must cover one outcome count, with one "
                                   "Charlie row per Bob row unless `product` is set")
-        # a product set repeats a pair exactly when a party repeats a row
-        if self.product:
-            checked = [self.bob, self.charlie]
-        else:
-            checked = [np.hstack([self.bob, self.charlie])]
-        if any(len(np.unique(r, axis=0)) < len(r) for r in checked):
-            raise ValidationError("duplicate permutation pair in Q-set")
+        # a product set repeats a pair exactly when a party repeats a row;
+        # each row is compared as one opaque item, a void view of its bytes
+        checked = [self.bob, self.charlie] if self.product else \
+            [np.hstack([self.bob, self.charlie])]
+        for r in map(np.ascontiguousarray, checked):
+            if len(np.unique(r.view(np.dtype((np.void, r.itemsize * r.shape[1]))))) < len(r):
+                raise ValidationError("duplicate permutation pair in Q-set")
 
     def __len__(self) -> int:
         return len(self.bob) * len(self.charlie) if self.product else len(self.bob)
@@ -538,9 +538,9 @@ def hamming_q_set(n: int, gamma: float, gamma_prime: float) -> QSet:
     wt(k') <= gamma' n, on the length-n binary outcome alphabet: the product
     of Bob's and Charlie's shift rows."""
     kb, kc = _shift_count(n, gamma, "gamma"), _shift_count(n, gamma_prime, "gamma_prime")
-    # both parties' rows, and the copy, sorted copy and result of np.unique
-    # over the larger party's, which QSet checks one party at a time
-    require_bytes(8 * 2**n * (kb + kc + 3 * max(kb, kc)), f"hamming_q_set(n={n})")
+    # both parties' rows, and the sorted copy and result of np.unique over
+    # the larger party's, which QSet checks one party at a time
+    require_bytes(8 * 2**n * (kb + kc + 2 * max(kb, kc)), f"hamming_q_set(n={n})")
     qset = QSet(_shift_rows(n, gamma), _shift_rows(n, gamma_prime), product=True)
     cap = 2.0 ** (n * binary_entropy(gamma) + n * binary_entropy(gamma_prime))
     assert len(qset) <= cap * (1 + 1e-12)

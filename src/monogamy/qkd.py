@@ -9,16 +9,25 @@ The security statement is the closed-form failure bound
 
 with b the single-round BB84 game value shared with :mod:`monogamy.bounds`.
 The simulator executes the protocol itself (sampling, abort rule, syndrome
-correction, Toeplitz hashing) with a pluggable device: a classical noise
-model at up to 2^20 rounds, or a full tripartite quantum device at up to 5
-rounds to exercise the POVM plumbing.  Run sizes are further bounded by the
-memory budget of :mod:`monogamy.errors`.  An eavesdropper is never simulated;
-the delta formula is the security claim and is computed exactly.
+correction, Toeplitz hashing) along one pipeline for every device: a batch
+of trials draws its basis strings, the device measures the whole batch, the
+sampled comparison decides each abort, and each completed row is corrected
+and hashed.  :func:`run_eqkd_trials` runs batch after batch and keeps
+counts; :func:`simulate_eqkd` runs a batch of one trial and keeps its
+transcript.  A device is any object with a `max_n` attribute and a method
+`sample(theta, rng) -> (x, y)` that takes a (trials, n) array of basis bits
+and returns Alice's and its own outcome bits in that shape, drawn from `rng`
+only: a classical noise model at up to 2^20 rounds, or a full tripartite
+quantum device at up to 5 rounds to exercise the POVM plumbing.  Run sizes
+are further bounded by the memory budget of :mod:`monogamy.errors`.  An
+eavesdropper is never simulated; the delta formula is the security claim
+and is computed exactly.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -38,19 +47,18 @@ _TRIAL_BATCH = 4096
 _CHUNK_LEN = 16
 
 # Byte costs the memory predictions charge, from tracemalloc peaks: a trial
-# batch holds 19.2-19.4 B per (trial, round) entry, a Toeplitz product 17 B
+# batch holds 20.1-20.4 B per (trial, round) entry, a Toeplitz product 17 B
 # per matrix entry, a decode table 8 B per word and its construction
 # 9 B per (word, bit) plus 8-16 B per (word, syndrome row).
-_TRIAL_ENTRY_BYTES = 20
+_TRIAL_ENTRY_BYTES = 21
 _HASH_ENTRY_BYTES = 17
 _CHUNK_BYTES = 512  # one chunk's bounds, row count and parity matrix object
 
-# rng derivation streams so protocol randomness, code construction,
-# Monte-Carlo batches and per-trial device runs never overlap
+# rng derivation streams, so basis strings, code construction and the rest
+# of a batch's draws never overlap
 _ROUND_STREAM = 0
 _CODE_STREAM = 1
 _BATCH_STREAM = 2
-_TRIAL_STREAM = 3
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +262,10 @@ def _bits_to_int(bits: np.ndarray) -> int:
     return out
 
 
-def _int_to_bits(value: int, width: int) -> np.ndarray:
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)],
-                    dtype=np.uint8)
+def _int_to_bits(value, width: int) -> np.ndarray:
+    # MSB first; an array of values gives one row of bits per value
+    shifts = width - 1 - np.arange(width)
+    return ((np.asarray(value)[..., None] >> shifts) & 1).astype(np.uint8)
 
 
 class LinearCode:
@@ -381,7 +390,7 @@ def _code_bytes(length: int, syndrome_bits: int, chunk_len: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# device models
+# device models (the protocol a device follows is in the module docstring)
 
 
 # the checked single-round BB84 stack (basis, outcome, 2, 2), built once
@@ -399,11 +408,9 @@ class HonestNoisyDevice:
             raise DomainError(f"flip probability must lie in [0, 1], got {flip_prob}")
         self.flip_prob = float(flip_prob)
 
-    def sample_round(self, theta: np.ndarray, rng: np.random.Generator):
-        n = theta.size
-        x = rng.integers(0, 2, size=n, dtype=np.uint8)
-        flips = (rng.random(n) < self.flip_prob).astype(np.uint8)
-        return x, x ^ flips
+    def sample(self, theta: np.ndarray, rng: np.random.Generator):
+        x = rng.integers(0, 2, size=theta.shape, dtype=np.uint8)
+        return x, x ^ (rng.random(theta.shape) < self.flip_prob).astype(np.uint8)
 
 
 class TripartiteQuantumDevice:
@@ -437,24 +444,38 @@ class TripartiteQuantumDevice:
         if n < 1 or n > cls.max_n:
             raise CapacityError(f"quantum device supports 1..{cls.max_n} rounds")
 
-    def sample_round(self, theta: np.ndarray, rng: np.random.Generator):
-        if theta.size != self.n:
-            raise DimensionError(f"device built for n={self.n}, got {theta.size} rounds")
-        theta_key = "".join(str(int(b)) for b in theta)
-        povm = self._povm_for(theta_key)
-        if len(povm) != 2**self.n:
-            raise ValidationError("device POVM must have one element per outcome string")
-        conditionals = conditional_states(_BB84_ELEMENTS[theta.astype(int)], self.state)
-        probs = np.clip(np.trace(conditionals, axis1=1, axis2=2).real, 0.0, None)
-        probs = probs / probs.sum()
-        x_idx = int(rng.choice(len(probs), p=probs))
-        sigma = linalg.hermitianize(conditionals[x_idx])
-        tr = float(np.trace(sigma).real)
-        sigma = sigma / tr if tr > 1e-14 else np.eye(self.device_dim) / self.device_dim
-        y_probs = np.array([max(float(np.trace(sigma @ e).real), 0.0) for e in povm])
-        y_probs = y_probs / y_probs.sum()
-        y_idx = int(rng.choice(len(y_probs), p=y_probs))
-        return _int_to_bits(x_idx, self.n), _int_to_bits(y_idx, self.n)
+    def sample(self, theta: np.ndarray, rng: np.random.Generator):
+        """Exact outcomes for every row of `theta`.  Each distinct basis
+        string computes its conditional states once, for a table of p(x) and
+        one of p(y | x); its rows draw Alice's outcome, then the device's."""
+        if theta.shape[1:] != (self.n,):
+            raise DimensionError(f"device built for n={self.n}, got {theta.shape[1:]} rounds")
+        x, y = np.empty((2, len(theta)), dtype=np.intp)
+        bases, which = np.unique(theta, axis=0, return_inverse=True)
+        for k, basis in enumerate(bases):
+            povm = np.asarray(self._povm_for("".join(str(int(b)) for b in basis)))
+            if len(povm) != 2**self.n:
+                raise ValidationError("device POVM must have one element per outcome string")
+            conditionals = conditional_states(_BB84_ELEMENTS[basis.astype(int)], self.state)
+            sigma = linalg.hermitianize(conditionals)
+            tr = np.trace(sigma, axis1=1, axis2=2).real
+            mixed = tr <= 1e-14
+            sigma /= np.where(mixed, 1.0, tr)[:, None, None]
+            sigma[mixed] = np.eye(self.device_dim) / self.device_dim
+            p_x = np.clip(np.trace(conditionals, axis1=1, axis2=2).real, 0.0, None)
+            p_y = np.clip(np.einsum("xij,yji->xy", sigma, povm).real, 0.0, None)
+            rows = np.flatnonzero(which == k)
+            x[rows] = _inverse_cdf(np.broadcast_to(p_x, (len(rows), len(p_x))), rng)
+            y[rows] = _inverse_cdf(p_y[x[rows]], rng)
+        return _int_to_bits(x, self.n), _int_to_bits(y, self.n)
+
+
+def _inverse_cdf(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One index per row of non-negative `weights`, drawn with probability
+    proportional to its weight from one uniform per row."""
+    cdf = np.cumsum(weights, axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= rng.random(len(cdf))[:, None]).sum(axis=1)
 
 
 def _bb84_projectors(theta_key: str) -> np.ndarray:
@@ -516,122 +537,100 @@ def _checked_device(params: QkdParams, noise_flip_prob: float, device):
     return device
 
 
-def simulate_eqkd(params: QkdParams, noise_flip_prob: float = 0.0,
-                  device=None, seed: int = 0) -> ProtocolTranscript:
-    """One protocol run: measurement, sampled comparison with abort rule,
-    syndrome correction of the unsampled rounds, and Toeplitz hashing.
-
-    With `device=None` the classical reference device with the given flip
-    probability is used; any object with `sample_round(theta, rng)` and a
-    `max_n` attribute can stand in, and then the flip probability must be 0.
-    """
-    device = _checked_device(params, noise_flip_prob, device)
-    return _protocol_run(params, device, LinearCode(params.n - params.t, params.s, seed=seed),
-                         rng_for(seed, _ROUND_STREAM), seed)
+# the post-processing of one run that passed the abort rule, and one batch
+_Completed = namedtuple("_Completed", "x_rest x_hat syndrome hash_seed key key_hat")
+_Batch = namedtuple("_Batch", "theta x y sample aborted violated completed")
 
 
-def _protocol_run(params: QkdParams, device, code: LinearCode,
-                  rng: np.random.Generator, seed: int) -> ProtocolTranscript:
-    theta = rng.integers(0, 2, size=params.n, dtype=np.uint8)
-    x, y = device.sample_round(theta, rng)
-    x, y = _as_bits(x), _as_bits(y)
-    if x.size != params.n or y.size != params.n:
-        raise DimensionError("device output length mismatch")
-    sample = np.sort(rng.choice(params.n, size=params.t, replace=False))
-    aborted = bool(np.mean(x[sample] != y[sample]) > params.gamma)
-    base = dict(seed=seed, params=params, theta=theta, x=x, y=y,
-                sample_set=tuple(int(i) for i in sample), x_sample=x[sample].copy())
-    if aborted:
-        return ProtocolTranscript(aborted=True, syndrome=None, hash_seed=None,
-                                  key=None, key_hat=None, **base)
-    rest = np.setdiff1d(np.arange(params.n), sample)
-    x_rest, y_rest = x[rest], y[rest]
-    syndrome = code.encode(x_rest)
-    x_hat = code.decode(y_rest, syndrome)
-    hash_seed = rng.integers(0, 2, size=max(x_rest.size + params.ell - 1, 0),
-                             dtype=np.uint8)
-    key = toeplitz_hash(hash_seed, x_rest, params.ell)
-    key_hat = toeplitz_hash(hash_seed, x_hat, params.ell)
-    return ProtocolTranscript(aborted=False, syndrome=syndrome, hash_seed=hash_seed,
-                              key=key, key_hat=key_hat, **base)
+def _trial_batch(params: QkdParams, device, code: LinearCode, seed: int,
+                 index: int, size: int) -> _Batch:
+    """Batch `index` of the runs with `seed`: `size` runs, one per row, up to
+    the abort rule; `completed` post-processes the rows that passed it.  The
+    basis strings come from path (seed, round stream, index); the batch
+    generator (seed, batch stream, index) feeds the device, then the sample
+    order, then one hash seed per completed row, in row order."""
+    shape = (size, params.n)
+    theta = rng_for(seed, _ROUND_STREAM, index).integers(0, 2, size=shape, dtype=np.uint8)
+    rng = rng_for(seed, _BATCH_STREAM, index)
+    x, y = device.sample(theta, rng)
+    if np.shape(x) != shape or np.shape(y) != shape:
+        raise DimensionError(f"device output shapes {np.shape(x)}, {np.shape(y)} != {shape}")
+    x, y = (_as_bits(bits).reshape(shape) for bits in (x, y))
+    order = np.argsort(rng.random(shape), axis=1)
+    sample = np.sort(order[:, :params.t], axis=1)
+    rest = np.sort(order[:, params.t:], axis=1)
+    diff = x != y
+    d_sample = np.take_along_axis(diff, sample, axis=1).mean(axis=1)
+    aborted = d_sample > params.gamma
 
-
-def run_eqkd_trials(params: QkdParams, noise_flip_prob: float, trials: int,
-                    seed: int = 0, device=None) -> dict:
-    """Aggregate statistics over many protocol runs.
-
-    The classical device path vectorizes the measurement and abort stages in
-    fixed-size batches with per-batch derived generators, so results do not
-    depend on scheduling; quantum devices fall back to one full run per trial,
-    trial k drawing from derivation path (seed, trial stream, k).  Both paths
-    share one syndrome code per call.  Reported Hoeffding violations count
-    trials whose full error rate exceeds the sampled rate by more than
-    epsilon.  A given device brings its own noise, so `noise_flip_prob` must
-    then be 0.
-    """
-    if trials < 1:
-        raise DomainError("trials must be positive")
-    device = _checked_device(params, noise_flip_prob, device)
-    n, t = params.n, params.t
-    batched = isinstance(device, HonestNoisyDevice)
-    # the batch arrays, the code with its decode tables, and one hash
-    require_bytes((_TRIAL_ENTRY_BYTES * min(_TRIAL_BATCH, trials) * n if batched else 0)
-                  + _code_bytes(n - t, params.s, _CHUNK_LEN) + _hash_bytes(n - t, params.ell),
-                  f"run_eqkd_trials(n={n}, trials={trials})")
-    code = LinearCode(n - t, params.s, seed=seed)
-    if not batched:
-        aborts = key_matches = violations = 0
-        for trial in range(trials):
-            tr = _protocol_run(params, device, code, rng_for(seed, _TRIAL_STREAM, trial),
-                               seed)
-            aborts += int(tr.aborted)
-            key_matches += int(not tr.aborted and np.array_equal(tr.key, tr.key_hat))
-            violations += int(tr.full_error_rate > tr.sample_error_rate + params.epsilon)
-        return _aggregate(params, seed, trials, aborts, trials - aborts, key_matches,
-                          violations)
-
-    aborts = key_matches = completed = violations = 0
-    done = 0
-    batch_index = 0
-    while done < trials:
-        nb = min(_TRIAL_BATCH, trials - done)
-        rng = rng_for(seed, _BATCH_STREAM, batch_index)
-        x = rng.integers(0, 2, size=(nb, n), dtype=np.uint8)
-        y = x ^ (rng.random((nb, n)) < device.flip_prob).astype(np.uint8)
-        order = np.argsort(rng.random((nb, n)), axis=1)
-        sample_idx = np.sort(order[:, :t], axis=1)
-        rest_idx = np.sort(order[:, t:], axis=1)
-        diff = (x != y)
-        d_sample = np.take_along_axis(diff, sample_idx, axis=1).mean(axis=1)
-        d_full = diff.mean(axis=1)
-        abort_mask = d_sample > params.gamma
-        violations += int(np.sum(d_full > d_sample + params.epsilon))
-        aborts += int(np.sum(abort_mask))
-        for row in np.nonzero(~abort_mask)[0]:
-            completed += 1
-            x_rest = x[row, rest_idx[row]]
-            y_rest = y[row, rest_idx[row]]
+    def completed():
+        for row in np.nonzero(~aborted)[0]:
+            x_rest = x[row, rest[row]]
             syndrome = code.encode(x_rest)
-            x_hat = code.decode(y_rest, syndrome)
+            x_hat = code.decode(y[row, rest[row]], syndrome)
             hash_seed = rng.integers(0, 2, size=max(x_rest.size + params.ell - 1, 0),
                                      dtype=np.uint8)
             key = toeplitz_hash(hash_seed, x_rest, params.ell)
             key_hat = toeplitz_hash(hash_seed, x_hat, params.ell)
-            key_matches += int(np.array_equal(key, key_hat))
-        done += nb
-        batch_index += 1
-    return _aggregate(params, seed, trials, aborts, completed, key_matches,
-                      violations)
+            yield _Completed(x_rest, x_hat, syndrome, hash_seed, key, key_hat)
+
+    return _Batch(theta, x, y, sample, aborted,
+                  diff.mean(axis=1) > d_sample + params.epsilon, completed())
 
 
-def _aggregate(params: QkdParams, seed: int, trials: int, aborts: int,
-               completed: int, key_matches: int, violations: int) -> dict:
+def simulate_eqkd(params: QkdParams, noise_flip_prob: float = 0.0,
+                  device=None, seed: int = 0) -> ProtocolTranscript:
+    """One protocol run and its transcript: batch 0 of :func:`run_eqkd_trials`
+    with one trial and the same seed, so the two agree on its abort and key.
+    `device=None` is the classical device with the given flip probability;
+    any device (see the module docstring) can stand in, with flip
+    probability 0."""
+    device = _checked_device(params, noise_flip_prob, device)
+    batch = _trial_batch(params, device, LinearCode(params.n - params.t, params.s, seed=seed),
+                         seed, 0, 1)
+    done = next(batch.completed, None)  # None: the run aborted
+    return ProtocolTranscript(
+        seed=seed, params=params, theta=batch.theta[0], x=batch.x[0], y=batch.y[0],
+        sample_set=tuple(batch.sample[0].tolist()), x_sample=batch.x[0, batch.sample[0]],
+        aborted=done is None,
+        **{name: getattr(done, name, None) for name in ("syndrome", "hash_seed", "key", "key_hat")})
+
+
+def run_eqkd_trials(params: QkdParams, noise_flip_prob: float, trials: int,
+                    seed: int = 0, device=None) -> dict:
+    """Counts over many protocol runs, batch after batch of the one pipeline
+    (see :func:`_trial_batch`), with one syndrome code for the whole call, so
+    results do not depend on scheduling.  Decode failures count completed
+    trials whose corrected word differs from the sent one; Hoeffding
+    violations count trials whose full error rate exceeds the sampled rate
+    by more than epsilon.  A given device brings its own noise, so
+    `noise_flip_prob` must then be 0."""
+    if trials < 1:
+        raise DomainError("trials must be positive")
+    device = _checked_device(params, noise_flip_prob, device)
+    n, t = params.n, params.t
+    # the batch arrays, the code with its decode tables, and one hash
+    require_bytes(_TRIAL_ENTRY_BYTES * min(_TRIAL_BATCH, trials) * n
+                  + _code_bytes(n - t, params.s, _CHUNK_LEN) + _hash_bytes(n - t, params.ell),
+                  f"run_eqkd_trials(n={n}, trials={trials})")
+    code = LinearCode(n - t, params.s, seed=seed)
+    aborts = completed = key_matches = decode_failures = violations = 0
+    for index, start in enumerate(range(0, trials, _TRIAL_BATCH)):
+        batch = _trial_batch(params, device, code, seed, index,
+                             min(_TRIAL_BATCH, trials - start))
+        aborts += int(batch.aborted.sum())
+        violations += int(batch.violated.sum())
+        for done in batch.completed:
+            completed += 1
+            decode_failures += int(not np.array_equal(done.x_hat, done.x_rest))
+            key_matches += int(np.array_equal(done.key, done.key_hat))
     return {
         "trials": trials,
         "seed": seed,
         "aborts": aborts,
         "abort_rate": aborts / trials,
         "completed": completed,
+        "decode_failures": decode_failures,
         "key_matches": key_matches,
         "key_match_rate": key_matches / completed if completed else None,
         "hoeffding_violations": violations,

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from monogamy import linalg
-from monogamy.bounds import BB84_ROUND_VALUE, bb84_parallel_value, binary_entropy
+from monogamy.bounds import (BB84_ROUND_VALUE, bb84_parallel_value, binary_entropy,
+                             imperfect_guessing_bound)
 from monogamy.errors import DimensionError, DomainError, ValidationError
 from monogamy.games import (MonogamyGame, QSet, Strategy, bb84_game,
                             constant_guess_povms, game_power, hamming_q_set,
@@ -526,6 +527,19 @@ def test_product_strategy_reaches_the_parallel_value_up_to_eight_rounds():
     for n in range(1, 9):
         value = winning_probability(game_power(bb84_game(), n), product_strategy(s1, n))
         assert abs(value - bb84_parallel_value(n)) <= 1e-12
+
+
+def test_hamming_q_set_values_lie_between_the_parallel_value_and_the_closed_form():
+    # a Q-set only adds winning pairs, so the optimal product strategy wins
+    # at least its plain value and at most the imperfect-guessing bound
+    s1 = bb84_optimal_unentangled_strategy()
+    for n in range(1, 9):
+        game, strategy = game_power(bb84_game(), n), product_strategy(s1, n)
+        for gamma, gamma_prime in ((0, 0), (1 / 8, 0), (1 / 4, 1 / 4), (1 / 2, 1 / 8)):
+            value = winning_probability_with_q(game, strategy,
+                                               hamming_q_set(n, gamma, gamma_prime))
+            bound = imperfect_guessing_bound(0.5, 2, n, gamma, gamma_prime)
+            assert bb84_parallel_value(n) - 1e-12 <= value <= bound + 1e-12
 
 
 def test_strategy_basis_order_does_not_change_its_value(rng):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monogamy import linalg
+from monogamy.games import conditional_states
 from monogamy.errors import (CapacityError, DimensionError, DomainError,
                              ValidationError)
 from monogamy.qkd import (HonestNoisyDevice, LinearCode, QkdParams,
@@ -441,11 +442,14 @@ def test_simulate_device_length_mismatch():
     class BadDevice:
         max_n = 64
 
-        def sample_round(self, theta, rng):
-            return np.zeros(3, dtype=np.uint8), np.zeros(3, dtype=np.uint8)
+        def sample(self, theta, rng):
+            short = np.zeros((len(theta), 3), dtype=np.uint8)
+            return short, short
 
     with pytest.raises(DimensionError):
         simulate_eqkd(qp(), 0.0, device=BadDevice(), seed=0)
+    with pytest.raises(DimensionError):
+        run_eqkd_trials(qp(), 0.0, 5, seed=0, device=BadDevice())
 
 
 def test_quantum_epr_device_reproduces_honest_outcomes():
@@ -535,9 +539,9 @@ def test_run_trials_checks_device_capacity_before_batching():
                         device=SmallDevice(0.0))
 
 
-def test_quantum_trials_derive_generators_from_seed_and_trial(monkeypatch):
-    # trial k of seed s draws from a path that names s and k separately, so
-    # (seed 1, trial 0) and (seed 0, trial 2^20) cannot share a stream
+def test_batches_derive_generators_from_seed_and_batch(monkeypatch):
+    # batch b of seed s draws from paths that name s and b separately, so
+    # (seed 1, batch 0) and (seed 0, batch 2^20) cannot share a stream
     import monogamy.qkd as qkd
     paths = []
 
@@ -546,16 +550,77 @@ def test_quantum_trials_derive_generators_from_seed_and_trial(monkeypatch):
         return rng_for(seed, *stream)
 
     monkeypatch.setattr(qkd, "rng_for", recording_rng_for)
+    monkeypatch.setattr(qkd, "_TRIAL_BATCH", 2)
     params = QkdParams(n=4, t=1, s=2, ell=1, gamma=0.0, epsilon=0.05)
     for seed in (0, 1):
         paths.clear()
-        run_eqkd_trials(params, 0.0, 3, seed=seed, device=epr_device(4))
+        agg = run_eqkd_trials(params, 0.0, 5, seed=seed, device=epr_device(4))
+        assert agg["trials"] == 5
         assert all(p[0] == seed for p in paths)
         # one syndrome code per run: its chunk paths are drawn once
         assert len(paths) == len(set(paths))
-        trial_paths = [p for p in paths if p[1] != qkd._CODE_STREAM]
-        assert [p[-1] for p in trial_paths] == [0, 1, 2]
-        assert len({p[1:-1] for p in trial_paths}) == 1
+        batch_paths = [p[1:] for p in paths if p[1] != qkd._CODE_STREAM]
+        assert batch_paths == [(stream, b) for b in range(3)
+                               for stream in (qkd._ROUND_STREAM, qkd._BATCH_STREAM)]
+
+
+def test_quantum_device_builds_conditional_states_once_per_basis(monkeypatch):
+    import monogamy.qkd as qkd
+    bases = []
+
+    def counting(factors, rho):
+        bases.append(np.asarray(factors).tobytes())
+        return conditional_states(factors, rho)
+
+    monkeypatch.setattr(qkd, "conditional_states", counting)
+    device = epr_device(3)
+    theta = rng_for(5).integers(0, 2, size=(64, 3), dtype=np.uint8)
+    x, y = device.sample(theta, rng_for(6))
+    np.testing.assert_array_equal(x, y)
+    assert x.shape == theta.shape
+    assert len(bases) == len(set(bases)) == len(np.unique(theta, axis=0)) <= 8
+
+
+def test_quantum_device_rejects_a_povm_of_the_wrong_length():
+    honest = epr_device(2)
+    short = TripartiteQuantumDevice(2, honest.state, honest.device_dim,
+                                    lambda key: honest._povm_for(key)[:3])
+    with pytest.raises(ValidationError):
+        short.sample(np.zeros((4, 2), dtype=np.uint8), rng_for(0))
+
+
+@pytest.mark.parametrize("make_device, noise", [(lambda: None, 0.1),
+                                                (lambda: epr_device(4), 0.0)])
+def test_simulate_is_the_one_trial_batch_of_run_trials(make_device, noise):
+    params = qp(n=4, t=1, s=2, ell=2, gamma=0.0) if noise == 0.0 else qp(gamma=0.1)
+    for seed in range(6):
+        tr = simulate_eqkd(params, noise, device=make_device(), seed=seed)
+        agg = run_eqkd_trials(params, noise, 1, seed=seed, device=make_device())
+        assert agg["aborts"] == int(tr.aborted)
+        assert agg["key_matches"] == int(not tr.aborted and np.array_equal(tr.key, tr.key_hat))
+        assert agg["hoeffding_violations"] == \
+            int(tr.full_error_rate > tr.sample_error_rate + params.epsilon)
+
+
+def test_run_trials_classical_stream_is_pinned():
+    # the bench's short QKD parameters at 1,000 trials; these counts fix
+    # the classical device's stream: a change to what a batch draws, or in
+    # which order, moves them
+    params = qp(n=64, t=16, s=16, ell=16, gamma=0.05, epsilon=0.05)
+    agg = run_eqkd_trials(params, 0.01, 1000, seed=0)
+    assert (agg["aborts"], agg["completed"], agg["key_matches"],
+            agg["hoeffding_violations"]) == (127, 873, 773, 2)
+    assert agg["key_match_rate"] == 773 / 873
+
+
+def test_decode_failures_bracket_the_key_mismatches():
+    for params, noise in ((qp(gamma=0.1), 0.02), (qp(s=0, gamma=0.2), 0.05)):
+        agg = run_eqkd_trials(params, noise, 300, seed=3)
+        mismatches = agg["completed"] - agg["key_matches"]
+        assert mismatches <= agg["decode_failures"] <= agg["completed"]
+    # with no syndrome nothing is corrected, so noise in the key rounds fails
+    assert agg["decode_failures"] >= 1
+    assert run_eqkd_trials(qp(), 0.0, 300, seed=3)["decode_failures"] == 0
 
 
 def test_run_trials_quantum_device_path():
