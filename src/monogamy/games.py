@@ -341,6 +341,19 @@ def conditional_states(factors: Sequence[np.ndarray], rho: np.ndarray) -> np.nda
     return out
 
 
+def _trace_out_entries(size: int, k: int, d: int, rounds: int) -> tuple[int, int]:
+    """(entries of the result, the most entries held at once beyond the
+    input) of :func:`conditional_states` on a state of `size` entries with
+    `rounds` factors of k outcomes on dimension d: round by round, its last
+    result, the reordered copy it multiplies and their product."""
+    held, states = 0, 0
+    for _ in range(rounds):
+        product = size * k // d**2
+        states = max(states, held + size + product)
+        held = size = product
+    return size, states
+
+
 def _win_terms_bytes(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray,
                      rho: np.ndarray, q: QSet | None) -> int:
     """Peak bytes of :func:`win_terms` beyond its inputs.  One basis's
@@ -349,12 +362,7 @@ def _win_terms_bytes(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray,
     reordered copy it multiplies and their product.  A product Q-set adds
     both smeared stacks and one gathered row of a stack; after the states,
     a zipped one gathers K rows of one basis's elements for each party."""
-    k, d = len(game.outcomes), game.dim_a
-    held, size, states = 0, rho.size, 0
-    for _ in range(game.rounds):
-        product = size * k // d**2
-        states = max(states, held + size + product)
-        held = size = product
+    size, states = _trace_out_entries(rho.size, len(game.outcomes), game.dim_a, game.rounds)
     if q is not None and q.product:
         states += 2 * (bob.size + charlie.size)
     rows = 0 if q is None or q.product else len(q.bob)

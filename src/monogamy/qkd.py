@@ -11,10 +11,10 @@ with b the single-round BB84 game value shared with :mod:`monogamy.bounds`.
 The simulator executes the protocol itself (sampling, abort rule, syndrome
 correction, Toeplitz hashing) along one pipeline for every device: a batch
 of trials draws its basis strings, the device measures the whole batch, the
-sampled comparison decides each abort, and each completed row is corrected
-and hashed.  :func:`run_eqkd_trials` runs batch after batch and keeps
-counts; :func:`simulate_eqkd` runs a batch of one trial and keeps its
-transcript.  A device is any object with a `max_n` attribute and a method
+sampled comparison decides each abort, and the completed rows are corrected
+and hashed a block of rows at a time.  :func:`run_eqkd_trials` runs batch
+after batch and keeps counts; :func:`simulate_eqkd` runs a batch of one
+trial and keeps its transcript.  A device is any object with a `max_n` attribute and a method
 `sample(theta, rng) -> (x, y)` that takes a (trials, n) array of basis bits
 and returns Alice's and its own outcome bits in that shape, drawn from `rng`
 only: a classical noise model at up to 2^20 rounds, or a full tripartite
@@ -37,7 +37,8 @@ from . import linalg
 from .bounds import BB84_ROUND_VALUE, binary_entropy
 from .errors import (CapacityError, DimensionError, DomainError, ValidationError,
                      require_bytes)
-from .games import bb84_game, conditional_states, maximally_entangled_density, power_elements
+from .games import (_trace_out_entries, bb84_game, conditional_states,
+                    maximally_entangled_density, power_elements)
 from .rand import rng_for
 from .uncertainty import CqEnsemble
 
@@ -45,13 +46,21 @@ LOG2_INV_ROUND_VALUE = -math.log2(BB84_ROUND_VALUE)
 
 _TRIAL_BATCH = 4096
 _CHUNK_LEN = 16
+# the most bytes one block of completed rows takes to post-process, and the
+# (row, candidate word) pairs one decode step compares, give or take a row
+_POST_BLOCK_BYTES = 2**22
+_DECODE_BLOCK = 2**20
 
 # Byte costs the memory predictions charge, from tracemalloc peaks: a trial
-# batch holds 20.1-20.4 B per (trial, round) entry, a Toeplitz product 17 B
-# per matrix entry, a decode table 8 B per word and its construction
-# 9 B per (word, bit) plus 8-16 B per (word, syndrome row).
+# batch holds 20.1-20.4 B per (trial, round) entry while it draws and 11 B
+# while its completed rows are post-processed, which takes 14 B per
+# completed row and key round beyond the hash; a Toeplitz hash takes 20-22 B
+# per output row and FFT point, plus its rounded window.
 _TRIAL_ENTRY_BYTES = 21
-_HASH_ENTRY_BYTES = 17
+_HELD_ENTRY_BYTES = 11
+_POST_ENTRY_BYTES = 14
+_HASH_NFFT_BYTES = 24
+_HASH_OUT_BYTES = 16
 _CHUNK_BYTES = 512  # one chunk's bounds, row count and parity matrix object
 
 # rng derivation streams, so basis strings, code construction and the rest
@@ -214,58 +223,91 @@ def suggested_syndrome_length(n: int, t: int, gamma: float, epsilon: float) -> i
 
 
 def _as_bits(bits) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.uint8).reshape(-1)
+    arr = np.atleast_1d(np.asarray(bits, dtype=np.uint8))
     if arr.size and arr.max() > 1:
         raise ValidationError("bit arrays may only contain 0 and 1")
     return arr
 
 
 def toeplitz_hash(seed_bits, input_bits, ell: int) -> np.ndarray:
-    """Toeplitz matrix-vector product over GF(2).
+    """Toeplitz matrix-vector products over GF(2), by FFT convolution.
 
-    Output bit j is the XOR over i of seed[j + L - 1 - i] * input[i] with
-    L = len(input); the seed must have exactly L + ell - 1 bits.
+    Output bit j is the XOR over i of seed[j + L - 1 - i] * input[i], that
+    is conv(seed, input)[j + L - 1] mod 2, with L = input.shape[-1]; a seed
+    has exactly L + ell - 1 bits (for ell = 0, none or L - 1).  Seeds
+    (..., L + ell - 1) and inputs (..., L) broadcast over their leading
+    axes to outputs (..., ell); a 1-D call is a batch of one.  The integer
+    convolution comes from float64 rfft/irfft at the power of two
+    nfft >= L + ell - 1, where the indices read do not wrap around; it is
+    rounded to the nearest integer, and a residual of 0.25 or more raises
+    CapacityError instead of returning a wrong bit.
     """
     ell = int(ell)
     if ell < 0:
         raise DomainError("ell must be non-negative")
     x = _as_bits(input_bits)
     seed = _as_bits(seed_bits)
-    length = x.size
+    length = x.shape[-1]
     if ell == 0:
-        if seed.size != max(length - 1, 0) and seed.size != 0:
+        if seed.shape[-1] not in (0, max(length - 1, 0)):
             # zero-row matrix: accept an empty seed or the L-1 convention
-            raise DimensionError(f"seed length {seed.size} invalid for ell=0")
-        return np.zeros(0, dtype=np.uint8)
-    if seed.size != length + ell - 1:
-        raise DimensionError(f"seed length {seed.size} != input length {length} "
+            raise DimensionError(f"seed length {seed.shape[-1]} invalid for ell=0")
+    elif seed.shape[-1] != length + ell - 1:
+        raise DimensionError(f"seed length {seed.shape[-1]} != input length {length} "
                              f"+ ell {ell} - 1")
-    require_bytes(_hash_bytes(length, ell), f"toeplitz_hash({ell} x {length})")
-    idx = np.arange(ell)[:, None] + (length - 1) - np.arange(length)[None, :]
-    matrix = seed[idx]
-    return ((matrix @ x.astype(np.int64)) % 2).astype(np.uint8)
+    lead = np.broadcast_shapes(seed.shape[:-1], x.shape[:-1])
+    if ell == 0 or length == 0:
+        return np.zeros(lead + (ell,), dtype=np.uint8)
+    rows = math.prod(lead)
+    require_bytes(_hash_bytes(length, ell, rows), f"toeplitz_hash({ell} x {length}, {rows} rows)")
+    from numpy import fft  # loaded on first use, not with the package
+    nfft = 1 << (length + ell - 2).bit_length()
+    spectrum = fft.rfft(seed, nfft) * fft.rfft(x, nfft)
+    conv = fft.irfft(spectrum, nfft)[..., length - 1:length + ell - 1]
+    counts = np.rint(conv)
+    residual = float(np.abs(conv - counts).max())
+    if residual >= 0.25:
+        raise CapacityError(f"toeplitz_hash({ell} x {length}): FFT residual {residual:.3g} "
+                            "is too large to round")
+    return (counts % 2).astype(np.uint8)
 
 
-def _hash_bytes(length: int, ell: int) -> int:
-    """Peak bytes of :func:`toeplitz_hash`: the ell x L index matrix (int64),
-    the gathered seed bits and their int64 copy for the product, and int64
-    rows and columns."""
-    ell, length = int(ell), int(length)
-    return _HASH_ENTRY_BYTES * ell * length + 24 * (ell + length)
+def _hash_bytes(length: int, ell: int, rows: int = 1) -> int:
+    """Peak bytes of :func:`toeplitz_hash` for `rows` output rows: per row,
+    the float64 input padded to nfft, both spectra and their product, the
+    float64 convolution, and the rounded window with its residual."""
+    length, ell = int(length), int(ell)
+    if ell == 0 or length == 0:
+        return 0
+    nfft = 1 << (length + ell - 2).bit_length()
+    return int(rows) * (_HASH_NFFT_BYTES * nfft + _HASH_OUT_BYTES * ell)
 
 
-def _bits_to_int(bits: np.ndarray) -> int:
-    # MSB first, so ascending integers sort like lexicographic bit strings
-    out = 0
-    for b in bits:
-        out = (out << 1) | int(b)
-    return out
+def _uint_for(bits: int) -> np.dtype:
+    """The smallest unsigned dtype that holds 2^bits - 1."""
+    return np.min_scalar_type((1 << bits) - 1)
+
+
+def _pack(bits: np.ndarray, dtype) -> np.ndarray:
+    # MSB first along the last axis, so ascending integers sort like
+    # lexicographic bit strings
+    width = bits.shape[-1]
+    shifts = np.arange(width - 1, -1, -1).astype(dtype)
+    return bits.astype(dtype) @ np.left_shift(np.ones(width, dtype), shifts)
 
 
 def _int_to_bits(value, width: int) -> np.ndarray:
     # MSB first; an array of values gives one row of bits per value
     shifts = width - 1 - np.arange(width)
     return ((np.asarray(value)[..., None] >> shifts) & 1).astype(np.uint8)
+
+
+def _bit_rows(bits, width: int, what: str) -> tuple[np.ndarray, tuple]:
+    """(`bits` as a (rows, width) array, its leading shape); 1-D is one row."""
+    arr = _as_bits(bits)
+    if arr.shape[-1] != width:
+        raise DimensionError(f"{what} length {arr.shape[-1]} != {width}")
+    return arr.reshape(math.prod(arr.shape[:-1]), width), arr.shape[:-1]
 
 
 class LinearCode:
@@ -275,9 +317,15 @@ class LinearCode:
     rows are distributed across chunks proportionally.  Decoding finds, per
     chunk, the bit string consistent with the syndrome that is nearest in
     Hamming distance to the received chunk; ties go to the lexicographically
-    smallest string.  Each chunk with rows gets a decode table of 2^width
-    syndromes on first use; the memory budget bounds them all at
-    construction.
+    smallest string.  `encode` and `decode` take (rows, length) arrays, a
+    1-D array being one row: encode is one matmul per chunk over the rows,
+    and decode checks each chunk's syndrome for all rows at once and
+    searches only the rows whose chunk disagrees.  The search reads a
+    table of the syndromes of all 2^width words of the chunk, built on
+    first use by XOR doubling over its parity columns (the words with a
+    leading bit added are the words without it, XOR that bit's column), in
+    the smallest unsigned dtype that holds 2^rows - 1.  The memory budget
+    bounds all tables at construction.
     """
 
     def __init__(self, length: int, syndrome_bits: int, seed: int,
@@ -311,73 +359,73 @@ class LinearCode:
                                         dtype=np.uint8))
         self._tables: dict[int, np.ndarray] = {}
 
+    def _chunk_syndromes(self, bits: np.ndarray):
+        """(start, stop, rows, syndrome bits) of each chunk of the rows of
+        `bits`; uint8 sums wrap mod 256, which keeps their parity."""
+        pos = 0
+        for (a, b), rows, h in zip(self._chunks, self._rows, self._h):
+            yield a, b, pos, pos + rows, (bits[:, a:b] @ h.T) & 1
+            pos += rows
+
     def encode(self, x) -> np.ndarray:
-        x = _as_bits(x)
-        if x.size != self.length:
-            raise DimensionError(f"input length {x.size} != code length {self.length}")
-        parts = [(h @ x[a:b].astype(np.int64)) % 2
-                 for (a, b), h in zip(self._chunks, self._h)]
-        if not parts:
-            return np.zeros(0, dtype=np.uint8)
-        return np.concatenate(parts).astype(np.uint8)
+        """The syndrome of each row of x."""
+        rows, lead = _bit_rows(x, self.length, "input")
+        out = np.empty((len(rows), self.syndrome_bits), dtype=np.uint8)
+        for _, _, lo, hi, syn in self._chunk_syndromes(rows):
+            out[:, lo:hi] = syn
+        return out.reshape(lead + (self.syndrome_bits,))
 
     def _candidate_syndromes(self, chunk_index: int) -> np.ndarray:
         """Syndromes of every word of one chunk, as packed integers."""
         table = self._tables.get(chunk_index)
         if table is None:
-            a, b = self._chunks[chunk_index]
-            width = b - a
             h = self._h[chunk_index]
-            words = np.arange(1 << width, dtype=np.uint32)
-            shifts = width - 1 - np.arange(width)
-            bits = ((words[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-            synd = (bits @ h.T.astype(np.int64)) % 2
-            weights = 1 << (h.shape[0] - 1 - np.arange(h.shape[0], dtype=np.int64))
-            table = (synd @ weights).astype(np.int64) if h.shape[0] else \
-                np.zeros(1 << width, dtype=np.int64)
+            columns = _pack(h.T, _uint_for(h.shape[0]))
+            table = np.zeros(1 << h.shape[1], dtype=columns.dtype)
+            for j, column in enumerate(columns[::-1]):
+                np.bitwise_xor(table[:1 << j], column, out=table[1 << j:2 << j])
             self._tables[chunk_index] = table
         return table
 
-    def decode(self, y, syndrome) -> np.ndarray:
-        """Nearest consistent word to y, chunk by chunk."""
-        y = _as_bits(y)
-        syndrome = _as_bits(syndrome)
-        if y.size != self.length:
-            raise DimensionError(f"received length {y.size} != code length {self.length}")
-        if syndrome.size != self.syndrome_bits:
-            raise DimensionError(f"syndrome length {syndrome.size} != {self.syndrome_bits}")
-        out = np.empty(self.length, dtype=np.uint8)
-        pos = 0
-        for i, ((a, b), rows) in enumerate(zip(self._chunks, self._rows)):
-            y_chunk = y[a:b]
-            syn_chunk = syndrome[pos:pos + rows]
-            pos += rows
-            h = self._h[i]
-            if rows == 0 or np.array_equal((h @ y_chunk.astype(np.int64)) % 2,
-                                           syn_chunk):
-                out[a:b] = y_chunk
-                continue
-            width = b - a
-            target = _bits_to_int(syn_chunk)
-            table = self._candidate_syndromes(i)
-            candidates = np.nonzero(table == target)[0]
+    def _nearest(self, chunk_index: int, received: np.ndarray,
+                 syndromes: np.ndarray) -> np.ndarray:
+        """For each row of `received`, the nearest word with that row's
+        syndrome, ties to the smallest; a row whose syndrome no word has (a
+        corrupted syndrome) keeps what it received."""
+        table = self._candidate_syndromes(chunk_index)
+        width = received.shape[1]
+        words = _pack(received, _uint_for(width))
+        targets, group = np.unique(_pack(syndromes, table.dtype), return_inverse=True)
+        for k, target in enumerate(targets):
+            candidates = np.flatnonzero(table == target).astype(words.dtype)
             if candidates.size == 0:
-                # cannot happen for a consistent syndrome of this code, but a
-                # corrupted syndrome should not crash the decoder
-                out[a:b] = y_chunk
                 continue
-            y_int = _bits_to_int(y_chunk)
-            dist = np.bitwise_count(np.bitwise_xor(candidates, y_int))
-            best = candidates[int(np.argmin(dist))]
-            out[a:b] = _int_to_bits(int(best), width)
-        return out
+            rows = np.flatnonzero(group == k)
+            for block in np.array_split(rows, -(-rows.size * candidates.size // _DECODE_BLOCK)):
+                dist = np.bitwise_count(words[block, None] ^ candidates)
+                words[block] = candidates[dist.argmin(axis=1)]
+        return _int_to_bits(words, width)
+
+    def decode(self, y, syndrome) -> np.ndarray:
+        """Nearest consistent word to each row of y, chunk by chunk."""
+        received, lead = _bit_rows(y, self.length, "received")
+        syndrome, syndrome_lead = _bit_rows(syndrome, self.syndrome_bits, "syndrome")
+        if lead != syndrome_lead:
+            raise DimensionError(f"{lead} received rows but {syndrome_lead} syndromes")
+        out = received.copy()
+        for i, (a, b, lo, hi, syn) in enumerate(self._chunk_syndromes(received)):
+            wrong = np.flatnonzero((syn != syndrome[:, lo:hi]).any(axis=1))
+            if wrong.size:
+                out[wrong, a:b] = self._nearest(i, received[wrong, a:b],
+                                                syndrome[wrong, lo:hi])
+        return out.reshape(lead + (self.length,))
 
 
 def _code_bytes(length: int, syndrome_bits: int, chunk_len: int) -> int:
     """Peak bytes of a :class:`LinearCode` with every decode table built:
     the chunk bookkeeping, the parity rows, one table for each chunk that
-    has rows (at most min(chunks, syndrome bits) of them), and the
-    construction temporaries of the widest table."""
+    has rows (at most min(chunks, syndrome bits) of them, each in the dtype
+    of the most rows one chunk gets), and one decode step's distances."""
     length, rows = int(length), int(syndrome_bits)
     if length == 0:
         return 0
@@ -385,8 +433,9 @@ def _code_bytes(length: int, syndrome_bits: int, chunk_len: int) -> int:
     chunks = -(-length // width)
     tables = min(chunks, rows)
     chunk_rows = -(-rows * width // length)  # the most rows one chunk gets
-    build = 2**width * (9 * width + 16 * chunk_rows + 16) if tables else 0
-    return chunks * _CHUNK_BYTES + rows * width + 8 * 2**width * tables + build
+    step = (_uint_for(width).itemsize + 1) * (_DECODE_BLOCK + 2**width) if tables else 0
+    return (chunks * _CHUNK_BYTES + rows * width
+            + _uint_for(chunk_rows).itemsize * 2**width * tables + step)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +499,12 @@ class TripartiteQuantumDevice:
         one of p(y | x); its rows draw Alice's outcome, then the device's."""
         if theta.shape[1:] != (self.n,):
             raise DimensionError(f"device built for n={self.n}, got {theta.shape[1:]} rounds")
+        # per basis: its POVM, the previous basis's conditional states and
+        # their normalised copy, one more stack for the outcome tables, and
+        # conditional_states' own arrays (tracemalloc: 25.5 MiB at n = 5)
+        result, states = _trace_out_entries(self.state.size, 2, 2, self.n)
+        require_bytes(16 * (2**self.n * self.device_dim**2 + 3 * result + states),
+                      f"{type(self).__name__}.sample(n={self.n})")
         x, y = np.empty((2, len(theta)), dtype=np.intp)
         bases, which = np.unique(theta, axis=0, return_inverse=True)
         for k, basis in enumerate(bases):
@@ -537,25 +592,36 @@ def _checked_device(params: QkdParams, noise_flip_prob: float, device):
     return device
 
 
-# the post-processing of one run that passed the abort rule, and one batch
+# the post-processing of a block of runs that passed the abort rule, one row
+# per run, and one batch
 _Completed = namedtuple("_Completed", "x_rest x_hat syndrome hash_seed key key_hat")
 _Batch = namedtuple("_Batch", "theta x y sample aborted violated completed")
+
+
+def _post_rows(params: QkdParams) -> tuple[int, int]:
+    """(completed rows per post-processing block, bytes per row): the block
+    holds its rows' key-round indices, bits, corrected bits and hash seeds,
+    and hashes the sent and the corrected bits of each row in one call."""
+    length = params.n - params.t
+    per_row = _POST_ENTRY_BYTES * length + _hash_bytes(length, params.ell, 2)
+    return max(1, _POST_BLOCK_BYTES // per_row), per_row
 
 
 def _trial_batch(params: QkdParams, device, code: LinearCode, seed: int,
                  index: int, size: int) -> _Batch:
     """Batch `index` of the runs with `seed`: `size` runs, one per row, up to
-    the abort rule; `completed` post-processes the rows that passed it.  The
-    basis strings come from path (seed, round stream, index); the batch
-    generator (seed, batch stream, index) feeds the device, then the sample
-    order, then one hash seed per completed row, in row order."""
+    the abort rule; `completed` post-processes the rows that passed it, a
+    block of rows at a time, with one encode, decode and hash call per
+    block.  The basis strings come from path (seed, round stream, index);
+    the batch generator (seed, batch stream, index) feeds the device, then
+    the sample order, then one hash seed per completed row, in row order."""
     shape = (size, params.n)
     theta = rng_for(seed, _ROUND_STREAM, index).integers(0, 2, size=shape, dtype=np.uint8)
     rng = rng_for(seed, _BATCH_STREAM, index)
     x, y = device.sample(theta, rng)
     if np.shape(x) != shape or np.shape(y) != shape:
         raise DimensionError(f"device output shapes {np.shape(x)}, {np.shape(y)} != {shape}")
-    x, y = (_as_bits(bits).reshape(shape) for bits in (x, y))
+    x, y = (_as_bits(bits) for bits in (x, y))
     order = np.argsort(rng.random(shape), axis=1)
     sample = np.sort(order[:, :params.t], axis=1)
     rest = np.sort(order[:, params.t:], axis=1)
@@ -564,14 +630,18 @@ def _trial_batch(params: QkdParams, device, code: LinearCode, seed: int,
     aborted = d_sample > params.gamma
 
     def completed():
-        for row in np.nonzero(~aborted)[0]:
-            x_rest = x[row, rest[row]]
+        done = np.flatnonzero(~aborted)
+        step = _post_rows(params)[0]
+        seed_bits = rest.shape[1] + params.ell - 1
+        for lo in range(0, done.size, step):
+            rows = done[lo:lo + step]
+            key_rounds = (rows[:, None], rest[rows])
+            x_rest = x[key_rounds]
             syndrome = code.encode(x_rest)
-            x_hat = code.decode(y[row, rest[row]], syndrome)
-            hash_seed = rng.integers(0, 2, size=max(x_rest.size + params.ell - 1, 0),
-                                     dtype=np.uint8)
-            key = toeplitz_hash(hash_seed, x_rest, params.ell)
-            key_hat = toeplitz_hash(hash_seed, x_hat, params.ell)
+            x_hat = code.decode(y[key_rounds], syndrome)
+            hash_seed = np.array([rng.integers(0, 2, size=seed_bits, dtype=np.uint8)
+                                  for _ in rows])
+            key, key_hat = toeplitz_hash(hash_seed, np.stack([x_rest, x_hat]), params.ell)
             yield _Completed(x_rest, x_hat, syndrome, hash_seed, key, key_hat)
 
     return _Batch(theta, x, y, sample, aborted,
@@ -593,7 +663,8 @@ def simulate_eqkd(params: QkdParams, noise_flip_prob: float = 0.0,
         seed=seed, params=params, theta=batch.theta[0], x=batch.x[0], y=batch.y[0],
         sample_set=tuple(batch.sample[0].tolist()), x_sample=batch.x[0, batch.sample[0]],
         aborted=done is None,
-        **{name: getattr(done, name, None) for name in ("syndrome", "hash_seed", "key", "key_hat")})
+        **{name: None if done is None else getattr(done, name)[0]
+           for name in ("syndrome", "hash_seed", "key", "key_hat")})
 
 
 def run_eqkd_trials(params: QkdParams, noise_flip_prob: float, trials: int,
@@ -609,9 +680,14 @@ def run_eqkd_trials(params: QkdParams, noise_flip_prob: float, trials: int,
         raise DomainError("trials must be positive")
     device = _checked_device(params, noise_flip_prob, device)
     n, t = params.n, params.t
-    # the batch arrays, the code with its decode tables, and one hash
-    require_bytes(_TRIAL_ENTRY_BYTES * min(_TRIAL_BATCH, trials) * n
-                  + _code_bytes(n - t, params.s, _CHUNK_LEN) + _hash_bytes(n - t, params.ell),
+    batch_rows = min(_TRIAL_BATCH, trials)
+    block_rows, row_bytes = _post_rows(params)
+    # the code with its decode tables, and a batch while it draws or while
+    # one block of its completed rows is post-processed
+    entries = batch_rows * n
+    require_bytes(_code_bytes(n - t, params.s, _CHUNK_LEN)
+                  + max(_TRIAL_ENTRY_BYTES * entries,
+                        _HELD_ENTRY_BYTES * entries + min(block_rows, batch_rows) * row_bytes),
                   f"run_eqkd_trials(n={n}, trials={trials})")
     code = LinearCode(n - t, params.s, seed=seed)
     aborts = completed = key_matches = decode_failures = violations = 0
@@ -621,9 +697,9 @@ def run_eqkd_trials(params: QkdParams, noise_flip_prob: float, trials: int,
         aborts += int(batch.aborted.sum())
         violations += int(batch.violated.sum())
         for done in batch.completed:
-            completed += 1
-            decode_failures += int(not np.array_equal(done.x_hat, done.x_rest))
-            key_matches += int(np.array_equal(done.key, done.key_hat))
+            completed += len(done.key)
+            decode_failures += int((done.x_hat != done.x_rest).any(axis=1).sum())
+            key_matches += int((done.key == done.key_hat).all(axis=1).sum())
     return {
         "trials": trials,
         "seed": seed,

@@ -29,7 +29,8 @@ from monogamy.games import (QSet, Strategy, bb84_game, constant_guess_povms, gam
                             same_string_q_set, winning_probability_with_q,
                             xor_permutation_family)
 from monogamy.posver import BreidbartPair, TimingScenario, simulate_pv_rounds
-from monogamy.qkd import LinearCode, QkdParams, run_eqkd_trials, toeplitz_hash
+from monogamy.qkd import LinearCode, QkdParams, epr_device, run_eqkd_trials, toeplitz_hash
+from monogamy.rand import rng_for
 from monogamy.seesaw import SeesawConfig, _search_bytes, seesaw
 
 MiB = 2**20
@@ -80,11 +81,15 @@ def _cases():
          lambda d: (bb84_game(), SeesawConfig(bob_dim=d, charlie_dim=d, restarts=1,
                                               max_iters=1)),
          lambda a: seesaw(*a)),
-        ("LinearCode", range(8, 65), lambda n: n, lambda n: _build_all_tables(n, n // 4)),
-        ("toeplitz_hash", range(64, 4097, 64), _hash_inputs, lambda a: toeplitz_hash(*a)),
+        ("LinearCode", range(8, 4097, 8), lambda n: n, lambda n: _build_all_tables(n, n // 4)),
+        ("toeplitz_hash", [2**k for k in range(6, 21)], _hash_inputs,
+         lambda a: toeplitz_hash(*a)),
         ("run_eqkd_trials", range(128, 4097, 64),
          lambda n: QkdParams(n=n, t=n // 8, s=0, ell=0, gamma=0.05, epsilon=0.05),
          lambda p: run_eqkd_trials(p, 0.01, 512, seed=0)),
+        ("TripartiteQuantumDevice.sample", range(1, 6),
+         lambda n: (epr_device(n), rng_for(1).integers(0, 2, size=(50, n), dtype=np.uint8)),
+         lambda a: a[0].sample(a[1], rng_for(0))),
         ("simulate_pv_rounds", range(1, 65), lambda n: n,
          lambda n: simulate_pv_rounds(line, n, BreidbartPair(), 65536, seed=0)),
         ("hamming_q_set", range(2, 16), lambda n: n,

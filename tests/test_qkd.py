@@ -261,6 +261,57 @@ def test_toeplitz_is_linear(a_int, b_int, seed_int):
     np.testing.assert_array_equal(hxor, ha ^ hb)
 
 
+def _toeplitz_oracle(seed, x, ell):
+    """The explicit GF(2) product: the ell x L Toeplitz matrix of the seed,
+    entry (j, i) = seed[j + L - 1 - i], times x."""
+    length = len(x)
+    matrix = np.array([[seed[j + length - 1 - i] for i in range(length)]
+                       for j in range(ell)], dtype=np.int64).reshape(ell, length)
+    return (matrix @ x.astype(np.int64)) % 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 8), st.integers(1, 4),
+       st.sampled_from(["one", "rows", "shared seed", "seed per row pair"]),
+       st.integers(0, 2**32 - 1))
+def test_broadcast_toeplitz_matches_the_explicit_product(length, ell, rows, layout, draw):
+    rng = rng_for(draw)
+    seed_bits = length + ell - 1
+    seed_shape, x_shape = {"one": ((), ()), "rows": ((rows,), (rows,)),
+                           "shared seed": ((), (rows,)),
+                           "seed per row pair": ((rows,), (2, rows))}[layout]
+    seeds = rng.integers(0, 2, size=seed_shape + (seed_bits,), dtype=np.uint8)
+    xs = rng.integers(0, 2, size=x_shape + (length,), dtype=np.uint8)
+    lead = np.broadcast_shapes(seed_shape, x_shape)
+    got = toeplitz_hash(seeds, xs, ell)
+    assert got.shape == lead + (ell,) and got.dtype == np.uint8
+    seeds, xs = np.broadcast_to(seeds, lead + (seed_bits,)), np.broadcast_to(xs, lead + (length,))
+    for idx in np.ndindex(lead):
+        np.testing.assert_array_equal(got[idx], _toeplitz_oracle(seeds[idx], xs[idx], ell))
+
+
+def test_toeplitz_fft_is_exact_at_a_million_bits():
+    # L = 2^20, the classical device's most rounds: convolution sums reach
+    # 2^20, and a rounding residual of 0.25 or more would raise
+    length, ell = 2**20, 32
+    rng = rng_for(7)
+    seed = rng.integers(0, 2, size=length + ell - 1, dtype=np.uint8)
+    x = rng.integers(0, 2, size=length, dtype=np.uint8)
+    expect = [int(seed[j:j + length][::-1].astype(np.int64) @ x) % 2 for j in range(ell)]
+    np.testing.assert_array_equal(toeplitz_hash(seed, x, ell), expect)
+    # all ones: every sum is exactly 2^20, the largest it can be
+    ones = np.ones(length + ell - 1, dtype=np.uint8)
+    np.testing.assert_array_equal(toeplitz_hash(ones, ones[:length], ell), np.zeros(ell))
+
+
+def test_toeplitz_refuses_to_round_an_inexact_convolution(monkeypatch):
+    import numpy.fft
+    irfft = numpy.fft.irfft
+    monkeypatch.setattr(numpy.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
+    with pytest.raises(CapacityError, match="residual"):
+        toeplitz_hash(np.ones(23, dtype=np.uint8), np.ones(16, dtype=np.uint8), 8)
+
+
 def test_toeplitz_universality_monte_carlo():
     # collision probability of two fixed distinct inputs over random seeds is
     # at most 2^-ell (universal-2 family); check the empirical frequency
@@ -334,6 +385,67 @@ def test_code_decode_matches_brute_force_oracle(rng):
         np.testing.assert_array_equal(code.decode(y, code.encode(x)), best[1])
 
 
+def _word_bits(width: int) -> np.ndarray:
+    # every word of `width` bits, MSB first, in ascending order
+    return ((np.arange(2**width)[:, None] >> (width - 1 - np.arange(width))) & 1).astype(np.uint8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 14), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_batched_decode_matches_the_scan_row_by_row(length, syndrome_bits, chunk_len, draw):
+    # oracle: the scan of test_code_decode_matches_brute_force_oracle, chunk
+    # by chunk and row by row; the first nearest consistent word in
+    # ascending order wins ties.  Half the rows get random syndromes, which
+    # a rank-deficient chunk (more rows than bits) may have no word for:
+    # such a chunk keeps what it received.
+    code = LinearCode(length, syndrome_bits, seed=draw % 997, chunk_len=chunk_len)
+    rng = rng_for(draw)
+    x = rng.integers(0, 2, size=(16, length), dtype=np.uint8)
+    y = x ^ (rng.random((16, length)) < 0.2).astype(np.uint8)
+    syndromes = code.encode(x)
+    syndromes[8:] = rng.integers(0, 2, size=(8, syndrome_bits), dtype=np.uint8)
+    got = code.decode(y, syndromes)
+    pos = 0
+    for (a, b), rows, h in zip(code._chunks, code._rows, code._h):
+        words = _word_bits(b - a)
+        word_syndromes = (words.astype(np.int64) @ h.T) % 2
+        for row in range(16):
+            consistent = np.all(word_syndromes == syndromes[row, pos:pos + rows], axis=1)
+            if not consistent.any():
+                expect = y[row, a:b]
+            else:
+                dist = np.where(consistent, (words != y[row, a:b]).sum(axis=1), b - a + 1)
+                expect = words[np.argmin(dist)]
+            np.testing.assert_array_equal(got[row, a:b], expect)
+        pos += rows
+    np.testing.assert_array_equal(code.decode(y[3], syndromes[3]), got[3])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 12), st.integers(0, 2**32 - 1))
+def test_xor_doubled_table_matches_the_bits_matmul_construction(width, rows, seed):
+    # the construction the doubling replaced: every word's bits times H^T,
+    # packed MSB first into an int64
+    code = LinearCode(width, rows, seed=seed, chunk_len=width)
+    synd = (_word_bits(width).astype(np.int64) @ code._h[0].T.astype(np.int64)) % 2
+    expect = synd @ (1 << (rows - 1 - np.arange(rows, dtype=np.int64)))
+    table = code._candidate_syndromes(0)
+    assert table.dtype == (np.uint8 if rows <= 8 else np.uint16)
+    np.testing.assert_array_equal(table.astype(np.int64), expect)
+
+
+def test_code_takes_rows_and_keeps_leading_shapes(rng):
+    code = LinearCode(40, 12, seed=5)
+    x = rng.integers(0, 2, size=(3, 2, 40), dtype=np.uint8)
+    syn = code.encode(x)
+    assert syn.shape == (3, 2, 12)
+    for idx in np.ndindex(3, 2):
+        np.testing.assert_array_equal(syn[idx], code.encode(x[idx]))
+    np.testing.assert_array_equal(code.decode(x, syn), x)
+    with pytest.raises(DimensionError):
+        code.decode(x, syn[:2])
+
+
 def test_code_decoded_word_is_always_consistent(rng):
     code = LinearCode(40, 16, seed=11)
     for _ in range(10):
@@ -358,8 +470,9 @@ def test_code_tie_break_is_lexicographic():
 
 
 def test_code_chunk_cap():
+    # two 32-bit chunks: two tables of 2^32 one-byte words, over the budget
     with pytest.raises(CapacityError):
-        LinearCode(30, 4, seed=0, chunk_len=24)
+        LinearCode(64, 4, seed=0, chunk_len=32)
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +724,21 @@ def test_run_trials_classical_stream_is_pinned():
     assert (agg["aborts"], agg["completed"], agg["key_matches"],
             agg["hoeffding_violations"]) == (127, 873, 773, 2)
     assert agg["key_match_rate"] == 773 / 873
+
+
+def test_run_trials_classical_stream_is_pinned_at_protocol_scale():
+    # the bench's long QKD parameters: 4,096 rounds, 224 decode chunks and a
+    # 1,024-bit hash per trial.  The counts and the transcript's bit counts
+    # were taken from the per-row post-processing this batched one replaced
+    params = QkdParams(n=4096, t=512, s=869, ell=1024, gamma=0.02, epsilon=0.02)
+    agg = run_eqkd_trials(params, 0.003, 5, seed=0)
+    assert (agg["aborts"], agg["completed"], agg["decode_failures"], agg["key_matches"],
+            agg["hoeffding_violations"]) == (0, 5, 5, 0, 0)
+    tr = simulate_eqkd(params, 0.003, seed=0)
+    assert not tr.aborted
+    assert [int(getattr(tr, name).sum()) for name in ("syndrome", "hash_seed", "key", "key_hat")] \
+        == [433, 2283, 496, 516]
+    assert int((tr.key != tr.key_hat).sum()) == 516
 
 
 def test_decode_failures_bracket_the_key_mismatches():
