@@ -7,12 +7,12 @@ A complex matrix is stored row-major as
 and the structured kinds wrap it:
 
     game        {"kind": "game", "dim_a", "thetas", "outcomes", "povms", "rounds"}
-    strategy    {"kind": "strategy", "dims", "rho_abc", "bob_povms", "charlie_povms"}
+    strategy    {"kind": "strategy", "dims", "rho_abc", "bob_povms", "charlie_povms", "rounds"}
     scenario    {"kind": "scenario", "v0", "v1", "pos"}
     ur_instance {"kind": "ur_instance", "dims", "rho_abc", "f0", "f1"}
 
-A game holds one round's POVMs and the optional round count (default 1); a
-document with the retired per-basis "theta_parts" is refused.
+A game or strategy holds one round's arrays and the optional round count
+(default 1; written for a strategy only above 1); "theta_parts" is refused.
 
 Loading funnels everything through the package constructors, so structural
 validation and the physical invariants (POVM completeness, density checks)
@@ -28,7 +28,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .games import MonogamyGame, Strategy
+from .games import MonogamyGame, Strategy, product_strategy
 from .posver import TimingScenario
 
 
@@ -89,15 +89,17 @@ def strategy_to_json(strategy: Strategy) -> dict[str, Any]:
     return {"kind": "strategy", "dims": list(strategy.dims),
             "rho_abc": matrix_to_json(strategy.rho_abc),
             "bob_povms": _povms_to_json(strategy.bob_povms),
-            "charlie_povms": _povms_to_json(strategy.charlie_povms)}
+            "charlie_povms": _povms_to_json(strategy.charlie_povms),
+            **({"rounds": strategy.rounds} if strategy.rounds > 1 else {})}
 
 
 def strategy_from_json(doc: Mapping[str, Any]) -> Strategy:
     try:
-        return Strategy(rho_abc=matrix_from_json(doc["rho_abc"]),
-                        dims=tuple(int(d) for d in doc["dims"]),
-                        bob_povms=_povms_from_json(doc["bob_povms"]),
-                        charlie_povms=_povms_from_json(doc["charlie_povms"]))
+        one = Strategy(rho_abc=matrix_from_json(doc["rho_abc"]),
+                       dims=tuple(int(d) for d in doc["dims"]),
+                       bob_povms=_povms_from_json(doc["bob_povms"]),
+                       charlie_povms=_povms_from_json(doc["charlie_povms"]))
+        return product_strategy(one, doc.get("rounds", 1))
     except KeyError as exc:
         raise ValidationError(f"strategy document missing field {exc}")
 

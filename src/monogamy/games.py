@@ -2,10 +2,10 @@
 
 A game is one basis-stacked POVM array F[theta, x, a, a'] on Alice's system;
 a strategy is a tripartite state with two such stacks, P[theta, x, b, b'] and
-Q[theta, x, c, c'], for the two guessing parties.  These read-only arrays are
-the only stored form and every evaluator reads them.  Everything here is
-exact, desk-scale evaluation; closed-form bounds for large round counts live
-in :mod:`monogamy.bounds`.
+Q[theta, x, c, c'], for the two guessing parties.  Both store these read-only
+arrays for one round plus a round count, and every evaluator reads them.
+Everything here is exact evaluation; closed-form bounds live in
+:mod:`monogamy.bounds`.
 
 Basis and outcome labels are strings used only at the edges: constructors
 accept label-keyed mappings, ``povms`` views map labels to rows, and a
@@ -17,6 +17,7 @@ allowed displacements is two arrays of outcome-index rows, with no labels.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -31,10 +32,15 @@ from .errors import DimensionError, DomainError, ValidationError, require_bytes
 
 POVM_COMPLETENESS_ATOL = 1e-8
 
-# Byte costs the memory predictions charge, from tracemalloc peaks: a complex
-# entry takes 16 B, an outcome index 8 B; a product strategy's basis label
-# with its row view, under 690 B.
-_BASIS_LABEL_BYTES = 1024
+# Bytes held per n-round basis by its terms as an array and a list
+# (tracemalloc: 40 B), and keyed by label as well (151 B).
+_TERM_BYTES, _LABELED_TERM_BYTES = 48, 160
+
+
+def _round_count(n, name: str = "n") -> int:
+    if int(n) != n or n < 1:
+        raise DomainError(f"{name} must be a positive integer")
+    return int(n)
 
 
 def _validate_povm(elements: np.ndarray, label: str) -> None:
@@ -98,9 +104,7 @@ class MonogamyGame:
     def __post_init__(self):
         if self.dim_a < 1:
             raise DimensionError("dim_a must be positive")
-        if int(self.rounds) != self.rounds or self.rounds < 1:
-            raise DomainError("rounds must be a positive integer")
-        object.__setattr__(self, "rounds", int(self.rounds))
+        object.__setattr__(self, "rounds", _round_count(self.rounds, "rounds"))
         for name, what in (("thetas", "basis"), ("outcomes", "outcome")):
             labels = tuple(str(t) for t in getattr(self, name))
             if len(set(labels)) != len(labels) or not labels:
@@ -121,7 +125,8 @@ class MonogamyGame:
     @property
     def basis_labels(self) -> tuple[str, ...]:
         """The n-round basis labels, built on each access."""
-        return _power_labels(self.thetas, self.rounds)
+        sep = "" if all(len(t) == 1 for t in self.thetas) else ","
+        return tuple(sep.join(ts) for ts in itertools.product(self.thetas, repeat=self.rounds))
 
     def factors(self):
         """For each n-round basis, in `basis_labels` order, the
@@ -146,7 +151,7 @@ class Strategy:
     (default: the order of Bob's keys), are stored once as the read-only
     stacks `bob` and `charlie`, each (|Theta|, |X|, d, d); `bob_povms` and
     `charlie_povms` then become read-only label views.  Both parties must
-    cover the same bases.
+    cover the same bases.  `rounds` is 1; see :func:`product_strategy`.
     """
 
     rho_abc: np.ndarray
@@ -156,6 +161,7 @@ class Strategy:
     thetas: tuple[str, ...] | None = None
     bob: np.ndarray = field(init=False, repr=False)
     charlie: np.ndarray = field(init=False, repr=False)
+    rounds: int = field(init=False, default=1)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -177,6 +183,8 @@ class Strategy:
             object.__setattr__(self, f"{name}_povms", MappingProxyType(dict(zip(thetas, stack))))
 
     def __reduce__(self):
+        if self.rounds > 1:
+            return product_strategy, (_with_rounds(self, 1), self.rounds)
         return Strategy, (self.rho_abc, self.dims, self.bob, self.charlie, self.thetas)
 
 
@@ -225,11 +233,6 @@ def bb84_game() -> MonogamyGame:
     return MonogamyGame(dim_a=2, thetas=("0", "1"), outcomes=("0", "1"), povms=elements)
 
 
-def _power_labels(labels: Sequence[str], n: int) -> tuple[str, ...]:
-    sep = "" if all(len(l) == 1 for l in labels) else ","
-    return tuple(sep.join(ls) for ls in itertools.product(labels, repeat=n))
-
-
 def power_elements(factors: Sequence[np.ndarray]) -> np.ndarray:
     """Every n-fold tensor product of per-round element stacks.
 
@@ -245,39 +248,18 @@ def power_elements(factors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _power_stack(family: np.ndarray, n: int) -> np.ndarray:
-    """n-fold repetition of a (|Theta|, |X|, d, d) family as one read-only
-    stack.  Basis strings run lexicographically, round 1 most significant,
-    and each row is the :func:`power_elements` block of its rounds, written
-    into the preallocated stack."""
-    k, m, d, _ = family.shape
-    out = np.empty((k**n, m**n, d**n, d**n), dtype=complex)
-    for i, ts in enumerate(itertools.product(range(k), repeat=n)):
-        out[i] = power_elements([family[t] for t in ts])
-    out.setflags(write=False)
+def _with_rounds(obj, rounds: int):
+    """A game or strategy playing the same checked arrays for `rounds` rounds."""
+    out = object.__new__(type(obj))
+    out.__dict__.update(vars(obj), rounds=rounds)
     return out
 
 
-def _power_stack_bytes(shape: Sequence[int], n: int) -> int:
-    """Peak bytes of :func:`_power_stack` and the validation of its result:
-    the stack, three basis blocks of temporaries (measured: 1.5-1.65), and
-    the basis labels."""
-    k, m, d = (int(x) for x in shape[:3])
-    block = 16 * (m * d * d)**n
-    return k**n * (block + _BASIS_LABEL_BYTES) + 3 * block
-
-
 def game_power(game: MonogamyGame, n: int) -> MonogamyGame:
-    """n-fold parallel repetition: the same checked single-round family,
-    played for n times as many rounds.  Nothing is copied or checked again,
-    since tensor products of POVMs are POVMs."""
-    if n < 1:
-        raise DomainError("n must be a positive integer")
-    if n == 1:
-        return game
-    power = object.__new__(MonogamyGame)
-    power.__dict__.update(vars(game), rounds=game.rounds * n)
-    return power
+    """n-fold parallel repetition: the same checked single-round family, played
+    for n times as many rounds (tensor products of POVMs need no check)."""
+    n = _round_count(n)
+    return game if n == 1 else _with_rounds(game, game.rounds * n)
 
 
 def overlap(game: MonogamyGame) -> float:
@@ -298,9 +280,13 @@ def overlap(game: MonogamyGame) -> float:
     return best**game.rounds
 
 
-def _aligned(game: MonogamyGame, strategy: Strategy) -> tuple[np.ndarray, np.ndarray]:
-    """The strategy's Bob and Charlie stacks with rows in `game.basis_labels`
-    order, reindexed by label only when the two basis orders differ."""
+def _aligned(game: MonogamyGame, strategy: Strategy) -> tuple:
+    """One round of `game` for a product strategy, else `game`, and the strategy's
+    stacks with rows in that game's `basis_labels` order, reindexed if need be."""
+    if strategy.rounds > 1:
+        if strategy.rounds != game.rounds:
+            raise DimensionError(f"{strategy.rounds} product rounds != {game.rounds} game rounds")
+        game = _with_rounds(game, 1)
     if strategy.dims[0] != game.alice_dim:
         raise DimensionError(f"strategy Alice dimension {strategy.dims[0]} != "
                              f"game dimension {game.alice_dim}")
@@ -308,12 +294,12 @@ def _aligned(game: MonogamyGame, strategy: Strategy) -> tuple[np.ndarray, np.nda
         raise ValidationError("strategy POVMs have the wrong outcome count")
     labels = game.basis_labels
     if strategy.thetas == labels:
-        return strategy.bob, strategy.charlie
+        return game, strategy.bob, strategy.charlie
     missing = set(labels) - set(strategy.thetas)
     if missing:
         raise ValidationError(f"strategy POVMs missing bases {sorted(missing)}")
     idx = [strategy.thetas.index(t) for t in labels]
-    return strategy.bob[idx], strategy.charlie[idx]
+    return game, strategy.bob[idx], strategy.charlie[idx]
 
 
 def conditional_states(factors: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
@@ -427,16 +413,25 @@ def win_operator(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray,
     return op.reshape(m, m)
 
 
+def _basis_terms(game: MonogamyGame, strategy: Strategy, entry_bytes: int) -> np.ndarray:
+    """tr(Pi^theta rho) for every n-round basis in `game.basis_labels` order,
+    charged `entry_bytes` each; a product's are the kron of its round's."""
+    one, bob, charlie = _aligned(game, strategy)
+    require_bytes(entry_bytes * len(game.thetas)**game.rounds, "the per-basis terms")
+    terms = win_terms(one, bob, charlie, strategy.rho_abc)
+    return functools.reduce(np.kron, [terms] * strategy.rounds)
+
+
 def per_theta_win_terms(game: MonogamyGame, strategy: Strategy) -> dict[str, float]:
     """tr(Pi^theta rho) for every basis; the winning probability is their mean."""
-    terms = win_terms(game, *_aligned(game, strategy), strategy.rho_abc)
+    terms = _basis_terms(game, strategy, _LABELED_TERM_BYTES)
     return dict(zip(game.basis_labels, terms.tolist()))
 
 
 def winning_probability(game: MonogamyGame, strategy: Strategy) -> float:
     """Probability that both parties guess Alice's outcome, basis uniform."""
-    terms = per_theta_win_terms(game, strategy)
-    return float(sum(terms.values()) / len(terms))
+    terms = _basis_terms(game, strategy, _TERM_BYTES)
+    return float(sum(terms.tolist()) / len(terms))
 
 
 @dataclass(frozen=True, eq=False)
@@ -485,9 +480,32 @@ def identity_q_set(size: int) -> QSet:
 
 
 def winning_probability_with_q(game: MonogamyGame, strategy: Strategy, q: QSet) -> float:
-    """Winning probability when any displacement pair in the Q-set counts as a win."""
-    terms = win_terms(game, *_aligned(game, strategy), strategy.rho_abc, q)
-    return float(sum(terms.tolist()) / len(terms))
+    """Winning probability when any displacement pair in the Q-set counts as
+    a win.  A product takes only Q-sets of XOR shifts x -> x ⊕ k of binary
+    outcome strings: pair (kb, kc) wins with prod_i T[kb_i, kc_i], T[b, c]
+    being one round's value when Bob must name x ⊕ b and Charlie x ⊕ c."""
+    one, bob, charlie = _aligned(game, strategy)
+    if strategy.rounds == 1:
+        terms = win_terms(game, bob, charlie, strategy.rho_abc, q)
+        return float(sum(terms.tolist()) / len(terms))
+    n, points = game.rounds, np.arange(2**game.rounds)
+    if len(game.outcomes) != 2 or not all(np.array_equal(row, row[0] ^ points)
+                                          for rows in (q.bob, q.charlie) for row in rows):
+        raise DomainError(f"a product strategy takes only Q-sets of XOR shifts "
+                          f"x -> x ⊕ k of {n}-bit binary outcome strings")
+    table = np.array([[win_terms(one, bob, charlie, strategy.rho_abc,
+                                 QSet([[b, 1 - b]], [[c, 1 - c]])).mean()
+                       for c in (0, 1)] for b in (0, 1)])
+    # bit i of each shift, round 1 most significant
+    kb, kc = ((rows[:, :1] >> np.arange(n - 1, -1, -1)) & 1 for rows in (q.bob, q.charlie))
+    if not q.product:
+        return float(table[kb, kc].prod(axis=1).sum())
+    # T applied round by round to Charlie's shift indicator, read at Bob's shifts
+    v = np.zeros((2,) * n)
+    v[tuple(kc.T)] = 1.0
+    for i in range(n):
+        v = np.moveaxis(np.tensordot(table, v, axes=(1, i)), 0, i)
+    return float(v[tuple(kb.T)].sum())
 
 
 def xor_permutation_family(n: int, alphabet_size_theta: int) -> np.ndarray:
@@ -568,27 +586,10 @@ def same_string_q_set(n: int, gamma: float) -> QSet:
 
 
 def product_strategy(strategy: Strategy, n: int) -> Strategy:
-    """n-fold product of a single-round strategy, systems regrouped to
-    (A_1..A_n)(B_1..B_n)(C_1..C_n) order.  Basis strings run over the
-    single-round strategy's basis order, as in :func:`game_power`."""
-    if n < 1:
-        raise DomainError("n must be positive")
-    if n == 1:
-        return strategy
-    dims = strategy.dims * n  # interleaved: A1 B1 C1 A2 B2 C2 ...
-    d = math.prod(dims)
-    # the product and its regrouped copy, then Strategy's PSD check of the
-    # kept state (measured: 2.5 state-sized arrays at once, the state included)
-    require_bytes(16 * 3 * d * d + _power_stack_bytes(strategy.bob.shape, n)
-                  + _power_stack_bytes(strategy.charlie.shape, n), f"product_strategy(n={n})")
-    order = [3 * i + party for party in range(3) for i in range(n)]
-    axes, grouped = order + [3 * n + i for i in order], [dims[i] for i in order]
-    interleaved = power_elements([strategy.rho_abc[None]] * n)[0].reshape(dims + dims)
-    # written once into an array that owns its data, which Strategy keeps
-    rho = np.empty((d, d), dtype=complex)
-    rho.reshape(grouped + grouped)[...] = interleaved.transpose(axes)
-    del interleaved
-    rho.setflags(write=False)
-    da, db, dc = strategy.dims
-    return Strategy(rho, (da**n, db**n, dc**n), _power_stack(strategy.bob, n),
-                    _power_stack(strategy.charlie, n), _power_labels(strategy.thetas, n))
+    """n-fold product of a strategy, systems regrouped to
+    (A_1..A_n)(B_1..B_n)(C_1..C_n): its checked arrays, uncopied, played for
+    n times as many rounds, as in :func:`game_power`.  It takes the Q-sets of
+    :func:`hamming_q_set`, :func:`same_string_q_set` and
+    ``xor_permutation_family(n, 2)``; see :func:`winning_probability_with_q`."""
+    n = _round_count(n)
+    return strategy if n == 1 else _with_rounds(strategy, strategy.rounds * n)

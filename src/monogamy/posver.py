@@ -182,20 +182,25 @@ def _check_n(n: int, rounds: int) -> int:
     return n
 
 
+def _sample_batch(n: int, prover, rounds: int, rng: np.random.Generator):
+    """`rounds` rounds of n qubits: challenges x and bases theta, the prover's
+    two responses, and per round whether both responses equal x."""
+    x = rng.integers(0, 2, size=(rounds, n), dtype=np.uint8)
+    theta = rng.integers(0, 2, size=(rounds, n), dtype=np.uint8)
+    x0p, x1p = prover.respond_batch(x, theta, rng)
+    correct = np.all(x0p == x, axis=1) & np.all(x1p == x, axis=1)
+    return x, theta, x0p, x1p, correct
+
+
 def simulate_pv_round(scenario: TimingScenario, n: int, prover,
                       seed: int = 0) -> PvRound:
-    """One verification round: challenge sampling, prover response, timing
-    and correctness checks at both verifiers."""
+    """One verification round, batch 0 of :func:`simulate_pv_rounds` with one
+    round: challenge sampling, prover response, timing and correctness checks."""
     n = _check_n(n, 1)
-    rng = rng_for(seed)
-    x = rng.integers(0, 2, size=(1, n), dtype=np.uint8)
-    theta = rng.integers(0, 2, size=(1, n), dtype=np.uint8)
     ok0, ok1 = prover.timing(scenario)
-    x0p, x1p = prover.respond_batch(x, theta, rng)
-    accepted = bool(ok0 and ok1 and np.array_equal(x0p[0], x[0])
-                    and np.array_equal(x1p[0], x[0]))
-    return PvRound(n=n, x=x[0], theta=theta[0], x0_prime=x0p[0], x1_prime=x1p[0],
-                   timing_ok_v0=ok0, timing_ok_v1=ok1, accepted=accepted)
+    x, theta, x0p, x1p, correct = (a[0] for a in _sample_batch(n, prover, 1, rng_for(seed, 0)))
+    return PvRound(n=n, x=x, theta=theta, x0_prime=x0p, x1_prime=x1p, timing_ok_v0=ok0,
+                   timing_ok_v1=ok1, accepted=bool(ok0 and ok1 and correct))
 
 
 def simulate_pv_rounds(scenario: TimingScenario, n: int, prover, trials: int,
@@ -207,19 +212,11 @@ def simulate_pv_rounds(scenario: TimingScenario, n: int, prover, trials: int,
     n = _check_n(n, min(_ROUND_BATCH, trials))
     ok0, ok1 = prover.timing(scenario)
     accepted = 0
-    done = 0
-    batch_index = 0
-    while done < trials:
+    for batch_index, done in enumerate(range(0, trials, _ROUND_BATCH)):
         nb = min(_ROUND_BATCH, trials - done)
-        rng = rng_for(seed, batch_index)
-        x = rng.integers(0, 2, size=(nb, n), dtype=np.uint8)
-        theta = rng.integers(0, 2, size=(nb, n), dtype=np.uint8)
-        x0p, x1p = prover.respond_batch(x, theta, rng)
+        correct = _sample_batch(n, prover, nb, rng_for(seed, batch_index))[-1]
         if ok0 and ok1:
-            good = np.all(x0p == x, axis=1) & np.all(x1p == x, axis=1)
-            accepted += int(np.sum(good))
-        done += nb
-        batch_index += 1
+            accepted += int(np.sum(correct))
     return {
         "trials": trials,
         "seed": seed,

@@ -91,8 +91,8 @@ class QkdParams:
             object.__setattr__(self, name, int(getattr(self, name)))
         if not 0 < self.t < self.n:
             raise DomainError(f"need 0 < t < n, got t={self.t}, n={self.n}")
-        if self.s < 0 or self.ell < 0:
-            raise DomainError("s and ell must be non-negative")
+        if not 0 <= self.s <= self.n - self.t or self.ell < 0:
+            raise DomainError(f"need 0 <= s <= n - t = {self.n - self.t} and ell >= 0")
         if not 0.0 <= self.gamma < 0.5:
             raise DomainError(f"gamma must lie in [0, 1/2), got {self.gamma}")
         if self.epsilon <= 0.0:

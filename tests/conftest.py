@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from typing import Sequence
 
 import numpy as np
 import pytest
 
+from monogamy.games import MonogamyGame, Strategy, power_elements
 from monogamy.rand import rng_for
 
 
@@ -34,3 +37,22 @@ def reorder_systems(m: np.ndarray, dims: Sequence[int], order: Sequence[int]) ->
     d = math.prod(dims)
     axes = list(order) + [i + n for i in order]
     return np.asarray(m).reshape(tuple(dims) * 2).transpose(axes).reshape(d, d)
+
+
+def dense_product(game: MonogamyGame, strategy: Strategy) -> Strategy:
+    """Oracle: a product strategy written out as one dense strategy for
+    `game`, which plays as many rounds.  The state is the tensor power of the
+    round's state, systems regrouped from (A1 B1 C1 A2 ...) to
+    (A1 A2 ...)(B1 ...)(C1 ...); each party's stack holds the
+    ``power_elements`` of its per-round POVMs, rows in `game.basis_labels`
+    order."""
+    n = strategy.rounds
+    assert game.rounds == n, "the oracle writes out a game's own round count"
+    order = [3 * i + party for party in range(3) for i in range(n)]
+    rho = reorder_systems(functools.reduce(np.kron, [strategy.rho_abc] * n),
+                          strategy.dims * n, order)
+    idx = [strategy.thetas.index(t) for t in game.thetas]
+    bob, charlie = (np.array([power_elements(stack[list(ts)])
+                              for ts in itertools.product(idx, repeat=n)])
+                    for stack in (strategy.bob, strategy.charlie))
+    return Strategy(rho, tuple(d**n for d in strategy.dims), bob, charlie, game.basis_labels)

@@ -35,6 +35,8 @@ from monogamy.rand import (random_density, random_povm,
 from monogamy.seesaw import SeesawConfig, seesaw
 from monogamy.uncertainty import CqEnsemble, check_uncertainty_relation
 
+from conftest import dense_product
+
 
 @contextmanager
 def criterion(label: str, description: str):
@@ -80,7 +82,7 @@ def test_criterion_02_strong_parallel_repetition_desk_scale():
                                        bob_dim=4, charlie_dim=4))
         assert free.value <= bb84_parallel_value(2) + 1e-6
 
-        product_round = product_strategy(s1_result.strategy, 2)
+        product_round = dense_product(g2, product_strategy(s1_result.strategy, 2))
         seeded = seesaw(g2, SeesawConfig(seed=6, restarts=1, max_iters=60,
                                          bob_dim=4, charlie_dim=4),
                         init_povms=(product_round.bob, product_round.charlie))

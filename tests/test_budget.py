@@ -26,8 +26,8 @@ from monogamy.cli import dispatch
 from monogamy.errors import CapacityError
 from monogamy.games import (QSet, Strategy, bb84_game, constant_guess_povms, game_power,
                             hamming_q_set, maximally_entangled_density, product_strategy,
-                            same_string_q_set, winning_probability_with_q,
-                            xor_permutation_family)
+                            same_string_q_set, winning_probability,
+                            winning_probability_with_q, xor_permutation_family)
 from monogamy.posver import BreidbartPair, TimingScenario, simulate_pv_rounds
 from monogamy.qkd import LinearCode, QkdParams, epr_device, run_eqkd_trials, toeplitz_hash
 from monogamy.rand import rng_for
@@ -75,8 +75,10 @@ def _cases():
     upward from a tiny one."""
     line = TimingScenario(0.0, 2.0, 1.0)
     return [
-        ("product_strategy", range(2, 9), lambda n: (_entangled_round(), n),
-         lambda a: product_strategy(*a)),
+        # evaluating a product strategy, which lists its per-basis terms
+        ("product_strategy", range(2, 31),
+         lambda n: (game_power(bb84_game(), n), product_strategy(_entangled_round(), n)),
+         lambda a: winning_probability(*a)),
         ("seesaw", range(2, 33),
          lambda d: (bb84_game(), SeesawConfig(bob_dim=d, charlie_dim=d, restarts=1,
                                               max_iters=1)),

@@ -111,6 +111,14 @@ def test_qkd_sim_aggregate(capsys):
     assert doc["seed"] == 5
 
 
+def test_qkd_sim_rejects_a_syndrome_longer_than_the_key_rounds(capsys):
+    code, out, err = run(capsys, "qkd-sim", "--n", "8", "--t", "2", "--s", "100",
+                         "--ell", "1", "--gamma", "0.2", "--noise", "0.05",
+                         "--trials", "200")
+    assert code == 1 and out == ""
+    assert "n - t" in err
+
+
 def test_qkd_sim_epr_device_rejects_noise(capsys):
     code, _, err = run(capsys, "qkd-sim", "--n", "2", "--t", "1", "--gamma", "0",
                        "--device", "epr", "--noise", "0.01", "--trials", "3")

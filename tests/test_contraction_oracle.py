@@ -6,7 +6,8 @@ state as a tensor and never builds those operators.  For games of several
 rounds the oracle's measurements are the dense n-fold products of
 ``power_elements``, while the package traces out Alice's rounds one by one.
 A product Q-set, which the package smears into one row pair, is checked
-against the same pairs listed as zipped rows.
+against the same pairs listed as zipped rows.  A product strategy, which the
+package evaluates on one round, is checked against its dense n-fold form.
 """
 
 from __future__ import annotations
@@ -14,15 +15,20 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from monogamy import linalg
-from monogamy.games import (MonogamyGame, QSet, Strategy, game_power, power_elements,
-                            win_operator, win_terms, winning_probability,
-                            winning_probability_with_q)
+from monogamy.games import (MonogamyGame, QSet, Strategy, game_power, hamming_q_set,
+                            per_theta_win_terms, power_elements, product_strategy,
+                            same_string_q_set, win_operator, win_terms,
+                            winning_probability, winning_probability_with_q,
+                            xor_permutation_family)
 from monogamy.rand import random_density, random_povm, rng_for
 from monogamy.seesaw import _conditional_operators
 from monogamy.uncertainty import post_measurement_state
+
+from conftest import dense_product
 
 ATOL = 1e-12
 
@@ -219,3 +225,26 @@ def test_power_elements_matches_kron(seed, shapes):
     expected = [kron(*(f[x] for f, x in zip(factors, xs)))
                 for xs in itertools.product(*(range(k) for k, _ in shapes))]
     np.testing.assert_array_equal(out, np.array(expected))
+
+
+@pytest.mark.parametrize("dims, n", [((2, 2, 2), 2), ((2, 2, 2), 3), ((2, 2, 1), 4),
+                                     ((2, 1, 2), 4)])
+def test_product_strategy_matches_the_dense_oracle(dims, n):
+    # a random binary-outcome round with an entangled state, played n times
+    rng = rng_for(n, *dims)
+    family = MonogamyGame(2, ("0", "1"), ("0", "1"),
+                          {t: random_povm(2, 2, rng) for t in ("0", "1")})
+    one = Strategy(random_density(dims[0] * dims[1] * dims[2], rng), dims,
+                   {t: tuple(random_povm(dims[1], 2, rng)) for t in ("0", "1")},
+                   {t: tuple(random_povm(dims[2], 2, rng)) for t in ("0", "1")})
+    game, product = game_power(family, n), product_strategy(one, n)
+    dense = dense_product(game, product)
+    np.testing.assert_allclose(list(per_theta_win_terms(game, product).values()),
+                               list(per_theta_win_terms(game, dense).values()),
+                               atol=ATOL, rtol=0)
+    fam = xor_permutation_family(n, 2)
+    q_sets = [hamming_q_set(n, g, gp) for g, gp in ((0, 0), (0.25, 0.5), (0.5, 0.5))]
+    q_sets += [same_string_q_set(n, 0.5), QSet(fam, fam), QSet(fam, fam[::-1])]
+    for q in q_sets:
+        assert abs(winning_probability_with_q(game, product, q)
+                   - winning_probability_with_q(game, dense, q)) <= ATOL

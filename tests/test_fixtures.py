@@ -7,12 +7,12 @@ import json
 import numpy as np
 import pytest
 
-from monogamy.errors import DimensionError, ValidationError
+from monogamy.errors import DimensionError, DomainError, ValidationError
 from monogamy.fixtures import (game_from_json, game_to_json, load_fixture,
                                matrix_from_json, matrix_to_json,
                                scenario_from_json, scenario_to_json,
                                strategy_from_json, strategy_to_json)
-from monogamy.games import bb84_game, game_power, overlap
+from monogamy.games import bb84_game, game_power, overlap, product_strategy, winning_probability
 from monogamy.posver import TimingScenario
 from monogamy.seesaw import bb84_optimal_unentangled_strategy
 
@@ -72,9 +72,24 @@ def test_game_document_with_theta_parts_is_rejected():
 
 def test_strategy_round_trip():
     s = bb84_optimal_unentangled_strategy()
-    back = strategy_from_json(json.loads(json.dumps(strategy_to_json(s))))
-    assert back.dims == s.dims
+    doc = json.loads(json.dumps(strategy_to_json(s)))
+    assert "rounds" not in doc
+    back = strategy_from_json(doc)
+    assert back.dims == s.dims and back.rounds == 1
     np.testing.assert_allclose(back.rho_abc, s.rho_abc, atol=0)
+
+
+def test_product_strategy_round_trip_keeps_the_round_count():
+    s = product_strategy(bb84_optimal_unentangled_strategy(), 3)
+    doc = json.loads(json.dumps(strategy_to_json(s)))
+    assert doc["rounds"] == 3 and doc["rho_abc"]["rows"] == 2
+    back = strategy_from_json(doc)
+    assert (back.dims, back.rounds, back.thetas) == (s.dims, 3, s.thetas)
+    g3 = game_power(bb84_game(), 3)
+    assert winning_probability(g3, back) == winning_probability(g3, s)
+    doc["rounds"] = 1.5
+    with pytest.raises(DomainError):
+        strategy_from_json(doc)
 
 
 def test_scenario_round_trip():

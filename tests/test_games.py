@@ -23,7 +23,7 @@ from monogamy.games import (MonogamyGame, QSet, Strategy, bb84_game,
 from monogamy.rand import random_density, random_projective_povm
 from monogamy.seesaw import bb84_optimal_unentangled_strategy
 
-from conftest import reorder_systems
+from conftest import dense_product, reorder_systems
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -154,8 +154,11 @@ def test_game_and_strategy_pickle_round_trip():
     g2, s2 = pickle.loads(pickle.dumps(g)), pickle.loads(pickle.dumps(s))
     assert (g2.thetas, g2.outcomes, g2.rounds) == (g.thetas, g.outcomes, g.rounds)
     np.testing.assert_array_equal(g2.elements, g.elements)
-    assert s2.thetas == s.thetas
+    assert (s2.thetas, s2.dims, s2.rounds) == (s.thetas, s.dims, 2)
+    np.testing.assert_array_equal(s2.rho_abc, s.rho_abc)
     assert winning_probability(g2, s2) == winning_probability(g, s)
+    one = pickle.loads(pickle.dumps(bb84_optimal_unentangled_strategy()))
+    assert one.rounds == 1
 
 
 def test_game_rejects_wrong_element_shape():
@@ -479,6 +482,57 @@ def test_hamming_value_of_the_seven_round_product_strategy():
     assert abs(value - 0.9888980479297647) <= 1e-12
 
 
+def test_twelve_round_hamming_value_is_a_binomial_sum():
+    # the optimal unentangled guessers both name 0, so a round wins only when
+    # Bob's and Charlie's shifts agree on it, with P(x = 0) = cos^2(pi/8) when
+    # neither flips; at gamma = gamma' = 1/8 both shift at most one bit
+    n, p = 12, math.cos(math.pi / 8)**2
+    expect = sum(math.comb(n, w) * p**(n - w) * (1 - p)**w for w in range(2))
+    s = product_strategy(bb84_optimal_unentangled_strategy(), n)
+    value = winning_probability_with_q(game_power(bb84_game(), n), s,
+                                       hamming_q_set(n, 1 / 8, 1 / 8))
+    assert abs(value - expect) <= 1e-12
+
+
+def test_product_strategy_refuses_other_q_sets():
+    g2, s2 = game_power(bb84_game(), 2), product_strategy(bb84_optimal_unentangled_strategy(), 2)
+    # a permutation of the four outcome strings that is no XOR shift
+    swap = QSet([[0, 2, 1, 3]], [[0, 1, 2, 3]])
+    with pytest.raises(DomainError, match="XOR shifts"):
+        winning_probability_with_q(g2, s2, swap)
+    with pytest.raises(DomainError, match="XOR shifts"):
+        winning_probability_with_q(g2, s2, QSet([[0, 1, 2, 3]], [[0, 2, 1, 3], [1, 0, 3, 2]],
+                                                product=True))
+    # three outcomes: even the identity row is refused
+    g = MonogamyGame(1, ("0",), ("0", "1", "2"), np.ones((1, 3, 1, 1)) / 3)
+    guess = constant_guess_povms(g.thetas, g.outcomes, "0")
+    s = product_strategy(Strategy(np.eye(1), (1, 1, 1), guess, dict(guess)), 2)
+    assert winning_probability(game_power(g, 2), s) == pytest.approx(1 / 9, abs=1e-15)
+    with pytest.raises(DomainError, match="XOR shifts"):
+        winning_probability_with_q(game_power(g, 2), s, identity_q_set(9))
+    # a Q-set as wide as another round count, and a game of other rounds
+    with pytest.raises(DomainError, match="XOR shifts"):
+        winning_probability_with_q(g2, s2, hamming_q_set(3, 0.0, 0.0))
+    with pytest.raises(DimensionError):
+        winning_probability(game_power(bb84_game(), 3), s2)
+
+
+@pytest.mark.parametrize("n", [2.5, 0, -1, "2"])
+def test_round_counts_must_be_positive_integers(n):
+    with pytest.raises(DomainError, match="n must be a positive integer"):
+        game_power(bb84_game(), n)
+    with pytest.raises(DomainError, match="n must be a positive integer"):
+        product_strategy(bb84_optimal_unentangled_strategy(), n)
+
+
+def test_round_counts_are_stored_as_python_ints():
+    g = game_power(bb84_game(), np.int64(3))
+    s = product_strategy(bb84_optimal_unentangled_strategy(), np.int64(3))
+    assert type(g.rounds) is int and type(s.rounds) is int
+    assert g.rounds == s.rounds == 3
+    assert type(game_power(bb84_game(), 3.0).rounds) is int
+
+
 def test_eight_round_hamming_set_builds_and_evaluates_in_little_memory():
     g = game_power(bb84_game(), 8)
     s = product_strategy(bb84_optimal_unentangled_strategy(), 8)
@@ -522,9 +576,9 @@ def test_product_strategy_values_match_powers():
             pytest.approx(BB84_ROUND_VALUE**n, abs=1e-9)
 
 
-def test_product_strategy_reaches_the_parallel_value_up_to_eight_rounds():
+def test_product_strategy_reaches_the_parallel_value_up_to_twenty_rounds():
     s1 = bb84_optimal_unentangled_strategy()
-    for n in range(1, 9):
+    for n in range(1, 21):
         value = winning_probability(game_power(bb84_game(), n), product_strategy(s1, n))
         assert abs(value - bb84_parallel_value(n)) <= 1e-12
 
@@ -584,11 +638,14 @@ def test_product_strategy_follows_an_unsorted_basis_order():
                   constant_guess_povms(g.thetas, g.outcomes, "0", dim=1))
     g2, s2 = game_power(g, 2), product_strategy(s1, 2)
     assert g2.basis_labels == ("11", "10", "01", "00")
-    assert s2.thetas == g2.basis_labels
+    oracle = dense_product(g2, s2)
+    assert oracle.thetas == g2.basis_labels
     dense = [power_elements(factors) for factors in g2.factors()]
-    np.testing.assert_allclose(s2.bob, dense, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(oracle.bob, dense, atol=1e-12, rtol=0)
     assert winning_probability(g2, s2) == \
         pytest.approx(winning_probability(g, s1) ** 2, abs=1e-12)
+    assert winning_probability(g2, s2) == \
+        pytest.approx(winning_probability(g2, oracle), abs=1e-12)
 
 
 def test_product_strategy_of_entangled_round(rng):
@@ -608,34 +665,43 @@ def test_strategy_state_purity():
 
 
 def test_product_strategy_state_is_the_regrouped_tensor_power(rng):
-    # oracle: the kron power of the round state with its tensor factors
-    # permuted from (A1 B1 C1 A2 ...) to (A1 A2 ...)(B1 ...)(C1 ...)
+    # the oracle's state: the kron power of the round state with its tensor
+    # factors permuted from (A1 B1 C1 A2 ...) to (A1 A2 ...)(B1 ...)(C1 ...),
+    # which the product strategy's round-by-round value must match
     dims = (2, 2, 3)
-    s1 = random_strategy(MonogamyGame(2, ("0",), ("0", "1"), bb84_game().elements[:1]),
-                         2, 3, rng)
-    s3 = product_strategy(s1, 3)
+    g1 = MonogamyGame(2, ("0",), ("0", "1"), bb84_game().elements[:1])
+    s1 = random_strategy(g1, 2, 3, rng)
+    g3, s3 = game_power(g1, 3), product_strategy(s1, 3)
+    dense = dense_product(g3, s3)
     big = linalg.tensor(s1.rho_abc, s1.rho_abc, s1.rho_abc)
     order = [0, 3, 6, 1, 4, 7, 2, 5, 8]
-    np.testing.assert_array_equal(s3.rho_abc,
+    np.testing.assert_array_equal(dense.rho_abc,
                                   reorder_systems(big, dims * 3, order))
-    assert s3.dims == (8, 8, 27)
-    assert s3.rho_abc.flags.owndata and not s3.rho_abc.flags.writeable
+    assert dense.dims == (8, 8, 27) and s3.dims == dims
+    assert dense.rho_abc.flags.owndata and not dense.rho_abc.flags.writeable
+    assert winning_probability(g3, s3) == \
+        pytest.approx(winning_probability(g3, dense), abs=1e-12)
 
 
-def test_product_strategy_copies_its_state_once():
-    # entangled (2, 2, 1) BB84 round at n = 5: the state and Bob's stack are
-    # 16 MiB each; the state is written once and kept without a copy, and
-    # Strategy's PSD check adds its temporaries (88 MiB peak before)
+def test_product_strategy_shares_its_round_arrays():
+    # the entangled (2, 2, 1) BB84 round: written out at n = 5, its state and
+    # Bob's stack would hold 16 MiB each; the product keeps the round's own
+    # read-only arrays at any round count
     import tracemalloc
     g = bb84_game()
     s1 = Strategy(maximally_entangled_density(2), (2, 2, 1), g.povms,
                   constant_guess_povms(g.thetas, g.outcomes, "0"))
+    dense = dense_product(game_power(g, 5), product_strategy(s1, 5))
+    assert dense.rho_abc.nbytes == dense.bob.nbytes == 16 * 2**20
     product_strategy(s1, 2)  # one-time allocations of numpy and the package
     tracemalloc.start()
     try:
-        s5 = product_strategy(s1, 5)
+        s20 = product_strategy(s1, 20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert s5.rho_abc.nbytes == s5.bob.nbytes == 16 * 2**20
-    assert peak <= 76 * 2**20
+    assert peak < 2**20
+    assert s20.rounds == 20 and s20.dims == s1.dims
+    assert all(getattr(s20, name) is getattr(s1, name)
+               for name in ("rho_abc", "bob", "charlie", "bob_povms", "thetas"))
+    assert product_strategy(s20, 2).rounds == 40

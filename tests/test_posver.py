@@ -15,6 +15,7 @@ from monogamy.posver import (BREIDBART_SUCCESS, BreidbartPair, HonestProver,
                              noisy_soundness_bound, simulate_pv_round,
                              simulate_pv_rounds, soundness_bound)
 from monogamy.qkd import noise_threshold
+from monogamy.rand import rng_for
 
 # frozen oracle values
 BETA20 = 0.04213217087090013
@@ -162,6 +163,16 @@ def test_round_is_deterministic_per_seed():
     b = simulate_pv_round(SCENARIO, 10, BreidbartPair(), seed=3)
     np.testing.assert_array_equal(a.x, b.x)
     np.testing.assert_array_equal(a.x0_prime, b.x0_prime)
+
+
+def test_round_is_batch_zero_of_the_batched_simulation():
+    # the same draws as a one-trial batch: challenges from rng_for(seed, 0)
+    for seed in range(20):
+        r = simulate_pv_round(SCENARIO, 3, BreidbartPair(), seed=seed)
+        agg = simulate_pv_rounds(SCENARIO, 3, BreidbartPair(), 1, seed=seed)
+        assert agg["accepted"] == int(r.accepted)
+        rng = rng_for(seed, 0)
+        np.testing.assert_array_equal(r.x, rng.integers(0, 2, size=(1, 3), dtype=np.uint8)[0])
 
 
 def test_breidbart_acceptance_tracks_bound():

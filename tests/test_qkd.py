@@ -54,6 +54,12 @@ def test_params_validation():
         QkdParams(n=10, t=1, s=0, ell=0, gamma=0.0, epsilon=0.0)
 
 
+def test_params_refuse_a_syndrome_longer_than_the_key_rounds():
+    assert QkdParams(n=10, t=2, s=8, ell=0, gamma=0.0, epsilon=0.01).s == 8
+    with pytest.raises(DomainError, match="s <= n - t"):
+        QkdParams(n=10, t=2, s=9, ell=0, gamma=0.0, epsilon=0.01)
+
+
 def test_delta_vacuous_instance_matches_oracle():
     params = QkdParams(n=100000, t=10000, s=7272, ell=1000, gamma=0.005,
                        epsilon=0.005)

@@ -12,6 +12,8 @@ from monogamy.games import (MonogamyGame, Strategy, bb84_game, game_power,
 from monogamy.seesaw import (SeesawConfig, bb84_optimal_unentangled_strategy,
                              optimal_povm_step, optimal_state_step, seesaw)
 
+from conftest import dense_product
+
 
 def test_state_step_for_constant_guessers():
     g = bb84_game()
@@ -185,7 +187,7 @@ def test_sandwich_between_search_and_norm_bound():
     s1 = bb84_optimal_unentangled_strategy()
     for n in (1, 2):
         g = game_power(bb84_game(), n) if n > 1 else bb84_game()
-        sn = product_strategy(s1, n)
+        sn = dense_product(g, product_strategy(s1, n))
         search = seesaw(g, SeesawConfig(seed=0, restarts=20)).value
         closed = bb84_parallel_value(n)
         norm = linalg.schatten_inf_norm(
@@ -199,7 +201,7 @@ def test_sandwich_between_search_and_norm_bound():
 
 def test_state_step_retries_upper_triangle_when_eigh_fails(monkeypatch):
     g = game_power(bb84_game(), 2)
-    s = product_strategy(bb84_optimal_unentangled_strategy(), 2)
+    s = dense_product(g, product_strategy(bb84_optimal_unentangled_strategy(), 2))
     expected = optimal_state_step(g, s.bob, s.charlie)
     eigh = np.linalg.eigh
     calls = []
