@@ -517,9 +517,7 @@ def xor_permutation_family(n: int, alphabet_size_theta: int) -> np.ndarray:
     The family partitions by shift weight t with multiplicity
     C(n, t) (|Theta|-1)^t.
     """
-    q = int(alphabet_size_theta)
-    if n < 1:
-        raise DomainError("n must be positive")
+    n, q = _round_count(n), int(alphabet_size_theta)
     if q < 2:
         raise DomainError("alphabet size must be at least 2")
     size = q**n
@@ -541,11 +539,9 @@ def _max_weight(n: int, gamma: float) -> int:
 
 def _shift_count(n: int, gamma: float, name: str) -> int:
     """The number of n-bit shifts of Hamming weight at most gamma n, after
-    checking gamma and n."""
+    checking gamma."""
     if not 0.0 <= gamma <= 0.5:
         raise DomainError(f"{name} must lie in [0, 1/2], got {gamma}")
-    if n < 1:
-        raise DomainError("n must be positive")
     return sum(math.comb(n, w) for w in range(_max_weight(n, gamma) + 1))
 
 
@@ -563,6 +559,7 @@ def hamming_q_set(n: int, gamma: float, gamma_prime: float) -> QSet:
     """XOR displacement pairs (x ⊕ k, x ⊕ k') with wt(k) <= gamma n and
     wt(k') <= gamma' n, on the length-n binary outcome alphabet: the product
     of Bob's and Charlie's shift rows."""
+    n = _round_count(n)
     kb, kc = _shift_count(n, gamma, "gamma"), _shift_count(n, gamma_prime, "gamma_prime")
     # both parties' rows, and the sorted copy and result of np.unique over
     # the larger party's, which QSet checks one party at a time
@@ -575,6 +572,7 @@ def hamming_q_set(n: int, gamma: float, gamma_prime: float) -> QSet:
 
 def same_string_q_set(n: int, gamma: float) -> QSet:
     """XOR displacement pairs with both parties shifted by the same k."""
+    n = _round_count(n)
     k = _shift_count(n, gamma, "gamma")
     # the rows both parties share, and the copy, sorted copy and result of
     # np.unique over the pairs side by side, which QSet checks at once

@@ -22,6 +22,7 @@ import numpy as np
 
 from .bounds import BB84_ROUND_VALUE, bb84_parallel_value, imperfect_guessing_bound
 from .errors import DomainError, ValidationError, require_bytes
+from .games import _round_count
 from .rand import rng_for
 
 # per-qubit success of the intermediate-basis measurement; numerically equal
@@ -175,9 +176,7 @@ class SingleAdversary:
 def _check_n(n: int, rounds: int) -> int:
     """n as an int, once positive and once a batch of `rounds` rounds of n
     qubits fits the memory budget."""
-    n = int(n)
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    n = _round_count(n)
     require_bytes(_ROUND_ENTRY_BYTES * rounds * n, f"a batch of {rounds} rounds of {n} qubits")
     return n
 

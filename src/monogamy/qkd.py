@@ -26,6 +26,7 @@ and is computed exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -45,11 +46,11 @@ from .uncertainty import CqEnsemble
 LOG2_INV_ROUND_VALUE = -math.log2(BB84_ROUND_VALUE)
 
 _TRIAL_BATCH = 4096
-_CHUNK_LEN = 16
-# the most bytes one block of completed rows takes to post-process, and the
-# (row, candidate word) pairs one decode step compares, give or take a row
+# the widest code chunk, and the most error patterns a leader table lists
+_CHUNK_LEN = 64
+_LEADER_PATTERNS = 2**16
+# the most bytes one block of completed rows takes to post-process
 _POST_BLOCK_BYTES = 2**22
-_DECODE_BLOCK = 2**20
 
 # Byte costs the memory predictions charge, from tracemalloc peaks: a trial
 # batch holds 20.1-20.4 B per (trial, round) entry while it draws and 11 B
@@ -61,7 +62,11 @@ _HELD_ENTRY_BYTES = 11
 _POST_ENTRY_BYTES = 14
 _HASH_NFFT_BYTES = 24
 _HASH_OUT_BYTES = 16
-_CHUNK_BYTES = 512  # one chunk's bounds, row count and parity matrix object
+# A code keeps 190-235 B per chunk and a leader table 16 B per syndrome;
+# building a table peaks 65 B per listed pattern above what it keeps.
+_CHUNK_BYTES = 256
+_LEADER_KEPT_BYTES = 16
+_LEADER_BUILD_BYTES = 72
 
 # rng derivation streams, so basis strings, code construction and the rest
 # of a batch's draws never overlap
@@ -283,23 +288,18 @@ def _hash_bytes(length: int, ell: int, rows: int = 1) -> int:
     return int(rows) * (_HASH_NFFT_BYTES * nfft + _HASH_OUT_BYTES * ell)
 
 
-def _uint_for(bits: int) -> np.dtype:
-    """The smallest unsigned dtype that holds 2^bits - 1."""
-    return np.min_scalar_type((1 << bits) - 1)
-
-
-def _pack(bits: np.ndarray, dtype) -> np.ndarray:
-    # MSB first along the last axis, so ascending integers sort like
-    # lexicographic bit strings
-    width = bits.shape[-1]
-    shifts = np.arange(width - 1, -1, -1).astype(dtype)
-    return bits.astype(dtype) @ np.left_shift(np.ones(width, dtype), shifts)
+def _pack(bits: np.ndarray) -> np.ndarray:
+    # at most 64 bits into a uint64, MSB first along the last axis, so
+    # ascending integers sort like lexicographic bit strings
+    shifts = np.arange(bits.shape[-1] - 1, -1, -1, dtype=np.uint64)
+    return bits.astype(np.uint64) @ np.left_shift(np.uint64(1), shifts)
 
 
 def _int_to_bits(value, width: int) -> np.ndarray:
     # MSB first; an array of values gives one row of bits per value
-    shifts = width - 1 - np.arange(width)
-    return ((np.asarray(value)[..., None] >> shifts) & 1).astype(np.uint8)
+    value = np.asarray(value)
+    shifts = (width - 1 - np.arange(width)).astype(value.dtype)
+    return ((value[..., None] >> shifts) & 1).astype(np.uint8)
 
 
 def _bit_rows(bits, width: int, what: str) -> tuple[np.ndarray, tuple]:
@@ -310,132 +310,127 @@ def _bit_rows(bits, width: int, what: str) -> tuple[np.ndarray, tuple]:
     return arr.reshape(math.prod(arr.shape[:-1]), width), arr.shape[:-1]
 
 
-class LinearCode:
-    """Seeded random linear code with chunked brute-force decoding.
+def _leader_reach(width: int) -> tuple[int, int]:
+    """(w, count) for the largest weight w whose error patterns of `width`
+    bits and weight at most w number count <= _LEADER_PATTERNS."""
+    counts = list(itertools.accumulate(math.comb(width, k) for k in range(width + 1)))
+    weight = sum(count <= _LEADER_PATTERNS for count in counts) - 1
+    return weight, counts[weight]
 
-    The input is split into chunks of at most `chunk_len` bits; syndrome
-    rows are distributed across chunks proportionally.  Decoding finds, per
-    chunk, the bit string consistent with the syndrome that is nearest in
-    Hamming distance to the received chunk; ties go to the lexicographically
-    smallest string.  `encode` and `decode` take (rows, length) arrays, a
-    1-D array being one row: encode is one matmul per chunk over the rows,
-    and decode checks each chunk's syndrome for all rows at once and
-    searches only the rows whose chunk disagrees.  The search reads a
-    table of the syndromes of all 2^width words of the chunk, built on
-    first use by XOR doubling over its parity columns (the words with a
-    leading bit added are the words without it, XOR that bit's column), in
-    the smallest unsigned dtype that holds 2^rows - 1.  The memory budget
-    bounds all tables at construction.
+
+class LinearCode:
+    """Seeded random linear code, decoded chunk by chunk with coset leaders.
+
+    The input is split into chunks of at most `_CHUNK_LEN` = 64 bits, and the
+    syndrome rows are spread over them in proportion to their width.  Chunks
+    of one shape (width, rows) share one parity matrix, drawn from path
+    (seed, code stream, k) with k counting the shapes in sorted order.
+    `encode` and `decode` take (rows, length) arrays, a 1-D array being one
+    row; both run one matmul per chunk over the rows.  Decoding is syndrome
+    decoding with coset leaders (MacWilliams and Sloane 1977, ch. 1): each
+    shape's table lists the error patterns of weight 0, 1, 2, ... for as
+    many whole weights as fit in _LEADER_PATTERNS patterns (all of them for
+    chunks of 16 bits or less), and keeps per syndrome its leader, the
+    pattern of lowest weight, ties to the smallest bit string.  A chunk
+    whose syndrome differs from the given one by d is XOR-ed with the leader
+    of d, giving a nearest word with that syndrome among those the table
+    reaches; a d with no leader leaves the chunk as received.  Tables are
+    built on first use, and the memory budget bounds them at construction.
     """
 
-    def __init__(self, length: int, syndrome_bits: int, seed: int,
-                 chunk_len: int = _CHUNK_LEN):
-        if chunk_len < 1:
-            raise DomainError("chunk_len must be positive")
-        if length < 0 or syndrome_bits < 0:
-            raise DomainError("length and syndrome_bits must be non-negative")
-        require_bytes(_code_bytes(length, syndrome_bits, chunk_len),
-                      f"LinearCode({length}, {syndrome_bits}, chunk_len={chunk_len})")
+    def __init__(self, length: int, syndrome_bits: int, seed: int):
+        if not 0 <= syndrome_bits <= length:
+            raise DomainError(f"need 0 <= syndrome_bits <= length, got {syndrome_bits}, {length}")
+        require_bytes(_code_bytes(length, syndrome_bits), f"LinearCode({length}, {syndrome_bits})")
         self.length = int(length)
         self.syndrome_bits = int(syndrome_bits)
         self.seed = int(seed)
-        self._chunks: list[tuple[int, int]] = []  # (start, stop)
-        start = 0
-        while start < self.length:
-            stop = min(start + chunk_len, self.length)
-            self._chunks.append((start, stop))
-            start = stop
-        # proportional row allocation that sums exactly to syndrome_bits
-        self._rows: list[int] = []
-        prev = 0
-        for _, stop in self._chunks:
-            boundary = (self.syndrome_bits * stop) // self.length if self.length else 0
-            self._rows.append(boundary - prev)
-            prev = boundary
-        self._h: list[np.ndarray] = []
-        for i, ((start, stop), rows) in enumerate(zip(self._chunks, self._rows)):
-            rng = rng_for(self.seed, _CODE_STREAM, i)
-            self._h.append(rng.integers(0, 2, size=(rows, stop - start),
-                                        dtype=np.uint8))
-        self._tables: dict[int, np.ndarray] = {}
+        # (start, stop, first syndrome row, stop syndrome row) of each chunk,
+        # rows allocated proportionally so that they sum to syndrome_bits
+        self._chunks: list[tuple[int, int, int, int]] = []
+        for start in range(0, self.length, _CHUNK_LEN):
+            stop = min(start + _CHUNK_LEN, self.length)
+            lo = (self.syndrome_bits * start) // self.length
+            self._chunks.append((start, stop, lo, (self.syndrome_bits * stop) // self.length))
+        shapes = sorted({(b - a, hi - lo) for a, b, lo, hi in self._chunks})
+        self._h = {(width, rows): rng_for(self.seed, _CODE_STREAM, k).integers(
+                       0, 2, size=(rows, width), dtype=np.uint8)
+                   for k, (width, rows) in enumerate(shapes)}
+        self._leaders: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def _chunk_syndromes(self, bits: np.ndarray):
-        """(start, stop, rows, syndrome bits) of each chunk of the rows of
-        `bits`; uint8 sums wrap mod 256, which keeps their parity."""
-        pos = 0
-        for (a, b), rows, h in zip(self._chunks, self._rows, self._h):
-            yield a, b, pos, pos + rows, (bits[:, a:b] @ h.T) & 1
-            pos += rows
+        """(start, stop, first row, stop row, H, syndrome bits) of each chunk of
+        the rows of `bits`; uint8 sums of at most 64 bits keep their parity."""
+        for a, b, lo, hi in self._chunks:
+            h = self._h[b - a, hi - lo]
+            yield a, b, lo, hi, h, (bits[:, a:b] @ h.T) & 1
 
     def encode(self, x) -> np.ndarray:
         """The syndrome of each row of x."""
         rows, lead = _bit_rows(x, self.length, "input")
         out = np.empty((len(rows), self.syndrome_bits), dtype=np.uint8)
-        for _, _, lo, hi, syn in self._chunk_syndromes(rows):
+        for _, _, lo, hi, _, syn in self._chunk_syndromes(rows):
             out[:, lo:hi] = syn
         return out.reshape(lead + (self.syndrome_bits,))
 
-    def _candidate_syndromes(self, chunk_index: int) -> np.ndarray:
-        """Syndromes of every word of one chunk, as packed integers."""
-        table = self._tables.get(chunk_index)
-        if table is None:
-            h = self._h[chunk_index]
-            columns = _pack(h.T, _uint_for(h.shape[0]))
-            table = np.zeros(1 << h.shape[1], dtype=columns.dtype)
-            for j, column in enumerate(columns[::-1]):
-                np.bitwise_xor(table[:1 << j], column, out=table[1 << j:2 << j])
-            self._tables[chunk_index] = table
-        return table
-
-    def _nearest(self, chunk_index: int, received: np.ndarray,
-                 syndromes: np.ndarray) -> np.ndarray:
-        """For each row of `received`, the nearest word with that row's
-        syndrome, ties to the smallest; a row whose syndrome no word has (a
-        corrupted syndrome) keeps what it received."""
-        table = self._candidate_syndromes(chunk_index)
-        width = received.shape[1]
-        words = _pack(received, _uint_for(width))
-        targets, group = np.unique(_pack(syndromes, table.dtype), return_inverse=True)
-        for k, target in enumerate(targets):
-            candidates = np.flatnonzero(table == target).astype(words.dtype)
-            if candidates.size == 0:
-                continue
-            rows = np.flatnonzero(group == k)
-            for block in np.array_split(rows, -(-rows.size * candidates.size // _DECODE_BLOCK)):
-                dist = np.bitwise_count(words[block, None] ^ candidates)
-                words[block] = candidates[dist.argmin(axis=1)]
-        return _int_to_bits(words, width)
+    def _leader_table(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(sorted packed syndromes, their packed leaders) for parity matrix
+        h.  A pattern of weight k is one of weight k - 1 plus one bit below
+        its lowest set bit, so each weight comes out in ascending order and
+        the first pattern of each syndrome is its leader."""
+        shape = h.shape[::-1]
+        if shape not in self._leaders:
+            width = h.shape[1]
+            # the bit with value 2^q and its column, for q = 0 .. width - 1
+            bits = np.left_shift(np.uint64(1), np.arange(width, dtype=np.uint64))
+            columns = _pack(h.T)[::-1]
+            patterns = [np.zeros(1, np.uint64)]
+            syndromes = [np.zeros(1, np.uint64)]
+            free = np.array([width])  # bits below each pattern's lowest set bit
+            for _ in range(_leader_reach(width)[0]):
+                parent = np.repeat(np.arange(free.size), free)
+                # q counts 0 .. free - 1 within each parent's children
+                q = np.arange(parent.size) - np.repeat(np.cumsum(free) - free, free)
+                patterns.append(patterns[-1][parent] | bits[q])
+                syndromes.append(syndromes[-1][parent] ^ columns[q])
+                free = q
+            table, first = np.unique(np.concatenate(syndromes), return_index=True)
+            self._leaders[shape] = table, np.concatenate(patterns)[first]
+        return self._leaders[shape]
 
     def decode(self, y, syndrome) -> np.ndarray:
-        """Nearest consistent word to each row of y, chunk by chunk."""
+        """Each row of y, chunk by chunk, XOR the coset leader of the
+        difference between its syndrome and the given one."""
         received, lead = _bit_rows(y, self.length, "received")
         syndrome, syndrome_lead = _bit_rows(syndrome, self.syndrome_bits, "syndrome")
         if lead != syndrome_lead:
             raise DimensionError(f"{lead} received rows but {syndrome_lead} syndromes")
         out = received.copy()
-        for i, (a, b, lo, hi, syn) in enumerate(self._chunk_syndromes(received)):
-            wrong = np.flatnonzero((syn != syndrome[:, lo:hi]).any(axis=1))
+        for a, b, lo, hi, h, syn in self._chunk_syndromes(received):
+            diff = syn ^ syndrome[:, lo:hi]
+            wrong = np.flatnonzero(diff.any(axis=1))
             if wrong.size:
-                out[wrong, a:b] = self._nearest(i, received[wrong, a:b],
-                                                syndrome[wrong, lo:hi])
+                table, leaders = self._leader_table(h)
+                d = _pack(diff[wrong])
+                at = np.minimum(np.searchsorted(table, d), table.size - 1)
+                error = np.where(table[at] == d, leaders[at], np.uint64(0))
+                out[wrong, a:b] ^= _int_to_bits(error, b - a)
         return out.reshape(lead + (self.length,))
 
 
-def _code_bytes(length: int, syndrome_bits: int, chunk_len: int) -> int:
-    """Peak bytes of a :class:`LinearCode` with every decode table built:
-    the chunk bookkeeping, the parity rows, one table for each chunk that
-    has rows (at most min(chunks, syndrome bits) of them, each in the dtype
-    of the most rows one chunk gets), and one decode step's distances."""
+def _code_bytes(length: int, syndrome_bits: int) -> int:
+    """Peak bytes of a :class:`LinearCode` with every leader table built: the
+    chunk bookkeeping, at most three parity matrices, and the tables of at
+    most two row counts among the full chunks and one short last chunk, with
+    the construction of the largest."""
     length, rows = int(length), int(syndrome_bits)
     if length == 0:
         return 0
-    width = min(int(chunk_len), length)
-    chunks = -(-length // width)
-    tables = min(chunks, rows)
-    chunk_rows = -(-rows * width // length)  # the most rows one chunk gets
-    step = (_uint_for(width).itemsize + 1) * (_DECODE_BLOCK + 2**width) if tables else 0
-    return (chunks * _CHUNK_BYTES + rows * width
-            + _uint_for(chunk_rows).itemsize * 2**width * tables + step)
+    full, rest = divmod(length, _CHUNK_LEN)
+    chunks = full + (rest > 0)
+    listed = [_leader_reach(_CHUNK_LEN)[1]] * min(full, 2) + [_leader_reach(rest)[1]] * (rest > 0)
+    leaders = _LEADER_KEPT_BYTES * sum(listed) + _LEADER_BUILD_BYTES * max(listed) if rows else 0
+    return chunks * _CHUNK_BYTES + 3 * _CHUNK_LEN**2 + leaders
 
 
 # ---------------------------------------------------------------------------
@@ -672,9 +667,10 @@ def run_eqkd_trials(params: QkdParams, noise_flip_prob: float, trials: int,
     """Counts over many protocol runs, batch after batch of the one pipeline
     (see :func:`_trial_batch`), with one syndrome code for the whole call, so
     results do not depend on scheduling.  Decode failures count completed
-    trials whose corrected word differs from the sent one; Hoeffding
-    violations count trials whose full error rate exceeds the sampled rate
-    by more than epsilon.  A given device brings its own noise, so
+    trials whose corrected word differs from the sent one, and unresolved
+    ones those that still miss the syndrome (a chunk had no leader).
+    Hoeffding violations count trials whose full error rate exceeds the
+    sampled rate by more than epsilon.  A given device brings its own noise, so
     `noise_flip_prob` must then be 0."""
     if trials < 1:
         raise DomainError("trials must be positive")
@@ -685,12 +681,12 @@ def run_eqkd_trials(params: QkdParams, noise_flip_prob: float, trials: int,
     # the code with its decode tables, and a batch while it draws or while
     # one block of its completed rows is post-processed
     entries = batch_rows * n
-    require_bytes(_code_bytes(n - t, params.s, _CHUNK_LEN)
+    require_bytes(_code_bytes(n - t, params.s)
                   + max(_TRIAL_ENTRY_BYTES * entries,
                         _HELD_ENTRY_BYTES * entries + min(block_rows, batch_rows) * row_bytes),
                   f"run_eqkd_trials(n={n}, trials={trials})")
     code = LinearCode(n - t, params.s, seed=seed)
-    aborts = completed = key_matches = decode_failures = violations = 0
+    aborts = completed = key_matches = decode_failures = unresolved = violations = 0
     for index, start in enumerate(range(0, trials, _TRIAL_BATCH)):
         batch = _trial_batch(params, device, code, seed, index,
                              min(_TRIAL_BATCH, trials - start))
@@ -699,6 +695,7 @@ def run_eqkd_trials(params: QkdParams, noise_flip_prob: float, trials: int,
         for done in batch.completed:
             completed += len(done.key)
             decode_failures += int((done.x_hat != done.x_rest).any(axis=1).sum())
+            unresolved += int((code.encode(done.x_hat) != done.syndrome).any(axis=1).sum())
             key_matches += int((done.key == done.key_hat).all(axis=1).sum())
     return {
         "trials": trials,
@@ -707,6 +704,7 @@ def run_eqkd_trials(params: QkdParams, noise_flip_prob: float, trials: int,
         "abort_rate": aborts / trials,
         "completed": completed,
         "decode_failures": decode_failures,
+        "decode_unresolved": unresolved,
         "key_matches": key_matches,
         "key_match_rate": key_matches / completed if completed else None,
         "hoeffding_violations": violations,

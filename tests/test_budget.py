@@ -46,8 +46,8 @@ def _entangled_round() -> Strategy:
 
 def _build_all_tables(length: int, rows: int) -> LinearCode:
     code = LinearCode(length, rows, seed=0)
-    for i in range(len(code._chunks)):
-        code._candidate_syndromes(i)
+    for h in code._h.values():
+        code._leader_table(h)
     return code
 
 
@@ -83,7 +83,8 @@ def _cases():
          lambda d: (bb84_game(), SeesawConfig(bob_dim=d, charlie_dim=d, restarts=1,
                                               max_iters=1)),
          lambda a: seesaw(*a)),
-        ("LinearCode", range(8, 4097, 8), lambda n: n, lambda n: _build_all_tables(n, n // 4)),
+        ("LinearCode", [2**k for k in range(3, 21)], lambda n: n,
+         lambda n: _build_all_tables(n, n // 4)),
         ("toeplitz_hash", [2**k for k in range(6, 21)], _hash_inputs,
          lambda a: toeplitz_hash(*a)),
         ("run_eqkd_trials", range(128, 4097, 64),

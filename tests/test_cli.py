@@ -108,6 +108,7 @@ def test_qkd_sim_aggregate(capsys):
     doc = json.loads(out)
     assert doc["result"]["aborts"] == 0
     assert doc["result"]["key_match_rate"] == 1.0
+    assert doc["result"]["decode_failures"] == doc["result"]["decode_unresolved"] == 0
     assert doc["seed"] == 5
 
 

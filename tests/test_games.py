@@ -20,6 +20,8 @@ from monogamy.games import (MonogamyGame, QSet, Strategy, bb84_game,
                             pure_strategy,
                             same_string_q_set, win_operator, winning_probability,
                             winning_probability_with_q, xor_permutation_family)
+from monogamy.posver import (BreidbartPair, TimingScenario, simulate_pv_round,
+                             simulate_pv_rounds)
 from monogamy.rand import random_density, random_projective_povm
 from monogamy.seesaw import bb84_optimal_unentangled_strategy
 
@@ -523,6 +525,19 @@ def test_round_counts_must_be_positive_integers(n):
         game_power(bb84_game(), n)
     with pytest.raises(DomainError, match="n must be a positive integer"):
         product_strategy(bb84_optimal_unentangled_strategy(), n)
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: simulate_pv_rounds(TimingScenario(0.0, 2.0, 1.0), n, BreidbartPair(), 10),
+    lambda n: simulate_pv_round(TimingScenario(0.0, 2.0, 1.0), n, BreidbartPair()),
+    lambda n: hamming_q_set(n, 0.5, 0.5),
+    lambda n: same_string_q_set(n, 0.5),
+    lambda n: xor_permutation_family(n, 2),
+])
+@pytest.mark.parametrize("n", [2.5, 0])
+def test_every_round_count_is_checked_alike(call, n):
+    with pytest.raises(DomainError, match="n must be a positive integer"):
+        call(n)
 
 
 def test_round_counts_are_stored_as_python_ints():

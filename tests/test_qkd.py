@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monogamy import linalg
+from monogamy import linalg, qkd
 from monogamy.games import conditional_states
 from monogamy.errors import (CapacityError, DimensionError, DomainError,
                              ValidationError)
@@ -359,7 +359,7 @@ def test_code_zero_syndrome_returns_received(rng):
 def test_code_corrects_single_flip(rng):
     # seed 0 gives a 12-bit, 8-row code whose kernel has no word of weight
     # one or two, so every single flip decodes back to the sent word
-    code = LinearCode(12, 8, seed=0, chunk_len=12)
+    code = LinearCode(12, 8, seed=0)
     for trial in range(6):
         x = rng.integers(0, 2, size=12, dtype=np.uint8)
         syn = code.encode(x)
@@ -369,75 +369,76 @@ def test_code_corrects_single_flip(rng):
             np.testing.assert_array_equal(code.decode(y, syn), x)
 
 
-def test_code_decode_matches_brute_force_oracle(rng):
-    # oracle: scan every word of the block, keep syndrome-consistent ones,
-    # pick the nearest to y (ties: smallest integer = lexicographic)
-    length = 10
-    code = LinearCode(length, 5, seed=3, chunk_len=length)
-    words = [np.array([(w >> (length - 1 - i)) & 1 for i in range(length)],
-                      dtype=np.uint8) for w in range(2**length)]
-    syndromes = [tuple(code.encode(w)) for w in words]
-    for _ in range(15):
-        x = rng.integers(0, 2, size=length, dtype=np.uint8)
-        y = x ^ (rng.random(length) < 0.2).astype(np.uint8)
-        target = tuple(code.encode(x))
-        best = None
-        for w, s in zip(words, syndromes):
-            if s != target:
-                continue
-            d = int(np.sum(w != y))
-            if best is None or d < best[0]:
-                best = (d, w)
-        np.testing.assert_array_equal(code.decode(y, code.encode(x)), best[1])
-
-
 def _word_bits(width: int) -> np.ndarray:
     # every word of `width` bits, MSB first, in ascending order
     return ((np.arange(2**width)[:, None] >> (width - 1 - np.arange(width))) & 1).astype(np.uint8)
 
 
+def _assert_nearest_consistent(code, y, syndromes, got):
+    """Oracle, chunk by chunk and row by row: where some word of the chunk
+    has the row's syndrome, the decoded chunk has it too and is as near to
+    the received chunk as the nearest such word; where none has (a random
+    syndrome of a rank-deficient chunk), the chunk is kept as received."""
+    for a, b, lo, hi in code._chunks:
+        words = _word_bits(b - a)
+        word_syndromes = (words.astype(np.int64) @ code._h[b - a, hi - lo].T) % 2
+        for row in range(len(y)):
+            consistent = np.all(word_syndromes == syndromes[row, lo:hi], axis=1)
+            if not consistent.any():
+                np.testing.assert_array_equal(got[row, a:b], y[row, a:b])
+                continue
+            match = np.flatnonzero(np.all(words == got[row, a:b], axis=1))
+            assert consistent[match].all()
+            nearest = (words[consistent] != y[row, a:b]).sum(axis=1).min()
+            assert (got[row, a:b] != y[row, a:b]).sum() == nearest
+
+
+def test_code_decode_matches_brute_force_oracle(rng):
+    # one 10-bit chunk: its leader table lists every pattern, so decoding
+    # reaches a nearest consistent word
+    code = LinearCode(10, 5, seed=3)
+    x = rng.integers(0, 2, size=(15, 10), dtype=np.uint8)
+    y = x ^ (rng.random((15, 10)) < 0.2).astype(np.uint8)
+    syndromes = code.encode(x)
+    _assert_nearest_consistent(code, y, syndromes, code.decode(y, syndromes))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 10), st.integers(0, 14), st.integers(1, 6), st.integers(0, 2**32 - 1))
-def test_batched_decode_matches_the_scan_row_by_row(length, syndrome_bits, chunk_len, draw):
-    # oracle: the scan of test_code_decode_matches_brute_force_oracle, chunk
-    # by chunk and row by row; the first nearest consistent word in
-    # ascending order wins ties.  Half the rows get random syndromes, which
-    # a rank-deficient chunk (more rows than bits) may have no word for:
-    # such a chunk keeps what it received.
-    code = LinearCode(length, syndrome_bits, seed=draw % 997, chunk_len=chunk_len)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+       st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_batched_decode_matches_the_scan_row_by_row(shape, chunk_len, draw):
+    # several chunks of at most 6 bits; half the rows get random syndromes
+    length, syndrome_bits = shape
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qkd, "_CHUNK_LEN", chunk_len)
+        code = LinearCode(length, syndrome_bits, seed=draw % 997)
     rng = rng_for(draw)
     x = rng.integers(0, 2, size=(16, length), dtype=np.uint8)
     y = x ^ (rng.random((16, length)) < 0.2).astype(np.uint8)
     syndromes = code.encode(x)
     syndromes[8:] = rng.integers(0, 2, size=(8, syndrome_bits), dtype=np.uint8)
     got = code.decode(y, syndromes)
-    pos = 0
-    for (a, b), rows, h in zip(code._chunks, code._rows, code._h):
-        words = _word_bits(b - a)
-        word_syndromes = (words.astype(np.int64) @ h.T) % 2
-        for row in range(16):
-            consistent = np.all(word_syndromes == syndromes[row, pos:pos + rows], axis=1)
-            if not consistent.any():
-                expect = y[row, a:b]
-            else:
-                dist = np.where(consistent, (words != y[row, a:b]).sum(axis=1), b - a + 1)
-                expect = words[np.argmin(dist)]
-            np.testing.assert_array_equal(got[row, a:b], expect)
-        pos += rows
+    _assert_nearest_consistent(code, y, syndromes, got)
     np.testing.assert_array_equal(code.decode(y[3], syndromes[3]), got[3])
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(1, 12), st.integers(0, 12), st.integers(0, 2**32 - 1))
-def test_xor_doubled_table_matches_the_bits_matmul_construction(width, rows, seed):
-    # the construction the doubling replaced: every word's bits times H^T,
-    # packed MSB first into an int64
-    code = LinearCode(width, rows, seed=seed, chunk_len=width)
-    synd = (_word_bits(width).astype(np.int64) @ code._h[0].T.astype(np.int64)) % 2
-    expect = synd @ (1 << (rows - 1 - np.arange(rows, dtype=np.int64)))
-    table = code._candidate_syndromes(0)
-    assert table.dtype == (np.uint8 if rows <= 8 else np.uint16)
-    np.testing.assert_array_equal(table.astype(np.int64), expect)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       st.integers(0, 2**32 - 1))
+def test_leader_table_keeps_the_lowest_weight_then_smallest_pattern(shape, seed):
+    # oracle: every word of the chunk taken as an error pattern, by weight
+    # and then in ascending order; the first with each syndrome leads it
+    width, rows = shape
+    code = LinearCode(width, rows, seed=seed)
+    h = code._h[width, rows]
+    words = _word_bits(width)
+    syndromes = ((words.astype(np.int64) @ h.T) % 2) @ (1 << np.arange(rows - 1, -1, -1))
+    leaders = {}
+    for w in np.lexsort((np.arange(2**width), words.sum(axis=1))):
+        leaders.setdefault(int(syndromes[w]), w)
+    table, got = code._leader_table(h)
+    assert table.tolist() == sorted(leaders)
+    assert got.tolist() == [leaders[k] for k in sorted(leaders)]
 
 
 def test_code_takes_rows_and_keeps_leading_shapes(rng):
@@ -452,7 +453,10 @@ def test_code_takes_rows_and_keeps_leading_shapes(rng):
         code.decode(x, syn[:2])
 
 
-def test_code_decoded_word_is_always_consistent(rng):
+def test_code_decoded_word_is_always_consistent(rng, monkeypatch):
+    # chunks of 16 bits or less list every error pattern, so every
+    # syndrome that some word has is reached
+    monkeypatch.setattr(qkd, "_CHUNK_LEN", 16)
     code = LinearCode(40, 16, seed=11)
     for _ in range(10):
         x = rng.integers(0, 2, size=40, dtype=np.uint8)
@@ -462,23 +466,33 @@ def test_code_decoded_word_is_always_consistent(rng):
         np.testing.assert_array_equal(code.encode(got), syn)
 
 
-def test_code_tie_break_is_lexicographic():
-    # find a seed whose single 2-bit chunk has the parity row [1, 1]:
-    # syndrome 0 then admits {00, 11} and y = 01 ties between them
+def test_code_tie_break_follows_the_leader_rule():
+    # find a seed whose single 2-bit chunk has the parity row [1, 1]: y = 11
+    # with syndrome 1 ties between the words 01 and 10, and decodes to
+    # y ^ 01, the smaller of the two weight-one leaders
     for seed in range(50):
-        code = LinearCode(2, 1, seed=seed, chunk_len=2)
-        if code._h[0].tolist() == [[1, 1]]:
-            got = code.decode(np.array([0, 1], dtype=np.uint8),
-                              np.array([0], dtype=np.uint8))
-            np.testing.assert_array_equal(got, np.array([0, 0], dtype=np.uint8))
+        code = LinearCode(2, 1, seed=seed)
+        if code._h[2, 1].tolist() == [[1, 1]]:
+            got = code.decode(np.array([1, 1], dtype=np.uint8),
+                              np.array([1], dtype=np.uint8))
+            np.testing.assert_array_equal(got, np.array([1, 0], dtype=np.uint8))
             return
     pytest.skip("no seed with the target parity row in range")
 
 
-def test_code_chunk_cap():
-    # two 32-bit chunks: two tables of 2^32 one-byte words, over the budget
-    with pytest.raises(CapacityError):
-        LinearCode(64, 4, seed=0, chunk_len=32)
+def test_code_refuses_more_syndrome_bits_than_length():
+    assert LinearCode(8, 8, seed=0).syndrome_bits == 8
+    with pytest.raises(DomainError, match="syndrome_bits <= length"):
+        LinearCode(8, 9, seed=0)
+
+
+def test_code_draws_one_parity_matrix_per_chunk_shape():
+    # 3,584 bits in 56 chunks of 64 with 15 or 16 rows each: two shapes
+    code = LinearCode(3584, 869, seed=0)
+    assert len(code._chunks) == 56
+    assert sorted(code._h) == [(64, 15), (64, 16)]
+    assert all(code._h[b - a, hi - lo] is code._h[64, hi - lo]
+               for a, b, lo, hi in code._chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +690,7 @@ def test_batches_derive_generators_from_seed_and_batch(monkeypatch):
         agg = run_eqkd_trials(params, 0.0, 5, seed=seed, device=epr_device(4))
         assert agg["trials"] == 5
         assert all(p[0] == seed for p in paths)
-        # one syndrome code per run: its chunk paths are drawn once
+        # one syndrome code per run: its shape paths are drawn once
         assert len(paths) == len(set(paths))
         batch_paths = [p[1:] for p in paths if p[1] != qkd._CODE_STREAM]
         assert batch_paths == [(stream, b) for b in range(3)
@@ -728,23 +742,31 @@ def test_run_trials_classical_stream_is_pinned():
     params = qp(n=64, t=16, s=16, ell=16, gamma=0.05, epsilon=0.05)
     agg = run_eqkd_trials(params, 0.01, 1000, seed=0)
     assert (agg["aborts"], agg["completed"], agg["key_matches"],
-            agg["hoeffding_violations"]) == (127, 873, 773, 2)
-    assert agg["key_match_rate"] == 773 / 873
+            agg["hoeffding_violations"]) == (127, 873, 869, 2)
+    assert agg["key_match_rate"] == 869 / 873
 
 
 def test_run_trials_classical_stream_is_pinned_at_protocol_scale():
-    # the bench's long QKD parameters: 4,096 rounds, 224 decode chunks and a
-    # 1,024-bit hash per trial.  The counts and the transcript's bit counts
-    # were taken from the per-row post-processing this batched one replaced
+    # the bench's long QKD parameters: 4,096 rounds, 56 decode chunks and a
+    # 1,024-bit hash per trial
     params = QkdParams(n=4096, t=512, s=869, ell=1024, gamma=0.02, epsilon=0.02)
     agg = run_eqkd_trials(params, 0.003, 5, seed=0)
     assert (agg["aborts"], agg["completed"], agg["decode_failures"], agg["key_matches"],
-            agg["hoeffding_violations"]) == (0, 5, 5, 0, 0)
+            agg["hoeffding_violations"]) == (0, 5, 0, 5, 0)
     tr = simulate_eqkd(params, 0.003, seed=0)
     assert not tr.aborted
     assert [int(getattr(tr, name).sum()) for name in ("syndrome", "hash_seed", "key", "key_hat")] \
-        == [433, 2283, 496, 516]
-    assert int((tr.key != tr.key_hat).sum()) == 516
+        == [432, 2283, 496, 496]
+    assert int((tr.key != tr.key_hat).sum()) == 0
+
+
+def test_protocol_scale_keys_match():
+    # the bench's long QKD run: 64-bit chunks with 15 or 16 syndrome rows
+    # correct the 0.3% flips of nearly every trial
+    params = QkdParams(n=4096, t=512, s=869, ell=1024, gamma=0.02, epsilon=0.02)
+    agg = run_eqkd_trials(params, 0.003, 50, seed=0)
+    assert agg["completed"] == 50
+    assert agg["key_matches"] >= 45
 
 
 def test_decode_failures_bracket_the_key_mismatches():
@@ -755,6 +777,17 @@ def test_decode_failures_bracket_the_key_mismatches():
     # with no syndrome nothing is corrected, so noise in the key rounds fails
     assert agg["decode_failures"] >= 1
     assert run_eqkd_trials(qp(), 0.0, 300, seed=3)["decode_failures"] == 0
+
+
+@pytest.mark.parametrize("params, noise, trials", [
+    (qp(gamma=0.1), 0.02, 300), (qp(s=48, gamma=0.2), 0.08, 300),
+    (QkdParams(n=4096, t=512, s=869, ell=1024, gamma=0.02, epsilon=0.02), 0.003, 50)])
+def test_decode_unresolved_counts_only_failures(params, noise, trials):
+    # a chunk with no leader keeps a word that misses its syndrome, so it
+    # fails to decode; a noiseless run has nothing to resolve
+    agg = run_eqkd_trials(params, noise, trials, seed=3)
+    assert 0 <= agg["decode_unresolved"] <= agg["decode_failures"]
+    assert run_eqkd_trials(params, 0.0, trials, seed=3)["decode_unresolved"] == 0
 
 
 def test_run_trials_quantum_device_path():
