@@ -313,9 +313,9 @@ def conditional_states(factors: Sequence[np.ndarray], rho: np.ndarray) -> np.nda
     out one at a time, last round first, each with one matmul.
     """
     pre = math.prod(f.shape[-1] for f in factors)
-    m, rem = divmod(rho.shape[0], pre)
+    m, rem = divmod(rho.shape[-1], pre)
     if rem:
-        raise DimensionError(f"state dimension {rho.shape[0]} is not a multiple "
+        raise DimensionError(f"state dimension {rho.shape[-1]} is not a multiple "
                              f"of {pre}")
     out = rho
     for f in reversed(factors):
@@ -400,17 +400,20 @@ def win_operator(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray,
     """The winning operator for the n-round basis at index `i` of
     `game.basis_labels`: sum_x F_x ⊗ P_x ⊗ Q_x, with the stacks' rows
     following that order.  Starts from the last round's F ⊗ P ⊗ Q and adds
-    Alice's rounds from last to first."""
+    Alice's rounds from last to first.  Stacks with leading axes,
+    (..., |Theta|, |X|, d, d), give one operator per leading index."""
     f = game.elements[list(np.unravel_index(i, (len(game.thetas),) * game.rounds))]
     k = len(game.outcomes)
     db, dc = bob.shape[-1], charlie.shape[-1]
+    lead = bob.shape[:-4]
     m = game.dim_a * db * dc
-    op = np.einsum("xap,kxbq,kxcr->kabcpqr", f[-1], bob[i].reshape(-1, k, db, db),
-                   charlie[i].reshape(-1, k, dc, dc))
+    op = np.einsum("xap,...kxbq,...kxcr->...kabcpqr", f[-1],
+                   bob[..., i, :, :, :].reshape(lead + (-1, k, db, db)),
+                   charlie[..., i, :, :, :].reshape(lead + (-1, k, dc, dc)))
     for e in f[-2::-1]:
-        op = np.einsum("xap,kxbq->kabpq", e, op.reshape(-1, k, m, m))
+        op = np.einsum("xap,...kxbq->...kabpq", e, op.reshape(lead + (-1, k, m, m)))
         m *= game.dim_a
-    return op.reshape(m, m)
+    return op.reshape(lead + (m, m))
 
 
 def _basis_terms(game: MonogamyGame, strategy: Strategy, entry_bytes: int) -> np.ndarray:

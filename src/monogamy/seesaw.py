@@ -12,17 +12,24 @@ lower bound on the optimal game value.  Matching upper bounds come from
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
 from .errors import DimensionError, DomainError, ValidationError, require_bytes
 from .games import (MonogamyGame, Strategy, conditional_states, constant_guess_povms,
-                    win_operator, win_terms, winning_probability)
+                    win_operator, winning_probability)
 from .rand import random_projective_povm, rng_for
 from .uncertainty import helstrom_binary_povm, pgm_povm
+
+
+# the most bytes one block of restarts may hold; a block runs as many
+# restarts at once as fit, and at least one
+_BLOCK_BYTES = 2**24
 
 
 @dataclass(frozen=True)
@@ -43,6 +50,15 @@ class SeesawConfig:
             raise DomainError("max_iters and restarts must be at least 1")
 
 
+class RestartSummary(NamedTuple):
+    """How one restart ended: its exactly evaluated value, its cycles, and
+    "tol" when a cycle gained less than `tol`, else "max_iters"."""
+
+    value: float
+    iterations: int
+    stop: str
+
+
 @dataclass(frozen=True)
 class SeesawResult:
     strategy: Strategy
@@ -51,27 +67,30 @@ class SeesawResult:
     trajectory: tuple[float, ...]
     restart: int
     seed: int
+    per_restart: tuple[RestartSummary, ...] = ()
 
     def to_dict(self) -> dict:
         return {"value": self.value, "iterations": self.iterations,
                 "trajectory": list(self.trajectory), "restart": self.restart,
-                "seed": self.seed}
+                "seed": self.seed, "per_restart": [s._asdict() for s in self.per_restart]}
 
 
 def optimal_state_step(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray):
     """Best state for fixed measurements: top eigenvector of the averaged
     winning operator.  `bob` and `charlie` are (|Theta|, |X|, d, d) stacks
-    whose rows follow `game.basis_labels`.
+    whose rows follow `game.basis_labels`, or (R, |Theta|, |X|, d, d) stacks
+    of R restarts at once.
 
-    Returns (rank-1 density matrix, top eigenvalue); the eigenvalue equals the
-    winning probability of the returned state.  Degenerate top eigenvalues are
-    broken deterministically: first column of the eigensolver output sorted by
+    Returns (rank-1 density matrix, top eigenvalue), or an (R, D, D) stack of
+    them and an (R,) array; the eigenvalue equals the winning probability of
+    the returned state.  Degenerate top eigenvalues are broken
+    deterministically: first column of the eigensolver output sorted by
     descending eigenvalue.  LAPACK can fail to converge on a highly
     degenerate spectrum; the solver then retries once on the upper triangle,
     which holds the same data since the operator is hermitianized.
     """
     d = game.alice_dim * bob.shape[-1] * charlie.shape[-1]
-    op = np.zeros((d, d), dtype=complex)
+    op = np.zeros(bob.shape[:-4] + (d, d), dtype=complex)
     n_bases = len(game.thetas)**game.rounds
     for i in range(n_bases):
         op += win_operator(game, bob, charlie, i)
@@ -81,44 +100,76 @@ def optimal_state_step(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray)
         evals, vecs = np.linalg.eigh(op)
     except np.linalg.LinAlgError:
         evals, vecs = np.linalg.eigh(op, UPLO="U")
-    top = vecs[:, ::-1][:, 0]
-    rho = np.outer(top, top.conj())
-    return rho, float(evals[-1])
+    top = vecs[..., -1]
+    rho = top[..., :, None] * top.conj()[..., None, :]
+    return rho, (float(evals[-1]) if evals.ndim == 1 else evals[..., -1])
 
 
-def _conditional_operators(game: MonogamyGame, rho: np.ndarray, fixed: np.ndarray,
-                           party: str) -> np.ndarray:
-    """Per-basis, per-outcome operators on the optimized party's space:
-    partial traces of (F_x ⊗ 1 ⊗ fixed_x) rho over the other two systems, as
-    a (|Theta|, |X|, d, d) stack.  They are Hermitian up to rounding; the
-    measurement updates take their Hermitian parts."""
-    d_fixed = fixed.shape[-1]
-    d_opt, rem = divmod(rho.shape[0], game.alice_dim * d_fixed)
-    if rem or d_opt < 1:
-        raise DimensionError("state dimension incompatible with game and fixed POVMs")
-    spec, dims = (("xcr,xbrsc->xbs", (d_opt, d_fixed)) if party == "B"
-                  else ("xbq,xqcbs->xcs", (d_fixed, d_opt)))
-    out = np.empty(fixed.shape[:2] + (d_opt, d_opt), dtype=complex)
-    for i, factors in enumerate(game.factors()):
-        sigma = conditional_states(factors, rho).reshape(-1, *dims, *dims)
-        out[i] = np.einsum(spec, fixed[i], sigma)
-    return out
+def _conditional_stack(game: MonogamyGame, rho: np.ndarray) -> np.ndarray:
+    """tr_A[(F_x^theta ⊗ 1) rho] for every n-round basis theta and outcome
+    x, after checking that rho, one density matrix or an (R, D, D) stack of
+    them, holds only density matrices.  Returns (|Theta|, |X|, m, m), or
+    (R, |Theta|, |X|, m, m) for a stack, rows in `game.basis_labels` order:
+    the states the guessers are left in, which every step of one cycle
+    shares."""
+    rho = np.asarray(rho)
+    if not linalg.is_density(rho):
+        raise ValidationError("rho is not a density matrix (Hermitian PSD, unit trace) "
+                              "within tolerance")
+    factors = list(game.factors())
+    flat = rho.reshape(-1, *rho.shape[-2:])
+    m = rho.shape[-1] // game.alice_dim
+    out = np.empty((len(flat), len(factors), len(game.outcomes)**game.rounds, m, m),
+                   dtype=complex)
+    for r, state in enumerate(flat):
+        for i, f in enumerate(factors):
+            out[r, i] = conditional_states(f, state)
+    return out.reshape(rho.shape[:-2] + out.shape[1:])
 
 
-def _joint_guess(game: MonogamyGame, rho: np.ndarray) -> np.ndarray:
+def _win_terms(bob: np.ndarray, charlie: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """tr(Pi^theta rho) for every basis, and restart, from the shared
+    conditional states: sum_x tr((P_x ⊗ Q_x) sigma_x)."""
+    db, dc = bob.shape[-1], charlie.shape[-1]
+    sigma = states.reshape(states.shape[:-2] + (db, dc, db, dc))
+    return np.einsum("...xbq,...xcr,...xqrbc->...", bob, charlie, sigma).real
+
+
+def _joint_guess(states: np.ndarray) -> np.ndarray:
     """The best reply of two guessers without quantum memory, who win a round
     only together: both name Alice's likeliest outcome in every basis, ties
     going to the lowest outcome."""
-    probs = np.array([conditional_states(f, rho).real.reshape(-1) for f in game.factors()])
-    guess = np.zeros(probs.shape + (1, 1), dtype=complex)
-    guess[np.arange(len(probs)), probs.argmax(axis=1)] = 1.0
+    probs = states.real.reshape(states.shape[:-2])
+    guess = np.zeros(states.shape, dtype=complex)
+    np.put_along_axis(guess, probs.argmax(axis=-1)[..., None, None, None], 1.0, axis=-3)
     return guess
 
 
-def optimal_povm_step(game: MonogamyGame, rho, fixed: np.ndarray, party: str) -> np.ndarray:
+def _conditional_operators(game: MonogamyGame, rho, fixed: np.ndarray, party: str, *,
+                           states: np.ndarray | None = None) -> np.ndarray:
+    """Per-basis, per-outcome operators on the optimized party's space:
+    partial traces of (F_x ⊗ 1 ⊗ fixed_x) rho over the other two systems, as
+    a (..., |Theta|, |X|, d, d) stack.  They are Hermitian up to rounding;
+    the measurement updates take their Hermitian parts."""
+    if states is None:
+        states = _conditional_stack(game, rho)
+    d_fixed = fixed.shape[-1]
+    d_opt, rem = divmod(states.shape[-1], d_fixed)
+    if rem or d_opt < 1:
+        raise DimensionError("state dimension incompatible with game and fixed POVMs")
+    spec, dims = (("...xcr,...xbrsc->...xbs", (d_opt, d_fixed)) if party == "B"
+                  else ("...xbq,...xqcbs->...xcs", (d_fixed, d_opt)))
+    return np.einsum(spec, fixed, states.reshape(states.shape[:-2] + dims + dims))
+
+
+def optimal_povm_step(game: MonogamyGame, rho, fixed: np.ndarray, party: str, *,
+                      states: np.ndarray | None = None) -> np.ndarray:
     """Re-optimize one party's per-basis POVMs with the state and the other
     party's (|Theta|, |X|, d, d) stack `fixed` held; returns the new stack,
-    rows in `game.basis_labels` order.
+    rows in `game.basis_labels` order.  An (R, D, D) stack of states with
+    (R, |Theta|, |X|, d, d) stacks runs R restarts at once.  `states`, the
+    conditional states of `rho` from :func:`_conditional_stack`, which has
+    checked it, saves a cycle's steps computing them again.
 
     Binary outcomes are solved exactly by the Helstrom projector (the zero
     eigenspace of the conditional difference goes to outcome 0); larger
@@ -127,15 +178,11 @@ def optimal_povm_step(game: MonogamyGame, rho, fixed: np.ndarray, party: str) ->
     """
     if party not in ("B", "C"):
         raise ValidationError(f"party must be 'B' or 'C', got {party!r}")
-    rho = linalg.require_density(rho, "rho")
-    sigmas = _conditional_operators(game, rho, fixed, party)
-    out = np.empty_like(sigmas)
-    for s, povm in zip(sigmas, out):
-        if len(s) == 2:
-            povm[0], povm[1], _ = helstrom_binary_povm(s[0], s[1])
-        else:
-            povm[:] = pgm_povm(s)
-    return out
+    sigmas = _conditional_operators(game, rho, fixed, party, states=states)
+    if sigmas.shape[-3] == 2:
+        p0, p1, _ = helstrom_binary_povm(sigmas[..., 0, :, :], sigmas[..., 1, :, :])
+        return np.stack([p0, p1], axis=-3)
+    return pgm_povm(sigmas)
 
 
 def bb84_optimal_unentangled_strategy() -> Strategy:
@@ -147,63 +194,108 @@ def bb84_optimal_unentangled_strategy() -> Strategy:
     return Strategy(rho, (2, 1, 1), guess, dict(guess))
 
 
-def _run_restart(game: MonogamyGame, cfg: SeesawConfig, restart: int,
-                 init_povms=None) -> SeesawResult:
-    rng = rng_for(cfg.seed, restart)
+def _initial_povms(game: MonogamyGame, cfg: SeesawConfig, restarts: range,
+                   init_povms) -> tuple[np.ndarray, np.ndarray]:
+    """The block's starting (R, |Theta|, |X|, d, d) stacks: restart r draws
+    Bob's and then Charlie's random projective POVMs from rng_for(seed, r),
+    unless it is restart 0 and `init_povms` replaces them."""
     n_bases, n_out = len(game.thetas)**game.rounds, len(game.outcomes)**game.rounds
-    if init_povms is not None:
-        bob, charlie = init_povms
-    else:
-        bob = np.array([random_projective_povm(cfg.bob_dim, n_out, rng)
-                        for _ in range(n_bases)])
-        charlie = np.array([random_projective_povm(cfg.charlie_dim, n_out, rng)
-                            for _ in range(n_bases)])
-    trajectory: list[float] = []
-    prev = -np.inf
-    for _ in range(cfg.max_iters):
-        rho = None  # the state step does not need the last cycle's state
+    stacks = [np.empty((len(restarts), n_bases, n_out, d, d), dtype=complex)
+              for d in (cfg.bob_dim, cfg.charlie_dim)]
+    for j, r in enumerate(restarts):
+        if r == 0 and init_povms is not None:
+            for stack, given in zip(stacks, init_povms):
+                if np.shape(given) != stack.shape[1:]:
+                    raise DimensionError(f"initial POVMs have shape {np.shape(given)}, "
+                                         f"expected {stack.shape[1:]}")
+                stack[j] = given
+            continue
+        rng = rng_for(cfg.seed, r)
+        for stack in stacks:
+            stack[j] = [random_projective_povm(stack.shape[-1], n_out, rng)
+                        for _ in range(n_bases)]
+    return stacks[0], stacks[1]
+
+
+def _search_block(game: MonogamyGame, cfg: SeesawConfig, restarts: range, init_povms):
+    """Run a block of restarts as one batch, each on its own row of every
+    stack, and yield (restart, rho, bob, charlie, trajectory, stop) for each
+    restart as it stops, rho and the stacks as views into the batch.  A
+    cycle takes the state step, then, for guessers without quantum memory,
+    their joint step, else Bob's and then Charlie's step, each kept only
+    when it does not lower the value; all of them share the cycle's
+    conditional states."""
+    n_bases = len(game.thetas)**game.rounds
+    bob, charlie = _initial_povms(game, cfg, restarts, init_povms)
+    live = list(restarts)  # the restart on each row
+    trajectories = {r: [] for r in restarts}
+    prev = np.full(len(live), -np.inf)
+    for cycle in range(1, cfg.max_iters + 1):
+        rho = states = None  # the state step needs neither of the last cycle's
         rho, value = optimal_state_step(game, bob, charlie)
+        states = _conditional_stack(game, rho)
         if bob.shape[-1] == charlie.shape[-1] == 1:
             # one joint step, which no step of one guesser alone can improve on
-            cand = _joint_guess(game, rho)
-            if win_terms(game, cand, cand, rho).mean() >= value - 1e-12:
-                bob = charlie = cand
+            cand = _joint_guess(states)
+            keep = _win_terms(cand, cand, states).mean(axis=-1) >= value - 1e-12
+            bob[keep] = charlie[keep] = cand[keep]
         else:
-            cand = optimal_povm_step(game, rho, charlie, "B")
-            cand_value = win_terms(game, cand, charlie, rho).mean()
-            if cand_value >= value - 1e-12:
-                bob, value = cand, cand_value
-            cand = optimal_povm_step(game, rho, bob, "C")
-            cand_value = win_terms(game, bob, cand, rho).mean()
-            if cand_value >= value - 1e-12:
-                charlie, value = cand, cand_value
+            cand = optimal_povm_step(game, rho, charlie, "B", states=states)
+            cand_value = _win_terms(cand, charlie, states).mean(axis=-1)
+            keep = cand_value >= value - 1e-12
+            bob[keep], value = cand[keep], np.where(keep, cand_value, value)
+            cand = optimal_povm_step(game, rho, bob, "C", states=states)
+            keep = _win_terms(bob, cand, states).mean(axis=-1) >= value - 1e-12
+            charlie[keep] = cand[keep]
         # winning_probability's arithmetic, without building a Strategy
-        value = sum(win_terms(game, bob, charlie, rho).tolist()) / n_bases
-        trajectory.append(value)
-        if value - prev < cfg.tol:
-            break
-        prev = value
-    # the last cycle, checked once; the state is handed over without a copy
-    rho.setflags(write=False)
-    strategy = Strategy(rho, (game.alice_dim, bob.shape[-1], charlie.shape[-1]), bob,
-                        charlie, game.basis_labels)
-    return SeesawResult(strategy=strategy, value=winning_probability(game, strategy),
-                        iterations=len(trajectory), trajectory=tuple(trajectory),
-                        restart=restart, seed=cfg.seed)
+        value = [sum(terms) / n_bases for terms in _win_terms(bob, charlie, states).tolist()]
+        for r, v in zip(live, value):
+            trajectories[r].append(v)
+        value = np.array(value)
+        converged = value - prev < cfg.tol
+        stop = converged | (cycle == cfg.max_iters)
+        for j in np.flatnonzero(stop):
+            yield (live[j], rho[j], bob[j], charlie[j], trajectories[live[j]],
+                   "tol" if converged[j] else "max_iters")
+        go = ~stop
+        live = [r for r, g in zip(live, go) if g]
+        bob, charlie, prev = bob[go], charlie[go], value[go]
+        if not live:
+            return
+
+
+def _restart_bytes(game: MonogamyGame, cfg: SeesawConfig) -> int:
+    """Peak bytes each restart of a block adds, from D = d_A d_B d_C and the
+    S entries of its conditional states over all bases: 4.5 D x D complex
+    arrays in the state step (the averaged win operator with hermitianize's
+    temporaries, or the operator, its eigenvectors and the new state), or
+    its state, the density check's copy and S; and its party stacks with one
+    candidate.  Measured by tracemalloc at D = 32 to 512 and 1 to 20
+    restarts per block: 3.3-4.3 D x D arrays per restart in the state step,
+    and whole searches 1.04-1.62 times below :func:`_search_bytes`."""
+    d = game.alice_dim * cfg.bob_dim * cfg.charlie_dim
+    pairs = (len(game.thetas) * len(game.outcomes))**game.rounds
+    states = pairs * (d // game.alice_dim)**2
+    stacks = pairs * (cfg.bob_dim**2 + cfg.charlie_dim**2)
+    return 16 * (max(9 * d * d // 2, 2 * d * d + states) + 2 * stacks)
+
+
+def _block_size(game: MonogamyGame, cfg: SeesawConfig) -> int:
+    """Restarts per block: as many as fit in _BLOCK_BYTES, at least one."""
+    return max(1, min(cfg.restarts, _BLOCK_BYTES // _restart_bytes(game, cfg)))
 
 
 def _search_bytes(game: MonogamyGame, cfg: SeesawConfig) -> int:
-    """Peak bytes of a search, from D = d_A d_B d_C.  Measured at D = 256 to
-    1024: 4.03-4.31 D x D complex arrays at once (the best restart's state,
-    and the averaged win operator with hermitianize's two temporaries, or the
-    operator, its eigenvectors and the new state), or 3 of them plus the
-    conditional states after the first or the last round is traced out; and
-    a few copies of the party stacks."""
+    """Peak bytes of a search: one block of restarts, and beside it the best
+    restart's strategy and a stopping restart's, each a state and its party
+    stacks, and the conditional states of one basis while they are
+    computed, after the first or the last round is traced out."""
     d = game.alice_dim * cfg.bob_dim * cfg.charlie_dim
     x = len(game.outcomes)
     conditional = max(x**j * (d // game.dim_a**j)**2 for j in (1, game.rounds))
     stacks = (len(game.thetas) * x)**game.rounds * (cfg.bob_dim**2 + cfg.charlie_dim**2)
-    return 16 * (max(9 * d * d // 2, 3 * d * d + conditional) + 4 * stacks)
+    return (_block_size(game, cfg) * _restart_bytes(game, cfg)
+            + 16 * (2 * (d * d + stacks) + conditional))
 
 
 def seesaw(game: MonogamyGame, cfg: SeesawConfig, init_povms=None) -> SeesawResult:
@@ -212,10 +304,29 @@ def seesaw(game: MonogamyGame, cfg: SeesawConfig, init_povms=None) -> SeesawResu
     `init_povms`, when given as (bob, charlie) stacks whose rows follow
     `game.basis_labels`, replaces the random initialization of restart 0;
     remaining restarts stay random.
-    Restarts run one after another and only the best result so far is kept,
-    ties going to the lowest restart index.
+    Restarts run in blocks of as many as fit in `_BLOCK_BYTES`, each block as
+    one batch along a leading axis of every state and stack, and a restart
+    leaves its batch when it stops.  Each restart's last strategy is built
+    and evaluated exactly; the best is returned, ties going to the lowest
+    restart index, with every restart's summary.
     """
     total_dim = game.alice_dim * cfg.bob_dim * cfg.charlie_dim
     require_bytes(_search_bytes(game, cfg), f"seesaw at total dimension {total_dim}")
-    return max((_run_restart(game, cfg, r, init_povms if r == 0 else None)
-                for r in range(cfg.restarts)), key=lambda result: result.value)
+    dims = (game.alice_dim, cfg.bob_dim, cfg.charlie_dim)
+    summaries: list[RestartSummary | None] = [None] * cfg.restarts
+    best = None
+    block = _block_size(game, cfg)
+    for start in range(0, cfg.restarts, block):
+        restarts = range(start, min(start + block, cfg.restarts))
+        for r, rho, bob, charlie, trajectory, stop in _search_block(game, cfg, restarts,
+                                                                    init_povms):
+            # a read-only copy, which the strategy keeps without a second one
+            rho = rho.copy()
+            rho.setflags(write=False)
+            strategy = Strategy(rho, dims, bob, charlie, game.basis_labels)
+            value = winning_probability(game, strategy)
+            summaries[r] = RestartSummary(value, len(trajectory), stop)
+            if best is None or (value, -r) > (best.value, -best.restart):
+                best = SeesawResult(strategy, value, len(trajectory), tuple(trajectory),
+                                    r, cfg.seed)
+    return dataclasses.replace(best, per_restart=tuple(summaries))

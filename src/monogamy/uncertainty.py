@@ -86,23 +86,35 @@ class CqEnsemble:
         return out
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _projector(vecs: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """sum of |v><v| over the eigenvector columns that `keep` marks, for one
+    eigenbasis or a stack: the masked columns times their adjoint."""
+    return (vecs * keep[..., None, :]) @ _adjoint(vecs)
+
+
 def helstrom_binary_povm(sigma0: np.ndarray, sigma1: np.ndarray):
     """Optimal two-outcome discrimination of weighted conditionals.
 
     Returns (P0, P1, value) with P0 the projector onto the nonnegative
     eigenspace of sigma0 - sigma1 (zero eigenvalues go to outcome 0) and
-    value = tr(sigma0 P0) + tr(sigma1 P1).
+    value = tr(sigma0 P0) + tr(sigma1 P1).  Broadcasts over leading axes:
+    (..., d, d) stacks give (..., d, d) projectors and a (...) array of
+    values, a single pair a float.
     """
     s0 = linalg.hermitianize(sigma0)
     s1 = linalg.hermitianize(sigma1)
     if s0.shape != s1.shape:
         raise DimensionError("conditional operators must share one dimension")
     evals, vecs = np.linalg.eigh(s0 - s1)
-    pos = vecs[:, evals >= 0.0]
-    p0 = pos @ pos.conj().T
-    p1 = np.eye(s0.shape[0], dtype=complex) - p0
-    value = float(np.trace(s0 @ p0).real + np.trace(s1 @ p1).real)
-    return p0, p1, value
+    p0 = _projector(vecs, evals >= 0.0)
+    p1 = np.eye(s0.shape[-1], dtype=complex) - p0
+    value = (np.trace(s0 @ p0, axis1=-2, axis2=-1).real
+             + np.trace(s1 @ p1, axis1=-2, axis2=-1).real)
+    return p0, p1, float(value) if value.ndim == 0 else value
 
 
 def guessing_probability_binary(ensemble: CqEnsemble):
@@ -121,10 +133,16 @@ def guessing_probability_binary(ensemble: CqEnsemble):
 
 def _psd_clip(m: np.ndarray) -> np.ndarray:
     evals, vecs = np.linalg.eigh(m)
-    return (vecs * np.clip(evals, 0.0, None)) @ vecs.conj().T
+    return (vecs * np.clip(evals, 0.0, None)[..., None, :]) @ _adjoint(vecs)
 
 
-def pgm_povm(sigmas: Sequence[np.ndarray]) -> list[np.ndarray]:
+def _outcome_sum(stack: np.ndarray) -> np.ndarray:
+    """sum_x of a (..., |X|, d, d) stack, adding the outcomes in order to a
+    zero start, as Python's sum over a list of the elements does."""
+    return sum(stack[..., x, :, :] for x in range(stack.shape[-3]))
+
+
+def pgm_povm(sigmas) -> np.ndarray:
     """Pretty-good measurement for weighted PSD operators.
 
     M_x = S^{-1/2} sigma_x S^{-1/2} with S = sum sigma_x inverted on its
@@ -132,23 +150,25 @@ def pgm_povm(sigmas: Sequence[np.ndarray]) -> list[np.ndarray]:
     Hermitian-congruence whitening restores completeness exactly while
     keeping every element PSD, so the family is always a valid POVM even for
     nearly singular S.
+
+    `sigmas` is a sequence of d x d operators or a (..., |X|, d, d) stack of
+    ensembles; the POVMs come back as an array of the same shape.
     """
-    mats = [linalg.hermitianize(s) for s in sigmas]
-    if not mats:
+    mats = np.asarray(sigmas)
+    if mats.ndim < 3 or mats.shape[-3] == 0:
         raise DimensionError("need at least one operator")
-    total = sum(mats)
-    evals, vecs = np.linalg.eigh(total)
-    top = max(float(evals[-1]), 0.0)
+    mats = linalg.hermitianize(mats)
+    evals, vecs = np.linalg.eigh(_outcome_sum(mats))
+    top = np.maximum(evals[..., -1:], 0.0)
     tol = top * 1e-10 + 1e-300
     inv_root_diag = np.where(evals > tol, 1.0 / np.sqrt(np.clip(evals, tol, None)), 0.0)
-    inv_root = (vecs * inv_root_diag) @ vecs.conj().T
-    povm = [_psd_clip(linalg.hermitianize(inv_root @ s @ inv_root)) for s in mats]
-    kernel_vecs = vecs[:, evals <= tol]
-    povm[0] = povm[0] + kernel_vecs @ kernel_vecs.conj().T
-    summed = linalg.hermitianize(sum(povm))
-    s_evals, s_vecs = np.linalg.eigh(summed)
-    whiten = (s_vecs * (1.0 / np.sqrt(np.clip(s_evals, 1e-12, None)))) @ s_vecs.conj().T
-    return [linalg.hermitianize(whiten @ m @ whiten) for m in povm]
+    inv_root = ((vecs * inv_root_diag[..., None, :]) @ _adjoint(vecs))[..., None, :, :]
+    povm = _psd_clip(linalg.hermitianize(inv_root @ mats @ inv_root))
+    povm[..., 0, :, :] += _projector(vecs, evals <= tol)
+    s_evals, s_vecs = np.linalg.eigh(linalg.hermitianize(_outcome_sum(povm)))
+    root = 1.0 / np.sqrt(np.clip(s_evals, 1e-12, None))
+    whiten = ((s_vecs * root[..., None, :]) @ _adjoint(s_vecs))[..., None, :, :]
+    return linalg.hermitianize(whiten @ povm @ whiten)
 
 
 def pgm_guessing_lower_bound(ensemble: CqEnsemble) -> float:

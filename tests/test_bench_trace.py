@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import monogamy.games
-from monogamy.seesaw import bb84_optimal_unentangled_strategy
+from monogamy.seesaw import SeesawConfig, bb84_optimal_unentangled_strategy, seesaw
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -49,3 +49,18 @@ def test_tracer_counts_one_winning_probability_call(spans):
     assert tracer.stats["games.winning_probability"].calls == 1
     assert tracer.stats["linalg.tensor"].calls == 0
     assert tracer.stats["linalg.partial_trace"].calls == 0
+
+
+def test_seesaw_steps_run_once_per_cycle_for_all_restarts(spans):
+    # bb84^2 at dims 4/4, seed 0: the restarts stop after 22, 26, 30 and 24
+    # cycles, and each cycle takes one state step and one pretty-good
+    # measurement per party for every live restart at once
+    game = monogamy.games.game_power(monogamy.games.bb84_game(), 2)
+    cfg = SeesawConfig(seed=0, restarts=4, bob_dim=4, charlie_dim=4)
+    with spans.Tracer() as tracer:
+        result = seesaw(game, cfg)
+    cycles = max(s.iterations for s in result.per_restart)
+    assert cycles == 30
+    assert tracer.stats["seesaw.state_step"].calls == cycles
+    assert tracer.stats["seesaw.povm_step"].calls == 2 * cycles
+    assert tracer.stats["uncertainty.pgm_povm"].calls == 2 * cycles

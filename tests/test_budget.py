@@ -79,8 +79,9 @@ def _cases():
         ("product_strategy", range(2, 31),
          lambda n: (game_power(bb84_game(), n), product_strategy(_entangled_round(), n)),
          lambda a: winning_probability(*a)),
+        # four restarts, which run as one block until the block cap splits them
         ("seesaw", range(2, 33),
-         lambda d: (bb84_game(), SeesawConfig(bob_dim=d, charlie_dim=d, restarts=1,
+         lambda d: (bb84_game(), SeesawConfig(bob_dim=d, charlie_dim=d, restarts=4,
                                               max_iters=1)),
          lambda a: seesaw(*a)),
         ("LinearCode", [2**k for k in range(3, 21)], lambda n: n,
@@ -210,11 +211,12 @@ def _sentinel(*args, **kwargs):
 
 
 def test_seesaw_refuses_twelve_rounds_of_bb84(monkeypatch):
-    # D = 2^12 with classical guessers: 4.5 D^2 complex entries, plus
-    # 2^12 x 2^12 guesses per party, over 2 GiB; eleven rounds fit
+    # D = 2^12 with classical guessers, one restart per block: 6.5 D^2
+    # complex entries, plus 2^12 x 2^12 guesses per party held four times,
+    # over 2 GiB; eleven rounds fit
     cfg = SeesawConfig()
     assert _search_bytes(game_power(bb84_game(), 11), cfg) <= errors.MEMORY_BUDGET
-    monkeypatch.setattr(sys.modules["monogamy.seesaw"], "_run_restart", _sentinel)
+    monkeypatch.setattr(sys.modules["monogamy.seesaw"], "_search_block", _sentinel)
     with pytest.raises(CapacityError):
         seesaw(game_power(bb84_game(), 12), cfg)
 
@@ -230,6 +232,6 @@ def test_hamming_q_set_refuses_before_building_pairs(monkeypatch):
 
 
 def test_cli_seesaw_refuses_twelve_rounds(monkeypatch, capsys):
-    monkeypatch.setattr(sys.modules["monogamy.seesaw"], "_run_restart", _sentinel)
+    monkeypatch.setattr(sys.modules["monogamy.seesaw"], "_search_block", _sentinel)
     assert dispatch(["seesaw", "--game", "bb84", "--n", "12"]) == 1
     assert "memory budget" in capsys.readouterr().err

@@ -138,6 +138,10 @@ def test_seesaw_reaches_single_round_value(capsys):
     strategy = doc["result"]["strategy"]
     assert strategy["kind"] == "strategy"
     assert strategy["dims"] == [2, 1, 1]
+    per_restart = doc["result"]["per_restart"]
+    assert len(per_restart) == 20
+    assert {row["stop"] for row in per_restart} <= {"tol", "max_iters"}
+    assert per_restart[doc["result"]["restart"]]["value"] == doc["result"]["value"]
 
 
 def test_posver_bound_csv(capsys):

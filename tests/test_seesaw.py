@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from monogamy.bounds import BB84_ROUND_VALUE, bb84_parallel_value
-from monogamy.errors import CapacityError, DomainError, ValidationError
+from monogamy.errors import CapacityError, DimensionError, DomainError, ValidationError
 from monogamy.games import (MonogamyGame, Strategy, bb84_game, game_power,
                             product_strategy, winning_probability)
 from monogamy.seesaw import (SeesawConfig, bb84_optimal_unentangled_strategy,
@@ -103,6 +103,70 @@ def test_seesaw_trajectory_monotone_and_value_consistent(rng):
         assert result.value == pytest.approx(
             winning_probability(g2, result.strategy), abs=1e-12)
         assert result.value <= bb84_parallel_value(2) + 1e-9
+
+
+# Taken at the last commit that ran one restart after another, for bb84^2:
+# (bob_dim, charlie_dim, seed) -> per-restart iterations, best restart, value
+PINNED = {
+    (4, 4, 0): ([22, 26, 30, 24], 3, 0.7285533905932737),
+    (4, 4, 1): ([29, 30, 16, 39], 2, 0.7285533905932744),
+    (2, 2, 5): ([21, 14, 13, 13], 2, 0.7285533905932736),
+}
+
+
+@pytest.mark.parametrize("dims_seed", PINNED, ids=lambda k: "dims {}/{} seed {}".format(*k))
+def test_batched_restarts_follow_the_pinned_one_at_a_time_search(dims_seed):
+    bob_dim, charlie_dim, seed = dims_seed
+    iterations, restart, value = PINNED[dims_seed]
+    result = seesaw(game_power(bb84_game(), 2),
+                    SeesawConfig(seed=seed, restarts=4, bob_dim=bob_dim,
+                                 charlie_dim=charlie_dim))
+    assert [s.iterations for s in result.per_restart] == iterations
+    assert result.restart == restart
+    assert result.iterations == iterations[restart]
+    assert result.value == pytest.approx(value, abs=1e-12)
+
+
+def test_batched_classical_guessers_follow_the_pinned_search():
+    result = seesaw(game_power(bb84_game(), 3), SeesawConfig(seed=0, restarts=20))
+    assert result.restart == 4
+    assert result.value == pytest.approx(0.6218592167691147, abs=1e-12)
+
+
+def test_per_restart_summary_names_each_stop():
+    # restart 0 of bb84^3 at dims 2/2 never settles within 200 cycles
+    result = seesaw(game_power(bb84_game(), 3),
+                    SeesawConfig(seed=0, restarts=2, bob_dim=2, charlie_dim=2))
+    first, second = result.per_restart
+    assert (first.iterations, first.stop) == (200, "max_iters")
+    assert (second.iterations, second.stop) == (3, "tol")
+    assert result.restart == 1
+    assert (second.value, second.iterations) == (result.value, result.iterations)
+    assert first.value < second.value
+    assert result.to_dict()["per_restart"] == [
+        {"value": s.value, "iterations": s.iterations, "stop": s.stop}
+        for s in result.per_restart]
+
+
+def test_block_size_does_not_change_the_search(monkeypatch):
+    import sys
+    g2 = game_power(bb84_game(), 2)
+    cfg = SeesawConfig(seed=5, restarts=4, bob_dim=2, charlie_dim=2)
+    batched = seesaw(g2, cfg)
+    assert sys.modules["monogamy.seesaw"]._block_size(g2, cfg) == 4
+    monkeypatch.setattr(sys.modules["monogamy.seesaw"], "_BLOCK_BYTES", 1)
+    assert sys.modules["monogamy.seesaw"]._block_size(g2, cfg) == 1
+    alone = seesaw(g2, cfg)
+    assert alone.per_restart == batched.per_restart
+    assert (alone.restart, alone.trajectory) == (batched.restart, batched.trajectory)
+    np.testing.assert_array_equal(alone.strategy.rho_abc, batched.strategy.rho_abc)
+
+
+def test_seesaw_rejects_initial_povms_of_the_wrong_shape():
+    s = bb84_optimal_unentangled_strategy()
+    with pytest.raises(DimensionError):
+        seesaw(bb84_game(), SeesawConfig(restarts=1, bob_dim=2),
+               init_povms=(s.bob, s.charlie))
 
 
 def test_seesaw_single_basis_game_reaches_one():

@@ -6,11 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monogamy import linalg
 from monogamy.errors import DimensionError, DomainError, ValidationError
 from monogamy.games import bb84_game, maximally_entangled_density
-from monogamy.rand import random_density, random_povm
+from monogamy.rand import haar_unitary, random_density, random_povm, rng_for
 from monogamy.uncertainty import (CqEnsemble, check_uncertainty_relation,
                                   guessing_probability_binary,
                                   helstrom_binary_povm, measurement_overlap,
@@ -221,6 +222,66 @@ def test_pgm_trivial_side_information_gives_sum_of_squares(rng):
     e = CqEnsemble(("a", "b", "c"), weights, {k: rho for k in ("a", "b", "c")})
     assert pgm_guessing_lower_bound(e) == pytest.approx(float((weights**2).sum()),
                                                         abs=1e-9)
+
+
+def _ensemble_stack(shape, d: int, seed: int) -> np.ndarray:
+    """A (*shape, K, d, d) stack of weighted PSD operators.  Every other
+    ensemble lives on a random subspace of half the dimension, so its total
+    is singular, and every third is diagonal with its first entry zero in
+    every operator, so the Helstrom difference has an exact zero
+    eigenvalue."""
+    rng = rng_for(seed)
+    *lead, k = shape
+    out = np.empty((*lead, k, d, d), dtype=complex)
+    for n, idx in enumerate(np.ndindex(*lead)):
+        weights = rng.dirichlet(np.ones(k))
+        if n % 3 == 2:
+            diag = rng.uniform(0.1, 1.0, (k, d))
+            diag[:, 0] = 0.0
+            out[idx] = [np.diag(w * row) for w, row in zip(weights, diag)]
+        elif n % 2 == 1:
+            basis = haar_unitary(d, rng)[:, :max(1, d // 2)]
+            out[idx] = [w * basis @ random_density(basis.shape[1], rng) @ basis.conj().T
+                        for w in weights]
+        else:
+            out[idx] = [w * random_density(d, rng) for w in weights]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 4), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
+def test_pgm_broadcasts_over_a_stack_of_ensembles(r, b, k, d, seed):
+    stack = _ensemble_stack((r, b, k), d, seed)
+    povms = pgm_povm(stack)
+    assert povms.shape == stack.shape
+    for idx in np.ndindex(r, b):
+        one = pgm_povm(list(stack[idx]))
+        np.testing.assert_allclose(povms[idx], one, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(sum(one), np.eye(d), atol=1e-8)
+        total = stack[idx].sum(axis=0)
+        evals, vecs = np.linalg.eigh(total)
+        # the kernel of the total goes to the first outcome
+        for v in vecs[:, evals <= evals[-1] * 1e-10].T:
+            assert (v.conj() @ povms[idx][0] @ v).real == pytest.approx(1.0, abs=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_helstrom_broadcasts_over_a_stack_of_pairs(r, b, d, seed):
+    stack = _ensemble_stack((r, b, 2), d, seed)
+    p0, p1, values = helstrom_binary_povm(stack[..., 0, :, :], stack[..., 1, :, :])
+    assert p0.shape == p1.shape == (r, b, d, d) and values.shape == (r, b)
+    for idx in np.ndindex(r, b):
+        one = helstrom_binary_povm(stack[idx][0], stack[idx][1])
+        np.testing.assert_allclose(p0[idx], one[0], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(p1[idx], one[1], rtol=0, atol=1e-14)
+        assert values[idx] == pytest.approx(one[2], abs=1e-14)
+        diff = stack[idx][0] - stack[idx][1]
+        if np.count_nonzero(diff - np.diag(np.diag(diff))) == 0:
+            # an exactly zero difference entry goes to outcome 0
+            for i in np.flatnonzero(np.diag(diff).real == 0.0):
+                assert p0[idx][i, i].real == pytest.approx(1.0, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
