@@ -40,7 +40,7 @@ from .errors import (CapacityError, DimensionError, DomainError, ValidationError
                      require_bytes)
 from .games import (_trace_out_entries, bb84_game, conditional_states,
                     maximally_entangled_density, power_elements)
-from .rand import rng_for
+from .rand import bernoulli, random_bits, rng_for
 from .uncertainty import CqEnsemble
 
 LOG2_INV_ROUND_VALUE = -math.log2(BB84_ROUND_VALUE)
@@ -53,8 +53,9 @@ _LEADER_PATTERNS = 2**16
 _POST_BLOCK_BYTES = 2**22
 
 # Byte costs the memory predictions charge, from tracemalloc peaks: a trial
-# batch holds 20.1-20.4 B per (trial, round) entry while it draws and 11 B
-# while its completed rows are post-processed, which takes 14 B per
+# batch holds 20.1-20.4 B per (trial, round) entry while it draws (the peak
+# is the sample order's float keys and their argsort, not the device draw)
+# and 11 B while its completed rows are post-processed, which takes 14 B per
 # completed row and key round beyond the hash; a Toeplitz hash takes 20-22 B
 # per output row and FFT point, plus its rounded window.
 _TRIAL_ENTRY_BYTES = 21
@@ -453,8 +454,8 @@ class HonestNoisyDevice:
         self.flip_prob = float(flip_prob)
 
     def sample(self, theta: np.ndarray, rng: np.random.Generator):
-        x = rng.integers(0, 2, size=theta.shape, dtype=np.uint8)
-        return x, x ^ (rng.random(theta.shape) < self.flip_prob).astype(np.uint8)
+        x = random_bits(rng, theta.shape)
+        return x, x ^ bernoulli(rng, self.flip_prob, theta.shape)
 
 
 class TripartiteQuantumDevice:
@@ -609,9 +610,10 @@ def _trial_batch(params: QkdParams, device, code: LinearCode, seed: int,
     block of rows at a time, with one encode, decode and hash call per
     block.  The basis strings come from path (seed, round stream, index);
     the batch generator (seed, batch stream, index) feeds the device, then
-    the sample order, then one hash seed per completed row, in row order."""
+    the sample order, then each block's hash seeds, one row per completed
+    row, in row order."""
     shape = (size, params.n)
-    theta = rng_for(seed, _ROUND_STREAM, index).integers(0, 2, size=shape, dtype=np.uint8)
+    theta = random_bits(rng_for(seed, _ROUND_STREAM, index), shape)
     rng = rng_for(seed, _BATCH_STREAM, index)
     x, y = device.sample(theta, rng)
     if np.shape(x) != shape or np.shape(y) != shape:
@@ -634,8 +636,7 @@ def _trial_batch(params: QkdParams, device, code: LinearCode, seed: int,
             x_rest = x[key_rounds]
             syndrome = code.encode(x_rest)
             x_hat = code.decode(y[key_rounds], syndrome)
-            hash_seed = np.array([rng.integers(0, 2, size=seed_bits, dtype=np.uint8)
-                                  for _ in rows])
+            hash_seed = random_bits(rng, (rows.size, seed_bits))
             key, key_hat = toeplitz_hash(hash_seed, np.stack([x_rest, x_hat]), params.ell)
             yield _Completed(x_rest, x_hat, syndrome, hash_seed, key, key_hat)
 

@@ -3,13 +3,20 @@
 All stochastic code in the package draws from a counter-based Philox
 generator keyed by a user seed plus an explicit derivation path, so restarts
 and Monte-Carlo batches are reproducible no matter how work is scheduled.
+
+Monte-Carlo bits and flips are drawn at the entropy they need, because the
+generator is the slow part: :func:`random_bits` unpacks 64 fair bits from
+each random word, and :func:`bernoulli` decides most entries from one random
+byte, drawing a float64 only for the one entry in about 256 whose byte ties
+the threshold.  P(1) is then p exactly, to float64 rounding, with no
+quantized threshold.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, DomainError
 
 
 def rng_for(seed: int, *stream: int) -> np.random.Generator:
@@ -17,6 +24,43 @@ def rng_for(seed: int, *stream: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1),
                                 spawn_key=tuple(int(s) for s in stream))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _words(rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` random uint64 words as little-endian bytes, so their bits
+    come out the same on every platform."""
+    return rng.integers(0, 2**64, size=count, dtype=np.uint64).astype("<u8", copy=False)
+
+
+def random_bits(rng: np.random.Generator, shape) -> np.ndarray:
+    """Fair uint8 bits of `shape`: the bits of ceil(size / 64) random words,
+    each word's bytes in little-endian order, each byte's bits MSB first."""
+    size = int(np.prod(shape, dtype=np.int64))
+    bits = np.unpackbits(_words(rng, -(-size // 64)).view(np.uint8), count=size)
+    return bits.reshape(shape)
+
+
+def bernoulli(rng: np.random.Generator, p: float, shape) -> np.ndarray:
+    """uint8 entries of `shape`, each 1 with probability p.
+
+    Entry i takes random byte b_i of ceil(size / 8) words; with k the floor
+    of 256 p it is 1 if b_i < k and 0 if b_i > k.  The entries with b_i == k
+    then draw one float64 each, in index order, and are 1 if it is below
+    256 p - k, which is exact in float64, so P(1) = p to float64 rounding.
+    When 256 p is whole they are 0, and no float is drawn.
+    """
+    p = float(p)
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"probability must lie in [0, 1], got {p}")
+    size = int(np.prod(shape, dtype=np.int64))
+    k = int(256.0 * p)
+    tie_p = 256.0 * p - k
+    draws = _words(rng, -(-size // 8)).view(np.uint8)[:size]
+    out = (draws < k).view(np.uint8)
+    if tie_p:
+        ties = np.flatnonzero(draws == k)
+        out[ties] = rng.random(ties.size) < tie_p
+    return out.reshape(shape)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

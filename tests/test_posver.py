@@ -15,7 +15,7 @@ from monogamy.posver import (BREIDBART_SUCCESS, BreidbartPair, HonestProver,
                              noisy_soundness_bound, simulate_pv_round,
                              simulate_pv_rounds, soundness_bound)
 from monogamy.qkd import noise_threshold
-from monogamy.rand import rng_for
+from monogamy.rand import random_bits, rng_for
 
 # frozen oracle values
 BETA20 = 0.04213217087090013
@@ -171,8 +171,7 @@ def test_round_is_batch_zero_of_the_batched_simulation():
         r = simulate_pv_round(SCENARIO, 3, BreidbartPair(), seed=seed)
         agg = simulate_pv_rounds(SCENARIO, 3, BreidbartPair(), 1, seed=seed)
         assert agg["accepted"] == int(r.accepted)
-        rng = rng_for(seed, 0)
-        np.testing.assert_array_equal(r.x, rng.integers(0, 2, size=(1, 3), dtype=np.uint8)[0])
+        np.testing.assert_array_equal(r.x, random_bits(rng_for(seed, 0), (1, 3))[0])
 
 
 def test_breidbart_acceptance_tracks_bound():
@@ -185,6 +184,17 @@ def test_breidbart_acceptance_tracks_bound():
     p4 = soundness_bound(4)
     sigma4 = math.sqrt(p4 * (1 - p4) / trials)
     assert agg4["acceptance_rate"] <= p4 + 5 * sigma4
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_breidbart_acceptance_at_benchmark_scale(seed):
+    # the benchmark's posver check: 10^6 rounds of 20 qubits accept at
+    # cos(pi/8)^40 = soundness_bound(20), within 5 sigma
+    trials, n = 10**6, 20
+    agg = simulate_pv_rounds(SCENARIO, n, BreidbartPair(), trials, seed=seed)
+    p = math.cos(math.pi / 8) ** (2 * n)
+    sigma = math.sqrt(p * (1 - p) / trials)
+    assert abs(agg["acceptance_rate"] - p) <= 5 * sigma
 
 
 def test_simulate_rounds_deterministic_and_capped():

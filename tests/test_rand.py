@@ -1,0 +1,97 @@
+"""The Monte-Carlo samplers: packed fair bits and byte-threshold Bernoulli
+flips, their definitions, their draws from the generator, and their rates."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from monogamy.errors import DomainError
+from monogamy.rand import bernoulli, random_bits, rng_for
+
+
+def _words(rng, count):
+    return rng.integers(0, 2**64, size=count, dtype=np.uint64)
+
+
+def _same_state(a, b) -> bool:
+    """Whether two bit-generator states, nested dicts of scalars and arrays,
+    are equal."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return bool(np.array_equal(a, b))
+
+
+def _word_bytes(words):
+    """Byte m of each word is bits 8m .. 8m + 7 of its value: little-endian
+    order, spelled out with shifts rather than a byte view."""
+    return ((words[:, None] >> (8 * np.arange(8, dtype=np.uint64))) & 0xFF) \
+        .astype(np.uint8).ravel()
+
+
+@pytest.mark.parametrize("size", [1, 63, 64, 65, 1000])
+def test_random_bits_are_the_words_msb_first_per_little_endian_byte(size):
+    rng, twin = rng_for(3, size), rng_for(3, size)
+    bits = random_bits(rng, (size,))
+    words = _words(twin, -(-size // 64))
+    # bit j is bit 7 - j % 8 of byte j // 8
+    j = np.arange(size)
+    expected = (_word_bytes(words)[j // 8] >> (7 - j % 8)) & 1
+    np.testing.assert_array_equal(bits, expected)
+    assert bits.dtype == np.uint8
+    assert _same_state(rng.bit_generator.state, twin.bit_generator.state)
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (3,), (1, 1)])
+def test_samplers_take_any_shape(shape):
+    for draw in (random_bits(rng_for(0), shape), bernoulli(rng_for(0), 0.3, shape)):
+        assert draw.shape == shape
+        assert draw.dtype == np.uint8
+        assert set(np.unique(draw)) <= {0, 1}
+
+
+def test_bernoulli_at_zero_and_one():
+    assert not bernoulli(rng_for(1), 0.0, (100, 100)).any()
+    assert bernoulli(rng_for(1), 1.0, (100, 100)).all()
+
+
+@pytest.mark.parametrize("k", [0, 1, 37, 128, 255, 256])
+def test_bernoulli_on_the_byte_grid_draws_no_float(k):
+    size = 10_000
+    rng, twin = rng_for(5, k), rng_for(5, k)
+    flips = bernoulli(rng, k / 256, (size,))
+    draws = _word_bytes(_words(twin, -(-size // 8)))[:size]
+    # a byte equal to k is 0 and draws no float
+    np.testing.assert_array_equal(flips, draws < k)
+    assert _same_state(rng.bit_generator.state, twin.bit_generator.state)
+
+
+@pytest.mark.parametrize("k", [0, 37, 255])
+def test_bernoulli_ties_draw_a_float_each(k):
+    size = 2**20
+    rng, twin = rng_for(6, k), rng_for(6, k)
+    flips = bernoulli(rng, (k + 0.5) / 256, (size,))
+    draws = _word_bytes(_words(twin, size // 8))
+    ties = draws == k
+    np.testing.assert_array_equal(flips[~ties], draws[~ties] < k)
+    # each tie is 1 with probability 1/2; about 4,096 of them
+    tied = flips[ties]
+    assert abs(tied.mean() - 0.5) <= 5 * math.sqrt(0.25 / tied.size)
+    # the ties drew one float each, in index order
+    np.testing.assert_array_equal(tied, twin.random(tied.size) < 0.5)
+    assert _same_state(rng.bit_generator.state, twin.bit_generator.state)
+
+
+@pytest.mark.parametrize("p", [1.0 - math.cos(math.pi / 8) ** 2, 0.003])
+def test_bernoulli_rate_is_exact(p):
+    trials = 10**7
+    mean = bernoulli(rng_for(7), p, (trials,)).mean()
+    assert abs(mean - p) <= 5 * math.sqrt(p * (1 - p) / trials)
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.1, math.nan])
+def test_bernoulli_refuses_a_probability_outside_the_unit_interval(p):
+    with pytest.raises(DomainError):
+        bernoulli(rng_for(0), p, (4,))
