@@ -4,7 +4,31 @@ Exact strategy evaluation, closed-form winning-probability bounds, seesaw
 strategy search, a finite-key security calculator and protocol simulator for
 one-sided device-independent key distribution, one-round position
 verification, and two-observer min-entropy uncertainty checks.
+
+Importing the package loads numpy with OpenBLAS on one thread unless the
+user has set ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
+``OMP_NUM_THREADS``, so ``--deterministic`` output does not depend on the
+host's core count.
 """
+
+import os as _os
+import sys as _sys
+
+# OpenBLAS reads its thread count once, when numpy loads it.  On this
+# package's matrices (16 to a few hundred rows) a second thread does almost
+# no work but busy-waits after every call, and the thread count changes the
+# seesaw's floating-point path.  So load numpy with one thread unless numpy
+# is already loaded or the user chose a count (these are the variables
+# OpenBLAS reads, in its own precedence order), then remove the variable so
+# no child process inherits it.  Other BLAS builds are left as they are.
+if "numpy" not in _sys.modules and not any(
+        var in _os.environ
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .bounds import (BB84_ROUND_VALUE, BoundReport, bb84_parallel_value,
                      binary_entropy, general_upper_bound,

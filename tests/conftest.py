@@ -7,6 +7,9 @@ import itertools
 import math
 from typing import Sequence
 
+# before numpy, so the test process runs BLAS on the package's one thread and
+# seeded seesaw pins do not depend on the host's core count
+import monogamy  # noqa: F401
 import numpy as np
 import pytest
 
