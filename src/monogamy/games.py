@@ -416,6 +416,39 @@ def win_operator(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray,
     return op.reshape(lead + (m, m))
 
 
+def win_operator_sum(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray) -> np.ndarray:
+    """The sum of every n-round basis's :func:`win_operator`,
+    sum_theta sum_x F_x^theta ⊗ P_x^theta ⊗ Q_x^theta, in one contraction
+    for all bases: the last round's bases and outcomes are summed out of
+    F ⊗ P ⊗ Q first, then each earlier round's, Alice's rounds joining in
+    front.  Takes stacks, with leading axes or without, as win_operator
+    does."""
+    t, k = len(game.thetas), len(game.outcomes)
+    db, dc = bob.shape[-1], charlie.shape[-1]
+    lead = bob.shape[:-4]
+    m = game.dim_a * db * dc
+    bases, outcomes = bob.shape[-4] // t, bob.shape[-3] // k
+    # rows (earlier bases, last basis, earlier outcomes, last outcome)
+    split = lead + (bases, t, outcomes, k)
+    op = np.einsum("txap,...stkxbq,...stkxcr->...skabcpqr", game.elements,
+                   bob.reshape(split + (db, db)), charlie.reshape(split + (dc, dc)))
+    for _ in range(game.rounds - 1):
+        bases, outcomes = bases // t, outcomes // k
+        op = np.einsum("txap,...stkxbq->...skabpq", game.elements,
+                       op.reshape(lead + (bases, t, outcomes, k, m, m)))
+        m *= game.dim_a
+    return op.reshape(lead + (m, m))
+
+
+def _win_operator_sum_entries(game: MonogamyGame, db: int, dc: int) -> int:
+    """The most entries :func:`win_operator_sum` holds at once per leading
+    index: one round's result and the next's, (|Theta| |X|)^(n-j) operators
+    on A_(n-j+1) ... A_n B C after j rounds are summed out."""
+    pairs, d = len(game.thetas) * len(game.outcomes), game.dim_a
+    held = [pairs**(game.rounds - j) * (d**j * db * dc)**2 for j in range(game.rounds + 1)]
+    return max(a + b for a, b in zip(held[1:], held[2:] + [0]))
+
+
 def _basis_terms(game: MonogamyGame, strategy: Strategy, entry_bytes: int) -> np.ndarray:
     """tr(Pi^theta rho) for every n-round basis in `game.basis_labels` order,
     charged `entry_bytes` each; a product's are the kron of its round's."""

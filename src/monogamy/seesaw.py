@@ -1,13 +1,16 @@
 """Alternating-optimization search for high-value game strategies.
 
 Each block step is either exact (state step: top eigenvector of the averaged
-winning operator; binary-outcome measurement step: Helstrom projector; for
-guessers without quantum memory, one joint step of both to their best reply)
-or a feasibility-preserving pretty-good-measurement step for larger alphabets,
-guarded so the trajectory never decreases.  Every value the search reports is
-the exactly evaluated winning probability of a valid strategy, hence a true
-lower bound on the optimal game value.  Matching upper bounds come from
-:mod:`monogamy.bounds`.
+winning operator, summed over all bases in one contraction; binary-outcome
+measurement step: Helstrom projector; for guessers without quantum memory,
+one joint step of both to their best reply) or, for larger alphabets, a
+feasibility-preserving step: the pretty-good measurement refined by five
+steps of Ježek, Řeháček and Fiurášek's iteration.  Every measurement step
+is guarded so the trajectory never decreases.  A cycle's steps share one
+batch of conditional states for all restarts and bases.  Every value the
+search reports is the exactly evaluated winning probability of a valid
+strategy, hence a true lower bound on the optimal game value.  Matching
+upper bounds come from :mod:`monogamy.bounds`.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, DomainError, ValidationError, require_bytes
-from .games import (MonogamyGame, Strategy, conditional_states, constant_guess_povms,
-                    win_operator, winning_probability)
+from .games import (MonogamyGame, Strategy, _trace_out_entries, _win_operator_sum_entries,
+                    conditional_states, constant_guess_povms, win_operator_sum,
+                    winning_probability)
 from .rand import random_projective_povm, rng_for
-from .uncertainty import helstrom_binary_povm, pgm_povm
+from .uncertainty import helstrom_binary_povm, refined_pgm_povm
 
 
 # the most bytes one block of restarts may hold; a block runs as many
@@ -87,44 +91,40 @@ def optimal_state_step(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray)
     deterministically: first column of the eigensolver output sorted by
     descending eigenvalue.  LAPACK can fail to converge on a highly
     degenerate spectrum; the solver then retries once on the upper triangle,
-    which holds the same data since the operator is hermitianized.
+    which holds the same data since the operator is hermitianized.  An
+    eigenvector that is not finite, from a NaN in the stacks or the solver,
+    raises ValidationError; the state is a unit vector's projector, so no
+    other check of it is needed.
     """
-    d = game.alice_dim * bob.shape[-1] * charlie.shape[-1]
-    op = np.zeros(bob.shape[:-4] + (d, d), dtype=complex)
-    n_bases = len(game.thetas)**game.rounds
-    for i in range(n_bases):
-        op += win_operator(game, bob, charlie, i)
-    op /= n_bases
+    op = win_operator_sum(game, bob, charlie)
+    op /= len(game.thetas)**game.rounds
     op = linalg.hermitianize(op)
     try:
         evals, vecs = np.linalg.eigh(op)
     except np.linalg.LinAlgError:
         evals, vecs = np.linalg.eigh(op, UPLO="U")
     top = vecs[..., -1]
+    if not np.isfinite(top).all():
+        raise ValidationError("the state step's top eigenvector is not finite")
     rho = top[..., :, None] * top.conj()[..., None, :]
     return rho, (float(evals[-1]) if evals.ndim == 1 else evals[..., -1])
 
 
 def _conditional_stack(game: MonogamyGame, rho: np.ndarray) -> np.ndarray:
     """tr_A[(F_x^theta ⊗ 1) rho] for every n-round basis theta and outcome
-    x, after checking that rho, one density matrix or an (R, D, D) stack of
-    them, holds only density matrices.  Returns (|Theta|, |X|, m, m), or
-    (R, |Theta|, |X|, m, m) for a stack, rows in `game.basis_labels` order:
-    the states the guessers are left in, which every step of one cycle
-    shares."""
-    rho = np.asarray(rho)
-    if not linalg.is_density(rho):
-        raise ValidationError("rho is not a density matrix (Hermitian PSD, unit trace) "
-                              "within tolerance")
-    factors = list(game.factors())
-    flat = rho.reshape(-1, *rho.shape[-2:])
-    m = rho.shape[-1] // game.alice_dim
-    out = np.empty((len(flat), len(factors), len(game.outcomes)**game.rounds, m, m),
-                   dtype=complex)
-    for r, state in enumerate(flat):
-        for i, f in enumerate(factors):
-            out[r, i] = conditional_states(f, state)
-    return out.reshape(rho.shape[:-2] + out.shape[1:])
+    x, of one density matrix or of an (R, D, D) stack of them.  Returns
+    (|Theta|, |X|, m, m), or (R, |Theta|, |X|, m, m) for a stack, rows in
+    `game.basis_labels` order: the states the guessers are left in, which
+    every step of one cycle shares.  One conditional_states call takes
+    every round's (basis, outcome) pairs as its rows; its result, rows
+    (theta_1 x_1, ..., theta_n x_n, restart), is then reordered."""
+    t, k, n = len(game.thetas), len(game.outcomes), game.rounds
+    rows = game.elements.reshape(t * k, game.dim_a, game.dim_a)
+    out = conditional_states([rows] * n, rho)
+    m = out.shape[-1]
+    out = out.reshape((t, k) * n + (-1, m, m))
+    order = (2 * n, *range(0, 2 * n, 2), *range(1, 2 * n, 2), 2 * n + 1, 2 * n + 2)
+    return out.transpose(order).reshape(rho.shape[:-2] + (t**n, k**n, m, m))
 
 
 def _win_terms(bob: np.ndarray, charlie: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -152,6 +152,10 @@ def _conditional_operators(game: MonogamyGame, rho, fixed: np.ndarray, party: st
     a (..., |Theta|, |X|, d, d) stack.  They are Hermitian up to rounding;
     the measurement updates take their Hermitian parts."""
     if states is None:
+        rho = np.asarray(rho)
+        if not linalg.is_density(rho):
+            raise ValidationError("rho is not a density matrix (Hermitian PSD, unit trace) "
+                                  "within tolerance")
         states = _conditional_stack(game, rho)
     d_fixed = fixed.shape[-1]
     d_opt, rem = divmod(states.shape[-1], d_fixed)
@@ -168,13 +172,15 @@ def optimal_povm_step(game: MonogamyGame, rho, fixed: np.ndarray, party: str, *,
     party's (|Theta|, |X|, d, d) stack `fixed` held; returns the new stack,
     rows in `game.basis_labels` order.  An (R, D, D) stack of states with
     (R, |Theta|, |X|, d, d) stacks runs R restarts at once.  `states`, the
-    conditional states of `rho` from :func:`_conditional_stack`, which has
-    checked it, saves a cycle's steps computing them again.
+    conditional states of `rho` from :func:`_conditional_stack`, saves a
+    cycle's steps computing them again; without it, `rho` is checked to be
+    a density matrix, or a stack of them, first.
 
     Binary outcomes are solved exactly by the Helstrom projector (the zero
     eigenspace of the conditional difference goes to outcome 0); larger
-    alphabets get a pretty-good-measurement update, which always yields a
-    valid POVM but is only a heuristic improvement.
+    alphabets get the pretty-good measurement refined by Ježek, Řeháček and
+    Fiurášek's iteration (:func:`~monogamy.uncertainty.refined_pgm_povm`),
+    which always yields a valid POVM but is not certified optimal.
     """
     if party not in ("B", "C"):
         raise ValidationError(f"party must be 'B' or 'C', got {party!r}")
@@ -182,7 +188,7 @@ def optimal_povm_step(game: MonogamyGame, rho, fixed: np.ndarray, party: str, *,
     if sigmas.shape[-3] == 2:
         p0, p1, _ = helstrom_binary_povm(sigmas[..., 0, :, :], sigmas[..., 1, :, :])
         return np.stack([p0, p1], axis=-3)
-    return pgm_povm(sigmas)
+    return refined_pgm_povm(sigmas)
 
 
 def bb84_optimal_unentangled_strategy() -> Strategy:
@@ -265,19 +271,34 @@ def _search_block(game: MonogamyGame, cfg: SeesawConfig, restarts: range, init_p
 
 
 def _restart_bytes(game: MonogamyGame, cfg: SeesawConfig) -> int:
-    """Peak bytes each restart of a block adds, from D = d_A d_B d_C and the
-    S entries of its conditional states over all bases: 4.5 D x D complex
-    arrays in the state step (the averaged win operator with hermitianize's
-    temporaries, or the operator, its eigenvectors and the new state), or
-    its state, the density check's copy and S; and its party stacks with one
-    candidate.  Measured by tracemalloc at D = 32 to 512 and 1 to 20
-    restarts per block: 3.3-4.3 D x D arrays per restart in the state step,
-    and whole searches 1.04-1.62 times below :func:`_search_bytes`."""
+    """Peak bytes each restart of a block adds, beside its party stacks and
+    one candidate, from D = d_A d_B d_C, the S entries of its conditional
+    states over all bases and the entries of one party's stack.  The
+    largest of three phases:
+
+    - the state step: 4.5 D x D complex arrays (the averaged win operator
+      with hermitianize's temporaries, or the operator, its eigenvectors and
+      the new state), or win_operator_sum's two largest rounds;
+    - the conditional states: the state, and conditional_states' rounds
+      with S traced out by the batched call, or S and its reordered copy;
+    - a measurement step: the state, S, and 11 stacks of the party it
+      measures (the refined PGM's iterates, their temporaries and the PGM),
+      or 2 for the joint step of guessers without quantum memory.
+
+    Measured by tracemalloc at D = 16 to 512 and 1 to 16 restarts per
+    block, bb84 with n = 1 to 8: 3.0-3.3 D x D arrays in the state step
+    once D >= 256, 2 S (n = 1) or 3 S (n > 1) beyond the state for the
+    conditional states, and 9.8-11.2 party stacks in a measurement step."""
     d = game.alice_dim * cfg.bob_dim * cfg.charlie_dim
-    pairs = (len(game.thetas) * len(game.outcomes))**game.rounds
-    states = pairs * (d // game.alice_dim)**2
-    stacks = pairs * (cfg.bob_dim**2 + cfg.charlie_dim**2)
-    return 16 * (max(9 * d * d // 2, 2 * d * d + states) + 2 * stacks)
+    pairs = len(game.thetas) * len(game.outcomes)
+    states, trace_out = _trace_out_entries(d * d, pairs, game.dim_a, game.rounds)
+    party = pairs**game.rounds * max(cfg.bob_dim, cfg.charlie_dim)**2
+    stacks = pairs**game.rounds * (cfg.bob_dim**2 + cfg.charlie_dim**2)
+    state_step = max(9 * d * d // 2, _win_operator_sum_entries(game, cfg.bob_dim,
+                                                               cfg.charlie_dim))
+    measure = d * d + states + (11 if max(cfg.bob_dim, cfg.charlie_dim) > 1 else 2) * party
+    phases = (state_step, d * d + max(trace_out, 2 * states), measure)
+    return 16 * (max(phases) + 2 * stacks)
 
 
 def _block_size(game: MonogamyGame, cfg: SeesawConfig) -> int:

@@ -3,7 +3,8 @@
 Builds the classical-quantum ensembles a basis-random measurement leaves
 behind on each observer, evaluates guessing probabilities (exactly via the
 Helstrom projector for binary alphabets, by the pretty-good measurement as a
-feasible lower bound otherwise), and checks the two-observer tradeoff
+feasible lower bound otherwise, which :func:`refined_pgm_povm` improves on
+by a fixed number of iteration steps), and checks the two-observer tradeoff
 
     p_guess(X|B,Theta) + p_guess(X|C,Theta) <= 1 + sqrt(c)
 
@@ -142,6 +143,31 @@ def _outcome_sum(stack: np.ndarray) -> np.ndarray:
     return sum(stack[..., x, :, :] for x in range(stack.shape[-3]))
 
 
+def _guessing(sigmas: np.ndarray, povm: np.ndarray) -> np.ndarray:
+    """sum_x tr(sigma_x P_x) for each ensemble of a (..., |X|, d, d) stack."""
+    return np.einsum("...xij,...xji->...", sigmas, povm).real
+
+
+def _inverse_root(total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S^{-1/2} on the support of each PSD matrix S of a stack, eigenvalues
+    up to 1e-10 of the largest counting as kernel, and the projector onto
+    that kernel."""
+    evals, vecs = np.linalg.eigh(total)
+    top = np.maximum(evals[..., -1:], 0.0)
+    tol = top * 1e-10 + 1e-300
+    inv_root_diag = np.where(evals > tol, 1.0 / np.sqrt(np.clip(evals, tol, None)), 0.0)
+    return (vecs * inv_root_diag[..., None, :]) @ _adjoint(vecs), _projector(vecs, evals <= tol)
+
+
+def _whitened(povm: np.ndarray) -> np.ndarray:
+    """A Hermitian-congruence whitening T^{-1/2} M_x T^{-1/2}, T = sum_x M_x,
+    which restores completeness exactly while keeping every element PSD."""
+    s_evals, s_vecs = np.linalg.eigh(linalg.hermitianize(_outcome_sum(povm)))
+    root = 1.0 / np.sqrt(np.clip(s_evals, 1e-12, None))
+    whiten = ((s_vecs * root[..., None, :]) @ _adjoint(s_vecs))[..., None, :, :]
+    return linalg.hermitianize(whiten @ povm @ whiten)
+
+
 def pgm_povm(sigmas) -> np.ndarray:
     """Pretty-good measurement for weighted PSD operators.
 
@@ -158,17 +184,46 @@ def pgm_povm(sigmas) -> np.ndarray:
     if mats.ndim < 3 or mats.shape[-3] == 0:
         raise DimensionError("need at least one operator")
     mats = linalg.hermitianize(mats)
-    evals, vecs = np.linalg.eigh(_outcome_sum(mats))
-    top = np.maximum(evals[..., -1:], 0.0)
-    tol = top * 1e-10 + 1e-300
-    inv_root_diag = np.where(evals > tol, 1.0 / np.sqrt(np.clip(evals, tol, None)), 0.0)
-    inv_root = ((vecs * inv_root_diag[..., None, :]) @ _adjoint(vecs))[..., None, :, :]
+    inv_root, kernel = _inverse_root(_outcome_sum(mats))
+    inv_root = inv_root[..., None, :, :]
     povm = _psd_clip(linalg.hermitianize(inv_root @ mats @ inv_root))
-    povm[..., 0, :, :] += _projector(vecs, evals <= tol)
-    s_evals, s_vecs = np.linalg.eigh(linalg.hermitianize(_outcome_sum(povm)))
-    root = 1.0 / np.sqrt(np.clip(s_evals, 1e-12, None))
-    whiten = ((s_vecs * root[..., None, :]) @ _adjoint(s_vecs))[..., None, :, :]
-    return linalg.hermitianize(whiten @ povm @ whiten)
+    povm[..., 0, :, :] += kernel
+    return _whitened(povm)
+
+
+# Iteration steps after the PGM in refined_pgm_povm.  On the bb84^2 and
+# bb84^3 seesaws 30 steps took as many cycles as 5, at 2-4 times the time.
+_REFINE_STEPS = 5
+
+
+def refined_pgm_povm(sigmas) -> np.ndarray:
+    """The pretty-good measurement refined by a fixed number of steps of
+    Ježek, Řeháček and Fiurášek's iteration for minimum-error
+    discrimination (PRA 65, 060301(R), 2002).
+
+    Each step sets R = (sum_x sigma_x P_x sigma_x)^{1/2} and
+    P_x <- R^{-1} sigma_x P_x sigma_x R^{-1}, with R inverted on its
+    support and its kernel assigned to the first outcome.  The iterates
+    end with the PGM's PSD clip and whitening, so the family is a valid
+    POVM.  The guessing probability sum_x tr(sigma_x P_x) is not certified
+    optimal.  R's kernel holds the directions whose weight is below about
+    1e-5 of the largest, which the steps can give away, so each ensemble
+    keeps whichever of the refined family and the PGM guesses better: the
+    result never guesses worse than the PGM.  Takes and returns stacks as
+    :func:`pgm_povm` does.
+    """
+    pgm = pgm_povm(sigmas)
+    mats = linalg.hermitianize(np.asarray(sigmas))
+    povm = pgm
+    for _ in range(_REFINE_STEPS):
+        lifted = mats @ povm @ mats
+        inv_root, kernel = _inverse_root(linalg.hermitianize(_outcome_sum(lifted)))
+        inv_root = inv_root[..., None, :, :]
+        povm = linalg.hermitianize(inv_root @ lifted @ inv_root)
+        povm[..., 0, :, :] += kernel
+    povm = _whitened(_psd_clip(povm))
+    better = _guessing(mats, povm) >= _guessing(mats, pgm)
+    return np.where(better[..., None, None, None], povm, pgm)
 
 
 def pgm_guessing_lower_bound(ensemble: CqEnsemble) -> float:

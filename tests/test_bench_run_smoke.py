@@ -1,8 +1,8 @@
-"""Smoke run of the benchmark harness, so it does not rot.
+"""Smoke runs of the benchmark harness, so it does not rot.
 
-Runs one short end-to-end rep of the seesaw workload in a child process and
-checks only that the harness finishes and reports a correct, unfailed run;
-no timing is asserted.
+Runs one short rep of the seesaw workload in a child process, end to end
+and traced in process, and checks only that the harness finishes and
+reports a correct, unfailed run; no timing is asserted.
 """
 
 from __future__ import annotations
@@ -15,11 +15,22 @@ from pathlib import Path
 BENCH_RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
 
-def test_seesaw_workload_runs_clean():
+def _run_seesaw(trace: int) -> dict:
     proc = subprocess.run([sys.executable, str(BENCH_RUN), "--workload", "seesaw",
-                           "--seed", "0", "--seconds", "0.1", "--trace", "0"],
+                           "--seed", "0", "--seconds", "0.1", "--trace", str(trace)],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_seesaw_workload_runs_clean():
+    last = _run_seesaw(0)
+    assert last["correct"] is True
+    assert last["failed"] == 0
+
+
+def test_traced_seesaw_workload_runs_clean():
+    # through cli.dispatch in this harness's own process, spans installed
+    last = _run_seesaw(1)
     assert last["correct"] is True
     assert last["failed"] == 0

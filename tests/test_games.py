@@ -18,8 +18,9 @@ from monogamy.games import (MonogamyGame, QSet, Strategy, bb84_game,
                             identity_q_set, maximally_entangled_density, overlap,
                             per_theta_win_terms, power_elements, product_strategy,
                             pure_strategy,
-                            same_string_q_set, win_operator, winning_probability,
-                            winning_probability_with_q, xor_permutation_family)
+                            same_string_q_set, win_operator, win_operator_sum,
+                            winning_probability, winning_probability_with_q,
+                            xor_permutation_family)
 from monogamy.posver import (BreidbartPair, TimingScenario, simulate_pv_round,
                              simulate_pv_rounds)
 from monogamy.rand import random_density, random_projective_povm
@@ -251,6 +252,30 @@ def test_winning_probability_bounded_by_operator_norm(rng):
                         for i in range(len(g.basis_labels)))
             assert 0.0 <= value <= 1.0 + 1e-12
             assert value <= linalg.schatten_inf_norm(total) / 2**n + 1e-9
+
+
+def _three_basis_qutrit_game(rng) -> MonogamyGame:
+    bases = [np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+             for _ in range(3)]
+    elements = np.array([[np.outer(u[:, x], u[:, x].conj()) for x in range(3)]
+                         for u in bases])
+    return MonogamyGame(3, ("a", "b", "c"), ("0", "1", "2"), elements)
+
+
+@pytest.mark.parametrize("lead", [(), (2,), (2, 3)], ids=lambda s: f"lead{s}")
+@pytest.mark.parametrize("game, n", [("bb84", 1), ("bb84", 2), ("bb84", 3),
+                                     ("qutrit", 1), ("qutrit", 2)])
+def test_win_operator_sum_is_the_sum_over_bases(rng, game, n, lead):
+    one = bb84_game() if game == "bb84" else _three_basis_qutrit_game(rng)
+    g = game_power(one, n)
+    bases, outcomes = len(g.basis_labels), len(g.outcomes)**n
+    bob, charlie = (np.array([[random_projective_povm(d, outcomes, rng) for _ in range(bases)]
+                              for _ in range(math.prod(lead))]).reshape(
+                                  lead + (bases, outcomes, d, d)) for d in (2, 3))
+    total = win_operator_sum(g, bob, charlie)
+    expected = sum(win_operator(g, bob, charlie, i) for i in range(bases))
+    assert total.shape == expected.shape
+    np.testing.assert_allclose(total, expected, rtol=0, atol=1e-14)
 
 
 def test_averaged_win_operator_norm_at_most_one(rng):

@@ -10,14 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from monogamy import linalg
 from monogamy.errors import DimensionError, DomainError, ValidationError
-from monogamy.games import bb84_game, maximally_entangled_density
+from monogamy.games import _validate_povm, bb84_game, maximally_entangled_density
 from monogamy.rand import haar_unitary, random_density, random_povm, rng_for
 from monogamy.uncertainty import (CqEnsemble, check_uncertainty_relation,
                                   guessing_probability_binary,
                                   helstrom_binary_povm, measurement_overlap,
                                   min_entropy_bracket, min_entropy_conditional,
                                   pgm_guessing_lower_bound, pgm_povm,
-                                  post_measurement_state, ur_bound_n)
+                                  post_measurement_state, refined_pgm_povm, ur_bound_n)
 
 from conftest import reorder_systems
 
@@ -264,6 +264,35 @@ def test_pgm_broadcasts_over_a_stack_of_ensembles(r, b, k, d, seed):
         # the kernel of the total goes to the first outcome
         for v in vecs[:, evals <= evals[-1] * 1e-10].T:
             assert (v.conj() @ povms[idx][0] @ v).real == pytest.approx(1.0, abs=1e-8)
+
+
+def _guessing(stack: np.ndarray, povms: np.ndarray) -> np.ndarray:
+    return np.einsum("...xij,...xji->...", stack, povms).real
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 4), st.integers(1, 4),
+       st.integers(0, 2**32 - 1), st.sampled_from([0.0, 6.0, 14.0]))
+def test_refined_pgm_is_a_povm_that_guesses_no_worse_than_the_pgm(r, b, k, d, seed, spread):
+    # `spread` scales each operator by a weight down to 10^-spread, so that
+    # some directions fall into the kernel of the iteration's R
+    stack = _ensemble_stack((r, b, k), d, seed)
+    stack *= 10.0**-rng_for(seed, 1).uniform(0.0, spread, (r, b, k, 1, 1))
+    refined = refined_pgm_povm(stack)
+    assert refined.shape == stack.shape
+    for idx in np.ndindex(r, b):
+        _validate_povm(refined[idx], "refined")
+    assert (_guessing(stack, refined) >= _guessing(stack, pgm_povm(stack)) - 1e-12).all()
+
+
+def test_refined_pgm_nears_the_optimum_where_the_pgm_does_not():
+    # BB84 states weighted 0.4, 0.1, 0.4, 0.1: guessing only the two heavy
+    # states, with orthogonal projectors, gives the optimum 0.4 (1 + 1/sqrt 2)
+    stack = np.array([w * m for w, m in zip((0.4, 0.1, 0.4, 0.1), (*F0, *F1))])
+    optimum = 0.4 * (1 + 1 / math.sqrt(2))
+    pgm, refined = (float(_guessing(stack, f(stack))) for f in (pgm_povm, refined_pgm_povm))
+    assert pgm < optimum - 0.09
+    assert optimum - 1e-4 < refined <= optimum + 1e-12
 
 
 @settings(max_examples=40, deadline=None)
