@@ -341,8 +341,8 @@ def posver_group() -> None:
 @click.option("--n", "n_range", default="1", show_default=True)
 @click.option("--d", type=int, default=1, show_default=True,
               help="Dimension of the adversaries' pre-shared state.")
-@click.option("--rate", type=float, default=None,
-              help="Entanglement rate: overrides --d with d = 2^ceil(rate n).")
+@click.option("--rate", type=click.FloatRange(min=0), default=None,
+              help="Entanglement rate: d = 2^ceil(rate n) in place of --d.")
 @click.option("--gamma", type=float, default=None,
               help="Allowed error fraction (noise-tolerant variant).")
 @click.option("--gamma-prime", type=float, default=None)
@@ -353,6 +353,8 @@ def posver_group() -> None:
 def posver_bound_cmd(n_range, d, rate, gamma, gamma_prime, fmt, output,
                      deterministic):
     """Soundness bounds over a sweep of qubit counts."""
+    if rate is not None:
+        _reject_unused("with --rate", "d")
     rows = []
     for n in _parse_range(n_range):
         dim = 2 ** math.ceil(rate * n) if rate is not None else d

@@ -4,7 +4,10 @@ A game is one basis-stacked POVM array F[theta, x, a, a'] on Alice's system;
 a strategy is a tripartite state with two such stacks, P[theta, x, b, b'] and
 Q[theta, x, c, c'], for the two guessing parties.  Both store these read-only
 arrays for one round plus a round count, and every evaluator reads them.
-Everything here is exact evaluation; closed-form bounds live in
+Everything here is exact evaluation, by one evaluator that the seesaw
+and the uncertainty relation share: :func:`conditional_stack` gives every
+basis's conditional states from one call, and :func:`win_terms_from_states`
+contracts them in one einsum.  Closed-form bounds live in
 :mod:`monogamy.bounds`.
 
 Basis and outcome labels are strings used only at the edges: constructors
@@ -127,12 +130,6 @@ class MonogamyGame:
         """The n-round basis labels, built on each access."""
         sep = "" if all(len(t) == 1 for t in self.thetas) else ","
         return tuple(sep.join(ts) for ts in itertools.product(self.thetas, repeat=self.rounds))
-
-    def factors(self):
-        """For each n-round basis, in `basis_labels` order, the
-        (rounds, |X|, dim_a, dim_a) stack of its per-round POVMs."""
-        for ts in itertools.product(range(len(self.thetas)), repeat=self.rounds):
-            yield self.elements[list(ts)]
 
     def element(self, theta: str, outcome: str) -> np.ndarray:
         """F_x^theta of one round."""
@@ -266,7 +263,7 @@ def overlap(game: MonogamyGame) -> float:
     """Maximal measurement overlap across distinct bases.
 
     max over theta != theta' and outcomes x, x' of
-    ||sqrt(F_x^theta) sqrt(F_x'^theta')||^2; always within [1/|X|, 1].
+    ||sqrt(F_x^theta) sqrt(F_x'^theta')||^2; in (0, 1], at least 1/|X| if projective.
 
     Over n rounds the basis pair ranges over strings that differ in every
     round, which keeps the overlap multiplicative: the n-round overlap is the
@@ -276,7 +273,7 @@ def overlap(game: MonogamyGame) -> float:
         raise DomainError("overlap requires at least two bases")
     best = max(linalg.overlap_of_pair(a, b)
                for fa, fb in itertools.combinations(game.elements, 2) for a in fa for b in fb)
-    assert 1.0 / len(game.outcomes) - 1e-9 <= best <= 1.0 + 1e-9
+    assert 0.0 < best <= 1.0 + 1e-9
     return best**game.rounds
 
 
@@ -340,19 +337,49 @@ def _trace_out_entries(size: int, k: int, d: int, rounds: int) -> tuple[int, int
     return size, states
 
 
-def _win_terms_bytes(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray,
-                     rho: np.ndarray, q: QSet | None) -> int:
-    """Peak bytes of :func:`win_terms` beyond its inputs.  One basis's
-    conditional states are held throughout; while the next basis's are
-    computed, conditional_states holds, round by round, its last result, the
-    reordered copy it multiplies and their product.  A product Q-set adds
-    both smeared stacks and one gathered row of a stack; after the states,
-    a zipped one gathers K rows of one basis's elements for each party."""
-    size, states = _trace_out_entries(rho.size, len(game.outcomes), game.dim_a, game.rounds)
-    if q is not None and q.product:
-        states += 2 * (bob.size + charlie.size)
-    rows = 0 if q is None or q.product else len(q.bob)
-    return 16 * (size + max(states, rows * (bob[0].size + charlie[0].size)))
+def conditional_stack(game: MonogamyGame, rho: np.ndarray) -> np.ndarray:
+    """tr_A[(F_x^theta ⊗ 1) rho] for every n-round basis theta and outcome
+    x, of one density matrix or of an (R, D, D) stack of them.  Returns
+    (|Theta|, |X|, m, m), or (R, |Theta|, |X|, m, m) for a stack, rows in
+    `game.basis_labels` order: the states the guessers are left in.  One
+    conditional_states call takes every round's (basis, outcome) pairs as
+    its rows; its result, rows (theta_1 x_1, ..., theta_n x_n, restart), is
+    then reordered."""
+    t, k, n = len(game.thetas), len(game.outcomes), game.rounds
+    rows = game.elements.reshape(t * k, game.dim_a, game.dim_a)
+    out = conditional_states([rows] * n, rho)
+    m = out.shape[-1]
+    out = out.reshape((t, k) * n + (-1, m, m))
+    order = (2 * n, *range(0, 2 * n, 2), *range(1, 2 * n, 2), 2 * n + 1, 2 * n + 2)
+    return out.transpose(order).reshape(rho.shape[:-2] + (t**n, k**n, m, m))
+
+
+def win_terms_from_states(bob: np.ndarray, charlie: np.ndarray,
+                          states: np.ndarray) -> np.ndarray:
+    """tr(Pi^theta rho) for every basis and leading index from rho's
+    :func:`conditional_stack`: sum_x tr((P_x ⊗ Q_x) sigma_x), in one einsum."""
+    db, dc = bob.shape[-1], charlie.shape[-1]
+    sigma = states.reshape(states.shape[:-2] + (db, dc, db, dc))
+    return np.einsum("...xbq,...xcr,...xqrbc->...", bob, charlie, sigma).real
+
+
+def _win_terms_bytes(game: MonogamyGame, size: int, q: QSet | None = None,
+                     stack_entries: int = 0) -> int:
+    """Peak bytes of :func:`win_terms` beyond its inputs, for a state of
+    `size` entries and party stacks of `stack_entries`: conditional_stack's
+    call, then its result and reordered copy, or the result beside
+    np.einsum's iterator buffers (at most numpy's 8192 entries for each of
+    four operands); plus a Q-set's smeared or gathered stacks.  tracemalloc
+    on dense bb84^n strategies read 0.997-1.000 of this at n = 7-10, dims
+    1/1 (12.0 MiB at n = 9, rho 4 MiB) and n = 3, 4, dims 4/4; 0.60-0.80
+    where the buffers dominate (n = 6, dims 1/1; n = 2-4, dims 2/2)."""
+    states, trace_out = _trace_out_entries(size, len(game.thetas) * len(game.outcomes),
+                                           game.dim_a, game.rounds)
+    peak = max(trace_out, 2 * states, states + 4 * min(states, 8192))
+    if q is not None:
+        peak += (2 if q.product else 1) * stack_entries
+    # and 4 KiB for the array objects of its views (tracemalloc: 1.5 KiB)
+    return 16 * peak + 4096
 
 
 def _smeared(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -369,9 +396,9 @@ def win_terms(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray, rho: np.
     """tr(Pi^theta rho) for every n-round basis, in `game.basis_labels` order.
 
     `bob` and `charlie` are (|Theta|, |X|, d, d) stacks over the n-round bases
-    and outcomes.  Contracts rho one basis at a time, without building
-    Pi^theta.  `q` is the Q-set of allowed displacement pairs, None the plain
-    game.
+    and outcomes.  All bases come from one :func:`conditional_stack` call
+    and one contraction, without building Pi^theta.  `q` is the Q-set of
+    allowed displacement pairs, None the plain game.
     """
     db, dc = bob.shape[-1], charlie.shape[-1]
     if rho.shape[0] != game.alice_dim * db * dc:
@@ -380,19 +407,16 @@ def win_terms(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray, rho: np.
     if q is not None and q.bob.shape[1] != bob.shape[1]:
         raise ValidationError(f"Q-set rows cover {q.bob.shape[1]} outcomes, "
                               f"the game has {bob.shape[1]}")
-    require_bytes(_win_terms_bytes(game, bob, charlie, rho, q), "win_terms")
+    require_bytes(_win_terms_bytes(game, rho.size, q, bob.size + charlie.size), "win_terms")
     if q is not None and q.product:
         # exact: sum_(k,k') P_k ⊗ Q_k' = (sum_k P_k) ⊗ (sum_k' Q_k'), one pair
         bob, charlie, q = _smeared(bob, q.bob), _smeared(charlie, q.charlie), None
-    # the rows each party must name; None, the plain game, is one identity row
-    bob_rows, charlie_rows = (None, None) if q is None else (q.bob, q.charlie)
-    out = np.empty(len(game.thetas)**game.rounds)
-    for i, factors in enumerate(game.factors()):
-        sigma = conditional_states(factors, rho).reshape(-1, db, dc, db, dc)
-        # sum_k sum_x tr((P_k(x) ⊗ Q_k(x)) sigma_x)
-        out[i] = np.einsum("kxbq,kxcr,xqrbc->", bob[i][bob_rows], charlie[i][charlie_rows],
-                           sigma).real
-    return out
+    states = conditional_stack(game, rho)
+    if q is None:
+        return win_terms_from_states(bob, charlie, states)
+    # sum_k sum_x tr((P(row_k(x)) ⊗ Q(row'_k(x))) sigma_x), one row pair at a time
+    return sum(win_terms_from_states(bob[:, rb], charlie[:, rc], states)
+               for rb, rc in zip(q.bob, q.charlie))
 
 
 def win_operator(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, DomainError, ValidationError
-from .games import MonogamyGame, conditional_states
+from .games import MonogamyGame, conditional_stack, overlap
 
 WEIGHT_ATOL = 1e-9
 
@@ -281,10 +281,10 @@ def post_measurement_state(rho_abc, dims: Sequence[int], f0, f1):
     if rho.shape[0] != da * db * dc:
         raise DimensionError(f"state dimension {rho.shape[0]} != product of {dims}")
     alphabet = tuple(str(i) for i in range(len(f0)))
-    povms = MonogamyGame(da, ("0", "1"), alphabet, {"0": f0, "1": f1}).elements
+    game = MonogamyGame(da, ("0", "1"), alphabet, {"0": f0, "1": f1})
+    states = conditional_stack(game, rho).reshape(2, -1, db, dc, db, dc)
     b_out, c_out = {}, {}
-    for theta, elems in enumerate(povms):
-        sigma = conditional_states([elems], rho).reshape(-1, db, dc, db, dc)
+    for theta, sigma in enumerate(states):
         marginals_b = np.einsum("xbcsc->xbs", sigma)
         p = np.trace(marginals_b, axis1=1, axis2=2).real
         w = np.clip(p, 0.0, None)
@@ -333,18 +333,13 @@ def ur_bound_n(c: float, n: int) -> float:
     return -2.0 * math.log2((1.0 + math.sqrt(c**n)) / 2.0)
 
 
-def measurement_overlap(f0, f1) -> float:
-    """max_{x,z} || sqrt(F_x^0) sqrt(F_z^1) ||^2 across the two POVMs."""
-    return max(linalg.overlap_of_pair(a, b) for a in f0 for b in f1)
-
-
 def check_uncertainty_relation(rho_abc, dims: Sequence[int], f0, f1) -> UrReport:
     """Evaluate both observers' optimal guessing probabilities and compare with
     1 + sqrt(c) (and the min-entropy sum with -2 log2((1+sqrt(c))/2))."""
     if len(list(f0)) != 2 or len(list(f1)) != 2:
         raise DomainError("exact evaluation requires binary-outcome POVMs")
-    c = measurement_overlap(f0, f1)
     b_ens, c_ens = post_measurement_state(rho_abc, dims, f0, f1)
+    c = overlap(MonogamyGame(int(dims[0]), ("0", "1"), ("0", "1"), {"0": f0, "1": f1}))
     weights = {0: 0.5, 1: 0.5}
     pg_b = sum(weights[t] * guessing_probability_binary(b_ens[t])[0] for t in (0, 1))
     pg_c = sum(weights[t] * guessing_probability_binary(c_ens[t])[0] for t in (0, 1))

@@ -42,6 +42,14 @@ def reorder_systems(m: np.ndarray, dims: Sequence[int], order: Sequence[int]) ->
     return np.asarray(m).reshape(tuple(dims) * 2).transpose(axes).reshape(d, d)
 
 
+def basis_factors(game: MonogamyGame) -> list[np.ndarray]:
+    """For each n-round basis of `game`, in `basis_labels` order, the
+    (rounds, |X|, dim_a, dim_a) stack of its per-round POVMs: the factors a
+    per-basis ``conditional_states`` call or ``power_elements`` takes."""
+    return [game.elements[list(ts)]
+            for ts in itertools.product(range(len(game.thetas)), repeat=game.rounds)]
+
+
 def dense_product(game: MonogamyGame, strategy: Strategy) -> Strategy:
     """Oracle: a product strategy written out as one dense strategy for
     `game`, which plays as many rounds.  The state is the tensor power of the

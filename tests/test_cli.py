@@ -186,12 +186,20 @@ def test_posver_simulate_single_needs_position(capsys):
                     "--trials", "10")),
     ("--random", ("ur-check", "instance.json", "--random", "5")),
     ("--seed", ("ur-check", "instance.json", "--seed", "3")),
+    ("--d", ("posver", "bound", "--d", "8", "--rate", "0.5", "--n", "3")),
 ])
 def test_an_option_the_command_would_ignore_is_a_usage_error(capsys, flag, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert f"{flag} has no effect" in err
+
+
+def test_posver_bound_refuses_a_negative_rate(capsys):
+    code, out, err = run(capsys, "posver", "bound", "--rate", "-0.5", "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert "--rate" in err
 
 
 def test_ur_check_random(capsys):

@@ -28,7 +28,7 @@ from monogamy.rand import random_density, random_povm, rng_for
 from monogamy.seesaw import _conditional_operators
 from monogamy.uncertainty import post_measurement_state
 
-from conftest import dense_product
+from conftest import basis_factors, dense_product
 
 ATOL = 1e-12
 
@@ -144,7 +144,7 @@ def random_power_case(seed, da, db, dc, n_out, rounds):
     family = MonogamyGame(da, ("0", "1"), outcomes,
                           {t: random_povm(da, n_out, rng) for t in ("0", "1")})
     game = game_power(family, rounds)
-    dense = np.array([power_elements(factors) for factors in game.factors()])
+    dense = np.array([power_elements(factors) for factors in basis_factors(game)])
     bases, n_str = dense.shape[:2]
     bob = np.array([random_povm(db, n_str, rng) for _ in range(bases)])
     charlie = np.array([random_povm(dc, n_str, rng) for _ in range(bases)])

@@ -9,24 +9,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from monogamy import linalg
+from monogamy import games, linalg
 from monogamy.bounds import (BB84_ROUND_VALUE, bb84_parallel_value, binary_entropy,
                              imperfect_guessing_bound)
 from monogamy.errors import DimensionError, DomainError, ValidationError
-from monogamy.games import (MonogamyGame, QSet, Strategy, bb84_game,
-                            constant_guess_povms, game_power, hamming_q_set,
-                            identity_q_set, maximally_entangled_density, overlap,
-                            per_theta_win_terms, power_elements, product_strategy,
-                            pure_strategy,
-                            same_string_q_set, win_operator, win_operator_sum,
-                            winning_probability, winning_probability_with_q,
+from monogamy.games import (MonogamyGame, QSet, Strategy, bb84_game, conditional_stack,
+                            conditional_states, constant_guess_povms, game_power,
+                            hamming_q_set, identity_q_set, maximally_entangled_density,
+                            overlap, per_theta_win_terms, power_elements, product_strategy,
+                            pure_strategy, same_string_q_set, win_operator, win_operator_sum,
+                            win_terms, winning_probability, winning_probability_with_q,
                             xor_permutation_family)
 from monogamy.posver import (BreidbartPair, TimingScenario, simulate_pv_round,
                              simulate_pv_rounds)
 from monogamy.rand import random_density, random_projective_povm
 from monogamy.seesaw import bb84_optimal_unentangled_strategy
 
-from conftest import dense_product, reorder_systems
+from conftest import basis_factors, dense_product, reorder_systems
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -79,7 +78,7 @@ def test_game_power_one_is_same_game():
 
 def test_game_power_elements_are_tensor_products():
     g2 = game_power(bb84_game(), 2)
-    dense = dict(zip(g2.basis_labels, (power_elements(f) for f in g2.factors())))
+    dense = dict(zip(g2.basis_labels, map(power_elements, basis_factors(g2))))
     # basis "01", outcome "00"
     np.testing.assert_array_equal(dense["01"][0], linalg.tensor(KET0, PLUS))
     assert g2.alice_dim == 4 and g2.rounds == 2
@@ -89,7 +88,7 @@ def test_game_power_elements_are_tensor_products():
 def test_game_power_completeness_for_all_theta_strings():
     g3 = game_power(bb84_game(), 3)
     assert len(g3.basis_labels) == 8
-    for factors in g3.factors():
+    for factors in basis_factors(g3):
         np.testing.assert_allclose(power_elements(factors).sum(axis=0), np.eye(8),
                                    atol=1e-12)
 
@@ -182,6 +181,14 @@ def test_overlap_power_law():
     g = bb84_game()
     for n in (2, 3):
         assert overlap(game_power(g, n)) == pytest.approx(0.5**n, abs=1e-12)
+
+
+def test_overlap_of_unsharp_measurements_is_below_one_over_the_alphabet():
+    # ||sqrt(I/2) sqrt(I/2)||^2 = 1/4: the 1/|X| floor holds only for
+    # projective measurements
+    half = np.eye(2) / 2
+    g = MonogamyGame(2, ("0", "1"), ("0", "1"), {"0": [half, half], "1": [half, half]})
+    assert overlap(g) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_overlap_requires_two_bases():
@@ -309,6 +316,71 @@ def test_cross_term_norm_bound(rng):
                 assert norm <= 2.0 ** (-t_dist / 2) + 1e-8
 
 
+@pytest.mark.parametrize("n, party_dim, restarts",
+                         [(1, 2, 3), (1, 4, 2), (2, 1, 3), (2, 4, 4), (3, 1, 1), (3, 2, 2)])
+def test_conditional_stack_equals_the_per_restart_per_basis_loop(rng, n, party_dim,
+                                                                 restarts):
+    # one conditional_states call on every round's (basis, outcome) rows, for
+    # all restarts, is the loop of one call per restart and basis, bit for
+    # bit.  Not so for one round with one-dimensional parties: there the loop
+    # multiplies one column per call, which BLAS takes through a matrix-vector
+    # kernel, and imaginary parts differ by about 1e-18
+    g = game_power(bb84_game(), n)
+    rho = np.array([random_density(g.alice_dim * party_dim**2, rng)
+                    for _ in range(restarts)])
+    loop = np.array([[conditional_states(f, r) for f in basis_factors(g)] for r in rho])
+    assert np.array_equal(conditional_stack(g, rho), loop)
+    assert np.array_equal(conditional_stack(g, rho[0]), loop[0])
+
+
+def _per_basis_terms(game, bob, charlie, rho) -> np.ndarray:
+    """Oracle: tr(Pi^theta rho) from one conditional_states call and one
+    contraction per basis, stacks in `game.basis_labels` order."""
+    db, dc = bob.shape[-1], charlie.shape[-1]
+    return np.array([
+        np.einsum("kxbq,kxcr,xqrbc->", bob[i][None], charlie[i][None],
+                  conditional_states(factors, rho).reshape(-1, db, dc, db, dc)).real
+        for i, factors in enumerate(basis_factors(game))])
+
+
+@pytest.mark.parametrize("db, dc", [(1, 1), (2, 1), (2, 2), (4, 4)])
+@pytest.mark.parametrize("game, n", [("bb84", 1), ("bb84", 2), ("bb84", 3), ("bb84", 4),
+                                     ("qutrit", 1), ("qutrit", 2)])
+def test_win_terms_is_the_per_basis_loop_bit_for_bit(rng, game, n, db, dc):
+    one = bb84_game() if game == "bb84" else _three_basis_qutrit_game(rng)
+    g = game_power(one, n)
+    s = random_strategy(g, db, dc, rng)
+    terms = win_terms(g, s.bob, s.charlie, s.rho_abc)
+    assert np.array_equal(terms, _per_basis_terms(g, s.bob, s.charlie, s.rho_abc))
+
+
+def test_a_reordered_strategy_is_evaluated_as_the_per_basis_loop(rng):
+    # the strategy's rows are put in the game's basis order before the one
+    # contraction
+    g = game_power(bb84_game(), 2)
+    s = random_strategy(g, 2, 2, rng)
+    order = rng.permutation(len(g.basis_labels))
+    shuffled = Strategy(s.rho_abc, s.dims, s.bob[order], s.charlie[order],
+                        [g.basis_labels[i] for i in order])
+    assert shuffled.thetas != g.basis_labels
+    terms = list(per_theta_win_terms(g, shuffled).values())
+    assert np.array_equal(terms, _per_basis_terms(g, s.bob, s.charlie, s.rho_abc))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_winning_probability_makes_one_conditional_states_call(monkeypatch, rng, n):
+    calls = []
+
+    def counting(factors, rho):
+        calls.append(len(factors))
+        return conditional_states(factors, rho)
+
+    monkeypatch.setattr(games, "conditional_states", counting)
+    g = game_power(bb84_game(), n)
+    winning_probability(g, random_strategy(g, 2, 2, rng))
+    assert calls == [n]
+
+
 # ---------------------------------------------------------------------------
 # Q-sets
 
@@ -334,7 +406,7 @@ def test_q_value_by_brute_force_enumeration(rng):
     s = random_strategy(g, 2, 2, rng)
     q = hamming_q_set(2, 0.5, 0.0)
     expect = 0.0
-    for theta, factors in zip(g.basis_labels, g.factors()):
+    for theta, factors in zip(g.basis_labels, basis_factors(g)):
         f = power_elements(factors)
         for x in range(len(f)):
             for pb, pc in q_pairs(q):
@@ -680,7 +752,7 @@ def test_product_strategy_follows_an_unsorted_basis_order():
     assert g2.basis_labels == ("11", "10", "01", "00")
     oracle = dense_product(g2, s2)
     assert oracle.thetas == g2.basis_labels
-    dense = [power_elements(factors) for factors in g2.factors()]
+    dense = [power_elements(factors) for factors in basis_factors(g2)]
     np.testing.assert_allclose(oracle.bob, dense, atol=1e-12, rtol=0)
     assert winning_probability(g2, s2) == \
         pytest.approx(winning_probability(g, s1) ** 2, abs=1e-12)

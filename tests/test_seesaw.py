@@ -7,12 +7,10 @@ import pytest
 
 from monogamy.bounds import BB84_ROUND_VALUE, bb84_parallel_value
 from monogamy.errors import CapacityError, DimensionError, DomainError, ValidationError
-from monogamy.games import (MonogamyGame, Strategy, bb84_game, conditional_states,
-                            game_power, product_strategy, winning_probability)
-from monogamy.rand import random_density
-from monogamy.seesaw import (SeesawConfig, _conditional_stack,
-                             bb84_optimal_unentangled_strategy, optimal_povm_step,
-                             optimal_state_step, seesaw)
+from monogamy.games import (MonogamyGame, Strategy, bb84_game, game_power,
+                            product_strategy, winning_probability)
+from monogamy.seesaw import (SeesawConfig, bb84_optimal_unentangled_strategy,
+                             optimal_povm_step, optimal_state_step, seesaw)
 
 from conftest import dense_product
 
@@ -73,23 +71,6 @@ def test_povm_step_rejects_a_state_that_is_not_a_density(rho):
     s = bb84_optimal_unentangled_strategy()
     with pytest.raises(ValidationError):
         optimal_povm_step(g, rho.astype(complex), s.charlie, "B")
-
-
-@pytest.mark.parametrize("n, party_dim, restarts",
-                         [(1, 2, 3), (1, 4, 2), (2, 1, 3), (2, 4, 4), (3, 1, 1), (3, 2, 2)])
-def test_conditional_stack_equals_the_per_restart_per_basis_loop(rng, n, party_dim,
-                                                                 restarts):
-    # one conditional_states call on every round's (basis, outcome) rows, for
-    # all restarts, is the loop of one call per restart and basis, bit for
-    # bit.  Not so for one round with one-dimensional parties: there the loop
-    # multiplies one column per call, which BLAS takes through a matrix-vector
-    # kernel, and imaginary parts differ by about 1e-18
-    g = game_power(bb84_game(), n)
-    rho = np.array([random_density(g.alice_dim * party_dim**2, rng)
-                    for _ in range(restarts)])
-    loop = np.array([[conditional_states(f, r) for f in g.factors()] for r in rho])
-    assert np.array_equal(_conditional_stack(g, rho), loop)
-    assert np.array_equal(_conditional_stack(g, rho[0]), loop[0])
 
 
 def test_a_nan_stops_the_search_in_its_first_cycle(monkeypatch):

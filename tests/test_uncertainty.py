@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monogamy import linalg
+from monogamy import games, linalg
 from monogamy.errors import DimensionError, DomainError, ValidationError
-from monogamy.games import _validate_povm, bb84_game, maximally_entangled_density
+from monogamy.games import (MonogamyGame, _validate_povm, bb84_game,
+                            maximally_entangled_density, overlap)
 from monogamy.rand import haar_unitary, random_density, random_povm, rng_for
 from monogamy.uncertainty import (CqEnsemble, check_uncertainty_relation,
-                                  guessing_probability_binary,
-                                  helstrom_binary_povm, measurement_overlap,
+                                  guessing_probability_binary, helstrom_binary_povm,
                                   min_entropy_bracket, min_entropy_conditional,
                                   pgm_guessing_lower_bound, pgm_povm,
                                   post_measurement_state, refined_pgm_povm, ur_bound_n)
@@ -108,6 +108,18 @@ def test_post_measurement_weights_normalize_per_basis(rng):
     for theta in (0, 1):
         assert b_ens[theta].weights.sum() == pytest.approx(1.0, abs=1e-10)
         assert c_ens[theta].weights.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_post_measurement_takes_both_bases_from_one_call(monkeypatch, rng):
+    calls, conditional_states = [], games.conditional_states
+
+    def counting(factors, rho):
+        calls.append(len(factors))
+        return conditional_states(factors, rho)
+
+    monkeypatch.setattr(games, "conditional_states", counting)
+    post_measurement_state(random_density(8, rng), (2, 2, 2), F0, F1)
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("bad_f0, error", [
@@ -352,7 +364,7 @@ def test_min_entropy_bracket_contains_exact(rng):
 
 
 def test_overlap_of_bb84_povms():
-    assert measurement_overlap(F0, F1) == 0.5
+    assert overlap(MonogamyGame(2, ("0", "1"), ("0", "1"), {"0": F0, "1": F1})) == 0.5
 
 
 def test_relation_saturated_by_intermediate_state():
