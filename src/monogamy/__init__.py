@@ -48,8 +48,7 @@ from .posver import (TimingScenario, entangled_soundness_bound,
 from .seesaw import (SeesawConfig, SeesawResult, bb84_optimal_unentangled_strategy,
                      optimal_povm_step, optimal_state_step, seesaw)
 from .uncertainty import (CqEnsemble, UrReport, check_uncertainty_relation,
-                          guessing_probability_binary, min_entropy_conditional,
-                          pgm_guessing_lower_bound, post_measurement_state,
-                          ur_bound_n)
+                          guessing_probability, min_entropy_bracket,
+                          post_measurement_state, ur_bound_n)
 
 __version__ = "0.1.0"

@@ -47,28 +47,36 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
+def _positive_int(n, name: str = "n") -> int:
+    """n as a Python int, once it is a positive integer of any numeric type;
+    2.5 or 0 raise DomainError rather than being truncated."""
+    if int(n) != n or n < 1:
+        raise DomainError(f"{name} must be a positive integer")
+    return int(n)
+
+
+def _family_inputs(c: float, theta_count: int, n: int) -> tuple[float, int, int]:
+    """(c, theta_count, n) of the overlap bounds, once the overlap c lies in
+    (0, 1], theta_count is an integer of at least 2 and n a positive
+    integer."""
+    c = float(c)
+    if not 0.0 < c <= 1.0:
+        raise DomainError(f"overlap c must lie in (0, 1], got {c}")
+    theta_count = _positive_int(theta_count, "theta_count")
+    if theta_count < 2:
+        raise DomainError("theta_count must be at least 2")
+    return c, theta_count, _positive_int(n)
+
+
 def bb84_parallel_value(n: int) -> float:
     """Exact optimal n-round BB84 game value: BB84_ROUND_VALUE ** n."""
-    n = int(n)
-    if n < 1:
-        raise DomainError("n must be a positive integer")
-    return BB84_ROUND_VALUE**n
+    return BB84_ROUND_VALUE**_positive_int(n)
 
 
 def general_upper_bound(c: float, theta_count: int, q_cardinality: int, n: int) -> float:
     """|Q| * (1/|Theta| + (|Theta|-1)/|Theta| * sqrt(c))^n for overlap c."""
-    c = float(c)
-    if not 0.0 < c <= 1.0:
-        raise DomainError(f"overlap c must lie in (0, 1], got {c}")
-    theta_count = int(theta_count)
-    if theta_count < 2:
-        raise DomainError("theta_count must be at least 2")
-    q_cardinality = int(q_cardinality)
-    if q_cardinality < 1:
-        raise DomainError("q_cardinality must be at least 1")
-    n = int(n)
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    c, theta_count, n = _family_inputs(c, theta_count, n)
+    q_cardinality = _positive_int(q_cardinality, "q_cardinality")
     base = (1.0 + (theta_count - 1) * math.sqrt(c)) / theta_count
     return q_cardinality * base**n
 
@@ -83,15 +91,7 @@ def imperfect_guessing_bound(c: float, theta_count: int, n: int,
     for name, g in (("gamma", gamma), ("gamma_prime", gamma_prime)):
         if not 0.0 <= float(g) <= 0.5:
             raise DomainError(f"{name} must lie in [0, 1/2], got {g}")
-    c = float(c)
-    if not 0.0 < c <= 1.0:
-        raise DomainError(f"overlap c must lie in (0, 1], got {c}")
-    theta_count = int(theta_count)
-    if theta_count < 2:
-        raise DomainError("theta_count must be at least 2")
-    n = int(n)
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    c, theta_count, n = _family_inputs(c, theta_count, n)
     factor = 2.0 ** (binary_entropy(gamma) + binary_entropy(gamma_prime))
     base = factor * (1.0 + (theta_count - 1) * math.sqrt(c)) / theta_count
     return base**n

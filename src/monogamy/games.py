@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import linalg
-from .bounds import binary_entropy
+from .bounds import _positive_int, binary_entropy
 from .errors import DimensionError, DomainError, ValidationError, require_bytes
 
 POVM_COMPLETENESS_ATOL = 1e-8
@@ -38,12 +38,6 @@ POVM_COMPLETENESS_ATOL = 1e-8
 # Bytes held per n-round basis by its terms as an array and a list
 # (tracemalloc: 40 B), and keyed by label as well (151 B).
 _TERM_BYTES, _LABELED_TERM_BYTES = 48, 160
-
-
-def _round_count(n, name: str = "n") -> int:
-    if int(n) != n or n < 1:
-        raise DomainError(f"{name} must be a positive integer")
-    return int(n)
 
 
 def _validate_povm(elements: np.ndarray, label: str) -> None:
@@ -107,7 +101,7 @@ class MonogamyGame:
     def __post_init__(self):
         if self.dim_a < 1:
             raise DimensionError("dim_a must be positive")
-        object.__setattr__(self, "rounds", _round_count(self.rounds, "rounds"))
+        object.__setattr__(self, "rounds", _positive_int(self.rounds, "rounds"))
         for name, what in (("thetas", "basis"), ("outcomes", "outcome")):
             labels = tuple(str(t) for t in getattr(self, name))
             if len(set(labels)) != len(labels) or not labels:
@@ -255,7 +249,7 @@ def _with_rounds(obj, rounds: int):
 def game_power(game: MonogamyGame, n: int) -> MonogamyGame:
     """n-fold parallel repetition: the same checked single-round family, played
     for n times as many rounds (tensor products of POVMs need no check)."""
-    n = _round_count(n)
+    n = _positive_int(n)
     return game if n == 1 else _with_rounds(game, game.rounds * n)
 
 
@@ -577,7 +571,7 @@ def xor_permutation_family(n: int, alphabet_size_theta: int) -> np.ndarray:
     The family partitions by shift weight t with multiplicity
     C(n, t) (|Theta|-1)^t.
     """
-    n, q = _round_count(n), int(alphabet_size_theta)
+    n, q = _positive_int(n), _positive_int(alphabet_size_theta, "alphabet size")
     if q < 2:
         raise DomainError("alphabet size must be at least 2")
     size = q**n
@@ -619,7 +613,7 @@ def hamming_q_set(n: int, gamma: float, gamma_prime: float) -> QSet:
     """XOR displacement pairs (x ⊕ k, x ⊕ k') with wt(k) <= gamma n and
     wt(k') <= gamma' n, on the length-n binary outcome alphabet: the product
     of Bob's and Charlie's shift rows."""
-    n = _round_count(n)
+    n = _positive_int(n)
     kb, kc = _shift_count(n, gamma, "gamma"), _shift_count(n, gamma_prime, "gamma_prime")
     # both parties' rows, and the sorted copy and result of np.unique over
     # the larger party's, which QSet checks one party at a time
@@ -632,7 +626,7 @@ def hamming_q_set(n: int, gamma: float, gamma_prime: float) -> QSet:
 
 def same_string_q_set(n: int, gamma: float) -> QSet:
     """XOR displacement pairs with both parties shifted by the same k."""
-    n = _round_count(n)
+    n = _positive_int(n)
     k = _shift_count(n, gamma, "gamma")
     # the rows both parties share, and the copy, sorted copy and result of
     # np.unique over the pairs side by side, which QSet checks at once
@@ -649,5 +643,5 @@ def product_strategy(strategy: Strategy, n: int) -> Strategy:
     n times as many rounds, as in :func:`game_power`.  It takes the Q-sets of
     :func:`hamming_q_set`, :func:`same_string_q_set` and
     ``xor_permutation_family(n, 2)``; see :func:`winning_probability_with_q`."""
-    n = _round_count(n)
+    n = _positive_int(n)
     return strategy if n == 1 else _with_rounds(strategy, strategy.rounds * n)

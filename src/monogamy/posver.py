@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BB84_ROUND_VALUE, bb84_parallel_value, imperfect_guessing_bound
+from .bounds import (BB84_ROUND_VALUE, _positive_int, bb84_parallel_value,
+                     imperfect_guessing_bound)
 from .errors import DomainError, ValidationError, require_bytes
-from .games import _round_count
 from .rand import bernoulli, random_bits, rng_for
 
 # per-qubit success of the intermediate-basis measurement; numerically equal
@@ -47,10 +47,7 @@ def soundness_bound(n: int) -> float:
 def entangled_soundness_bound(n: int, d: int) -> float:
     """Bound d * (single-round value)^n for adversaries pre-sharing a
     d-dimensional state; unclamped, so values >= 1 are vacuous."""
-    d = int(d)
-    if d < 1:
-        raise DomainError("d must be a positive integer")
-    return d * bb84_parallel_value(n)
+    return _positive_int(d, "d") * bb84_parallel_value(n)
 
 
 def max_entanglement_rate() -> float:
@@ -175,7 +172,7 @@ class SingleAdversary:
 def _check_n(n: int, rounds: int) -> int:
     """n as an int, once positive and once a batch of `rounds` rounds of n
     qubits fits the memory budget."""
-    n = _round_count(n)
+    n = _positive_int(n)
     require_bytes(_ROUND_ENTRY_BYTES * rounds * n, f"a batch of {rounds} rounds of {n} qubits")
     return n
 

@@ -748,7 +748,7 @@ def secdef_gap(rho: CqEnsemble, rho_tilde: CqEnsemble,
         if prob <= 0.0:
             return 0.0
         w_cond = ens.weights * mask / prob
-        cond = CqEnsemble(ens.alphabet, w_cond, dict(ens.conditionals))
+        cond = CqEnsemble(ens.alphabet, w_cond, ens.states)
         side = cond.average_state()
         return prob * linalg.trace_distance(cond.joint_density(),
                                             linalg.tensor(tau_x, side))

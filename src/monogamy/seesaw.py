@@ -1,17 +1,18 @@
 """Alternating-optimization search for high-value game strategies.
 
 Each block step is either exact (state step: top eigenvector of the averaged
-winning operator, summed over all bases in one contraction; binary-outcome
-measurement step: Helstrom projector; for guessers without quantum memory,
-one joint step of both to their best reply) or, for larger alphabets, a
-feasibility-preserving step: the pretty-good measurement refined by five
-steps of Ježek, Řeháček and Fiurášek's iteration.  Every measurement step
-is guarded so the trajectory never decreases.  A cycle's steps share one
-batch of conditional states for all restarts and bases, from the exact
-evaluator of :mod:`monogamy.games`.  Every value the search reports is
-the exactly evaluated winning probability of a valid strategy, hence a
-true lower bound on the optimal game value.  Matching upper bounds come
-from :mod:`monogamy.bounds`.
+winning operator, summed over all bases in one contraction; for guessers
+without quantum memory, one joint step of both to their best reply) or a
+measurement step for one party, which takes whatever
+:func:`~monogamy.uncertainty.minimum_error_povm` chooses for its
+conditional operators: the Helstrom projector for binary alphabets (exact),
+otherwise the refined pretty-good measurement (feasible).  Every
+measurement step is guarded so the trajectory never decreases.  A cycle's
+steps share one batch of conditional states for all restarts and bases,
+from the exact evaluator of :mod:`monogamy.games`.  Every value the search
+reports is the exactly evaluated winning probability of a valid strategy,
+hence a true lower bound on the optimal game value.  Matching upper bounds
+come from :mod:`monogamy.bounds`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .games import (MonogamyGame, Strategy, _trace_out_entries, _win_operator_su
                     _win_terms_bytes, conditional_stack, constant_guess_povms,
                     win_operator_sum, win_terms_from_states, winning_probability)
 from .rand import random_projective_povm, rng_for
-from .uncertainty import helstrom_binary_povm, refined_pgm_povm
+from .uncertainty import minimum_error_povm
 
 
 # the most bytes one block of restarts may hold; a block runs as many
@@ -152,19 +153,15 @@ def optimal_povm_step(game: MonogamyGame, rho, fixed: np.ndarray, party: str, *,
     steps computing them again; without it, `rho` is checked to be a
     density matrix, or a stack of them, first.
 
-    Binary outcomes are solved exactly by the Helstrom projector (the zero
-    eigenspace of the conditional difference goes to outcome 0); larger
-    alphabets get the pretty-good measurement refined by Ježek, Řeháček and
-    Fiurášek's iteration (:func:`~monogamy.uncertainty.refined_pgm_povm`),
-    which always yields a valid POVM but is not certified optimal.
+    The measurement is :func:`~monogamy.uncertainty.minimum_error_povm` of
+    the party's conditional operators: the Helstrom projector for binary
+    outcomes, which is optimal, and otherwise the refined pretty-good
+    measurement, which always yields a valid POVM but is not certified
+    optimal.
     """
     if party not in ("B", "C"):
         raise ValidationError(f"party must be 'B' or 'C', got {party!r}")
-    sigmas = _conditional_operators(game, rho, fixed, party, states=states)
-    if sigmas.shape[-3] == 2:
-        p0, p1, _ = helstrom_binary_povm(sigmas[..., 0, :, :], sigmas[..., 1, :, :])
-        return np.stack([p0, p1], axis=-3)
-    return refined_pgm_povm(sigmas)
+    return minimum_error_povm(_conditional_operators(game, rho, fixed, party, states=states))
 
 
 def bb84_optimal_unentangled_strategy() -> Strategy:

@@ -1,10 +1,16 @@
 """Min-entropy uncertainty with two quantum observers.
 
 Builds the classical-quantum ensembles a basis-random measurement leaves
-behind on each observer, evaluates guessing probabilities (exactly via the
-Helstrom projector for binary alphabets, by the pretty-good measurement as a
-feasible lower bound otherwise, which :func:`refined_pgm_povm` improves on
-by a fixed number of iteration steps), and checks the two-observer tradeoff
+behind on each observer, and decides in one place which measurement
+guesses the classical symbol best: :func:`minimum_error_povm`, the Helstrom
+projector for binary alphabets (optimal) and otherwise the pretty-good
+measurement refined by a fixed number of Ježek, Řeháček and Fiurášek steps
+(feasible, not certified optimal).  The seesaw's measurement step calls it
+too.  By König, Renner and Schaffner (IEEE TIT 55, 4337, 2009) the
+conditional min-entropy is -log2 of the optimal guessing probability, so
+:func:`guessing_probability` and :func:`min_entropy_bracket` read the same
+measurement; the bracket is exact when every alphabet is binary.  Checks
+the two-observer tradeoff
 
     p_guess(X|B,Theta) + p_guess(X|C,Theta) <= 1 + sqrt(c)
 
@@ -14,12 +20,14 @@ together with its min-entropy form against any state and binary POVM pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import linalg
+from .bounds import _positive_int
 from .errors import DimensionError, DomainError, ValidationError
 from .games import MonogamyGame, conditional_stack, overlap
 
@@ -29,11 +37,17 @@ WEIGHT_ATOL = 1e-9
 @dataclass(frozen=True)
 class CqEnsemble:
     """Classical symbol with quantum side information: weights p_x and
-    conditional states rho^x of one shared dimension."""
+    conditional states rho^x of one shared dimension.
+
+    `conditionals`, label-keyed or already stacked in `alphabet` order, is
+    stored once as the read-only (|X|, d, d) array `states`; `conditionals`
+    then becomes a read-only label view of it.
+    """
 
     alphabet: tuple[str, ...]
     weights: np.ndarray
-    conditionals: Mapping[str, np.ndarray]
+    conditionals: Mapping[str, np.ndarray] | np.ndarray
+    states: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(str(x) for x in self.alphabet))
@@ -49,42 +63,52 @@ class CqEnsemble:
         w = np.clip(w, 0.0, None)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        conds = {}
-        dim = None
-        for x in self.alphabet:
-            if x not in self.conditionals:
-                raise ValidationError(f"missing conditional state for '{x}'")
-            rho = linalg.frozen(self.conditionals[x])
-            linalg.require_density(rho, f"conditional '{x}'")
-            if dim is None:
-                dim = rho.shape[0]
-            elif rho.shape[0] != dim:
+        conds = self.conditionals
+        if isinstance(conds, Mapping):
+            missing = [x for x in self.alphabet if x not in conds]
+            if missing:
+                raise ValidationError(f"missing conditional state for '{missing[0]}'")
+            if len({np.shape(conds[x]) for x in self.alphabet}) != 1:
                 raise DimensionError("conditional states must share one dimension")
-            conds[x] = rho
-        object.__setattr__(self, "conditionals", conds)
+            conds = [conds[x] for x in self.alphabet]
+        states = linalg.frozen(conds)
+        if states.ndim != 3 or states.shape[0] != w.shape[0] or \
+                states.shape[1] != states.shape[2]:
+            raise DimensionError(f"conditional states have shape {states.shape}, "
+                                 f"expected ({w.shape[0]}, d, d)")
+        ok = linalg.hermitian_psd(states)
+        if not ok.all():
+            raise ValidationError(f"conditional '{self.alphabet[np.argmin(ok)]}' is not "
+                                  f"positive semi-definite within tolerance")
+        ok = linalg._unit_trace(states)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ValidationError(f"conditional '{self.alphabet[i]}' has trace "
+                                  f"{float(np.trace(states[i]).real)!r}, expected 1")
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "conditionals",
+                           MappingProxyType(dict(zip(self.alphabet, states))))
 
     @property
     def dim(self) -> int:
-        return next(iter(self.conditionals.values())).shape[0]
+        return self.states.shape[-1]
 
     def weight(self, x: str) -> float:
         return float(self.weights[self.alphabet.index(x)])
 
-    def weighted_conditionals(self) -> list[np.ndarray]:
-        return [self.weights[i] * self.conditionals[x]
-                for i, x in enumerate(self.alphabet)]
+    def weighted_conditionals(self) -> np.ndarray:
+        """The (|X|, d, d) stack of p_x rho^x."""
+        return self.weights[:, None, None] * self.states
 
     def average_state(self) -> np.ndarray:
         return sum(self.weighted_conditionals())
 
     def joint_density(self) -> np.ndarray:
         """The full CQ density sum_x p_x |x><x| ⊗ rho^x."""
-        d = self.dim
-        k = len(self.alphabet)
-        out = np.zeros((k * d, k * d), dtype=complex)
-        for i, x in enumerate(self.alphabet):
-            out[i * d:(i + 1) * d, i * d:(i + 1) * d] = self.weights[i] * self.conditionals[x]
-        return out
+        k, d = len(self.alphabet), self.dim
+        out = np.zeros((k, d, k, d), dtype=complex)
+        out[np.arange(k), :, np.arange(k)] = self.weighted_conditionals()
+        return out.reshape(k * d, k * d)
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
@@ -95,41 +119,6 @@ def _projector(vecs: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """sum of |v><v| over the eigenvector columns that `keep` marks, for one
     eigenbasis or a stack: the masked columns times their adjoint."""
     return (vecs * keep[..., None, :]) @ _adjoint(vecs)
-
-
-def helstrom_binary_povm(sigma0: np.ndarray, sigma1: np.ndarray):
-    """Optimal two-outcome discrimination of weighted conditionals.
-
-    Returns (P0, P1, value) with P0 the projector onto the nonnegative
-    eigenspace of sigma0 - sigma1 (zero eigenvalues go to outcome 0) and
-    value = tr(sigma0 P0) + tr(sigma1 P1).  Broadcasts over leading axes:
-    (..., d, d) stacks give (..., d, d) projectors and a (...) array of
-    values, a single pair a float.
-    """
-    s0 = linalg.hermitianize(sigma0)
-    s1 = linalg.hermitianize(sigma1)
-    if s0.shape != s1.shape:
-        raise DimensionError("conditional operators must share one dimension")
-    evals, vecs = np.linalg.eigh(s0 - s1)
-    p0 = _projector(vecs, evals >= 0.0)
-    p1 = np.eye(s0.shape[-1], dtype=complex) - p0
-    value = (np.trace(s0 @ p0, axis1=-2, axis2=-1).real
-             + np.trace(s1 @ p1, axis1=-2, axis2=-1).real)
-    return p0, p1, float(value) if value.ndim == 0 else value
-
-
-def guessing_probability_binary(ensemble: CqEnsemble):
-    """Exact guessing probability for a binary alphabet.
-
-    Equals (1 + ||p0 rho0 - p1 rho1||_1) / 2; also returns the optimal
-    projective POVM, ordered like the alphabet.
-    """
-    if len(ensemble.alphabet) != 2:
-        raise DomainError("exact guessing probability implemented for binary "
-                          "alphabets; use pgm_guessing_lower_bound otherwise")
-    s0, s1 = ensemble.weighted_conditionals()
-    p0, p1, value = helstrom_binary_povm(s0, s1)
-    return value, [p0, p1]
 
 
 def _psd_clip(m: np.ndarray) -> np.ndarray:
@@ -168,6 +157,15 @@ def _whitened(povm: np.ndarray) -> np.ndarray:
     return linalg.hermitianize(whiten @ povm @ whiten)
 
 
+def _hermitian_stack(sigmas) -> np.ndarray:
+    """The Hermitian parts of a sequence of d x d operators or of a
+    (..., |X|, d, d) stack of ensembles."""
+    mats = np.asarray(sigmas)
+    if mats.ndim < 3 or mats.shape[-3] == 0:
+        raise DimensionError("need at least one operator")
+    return linalg.hermitianize(mats)
+
+
 def pgm_povm(sigmas) -> np.ndarray:
     """Pretty-good measurement for weighted PSD operators.
 
@@ -180,10 +178,7 @@ def pgm_povm(sigmas) -> np.ndarray:
     `sigmas` is a sequence of d x d operators or a (..., |X|, d, d) stack of
     ensembles; the POVMs come back as an array of the same shape.
     """
-    mats = np.asarray(sigmas)
-    if mats.ndim < 3 or mats.shape[-3] == 0:
-        raise DimensionError("need at least one operator")
-    mats = linalg.hermitianize(mats)
+    mats = _hermitian_stack(sigmas)
     inv_root, kernel = _inverse_root(_outcome_sum(mats))
     inv_root = inv_root[..., None, :, :]
     povm = _psd_clip(linalg.hermitianize(inv_root @ mats @ inv_root))
@@ -191,29 +186,38 @@ def pgm_povm(sigmas) -> np.ndarray:
     return _whitened(povm)
 
 
-# Iteration steps after the PGM in refined_pgm_povm.  On the bb84^2 and
+# Iteration steps after the PGM in minimum_error_povm.  On the bb84^2 and
 # bb84^3 seesaws 30 steps took as many cycles as 5, at 2-4 times the time.
 _REFINE_STEPS = 5
 
 
-def refined_pgm_povm(sigmas) -> np.ndarray:
-    """The pretty-good measurement refined by a fixed number of steps of
-    Ježek, Řeháček and Fiurášek's iteration for minimum-error
-    discrimination (PRA 65, 060301(R), 2002).
+def minimum_error_povm(sigmas) -> np.ndarray:
+    """The measurement that guesses x best from weighted operators
+    sigma_x = p_x rho^x: the one choice of measurement that the seesaw's
+    measurement step and :func:`guessing_probability` share.
 
-    Each step sets R = (sum_x sigma_x P_x sigma_x)^{1/2} and
+    A binary alphabet gets the Helstrom projector onto the nonnegative
+    eigenspace of sigma_0 - sigma_1 (zero eigenvalues go to outcome 0),
+    which is optimal.  A larger alphabet gets the pretty-good measurement
+    refined by a fixed number of steps of Ježek, Řeháček and Fiurášek's
+    iteration (PRA 65, 060301(R), 2002): each sets
+    R = (sum_x sigma_x P_x sigma_x)^{1/2} and
     P_x <- R^{-1} sigma_x P_x sigma_x R^{-1}, with R inverted on its
-    support and its kernel assigned to the first outcome.  The iterates
-    end with the PGM's PSD clip and whitening, so the family is a valid
-    POVM.  The guessing probability sum_x tr(sigma_x P_x) is not certified
-    optimal.  R's kernel holds the directions whose weight is below about
-    1e-5 of the largest, which the steps can give away, so each ensemble
-    keeps whichever of the refined family and the PGM guesses better: the
-    result never guesses worse than the PGM.  Takes and returns stacks as
-    :func:`pgm_povm` does.
+    support and its kernel assigned to the first outcome.  The iterates end
+    with the PGM's PSD clip and whitening, so the family is a valid POVM,
+    though not certified optimal.  R's kernel holds the directions whose
+    weight is below about 1e-5 of the largest, which the steps can give
+    away, so each ensemble keeps whichever of the refined family and the
+    PGM guesses better: the result never guesses worse than the PGM.
+
+    Takes and returns stacks as :func:`pgm_povm` does.
     """
-    pgm = pgm_povm(sigmas)
-    mats = linalg.hermitianize(np.asarray(sigmas))
+    mats = _hermitian_stack(sigmas)
+    if mats.shape[-3] == 2:
+        evals, vecs = np.linalg.eigh(mats[..., 0, :, :] - mats[..., 1, :, :])
+        p0 = _projector(vecs, evals >= 0.0)
+        return np.stack([p0, np.eye(mats.shape[-1], dtype=complex) - p0], axis=-3)
+    pgm = pgm_povm(mats)
     povm = pgm
     for _ in range(_REFINE_STEPS):
         lifted = mats @ povm @ mats
@@ -226,43 +230,49 @@ def refined_pgm_povm(sigmas) -> np.ndarray:
     return np.where(better[..., None, None, None], povm, pgm)
 
 
-def pgm_guessing_lower_bound(ensemble: CqEnsemble) -> float:
-    """Feasible guessing probability from the pretty-good measurement.
+def guessing_probability(ensemble: CqEnsemble) -> tuple[float, np.ndarray]:
+    """sum_x p_x tr(rho^x P_x) for the :func:`minimum_error_povm` P of the
+    ensemble, and P as an (|X|, d, d) stack ordered like the alphabet.
 
-    Always a valid lower bound on the true guessing probability; for
-    ensembles with trivial side information it evaluates to sum p_x^2, which
-    can fall below max p_x.
+    Exact for a binary alphabet, where it equals
+    (1 + ||p0 rho0 - p1 rho1||_1) / 2; otherwise a feasible lower bound.
     """
-    sigmas = ensemble.weighted_conditionals()
-    povm = pgm_povm(sigmas)
-    return float(sum(np.trace(s @ m).real for s, m in zip(sigmas, povm)))
-
-
-def min_entropy_conditional(ensembles: Mapping, theta_weights: Mapping) -> float:
-    """-log2 of the basis-averaged exact guessing probability.
-
-    `ensembles` maps a basis key to the CQ ensemble conditioned on that
-    basis; the optimal guesser picks a measurement per basis.  Exact only
-    for binary alphabets; use min_entropy_bracket otherwise.
-    """
-    keys = list(ensembles.keys())
-    total_w = sum(float(theta_weights[k]) for k in keys)
-    if abs(total_w - 1.0) > WEIGHT_ATOL:
-        raise ValidationError(f"basis weights sum to {total_w}, expected 1")
-    avg = 0.0
-    for k in keys:
-        value, _ = guessing_probability_binary(ensembles[k])
-        avg += float(theta_weights[k]) * value
-    return -math.log2(avg)
+    sigmas = linalg.hermitianize(ensemble.weighted_conditionals())
+    povm = minimum_error_povm(sigmas)
+    if len(ensemble.alphabet) == 2:
+        # Helstrom's two traces: _guessing's einsum moves 70 of the 400
+        # per-basis values of `ur-check --random 100 --seed 3` by one ulp
+        value = np.trace(sigmas[0] @ povm[0]).real + np.trace(sigmas[1] @ povm[1]).real
+    else:
+        value = _guessing(sigmas, povm)
+    return float(value), povm
 
 
 def min_entropy_bracket(ensembles: Mapping, theta_weights: Mapping) -> tuple[float, float]:
-    """(lower, upper) bracket on the conditional min-entropy for any alphabet,
-    from the PGM guessing value and the trivial guessing bound 1."""
-    keys = list(ensembles.keys())
-    avg = sum(float(theta_weights[k]) * pgm_guessing_lower_bound(ensembles[k])
-              for k in keys)
-    return 0.0, -math.log2(avg)
+    """(lower, upper) bracket on the conditional min-entropy
+    -log2 sum_theta w_theta p_guess(X | B, theta).
+
+    `ensembles` maps a basis key to the CQ ensemble conditioned on that
+    basis, and the optimal guesser picks a measurement per basis; the basis
+    weights `theta_weights` must cover the same keys, be nonnegative and
+    sum to 1 within WEIGHT_ATOL.  The upper end is -log2 of the weighted
+    :func:`guessing_probability`; the lower end equals it when every
+    alphabet is binary, where that guess is optimal, and is the trivial 0
+    otherwise.
+    """
+    if set(theta_weights) != set(ensembles):
+        raise ValidationError(f"basis weights cover {sorted(theta_weights, key=str)}, "
+                              f"expected {sorted(ensembles, key=str)}")
+    weights = {k: float(theta_weights[k]) for k in ensembles}
+    if min(weights.values(), default=0.0) < 0.0:
+        raise ValidationError(f"negative basis weight {min(weights.values())}")
+    total_w = sum(weights.values())
+    if abs(total_w - 1.0) > WEIGHT_ATOL:
+        raise ValidationError(f"basis weights sum to {total_w}, expected 1")
+    avg = sum(weights[k] * guessing_probability(e)[0] for k, e in ensembles.items())
+    upper = -math.log2(avg)
+    exact = all(len(e.alphabet) == 2 for e in ensembles.values())
+    return (upper if exact else 0.0), upper
 
 
 def post_measurement_state(rho_abc, dims: Sequence[int], f0, f1):
@@ -289,11 +299,14 @@ def post_measurement_state(rho_abc, dims: Sequence[int], f0, f1):
         p = np.trace(marginals_b, axis1=1, axis2=2).real
         w = np.clip(p, 0.0, None)
         w = w / w.sum()
+        seen = (p > 1e-14)[:, None, None]
         for out, marginals, d in ((b_out, marginals_b, db),
                                   (c_out, np.einsum("xbcbr->xcr", sigma), dc)):
-            conds = {str(i): linalg.hermitianize(m) / p[i] if p[i] > 1e-14
-                     else np.eye(d, dtype=complex) / d for i, m in enumerate(marginals)}
-            out[theta] = CqEnsemble(alphabet, w.copy(), conds)
+            conds = np.where(seen, linalg.hermitianize(marginals)
+                             / np.where(seen, p[:, None, None], 1.0),
+                             np.eye(d, dtype=complex) / d)
+            conds.setflags(write=False)
+            out[theta] = CqEnsemble(alphabet, w, conds)
     return b_out, c_out
 
 
@@ -327,9 +340,7 @@ def ur_bound_n(c: float, n: int) -> float:
     c = float(c)
     if not 0.0 < c <= 1.0:
         raise DomainError(f"overlap c must lie in (0, 1], got {c}")
-    n = int(n)
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    n = _positive_int(n)
     return -2.0 * math.log2((1.0 + math.sqrt(c**n)) / 2.0)
 
 
@@ -340,9 +351,8 @@ def check_uncertainty_relation(rho_abc, dims: Sequence[int], f0, f1) -> UrReport
         raise DomainError("exact evaluation requires binary-outcome POVMs")
     b_ens, c_ens = post_measurement_state(rho_abc, dims, f0, f1)
     c = overlap(MonogamyGame(int(dims[0]), ("0", "1"), ("0", "1"), {"0": f0, "1": f1}))
-    weights = {0: 0.5, 1: 0.5}
-    pg_b = sum(weights[t] * guessing_probability_binary(b_ens[t])[0] for t in (0, 1))
-    pg_c = sum(weights[t] * guessing_probability_binary(c_ens[t])[0] for t in (0, 1))
+    pg_b, pg_c = (sum(0.5 * guessing_probability(ens[t])[0] for t in (0, 1))
+                  for ens in (b_ens, c_ens))
     total = pg_b + pg_c
     bound = 1.0 + math.sqrt(c)
     hmin_b = -math.log2(pg_b)

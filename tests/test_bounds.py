@@ -136,3 +136,28 @@ def test_bound_report_round_trip():
     assert doc["formula"] == "general"
     assert doc["vacuous"] is False
     assert doc["inputs"]["n"] == 3
+
+
+def test_non_integer_counts_are_refused_not_truncated():
+    from monogamy import posver, uncertainty
+
+    calls = {
+        "bb84_parallel_value n": lambda: bounds.bb84_parallel_value(2.5),
+        "general_upper_bound theta_count": lambda: bounds.general_upper_bound(0.5, 2.5, 1, 1),
+        "general_upper_bound q_cardinality": lambda: bounds.general_upper_bound(0.5, 2, 2.5, 1),
+        "general_upper_bound n": lambda: bounds.general_upper_bound(0.5, 2, 1, 2.5),
+        "imperfect_guessing_bound theta_count":
+            lambda: bounds.imperfect_guessing_bound(0.5, 2.5, 1, 0.0, 0.0),
+        "imperfect_guessing_bound n": lambda: bounds.imperfect_guessing_bound(0.5, 2, 2.5, 0.0, 0.0),
+        "soundness_bound n": lambda: posver.soundness_bound(2.5),
+        "ur_bound_n n": lambda: uncertainty.ur_bound_n(0.5, 2.5),
+        "entangled_soundness_bound n": lambda: posver.entangled_soundness_bound(2.5, 3),
+        "entangled_soundness_bound d": lambda: posver.entangled_soundness_bound(3, 2.5),
+    }
+    for what, call in calls.items():
+        with pytest.raises(DomainError, match=f"{what.split()[1]} must be a positive integer"):
+            call()
+    with pytest.raises(DomainError, match="theta_count must be at least 2"):
+        bounds.general_upper_bound(0.5, 1, 1, 1)
+    # an integer of another type still counts
+    assert bounds.general_upper_bound(0.5, 2.0, 1.0, 2.0) == bounds.bb84_parallel_value(2)

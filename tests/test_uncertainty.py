@@ -13,11 +13,11 @@ from monogamy.errors import DimensionError, DomainError, ValidationError
 from monogamy.games import (MonogamyGame, _validate_povm, bb84_game,
                             maximally_entangled_density, overlap)
 from monogamy.rand import haar_unitary, random_density, random_povm, rng_for
-from monogamy.uncertainty import (CqEnsemble, check_uncertainty_relation,
-                                  guessing_probability_binary, helstrom_binary_povm,
-                                  min_entropy_bracket, min_entropy_conditional,
-                                  pgm_guessing_lower_bound, pgm_povm,
-                                  post_measurement_state, refined_pgm_povm, ur_bound_n)
+from monogamy.uncertainty import (CqEnsemble, _inverse_root, _outcome_sum, _psd_clip,
+                                  _whitened, check_uncertainty_relation,
+                                  guessing_probability, min_entropy_bracket,
+                                  minimum_error_povm, pgm_povm, post_measurement_state,
+                                  ur_bound_n)
 
 from conftest import reorder_systems
 
@@ -63,6 +63,32 @@ def test_ensemble_keeps_frozen_copies_of_the_callers_states():
         assert not np.shares_memory(mine, kept)
         assert not kept.flags.writeable
         np.testing.assert_array_equal(kept, mine)
+
+
+def test_ensemble_stores_one_read_only_stack():
+    e = binary_ensemble(0.3, KET0, PLUS)
+    assert e.states.shape == (2, 2, 2) and not e.states.flags.writeable
+    for x, rho in zip(e.alphabet, e.states):
+        assert np.shares_memory(e.conditionals[x], e.states)
+        np.testing.assert_array_equal(e.conditionals[x], rho)
+    # a read-only stack is kept as it is, and the weighted stack follows it
+    again = CqEnsemble(e.alphabet, e.weights, e.states)
+    assert again.states is e.states
+    np.testing.assert_array_equal(again.weighted_conditionals(),
+                                  [0.3 * KET0, 0.7 * PLUS])
+
+
+def test_ensemble_errors_name_the_offending_label():
+    with pytest.raises(ValidationError, match="conditional 'b' is not positive"):
+        CqEnsemble(("a", "b"), np.array([0.5, 0.5]), np.array([KET0, KET1 - KET0]))
+    with pytest.raises(ValidationError, match="conditional 'b' has trace 2.0"):
+        CqEnsemble(("a", "b"), np.array([0.5, 0.5]), np.array([KET0, 2 * KET1]))
+    with pytest.raises(ValidationError, match="missing conditional state for 'b'"):
+        CqEnsemble(("a", "b"), np.array([0.5, 0.5]), {"a": KET0})
+    with pytest.raises(DimensionError):
+        CqEnsemble(("a", "b"), np.array([0.5, 0.5]), {"a": KET0, "b": np.eye(3)})
+    with pytest.raises(DimensionError):
+        CqEnsemble(("a", "b"), np.array([0.5, 0.5]), np.array([KET0]))
 
 
 def test_joint_density_shape_and_trace():
@@ -140,33 +166,35 @@ def test_post_measurement_rejects_invalid_povm(rng, bad_f0, error):
 
 
 def test_helstrom_orthogonal_discrimination():
-    p0, p1, value = helstrom_binary_povm(KET0 / 2, KET1 / 2)
+    p0, p1 = minimum_error_povm([KET0 / 2, KET1 / 2])
     np.testing.assert_allclose(p0, KET0, atol=1e-12)
     np.testing.assert_allclose(p1, KET1, atol=1e-12)
+    value, _ = guessing_probability(binary_ensemble(0.5, KET0, KET1))
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_helstrom_tie_goes_to_outcome_zero():
     sigma = np.eye(2, dtype=complex) / 4
-    p0, p1, value = helstrom_binary_povm(sigma, sigma)
+    p0, p1 = minimum_error_povm([sigma, sigma])
     np.testing.assert_allclose(p0, np.eye(2), atol=1e-12)
     np.testing.assert_allclose(p1, np.zeros((2, 2)), atol=1e-12)
+    value, _ = guessing_probability(binary_ensemble(0.5, 2 * sigma, 2 * sigma))
     assert value == pytest.approx(0.5, abs=1e-12)  # tr(sigma0 + sigma1) / 2 * 2
 
 
 def test_guessing_useless_side_information():
     for p0 in (0.5, 0.3, 0.9):
-        value, _ = guessing_probability_binary(binary_ensemble(p0, PLUS, PLUS))
+        value, _ = guessing_probability(binary_ensemble(p0, PLUS, PLUS))
         assert value == pytest.approx(max(p0, 1 - p0), abs=1e-12)
 
 
 def test_guessing_orthogonal_pure_states():
-    value, _ = guessing_probability_binary(binary_ensemble(0.5, KET0, KET1))
+    value, _ = guessing_probability(binary_ensemble(0.5, KET0, KET1))
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_guessing_unbiased_pair():
-    value, povm = guessing_probability_binary(binary_ensemble(0.5, KET0, PLUS))
+    value, povm = guessing_probability(binary_ensemble(0.5, KET0, PLUS))
     assert value == pytest.approx(0.5 * (1 + 1 / math.sqrt(2)), abs=1e-12)
     # the reported POVM achieves the reported value
     achieved = 0.5 * np.trace(KET0 @ povm[0]).real + 0.5 * np.trace(PLUS @ povm[1]).real
@@ -177,16 +205,21 @@ def test_guessing_beats_best_prior(rng):
     for _ in range(30):
         p0 = float(rng.uniform(0.1, 0.9))
         e = binary_ensemble(p0, random_density(3, rng), random_density(3, rng))
-        value, _ = guessing_probability_binary(e)
+        value, _ = guessing_probability(e)
         assert value >= max(p0, 1 - p0) - 1e-10
         assert value <= 1.0 + 1e-12
 
 
 def test_guessing_requires_binary():
+    # exact only for a binary alphabet: a ternary ensemble gets a feasible
+    # guess, the trivial lower end of the bracket, and no tradeoff check
     e = CqEnsemble(("a", "b", "c"), np.ones(3) / 3,
                    {"a": KET0, "b": KET1, "c": PLUS})
+    value, povm = guessing_probability(e)
+    assert povm.shape == (3, 2, 2) and 1 / 3 <= value <= 1.0
+    assert min_entropy_bracket({0: e}, {0: 1.0}) == (0.0, -math.log2(value))
     with pytest.raises(DomainError):
-        guessing_probability_binary(e)
+        check_uncertainty_relation(np.eye(8) / 8, (2, 2, 2), (KET0, KET1, 0 * PLUS), F1)
 
 
 def test_data_processing_uncorrelated_ancilla(rng):
@@ -194,8 +227,8 @@ def test_data_processing_uncorrelated_ancilla(rng):
         rho0 = random_density(2, rng)
         rho1 = random_density(2, rng)
         anc = random_density(2, rng)
-        base, _ = guessing_probability_binary(binary_ensemble(0.5, rho0, rho1))
-        ext, _ = guessing_probability_binary(binary_ensemble(
+        base, _ = guessing_probability(binary_ensemble(0.5, rho0, rho1))
+        ext, _ = guessing_probability(binary_ensemble(
             0.5, linalg.tensor(rho0, anc), linalg.tensor(rho1, anc)))
         assert ext == pytest.approx(base, abs=1e-9)
 
@@ -219,21 +252,23 @@ def test_pgm_below_helstrom_on_random_binary(rng):
     for _ in range(120):
         p0 = float(rng.uniform(0.05, 0.95))
         e = binary_ensemble(p0, random_density(2, rng), random_density(2, rng))
-        exact, _ = guessing_probability_binary(e)
-        assert pgm_guessing_lower_bound(e) <= exact + 1e-9
+        exact, _ = guessing_probability(e)
+        sigmas = e.weighted_conditionals()
+        assert _guessing(sigmas, pgm_povm(sigmas)) <= exact + 1e-9
 
 
 def test_pgm_orthogonal_ensemble():
-    e = binary_ensemble(0.5, KET0, KET1)
-    assert pgm_guessing_lower_bound(e) == pytest.approx(1.0, abs=1e-10)
+    sigmas = binary_ensemble(0.5, KET0, KET1).weighted_conditionals()
+    assert _guessing(sigmas, pgm_povm(sigmas)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_pgm_trivial_side_information_gives_sum_of_squares(rng):
     rho = random_density(2, rng)
     weights = np.array([0.5, 0.3, 0.2])
     e = CqEnsemble(("a", "b", "c"), weights, {k: rho for k in ("a", "b", "c")})
-    assert pgm_guessing_lower_bound(e) == pytest.approx(float((weights**2).sum()),
-                                                        abs=1e-9)
+    sigmas = e.weighted_conditionals()
+    assert _guessing(sigmas, pgm_povm(sigmas)) == pytest.approx(float((weights**2).sum()),
+                                                               abs=1e-9)
 
 
 def _ensemble_stack(shape, d: int, seed: int) -> np.ndarray:
@@ -282,6 +317,58 @@ def _guessing(stack: np.ndarray, povms: np.ndarray) -> np.ndarray:
     return np.einsum("...xij,...xji->...", stack, povms).real
 
 
+def _trine_states() -> np.ndarray:
+    angles = 2 * math.pi * np.arange(3) / 3
+    kets = np.stack([np.cos(angles / 2), np.sin(angles / 2)], axis=-1).astype(complex)
+    return kets[:, :, None] * kets[:, None, :].conj()
+
+
+def test_guessing_probability_of_the_trine_and_the_bb84_states():
+    trine = CqEnsemble(("a", "b", "c"), np.ones(3) / 3, _trine_states())
+    value, povm = guessing_probability(trine)
+    assert value == pytest.approx(2 / 3, abs=1e-12)
+    _validate_povm(povm, "trine")
+    bb84 = CqEnsemble(("0", "1", "+", "-"), np.ones(4) / 4, np.array([*F0, *F1]))
+    assert guessing_probability(bb84)[0] == pytest.approx(0.5, abs=1e-12)
+
+
+def _parent_helstrom(stack: np.ndarray) -> np.ndarray:
+    """The Helstrom projectors as the seesaw computed them before
+    minimum_error_povm: each operator's Hermitian part, then the projector
+    onto the nonnegative eigenspace of the difference."""
+    s0, s1 = (linalg.hermitianize(stack[..., x, :, :]) for x in (0, 1))
+    evals, vecs = np.linalg.eigh(s0 - s1)
+    p0 = (vecs * (evals >= 0.0)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return np.stack([p0, np.eye(stack.shape[-1], dtype=complex) - p0], axis=-3)
+
+
+def _parent_refined(stack: np.ndarray) -> np.ndarray:
+    """The PGM and five Ježek-Řeháček-Fiurášek steps, step by step as the
+    seesaw computed them before minimum_error_povm."""
+    pgm = pgm_povm(stack)
+    mats = linalg.hermitianize(stack)
+    povm = pgm
+    for _ in range(5):
+        lifted = mats @ povm @ mats
+        inv_root, kernel = _inverse_root(linalg.hermitianize(_outcome_sum(lifted)))
+        povm = linalg.hermitianize(inv_root[..., None, :, :] @ lifted
+                                   @ inv_root[..., None, :, :])
+        povm[..., 0, :, :] += kernel
+    povm = _whitened(_psd_clip(povm))
+    better = _guessing(mats, povm) >= _guessing(mats, pgm)
+    return np.where(better[..., None, None, None], povm, pgm)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_minimum_error_povm_keeps_the_measurements_bit_for_bit(k):
+    # the seesaw's trajectories depend on every bit of its measurement step
+    parent = _parent_helstrom if k == 2 else _parent_refined
+    for seed in range(12):
+        stack = _ensemble_stack((2, 3, k), 1 + seed % 4, seed)
+        stack *= 10.0**-rng_for(seed, 1).uniform(0.0, 3 * (seed % 5), (2, 3, k, 1, 1))
+        assert np.array_equal(minimum_error_povm(stack), parent(stack))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 4), st.integers(1, 4),
        st.integers(0, 2**32 - 1), st.sampled_from([0.0, 6.0, 14.0]))
@@ -290,7 +377,7 @@ def test_refined_pgm_is_a_povm_that_guesses_no_worse_than_the_pgm(r, b, k, d, se
     # some directions fall into the kernel of the iteration's R
     stack = _ensemble_stack((r, b, k), d, seed)
     stack *= 10.0**-rng_for(seed, 1).uniform(0.0, spread, (r, b, k, 1, 1))
-    refined = refined_pgm_povm(stack)
+    refined = minimum_error_povm(stack)
     assert refined.shape == stack.shape
     for idx in np.ndindex(r, b):
         _validate_povm(refined[idx], "refined")
@@ -302,7 +389,7 @@ def test_refined_pgm_nears_the_optimum_where_the_pgm_does_not():
     # states, with orthogonal projectors, gives the optimum 0.4 (1 + 1/sqrt 2)
     stack = np.array([w * m for w, m in zip((0.4, 0.1, 0.4, 0.1), (*F0, *F1))])
     optimum = 0.4 * (1 + 1 / math.sqrt(2))
-    pgm, refined = (float(_guessing(stack, f(stack))) for f in (pgm_povm, refined_pgm_povm))
+    pgm, refined = (float(_guessing(stack, f(stack))) for f in (pgm_povm, minimum_error_povm))
     assert pgm < optimum - 0.09
     assert optimum - 1e-4 < refined <= optimum + 1e-12
 
@@ -311,13 +398,13 @@ def test_refined_pgm_nears_the_optimum_where_the_pgm_does_not():
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_helstrom_broadcasts_over_a_stack_of_pairs(r, b, d, seed):
     stack = _ensemble_stack((r, b, 2), d, seed)
-    p0, p1, values = helstrom_binary_povm(stack[..., 0, :, :], stack[..., 1, :, :])
-    assert p0.shape == p1.shape == (r, b, d, d) and values.shape == (r, b)
+    povms = minimum_error_povm(stack)
+    assert povms.shape == stack.shape
+    p0 = povms[..., 0, :, :]
     for idx in np.ndindex(r, b):
-        one = helstrom_binary_povm(stack[idx][0], stack[idx][1])
-        np.testing.assert_allclose(p0[idx], one[0], rtol=0, atol=1e-14)
-        np.testing.assert_allclose(p1[idx], one[1], rtol=0, atol=1e-14)
-        assert values[idx] == pytest.approx(one[2], abs=1e-14)
+        one = minimum_error_povm(stack[idx])
+        np.testing.assert_allclose(povms[idx], one, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(one.sum(axis=0), np.eye(d))
         diff = stack[idx][0] - stack[idx][1]
         if np.count_nonzero(diff - np.diag(np.diag(diff))) == 0:
             # an exactly zero difference entry goes to outcome 0
@@ -331,13 +418,13 @@ def test_helstrom_broadcasts_over_a_stack_of_pairs(r, b, d, seed):
 
 def test_min_entropy_deterministic_symbol():
     e = binary_ensemble(1.0, KET0, KET0)
-    assert min_entropy_conditional({0: e, 1: e}, {0: 0.5, 1: 0.5}) == \
+    assert min_entropy_bracket({0: e, 1: e}, {0: 0.5, 1: 0.5})[0] == \
         pytest.approx(0.0, abs=1e-12)
 
 
 def test_min_entropy_uniform_trivial_side_information():
     e = binary_ensemble(0.5, PLUS, PLUS)
-    assert min_entropy_conditional({0: e, 1: e}, {0: 0.5, 1: 0.5}) == \
+    assert min_entropy_bracket({0: e, 1: e}, {0: 0.5, 1: 0.5})[0] == \
         pytest.approx(1.0, abs=1e-12)
 
 
@@ -347,16 +434,38 @@ def test_min_entropy_of_intermediate_state_trivial_observers():
     phi = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)])
     rho = np.kron(np.outer(phi, phi), np.eye(1, dtype=complex))
     b_ens, _ = post_measurement_state(rho, (2, 1, 1), F0, F1)
-    hmin = min_entropy_conditional(b_ens, {0: 0.5, 1: 0.5})
+    hmin, upper = min_entropy_bracket(b_ens, {0: 0.5, 1: 0.5})
+    assert hmin == upper
     assert hmin == pytest.approx(-math.log2(0.5 + 0.5 / math.sqrt(2)), abs=1e-10)
 
 
 def test_min_entropy_bracket_contains_exact(rng):
     e0 = binary_ensemble(0.4, random_density(2, rng), random_density(2, rng))
     e1 = binary_ensemble(0.6, random_density(2, rng), random_density(2, rng))
-    exact = min_entropy_conditional({0: e0, 1: e1}, {0: 0.5, 1: 0.5})
+    exact = -math.log2(0.5 * guessing_probability(e0)[0] + 0.5 * guessing_probability(e1)[0])
     lo, hi = min_entropy_bracket({0: e0, 1: e1}, {0: 0.5, 1: 0.5})
     assert lo - 1e-10 <= exact <= hi + 1e-10
+
+
+def test_min_entropy_bracket_is_exact_for_binary_alphabets(rng):
+    for _ in range(20):
+        ensembles = {t: binary_ensemble(float(rng.uniform(0.1, 0.9)), random_density(2, rng),
+                                        random_density(2, rng)) for t in (0, 1)}
+        lo, hi = min_entropy_bracket(ensembles, {0: 0.3, 1: 0.7})
+        assert 0.0 < lo == hi <= 1.0
+    # a ternary basis leaves the lower end at 0
+    trine = CqEnsemble(("a", "b", "c"), np.ones(3) / 3, _trine_states())
+    lo, hi = min_entropy_bracket({0: ensembles[0], 1: trine}, {0: 0.5, 1: 0.5})
+    assert lo == 0.0 < hi
+
+
+@pytest.mark.parametrize("weights", [{0: 0.9, 1: 0.9}, {0: 1.5, 1: -0.5}, {0: 1.0},
+                                     {0: 0.5, 2: 0.5}, {0: 0.5, 1: 0.5, 2: 0.0}],
+                         ids=["sum", "negative", "missing", "other-key", "extra-key"])
+def test_min_entropy_bracket_checks_the_basis_weights(weights):
+    e = binary_ensemble(0.5, KET0, PLUS)
+    with pytest.raises(ValidationError):
+        min_entropy_bracket({0: e, 1: e}, weights)
 
 
 # ---------------------------------------------------------------------------
