@@ -442,9 +442,15 @@ def test_min_entropy_of_intermediate_state_trivial_observers():
 def test_min_entropy_bracket_contains_exact(rng):
     e0 = binary_ensemble(0.4, random_density(2, rng), random_density(2, rng))
     e1 = binary_ensemble(0.6, random_density(2, rng), random_density(2, rng))
-    exact = -math.log2(0.5 * guessing_probability(e0)[0] + 0.5 * guessing_probability(e1)[0])
+    # closed form -log2 sum_theta w_theta (1 + ||p0 rho0 - p1 rho1||_1) / 2,
+    # computed without any measurement
+    def helstrom(e):
+        sigmas = e.weighted_conditionals()
+        return 0.5 * (1.0 + np.abs(np.linalg.eigvalsh(sigmas[0] - sigmas[1])).sum())
+    exact = -math.log2(0.5 * helstrom(e0) + 0.5 * helstrom(e1))
     lo, hi = min_entropy_bracket({0: e0, 1: e1}, {0: 0.5, 1: 0.5})
-    assert lo - 1e-10 <= exact <= hi + 1e-10
+    assert lo == pytest.approx(exact, abs=1e-10)
+    assert hi == pytest.approx(exact, abs=1e-10)
 
 
 def test_min_entropy_bracket_is_exact_for_binary_alphabets(rng):
