@@ -55,6 +55,14 @@ def _positive_int(n, name: str = "n") -> int:
     return int(n)
 
 
+def _nonnegative_int(n, name: str) -> int:
+    """n as a Python int, once it is a non-negative integer of any numeric
+    type; 2.5 or -1 raise DomainError rather than being truncated."""
+    if int(n) != n or n < 0:
+        raise DomainError(f"{name} must be a non-negative integer")
+    return int(n)
+
+
 def _family_inputs(c: float, theta_count: int, n: int) -> tuple[float, int, int]:
     """(c, theta_count, n) of the overlap bounds, once the overlap c lies in
     (0, 1], theta_count is an integer of at least 2 and n a positive

@@ -14,6 +14,9 @@ One executable, one subcommand per calculator or simulator:
 Stochastic commands record their seed in the output; identical inputs give
 byte-identical output (`--deterministic` suppresses the one timestamp field).
 Computation and validation failures exit 1, usage errors exit 2.
+
+Each command imports the package modules it runs, when it runs, so a
+command loads (and, without a bytecode cache, compiles) no other.
 """
 
 from __future__ import annotations
@@ -29,15 +32,7 @@ from typing import Sequence
 import click
 from click.core import ParameterSource
 
-from . import bounds as bounds_mod
-from . import fixtures as fixtures_mod
-from . import posver as posver_mod
-from . import qkd as qkd_mod
-from . import uncertainty as ur_mod
 from .errors import ValidationError
-from .games import MonogamyGame, bb84_game, game_power, overlap
-from .rand import random_density, random_povm, rng_for
-from .seesaw import SeesawConfig, seesaw as run_seesaw
 
 PROG = "monogamy"
 
@@ -96,6 +91,9 @@ def _reject_unused(reason: str, *names: str) -> None:
 
 
 def _load_game(name: str):
+    from . import fixtures as fixtures_mod
+    from .games import bb84_game
+
     if name == "bb84":
         return bb84_game()
     kind, obj = fixtures_mod.load_fixture(name)
@@ -135,6 +133,8 @@ def cli() -> None:
 def bounds_cmd(game, c_value, theta_count, q_cardinality, n_range, gamma,
                gamma_prime, same_string, fmt, output, deterministic):
     """Closed-form upper bounds on the n-round winning probability."""
+    from . import bounds as bounds_mod
+
     if game == "bb84":
         _reject_unused("with --game bb84", "c_value", "theta_count")
         c_value, theta_count = 0.5, 2
@@ -202,6 +202,11 @@ def bounds_cmd(game, c_value, theta_count, q_cardinality, n_range, gamma,
 def seesaw_cmd(game, n, bob_dim, charlie_dim, restarts, seed, tol, max_iters,
                include_strategy, output, deterministic):
     """Search for a high-value strategy; the value is a certified lower bound."""
+    from . import bounds as bounds_mod
+    from . import fixtures as fixtures_mod
+    from .games import MonogamyGame, game_power, overlap
+    from .seesaw import SeesawConfig, seesaw as run_seesaw
+
     base = _load_game(game)
     played = game_power(base, n)
     cfg = SeesawConfig(max_iters=max_iters, tol=tol, seed=seed,
@@ -226,6 +231,8 @@ def seesaw_cmd(game, n, bob_dim, charlie_dim, restarts, seed, tol, max_iters,
 
 def _resolve_syndrome(s_text: str, n: int, t: int, gamma: float, epsilon: float) -> int:
     if s_text == "auto":
+        from . import qkd as qkd_mod
+
         return qkd_mod.suggested_syndrome_length(n, t, gamma, epsilon)
     try:
         return int(s_text)
@@ -245,6 +252,8 @@ def _resolve_syndrome(s_text: str, n: int, t: int, gamma: float, epsilon: float)
 @click.option("--deterministic", is_flag=True)
 def qkd_delta_cmd(n, t, gamma, epsilon, s_text, ell, output, deterministic):
     """Finite-key security failure bound for one parameter set."""
+    from . import qkd as qkd_mod
+
     s = _resolve_syndrome(s_text, n, t, gamma, epsilon)
     params = qkd_mod.QkdParams(n=n, t=t, s=s, ell=ell, gamma=gamma, epsilon=epsilon)
     report = qkd_mod.security_delta(params)
@@ -270,6 +279,8 @@ def qkd_delta_cmd(n, t, gamma, epsilon, s_text, ell, output, deterministic):
 def qkd_keylen_cmd(n_range, t_text, gamma, epsilon, s_text, delta_target, fmt,
                    output, deterministic):
     """Maximal key length within a failure-bound target, swept over n."""
+    from . import qkd as qkd_mod
+
     def t_for(n: int) -> int:
         if t_text.startswith("frac:"):
             return int(math.ceil(float(t_text[5:]) * n))
@@ -319,6 +330,8 @@ def qkd_keylen_cmd(n_range, t_text, gamma, epsilon, s_text, delta_target, fmt,
 def qkd_sim_cmd(n, t, s, ell, gamma, epsilon, noise, device, trials, seed,
                 output, deterministic):
     """Monte-Carlo protocol runs: abort rate, key agreement, sampling statistics."""
+    from . import qkd as qkd_mod
+
     params = qkd_mod.QkdParams(n=n, t=t, s=s, ell=ell, gamma=gamma, epsilon=epsilon)
     dev = qkd_mod.epr_device(n) if device == "epr" else None
     agg = qkd_mod.run_eqkd_trials(params, noise, trials, seed=seed, device=dev)
@@ -353,6 +366,8 @@ def posver_group() -> None:
 def posver_bound_cmd(n_range, d, rate, gamma, gamma_prime, fmt, output,
                      deterministic):
     """Soundness bounds over a sweep of qubit counts."""
+    from . import posver as posver_mod
+
     if rate is not None:
         _reject_unused("with --rate", "d")
     rows = []
@@ -394,9 +409,13 @@ def posver_bound_cmd(n_range, d, rate, gamma, gamma_prime, fmt, output,
 def posver_simulate_cmd(scenario_path, n, prover, position, trials, seed, output,
                         deterministic):
     """Monte-Carlo acceptance statistics for a prover model."""
+    from . import posver as posver_mod
+
     if scenario_path is None:
         scenario = posver_mod.TimingScenario(v0=0.0, v1=2.0, pos=1.0)
     else:
+        from . import fixtures as fixtures_mod
+
         kind, scenario = fixtures_mod.load_fixture(scenario_path)
         if kind != "scenario":
             raise ValidationError(f"{scenario_path}: expected a scenario fixture")
@@ -429,6 +448,10 @@ def posver_simulate_cmd(scenario_path, n, prover, position, trials, seed, output
 @click.option("--deterministic", is_flag=True)
 def ur_check_cmd(fixture, random_count, seed, output, deterministic):
     """Check the two-observer guessing tradeoff for a fixture or random states."""
+    from . import fixtures as fixtures_mod
+    from . import uncertainty as ur_mod
+    from .rand import random_density, random_povm, rng_for
+
     rows = []
     if fixture is not None:
         _reject_unused("with a fixture", "random_count", "seed")
@@ -468,6 +491,8 @@ def fixtures_group() -> None:
 @click.option("--deterministic", is_flag=True)
 def fixtures_validate_cmd(paths, output, deterministic):
     """Validate fixture files; exits 1 if any file is invalid."""
+    from . import fixtures as fixtures_mod
+
     rows = []
     failures = 0
     for path in paths:

@@ -23,16 +23,18 @@ import numpy as np
 from .bounds import (BB84_ROUND_VALUE, _positive_int, bb84_parallel_value,
                      imperfect_guessing_bound)
 from .errors import DomainError, ValidationError, require_bytes
-from .rand import bernoulli, random_bits, rng_for
+from .rand import _words, bernoulli, rng_for
 
 # per-qubit success of the intermediate-basis measurement; numerically equal
 # to the single-round game value
 BREIDBART_SUCCESS = math.cos(math.pi / 8) ** 2
 
 _ROUND_BATCH = 65536
-# bytes a batch holds per (round, qubit) entry: 6.0 measured with
-# tracemalloc at n = 8..64, for BreidbartPair and HonestProver alike
-_ROUND_ENTRY_BYTES = 7
+# bytes a batch holds per (round, qubit) entry, rounds counted up to a whole
+# word: 3.3 measured with tracemalloc at n = 8..64 for BreidbartPair, whose
+# flips are drawn a byte per entry before they are packed, and 0.75-0.88 for
+# HonestProver
+_ROUND_ENTRY_BYTES = 4
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +102,12 @@ class PvRound:
 
 class HonestProver:
     """Prover at the claimed position measuring in the announced basis:
-    responses are exact and on schedule."""
+    responses are exact and on schedule.
+
+    Every prover's `respond_batch` takes the challenges x and bases theta of
+    a batch as bit-packed (n, words) uint64 arrays (see `_sample_batch`) and
+    returns its two responses in the same layout.
+    """
 
     def timing(self, scenario: TimingScenario) -> tuple[bool, bool]:
         return True, True
@@ -141,7 +148,8 @@ class BreidbartPair:
 
     def respond_batch(self, x: np.ndarray, theta: np.ndarray,
                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        guess = x ^ bernoulli(rng, 1.0 - BREIDBART_SUCCESS, x.shape)
+        flips = bernoulli(rng, 1.0 - BREIDBART_SUCCESS, (*x.shape[:-1], 64 * x.shape[-1]))
+        guess = x ^ np.packbits(flips, axis=-1, bitorder="little").view("<u8")
         return guess, guess.copy()
 
 
@@ -171,20 +179,32 @@ class SingleAdversary:
 
 def _check_n(n: int, rounds: int) -> int:
     """n as an int, once positive and once a batch of `rounds` rounds of n
-    qubits fits the memory budget."""
+    qubits, counted up to a whole word of rounds, fits the memory budget."""
     n = _positive_int(n)
-    require_bytes(_ROUND_ENTRY_BYTES * rounds * n, f"a batch of {rounds} rounds of {n} qubits")
+    require_bytes(_ROUND_ENTRY_BYTES * 64 * -(-rounds // 64) * n,
+                  f"a batch of {rounds} rounds of {n} qubits")
     return n
 
 
+def _bits(words: np.ndarray, rounds: int) -> np.ndarray:
+    """The 0/1 uint8 bits of the first `rounds` rounds of packed words,
+    along the last axis."""
+    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=-1,
+                         count=rounds, bitorder="little")
+
+
 def _sample_batch(n: int, prover, rounds: int, rng: np.random.Generator):
-    """`rounds` rounds of n qubits: challenges x and bases theta, the prover's
-    two responses, and per round whether both responses equal x."""
-    x = random_bits(rng, (rounds, n))
-    theta = random_bits(rng, (rounds, n))
+    """`rounds` rounds of n qubits, bit-packed and qubit-major: challenges x,
+    bases theta and the prover's two responses as (n, ceil(rounds / 64))
+    uint64 words, row q for qubit q and bit j of word w for round 64 w + j;
+    and per round whether both responses equal x.  Bits past `rounds` are
+    drawn and answered but not counted."""
+    words = -(-rounds // 64)
+    x = _words(rng, n * words).reshape(n, words)
+    theta = _words(rng, n * words).reshape(n, words)
     x0p, x1p = prover.respond_batch(x, theta, rng)
-    correct = ~((x0p ^ x) | (x1p ^ x)).any(axis=1)
-    return x, theta, x0p, x1p, correct
+    wrong = np.bitwise_or.reduce((x0p ^ x) | (x1p ^ x), axis=0)
+    return x, theta, x0p, x1p, _bits(wrong, rounds) == 0
 
 
 def simulate_pv_round(scenario: TimingScenario, n: int, prover,
@@ -193,9 +213,10 @@ def simulate_pv_round(scenario: TimingScenario, n: int, prover,
     round: challenge sampling, prover response, timing and correctness checks."""
     n = _check_n(n, 1)
     ok0, ok1 = prover.timing(scenario)
-    x, theta, x0p, x1p, correct = (a[0] for a in _sample_batch(n, prover, 1, rng_for(seed, 0)))
+    *packed, correct = _sample_batch(n, prover, 1, rng_for(seed, 0))
+    x, theta, x0p, x1p = (_bits(a, 1)[:, 0] for a in packed)
     return PvRound(n=n, x=x, theta=theta, x0_prime=x0p, x1_prime=x1p, timing_ok_v0=ok0,
-                   timing_ok_v1=ok1, accepted=bool(ok0 and ok1 and correct))
+                   timing_ok_v1=ok1, accepted=bool(ok0 and ok1 and correct[0]))
 
 
 def simulate_pv_rounds(scenario: TimingScenario, n: int, prover, trials: int,

@@ -35,7 +35,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import linalg
-from .bounds import BB84_ROUND_VALUE, binary_entropy
+from .bounds import BB84_ROUND_VALUE, _nonnegative_int, _positive_int, binary_entropy
 from .errors import (CapacityError, DimensionError, DomainError, ValidationError,
                      require_bytes)
 from .games import (_trace_out_entries, bb84_game, conditional_states,
@@ -93,12 +93,13 @@ class QkdParams:
     epsilon: float
 
     def __post_init__(self):
-        for name in ("n", "t", "s", "ell"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+        for name, check in (("n", _positive_int), ("t", _positive_int),
+                            ("s", _nonnegative_int), ("ell", _nonnegative_int)):
+            object.__setattr__(self, name, check(getattr(self, name), name))
         if not 0 < self.t < self.n:
             raise DomainError(f"need 0 < t < n, got t={self.t}, n={self.n}")
-        if not 0 <= self.s <= self.n - self.t or self.ell < 0:
-            raise DomainError(f"need 0 <= s <= n - t = {self.n - self.t} and ell >= 0")
+        if self.s > self.n - self.t:
+            raise DomainError(f"need s <= n - t = {self.n - self.t}, got s={self.s}")
         if not 0.0 <= self.gamma < 0.5:
             raise DomainError(f"gamma must lie in [0, 1/2), got {self.gamma}")
         if self.epsilon <= 0.0:
@@ -248,9 +249,7 @@ def toeplitz_hash(seed_bits, input_bits, ell: int) -> np.ndarray:
     rounded to the nearest integer, and a residual of 0.25 or more raises
     CapacityError instead of returning a wrong bit.
     """
-    ell = int(ell)
-    if ell < 0:
-        raise DomainError("ell must be non-negative")
+    ell = _nonnegative_int(ell, "ell")
     x = _as_bits(input_bits)
     seed = _as_bits(seed_bits)
     length = x.shape[-1]
@@ -340,11 +339,13 @@ class LinearCode:
     """
 
     def __init__(self, length: int, syndrome_bits: int, seed: int):
-        if not 0 <= syndrome_bits <= length:
+        length = _nonnegative_int(length, "length")
+        syndrome_bits = _nonnegative_int(syndrome_bits, "syndrome_bits")
+        if not syndrome_bits <= length:
             raise DomainError(f"need 0 <= syndrome_bits <= length, got {syndrome_bits}, {length}")
         require_bytes(_code_bytes(length, syndrome_bits), f"LinearCode({length}, {syndrome_bits})")
-        self.length = int(length)
-        self.syndrome_bits = int(syndrome_bits)
+        self.length = length
+        self.syndrome_bits = syndrome_bits
         self.seed = int(seed)
         # (start, stop, first syndrome row, stop syndrome row) of each chunk,
         # rows allocated proportionally so that they sum to syndrome_bits

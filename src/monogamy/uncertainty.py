@@ -34,7 +34,7 @@ from .games import MonogamyGame, conditional_stack, overlap
 WEIGHT_ATOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CqEnsemble:
     """Classical symbol with quantum side information: weights p_x and
     conditional states rho^x of one shared dimension.

@@ -171,22 +171,31 @@ def test_posver_simulate_single_needs_position(capsys):
     assert code == 2
 
 
+# each case names its own id, so a case added anywhere in the list renames
+# no other; these keep the ids pytest first derived from list positions
 @pytest.mark.parametrize("flag, argv", [
-    ("--c", ("bounds", "--game", "bb84", "--c", "0.3")),
-    ("--theta-count", ("bounds", "--game", "bb84", "--theta-count", "3")),
-    ("--q", ("bounds", "--game", "bb84", "--gamma", "0.05", "--q", "2")),
-    ("--q", ("bounds", "--game", "general", "--c", "0.25", "--gamma-prime", "0.05",
-             "--q", "2")),
-    ("--q", ("bounds", "--gamma", "0.1", "--same-string", "--q", "2")),
-    ("--gamma-prime", ("bounds", "--gamma", "0.1", "--gamma-prime", "0.1",
-                       "--same-string")),
-    ("--position", ("posver", "simulate", "--prover", "breidbart", "--position", "0.5",
-                    "--trials", "10")),
-    ("--position", ("posver", "simulate", "--prover", "honest", "--position", "0.5",
-                    "--trials", "10")),
-    ("--random", ("ur-check", "instance.json", "--random", "5")),
-    ("--seed", ("ur-check", "instance.json", "--seed", "3")),
-    ("--d", ("posver", "bound", "--d", "8", "--rate", "0.5", "--n", "3")),
+    pytest.param("--c", ("bounds", "--game", "bb84", "--c", "0.3"), id="--c-argv0"),
+    pytest.param("--theta-count", ("bounds", "--game", "bb84", "--theta-count", "3"),
+                 id="--theta-count-argv1"),
+    pytest.param("--q", ("bounds", "--game", "bb84", "--gamma", "0.05", "--q", "2"),
+                 id="--q-argv2"),
+    pytest.param("--q", ("bounds", "--game", "general", "--c", "0.25", "--gamma-prime",
+                         "0.05", "--q", "2"), id="--q-argv3"),
+    pytest.param("--q", ("bounds", "--gamma", "0.1", "--same-string", "--q", "2"),
+                 id="--q-argv4"),
+    pytest.param("--gamma-prime", ("bounds", "--gamma", "0.1", "--gamma-prime", "0.1",
+                                   "--same-string"), id="--gamma-prime-argv5"),
+    pytest.param("--position", ("posver", "simulate", "--prover", "breidbart",
+                                "--position", "0.5", "--trials", "10"),
+                 id="--position-argv6"),
+    pytest.param("--position", ("posver", "simulate", "--prover", "honest",
+                                "--position", "0.5", "--trials", "10"),
+                 id="--position-argv7"),
+    pytest.param("--random", ("ur-check", "instance.json", "--random", "5"),
+                 id="--random-argv8"),
+    pytest.param("--seed", ("ur-check", "instance.json", "--seed", "3"), id="--seed-argv9"),
+    pytest.param("--d", ("posver", "bound", "--d", "8", "--rate", "0.5", "--n", "3"),
+                 id="--d-argv10"),
 ])
 def test_an_option_the_command_would_ignore_is_a_usage_error(capsys, flag, argv):
     code, out, err = run(capsys, *argv)

@@ -15,7 +15,7 @@ from monogamy.posver import (BREIDBART_SUCCESS, BreidbartPair, HonestProver,
                              noisy_soundness_bound, simulate_pv_round,
                              simulate_pv_rounds, soundness_bound)
 from monogamy.qkd import noise_threshold
-from monogamy.rand import random_bits, rng_for
+from monogamy.rand import _words, bernoulli, rng_for
 
 # frozen oracle values
 BETA20 = 0.04213217087090013
@@ -166,12 +166,47 @@ def test_round_is_deterministic_per_seed():
 
 
 def test_round_is_batch_zero_of_the_batched_simulation():
-    # the same draws as a one-trial batch: challenges from rng_for(seed, 0)
+    # the same draws as a one-trial batch: one word per qubit from
+    # rng_for(seed, 0), of which the round is bit 0
     for seed in range(20):
         r = simulate_pv_round(SCENARIO, 3, BreidbartPair(), seed=seed)
         agg = simulate_pv_rounds(SCENARIO, 3, BreidbartPair(), 1, seed=seed)
         assert agg["accepted"] == int(r.accepted)
-        np.testing.assert_array_equal(r.x, random_bits(rng_for(seed, 0), (1, 3))[0])
+        np.testing.assert_array_equal(r.x, _words(rng_for(seed, 0), 3) & 1)
+        assert r.x.shape == r.theta.shape == r.x0_prime.shape == (3,)
+        assert r.x.dtype == np.uint8
+
+
+def _unpacked_acceptances(n: int, trials: int, seed: int) -> int:
+    """Oracle: the accepted rounds of a BreidbartPair simulation, built one
+    0/1 byte per (qubit, round) from the same draws, in the same order."""
+    accepted = 0
+    for batch, done in enumerate(range(0, trials, 65536)):
+        rounds = min(65536, trials - done)
+        words = -(-rounds // 64)
+        rng = rng_for(seed, batch)
+        x = np.unpackbits(_words(rng, n * words).view(np.uint8),
+                          bitorder="little").reshape(n, 64 * words)[:, :rounds]
+        _words(rng, n * words)  # the bases, which the guess does not read
+        flips = bernoulli(rng, 1.0 - BREIDBART_SUCCESS, (n, 64 * words))[:, :rounds]
+        guess = x ^ flips
+        accepted += int(np.all(guess == x, axis=0).sum())
+    return accepted
+
+
+@pytest.mark.parametrize("n", [1, 20, 65])
+@pytest.mark.parametrize("trials", [1, 63, 64, 65, 70000])
+def test_packed_batch_matches_an_unpacked_reference(n, trials):
+    agg = simulate_pv_rounds(SCENARIO, n, BreidbartPair(), trials, seed=7)
+    assert agg["accepted"] == _unpacked_acceptances(n, trials, seed=7)
+
+
+@pytest.mark.parametrize("trials", [1, 63, 65, 100, 70001])
+def test_honest_prover_accepts_a_partial_last_word_exactly(trials):
+    # bits past the last round are drawn and answered, but never counted
+    agg = simulate_pv_rounds(SCENARIO, 5, HonestProver(), trials, seed=2)
+    assert agg["accepted"] == trials
+    assert agg["acceptance_rate"] == 1.0
 
 
 def test_breidbart_acceptance_tracks_bound():

@@ -480,6 +480,27 @@ def test_code_tie_break_follows_the_leader_rule():
     pytest.skip("no seed with the target parity row in range")
 
 
+def test_non_integer_counts_are_refused_not_truncated():
+    base = dict(n=64, t=16, s=16, ell=16, gamma=0.2, epsilon=0.05)
+    for name, value, kind in [("n", 64.5, "a positive"), ("t", 16.5, "a positive"),
+                              ("t", 0, "a positive"), ("s", 16.5, "a non-negative"),
+                              ("s", -1, "a non-negative"), ("ell", 0.5, "a non-negative")]:
+        with pytest.raises(DomainError, match=f"{name} must be {kind} integer"):
+            QkdParams(**{**base, name: value})
+    with pytest.raises(DomainError, match="length must be a non-negative integer"):
+        LinearCode(8.5, 2, seed=0)
+    with pytest.raises(DomainError, match="syndrome_bits must be a non-negative integer"):
+        LinearCode(8, 2.5, seed=0)
+    bits = np.ones(8, dtype=np.uint8)
+    with pytest.raises(DomainError, match="ell must be a non-negative integer"):
+        toeplitz_hash(np.ones(9, dtype=np.uint8), bits, 2.5)
+    # an integer of another type still counts
+    assert QkdParams(**{**base, "n": 64.0}).n == 64
+    assert LinearCode(8.0, 2.0, seed=0).length == 8
+    np.testing.assert_array_equal(toeplitz_hash(np.ones(9, dtype=np.uint8), bits, 2.0),
+                                  toeplitz_hash(np.ones(9, dtype=np.uint8), bits, 2))
+
+
 def test_code_refuses_more_syndrome_bits_than_length():
     assert LinearCode(8, 8, seed=0).syndrome_bits == 8
     with pytest.raises(DomainError, match="syndrome_bits <= length"):

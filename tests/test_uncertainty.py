@@ -78,6 +78,16 @@ def test_ensemble_stores_one_read_only_stack():
                                   [0.3 * KET0, 0.7 * PLUS])
 
 
+def test_ensembles_compare_and_hash_by_identity():
+    # equal fields are arrays, which have no one truth value, so an ensemble
+    # is equal only to itself, as games and strategies are
+    e = binary_ensemble(0.3, KET0, PLUS)
+    twin = binary_ensemble(0.3, KET0, PLUS)
+    assert e == e and e != twin
+    assert len({e, twin, e}) == 2
+    assert hash(e) == hash(e)
+
+
 def test_ensemble_errors_name_the_offending_label():
     with pytest.raises(ValidationError, match="conditional 'b' is not positive"):
         CqEnsemble(("a", "b"), np.array([0.5, 0.5]), np.array([KET0, KET1 - KET0]))
