@@ -49,8 +49,8 @@ _EXPORTS = {name: module for module, names in [
                "same_string_q_set", "winning_probability", "winning_probability_with_q",
                "xor_permutation_family")),
     ("qkd", ("KeyLengthReport", "QkdParams", "QkdSecurityReport", "max_key_length",
-             "noise_threshold", "run_eqkd_trials", "secdef_gap", "security_delta",
-             "simulate_eqkd", "toeplitz_hash")),
+             "noise_threshold", "run_eqkd_trials", "security_delta", "simulate_eqkd",
+             "toeplitz_hash")),
     ("posver", ("TimingScenario", "entangled_soundness_bound", "max_entanglement_rate",
                 "noisy_soundness_bound", "simulate_pv_round", "simulate_pv_rounds",
                 "soundness_bound")),
@@ -58,7 +58,7 @@ _EXPORTS = {name: module for module, names in [
                 "optimal_povm_step", "optimal_state_step", "seesaw")),
     ("uncertainty", ("CqEnsemble", "UrReport", "check_uncertainty_relation",
                      "guessing_probability", "min_entropy_bracket",
-                     "post_measurement_state", "ur_bound_n")),
+                     "post_measurement_state", "secdef_gap", "ur_bound_n")),
 ] for name in names}
 __all__ = list(_EXPORTS)
 

@@ -102,7 +102,10 @@ def imperfect_guessing_bound(c: float, theta_count: int, n: int,
     c, theta_count, n = _family_inputs(c, theta_count, n)
     factor = 2.0 ** (binary_entropy(gamma) + binary_entropy(gamma_prime))
     base = factor * (1.0 + (theta_count - 1) * math.sqrt(c)) / theta_count
-    return base**n
+    try:
+        return base**n
+    except OverflowError:  # past the float range: inf, a vacuous bound
+        return math.inf
 
 
 def same_string_bound(c: float, theta_count: int, n: int, gamma: float) -> float:

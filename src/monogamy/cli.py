@@ -333,7 +333,10 @@ def qkd_sim_cmd(n, t, s, ell, gamma, epsilon, noise, device, trials, seed,
     from . import qkd as qkd_mod
 
     params = qkd_mod.QkdParams(n=n, t=t, s=s, ell=ell, gamma=gamma, epsilon=epsilon)
-    dev = qkd_mod.epr_device(n) if device == "epr" else None
+    dev = None
+    if device == "epr":
+        from .quantum_device import epr_device
+        dev = epr_device(n)
     agg = qkd_mod.run_eqkd_trials(params, noise, trials, seed=seed, device=dev)
     _emit_json("qkd-sim",
                {"n": n, "t": t, "s": s, "ell": ell, "gamma": gamma,

@@ -31,10 +31,10 @@ BREIDBART_SUCCESS = math.cos(math.pi / 8) ** 2
 
 _ROUND_BATCH = 65536
 # bytes a batch holds per (round, qubit) entry, rounds counted up to a whole
-# word: 3.3 measured with tracemalloc at n = 8..64 for BreidbartPair, whose
+# word: 2.32 measured with tracemalloc at n = 8..64 for BreidbartPair, whose
 # flips are drawn a byte per entry before they are packed, and 0.75-0.88 for
 # HonestProver
-_ROUND_ENTRY_BYTES = 4
+_ROUND_ENTRY_BYTES = 3
 
 
 # ---------------------------------------------------------------------------

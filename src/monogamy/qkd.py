@@ -14,14 +14,14 @@ of trials draws its basis strings, the device measures the whole batch, the
 sampled comparison decides each abort, and the completed rows are corrected
 and hashed a block of rows at a time.  :func:`run_eqkd_trials` runs batch
 after batch and keeps counts; :func:`simulate_eqkd` runs a batch of one
-trial and keeps its transcript.  A device is any object with a `max_n` attribute and a method
-`sample(theta, rng) -> (x, y)` that takes a (trials, n) array of basis bits
-and returns Alice's and its own outcome bits in that shape, drawn from `rng`
-only: a classical noise model at up to 2^20 rounds, or a full tripartite
-quantum device at up to 5 rounds to exercise the POVM plumbing.  Run sizes
-are further bounded by the memory budget of :mod:`monogamy.errors`.  An
-eavesdropper is never simulated; the delta formula is the security claim
-and is computed exactly.
+trial and keeps its transcript.  A device is any object with a `max_n`
+attribute and a method `sample(theta, rng) -> (x, y)` that takes a
+(trials, n) array of basis bits and returns Alice's and its own outcome bits
+in that shape, drawn from `rng` only.  This module is classical only: its
+device is a noise model at up to 2^20 rounds; the exact quantum one is in
+:mod:`monogamy.quantum_device`.  The memory budget of :mod:`monogamy.errors`
+bounds run sizes.  An eavesdropper is never simulated; the delta formula is
+the security claim and is computed exactly.
 """
 
 from __future__ import annotations
@@ -30,18 +30,13 @@ import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import linalg
 from .bounds import BB84_ROUND_VALUE, _nonnegative_int, _positive_int, binary_entropy
 from .errors import (CapacityError, DimensionError, DomainError, ValidationError,
                      require_bytes)
-from .games import (_trace_out_entries, bb84_game, conditional_states,
-                    maximally_entangled_density, power_elements)
 from .rand import bernoulli, random_bits, rng_for
-from .uncertainty import CqEnsemble
 
 LOG2_INV_ROUND_VALUE = -math.log2(BB84_ROUND_VALUE)
 
@@ -439,10 +434,6 @@ def _code_bytes(length: int, syndrome_bits: int) -> int:
 # device models (the protocol a device follows is in the module docstring)
 
 
-# the checked single-round BB84 stack (basis, outcome, 2, 2), built once
-_BB84_ELEMENTS = bb84_game().elements
-
-
 class HonestNoisyDevice:
     """Classical reference device: outcomes equal Alice's bits, flipped
     independently with probability `flip_prob`."""
@@ -457,91 +448,6 @@ class HonestNoisyDevice:
     def sample(self, theta: np.ndarray, rng: np.random.Generator):
         x = random_bits(rng, theta.shape)
         return x, x ^ bernoulli(rng, self.flip_prob, theta.shape)
-
-
-class TripartiteQuantumDevice:
-    """Measurement device holding a share of a joint quantum state.
-
-    `state` lives on Alice's 2^n-dimensional register tensored with the
-    device share (and optionally a third, traced-out share); `povms` maps a
-    basis string to the device's outcome POVM, or is a callable producing it.
-    Exact sampling keeps this at n <= 5 rounds.
-    """
-
-    max_n = 5
-
-    def __init__(self, n: int, state, device_dim: int,
-                 povms: Mapping[str, Sequence[np.ndarray]] | Callable[[str], Sequence[np.ndarray]]):
-        self.check_rounds(n)
-        self.n = int(n)
-        self.device_dim = int(device_dim)
-        da = 2**self.n
-        state = linalg.require_density(state, "device state")
-        extra, rem = divmod(state.shape[0], da * self.device_dim)
-        if rem:
-            raise DimensionError("state dimension incompatible with 2^n x device_dim")
-        if extra > 1:
-            state = linalg.partial_trace(state, (da, self.device_dim, extra), keep=[0, 1])
-        self.state = linalg.frozen(state)
-        self._povm_for = povms if callable(povms) else povms.__getitem__
-
-    @classmethod
-    def check_rounds(cls, n: int) -> None:
-        if n < 1 or n > cls.max_n:
-            raise CapacityError(f"quantum device supports 1..{cls.max_n} rounds")
-
-    def sample(self, theta: np.ndarray, rng: np.random.Generator):
-        """Exact outcomes for every row of `theta`.  Each distinct basis
-        string computes its conditional states once, for a table of p(x) and
-        one of p(y | x); its rows draw Alice's outcome, then the device's."""
-        if theta.shape[1:] != (self.n,):
-            raise DimensionError(f"device built for n={self.n}, got {theta.shape[1:]} rounds")
-        # per basis: its POVM, the previous basis's conditional states and
-        # their normalised copy, one more stack for the outcome tables, and
-        # conditional_states' own arrays (tracemalloc: 25.5 MiB at n = 5)
-        result, states = _trace_out_entries(self.state.size, 2, 2, self.n)
-        require_bytes(16 * (2**self.n * self.device_dim**2 + 3 * result + states),
-                      f"{type(self).__name__}.sample(n={self.n})")
-        x, y = np.empty((2, len(theta)), dtype=np.intp)
-        bases, which = np.unique(theta, axis=0, return_inverse=True)
-        for k, basis in enumerate(bases):
-            povm = np.asarray(self._povm_for("".join(str(int(b)) for b in basis)))
-            if len(povm) != 2**self.n:
-                raise ValidationError("device POVM must have one element per outcome string")
-            conditionals = conditional_states(_BB84_ELEMENTS[basis.astype(int)], self.state)
-            sigma = linalg.hermitianize(conditionals)
-            tr = np.trace(sigma, axis1=1, axis2=2).real
-            mixed = tr <= 1e-14
-            sigma /= np.where(mixed, 1.0, tr)[:, None, None]
-            sigma[mixed] = np.eye(self.device_dim) / self.device_dim
-            p_x = np.clip(np.trace(conditionals, axis1=1, axis2=2).real, 0.0, None)
-            p_y = np.clip(np.einsum("xij,yji->xy", sigma, povm).real, 0.0, None)
-            rows = np.flatnonzero(which == k)
-            x[rows] = _inverse_cdf(np.broadcast_to(p_x, (len(rows), len(p_x))), rng)
-            y[rows] = _inverse_cdf(p_y[x[rows]], rng)
-        return _int_to_bits(x, self.n), _int_to_bits(y, self.n)
-
-
-def _inverse_cdf(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One index per row of non-negative `weights`, drawn with probability
-    proportional to its weight from one uniform per row."""
-    cdf = np.cumsum(weights, axis=1)
-    cdf /= cdf[:, -1:]
-    return (cdf <= rng.random(len(cdf))[:, None]).sum(axis=1)
-
-
-def _bb84_projectors(theta_key: str) -> np.ndarray:
-    """The n-qubit BB84 measurement for a basis string such as "0110", one
-    projector per outcome string, in lexicographic order."""
-    return power_elements(_BB84_ELEMENTS[[int(ch) for ch in theta_key]])
-
-
-def epr_device(n: int) -> TripartiteQuantumDevice:
-    """Honest quantum device: maximally entangled pairs measured in the
-    announced basis, so outcomes match Alice's exactly."""
-    TripartiteQuantumDevice.check_rounds(n)  # before the 4^n x 4^n state
-    da = 2**n
-    return TripartiteQuantumDevice(n, maximally_entangled_density(da), da, _bb84_projectors)
 
 
 # ---------------------------------------------------------------------------
@@ -713,48 +619,3 @@ def run_eqkd_trials(params: QkdParams, noise_flip_prob: float, trials: int,
         "hoeffding_violation_rate": violations / trials,
         "hoeffding_bound": math.exp(-2.0 * params.epsilon**2 * params.t),
     }
-
-
-# ---------------------------------------------------------------------------
-# security-definition comparison on classical-quantum states
-
-
-def secdef_gap(rho: CqEnsemble, rho_tilde: CqEnsemble,
-               predicate: Callable[[str], bool],
-               tau_x: np.ndarray | None = None) -> tuple[float, float]:
-    """Both sides of the conditioned-security comparison
-
-        Pr_rho[L] D(rho_XB|L, tau ⊗ rho_B|L)
-            <= 5 D(rho_XB, rho~_XB) + Pr_rho~[L] D(rho~_XB|L, tau ⊗ rho~_B|L)
-
-    for CQ states over one alphabet and an event L determined by a predicate
-    on the classical symbol.  Returns (lhs, rhs); the inequality is the
-    caller's to assert.
-    """
-    if rho.alphabet != rho_tilde.alphabet:
-        raise ValidationError("the two CQ states must share an alphabet")
-    if rho.dim != rho_tilde.dim:
-        raise DimensionError("the two CQ states must share the side-information "
-                             "dimension")
-    k = len(rho.alphabet)
-    if tau_x is None:
-        tau_x = np.eye(k, dtype=complex) / k
-    tau_x = linalg.require_density(tau_x, "tau_x")
-    if tau_x.shape[0] != k:
-        raise DimensionError("tau_x must match the alphabet size")
-
-    def conditioned_term(ens: CqEnsemble) -> float:
-        mask = np.array([1.0 if predicate(x) else 0.0 for x in ens.alphabet])
-        prob = float((ens.weights * mask).sum())
-        if prob <= 0.0:
-            return 0.0
-        w_cond = ens.weights * mask / prob
-        cond = CqEnsemble(ens.alphabet, w_cond, ens.states)
-        side = cond.average_state()
-        return prob * linalg.trace_distance(cond.joint_density(),
-                                            linalg.tensor(tau_x, side))
-
-    lhs = conditioned_term(rho)
-    between = linalg.trace_distance(rho.joint_density(), rho_tilde.joint_density())
-    rhs = 5.0 * between + conditioned_term(rho_tilde)
-    return lhs, rhs

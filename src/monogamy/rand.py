@@ -56,9 +56,10 @@ def bernoulli(rng: np.random.Generator, p: float, shape) -> np.ndarray:
     k = int(256.0 * p)
     tie_p = 256.0 * p - k
     draws = _words(rng, -(-size // 8)).view(np.uint8)[:size]
+    # the ties first, so that no more than two entry-sized arrays are held
+    ties = np.flatnonzero(draws == k) if tie_p else None
     out = (draws < k).view(np.uint8)
     if tie_p:
-        ties = np.flatnonzero(draws == k)
         out[ties] = rng.random(ties.size) < tie_p
     return out.reshape(shape)
 

@@ -14,7 +14,8 @@ the two-observer tradeoff
 
     p_guess(X|B,Theta) + p_guess(X|C,Theta) <= 1 + sqrt(c)
 
-together with its min-entropy form against any state and binary POVM pair.
+together with its min-entropy form against any state and binary POVM pair,
+and the conditioned-security comparison of two CQ states, :func:`secdef_gap`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -109,6 +110,44 @@ class CqEnsemble:
         out = np.zeros((k, d, k, d), dtype=complex)
         out[np.arange(k), :, np.arange(k)] = self.weighted_conditionals()
         return out.reshape(k * d, k * d)
+
+
+def secdef_gap(rho: CqEnsemble, rho_tilde: CqEnsemble,
+               predicate: Callable[[str], bool],
+               tau_x: np.ndarray | None = None) -> tuple[float, float]:
+    """Both sides of the conditioned-security comparison
+
+        Pr_rho[L] D(rho_XB|L, tau ⊗ rho_B|L)
+            <= 5 D(rho_XB, rho~_XB) + Pr_rho~[L] D(rho~_XB|L, tau ⊗ rho~_B|L)
+
+    for CQ states over one alphabet and an event L determined by a predicate
+    on the classical symbol.  Returns (lhs, rhs); the inequality is the
+    caller's to assert.
+    """
+    if rho.alphabet != rho_tilde.alphabet:
+        raise ValidationError("the two CQ states must share an alphabet")
+    if rho.dim != rho_tilde.dim:
+        raise DimensionError("the two CQ states must share the side-information dimension")
+    k = len(rho.alphabet)
+    if tau_x is None:
+        tau_x = np.eye(k, dtype=complex) / k
+    tau_x = linalg.require_density(tau_x, "tau_x")
+    if tau_x.shape[0] != k:
+        raise DimensionError("tau_x must match the alphabet size")
+
+    def conditioned_term(ens: CqEnsemble) -> float:
+        mask = np.array([1.0 if predicate(x) else 0.0 for x in ens.alphabet])
+        prob = float((ens.weights * mask).sum())
+        if prob <= 0.0:
+            return 0.0
+        cond = CqEnsemble(ens.alphabet, ens.weights * mask / prob, ens.states)
+        return prob * linalg.trace_distance(cond.joint_density(),
+                                            linalg.tensor(tau_x, cond.average_state()))
+
+    lhs = conditioned_term(rho)
+    between = linalg.trace_distance(rho.joint_density(), rho_tilde.joint_density())
+    rhs = 5.0 * between + conditioned_term(rho_tilde)
+    return lhs, rhs
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:

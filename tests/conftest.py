@@ -13,7 +13,7 @@ import monogamy  # noqa: F401
 import numpy as np
 import pytest
 
-from monogamy.games import MonogamyGame, Strategy, power_elements
+from monogamy.games import MonogamyGame, Strategy, bb84_game, game_power, power_elements
 from monogamy.rand import rng_for
 
 
@@ -48,6 +48,12 @@ def basis_factors(game: MonogamyGame) -> list[np.ndarray]:
     per-basis ``conditional_states`` call or ``power_elements`` takes."""
     return [game.elements[list(ts)]
             for ts in itertools.product(range(len(game.thetas)), repeat=game.rounds)]
+
+
+def bb84_povms(n: int) -> np.ndarray:
+    """The n-round BB84 measurement as a (2^n, 2^n, 2^n, 2^n) stack, rows in
+    ``game_power(bb84_game(), n).basis_labels`` order."""
+    return np.array([power_elements(f) for f in basis_factors(game_power(bb84_game(), n))])
 
 
 def dense_product(game: MonogamyGame, strategy: Strategy) -> Strategy:

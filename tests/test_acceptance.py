@@ -29,11 +29,11 @@ from monogamy.posver import (BreidbartPair, TimingScenario,
                              entangled_soundness_bound, max_entanglement_rate,
                              simulate_pv_rounds, soundness_bound)
 from monogamy.qkd import (QkdParams, max_key_length, noise_threshold,
-                          run_eqkd_trials, secdef_gap)
+                          run_eqkd_trials)
 from monogamy.rand import (random_density, random_povm,
                            random_projective_povm, rng_for)
 from monogamy.seesaw import SeesawConfig, seesaw
-from monogamy.uncertainty import CqEnsemble, check_uncertainty_relation
+from monogamy.uncertainty import CqEnsemble, check_uncertainty_relation, secdef_gap
 
 from conftest import dense_product
 

@@ -29,13 +29,16 @@ from monogamy.games import (QSet, Strategy, bb84_game, constant_guess_povms, gam
                             same_string_q_set, winning_probability,
                             winning_probability_with_q, xor_permutation_family)
 from monogamy.posver import BreidbartPair, TimingScenario, simulate_pv_rounds
-from monogamy.qkd import LinearCode, QkdParams, epr_device, run_eqkd_trials, toeplitz_hash
-from monogamy.rand import rng_for
+from monogamy.qkd import LinearCode, QkdParams, run_eqkd_trials, toeplitz_hash
+from monogamy.quantum_device import TripartiteQuantumDevice
 from monogamy.seesaw import SeesawConfig, _search_bytes, seesaw
+
+from conftest import bb84_povms
 
 MiB = 2**20
 FLOOR = 8 * MiB
-GUARDED = ["monogamy.games", "monogamy.seesaw", "monogamy.qkd", "monogamy.posver"]
+GUARDED = ["monogamy.games", "monogamy.seesaw", "monogamy.qkd", "monogamy.quantum_device",
+           "monogamy.posver"]
 
 
 def _entangled_round() -> Strategy:
@@ -91,9 +94,10 @@ def _cases():
         ("run_eqkd_trials", range(128, 4097, 64),
          lambda n: QkdParams(n=n, t=n // 8, s=0, ell=0, gamma=0.05, epsilon=0.05),
          lambda p: run_eqkd_trials(p, 0.01, 512, seed=0)),
-        ("TripartiteQuantumDevice.sample", range(1, 6),
-         lambda n: (epr_device(n), rng_for(1).integers(0, 2, size=(50, n), dtype=np.uint8)),
-         lambda a: a[0].sample(a[1], rng_for(0))),
+        # the device reads its whole outcome table at construction
+        ("TripartiteQuantumDevice", range(1, 6),
+         lambda n: (maximally_entangled_density(2**n), bb84_povms(n)),
+         lambda a: TripartiteQuantumDevice(*a)),
         ("simulate_pv_rounds", range(1, 65), lambda n: n,
          lambda n: simulate_pv_rounds(line, n, BreidbartPair(), 65536, seed=0)),
         ("hamming_q_set", range(2, 16), lambda n: n,

@@ -154,6 +154,24 @@ def test_posver_bound_csv(capsys):
                                                     rel=1e-12)
 
 
+@pytest.mark.parametrize("argv, column", [
+    pytest.param(("bounds", "--n", "10000", "--gamma", "0.05", "--gamma-prime", "0.05"),
+                 "value", id="imperfect-guessing"),
+    pytest.param(("bounds", "--n", "10000", "--same-string", "--gamma", "0.1"), "value",
+                 id="same-string"),
+    pytest.param(("posver", "bound", "--n", "20000", "--gamma", "0.1", "--gamma-prime", "0.1"),
+                 "noisy_bound", id="posver-noisy"),
+])
+def test_a_bound_past_the_float_range_is_vacuous_not_a_crash(capsys, argv, column):
+    # the power overflows a float; the bound is then inf, which bounds nothing
+    code, out, err = run(capsys, *argv, "--format", "json", "--deterministic")
+    assert (code, err) == (0, "")
+    row = json.loads(out)["result"][0]
+    assert row[column] == float("inf")
+    if column == "value":
+        assert row["vacuous"] is True
+
+
 def test_posver_simulate_json(capsys):
     code, out, _ = run(capsys, "posver", "simulate", "--n", "1", "--prover",
                        "breidbart", "--trials", "4000", "--seed", "3",

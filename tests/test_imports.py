@@ -29,8 +29,8 @@ EXPORTED = {
               "overlap", "product_strategy", "pure_strategy", "same_string_q_set",
               "winning_probability", "winning_probability_with_q", "xor_permutation_family"],
     "qkd": ["KeyLengthReport", "QkdParams", "QkdSecurityReport", "max_key_length",
-            "noise_threshold", "run_eqkd_trials", "secdef_gap", "security_delta",
-            "simulate_eqkd", "toeplitz_hash"],
+            "noise_threshold", "run_eqkd_trials", "security_delta", "simulate_eqkd",
+            "toeplitz_hash"],
     "posver": ["TimingScenario", "entangled_soundness_bound", "max_entanglement_rate",
                "noisy_soundness_bound", "simulate_pv_round", "simulate_pv_rounds",
                "soundness_bound"],
@@ -38,7 +38,7 @@ EXPORTED = {
                "optimal_povm_step", "optimal_state_step", "seesaw"],
     "uncertainty": ["CqEnsemble", "UrReport", "check_uncertainty_relation",
                     "guessing_probability", "min_entropy_bracket", "post_measurement_state",
-                    "ur_bound_n"],
+                    "secdef_gap", "ur_bound_n"],
 }
 
 # prints the sorted names of the package's modules a child has loaded
@@ -72,6 +72,22 @@ def test_posver_simulate_loads_only_its_own_modules():
     assert "monogamy.posver" in loaded
     for name in ("games", "seesaw", "qkd", "uncertainty", "linalg", "fixtures"):
         assert f"monogamy.{name}" not in loaded
+
+
+QKD_SIM = ("from monogamy.cli import dispatch\n"
+           "dispatch(['qkd-sim', '--n', '4', '--t', '1', '--s', '2', '--ell', '2', "
+           "'--gamma', '0', '--trials', '100', '--deterministic'{}])")
+
+
+def test_classical_qkd_sim_loads_only_its_own_modules():
+    assert loaded_after(QKD_SIM.format("")) == \
+        {"monogamy", "monogamy.cli", "monogamy.errors", "monogamy.qkd", "monogamy.bounds",
+         "monogamy.rand"}
+
+
+def test_qkd_sim_with_the_epr_device_loads_the_device_module():
+    loaded = loaded_after(QKD_SIM.format(", '--device', 'epr'"))
+    assert {"monogamy.qkd", "monogamy.quantum_device", "monogamy.games"} <= loaded
 
 
 def test_importing_the_package_loads_no_submodule():

@@ -10,16 +10,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monogamy import linalg, qkd
-from monogamy.games import conditional_states
+from monogamy.games import bb84_game, conditional_stack, maximally_entangled_density
 from monogamy.errors import (CapacityError, DimensionError, DomainError,
                              ValidationError)
-from monogamy.qkd import (HonestNoisyDevice, LinearCode, QkdParams,
-                          TripartiteQuantumDevice, delta_terms, epr_device,
+from monogamy.qkd import (HonestNoisyDevice, LinearCode, QkdParams, delta_terms,
                           max_key_length, noise_threshold, run_eqkd_trials,
-                          secdef_gap, security_delta, simulate_eqkd,
-                          suggested_syndrome_length, toeplitz_hash)
-from monogamy.rand import random_density, rng_for
-from monogamy.uncertainty import CqEnsemble
+                          security_delta, simulate_eqkd, suggested_syndrome_length,
+                          toeplitz_hash)
+from monogamy.quantum_device import TripartiteQuantumDevice, epr_device
+from monogamy.rand import random_density, random_povm, rng_for
+from monogamy.uncertainty import CqEnsemble, secdef_gap
+
+from conftest import bb84_povms
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -595,16 +597,6 @@ def test_epr_device_checks_rounds_before_building_its_state():
     assert peak < 2**20
 
 
-def test_quantum_device_keeps_a_frozen_copy_of_the_callers_state():
-    honest = epr_device(1)
-    state = np.array(honest.state)
-    device = TripartiteQuantumDevice(1, state, honest.device_dim, honest._povm_for)
-    assert state.flags.writeable
-    assert not np.shares_memory(state, device.state)
-    assert not device.state.flags.writeable
-    np.testing.assert_array_equal(device.state, state)
-
-
 def test_simulate_device_length_mismatch():
     class BadDevice:
         max_n = 64
@@ -632,11 +624,8 @@ def test_quantum_device_with_wrong_basis_povms_errs():
     # device that measures in the conjugate basis: outcomes decorrelate in
     # half the rounds on average
     n = 3
-    honest = epr_device(n)
-    flipped = TripartiteQuantumDevice(
-        n, honest.state, honest.device_dim,
-        lambda key: honest._povm_for("".join("1" if c == "0" else "0"
-                                             for c in key)))
+    # reversed rows: basis string theta gets the POVM of its complement
+    flipped = TripartiteQuantumDevice(maximally_entangled_density(2**n), bb84_povms(n)[::-1])
     mismatches = 0
     for seed in range(40):
         tr = simulate_eqkd(QkdParams(n=n, t=1, s=0, ell=0, gamma=0.49,
@@ -731,29 +720,97 @@ def test_batches_derive_generators_from_seed_and_batch(monkeypatch):
                                for stream in (qkd._ROUND_STREAM, qkd._BATCH_STREAM)]
 
 
-def test_quantum_device_builds_conditional_states_once_per_basis(monkeypatch):
-    import monogamy.qkd as qkd
-    bases = []
+def test_quantum_device_builds_its_table_with_one_conditional_stack_call(monkeypatch):
+    import monogamy.quantum_device as quantum_device
+    calls = []
 
-    def counting(factors, rho):
-        bases.append(np.asarray(factors).tobytes())
-        return conditional_states(factors, rho)
+    def counting(game, rho):
+        calls.append(game.rounds)
+        return conditional_stack(game, rho)
 
-    monkeypatch.setattr(qkd, "conditional_states", counting)
+    monkeypatch.setattr(quantum_device, "conditional_stack", counting)
     device = epr_device(3)
+    assert calls == [3]
     theta = rng_for(5).integers(0, 2, size=(64, 3), dtype=np.uint8)
     x, y = device.sample(theta, rng_for(6))
     np.testing.assert_array_equal(x, y)
     assert x.shape == theta.shape
-    assert len(bases) == len(set(bases)) == len(np.unique(theta, axis=0)) <= 8
+    assert calls == [3]
 
 
 def test_quantum_device_rejects_a_povm_of_the_wrong_length():
-    honest = epr_device(2)
-    short = TripartiteQuantumDevice(2, honest.state, honest.device_dim,
-                                    lambda key: honest._povm_for(key)[:3])
     with pytest.raises(ValidationError):
-        short.sample(np.zeros((4, 2), dtype=np.uint8), rng_for(0))
+        TripartiteQuantumDevice(maximally_entangled_density(4), bb84_povms(2)[:, :3])
+
+
+def device_table(device: TripartiteQuantumDevice) -> np.ndarray:
+    """p(x, y | theta) as a (2^n, 2^n, 2^n) array, read back from the
+    device's cumulative rows."""
+    size = 2**device.n
+    cdf = device._cdf.reshape(size, -1) - (np.arange(size, dtype=np.int64) << 53)[:, None]
+    return np.diff(cdf, axis=1, prepend=0).reshape(size, size, size) / 2.0**53
+
+
+def random_device(n: int, dim: int, extra: int, rng):
+    """A random state on 2^n x dim x extra dimensions and a random POVM of
+    2^n outcomes on the device's dim for each basis string."""
+    state = random_density(2**n * dim * extra, rng)
+    povms = np.array([random_povm(dim, 2**n, rng) for _ in range(2**n)])
+    return state, povms
+
+
+@pytest.mark.parametrize("n, dim, extra", [(1, 1, 1), (1, 2, 1), (1, 3, 2), (2, 2, 1),
+                                           (2, 3, 1), (2, 2, 2)])
+def test_quantum_device_table_matches_the_dense_trace(n, dim, extra):
+    # tr[(F_x^theta ⊗ P_y^theta ⊗ 1) rho], written out with dense tensor products
+    rng = rng_for(31, n, dim, extra)
+    elements = bb84_game().elements
+    for _ in range(3):
+        state, povms = random_device(n, dim, extra, rng)
+        table = device_table(TripartiteQuantumDevice(state, povms))
+        for theta in range(2**n):
+            bits = [(theta >> (n - 1 - i)) & 1 for i in range(n)]
+            for x in range(2**n):
+                f = linalg.tensor(*[elements[b, (x >> (n - 1 - i)) & 1]
+                                    for i, b in enumerate(bits)])
+                for y in range(2**n):
+                    op = linalg.tensor(f, povms[theta, y], np.eye(extra))
+                    assert abs(table[theta, x, y] - np.trace(op @ state).real) <= 1e-12
+
+
+def test_quantum_device_samples_its_table():
+    # every (basis, x, y) cell of a random two-round device, within 5 sigma
+    state, povms = random_device(2, 2, 1, rng_for(8))
+    device = TripartiteQuantumDevice(state, povms)
+    table = device_table(device)
+    rows = 2**18
+    theta = rng_for(9).integers(0, 2, size=(rows, 2), dtype=np.uint8)
+    x, y = device.sample(theta, rng_for(10))
+    basis, xs, ys = (qkd._pack(bits).astype(int) for bits in (theta, x, y))
+    counts = np.zeros(table.shape)
+    np.add.at(counts, (basis, xs, ys), 1)
+    per_basis = np.bincount(basis, minlength=4)[:, None, None]
+    sigma = np.sqrt(table * (1 - table) * per_basis)
+    assert np.all(np.abs(counts - table * per_basis) <= 5 * sigma + 1e-9)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_epr_device_outcomes_match(n):
+    theta = rng_for(12, n).integers(0, 2, size=(4096, n), dtype=np.uint8)
+    x, y = epr_device(n).sample(theta, rng_for(13, n))
+    np.testing.assert_array_equal(x, y)
+    assert abs(x.mean() - 0.5) <= 5 * math.sqrt(0.25 / x.size)
+
+
+@pytest.mark.parametrize("spoil", ["scaled", "not-psd"])
+def test_quantum_device_refuses_a_stack_that_is_not_a_povm(spoil):
+    povms = bb84_povms(2)
+    if spoil == "scaled":
+        povms[1, 2] *= 1.1
+    else:
+        povms[3, 0] *= -1
+    with pytest.raises(ValidationError):
+        TripartiteQuantumDevice(maximally_entangled_density(4), povms)
 
 
 @pytest.mark.parametrize("make_device, noise", [(lambda: None, 0.1),
