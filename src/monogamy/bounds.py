@@ -12,6 +12,7 @@ carries the flag.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -63,6 +64,28 @@ def _nonnegative_int(n, name: str) -> int:
     return int(n)
 
 
+def _pow2(exponent: float) -> float:
+    """2^exponent as a float: inf from 2^1024 up, 0.0 from 2^-1074 down."""
+    if exponent >= 1024.0:
+        return math.inf
+    if exponent <= -1074.0:
+        return 0.0
+    return 2.0**exponent
+
+
+def _scaled_power(factor, base: float, n: int) -> float:
+    """factor * base^n for a positive factor (an int of any size) and base:
+    the float product where both terms and it are normal floats, else
+    2^(log2 factor + n log2 base), inf past the float range."""
+    try:
+        scale, power = float(factor), base**n
+    except OverflowError:  # a term past the float range
+        scale = power = math.inf
+    if all(sys.float_info.min <= v < math.inf for v in (scale, power, scale * power)):
+        return scale * power
+    return _pow2(math.log2(factor) + n * math.log2(base))
+
+
 def _family_inputs(c: float, theta_count: int, n: int) -> tuple[float, int, int]:
     """(c, theta_count, n) of the overlap bounds, once the overlap c lies in
     (0, 1], theta_count is an integer of at least 2 and n a positive
@@ -86,7 +109,7 @@ def general_upper_bound(c: float, theta_count: int, q_cardinality: int, n: int) 
     c, theta_count, n = _family_inputs(c, theta_count, n)
     q_cardinality = _positive_int(q_cardinality, "q_cardinality")
     base = (1.0 + (theta_count - 1) * math.sqrt(c)) / theta_count
-    return q_cardinality * base**n
+    return _scaled_power(q_cardinality, base, n)
 
 
 def imperfect_guessing_bound(c: float, theta_count: int, n: int,
@@ -102,10 +125,7 @@ def imperfect_guessing_bound(c: float, theta_count: int, n: int,
     c, theta_count, n = _family_inputs(c, theta_count, n)
     factor = 2.0 ** (binary_entropy(gamma) + binary_entropy(gamma_prime))
     base = factor * (1.0 + (theta_count - 1) * math.sqrt(c)) / theta_count
-    try:
-        return base**n
-    except OverflowError:  # past the float range: inf, a vacuous bound
-        return math.inf
+    return _scaled_power(1, base, n)
 
 
 def same_string_bound(c: float, theta_count: int, n: int, gamma: float) -> float:

@@ -319,8 +319,7 @@ def qkd_keylen_cmd(n_range, t_text, gamma, epsilon, s_text, delta_target, fmt,
 @click.option("--gamma", type=float, required=True)
 @click.option("--epsilon", type=float, default=0.05, show_default=True)
 @click.option("--noise", type=float, default=0.0, show_default=True,
-              help="Flip probability of the classical device model; "
-                   "must be 0 with --device epr.")
+              help="Flip probability of the classical device model.")
 @click.option("--device", type=click.Choice(["honest", "epr"]), default="honest",
               show_default=True, help="'epr' runs the exact quantum device (n <= 5).")
 @click.option("--trials", type=int, default=1000, show_default=True)
@@ -332,12 +331,15 @@ def qkd_sim_cmd(n, t, s, ell, gamma, epsilon, noise, device, trials, seed,
     """Monte-Carlo protocol runs: abort rate, key agreement, sampling statistics."""
     from . import qkd as qkd_mod
 
+    if device == "epr":
+        _reject_unused("with --device epr", "noise")
     params = qkd_mod.QkdParams(n=n, t=t, s=s, ell=ell, gamma=gamma, epsilon=epsilon)
-    dev = None
     if device == "epr":
         from .quantum_device import epr_device
         dev = epr_device(n)
-    agg = qkd_mod.run_eqkd_trials(params, noise, trials, seed=seed, device=dev)
+    else:
+        dev = qkd_mod.HonestNoisyDevice(noise)
+    agg = qkd_mod.run_eqkd_trials(params, dev, trials, seed=seed)
     _emit_json("qkd-sim",
                {"n": n, "t": t, "s": s, "ell": ell, "gamma": gamma,
                 "epsilon": epsilon, "noise": noise, "device": device,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (BB84_ROUND_VALUE, _positive_int, bb84_parallel_value,
+from .bounds import (BB84_ROUND_VALUE, _positive_int, _scaled_power, bb84_parallel_value,
                      imperfect_guessing_bound)
 from .errors import DomainError, ValidationError, require_bytes
 from .rand import _words, bernoulli, rng_for
@@ -49,7 +49,7 @@ def soundness_bound(n: int) -> float:
 def entangled_soundness_bound(n: int, d: int) -> float:
     """Bound d * (single-round value)^n for adversaries pre-sharing a
     d-dimensional state; unclamped, so values >= 1 are vacuous."""
-    return _positive_int(d, "d") * bb84_parallel_value(n)
+    return _scaled_power(_positive_int(d, "d"), BB84_ROUND_VALUE, _positive_int(n))
 
 
 def max_entanglement_rate() -> float:

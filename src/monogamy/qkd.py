@@ -14,14 +14,16 @@ of trials draws its basis strings, the device measures the whole batch, the
 sampled comparison decides each abort, and the completed rows are corrected
 and hashed a block of rows at a time.  :func:`run_eqkd_trials` runs batch
 after batch and keeps counts; :func:`simulate_eqkd` runs a batch of one
-trial and keeps its transcript.  A device is any object with a `max_n`
-attribute and a method `sample(theta, rng) -> (x, y)` that takes a
+trial and keeps its transcript; the device alone says how Bob measures.  A
+device is any object with `sample(theta, rng) -> (x, y)` that takes a
 (trials, n) array of basis bits and returns Alice's and its own outcome bits
-in that shape, drawn from `rng` only.  This module is classical only: its
-device is a noise model at up to 2^20 rounds; the exact quantum one is in
+in that shape, drawn from `rng` only; one built for another n raises
+DimensionError.  This module's device is the classical noise model
+:class:`HonestNoisyDevice`; the exact quantum one is in
 :mod:`monogamy.quantum_device`.  The memory budget of :mod:`monogamy.errors`
-bounds run sizes.  An eavesdropper is never simulated; the delta formula is
-the security claim and is computed exactly.
+is the only bound on run sizes: one trial with t = 1 and s = ell = 0 is
+charged 29 bytes a round, up to 74,050,734 rounds.  An eavesdropper is never
+simulated; the delta formula is the security claim and is computed exactly.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BB84_ROUND_VALUE, _nonnegative_int, _positive_int, binary_entropy
+from .bounds import (BB84_ROUND_VALUE, _nonnegative_int, _positive_int, _pow2,
+                     binary_entropy)
 from .errors import (CapacityError, DimensionError, DomainError, ValidationError,
                      require_bytes)
 from .rand import bernoulli, random_bits, rng_for
@@ -118,14 +121,6 @@ class QkdSecurityReport:
         return {"delta": self.delta, "sampling_term": self.sampling_term,
                 "pa_term": self.pa_term, "exponent_budget": self.exponent_budget,
                 "vacuous": self.vacuous}
-
-
-def _pow2(exponent: float) -> float:
-    if exponent >= 1024.0:
-        return math.inf
-    if exponent <= -1074.0:
-        return 0.0
-    return 2.0**exponent
 
 
 def delta_terms(n: float, t: float, s: float, ell: float,
@@ -438,8 +433,6 @@ class HonestNoisyDevice:
     """Classical reference device: outcomes equal Alice's bits, flipped
     independently with probability `flip_prob`."""
 
-    max_n = 1 << 20
-
     def __init__(self, flip_prob: float):
         if not 0.0 <= flip_prob <= 1.0:
             raise DomainError(f"flip probability must lie in [0, 1], got {flip_prob}")
@@ -479,20 +472,18 @@ class ProtocolTranscript:
         return float(np.mean(self.x != self.y))
 
 
-def _checked_device(params: QkdParams, noise_flip_prob: float, device):
-    """The device a run measures with, after the one set of checks every run
-    needs: noise, device capacity, and key length."""
-    if device is None:
-        device = HonestNoisyDevice(noise_flip_prob)
-    elif noise_flip_prob != 0.0:
-        raise ValidationError("the flip probability applies only to the built-in "
-                              "classical device; a given device brings its own noise")
-    if params.n > device.max_n:
-        raise CapacityError(f"device supports at most {device.max_n} rounds, "
-                            f"got n={params.n}")
+def _admit_run(params: QkdParams, batch_rows: int, what: str) -> None:
+    """Refuse a run before it builds its code unless its key fits in the
+    unsampled rounds and the budget holds the code with its decode tables and
+    a batch of `batch_rows` trials, while it draws or post-processes a block."""
     if params.ell > params.n - params.t:
         raise ValidationError("key length cannot exceed the unsampled rounds")
-    return device
+    block_rows, row_bytes = _post_rows(params)
+    entries = batch_rows * params.n
+    require_bytes(_code_bytes(params.n - params.t, params.s)
+                  + max(_TRIAL_ENTRY_BYTES * entries,
+                        _HELD_ENTRY_BYTES * entries + min(block_rows, batch_rows) * row_bytes),
+                  what)
 
 
 # the post-processing of a block of runs that passed the abort rule, one row
@@ -551,17 +542,14 @@ def _trial_batch(params: QkdParams, device, code: LinearCode, seed: int,
                   diff.mean(axis=1) > d_sample + params.epsilon, completed())
 
 
-def simulate_eqkd(params: QkdParams, noise_flip_prob: float = 0.0,
-                  device=None, seed: int = 0) -> ProtocolTranscript:
+def simulate_eqkd(params: QkdParams, device, seed: int = 0) -> ProtocolTranscript:
     """One protocol run and its transcript: batch 0 of :func:`run_eqkd_trials`
-    with one trial and the same seed, so the two agree on its abort and key.
-    `device=None` is the classical device with the given flip probability;
-    any device (see the module docstring) can stand in, with flip
-    probability 0."""
-    device = _checked_device(params, noise_flip_prob, device)
+    with one trial and the same seed, so the two agree on its abort and key."""
+    _admit_run(params, 1, f"simulate_eqkd(n={params.n})")
     batch = _trial_batch(params, device, LinearCode(params.n - params.t, params.s, seed=seed),
                          seed, 0, 1)
     done = next(batch.completed, None)  # None: the run aborted
+    batch.completed.close()  # drops the key-round indices before the transcript
     return ProtocolTranscript(
         seed=seed, params=params, theta=batch.theta[0], x=batch.x[0], y=batch.y[0],
         sample_set=tuple(batch.sample[0].tolist()), x_sample=batch.x[0, batch.sample[0]],
@@ -570,30 +558,18 @@ def simulate_eqkd(params: QkdParams, noise_flip_prob: float = 0.0,
            for name in ("syndrome", "hash_seed", "key", "key_hat")})
 
 
-def run_eqkd_trials(params: QkdParams, noise_flip_prob: float, trials: int,
-                    seed: int = 0, device=None) -> dict:
-    """Counts over many protocol runs, batch after batch of the one pipeline
-    (see :func:`_trial_batch`), with one syndrome code for the whole call, so
-    results do not depend on scheduling.  Decode failures count completed
-    trials whose corrected word differs from the sent one, and unresolved
-    ones those that still miss the syndrome (a chunk had no leader).
-    Hoeffding violations count trials whose full error rate exceeds the
-    sampled rate by more than epsilon.  A given device brings its own noise, so
-    `noise_flip_prob` must then be 0."""
-    if trials < 1:
-        raise DomainError("trials must be positive")
-    device = _checked_device(params, noise_flip_prob, device)
-    n, t = params.n, params.t
-    batch_rows = min(_TRIAL_BATCH, trials)
-    block_rows, row_bytes = _post_rows(params)
-    # the code with its decode tables, and a batch while it draws or while
-    # one block of its completed rows is post-processed
-    entries = batch_rows * n
-    require_bytes(_code_bytes(n - t, params.s)
-                  + max(_TRIAL_ENTRY_BYTES * entries,
-                        _HELD_ENTRY_BYTES * entries + min(block_rows, batch_rows) * row_bytes),
-                  f"run_eqkd_trials(n={n}, trials={trials})")
-    code = LinearCode(n - t, params.s, seed=seed)
+def run_eqkd_trials(params: QkdParams, device, trials: int, seed: int = 0) -> dict:
+    """Counts over `trials` protocol runs on `device`, batch after batch of
+    the one pipeline (see :func:`_trial_batch`), with one syndrome code for
+    the whole call, so results do not depend on scheduling.  Decode failures
+    count completed trials whose corrected word differs from the sent one,
+    and unresolved ones those that still miss the syndrome (a chunk had no
+    leader).  Hoeffding violations count trials whose full error rate
+    exceeds the sampled rate by more than epsilon."""
+    trials = _positive_int(trials, "trials")
+    _admit_run(params, min(_TRIAL_BATCH, trials),
+               f"run_eqkd_trials(n={params.n}, trials={trials})")
+    code = LinearCode(params.n - params.t, params.s, seed=seed)
     aborts = completed = key_matches = decode_failures = unresolved = violations = 0
     for index, start in enumerate(range(0, trials, _TRIAL_BATCH)):
         batch = _trial_batch(params, device, code, seed, index,

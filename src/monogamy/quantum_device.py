@@ -7,7 +7,7 @@ basis order, the layout of a :class:`monogamy.games.Strategy` guesser.  Its
 construction reads p(x, y | theta) = tr[(F_x^theta ⊗ P_y^theta ⊗ 1) rho]
 from one :func:`monogamy.games.conditional_stack` call and one contraction
 and keeps only the cumulative table, so a trial costs one uniform.  Exact
-evaluation keeps this at n <= 5 rounds.
+evaluation keeps this at n <= MAX_ROUNDS = 5 rounds, checked first.
 """
 
 from __future__ import annotations
@@ -24,21 +24,25 @@ from .games import (_povm_stack, _win_terms_bytes, bb84_game, conditional_stack,
 from .qkd import _int_to_bits, _pack
 
 _UNIT = 2.0**53
+MAX_ROUNDS = 5
+
+
+def _rounds(n: int) -> int:
+    if not 1 <= n <= MAX_ROUNDS:
+        raise CapacityError(f"quantum device supports 1..{MAX_ROUNDS} rounds")
+    return n
 
 
 class TripartiteQuantumDevice:
     """Measurement device holding a share of a joint quantum state, with one
     checked POVM per basis string; see the module docstring."""
 
-    max_n = 5
-
     def __init__(self, state, povms):
         shape = np.shape(povms)
         if len(shape) != 4 or shape[0] & (shape[0] - 1):
             raise DimensionError(f"device POVM stack has shape {shape}, "
                                  "expected (2^n, 2^n, d, d)")
-        self.n = shape[0].bit_length() - 1
-        self.check_rounds(self.n)
+        self.n = _rounds(shape[0].bit_length() - 1)
         if shape[1] != shape[0]:
             raise ValidationError(f"device POVMs have {shape[1]} elements, expected "
                                   f"one per outcome string, {shape[0]}")
@@ -64,11 +68,6 @@ class TripartiteQuantumDevice:
         cdf = (cdf / cdf[:, -1:] * _UNIT).astype(np.int64)
         self._cdf = (cdf + (np.arange(len(cdf), dtype=np.int64) << 53)[:, None]).ravel()
 
-    @classmethod
-    def check_rounds(cls, n: int) -> None:
-        if n < 1 or n > cls.max_n:
-            raise CapacityError(f"quantum device supports 1..{cls.max_n} rounds")
-
     def sample(self, theta: np.ndarray, rng: np.random.Generator):
         """Exact outcomes for every row of `theta`: one uniform per row,
         looked up in its basis's cumulative row of the table."""
@@ -83,7 +82,7 @@ class TripartiteQuantumDevice:
 def epr_device(n: int) -> TripartiteQuantumDevice:
     """Honest quantum device: maximally entangled pairs, the device measuring
     its halves in the announced basis, so outcomes match Alice's exactly."""
-    TripartiteQuantumDevice.check_rounds(n)  # before the 4^n x 4^n state
+    _rounds(n)  # before the 4^n x 4^n state
     elements = bb84_game().elements
     povms = [power_elements(elements[list(bases)])
              for bases in itertools.product(range(2), repeat=n)]

@@ -98,8 +98,10 @@ def random_projective_povm(dim: int, outcomes: int,
     u = haar_unitary(dim, rng)
     slots = (np.arange(dim) + rng.integers(outcomes)) % outcomes
     rng.shuffle(slots)
-    cols = [u[:, slots == x] for x in range(outcomes)]
-    return np.array([c @ c.conj().T for c in cols])
+    povm = np.zeros((outcomes, dim, dim), dtype=u.dtype)
+    for x in set(slots.tolist()):  # only the outcomes that hold columns
+        povm[x] = u[:, slots == x] @ u[:, slots == x].conj().T
+    return povm
 
 
 def random_povm(dim: int, outcomes: int, rng: np.random.Generator) -> list[np.ndarray]:

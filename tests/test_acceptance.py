@@ -28,8 +28,8 @@ from monogamy.games import (Strategy, bb84_game, constant_guess_povms,
 from monogamy.posver import (BreidbartPair, TimingScenario,
                              entangled_soundness_bound, max_entanglement_rate,
                              simulate_pv_rounds, soundness_bound)
-from monogamy.qkd import (QkdParams, max_key_length, noise_threshold,
-                          run_eqkd_trials)
+from monogamy.qkd import (HonestNoisyDevice, QkdParams, max_key_length,
+                          noise_threshold, run_eqkd_trials)
 from monogamy.rand import (random_density, random_povm,
                            random_projective_povm, rng_for)
 from monogamy.seesaw import SeesawConfig, seesaw
@@ -217,13 +217,13 @@ def test_criterion_09_protocol_simulator():
                         "violations below exp(-0.5) at n=400"):
         start = time.perf_counter()
         clean = QkdParams(n=64, t=16, s=16, ell=16, gamma=0.0, epsilon=0.05)
-        agg = run_eqkd_trials(clean, 0.0, 10**4, seed=909)
+        agg = run_eqkd_trials(clean, HonestNoisyDevice(0.0), 10**4, seed=909)
         assert agg["aborts"] == 0
         assert agg["completed"] == 10**4
         assert agg["key_match_rate"] == 1.0
 
         noisy = QkdParams(n=400, t=100, s=0, ell=0, gamma=0.0, epsilon=0.05)
-        agg2 = run_eqkd_trials(noisy, 0.05, 10**5, seed=909)
+        agg2 = run_eqkd_trials(noisy, HonestNoisyDevice(0.05), 10**5, seed=909)
         bound = math.exp(-2 * 0.05**2 * 100)
         assert bound == pytest.approx(0.6065306597126334, rel=1e-12)
         assert agg2["hoeffding_violation_rate"] <= bound

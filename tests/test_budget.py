@@ -29,7 +29,8 @@ from monogamy.games import (QSet, Strategy, bb84_game, constant_guess_povms, gam
                             same_string_q_set, winning_probability,
                             winning_probability_with_q, xor_permutation_family)
 from monogamy.posver import BreidbartPair, TimingScenario, simulate_pv_rounds
-from monogamy.qkd import LinearCode, QkdParams, run_eqkd_trials, toeplitz_hash
+from monogamy.qkd import (HonestNoisyDevice, LinearCode, QkdParams, run_eqkd_trials,
+                          simulate_eqkd, toeplitz_hash)
 from monogamy.quantum_device import TripartiteQuantumDevice
 from monogamy.seesaw import SeesawConfig, _search_bytes, seesaw
 
@@ -93,7 +94,11 @@ def _cases():
          lambda a: toeplitz_hash(*a)),
         ("run_eqkd_trials", range(128, 4097, 64),
          lambda n: QkdParams(n=n, t=n // 8, s=0, ell=0, gamma=0.05, epsilon=0.05),
-         lambda p: run_eqkd_trials(p, 0.01, 512, seed=0)),
+         lambda p: run_eqkd_trials(p, HonestNoisyDevice(0.01), 512, seed=0)),
+        # one trial, charged as a batch of one row
+        ("simulate_eqkd", [2**k for k in range(8, 23)],
+         lambda n: QkdParams(n=n, t=n // 8, s=0, ell=0, gamma=0.05, epsilon=0.05),
+         lambda p: simulate_eqkd(p, HonestNoisyDevice(0.01), seed=0)),
         # the device reads its whole outcome table at construction
         ("TripartiteQuantumDevice", range(1, 6),
          lambda n: (maximally_entangled_density(2**n), bb84_povms(n)),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -120,13 +121,6 @@ def test_qkd_sim_rejects_a_syndrome_longer_than_the_key_rounds(capsys):
     assert "n - t" in err
 
 
-def test_qkd_sim_epr_device_rejects_noise(capsys):
-    code, _, err = run(capsys, "qkd-sim", "--n", "2", "--t", "1", "--gamma", "0",
-                       "--device", "epr", "--noise", "0.01", "--trials", "3")
-    assert code == 1
-    assert "flip probability" in err
-
-
 def test_seesaw_reaches_single_round_value(capsys):
     code, out, _ = run(capsys, "seesaw", "--game", "bb84", "--n", "1",
                        "--restarts", "20", "--seed", "7", "--deterministic")
@@ -154,22 +148,37 @@ def test_posver_bound_csv(capsys):
                                                     rel=1e-12)
 
 
-@pytest.mark.parametrize("argv, column", [
+@pytest.mark.parametrize("argv, column, log2_value", [
     pytest.param(("bounds", "--n", "10000", "--gamma", "0.05", "--gamma-prime", "0.05"),
-                 "value", id="imperfect-guessing"),
+                 "value", None, id="imperfect-guessing"),
     pytest.param(("bounds", "--n", "10000", "--same-string", "--gamma", "0.1"), "value",
-                 id="same-string"),
+                 None, id="same-string"),
     pytest.param(("posver", "bound", "--n", "20000", "--gamma", "0.1", "--gamma-prime", "0.1"),
-                 "noisy_bound", id="posver-noisy"),
+                 "noisy_bound", None, id="posver-noisy"),
+    pytest.param(("bounds", "--game", "general", "--c", "0.5", "--q", "1" + "0" * 399,
+                  "--n", "1"), "value", None, id="general-400-digit-q"),
+    pytest.param(("posver", "bound", "--rate", "1", "--n", "1100"), "bound", 848.7,
+                 id="posver-rate-1"),
+    pytest.param(("posver", "bound", "--rate", "0.3", "--n", "4000"), "bound", 286.2,
+                 id="posver-rate-0.3"),
+    pytest.param(("posver", "bound", "--rate", "0.2", "--n", "6000"), "bound", -170.7,
+                 id="posver-rate-0.2"),
+    pytest.param(("posver", "bound", "--rate", "0.2", "--n", "5100"), "bound", -145.1,
+                 id="posver-rate-0.2-power-underflows"),
 ])
-def test_a_bound_past_the_float_range_is_vacuous_not_a_crash(capsys, argv, column):
-    # the power overflows a float; the bound is then inf, which bounds nothing
+def test_a_bound_past_the_float_range_is_vacuous_not_a_crash(capsys, argv, column,
+                                                             log2_value):
+    # a factor or a power past the float range: the bound is inf where it is
+    # (which bounds nothing), and otherwise the float of log2 `log2_value`
     code, out, err = run(capsys, *argv, "--format", "json", "--deterministic")
     assert (code, err) == (0, "")
     row = json.loads(out)["result"][0]
-    assert row[column] == float("inf")
-    if column == "value":
-        assert row["vacuous"] is True
+    if log2_value is None:
+        assert row[column] == float("inf")
+    else:
+        assert math.log2(row[column]) == pytest.approx(log2_value, abs=0.05)
+    if column != "noisy_bound":
+        assert row["vacuous"] is (log2_value is None or log2_value >= 0)
 
 
 def test_posver_simulate_json(capsys):
@@ -214,6 +223,8 @@ def test_posver_simulate_single_needs_position(capsys):
     pytest.param("--seed", ("ur-check", "instance.json", "--seed", "3"), id="--seed-argv9"),
     pytest.param("--d", ("posver", "bound", "--d", "8", "--rate", "0.5", "--n", "3"),
                  id="--d-argv10"),
+    pytest.param("--noise", ("qkd-sim", "--n", "2", "--t", "1", "--gamma", "0", "--device",
+                             "epr", "--noise", "0.01", "--trials", "3"), id="--noise-epr"),
 ])
 def test_an_option_the_command_would_ignore_is_a_usage_error(capsys, flag, argv):
     code, out, err = run(capsys, *argv)

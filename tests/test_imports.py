@@ -28,9 +28,9 @@ EXPORTED = {
     "games": ["MonogamyGame", "QSet", "Strategy", "bb84_game", "game_power", "hamming_q_set",
               "overlap", "product_strategy", "pure_strategy", "same_string_q_set",
               "winning_probability", "winning_probability_with_q", "xor_permutation_family"],
-    "qkd": ["KeyLengthReport", "QkdParams", "QkdSecurityReport", "max_key_length",
-            "noise_threshold", "run_eqkd_trials", "security_delta", "simulate_eqkd",
-            "toeplitz_hash"],
+    "qkd": ["HonestNoisyDevice", "KeyLengthReport", "QkdParams", "QkdSecurityReport",
+            "max_key_length", "noise_threshold", "run_eqkd_trials", "security_delta",
+            "simulate_eqkd", "toeplitz_hash"],
     "posver": ["TimingScenario", "entangled_soundness_bound", "max_entanglement_rate",
                "noisy_soundness_bound", "simulate_pv_round", "simulate_pv_rounds",
                "soundness_bound"],

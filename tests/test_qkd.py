@@ -528,7 +528,7 @@ def qp(n=64, t=16, s=16, ell=16, gamma=0.0, epsilon=0.05) -> QkdParams:
 
 def test_simulate_noiseless_never_aborts_and_keys_agree():
     for seed in range(5):
-        tr = simulate_eqkd(qp(), noise_flip_prob=0.0, seed=seed)
+        tr = simulate_eqkd(qp(), HonestNoisyDevice(0.0), seed=seed)
         assert not tr.aborted
         np.testing.assert_array_equal(tr.x, tr.y)
         np.testing.assert_array_equal(tr.key, tr.key_hat)
@@ -538,7 +538,7 @@ def test_simulate_noiseless_never_aborts_and_keys_agree():
 
 def test_simulate_abort_rule_is_replayable():
     for seed in range(8):
-        tr = simulate_eqkd(qp(gamma=0.1), noise_flip_prob=0.2, seed=seed)
+        tr = simulate_eqkd(qp(gamma=0.1), HonestNoisyDevice(0.2), seed=seed)
         idx = np.asarray(tr.sample_set)
         replayed = bool(np.mean(tr.x[idx] != tr.y[idx]) > 0.1)
         assert replayed == tr.aborted
@@ -546,8 +546,8 @@ def test_simulate_abort_rule_is_replayable():
 
 
 def test_simulate_is_deterministic_per_seed():
-    a = simulate_eqkd(qp(), noise_flip_prob=0.1, seed=77)
-    b = simulate_eqkd(qp(), noise_flip_prob=0.1, seed=77)
+    a = simulate_eqkd(qp(), HonestNoisyDevice(0.1), seed=77)
+    b = simulate_eqkd(qp(), HonestNoisyDevice(0.1), seed=77)
     np.testing.assert_array_equal(a.x, b.x)
     np.testing.assert_array_equal(a.theta, b.theta)
     assert a.sample_set == b.sample_set
@@ -556,14 +556,14 @@ def test_simulate_is_deterministic_per_seed():
 
 def test_simulate_full_noise_aborts():
     tr = simulate_eqkd(qp(n=128, t=64, s=0, ell=0, gamma=0.01),
-                       noise_flip_prob=0.5, seed=123)
+                       HonestNoisyDevice(0.5), seed=123)
     assert tr.aborted
     assert tr.key is None and tr.syndrome is None
 
 
 def test_simulate_rejects_oversized_key():
     with pytest.raises(ValidationError):
-        simulate_eqkd(qp(n=64, t=60, ell=16, s=0), 0.0, seed=0)
+        simulate_eqkd(qp(n=64, t=60, ell=16, s=0), HonestNoisyDevice(0.0), seed=0)
 
 
 @pytest.mark.parametrize("flip_prob", [0.003, 0.01, 0.1])
@@ -580,8 +580,22 @@ def test_noisy_device_flips_at_its_rate(flip_prob):
 
 
 def test_simulate_device_capacity():
-    with pytest.raises(CapacityError):
-        simulate_eqkd(qp(n=64, t=16, s=0, ell=0), 0.0, device=epr_device(5), seed=0)
+    # a device samples only the round count it was built for, near or far
+    # from it, with the one error its own sample raises
+    device = epr_device(3)
+    for n in (4, 64):
+        with pytest.raises(DimensionError, match="n=3"):
+            simulate_eqkd(qp(n=n, t=1, s=0, ell=0), device, seed=0)
+        with pytest.raises(DimensionError, match="n=3"):
+            run_eqkd_trials(qp(n=n, t=1, s=0, ell=0), device, 3, seed=0)
+
+
+def test_the_memory_budget_is_the_only_round_cap():
+    # past 2^20 rounds, one honest trial runs: the budget admits it
+    params = QkdParams(n=2**20 + 64, t=64, s=0, ell=0, gamma=0.05, epsilon=0.05)
+    agg = run_eqkd_trials(params, HonestNoisyDevice(0.01), 1, seed=0)
+    assert agg["trials"] == 1 and agg["aborts"] + agg["completed"] == 1
+    assert simulate_eqkd(params, HonestNoisyDevice(0.01), seed=0).x.size == params.n
 
 
 def test_epr_device_checks_rounds_before_building_its_state():
@@ -599,22 +613,20 @@ def test_epr_device_checks_rounds_before_building_its_state():
 
 def test_simulate_device_length_mismatch():
     class BadDevice:
-        max_n = 64
-
         def sample(self, theta, rng):
             short = np.zeros((len(theta), 3), dtype=np.uint8)
             return short, short
 
     with pytest.raises(DimensionError):
-        simulate_eqkd(qp(), 0.0, device=BadDevice(), seed=0)
+        simulate_eqkd(qp(), BadDevice(), seed=0)
     with pytest.raises(DimensionError):
-        run_eqkd_trials(qp(), 0.0, 5, seed=0, device=BadDevice())
+        run_eqkd_trials(qp(), BadDevice(), 5, seed=0)
 
 
 def test_quantum_epr_device_reproduces_honest_outcomes():
     params = qp(n=4, t=1, s=2, ell=2)
     for seed in range(6):
-        tr = simulate_eqkd(params, device=epr_device(4), seed=seed)
+        tr = simulate_eqkd(params, epr_device(4), seed=seed)
         np.testing.assert_array_equal(tr.x, tr.y)
         assert not tr.aborted
         np.testing.assert_array_equal(tr.key, tr.key_hat)
@@ -630,7 +642,7 @@ def test_quantum_device_with_wrong_basis_povms_errs():
     for seed in range(40):
         tr = simulate_eqkd(QkdParams(n=n, t=1, s=0, ell=0, gamma=0.49,
                                      epsilon=0.005),
-                           device=flipped, seed=seed)
+                           flipped, seed=seed)
         mismatches += int(np.any(tr.x != tr.y))
     assert mismatches > 10
 
@@ -641,7 +653,7 @@ def test_keys_agree_whenever_decode_succeeds():
     params = qp(n=40, t=8, s=24, ell=8, gamma=0.44)
     successes = 0
     for seed in range(60):
-        tr = simulate_eqkd(params, noise_flip_prob=0.03, seed=seed)
+        tr = simulate_eqkd(params, HonestNoisyDevice(0.03), seed=seed)
         if tr.aborted:
             continue
         rest = np.setdiff1d(np.arange(params.n), np.asarray(tr.sample_set))
@@ -654,7 +666,7 @@ def test_keys_agree_whenever_decode_succeeds():
 
 
 def test_run_trials_noiseless_aggregate():
-    agg = run_eqkd_trials(qp(), 0.0, 500, seed=9)
+    agg = run_eqkd_trials(qp(), HonestNoisyDevice(0.0), 500, seed=9)
     assert agg["aborts"] == 0
     assert agg["completed"] == 500
     assert agg["key_match_rate"] == 1.0
@@ -662,37 +674,16 @@ def test_run_trials_noiseless_aggregate():
 
 
 def test_run_trials_abort_rate_under_heavy_noise():
-    agg = run_eqkd_trials(qp(n=128, t=64, s=0, ell=0, gamma=0.01), 0.5, 2000,
-                          seed=4)
+    agg = run_eqkd_trials(qp(n=128, t=64, s=0, ell=0, gamma=0.01),
+                          HonestNoisyDevice(0.5), 2000, seed=4)
     # acceptance probability per trial is 2^-64
     assert agg["abort_rate"] >= 0.999
 
 
 def test_run_trials_deterministic():
-    a = run_eqkd_trials(qp(), 0.05, 300, seed=21)
-    b = run_eqkd_trials(qp(), 0.05, 300, seed=21)
+    a = run_eqkd_trials(qp(), HonestNoisyDevice(0.05), 300, seed=21)
+    b = run_eqkd_trials(qp(), HonestNoisyDevice(0.05), 300, seed=21)
     assert a == b
-
-
-def test_device_runs_reject_a_flip_probability():
-    params = QkdParams(n=2, t=1, s=0, ell=1, gamma=0.0, epsilon=0.05)
-    with pytest.raises(ValidationError):
-        simulate_eqkd(params, noise_flip_prob=0.01, device=epr_device(2), seed=0)
-    with pytest.raises(ValidationError):
-        run_eqkd_trials(params, 0.01, 3, seed=0, device=epr_device(2))
-    with pytest.raises(ValidationError):
-        run_eqkd_trials(params, 0.01, 3, seed=0, device=HonestNoisyDevice(0.01))
-
-
-def test_run_trials_checks_device_capacity_before_batching():
-    class SmallDevice(HonestNoisyDevice):
-        max_n = 8
-
-    with pytest.raises(CapacityError):
-        simulate_eqkd(qp(n=64, t=16, s=0, ell=0), 0.0, device=SmallDevice(0.0), seed=0)
-    with pytest.raises(CapacityError):
-        run_eqkd_trials(qp(n=64, t=16, s=0, ell=0), 0.0, 10, seed=0,
-                        device=SmallDevice(0.0))
 
 
 def test_batches_derive_generators_from_seed_and_batch(monkeypatch):
@@ -710,7 +701,7 @@ def test_batches_derive_generators_from_seed_and_batch(monkeypatch):
     params = QkdParams(n=4, t=1, s=2, ell=1, gamma=0.0, epsilon=0.05)
     for seed in (0, 1):
         paths.clear()
-        agg = run_eqkd_trials(params, 0.0, 5, seed=seed, device=epr_device(4))
+        agg = run_eqkd_trials(params, epr_device(4), 5, seed=seed)
         assert agg["trials"] == 5
         assert all(p[0] == seed for p in paths)
         # one syndrome code per run: its shape paths are drawn once
@@ -813,13 +804,13 @@ def test_quantum_device_refuses_a_stack_that_is_not_a_povm(spoil):
         TripartiteQuantumDevice(maximally_entangled_density(4), povms)
 
 
-@pytest.mark.parametrize("make_device, noise", [(lambda: None, 0.1),
+@pytest.mark.parametrize("make_device, noise", [(lambda: HonestNoisyDevice(0.1), 0.1),
                                                 (lambda: epr_device(4), 0.0)])
 def test_simulate_is_the_one_trial_batch_of_run_trials(make_device, noise):
     params = qp(n=4, t=1, s=2, ell=2, gamma=0.0) if noise == 0.0 else qp(gamma=0.1)
     for seed in range(6):
-        tr = simulate_eqkd(params, noise, device=make_device(), seed=seed)
-        agg = run_eqkd_trials(params, noise, 1, seed=seed, device=make_device())
+        tr = simulate_eqkd(params, make_device(), seed=seed)
+        agg = run_eqkd_trials(params, make_device(), 1, seed=seed)
         assert agg["aborts"] == int(tr.aborted)
         assert agg["key_matches"] == int(not tr.aborted and np.array_equal(tr.key, tr.key_hat))
         assert agg["hoeffding_violations"] == \
@@ -831,7 +822,7 @@ def test_run_trials_classical_stream_is_pinned():
     # the classical device's stream: a change to what a batch draws, or in
     # which order, moves them
     params = qp(n=64, t=16, s=16, ell=16, gamma=0.05, epsilon=0.05)
-    agg = run_eqkd_trials(params, 0.01, 1000, seed=0)
+    agg = run_eqkd_trials(params, HonestNoisyDevice(0.01), 1000, seed=0)
     assert (agg["aborts"], agg["completed"], agg["key_matches"],
             agg["hoeffding_violations"]) == (129, 871, 863, 3)
     assert agg["key_match_rate"] == 863 / 871
@@ -841,10 +832,10 @@ def test_run_trials_classical_stream_is_pinned_at_protocol_scale():
     # the bench's long QKD parameters: 4,096 rounds, 56 decode chunks and a
     # 1,024-bit hash per trial
     params = QkdParams(n=4096, t=512, s=869, ell=1024, gamma=0.02, epsilon=0.02)
-    agg = run_eqkd_trials(params, 0.003, 5, seed=0)
+    agg = run_eqkd_trials(params, HonestNoisyDevice(0.003), 5, seed=0)
     assert (agg["aborts"], agg["completed"], agg["decode_failures"], agg["key_matches"],
             agg["hoeffding_violations"]) == (0, 5, 0, 5, 0)
-    tr = simulate_eqkd(params, 0.003, seed=0)
+    tr = simulate_eqkd(params, HonestNoisyDevice(0.003), seed=0)
     assert not tr.aborted
     assert [int(getattr(tr, name).sum()) for name in ("syndrome", "hash_seed", "key", "key_hat")] \
         == [433, 2277, 520, 520]
@@ -855,19 +846,19 @@ def test_protocol_scale_keys_match():
     # the bench's long QKD run: 64-bit chunks with 15 or 16 syndrome rows
     # correct the 0.3% flips of nearly every trial
     params = QkdParams(n=4096, t=512, s=869, ell=1024, gamma=0.02, epsilon=0.02)
-    agg = run_eqkd_trials(params, 0.003, 50, seed=0)
+    agg = run_eqkd_trials(params, HonestNoisyDevice(0.003), 50, seed=0)
     assert agg["completed"] == 50
     assert agg["key_matches"] >= 45
 
 
 def test_decode_failures_bracket_the_key_mismatches():
     for params, noise in ((qp(gamma=0.1), 0.02), (qp(s=0, gamma=0.2), 0.05)):
-        agg = run_eqkd_trials(params, noise, 300, seed=3)
+        agg = run_eqkd_trials(params, HonestNoisyDevice(noise), 300, seed=3)
         mismatches = agg["completed"] - agg["key_matches"]
         assert mismatches <= agg["decode_failures"] <= agg["completed"]
     # with no syndrome nothing is corrected, so noise in the key rounds fails
     assert agg["decode_failures"] >= 1
-    assert run_eqkd_trials(qp(), 0.0, 300, seed=3)["decode_failures"] == 0
+    assert run_eqkd_trials(qp(), HonestNoisyDevice(0.0), 300, seed=3)["decode_failures"] == 0
 
 
 @pytest.mark.parametrize("params, noise, trials", [
@@ -876,14 +867,14 @@ def test_decode_failures_bracket_the_key_mismatches():
 def test_decode_unresolved_counts_only_failures(params, noise, trials):
     # a chunk with no leader keeps a word that misses its syndrome, so it
     # fails to decode; a noiseless run has nothing to resolve
-    agg = run_eqkd_trials(params, noise, trials, seed=3)
+    agg = run_eqkd_trials(params, HonestNoisyDevice(noise), trials, seed=3)
     assert 0 <= agg["decode_unresolved"] <= agg["decode_failures"]
-    assert run_eqkd_trials(params, 0.0, trials, seed=3)["decode_unresolved"] == 0
+    assert run_eqkd_trials(params, HonestNoisyDevice(0.0), trials, seed=3)["decode_unresolved"] == 0
 
 
 def test_run_trials_quantum_device_path():
     params = QkdParams(n=2, t=1, s=0, ell=1, gamma=0.0, epsilon=0.05)
-    agg = run_eqkd_trials(params, 0.0, 30, seed=2, device=epr_device(2))
+    agg = run_eqkd_trials(params, epr_device(2), 30, seed=2)
     assert agg["aborts"] == 0
     assert agg["key_match_rate"] == 1.0
 

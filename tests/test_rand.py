@@ -1,5 +1,6 @@
 """The Monte-Carlo samplers: packed fair bits and byte-threshold Bernoulli
-flips, their definitions, their draws from the generator, and their rates."""
+flips, their definitions, their draws from the generator, and their rates;
+and the random projective measurements that start a seesaw."""
 
 from __future__ import annotations
 
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from monogamy.errors import DomainError
-from monogamy.rand import bernoulli, random_bits, rng_for
+from monogamy.rand import (bernoulli, haar_unitary, random_bits, random_projective_povm,
+                           rng_for)
 
 
 def _words(rng, count):
@@ -95,3 +97,20 @@ def test_bernoulli_rate_is_exact(p):
 def test_bernoulli_refuses_a_probability_outside_the_unit_interval(p):
     with pytest.raises(DomainError):
         bernoulli(rng_for(0), p, (4,))
+
+
+@pytest.mark.parametrize("dim, outcomes", [(1, 512), (2, 16), (3, 4), (4, 4), (4, 64)])
+def test_random_projective_povm_is_its_definition(dim, outcomes):
+    # every outcome's projector onto the Haar columns dealt to it, from the
+    # same draws; an outcome dealt no column is the zero matrix
+    for seed in range(5):
+        rng = rng_for(seed, dim, outcomes)
+        u = haar_unitary(dim, rng)
+        slots = (np.arange(dim) + rng.integers(outcomes)) % outcomes
+        rng.shuffle(slots)
+        expected = np.array([u[:, slots == x] @ u[:, slots == x].conj().T
+                             for x in range(outcomes)])
+        povm = random_projective_povm(dim, outcomes, rng_for(seed, dim, outcomes))
+        assert povm.dtype == expected.dtype
+        np.testing.assert_array_equal(povm, expected)
+        assert np.array_equal(np.signbit(povm.view(float)), np.signbit(expected.view(float)))
