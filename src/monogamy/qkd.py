@@ -51,8 +51,8 @@ _LEADER_PATTERNS = 2**16
 _POST_BLOCK_BYTES = 2**22
 
 # Byte costs the memory predictions charge, from tracemalloc peaks: a trial
-# batch holds 20.1-20.4 B per (trial, round) entry while it draws (the peak
-# is the sample order's float keys and their argsort, not the device draw)
+# batch holds 20.0-20.1 B per (trial, round) entry plus 1 B per sampled round
+# while it draws (the sample order's float keys and argsort, the error flags)
 # and 11 B while its completed rows are post-processed, which takes 14 B per
 # completed row and key round beyond the hash; a Toeplitz hash takes 20-22 B
 # per output row and FFT point, plus its rounded window.
@@ -454,7 +454,7 @@ class ProtocolTranscript:
     theta: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    sample_set: tuple[int, ...]
+    sample_set: np.ndarray
     x_sample: np.ndarray
     aborted: bool
     syndrome: np.ndarray | None
@@ -464,8 +464,7 @@ class ProtocolTranscript:
 
     @property
     def sample_error_rate(self) -> float:
-        idx = np.asarray(self.sample_set)
-        return float(np.mean(self.x[idx] != self.y[idx]))
+        return float(np.mean(self.x[self.sample_set] != self.y[self.sample_set]))
 
     @property
     def full_error_rate(self) -> float:
@@ -481,7 +480,7 @@ def _admit_run(params: QkdParams, batch_rows: int, what: str) -> None:
     block_rows, row_bytes = _post_rows(params)
     entries = batch_rows * params.n
     require_bytes(_code_bytes(params.n - params.t, params.s)
-                  + max(_TRIAL_ENTRY_BYTES * entries,
+                  + max(_TRIAL_ENTRY_BYTES * entries + batch_rows * params.t,
                         _HELD_ENTRY_BYTES * entries + min(block_rows, batch_rows) * row_bytes),
                   what)
 
@@ -552,7 +551,7 @@ def simulate_eqkd(params: QkdParams, device, seed: int = 0) -> ProtocolTranscrip
     batch.completed.close()  # drops the key-round indices before the transcript
     return ProtocolTranscript(
         seed=seed, params=params, theta=batch.theta[0], x=batch.x[0], y=batch.y[0],
-        sample_set=tuple(batch.sample[0].tolist()), x_sample=batch.x[0, batch.sample[0]],
+        sample_set=batch.sample[0], x_sample=batch.x[0, batch.sample[0]],
         aborted=done is None,
         **{name: None if done is None else getattr(done, name)[0]
            for name in ("syndrome", "hash_seed", "key", "key_hat")})

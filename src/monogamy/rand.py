@@ -100,7 +100,8 @@ def random_projective_povm(dim: int, outcomes: int,
     rng.shuffle(slots)
     povm = np.zeros((outcomes, dim, dim), dtype=u.dtype)
     for x in set(slots.tolist()):  # only the outcomes that hold columns
-        povm[x] = u[:, slots == x] @ u[:, slots == x].conj().T
+        c = u[:, slots == x]
+        povm[x] = c @ c.conj().T
     return povm
 
 

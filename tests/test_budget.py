@@ -99,6 +99,10 @@ def _cases():
         ("simulate_eqkd", [2**k for k in range(8, 23)],
          lambda n: QkdParams(n=n, t=n // 8, s=0, ell=0, gamma=0.05, epsilon=0.05),
          lambda p: simulate_eqkd(p, HonestNoisyDevice(0.01), seed=0)),
+        # every round but one sampled, where the transcript keeps the most
+        ("simulate_eqkd_all_sampled", [2**k for k in range(8, 23)],
+         lambda n: QkdParams(n=n, t=n - 1, s=0, ell=0, gamma=0.05, epsilon=0.05),
+         lambda p: simulate_eqkd(p, HonestNoisyDevice(0.01), seed=0)),
         # the device reads its whole outcome table at construction
         ("TripartiteQuantumDevice", range(1, 6),
          lambda n: (maximally_entangled_density(2**n), bb84_povms(n)),

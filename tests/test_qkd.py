@@ -550,7 +550,7 @@ def test_simulate_is_deterministic_per_seed():
     b = simulate_eqkd(qp(), HonestNoisyDevice(0.1), seed=77)
     np.testing.assert_array_equal(a.x, b.x)
     np.testing.assert_array_equal(a.theta, b.theta)
-    assert a.sample_set == b.sample_set
+    np.testing.assert_array_equal(a.sample_set, b.sample_set)
     assert a.aborted == b.aborted
 
 
