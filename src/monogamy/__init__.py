@@ -39,9 +39,8 @@ import types as _types
 # the public names, each resolved from its module on first access (PEP 562),
 # so that importing the package or one submodule loads no other
 _EXPORTS = {name: module for module, names in [
-    ("bounds", ("BB84_ROUND_VALUE", "BoundReport", "bb84_parallel_value",
-                "binary_entropy", "general_upper_bound", "imperfect_guessing_bound",
-                "same_string_bound")),
+    ("bounds", ("BB84_ROUND_VALUE", "bb84_parallel_value", "binary_entropy",
+                "general_upper_bound", "imperfect_guessing_bound", "same_string_bound")),
     ("errors", ("CapacityError", "DimensionError", "DomainError", "NotPsdError",
                 "ValidationError")),
     ("games", ("MonogamyGame", "QSet", "Strategy", "bb84_game", "game_power",

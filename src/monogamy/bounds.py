@@ -5,37 +5,24 @@ computed at full floating precision here and imported everywhere else, so
 the game bounds, the QKD calculator and the position-verification module all
 share one constant.
 
-Bounds larger than 1 are vacuous but returned unclamped; ``BoundReport``
-carries the flag.
+Bounds are returned unclamped; :func:`vacuous` is the one rule that says
+when a bound (a winning probability, a soundness or a failure bound) bounds
+nothing.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Any
 
 from .errors import DomainError
 
 BB84_ROUND_VALUE = 0.5 + 0.5 / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """A bound value, the formula that produced it, and the inputs echoed back."""
-
-    value: float
-    formula: str
-    inputs: dict[str, Any]
-
-    @property
-    def vacuous(self) -> bool:
-        return self.value >= 1.0
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"value": self.value, "formula": self.formula,
-                "vacuous": self.vacuous, "inputs": dict(self.inputs)}
+def vacuous(value: float) -> bool:
+    """Whether a bound on a probability bounds nothing: it is 1 or more, or nan."""
+    return not value < 1.0
 
 
 def binary_entropy(p: float) -> float:

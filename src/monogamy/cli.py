@@ -11,9 +11,11 @@ One executable, one subcommand per calculator or simulator:
     ur-check    two-observer uncertainty-relation check
     fixtures    validate JSON fixture files
 
-Stochastic commands record their seed in the output; identical inputs give
-byte-identical output (`--deterministic` suppresses the one timestamp field).
-Computation and validation failures exit 1, usage errors exit 2.
+Every command writes through `_emit`: a JSON document, or for the three
+sweeps (`bounds`, `qkd-keylen`, `posver bound`) by default the same rows as
+CSV.  Stochastic commands record their seed in the output; identical inputs
+give byte-identical output (`--deterministic` suppresses the one timestamp
+field).  Computation and validation failures exit 1, usage errors exit 2.
 
 Each command imports the package modules it runs, when it runs, so a
 command loads (and, without a bytecode cache, compiles) no other.
@@ -38,23 +40,44 @@ PROG = "monogamy"
 
 
 def _parse_range(text: str) -> list[int]:
-    """'7' -> [7]; '1..10' -> 1..10; '10..100..10' -> arithmetic sweep."""
-    parts = text.split("..")
+    """'7' -> [7]; '1..10' -> 1..10; '10..100..10' -> arithmetic sweep.  A
+    range is non-empty and ascending: '5..1' or a step below 1 is a usage
+    error."""
     try:
-        if len(parts) == 1:
-            return [int(parts[0])]
-        if len(parts) == 2:
-            a, b = int(parts[0]), int(parts[1])
-            return list(range(a, b + 1))
-        if len(parts) == 3:
-            a, b, step = int(parts[0]), int(parts[1]), int(parts[2])
-            return list(range(a, b + 1, step))
+        parts = [int(part) for part in text.split("..")]
     except ValueError:
-        pass
-    raise click.UsageError(f"cannot parse range {text!r}; use N, A..B or A..B..STEP")
+        parts = []
+    if not 1 <= len(parts) <= 3:
+        raise click.UsageError(f"cannot parse range {text!r}; use N, A..B or A..B..STEP")
+    if len(parts) == 1:
+        parts.append(parts[0])
+    if len(parts) == 2:
+        parts.append(1)
+    a, b, step = parts
+    if a > b or step < 1:
+        raise click.UsageError(f"range {text!r} is empty or descending; a range "
+                               "A..B..STEP needs A <= B and STEP >= 1")
+    return list(range(a, b + 1, step))
 
 
-def _write_text(text: str, output: str | None) -> None:
+def _emit(command: str, params: dict, result, output: str | None,
+          deterministic: bool, seed: int | None = None, fmt: str = "json") -> None:
+    """Write a command's output to `output` (stdout for None or '-'): the JSON
+    document of `result`, or for fmt 'csv' the rows of `result`, a list of
+    flat dicts with the same keys, under a header of those keys."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(result[0]))
+        writer.writeheader()
+        writer.writerows(result)
+        text = buf.getvalue()
+    else:
+        doc = {"command": command, "params": params, "result": result}
+        if seed is not None:
+            doc["seed"] = seed
+        if not deterministic:
+            doc["generated_at"] = datetime.now(timezone.utc).isoformat()
+        text = json.dumps(doc, indent=2, sort_keys=True)
     if output is None or output == "-":
         click.echo(text, nl=not text.endswith("\n"))
     else:
@@ -62,22 +85,17 @@ def _write_text(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _emit_json(command: str, params: dict, result, output: str | None,
-               deterministic: bool, seed: int | None = None) -> None:
-    doc = {"command": command, "params": params, "result": result}
-    if seed is not None:
-        doc["seed"] = seed
-    if not deterministic:
-        doc["generated_at"] = datetime.now(timezone.utc).isoformat()
-    _write_text(json.dumps(doc, indent=2, sort_keys=True), output)
+def _output_options(command):
+    """The `--output` and `--deterministic` options every command takes."""
+    command = click.option("--deterministic", is_flag=True,
+                           help="Suppress the timestamp field.")(command)
+    return click.option("--output", default=None,
+                        help="Output path (default stdout).")(command)
 
 
-def _emit_csv(header: Sequence[str], rows: Sequence[Sequence], output: str | None) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_text(buf.getvalue(), output)
+# the `--format` option of the three sweeps, which print the same rows either way
+_format_option = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
+                              default="csv", show_default=True)
 
 
 def _reject_unused(reason: str, *names: str) -> None:
@@ -126,10 +144,8 @@ def cli() -> None:
               help="Error fraction for the second guesser.")
 @click.option("--same-string", is_flag=True,
               help="Require both guessers to produce the same string.")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="csv",
-              show_default=True)
-@click.option("--output", default=None, help="Output path (default stdout).")
-@click.option("--deterministic", is_flag=True, help="Suppress the timestamp field.")
+@_format_option
+@_output_options
 def bounds_cmd(game, c_value, theta_count, q_cardinality, n_range, gamma,
                gamma_prime, same_string, fmt, output, deterministic):
     """Closed-form upper bounds on the n-round winning probability."""
@@ -145,15 +161,13 @@ def bounds_cmd(game, c_value, theta_count, q_cardinality, n_range, gamma,
         raise click.UsageError(f"unknown game {game!r}; use 'bb84' or 'general'")
     if same_string:
         _reject_unused("with --same-string", "q_cardinality", "gamma_prime")
+        if gamma is None:
+            raise click.UsageError("--same-string requires --gamma")
     elif gamma is not None or gamma_prime is not None:
         _reject_unused("with --gamma or --gamma-prime", "q_cardinality")
-    reports = []
+    rows = []
     for n in _parse_range(n_range):
-        inputs = {"n": n, "c": c_value, "theta_count": theta_count,
-                  "q": q_cardinality, "gamma": gamma, "gamma_prime": gamma_prime}
         if same_string:
-            if gamma is None:
-                raise click.UsageError("--same-string requires --gamma")
             value = bounds_mod.same_string_bound(c_value, theta_count, n, gamma)
             formula = "same-string"
         elif gamma is not None or gamma_prime is not None:
@@ -167,18 +181,11 @@ def bounds_cmd(game, c_value, theta_count, q_cardinality, n_range, gamma,
             value = bounds_mod.general_upper_bound(c_value, theta_count,
                                                    q_cardinality, n)
             formula = "general"
-        reports.append(bounds_mod.BoundReport(value=value, formula=formula,
-                                              inputs=inputs))
-    if fmt == "json":
-        _emit_json("bounds", {"game": game, "n": n_range},
-                   [r.to_dict() for r in reports], output, deterministic)
-    else:
-        header = ["n", "value", "formula", "vacuous", "c", "theta_count", "q",
-                  "gamma", "gamma_prime"]
-        rows = [[r.inputs["n"], repr(r.value), r.formula, r.vacuous, r.inputs["c"],
-                 r.inputs["theta_count"], r.inputs["q"],
-                 r.inputs["gamma"], r.inputs["gamma_prime"]] for r in reports]
-        _emit_csv(header, rows, output)
+        rows.append({"n": n, "value": value, "formula": formula,
+                     "vacuous": bounds_mod.vacuous(value), "c": c_value,
+                     "theta_count": theta_count, "q": q_cardinality, "gamma": gamma,
+                     "gamma_prime": gamma_prime})
+    _emit("bounds", {"game": game, "n": n_range}, rows, output, deterministic, fmt=fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +204,7 @@ def bounds_cmd(game, c_value, theta_count, q_cardinality, n_range, gamma,
 @click.option("--max-iters", type=int, default=200, show_default=True)
 @click.option("--include-strategy/--no-include-strategy", default=True,
               show_default=True, help="Embed the winning strategy as matrix JSON.")
-@click.option("--output", default=None)
-@click.option("--deterministic", is_flag=True)
+@_output_options
 def seesaw_cmd(game, n, bob_dim, charlie_dim, restarts, seed, tol, max_iters,
                include_strategy, output, deterministic):
     """Search for a high-value strategy; the value is a certified lower bound."""
@@ -220,10 +226,10 @@ def seesaw_cmd(game, n, bob_dim, charlie_dim, restarts, seed, tol, max_iters,
             overlap(one_round), len(base.thetas), 1, played.rounds)
     if include_strategy:
         payload["strategy"] = fixtures_mod.strategy_to_json(result.strategy)
-    _emit_json("seesaw", {"game": game, "n": n, "bob_dim": bob_dim,
-                          "charlie_dim": charlie_dim, "restarts": restarts,
-                          "tol": tol, "max_iters": max_iters},
-               payload, output, deterministic, seed=seed)
+    _emit("seesaw", {"game": game, "n": n, "bob_dim": bob_dim,
+                     "charlie_dim": charlie_dim, "restarts": restarts,
+                     "tol": tol, "max_iters": max_iters},
+          payload, output, deterministic, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +254,7 @@ def _resolve_syndrome(s_text: str, n: int, t: int, gamma: float, epsilon: float)
 @click.option("--s", "s_text", default="auto", show_default=True,
               help="Syndrome bits, or 'auto' for ceil((n-t) h(gamma+epsilon)).")
 @click.option("--ell", type=int, required=True, help="Key length in bits.")
-@click.option("--output", default=None)
-@click.option("--deterministic", is_flag=True)
+@_output_options
 def qkd_delta_cmd(n, t, gamma, epsilon, s_text, ell, output, deterministic):
     """Finite-key security failure bound for one parameter set."""
     from . import qkd as qkd_mod
@@ -257,10 +262,9 @@ def qkd_delta_cmd(n, t, gamma, epsilon, s_text, ell, output, deterministic):
     s = _resolve_syndrome(s_text, n, t, gamma, epsilon)
     params = qkd_mod.QkdParams(n=n, t=t, s=s, ell=ell, gamma=gamma, epsilon=epsilon)
     report = qkd_mod.security_delta(params)
-    _emit_json("qkd-delta",
-               {"n": n, "t": t, "s": s, "ell": ell, "gamma": gamma,
-                "epsilon": epsilon},
-               report.to_dict(), output, deterministic)
+    _emit("qkd-delta",
+          {"n": n, "t": t, "s": s, "ell": ell, "gamma": gamma, "epsilon": epsilon},
+          report.to_dict(), output, deterministic)
 
 
 @cli.command("qkd-keylen")
@@ -272,10 +276,8 @@ def qkd_delta_cmd(n, t, gamma, epsilon, s_text, ell, output, deterministic):
 @click.option("--epsilon", type=float, required=True)
 @click.option("--s", "s_text", default="auto", show_default=True)
 @click.option("--delta-target", type=float, required=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="csv",
-              show_default=True)
-@click.option("--output", default=None)
-@click.option("--deterministic", is_flag=True)
+@_format_option
+@_output_options
 def qkd_keylen_cmd(n_range, t_text, gamma, epsilon, s_text, delta_target, fmt,
                    output, deterministic):
     """Maximal key length within a failure-bound target, swept over n."""
@@ -297,18 +299,12 @@ def qkd_keylen_cmd(n_range, t_text, gamma, epsilon, s_text, delta_target, fmt,
         s = _resolve_syndrome(s_text, n, t, gamma, epsilon)
         rep = qkd_mod.max_key_length(n, t, s, gamma, epsilon, delta_target)
         rows.append({"n": n, "t": t, "s": s, "gamma": gamma, "epsilon": epsilon,
-                     "delta_target": delta_target, **rep.to_dict(),
-                     "rate": rep.ell / n if rep.feasible else None})
-    if fmt == "json":
-        _emit_json("qkd-keylen", {"n": n_range, "t": t_text, "s": s_text,
-                                  "gamma": gamma, "epsilon": epsilon,
-                                  "delta_target": delta_target},
-                   rows, output, deterministic)
-    else:
-        header = ["n", "t", "s", "gamma", "epsilon", "delta_target", "feasible",
-                  "ell", "rate", "delta", "note"]
-        _emit_csv(header, [[r[h] if h != "delta" else repr(r[h]) for h in header]
-                           for r in rows], output)
+                     "delta_target": delta_target, "feasible": rep.feasible,
+                     "ell": rep.ell, "rate": rep.ell / n if rep.feasible else None,
+                     "delta": rep.delta, "note": rep.note})
+    _emit("qkd-keylen", {"n": n_range, "t": t_text, "s": s_text, "gamma": gamma,
+                         "epsilon": epsilon, "delta_target": delta_target},
+          rows, output, deterministic, fmt=fmt)
 
 
 @cli.command("qkd-sim")
@@ -324,8 +320,7 @@ def qkd_keylen_cmd(n_range, t_text, gamma, epsilon, s_text, delta_target, fmt,
               show_default=True, help="'epr' runs the exact quantum device (n <= 5).")
 @click.option("--trials", type=int, default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--output", default=None)
-@click.option("--deterministic", is_flag=True)
+@_output_options
 def qkd_sim_cmd(n, t, s, ell, gamma, epsilon, noise, device, trials, seed,
                 output, deterministic):
     """Monte-Carlo protocol runs: abort rate, key agreement, sampling statistics."""
@@ -340,11 +335,11 @@ def qkd_sim_cmd(n, t, s, ell, gamma, epsilon, noise, device, trials, seed,
     else:
         dev = qkd_mod.HonestNoisyDevice(noise)
     agg = qkd_mod.run_eqkd_trials(params, dev, trials, seed=seed)
-    _emit_json("qkd-sim",
-               {"n": n, "t": t, "s": s, "ell": ell, "gamma": gamma,
-                "epsilon": epsilon, "noise": noise, "device": device,
-                "trials": trials},
-               agg, output, deterministic, seed=seed)
+    _emit("qkd-sim",
+          {"n": n, "t": t, "s": s, "ell": ell, "gamma": gamma,
+           "epsilon": epsilon, "noise": noise, "device": device,
+           "trials": trials},
+          agg, output, deterministic, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +359,12 @@ def posver_group() -> None:
 @click.option("--gamma", type=float, default=None,
               help="Allowed error fraction (noise-tolerant variant).")
 @click.option("--gamma-prime", type=float, default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="csv",
-              show_default=True)
-@click.option("--output", default=None)
-@click.option("--deterministic", is_flag=True)
+@_format_option
+@_output_options
 def posver_bound_cmd(n_range, d, rate, gamma, gamma_prime, fmt, output,
                      deterministic):
     """Soundness bounds over a sweep of qubit counts."""
+    from . import bounds as bounds_mod
     from . import posver as posver_mod
 
     if rate is not None:
@@ -379,23 +373,15 @@ def posver_bound_cmd(n_range, d, rate, gamma, gamma_prime, fmt, output,
     for n in _parse_range(n_range):
         dim = 2 ** math.ceil(rate * n) if rate is not None else d
         value = posver_mod.entangled_soundness_bound(n, dim)
-        row = {"n": n, "d": dim, "bound": value, "vacuous": value >= 1.0}
+        row = {"n": n, "d": dim, "bound": value, "vacuous": bounds_mod.vacuous(value)}
         if gamma is not None or gamma_prime is not None:
             row["noisy_bound"] = posver_mod.noisy_soundness_bound(
                 n, gamma or 0.0, gamma_prime or 0.0)
         rows.append(row)
-    if fmt == "json":
-        _emit_json("posver-bound",
-                   {"n": n_range, "d": d, "rate": rate, "gamma": gamma,
-                    "gamma_prime": gamma_prime,
-                    "max_entanglement_rate": posver_mod.max_entanglement_rate()},
-                   rows, output, deterministic)
-    else:
-        header = ["n", "d", "bound", "vacuous"]
-        if rows and "noisy_bound" in rows[0]:
-            header.append("noisy_bound")
-        _emit_csv(header, [[repr(r[h]) if h in ("bound", "noisy_bound") else r[h]
-                            for h in header] for r in rows], output)
+    _emit("posver-bound", {"n": n_range, "d": d, "rate": rate, "gamma": gamma,
+                           "gamma_prime": gamma_prime,
+                           "max_entanglement_rate": posver_mod.max_entanglement_rate()},
+          rows, output, deterministic, fmt=fmt)
 
 
 @posver_group.command("simulate")
@@ -409,8 +395,7 @@ def posver_bound_cmd(n_range, d, rate, gamma, gamma_prime, fmt, output,
               help="Adversary position for --prover single.")
 @click.option("--trials", type=int, default=100000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--output", default=None)
-@click.option("--deterministic", is_flag=True)
+@_output_options
 def posver_simulate_cmd(scenario_path, n, prover, position, trials, seed, output,
                         deterministic):
     """Monte-Carlo acceptance statistics for a prover model."""
@@ -435,10 +420,10 @@ def posver_simulate_cmd(scenario_path, n, prover, position, trials, seed, output
             raise click.UsageError("--prover single requires --position")
         model = posver_mod.SingleAdversary(position)
     agg = posver_mod.simulate_pv_rounds(scenario, n, model, trials, seed=seed)
-    _emit_json("posver-simulate",
-               {"scenario": scenario_path or "default", "n": n, "prover": prover,
-                "position": position, "trials": trials},
-               agg, output, deterministic, seed=seed)
+    _emit("posver-simulate",
+          {"scenario": scenario_path or "default", "n": n, "prover": prover,
+           "position": position, "trials": trials},
+          agg, output, deterministic, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +434,7 @@ def posver_simulate_cmd(scenario_path, n, prover, position, trials, seed, output
 @click.option("--random", "random_count", type=int, default=None,
               help="Check this many random tripartite qubit instances instead.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--output", default=None)
-@click.option("--deterministic", is_flag=True)
+@_output_options
 def ur_check_cmd(fixture, random_count, seed, output, deterministic):
     """Check the two-observer guessing tradeoff for a fixture or random states."""
     from . import fixtures as fixtures_mod
@@ -477,9 +461,9 @@ def ur_check_cmd(fixture, random_count, seed, output, deterministic):
                 rho, (2, 2, 2), f0, f1).to_dict())
     else:
         raise click.UsageError("provide a fixture path or --random K")
-    _emit_json("ur-check", {"fixture": fixture, "random": random_count},
-               rows, output, deterministic,
-               seed=seed if random_count is not None else None)
+    _emit("ur-check", {"fixture": fixture, "random": random_count},
+          rows, output, deterministic,
+          seed=seed if random_count is not None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +476,7 @@ def fixtures_group() -> None:
 
 @fixtures_group.command("validate")
 @click.argument("paths", nargs=-1, required=True)
-@click.option("--output", default=None)
-@click.option("--deterministic", is_flag=True)
+@_output_options
 def fixtures_validate_cmd(paths, output, deterministic):
     """Validate fixture files; exits 1 if any file is invalid."""
     from . import fixtures as fixtures_mod
@@ -507,8 +490,7 @@ def fixtures_validate_cmd(paths, output, deterministic):
         except ValueError as exc:
             failures += 1
             rows.append({"path": path, "kind": None, "ok": False, "error": str(exc)})
-    _emit_json("fixtures-validate", {"paths": list(paths)}, rows, output,
-               deterministic)
+    _emit("fixtures-validate", {"paths": list(paths)}, rows, output, deterministic)
     if failures:
         raise ValidationError(f"{failures} of {len(paths)} fixture(s) invalid")
 

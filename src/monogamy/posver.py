@@ -22,7 +22,7 @@ import numpy as np
 
 from .bounds import (BB84_ROUND_VALUE, _positive_int, _scaled_power, bb84_parallel_value,
                      imperfect_guessing_bound)
-from .errors import DomainError, ValidationError, require_bytes
+from .errors import ValidationError, require_bytes
 from .rand import _words, bernoulli, rng_for
 
 # per-qubit success of the intermediate-basis measurement; numerically equal
@@ -48,7 +48,8 @@ def soundness_bound(n: int) -> float:
 
 def entangled_soundness_bound(n: int, d: int) -> float:
     """Bound d * (single-round value)^n for adversaries pre-sharing a
-    d-dimensional state; unclamped, so values >= 1 are vacuous."""
+    d-dimensional state; unclamped, so it may be vacuous
+    (:func:`monogamy.bounds.vacuous`)."""
     return _scaled_power(_positive_int(d, "d"), BB84_ROUND_VALUE, _positive_int(n))
 
 
@@ -223,8 +224,7 @@ def simulate_pv_rounds(scenario: TimingScenario, n: int, prover, trials: int,
                        seed: int = 0) -> dict:
     """Acceptance statistics over many rounds, batched and seed-derived so the
     aggregate is reproducible at any batch schedule."""
-    if trials < 1:
-        raise DomainError("trials must be positive")
+    trials = _positive_int(trials, "trials")
     n = _check_n(n, min(_ROUND_BATCH, trials))
     ok0, ok1 = prover.timing(scenario)
     accepted = 0

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (BB84_ROUND_VALUE, _nonnegative_int, _positive_int, _pow2,
-                     binary_entropy)
+                     binary_entropy, vacuous)
 from .errors import (CapacityError, DimensionError, DomainError, ValidationError,
                      require_bytes)
 from .rand import bernoulli, random_bits, rng_for
@@ -81,7 +81,8 @@ _BATCH_STREAM = 2
 @dataclass(frozen=True)
 class QkdParams:
     """Protocol parameters: rounds n, sample size t, syndrome bits s, key
-    length ell, tolerated relative error gamma, sampling slack epsilon."""
+    length ell, tolerated relative error gamma, sampling slack epsilon.  The
+    syndrome and the key both come from the n - t unsampled rounds."""
 
     n: int
     t: int
@@ -98,6 +99,8 @@ class QkdParams:
             raise DomainError(f"need 0 < t < n, got t={self.t}, n={self.n}")
         if self.s > self.n - self.t:
             raise DomainError(f"need s <= n - t = {self.n - self.t}, got s={self.s}")
+        if self.ell > self.n - self.t:
+            raise ValidationError("key length cannot exceed the unsampled rounds")
         if not 0.0 <= self.gamma < 0.5:
             raise DomainError(f"gamma must lie in [0, 1/2), got {self.gamma}")
         if self.epsilon <= 0.0:
@@ -113,14 +116,10 @@ class QkdSecurityReport:
     pa_term: float
     exponent_budget: float
 
-    @property
-    def vacuous(self) -> bool:
-        return not self.delta < 1.0
-
     def to_dict(self) -> dict:
         return {"delta": self.delta, "sampling_term": self.sampling_term,
                 "pa_term": self.pa_term, "exponent_budget": self.exponent_budget,
-                "vacuous": self.vacuous}
+                "vacuous": vacuous(self.delta)}
 
 
 def delta_terms(n: float, t: float, s: float, ell: float,
@@ -159,10 +158,6 @@ class KeyLengthReport:
     delta: float
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {"feasible": self.feasible, "ell": self.ell, "delta": self.delta,
-                "note": self.note}
-
 
 def max_key_length(n: int, t: int, s: int, gamma: float, epsilon: float,
                    delta_target: float) -> KeyLengthReport:
@@ -170,8 +165,10 @@ def max_key_length(n: int, t: int, s: int, gamma: float, epsilon: float,
 
     Infeasible targets (the sampling term alone, or the bound already at
     ell = 0, exceeds the target) yield an explicit infeasibility report, not
-    an exception.  A feasible ell = 0 means no extractable key.
+    an exception.  A feasible ell = 0 means no extractable key.  Arguments
+    that :class:`QkdParams` refuses raise its error.
     """
+    QkdParams(n, t, s, 0, gamma, epsilon)
     if delta_target <= 0.0:
         raise DomainError("delta_target must be positive")
     sampling, budget0, _, delta0 = delta_terms(n, t, s, 0, gamma, epsilon)
@@ -211,7 +208,9 @@ def noise_threshold() -> float:
 
 
 def suggested_syndrome_length(n: int, t: int, gamma: float, epsilon: float) -> int:
-    """ceil((n - t) h(gamma + epsilon)): a reasonable preset, not a mandate."""
+    """ceil((n - t) h(gamma + epsilon)): a reasonable preset, not a mandate.
+    Arguments that :class:`QkdParams` refuses raise its error."""
+    QkdParams(n, t, 0, 0, gamma, epsilon)
     return int(math.ceil((n - t) * binary_entropy(gamma + epsilon)))
 
 
@@ -472,11 +471,9 @@ class ProtocolTranscript:
 
 
 def _admit_run(params: QkdParams, batch_rows: int, what: str) -> None:
-    """Refuse a run before it builds its code unless its key fits in the
-    unsampled rounds and the budget holds the code with its decode tables and
-    a batch of `batch_rows` trials, while it draws or post-processes a block."""
-    if params.ell > params.n - params.t:
-        raise ValidationError("key length cannot exceed the unsampled rounds")
+    """Refuse a run before it builds its code unless the budget holds the
+    code with its decode tables and a batch of `batch_rows` trials, while it
+    draws or post-processes a block."""
     block_rows, row_bytes = _post_rows(params)
     entries = batch_rows * params.n
     require_bytes(_code_bytes(params.n - params.t, params.s)

@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
+from .bounds import _positive_int
 from .errors import DimensionError, DomainError, ValidationError, require_bytes
 from .games import (MonogamyGame, Strategy, _trace_out_entries, _win_operator_sum_entries,
                     _win_terms_bytes, conditional_stack, constant_guess_povms,
@@ -50,10 +51,8 @@ class SeesawConfig:
     def __post_init__(self):
         if self.tol <= 0:
             raise DomainError("tol must be positive")
-        if self.bob_dim < 1 or self.charlie_dim < 1:
-            raise DimensionError("party dimensions must be at least 1")
-        if self.max_iters < 1 or self.restarts < 1:
-            raise DomainError("max_iters and restarts must be at least 1")
+        for name in ("max_iters", "bob_dim", "charlie_dim", "restarts"):
+            object.__setattr__(self, name, _positive_int(getattr(self, name), name))
 
 
 class RestartSummary(NamedTuple):

@@ -69,6 +69,10 @@ class CqEnsemble:
             missing = [x for x in self.alphabet if x not in conds]
             if missing:
                 raise ValidationError(f"missing conditional state for '{missing[0]}'")
+            extra = [x for x in conds if x not in self.alphabet]
+            if extra:
+                raise ValidationError(f"conditional state for '{extra[0]}' is outside "
+                                      "the alphabet")
             if len({np.shape(conds[x]) for x in self.alphabet}) != 1:
                 raise DimensionError("conditional states must share one dimension")
             conds = [conds[x] for x in self.alphabet]

@@ -79,8 +79,7 @@ def test_general_bound_can_be_vacuous():
     value = bounds.general_upper_bound(0.5, 2, 4, 2)
     assert value == pytest.approx(4 * BETA2, rel=1e-14)
     assert value > 1.0
-    report = bounds.BoundReport(value=value, formula="general", inputs={"n": 2})
-    assert report.vacuous
+    assert bounds.vacuous(value)
 
 
 def test_imperfect_guessing_reduces_to_general():
@@ -129,13 +128,10 @@ def test_bounds_decay_when_single_round_factor_below_one():
         prev = value
 
 
-def test_bound_report_round_trip():
-    rep = bounds.BoundReport(value=0.25, formula="general", inputs={"n": 3, "c": 0.5})
-    doc = rep.to_dict()
-    assert doc["value"] == 0.25
-    assert doc["formula"] == "general"
-    assert doc["vacuous"] is False
-    assert doc["inputs"]["n"] == 3
+def test_vacuous_is_one_or_more():
+    # the one rule of the game bounds, the soundness bounds and the QKD delta
+    assert bounds.vacuous(1.0) and bounds.vacuous(math.inf) and bounds.vacuous(math.nan)
+    assert not bounds.vacuous(0.999) and not bounds.vacuous(0.0)
 
 
 def test_non_integer_counts_are_refused_not_truncated():

@@ -181,6 +181,89 @@ def test_a_bound_past_the_float_range_is_vacuous_not_a_crash(capsys, argv, colum
         assert row["vacuous"] is (log2_value is None or log2_value >= 0)
 
 
+# the three sweeps and the CSV header of each, in column order
+SWEEP_HEADERS = {
+    "bounds": ["n", "value", "formula", "vacuous", "c", "theta_count", "q", "gamma",
+               "gamma_prime"],
+    "qkd-keylen": ["n", "t", "s", "gamma", "epsilon", "delta_target", "feasible", "ell",
+                   "rate", "delta", "note"],
+    "posver": ["n", "d", "bound", "vacuous"],
+}
+
+
+def parses_back(cell: str, value) -> bool:
+    """Whether a CSV cell reads back as the JSON document's value: None as
+    an empty cell, a float at full precision (nan as nan)."""
+    if value is None or isinstance(value, (bool, str)):
+        return cell == ("" if value is None else str(value))
+    parsed = type(value)(cell)
+    return parsed == value or (math.isnan(parsed) and math.isnan(value))
+
+
+@pytest.mark.parametrize("argv, extra", [
+    pytest.param(("bounds", "--n", "1..3"), [], id="bounds-bb84-parallel"),
+    pytest.param(("bounds", "--game", "general", "--c", "0.5", "--q", "3", "--n", "1..4"),
+                 [], id="bounds-general"),
+    pytest.param(("bounds", "--n", "1..3", "--gamma", "0.05"), [],
+                 id="bounds-imperfect-guessing"),
+    pytest.param(("bounds", "--same-string", "--gamma", "0.1", "--n", "1..3"), [],
+                 id="bounds-same-string"),
+    pytest.param(("qkd-keylen", "--n", "10000000..20000000..10000000", "--t", "frac:0.05",
+                  "--gamma", "0.005", "--epsilon", "0.005", "--delta-target", "1e-9"),
+                 [], id="qkd-keylen"),
+    pytest.param(("qkd-keylen", "--n", "100..200..100", "--t", "10", "--gamma", "0.01",
+                  "--epsilon", "0.05", "--delta-target", "1e-3"), [],
+                 id="qkd-keylen-infeasible"),
+    pytest.param(("posver", "bound", "--n", "10..300..10", "--rate", "0.2"), [],
+                 id="posver-bound"),
+    pytest.param(("posver", "bound", "--n", "10..300..10", "--rate", "0.2", "--gamma",
+                  "0.05"), ["noisy_bound"], id="posver-bound-gamma"),
+])
+def test_a_sweep_prints_the_same_rows_as_csv_and_as_json(capsys, argv, extra):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    header, *cells = list(csv.reader(io.StringIO(out)))
+    assert header == SWEEP_HEADERS[argv[0]] + extra
+    code, out, _ = run(capsys, *argv, "--format", "json", "--deterministic")
+    assert code == 0
+    rows = json.loads(out)["result"]
+    assert len(rows) == len(cells) > 0
+    for row, line in zip(rows, cells):
+        assert list(row) == sorted(header)  # the document sorts its keys
+        assert all(parses_back(cell, row[key]) for key, cell in zip(header, line))
+
+
+@pytest.mark.parametrize("n_range", ["5..1", "10..1..-1", "1..5..0", "3..9..-3"])
+@pytest.mark.parametrize("command", [("bounds",), ("posver", "bound"),
+                                     ("qkd-keylen", "--t", "1", "--gamma", "0.01",
+                                      "--epsilon", "0.05", "--delta-target", "1e-3")],
+                         ids=["bounds", "posver-bound", "qkd-keylen"])
+def test_an_empty_or_descending_range_is_a_usage_error(capsys, command, n_range):
+    # '5..1' once printed a bare header, '10..1..-1' dropped its end points
+    code, out, err = run(capsys, *command, "--n", n_range)
+    assert (code, out) == (2, "")
+    assert "empty or descending" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("qkd-keylen", "--n", "100", "--t", "200"), "0 < t < n", id="t-above-n"),
+    pytest.param(("qkd-keylen", "--n", "100", "--t", "-5"), "t must be a positive integer",
+                 id="negative-t"),
+    pytest.param(("qkd-keylen", "--n", "100", "--t", "10", "--s", "-3"),
+                 "s must be a non-negative integer", id="negative-s"),
+    pytest.param(("qkd-keylen", "--n", "0", "--t", "10"), "n must be a positive integer",
+                 id="zero-n"),
+    pytest.param(("qkd-delta", "--n", "100", "--t", "10", "--ell", "500"),
+                 "key length cannot exceed the unsampled rounds", id="delta-long-key"),
+])
+def test_qkd_parameters_no_protocol_can_run_are_refused(capsys, argv, message):
+    # each of these once printed a row or a delta and exited 0
+    target = () if argv[0] == "qkd-delta" else ("--delta-target", "1e-3")
+    code, out, err = run(capsys, *argv, "--gamma", "0.01", "--epsilon", "0.05", *target)
+    assert (code, out) == (1, "")
+    assert message in err
+
+
 def test_posver_simulate_json(capsys):
     code, out, _ = run(capsys, "posver", "simulate", "--n", "1", "--prover",
                        "breidbart", "--trials", "4000", "--seed", "3",

@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # the public names of the package, by defining module
 EXPORTED = {
-    "bounds": ["BB84_ROUND_VALUE", "BoundReport", "bb84_parallel_value", "binary_entropy",
+    "bounds": ["BB84_ROUND_VALUE", "bb84_parallel_value", "binary_entropy",
                "general_upper_bound", "imperfect_guessing_bound", "same_string_bound"],
     "errors": ["CapacityError", "DimensionError", "DomainError", "NotPsdError",
                "ValidationError"],

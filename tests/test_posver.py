@@ -201,6 +201,13 @@ def test_packed_batch_matches_an_unpacked_reference(n, trials):
     assert agg["accepted"] == _unpacked_acceptances(n, trials, seed=7)
 
 
+@pytest.mark.parametrize("trials", [2.5, 0, -1])
+def test_simulate_refuses_a_trial_count_that_is_not_a_positive_integer(trials):
+    # 2.5 once ended in a bare TypeError inside the batch loop
+    with pytest.raises(DomainError, match="trials must be a positive integer"):
+        simulate_pv_rounds(SCENARIO, 3, BreidbartPair(), trials, seed=0)
+
+
 @pytest.mark.parametrize("trials", [1, 63, 65, 100, 70001])
 def test_honest_prover_accepts_a_partial_last_word_exactly(trials):
     # bits past the last round are drawn and answered, but never counted

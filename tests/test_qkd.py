@@ -62,6 +62,12 @@ def test_params_refuse_a_syndrome_longer_than_the_key_rounds():
         QkdParams(n=10, t=2, s=9, ell=0, gamma=0.0, epsilon=0.01)
 
 
+def test_params_refuse_a_key_longer_than_the_key_rounds():
+    assert QkdParams(n=10, t=2, s=8, ell=8, gamma=0.0, epsilon=0.01).ell == 8
+    with pytest.raises(ValidationError, match="key length cannot exceed the unsampled"):
+        QkdParams(n=10, t=2, s=0, ell=9, gamma=0.0, epsilon=0.01)
+
+
 def test_delta_vacuous_instance_matches_oracle():
     params = QkdParams(n=100000, t=10000, s=7272, ell=1000, gamma=0.005,
                        epsilon=0.005)
@@ -69,7 +75,7 @@ def test_delta_vacuous_instance_matches_oracle():
     assert rep.sampling_term == pytest.approx(A_SAMPLING, rel=1e-12)
     assert rep.exponent_budget == pytest.approx(A_BUDGET, rel=1e-12)
     assert math.isinf(rep.pa_term) and math.isinf(rep.delta)
-    assert rep.vacuous
+    assert rep.to_dict()["vacuous"] is True
     assert rep.delta == rep.sampling_term + rep.pa_term
 
 
@@ -81,7 +87,7 @@ def test_delta_finite_instance_matches_oracle():
     assert rep.exponent_budget == pytest.approx(B_BUDGET, rel=1e-12)
     assert rep.pa_term == pytest.approx(B_PA, rel=1e-9)
     assert rep.delta == pytest.approx(B_SAMPLING, rel=1e-12)
-    assert not rep.vacuous
+    assert rep.to_dict()["vacuous"] is False
     assert rep.delta == rep.sampling_term + rep.pa_term
 
 
@@ -178,9 +184,24 @@ def test_keylen_zero_length_note():
 
 def test_keylen_infeasible_even_at_zero():
     # sampling term is tiny but the budget at ell = 0 is hugely negative
-    rep = max_key_length(10**4, 5000, 10**6, 0.002, 0.05, 0.5)
+    rep = max_key_length(10**4, 5000, 5000, 0.002, 0.05, 0.5)
     assert not rep.feasible
     assert "ell = 0" in rep.note
+
+
+@pytest.mark.parametrize("n, t, s, match", [
+    pytest.param(100, 200, 0, "0 < t < n", id="t-above-n"),
+    pytest.param(100, 100, 0, "0 < t < n", id="t-equals-n"),
+    pytest.param(100, -5, 0, "t must be a positive integer", id="negative-t"),
+    pytest.param(100, 10, -3, "s must be a non-negative integer", id="negative-s"),
+    pytest.param(0, 10, 0, "n must be a positive integer", id="zero-n"),
+    pytest.param(100, 10, 91, "s <= n - t", id="s-above-key-rounds"),
+])
+def test_keylen_refuses_the_parameters_qkd_params_refuses(n, t, s, match):
+    # before it checked them through QkdParams, each of these gave a report
+    # ("sampling term alone exceeds the target") for a protocol that cannot run
+    with pytest.raises(DomainError, match=match):
+        max_key_length(n, t, s, 0.01, 0.05, 1e-3)
 
 
 def test_keylen_rate_approaches_asymptotic_rate():
@@ -200,6 +221,8 @@ def test_suggested_syndrome_length():
     from monogamy.bounds import binary_entropy
     assert suggested_syndrome_length(10**5, 10**4, 0.005, 0.005) == \
         math.ceil(9 * 10**4 * binary_entropy(0.01))
+    with pytest.raises(DomainError, match="0 < t < n"):  # not a negative length
+        suggested_syndrome_length(100, 200, 0.01, 0.05)
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,16 @@ def test_seesaw_config_validation():
         SeesawConfig(restarts=0)
 
 
+@pytest.mark.parametrize("field, value", [("max_iters", 2.5), ("restarts", 2.5),
+                                          ("bob_dim", 1.5), ("charlie_dim", 1.5),
+                                          ("bob_dim", 0), ("charlie_dim", -1)])
+def test_seesaw_config_refuses_a_count_that_is_not_a_positive_integer(field, value):
+    # a fractional count once ended in a bare TypeError deep inside the search
+    with pytest.raises(DomainError, match=f"{field} must be a positive integer"):
+        SeesawConfig(**{field: value})
+    assert getattr(SeesawConfig(**{field: 2.0}), field) == 2
+
+
 def test_optimal_unentangled_strategy_fields():
     s = bb84_optimal_unentangled_strategy()
     assert s.dims == (2, 1, 1)

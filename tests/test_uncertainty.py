@@ -88,6 +88,13 @@ def test_ensembles_compare_and_hash_by_identity():
     assert hash(e) == hash(e)
 
 
+def test_ensemble_refuses_a_label_outside_its_alphabet():
+    # the extra state was once dropped without a word
+    half = np.eye(2) / 2
+    with pytest.raises(ValidationError, match="'2' is outside the alphabet"):
+        CqEnsemble(("0", "1"), np.array([0.5, 0.5]), {"0": half, "1": half, "2": np.eye(3) / 3})
+
+
 def test_ensemble_errors_name_the_offending_label():
     with pytest.raises(ValidationError, match="conditional 'b' is not positive"):
         CqEnsemble(("a", "b"), np.array([0.5, 0.5]), np.array([KET0, KET1 - KET0]))
