@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import DomainError
+from .errors import whole, within
 
 BB84_ROUND_VALUE = 0.5 + 0.5 / math.sqrt(2.0)
 
@@ -27,28 +27,10 @@ def vacuous(value: float) -> bool:
 
 def binary_entropy(p: float) -> float:
     """-p log2 p - (1-p) log2 (1-p), with h(0) = h(1) = 0 by continuity."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"binary_entropy requires p in [0, 1], got {p}")
+    p = within(p, "p", 0.0, 1.0)
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
-def _positive_int(n, name: str = "n") -> int:
-    """n as a Python int, once it is a positive integer of any numeric type;
-    2.5 or 0 raise DomainError rather than being truncated."""
-    if int(n) != n or n < 1:
-        raise DomainError(f"{name} must be a positive integer")
-    return int(n)
-
-
-def _nonnegative_int(n, name: str) -> int:
-    """n as a Python int, once it is a non-negative integer of any numeric
-    type; 2.5 or -1 raise DomainError rather than being truncated."""
-    if int(n) != n or n < 0:
-        raise DomainError(f"{name} must be a non-negative integer")
-    return int(n)
 
 
 def _pow2(exponent: float) -> float:
@@ -77,24 +59,19 @@ def _family_inputs(c: float, theta_count: int, n: int) -> tuple[float, int, int]
     """(c, theta_count, n) of the overlap bounds, once the overlap c lies in
     (0, 1], theta_count is an integer of at least 2 and n a positive
     integer."""
-    c = float(c)
-    if not 0.0 < c <= 1.0:
-        raise DomainError(f"overlap c must lie in (0, 1], got {c}")
-    theta_count = _positive_int(theta_count, "theta_count")
-    if theta_count < 2:
-        raise DomainError("theta_count must be at least 2")
-    return c, theta_count, _positive_int(n)
+    return (within(c, "overlap c", 0.0, 1.0, lo_open=True),
+            whole(theta_count, "theta_count", minimum=2), whole(n))
 
 
 def bb84_parallel_value(n: int) -> float:
     """Exact optimal n-round BB84 game value: BB84_ROUND_VALUE ** n."""
-    return BB84_ROUND_VALUE**_positive_int(n)
+    return BB84_ROUND_VALUE**whole(n)
 
 
 def general_upper_bound(c: float, theta_count: int, q_cardinality: int, n: int) -> float:
     """|Q| * (1/|Theta| + (|Theta|-1)/|Theta| * sqrt(c))^n for overlap c."""
     c, theta_count, n = _family_inputs(c, theta_count, n)
-    q_cardinality = _positive_int(q_cardinality, "q_cardinality")
+    q_cardinality = whole(q_cardinality, "q_cardinality")
     base = (1.0 + (theta_count - 1) * math.sqrt(c)) / theta_count
     return _scaled_power(q_cardinality, base, n)
 
@@ -106,9 +83,8 @@ def imperfect_guessing_bound(c: float, theta_count: int, n: int,
     Bounds the n-round value when each party may miss a bounded fraction of
     the outcome string (gamma for one party, gamma' for the other).
     """
-    for name, g in (("gamma", gamma), ("gamma_prime", gamma_prime)):
-        if not 0.0 <= float(g) <= 0.5:
-            raise DomainError(f"{name} must lie in [0, 1/2], got {g}")
+    gamma = within(gamma, "gamma", 0.0, 0.5)
+    gamma_prime = within(gamma_prime, "gamma_prime", 0.0, 0.5)
     c, theta_count, n = _family_inputs(c, theta_count, n)
     factor = 2.0 ** (binary_entropy(gamma) + binary_entropy(gamma_prime))
     base = factor * (1.0 + (theta_count - 1) * math.sqrt(c)) / theta_count

@@ -34,7 +34,7 @@ from typing import Sequence
 import click
 from click.core import ParameterSource
 
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 
 PROG = "monogamy"
 
@@ -283,25 +283,26 @@ def qkd_keylen_cmd(n_range, t_text, gamma, epsilon, s_text, delta_target, fmt,
     """Maximal key length within a failure-bound target, swept over n."""
     from . import qkd as qkd_mod
 
-    def t_for(n: int) -> int:
-        if t_text.startswith("frac:"):
-            return int(math.ceil(float(t_text[5:]) * n))
-        if t_text.startswith("pow:"):
-            return int(math.ceil(n ** float(t_text[4:])))
-        try:
-            return int(t_text)
-        except ValueError:
-            raise click.UsageError(f"cannot parse --t {t_text!r}")
-
+    kind, colon, number = t_text.partition(":")
+    try:
+        value = float(number) if kind in ("frac", "pow") else int(t_text)
+    except ValueError:
+        value = math.nan
+    if not -math.inf < value < math.inf:
+        raise click.UsageError(f"cannot parse --t {t_text!r}; use an integer, frac:F or "
+                               "pow:P with a finite number")
     rows = []
     for n in _parse_range(n_range):
-        t = t_for(n)
+        try:
+            t = math.ceil(value * n if kind == "frac" else n**value if colon else value)
+        except OverflowError:  # t is refused either way, as not below n
+            raise DomainError(f"--t {t_text} gives a t past the float range at n={n}")
         s = _resolve_syndrome(s_text, n, t, gamma, epsilon)
         rep = qkd_mod.max_key_length(n, t, s, gamma, epsilon, delta_target)
         rows.append({"n": n, "t": t, "s": s, "gamma": gamma, "epsilon": epsilon,
                      "delta_target": delta_target, "feasible": rep.feasible,
                      "ell": rep.ell, "rate": rep.ell / n if rep.feasible else None,
-                     "delta": rep.delta, "note": rep.note})
+                     "delta": rep.delta if rep.feasible else None, "note": rep.note})
     _emit("qkd-keylen", {"n": n_range, "t": t_text, "s": s_text, "gamma": gamma,
                          "epsilon": epsilon, "delta_target": delta_target},
           rows, output, deterministic, fmt=fmt)
@@ -355,7 +356,7 @@ def posver_group() -> None:
 @click.option("--d", type=int, default=1, show_default=True,
               help="Dimension of the adversaries' pre-shared state.")
 @click.option("--rate", type=click.FloatRange(min=0), default=None,
-              help="Entanglement rate: d = 2^ceil(rate n) in place of --d.")
+              help="Entanglement rate: rows give log2_d = ceil(rate n) in place of --d.")
 @click.option("--gamma", type=float, default=None,
               help="Allowed error fraction (noise-tolerant variant).")
 @click.option("--gamma-prime", type=float, default=None)
@@ -371,9 +372,15 @@ def posver_bound_cmd(n_range, d, rate, gamma, gamma_prime, fmt, output,
         _reject_unused("with --rate", "d")
     rows = []
     for n in _parse_range(n_range):
-        dim = 2 ** math.ceil(rate * n) if rate is not None else d
-        value = posver_mod.entangled_soundness_bound(n, dim)
-        row = {"n": n, "d": dim, "bound": value, "vacuous": bounds_mod.vacuous(value)}
+        if rate is None:
+            row = {"n": n, "d": d, "bound": posver_mod.entangled_soundness_bound(n, d)}
+        elif math.isfinite(rate * n):  # from log2 d, so that 2^log2_d is never built
+            log2_d = math.ceil(rate * n)
+            row = {"n": n, "log2_d": log2_d,
+                   "bound": posver_mod.entangled_soundness_bound_log2(n, log2_d)}
+        else:  # nan, inf, or past the float range at this n
+            raise click.BadParameter(f"{rate} times n = {n} is not finite", param_hint="'--rate'")
+        row["vacuous"] = bounds_mod.vacuous(row["bound"])
         if gamma is not None or gamma_prime is not None:
             row["noisy_bound"] = posver_mod.noisy_soundness_bound(
                 n, gamma or 0.0, gamma_prime or 0.0)
@@ -431,7 +438,7 @@ def posver_simulate_cmd(scenario_path, n, prover, position, trials, seed, output
 
 @cli.command("ur-check")
 @click.argument("fixture", required=False)
-@click.option("--random", "random_count", type=int, default=None,
+@click.option("--random", "random_count", type=click.IntRange(min=1), default=None,
               help="Check this many random tripartite qubit instances instead.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @_output_options
@@ -450,8 +457,6 @@ def ur_check_cmd(fixture, random_count, seed, output, deterministic):
         rho, dims, f0, f1 = obj
         rows.append(ur_mod.check_uncertainty_relation(rho, dims, f0, f1).to_dict())
     elif random_count is not None:
-        if random_count < 1:
-            raise click.UsageError("--random must be positive")
         for k in range(random_count):
             rng = rng_for(seed, k)
             rho = random_density(8, rng)

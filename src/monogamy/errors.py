@@ -1,7 +1,11 @@
-"""Error types shared across the package, and the one memory budget.
+"""Error types shared across the package, the one memory budget, and the
+one argument check.
 
 All of them subclass ValueError so plain ``except ValueError`` keeps working;
-the CLI maps any of these to exit code 1.
+the CLI maps any of these to exit code 1.  Every count, dimension and seed
+an entry point takes passes through :func:`whole`, and every probability,
+fraction, overlap, tolerance and target through :func:`within`, so nan, inf
+and 2.5 are refused in one place rather than truncated or let through.
 """
 
 # Bytes one call may hold in its largest arrays at the same time.  Every
@@ -43,3 +47,30 @@ def require_bytes(nbytes: int, what: str) -> None:
         size = f"{nbytes:,} bytes" if nbytes.bit_length() <= 64 else "over 2^64 bytes"
         raise CapacityError(f"{what} needs {size}, over the memory budget of "
                             f"{MEMORY_BUDGET:,} bytes")
+
+
+def whole(n, name: str = "n", minimum: int | None = 1, error: type = DomainError) -> int:
+    """n as a Python int, once it is an integer of any numeric type and at
+    least `minimum` (None: any integer); else `error`.  2.5, nan and inf are
+    refused, never truncated."""
+    try:
+        value = int(n)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or value != n or minimum is not None and value < minimum <= 1:
+        kind = {None: "an", 0: "a non-negative"}.get(minimum, "a positive")
+        raise error(f"{name} must be {kind} integer")
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be at least {minimum}")
+    return value
+
+
+def within(x, name: str, lo: float, hi: float, lo_open: bool = False,
+           hi_open: bool = False) -> float:
+    """x as a float, once it lies between lo and hi, each end included unless
+    it is open; else DomainError.  nan lies in no interval."""
+    x = float(x)
+    if not lo <= x <= hi or (lo_open and x == lo) or (hi_open and x == hi):
+        raise DomainError(f"{name} must lie in {'[('[lo_open]}{lo:g}, {hi:g}{'])'[hi_open]}, "
+                          f"got {x}")
+    return x

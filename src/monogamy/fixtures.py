@@ -27,7 +27,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ValidationError, whole
 from .games import MonogamyGame, Strategy, product_strategy
 from .posver import TimingScenario
 
@@ -43,13 +43,11 @@ def matrix_to_json(m) -> dict[str, Any]:
 
 def matrix_from_json(doc: Mapping[str, Any]) -> np.ndarray:
     try:
-        rows, cols = int(doc["rows"]), int(doc["cols"])
+        rows, cols = (whole(doc[key], key, error=DimensionError) for key in ("rows", "cols"))
         re = np.asarray(doc["re"], dtype=float)
         im = np.asarray(doc["im"], dtype=float)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed matrix document: {exc}")
-    if rows < 1 or cols < 1:
-        raise DimensionError("matrix dimensions must be positive")
     if re.size != rows * cols or im.size != rows * cols:
         raise DimensionError(f"entry count mismatch: expected {rows * cols}, "
                              f"got re={re.size}, im={im.size}")
@@ -76,7 +74,7 @@ def game_from_json(doc: Mapping[str, Any]) -> MonogamyGame:
         raise ValidationError('game documents give a single-round family and '
                               'its "rounds"; "theta_parts" is not read')
     try:
-        return MonogamyGame(dim_a=int(doc["dim_a"]),
+        return MonogamyGame(dim_a=doc["dim_a"],
                             thetas=tuple(doc["thetas"]),
                             outcomes=tuple(doc["outcomes"]),
                             povms=_povms_from_json(doc["povms"]),
@@ -96,7 +94,7 @@ def strategy_to_json(strategy: Strategy) -> dict[str, Any]:
 def strategy_from_json(doc: Mapping[str, Any]) -> Strategy:
     try:
         one = Strategy(rho_abc=matrix_from_json(doc["rho_abc"]),
-                       dims=tuple(int(d) for d in doc["dims"]),
+                       dims=doc["dims"],
                        bob_povms=_povms_from_json(doc["bob_povms"]),
                        charlie_povms=_povms_from_json(doc["charlie_povms"]))
         return product_strategy(one, doc.get("rounds", 1))
@@ -121,7 +119,7 @@ def ur_instance_from_json(doc: Mapping[str, Any]):
     """(rho_abc, dims, f0, f1) of an uncertainty-relation check instance."""
     try:
         rho = matrix_from_json(doc["rho_abc"])
-        dims = tuple(int(d) for d in doc["dims"])
+        dims = doc["dims"]
         f0 = [matrix_from_json(e) for e in doc["f0"]]
         f1 = [matrix_from_json(e) for e in doc["f1"]]
     except KeyError as exc:

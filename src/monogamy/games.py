@@ -30,8 +30,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import linalg
-from .bounds import _positive_int, binary_entropy
-from .errors import DimensionError, DomainError, ValidationError, require_bytes
+from .bounds import binary_entropy
+from .errors import (DimensionError, DomainError, ValidationError, require_bytes, whole,
+                     within)
 
 POVM_COMPLETENESS_ATOL = 1e-8
 
@@ -99,9 +100,8 @@ class MonogamyGame:
     elements: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.dim_a < 1:
-            raise DimensionError("dim_a must be positive")
-        object.__setattr__(self, "rounds", _positive_int(self.rounds, "rounds"))
+        object.__setattr__(self, "dim_a", whole(self.dim_a, "dim_a", error=DimensionError))
+        object.__setattr__(self, "rounds", whole(self.rounds, "rounds"))
         for name, what in (("thetas", "basis"), ("outcomes", "outcome")):
             labels = tuple(str(t) for t in getattr(self, name))
             if len(set(labels)) != len(labels) or not labels:
@@ -155,9 +155,7 @@ class Strategy:
     rounds: int = field(init=False, default=1)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) != 3 or any(d < 1 for d in dims):
-            raise DimensionError(f"dims must be three positive integers, got {self.dims}")
+        dims = linalg.dimensions(self.dims, 3)
         object.__setattr__(self, "dims", dims)
         rho = linalg.frozen(self.rho_abc)
         if rho.shape != (math.prod(dims),) * 2:
@@ -205,8 +203,7 @@ def maximally_entangled_density(d: int) -> np.ndarray:
 
     Entries are written as 1/d directly, so powers of two stay exact.
     """
-    if d < 1:
-        raise DimensionError("d must be positive")
+    d = whole(d, "d", error=DimensionError)
     rho = np.zeros((d * d, d * d), dtype=complex)
     diagonal = np.arange(d) * (d + 1)  # the index of |ii>
     rho[np.ix_(diagonal, diagonal)] = 1.0 / d
@@ -249,7 +246,7 @@ def _with_rounds(obj, rounds: int):
 def game_power(game: MonogamyGame, n: int) -> MonogamyGame:
     """n-fold parallel repetition: the same checked single-round family, played
     for n times as many rounds (tensor products of POVMs need no check)."""
-    n = _positive_int(n)
+    n = whole(n)
     return game if n == 1 else _with_rounds(game, game.rounds * n)
 
 
@@ -529,7 +526,7 @@ class QSet:
 
 def identity_q_set(size: int) -> QSet:
     """The plain win condition over `size` outcome strings, as a Q-set."""
-    rows = np.arange(size)[None]
+    rows = np.arange(whole(size, "size", error=ValidationError))[None]
     return QSet(rows, rows)
 
 
@@ -571,9 +568,7 @@ def xor_permutation_family(n: int, alphabet_size_theta: int) -> np.ndarray:
     The family partitions by shift weight t with multiplicity
     C(n, t) (|Theta|-1)^t.
     """
-    n, q = _positive_int(n), _positive_int(alphabet_size_theta, "alphabet size")
-    if q < 2:
-        raise DomainError("alphabet size must be at least 2")
+    n, q = whole(n), whole(alphabet_size_theta, "alphabet size", minimum=2)
     size = q**n
     # the family and one digit's shifted outer sum
     require_bytes(2 * 8 * size**2, f"xor_permutation_family(n={n})")
@@ -594,8 +589,7 @@ def _max_weight(n: int, gamma: float) -> int:
 def _shift_count(n: int, gamma: float, name: str) -> int:
     """The number of n-bit shifts of Hamming weight at most gamma n, after
     checking gamma."""
-    if not 0.0 <= gamma <= 0.5:
-        raise DomainError(f"{name} must lie in [0, 1/2], got {gamma}")
+    gamma = within(gamma, name, 0.0, 0.5)
     return sum(math.comb(n, w) for w in range(_max_weight(n, gamma) + 1))
 
 
@@ -613,7 +607,7 @@ def hamming_q_set(n: int, gamma: float, gamma_prime: float) -> QSet:
     """XOR displacement pairs (x ⊕ k, x ⊕ k') with wt(k) <= gamma n and
     wt(k') <= gamma' n, on the length-n binary outcome alphabet: the product
     of Bob's and Charlie's shift rows."""
-    n = _positive_int(n)
+    n = whole(n)
     kb, kc = _shift_count(n, gamma, "gamma"), _shift_count(n, gamma_prime, "gamma_prime")
     # both parties' rows, and the sorted copy and result of np.unique over
     # the larger party's, which QSet checks one party at a time
@@ -626,7 +620,7 @@ def hamming_q_set(n: int, gamma: float, gamma_prime: float) -> QSet:
 
 def same_string_q_set(n: int, gamma: float) -> QSet:
     """XOR displacement pairs with both parties shifted by the same k."""
-    n = _positive_int(n)
+    n = whole(n)
     k = _shift_count(n, gamma, "gamma")
     # the rows both parties share, and the copy, sorted copy and result of
     # np.unique over the pairs side by side, which QSet checks at once
@@ -643,5 +637,5 @@ def product_strategy(strategy: Strategy, n: int) -> Strategy:
     n times as many rounds, as in :func:`game_power`.  It takes the Q-sets of
     :func:`hamming_q_set`, :func:`same_string_q_set` and
     ``xor_permutation_family(n, 2)``; see :func:`winning_probability_with_q`."""
-    n = _positive_int(n)
+    n = whole(n)
     return strategy if n == 1 else _with_rounds(strategy, strategy.rounds * n)

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, NotPsdError, ValidationError
+from .errors import DimensionError, NotPsdError, ValidationError, whole
 
 # Tolerances, documented here once and reused across the package.
 HERMITIAN_ATOL = 1e-10
@@ -180,13 +180,12 @@ def tensor(*mats) -> np.ndarray:
     return out
 
 
-def _check_dims(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise DimensionError(f"subsystem dimensions must be positive, got {dims}")
-    total = int(np.prod(dims))
-    if m.shape[0] != total:
-        raise DimensionError(f"matrix dimension {m.shape[0]} != product of dims {dims}")
+def dimensions(dims: Sequence[int], count: int | None = None) -> tuple[int, ...]:
+    """Subsystem dimensions as a tuple of Python ints, once each is a positive
+    integer and, given `count`, there are that many; else DimensionError."""
+    dims = tuple(whole(d, "subsystem dimension", error=DimensionError) for d in dims)
+    if count is not None and len(dims) != count:
+        raise DimensionError(f"expected {count} subsystem dimensions, got {dims}")
     return dims
 
 
@@ -197,10 +196,12 @@ def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     their original order.  An empty `keep` returns the 1x1 matrix [[tr m]].
     """
     m = require_square(m)
-    dims = _check_dims(m, dims)
+    dims = dimensions(dims)
+    if m.shape[0] != int(np.prod(dims)):
+        raise DimensionError(f"matrix dimension {m.shape[0]} != product of dims {dims}")
     n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
-    if keep and (keep[0] < 0 or keep[-1] >= n):
+    keep = sorted({whole(k, "keep index", minimum=0, error=DimensionError) for k in keep})
+    if keep and keep[-1] >= n:
         raise DimensionError(f"keep indices {keep} out of range for {n} factors")
     if not keep:
         return np.array([[np.trace(m)]], dtype=complex)
@@ -234,8 +235,7 @@ def permutation_rows(a) -> bool:
 def cyclic_permutations(n: int) -> np.ndarray:
     """The n cyclic shifts of [0..n-1] as rows; a mutually orthogonal
     permutation set."""
-    if n < 1:
-        raise DimensionError("n must be positive")
+    n = whole(n, error=DimensionError)
     return (np.arange(n)[:, None] + np.arange(n)) % n
 
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (BB84_ROUND_VALUE, _positive_int, _scaled_power, bb84_parallel_value,
+from .bounds import (BB84_ROUND_VALUE, _pow2, _scaled_power, bb84_parallel_value,
                      imperfect_guessing_bound)
-from .errors import ValidationError, require_bytes
+from .errors import ValidationError, require_bytes, whole
 from .rand import _words, bernoulli, rng_for
 
 # per-qubit success of the intermediate-basis measurement; numerically equal
@@ -50,7 +50,16 @@ def entangled_soundness_bound(n: int, d: int) -> float:
     """Bound d * (single-round value)^n for adversaries pre-sharing a
     d-dimensional state; unclamped, so it may be vacuous
     (:func:`monogamy.bounds.vacuous`)."""
-    return _scaled_power(_positive_int(d, "d"), BB84_ROUND_VALUE, _positive_int(n))
+    return _scaled_power(whole(d, "d"), BB84_ROUND_VALUE, whole(n))
+
+
+def entangled_soundness_bound_log2(n: int, log2_d: int) -> float:
+    """:func:`entangled_soundness_bound` at d = 2^log2_d, without building
+    2^log2_d: the same float wherever 2^log2_d is a normal float."""
+    n, log2_d = whole(n), whole(log2_d, "log2_d", minimum=0)
+    if log2_d < 1024:
+        return _scaled_power(2.0**log2_d, BB84_ROUND_VALUE, n)
+    return _pow2(log2_d + n * math.log2(BB84_ROUND_VALUE))
 
 
 def max_entanglement_rate() -> float:
@@ -181,7 +190,7 @@ class SingleAdversary:
 def _check_n(n: int, rounds: int) -> int:
     """n as an int, once positive and once a batch of `rounds` rounds of n
     qubits, counted up to a whole word of rounds, fits the memory budget."""
-    n = _positive_int(n)
+    n = whole(n)
     require_bytes(_ROUND_ENTRY_BYTES * 64 * -(-rounds // 64) * n,
                   f"a batch of {rounds} rounds of {n} qubits")
     return n
@@ -224,15 +233,14 @@ def simulate_pv_rounds(scenario: TimingScenario, n: int, prover, trials: int,
                        seed: int = 0) -> dict:
     """Acceptance statistics over many rounds, batched and seed-derived so the
     aggregate is reproducible at any batch schedule."""
-    trials = _positive_int(trials, "trials")
+    trials, seed = whole(trials, "trials"), whole(seed, "seed", minimum=None)
     n = _check_n(n, min(_ROUND_BATCH, trials))
     ok0, ok1 = prover.timing(scenario)
     accepted = 0
-    for batch_index, done in enumerate(range(0, trials, _ROUND_BATCH)):
+    # a prover the timing check rejects is accepted in no round, so none is drawn
+    for batch_index, done in enumerate(range(0, trials if ok0 and ok1 else 0, _ROUND_BATCH)):
         nb = min(_ROUND_BATCH, trials - done)
-        correct = _sample_batch(n, prover, nb, rng_for(seed, batch_index))[-1]
-        if ok0 and ok1:
-            accepted += int(np.sum(correct))
+        accepted += int(np.sum(_sample_batch(n, prover, nb, rng_for(seed, batch_index))[-1]))
     return {
         "trials": trials,
         "seed": seed,

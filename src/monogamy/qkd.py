@@ -28,6 +28,7 @@ simulated; the delta formula is the security claim and is computed exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from collections import namedtuple
@@ -35,10 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (BB84_ROUND_VALUE, _nonnegative_int, _positive_int, _pow2,
-                     binary_entropy, vacuous)
+from .bounds import BB84_ROUND_VALUE, _pow2, binary_entropy, vacuous
 from .errors import (CapacityError, DimensionError, DomainError, ValidationError,
-                     require_bytes)
+                     require_bytes, whole, within)
 from .rand import bernoulli, random_bits, rng_for
 
 LOG2_INV_ROUND_VALUE = -math.log2(BB84_ROUND_VALUE)
@@ -92,21 +92,24 @@ class QkdParams:
     epsilon: float
 
     def __post_init__(self):
-        for name, check in (("n", _positive_int), ("t", _positive_int),
-                            ("s", _nonnegative_int), ("ell", _nonnegative_int)):
-            object.__setattr__(self, name, check(getattr(self, name), name))
-        if not 0 < self.t < self.n:
+        for name, minimum in (("n", 1), ("t", 1), ("s", 0), ("ell", 0)):
+            object.__setattr__(self, name, whole(getattr(self, name), name, minimum))
+        if not self.t < self.n:
             raise DomainError(f"need 0 < t < n, got t={self.t}, n={self.n}")
         if self.s > self.n - self.t:
             raise DomainError(f"need s <= n - t = {self.n - self.t}, got s={self.s}")
         if self.ell > self.n - self.t:
             raise ValidationError("key length cannot exceed the unsampled rounds")
-        if not 0.0 <= self.gamma < 0.5:
-            raise DomainError(f"gamma must lie in [0, 1/2), got {self.gamma}")
-        if self.epsilon <= 0.0:
-            raise DomainError("epsilon must be positive")
-        if self.gamma + self.epsilon >= 0.5:
-            raise DomainError("gamma + epsilon must stay below 1/2")
+        _sampling_inputs(self.gamma, self.epsilon)
+
+
+def _sampling_inputs(gamma: float, epsilon: float) -> tuple[float, float]:
+    """(gamma, epsilon) as floats, once gamma lies in [0, 1/2), epsilon is
+    positive and gamma + epsilon stays below 1/2."""
+    gamma = within(gamma, "gamma", 0.0, 0.5, hi_open=True)
+    epsilon = within(epsilon, "epsilon", 0.0, math.inf, lo_open=True, hi_open=True)
+    within(gamma + epsilon, "gamma + epsilon", 0.0, 0.5, hi_open=True)
+    return gamma, epsilon
 
 
 @dataclass(frozen=True)
@@ -117,9 +120,7 @@ class QkdSecurityReport:
     exponent_budget: float
 
     def to_dict(self) -> dict:
-        return {"delta": self.delta, "sampling_term": self.sampling_term,
-                "pa_term": self.pa_term, "exponent_budget": self.exponent_budget,
-                "vacuous": vacuous(self.delta)}
+        return {**dataclasses.asdict(self), "vacuous": vacuous(self.delta)}
 
 
 def delta_terms(n: float, t: float, s: float, ell: float,
@@ -129,10 +130,7 @@ def delta_terms(n: float, t: float, s: float, ell: float,
     Numeric core: accepts real-valued arguments so budgets can be probed
     exactly; the typed entry point is :func:`security_delta`.
     """
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be positive")
-    if not 0.0 <= gamma < 0.5 or gamma + epsilon >= 0.5:
-        raise DomainError("need 0 <= gamma and gamma + epsilon < 1/2")
+    gamma, epsilon = _sampling_inputs(gamma, epsilon)
     sampling = 5.0 * math.exp(-2.0 * epsilon**2 * t)
     budget = (LOG2_INV_ROUND_VALUE * n - binary_entropy(gamma + epsilon) * n
               - ell - t - s + 2.0)
@@ -169,8 +167,8 @@ def max_key_length(n: int, t: int, s: int, gamma: float, epsilon: float,
     that :class:`QkdParams` refuses raise its error.
     """
     QkdParams(n, t, s, 0, gamma, epsilon)
-    if delta_target <= 0.0:
-        raise DomainError("delta_target must be positive")
+    delta_target = within(delta_target, "delta_target", 0.0, math.inf, lo_open=True,
+                          hi_open=True)
     sampling, budget0, _, delta0 = delta_terms(n, t, s, 0, gamma, epsilon)
     if delta_target <= sampling:
         return KeyLengthReport(False, 0, math.nan,
@@ -238,7 +236,7 @@ def toeplitz_hash(seed_bits, input_bits, ell: int) -> np.ndarray:
     rounded to the nearest integer, and a residual of 0.25 or more raises
     CapacityError instead of returning a wrong bit.
     """
-    ell = _nonnegative_int(ell, "ell")
+    ell = whole(ell, "ell", minimum=0)
     x = _as_bits(input_bits)
     seed = _as_bits(seed_bits)
     length = x.shape[-1]
@@ -270,11 +268,10 @@ def _hash_bytes(length: int, ell: int, rows: int = 1) -> int:
     """Peak bytes of :func:`toeplitz_hash` for `rows` output rows: per row,
     the float64 input padded to nfft, both spectra and their product, the
     float64 convolution, and the rounded window with its residual."""
-    length, ell = int(length), int(ell)
     if ell == 0 or length == 0:
         return 0
     nfft = 1 << (length + ell - 2).bit_length()
-    return int(rows) * (_HASH_NFFT_BYTES * nfft + _HASH_OUT_BYTES * ell)
+    return rows * (_HASH_NFFT_BYTES * nfft + _HASH_OUT_BYTES * ell)
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -328,14 +325,14 @@ class LinearCode:
     """
 
     def __init__(self, length: int, syndrome_bits: int, seed: int):
-        length = _nonnegative_int(length, "length")
-        syndrome_bits = _nonnegative_int(syndrome_bits, "syndrome_bits")
+        length = whole(length, "length", minimum=0)
+        syndrome_bits = whole(syndrome_bits, "syndrome_bits", minimum=0)
         if not syndrome_bits <= length:
             raise DomainError(f"need 0 <= syndrome_bits <= length, got {syndrome_bits}, {length}")
         require_bytes(_code_bytes(length, syndrome_bits), f"LinearCode({length}, {syndrome_bits})")
         self.length = length
         self.syndrome_bits = syndrome_bits
-        self.seed = int(seed)
+        self.seed = whole(seed, "seed", minimum=None)
         # (start, stop, first syndrome row, stop syndrome row) of each chunk,
         # rows allocated proportionally so that they sum to syndrome_bits
         self._chunks: list[tuple[int, int, int, int]] = []
@@ -409,12 +406,11 @@ class LinearCode:
         return out.reshape(lead + (self.length,))
 
 
-def _code_bytes(length: int, syndrome_bits: int) -> int:
-    """Peak bytes of a :class:`LinearCode` with every leader table built: the
-    chunk bookkeeping, at most three parity matrices, and the tables of at
-    most two row counts among the full chunks and one short last chunk, with
-    the construction of the largest."""
-    length, rows = int(length), int(syndrome_bits)
+def _code_bytes(length: int, rows: int) -> int:
+    """Peak bytes of a :class:`LinearCode` of `rows` syndrome bits with every
+    leader table built: the chunk bookkeeping, at most three parity matrices,
+    and the tables of at most two row counts among the full chunks and one
+    short last chunk, with the construction of the largest."""
     if length == 0:
         return 0
     full, rest = divmod(length, _CHUNK_LEN)
@@ -433,9 +429,7 @@ class HonestNoisyDevice:
     independently with probability `flip_prob`."""
 
     def __init__(self, flip_prob: float):
-        if not 0.0 <= flip_prob <= 1.0:
-            raise DomainError(f"flip probability must lie in [0, 1], got {flip_prob}")
-        self.flip_prob = float(flip_prob)
+        self.flip_prob = within(flip_prob, "flip probability", 0.0, 1.0)
 
     def sample(self, theta: np.ndarray, rng: np.random.Generator):
         x = random_bits(rng, theta.shape)
@@ -562,7 +556,7 @@ def run_eqkd_trials(params: QkdParams, device, trials: int, seed: int = 0) -> di
     and unresolved ones those that still miss the syndrome (a chunk had no
     leader).  Hoeffding violations count trials whose full error rate
     exceeds the sampled rate by more than epsilon."""
-    trials = _positive_int(trials, "trials")
+    trials = whole(trials, "trials")
     _admit_run(params, min(_TRIAL_BATCH, trials),
                f"run_eqkd_trials(n={params.n}, trials={trials})")
     code = LinearCode(params.n - params.t, params.s, seed=seed)

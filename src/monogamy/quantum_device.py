@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .errors import CapacityError, DimensionError, ValidationError, require_bytes
+from .errors import CapacityError, DimensionError, ValidationError, require_bytes, whole
 from .games import (_povm_stack, _win_terms_bytes, bb84_game, conditional_stack,
                     game_power, maximally_entangled_density, power_elements)
 from .qkd import _int_to_bits, _pack
@@ -30,7 +30,7 @@ MAX_ROUNDS = 5
 def _rounds(n: int) -> int:
     if not 1 <= n <= MAX_ROUNDS:
         raise CapacityError(f"quantum device supports 1..{MAX_ROUNDS} rounds")
-    return n
+    return whole(n)
 
 
 class TripartiteQuantumDevice:

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, whole, within
 
 
 def rng_for(seed: int, *stream: int) -> np.random.Generator:
-    """Generator for derivation path (seed, *stream); same path, same stream."""
-    ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1),
-                                spawn_key=tuple(int(s) for s in stream))
+    """Generator for derivation path (seed, *stream); same path, same stream.
+    A negative seed wraps modulo 2^64."""
+    ss = np.random.SeedSequence(entropy=whole(seed, "seed", minimum=None) & (2**64 - 1),
+                                spawn_key=tuple(whole(s, "stream", minimum=0) for s in stream))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -49,9 +50,7 @@ def bernoulli(rng: np.random.Generator, p: float, shape) -> np.ndarray:
     256 p - k, which is exact in float64, so P(1) = p to float64 rounding.
     When 256 p is whole they are 0, and no float is drawn.
     """
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"probability must lie in [0, 1], got {p}")
+    p = within(p, "probability", 0.0, 1.0)
     size = int(np.prod(shape, dtype=np.int64))
     k = int(256.0 * p)
     tie_p = 256.0 * p - k
@@ -66,8 +65,7 @@ def bernoulli(rng: np.random.Generator, p: float, shape) -> np.ndarray:
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    if dim < 1:
-        raise DimensionError("dim must be positive")
+    dim = whole(dim, "dim", error=DimensionError)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     # fix the phase ambiguity of QR so the distribution is Haar
@@ -77,9 +75,8 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
     """Mixed state from a normalized complex Wishart matrix."""
-    rank = dim if rank is None else int(rank)
-    if rank < 1:
-        raise DimensionError("rank must be positive")
+    dim = whole(dim, "dim", error=DimensionError)
+    rank = whole(dim if rank is None else rank, "rank", error=DimensionError)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
@@ -93,8 +90,7 @@ def random_projective_povm(dim: int, outcomes: int,
     Columns of a Haar unitary are dealt to outcomes as evenly as possible with
     a random rotation and shuffle; when dim < outcomes some elements are zero.
     """
-    if outcomes < 1:
-        raise DimensionError("outcomes must be positive")
+    outcomes = whole(outcomes, "outcomes", error=DimensionError)
     u = haar_unitary(dim, rng)
     slots = (np.arange(dim) + rng.integers(outcomes)) % outcomes
     rng.shuffle(slots)
@@ -107,8 +103,8 @@ def random_projective_povm(dim: int, outcomes: int,
 
 def random_povm(dim: int, outcomes: int, rng: np.random.Generator) -> list[np.ndarray]:
     """General (non-projective) POVM: random PSD blocks whitened to sum to 1."""
-    if outcomes < 1:
-        raise DimensionError("outcomes must be positive")
+    dim = whole(dim, "dim", error=DimensionError)
+    outcomes = whole(outcomes, "outcomes", error=DimensionError)
     blocks = []
     for _ in range(outcomes):
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

@@ -25,8 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .bounds import _positive_int
-from .errors import DimensionError, DomainError, ValidationError, require_bytes
+from .errors import DimensionError, ValidationError, require_bytes, whole, within
 from .games import (MonogamyGame, Strategy, _trace_out_entries, _win_operator_sum_entries,
                     _win_terms_bytes, conditional_stack, constant_guess_povms,
                     win_operator_sum, win_terms_from_states, winning_probability)
@@ -49,10 +48,11 @@ class SeesawConfig:
     restarts: int = 20
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise DomainError("tol must be positive")
+        object.__setattr__(self, "tol", within(self.tol, "tol", 0.0, math.inf,
+                                               lo_open=True, hi_open=True))
+        object.__setattr__(self, "seed", whole(self.seed, "seed", minimum=None))
         for name in ("max_iters", "bob_dim", "charlie_dim", "restarts"):
-            object.__setattr__(self, name, _positive_int(getattr(self, name), name))
+            object.__setattr__(self, name, whole(getattr(self, name), name))
 
 
 class RestartSummary(NamedTuple):

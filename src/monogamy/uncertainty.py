@@ -20,6 +20,7 @@ and the conditioned-security comparison of two CQ states, :func:`secdef_gap`.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -28,11 +29,21 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import linalg
-from .bounds import _positive_int
-from .errors import DimensionError, DomainError, ValidationError
+from .errors import DimensionError, DomainError, ValidationError, whole, within
 from .games import MonogamyGame, conditional_stack, overlap
 
 WEIGHT_ATOL = 1e-9
+
+
+def _distribution(weights, what: str) -> np.ndarray:
+    """`weights` as a float array, clipped at 0, once they sum to 1 within
+    WEIGHT_ATOL and none is below -WEIGHT_ATOL; nan fails both."""
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    if not abs(w.sum() - 1.0) <= WEIGHT_ATOL:
+        raise ValidationError(f"{what}s sum to {w.sum()}, expected 1")
+    if not w.min() >= -WEIGHT_ATOL:
+        raise ValidationError(f"negative {what} {w.min()}")
+    return np.clip(w, 0.0, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,14 +65,9 @@ class CqEnsemble:
         object.__setattr__(self, "alphabet", tuple(str(x) for x in self.alphabet))
         if len(set(self.alphabet)) != len(self.alphabet) or not self.alphabet:
             raise ValidationError("alphabet labels must be non-empty and distinct")
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        if w.shape[0] != len(self.alphabet):
+        if np.size(self.weights) != len(self.alphabet):
             raise DimensionError("one weight per alphabet symbol required")
-        if w.min() < -WEIGHT_ATOL:
-            raise ValidationError(f"negative weight {w.min()}")
-        if abs(w.sum() - 1.0) > WEIGHT_ATOL:
-            raise ValidationError(f"weights sum to {w.sum()}, expected 1")
-        w = np.clip(w, 0.0, None)
+        w = _distribution(self.weights, "weight")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         conds = self.conditionals
@@ -301,13 +307,9 @@ def min_entropy_bracket(ensembles: Mapping, theta_weights: Mapping) -> tuple[flo
     if set(theta_weights) != set(ensembles):
         raise ValidationError(f"basis weights cover {sorted(theta_weights, key=str)}, "
                               f"expected {sorted(ensembles, key=str)}")
-    weights = {k: float(theta_weights[k]) for k in ensembles}
-    if min(weights.values(), default=0.0) < 0.0:
-        raise ValidationError(f"negative basis weight {min(weights.values())}")
-    total_w = sum(weights.values())
-    if abs(total_w - 1.0) > WEIGHT_ATOL:
-        raise ValidationError(f"basis weights sum to {total_w}, expected 1")
-    avg = sum(weights[k] * guessing_probability(e)[0] for k, e in ensembles.items())
+    weights = _distribution([theta_weights[k] for k in ensembles], "basis weight")
+    avg = sum(w * guessing_probability(e)[0]
+              for w, e in zip(weights.tolist(), ensembles.values()))
     upper = -math.log2(avg)
     exact = all(len(e.alphabet) == 2 for e in ensembles.values())
     return (upper if exact else 0.0), upper
@@ -321,9 +323,7 @@ def post_measurement_state(rho_abc, dims: Sequence[int], f0, f1):
     CqEnsemble of outcome weights and normalized conditional states.
     Zero-weight outcomes get the maximally mixed conditional.
     """
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3:
-        raise DimensionError("expected three subsystem dimensions")
+    dims = linalg.dimensions(dims, 3)
     rho = linalg.require_density(rho_abc, "rho_abc")
     da, db, dc = dims
     if rho.shape[0] != da * db * dc:
@@ -363,10 +363,7 @@ class UrReport:
     satisfied: bool
 
     def to_dict(self) -> dict:
-        return {"c": self.c, "pguess_b": self.pguess_b, "pguess_c": self.pguess_c,
-                "sum": self.sum, "bound": self.bound, "hmin_b": self.hmin_b,
-                "hmin_c": self.hmin_c, "entropy_bound": self.entropy_bound,
-                "satisfied": self.satisfied}
+        return dataclasses.asdict(self)
 
 
 def ur_bound_n(c: float, n: int) -> float:
@@ -375,10 +372,7 @@ def ur_bound_n(c: float, n: int) -> float:
     Tends to 2 as n grows for c < 1: even over many rounds the relation only
     guarantees a constant amount of uncertainty.
     """
-    c = float(c)
-    if not 0.0 < c <= 1.0:
-        raise DomainError(f"overlap c must lie in (0, 1], got {c}")
-    n = _positive_int(n)
+    c, n = within(c, "overlap c", 0.0, 1.0, lo_open=True), whole(n)
     return -2.0 * math.log2((1.0 + math.sqrt(c**n)) / 2.0)
 
 
@@ -388,7 +382,7 @@ def check_uncertainty_relation(rho_abc, dims: Sequence[int], f0, f1) -> UrReport
     if len(list(f0)) != 2 or len(list(f1)) != 2:
         raise DomainError("exact evaluation requires binary-outcome POVMs")
     b_ens, c_ens = post_measurement_state(rho_abc, dims, f0, f1)
-    c = overlap(MonogamyGame(int(dims[0]), ("0", "1"), ("0", "1"), {"0": f0, "1": f1}))
+    c = overlap(MonogamyGame(dims[0], ("0", "1"), ("0", "1"), {"0": f0, "1": f1}))
     pg_b, pg_c = (sum(0.5 * guessing_probability(ens[t])[0] for t in (0, 1))
                   for ens in (b_ens, c_ens))
     total = pg_b + pg_c

@@ -187,7 +187,8 @@ SWEEP_HEADERS = {
                "gamma_prime"],
     "qkd-keylen": ["n", "t", "s", "gamma", "epsilon", "delta_target", "feasible", "ell",
                    "rate", "delta", "note"],
-    "posver": ["n", "d", "bound", "vacuous"],
+    # with --rate, whose rows give log2 d; with --d they give d in its place
+    "posver": ["n", "log2_d", "bound", "vacuous"],
 }
 
 
@@ -321,6 +322,55 @@ def test_posver_bound_refuses_a_negative_rate(capsys):
     assert code == 2
     assert out == ""
     assert "--rate" in err
+
+
+KEYLEN = ("qkd-keylen", "--n", "100", "--gamma", "0.01", "--epsilon", "0.05")
+
+
+@pytest.mark.parametrize("argv, code, name", [
+    pytest.param(("qkd-sim", "--n", "64", "--t", "16", "--gamma", "0.05", "--epsilon", "nan",
+                  "--trials", "10"), 1, "epsilon", id="qkd-sim-epsilon-nan"),
+    pytest.param(("seesaw", "--tol", "nan", "--restarts", "1", "--max-iters", "3"), 1, "tol",
+                 id="seesaw-tol-nan"),
+    pytest.param((*KEYLEN, "--t", "10", "--delta-target", "nan"), 1, "delta_target",
+                 id="qkd-keylen-delta-target-nan"),
+    *(pytest.param((*KEYLEN, "--t", t, "--delta-target", "1e-3"), 2, "--t",
+                   id=f"qkd-keylen-t-{t}")
+      for t in ("frac:abc", "pow:x", "frac:", "frac:nan", "pow:inf", "frac:-inf")),
+    pytest.param((*KEYLEN, "--t", "pow:400", "--delta-target", "1e-3"), 1, "--t",
+                 id="qkd-keylen-t-past-the-float-range"),
+    *(pytest.param(("posver", "bound", "--n", "3", "--rate", rate), 2, "--rate",
+                   id=f"posver-bound-rate-{rate}") for rate in ("nan", "inf", "1e308")),
+])
+def test_a_nan_inf_or_malformed_number_is_refused(capsys, argv, code, name):
+    # each of these once exited 0, failed naming no option, or ended in a traceback
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert name in err
+
+
+def test_posver_bound_with_a_rate_gives_log2_d_and_never_builds_d(capsys):
+    # 2^20000 once failed to print, past Python's 4300-digit limit
+    code, out, err = run(capsys, "posver", "bound", "--rate", "0.2", "--n",
+                         "20000..100000..20000", "--format", "json", "--deterministic")
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["result"]
+    assert [(r["n"], r["log2_d"]) for r in rows] == [(n, n // 5) for n in
+                                                     range(20000, 100001, 20000)]
+    assert "d" not in rows[-1] and rows[-1]["bound"] == 0.0 and not rows[-1]["vacuous"]
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_an_infeasible_key_length_row_gives_a_null_delta(capsys):
+    code, out, _ = run(capsys, "qkd-keylen", "--n", "100..200..100", "--t", "10", "--gamma",
+                       "0.01", "--epsilon", "0.05", "--delta-target", "1e-3", "--format",
+                       "json", "--deterministic")
+    assert code == 0
+    rows = json.loads(out, parse_constant=_no_constant)["result"]
+    assert [(r["feasible"], r["rate"], r["delta"]) for r in rows] == [(False, None, None)] * 2
 
 
 def test_ur_check_random(capsys):
