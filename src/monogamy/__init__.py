@@ -51,7 +51,7 @@ _EXPORTS = {name: module for module, names in [
              "max_key_length", "noise_threshold", "run_eqkd_trials", "security_delta",
              "simulate_eqkd", "toeplitz_hash")),
     ("posver", ("TimingScenario", "entangled_soundness_bound", "max_entanglement_rate",
-                "noisy_soundness_bound", "simulate_pv_round", "simulate_pv_rounds",
+                "noisy_soundness_bound", "simulate_pv_rounds",
                 "soundness_bound")),
     ("seesaw", ("SeesawConfig", "SeesawResult", "bb84_optimal_unentangled_strategy",
                 "optimal_povm_step", "optimal_state_step", "seesaw")),

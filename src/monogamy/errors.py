@@ -67,9 +67,17 @@ def whole(n, name: str = "n", minimum: int | None = 1, error: type = DomainError
 
 def within(x, name: str, lo: float, hi: float, lo_open: bool = False,
            hi_open: bool = False) -> float:
-    """x as a float, once it lies between lo and hi, each end included unless
-    it is open; else DomainError.  nan lies in no interval."""
-    x = float(x)
+    """x as a float, once it is a real number of any numeric type and lies
+    between lo and hi, each end included unless it is open; else
+    DomainError.  A string is refused, never parsed, and nan lies in no
+    interval."""
+    try:
+        value = None if isinstance(x, (str, bytes)) else float(x)
+    except (TypeError, OverflowError):
+        value = None
+    if value is None:
+        raise DomainError(f"{name} must be a real number, got {x!r}")
+    x = value
     if not lo <= x <= hi or (lo_open and x == lo) or (hi_open and x == hi):
         raise DomainError(f"{name} must lie in {'[('[lo_open]}{lo:g}, {hi:g}{'])'[hi_open]}, "
                           f"got {x}")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError, whole
 from .games import MonogamyGame, Strategy, product_strategy
-from .posver import TimingScenario
+from .linalg import dimensions
 
 
 def matrix_to_json(m) -> dict[str, Any]:
@@ -102,12 +102,16 @@ def strategy_from_json(doc: Mapping[str, Any]) -> Strategy:
         raise ValidationError(f"strategy document missing field {exc}")
 
 
-def scenario_to_json(scenario: TimingScenario) -> dict[str, Any]:
+def scenario_to_json(scenario) -> dict[str, Any]:
     return {"kind": "scenario", "v0": scenario.v0, "v1": scenario.v1,
             "pos": scenario.pos}
 
 
-def scenario_from_json(doc: Mapping[str, Any]) -> TimingScenario:
+def scenario_from_json(doc: Mapping[str, Any]):
+    """The :class:`~monogamy.posver.TimingScenario` a scenario document
+    describes; posver is loaded only here, by the commands that read one."""
+    from .posver import TimingScenario
+
     try:
         return TimingScenario(v0=float(doc["v0"]), v1=float(doc["v1"]),
                               pos=float(doc["pos"]))
@@ -119,7 +123,7 @@ def ur_instance_from_json(doc: Mapping[str, Any]):
     """(rho_abc, dims, f0, f1) of an uncertainty-relation check instance."""
     try:
         rho = matrix_from_json(doc["rho_abc"])
-        dims = doc["dims"]
+        dims = dimensions(doc["dims"], 3)
         f0 = [matrix_from_json(e) for e in doc["f0"]]
         f1 = [matrix_from_json(e) for e in doc["f1"]]
     except KeyError as exc:
@@ -141,9 +145,13 @@ def load_fixture(path) -> tuple[str, Any]:
 
     The kind comes from the "kind" field; a bare matrix document is accepted
     without one.  Raises ValidationError (or a subclass of ValueError) when
-    the document is malformed or violates an invariant.
+    the file cannot be read, or the document is malformed or violates an
+    invariant.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read the file ({exc.strerror or exc})")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -37,8 +37,8 @@ from .errors import (DimensionError, DomainError, ValidationError, require_bytes
 POVM_COMPLETENESS_ATOL = 1e-8
 
 # Bytes held per n-round basis by its terms as an array and a list
-# (tracemalloc: 40 B), and keyed by label as well (151 B).
-_TERM_BYTES, _LABELED_TERM_BYTES = 48, 160
+# (tracemalloc: 40 B).
+_TERM_BYTES = 48
 
 
 def _validate_povm(elements: np.ndarray, label: str) -> None:
@@ -124,10 +124,6 @@ class MonogamyGame:
         """The n-round basis labels, built on each access."""
         sep = "" if all(len(t) == 1 for t in self.thetas) else ","
         return tuple(sep.join(ts) for ts in itertools.product(self.thetas, repeat=self.rounds))
-
-    def element(self, theta: str, outcome: str) -> np.ndarray:
-        """F_x^theta of one round."""
-        return self.elements[self.thetas.index(theta), self.outcomes.index(outcome)]
 
     def __reduce__(self):
         return MonogamyGame, (self.dim_a, self.thetas, self.outcomes, self.elements,
@@ -464,24 +460,18 @@ def _win_operator_sum_entries(game: MonogamyGame, db: int, dc: int) -> int:
     return max(a + b for a, b in zip(held[1:], held[2:] + [0]))
 
 
-def _basis_terms(game: MonogamyGame, strategy: Strategy, entry_bytes: int) -> np.ndarray:
-    """tr(Pi^theta rho) for every n-round basis in `game.basis_labels` order,
-    charged `entry_bytes` each; a product's are the kron of its round's."""
+def _basis_terms(game: MonogamyGame, strategy: Strategy) -> np.ndarray:
+    """tr(Pi^theta rho) for every n-round basis in `game.basis_labels` order;
+    a product's are the kron of its round's."""
     one, bob, charlie = _aligned(game, strategy)
-    require_bytes(entry_bytes * len(game.thetas)**game.rounds, "the per-basis terms")
+    require_bytes(_TERM_BYTES * len(game.thetas)**game.rounds, "the per-basis terms")
     terms = win_terms(one, bob, charlie, strategy.rho_abc)
     return functools.reduce(np.kron, [terms] * strategy.rounds)
 
 
-def per_theta_win_terms(game: MonogamyGame, strategy: Strategy) -> dict[str, float]:
-    """tr(Pi^theta rho) for every basis; the winning probability is their mean."""
-    terms = _basis_terms(game, strategy, _LABELED_TERM_BYTES)
-    return dict(zip(game.basis_labels, terms.tolist()))
-
-
 def winning_probability(game: MonogamyGame, strategy: Strategy) -> float:
     """Probability that both parties guess Alice's outcome, basis uniform."""
-    terms = _basis_terms(game, strategy, _TERM_BYTES)
+    terms = _basis_terms(game, strategy)
     return float(sum(terms.tolist()) / len(terms))
 
 
@@ -522,12 +512,6 @@ class QSet:
 
     def __len__(self) -> int:
         return len(self.bob) * len(self.charlie) if self.product else len(self.bob)
-
-
-def identity_q_set(size: int) -> QSet:
-    """The plain win condition over `size` outcome strings, as a Q-set."""
-    rows = np.arange(whole(size, "size", error=ValidationError))[None]
-    return QSet(rows, rows)
 
 
 def winning_probability_with_q(game: MonogamyGame, strategy: Strategy, q: QSet) -> float:

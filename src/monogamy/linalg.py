@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for states, POVMs and operator-norm bounds.
+"""Dense complex linear algebra for states and POVMs.
 
 Matrices are plain complex ``numpy`` arrays.  Conventions fixed once and used
 everywhere:
@@ -11,9 +11,9 @@ everywhere:
 * one predicate, :func:`hermitian_psd`, decides Hermiticity (entrywise within
   ``HERMITIAN_ATOL``) and positive semi-definiteness (eigenvalue floor
   ``PSD_EIG_FLOOR``) for a single matrix or a (..., d, d) stack; with the
-  unit-trace test (``TRACE_ATOL``) it backs ``is_hermitian``, ``is_psd``,
-  ``is_density`` and ``require_density``, and properties are always checked
-  by it, never assumed,
+  unit-trace test (``TRACE_ATOL``) it backs ``is_density`` and
+  ``require_density``, and properties are always checked by it, never
+  assumed,
 * no function mutates its inputs.  The predicates read ndarray input in
   place, without a copy; an object that keeps a checked array keeps a
   read-only copy of it made by :func:`frozen`.
@@ -102,14 +102,6 @@ def _unit_trace(a: np.ndarray) -> np.ndarray:
     return np.abs(np.trace(a, axis1=-2, axis2=-1) - 1.0) <= TRACE_ATOL
 
 
-def is_hermitian(m) -> bool:
-    return bool(hermitian_psd(m, psd=False).all())
-
-
-def is_psd(m) -> bool:
-    return bool(hermitian_psd(m).all())
-
-
 def is_density(m) -> bool:
     """PSD with unit trace, for a matrix or every matrix of a stack."""
     a = _numeric(m)
@@ -128,18 +120,6 @@ def require_density(m, what: str = "state") -> np.ndarray:
     return a
 
 
-def schatten_inf_norm(m) -> float:
-    """Largest singular value.
-
-    For Hermitian PSD input this coincides with the largest eigenvalue.
-    Computed as sqrt of the top eigenvalue of M^dagger M, clipped at zero.
-    """
-    m = require_square(m)
-    gram = m.conj().T @ m
-    top = float(np.linalg.eigvalsh(hermitianize(gram))[-1])
-    return float(np.sqrt(max(top, 0.0)))
-
-
 def psd_sqrt(a) -> np.ndarray:
     """Hermitian PSD square root via eigendecomposition.
 
@@ -149,7 +129,7 @@ def psd_sqrt(a) -> np.ndarray:
     the floor raises NotPsdError.
     """
     a = require_square(a)
-    if not is_hermitian(a):
+    if not hermitian_psd(a, psd=False):
         raise ValidationError("psd_sqrt requires Hermitian input")
     if np.max(np.abs(a @ a - a)) <= 1e-12:
         return a
@@ -230,45 +210,3 @@ def permutation_rows(a) -> bool:
     a = np.asarray(a)
     return (a.ndim == 2 and a.size > 0
             and bool((np.sort(a, axis=1) == np.arange(a.shape[1])).all()))
-
-
-def cyclic_permutations(n: int) -> np.ndarray:
-    """The n cyclic shifts of [0..n-1] as rows; a mutually orthogonal
-    permutation set."""
-    n = whole(n, error=DimensionError)
-    return (np.arange(n)[:, None] + np.arange(n)) % n
-
-
-def kittaneh_sum_bound(ops: Sequence[np.ndarray],
-                       perms: Sequence[Sequence[int]]) -> tuple[float, float]:
-    """Operator-sum norm bound from pairwise square-root products.
-
-    For PSD A_1..A_N and N mutually orthogonal permutations pi^k of [N],
-    returns (lhs, rhs) with
-
-        lhs = || sum_i A_i ||,    rhs = sum_k max_i || sqrt(A_i) sqrt(A_{pi^k(i)}) ||.
-
-    The inequality lhs <= rhs is the caller's to assert.
-    """
-    if not ops:
-        raise DimensionError("need at least one operator")
-    mats = [require_square(a) for a in ops]
-    dim = mats[0].shape[0]
-    for a in mats:
-        if a.shape[0] != dim:
-            raise DimensionError("all operators must share one dimension")
-        if not is_psd(a):
-            raise NotPsdError("operators must be Hermitian PSD")
-    n = len(mats)
-    perms = np.asarray(perms)
-    if perms.shape != (n, n) or not permutation_rows(perms):
-        raise ValidationError(f"need {n} permutations of 0..{n - 1}, got {perms.tolist()}")
-    # two permutations agree at a point exactly when a column repeats a value
-    if not permutation_rows(perms.T):
-        raise ValidationError("the permutations are not mutually orthogonal")
-    roots = [psd_sqrt(a) for a in mats]
-    lhs = schatten_inf_norm(sum(mats))
-    rhs = 0.0
-    for p in perms.astype(int):
-        rhs += max(schatten_inf_norm(roots[i] @ roots[p[i]]) for i in range(n))
-    return lhs, rhs

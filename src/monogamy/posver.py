@@ -98,18 +98,6 @@ class TimingScenario:
         return float(position)
 
 
-@dataclass(frozen=True)
-class PvRound:
-    n: int
-    x: np.ndarray
-    theta: np.ndarray
-    x0_prime: np.ndarray
-    x1_prime: np.ndarray
-    timing_ok_v0: bool
-    timing_ok_v1: bool
-    accepted: bool
-
-
 class HonestProver:
     """Prover at the claimed position measuring in the announced basis:
     responses are exact and on schedule.
@@ -196,37 +184,19 @@ def _check_n(n: int, rounds: int) -> int:
     return n
 
 
-def _bits(words: np.ndarray, rounds: int) -> np.ndarray:
-    """The 0/1 uint8 bits of the first `rounds` rounds of packed words,
-    along the last axis."""
-    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=-1,
-                         count=rounds, bitorder="little")
-
-
-def _sample_batch(n: int, prover, rounds: int, rng: np.random.Generator):
-    """`rounds` rounds of n qubits, bit-packed and qubit-major: challenges x,
-    bases theta and the prover's two responses as (n, ceil(rounds / 64))
-    uint64 words, row q for qubit q and bit j of word w for round 64 w + j;
-    and per round whether both responses equal x.  Bits past `rounds` are
-    drawn and answered but not counted."""
+def _sample_batch(n: int, prover, rounds: int, rng: np.random.Generator) -> np.ndarray:
+    """Per round of `rounds` rounds of n qubits, whether both of the prover's
+    responses equal the challenges.  Challenges x, bases theta and the
+    responses are bit-packed and qubit-major, (n, ceil(rounds / 64)) uint64
+    words, row q for qubit q and bit j of word w for round 64 w + j; bits
+    past `rounds` are drawn and answered but not counted."""
     words = -(-rounds // 64)
     x = _words(rng, n * words).reshape(n, words)
     theta = _words(rng, n * words).reshape(n, words)
     x0p, x1p = prover.respond_batch(x, theta, rng)
     wrong = np.bitwise_or.reduce((x0p ^ x) | (x1p ^ x), axis=0)
-    return x, theta, x0p, x1p, _bits(wrong, rounds) == 0
-
-
-def simulate_pv_round(scenario: TimingScenario, n: int, prover,
-                      seed: int = 0) -> PvRound:
-    """One verification round, batch 0 of :func:`simulate_pv_rounds` with one
-    round: challenge sampling, prover response, timing and correctness checks."""
-    n = _check_n(n, 1)
-    ok0, ok1 = prover.timing(scenario)
-    *packed, correct = _sample_batch(n, prover, 1, rng_for(seed, 0))
-    x, theta, x0p, x1p = (_bits(a, 1)[:, 0] for a in packed)
-    return PvRound(n=n, x=x, theta=theta, x0_prime=x0p, x1_prime=x1p, timing_ok_v0=ok0,
-                   timing_ok_v1=ok1, accepted=bool(ok0 and ok1 and correct[0]))
+    return np.unpackbits(wrong.astype("<u8", copy=False).view(np.uint8), count=rounds,
+                         bitorder="little") == 0
 
 
 def simulate_pv_rounds(scenario: TimingScenario, n: int, prover, trials: int,
@@ -240,7 +210,7 @@ def simulate_pv_rounds(scenario: TimingScenario, n: int, prover, trials: int,
     # a prover the timing check rejects is accepted in no round, so none is drawn
     for batch_index, done in enumerate(range(0, trials if ok0 and ok1 else 0, _ROUND_BATCH)):
         nb = min(_ROUND_BATCH, trials - done)
-        accepted += int(np.sum(_sample_batch(n, prover, nb, rng_for(seed, batch_index))[-1]))
+        accepted += int(np.sum(_sample_batch(n, prover, nb, rng_for(seed, batch_index))))
     return {
         "trials": trials,
         "seed": seed,

@@ -36,6 +36,9 @@ from .uncertainty import minimum_error_povm
 # the most bytes one block of restarts may hold; a block runs as many
 # restarts at once as fit, and at least one
 _BLOCK_BYTES = 2**24
+# bytes a restart's summary holds until the search returns: at one restart
+# a block, tracemalloc's peak on bb84 grows 0.55-0.81 KiB a restart
+_SUMMARY_BYTES = 1024
 
 
 @dataclass(frozen=True)
@@ -281,14 +284,16 @@ def _block_size(game: MonogamyGame, cfg: SeesawConfig) -> int:
 def _search_bytes(game: MonogamyGame, cfg: SeesawConfig) -> int:
     """Peak bytes of a search: one block of restarts, and beside it the best
     restart's strategy and a stopping restart's, each a state and its party
-    stacks, and the final evaluation, which holds the conditional states
-    of every basis (tracemalloc, one restart of two cycles at dims 1/1:
-    0.72 MiB of 1.22 MiB charged at bb84^6, 2.81 of 4.38 MiB at bb84^7)."""
+    stacks, the final evaluation, which holds the conditional states of
+    every basis (tracemalloc, one restart of two cycles at dims 1/1: 0.72
+    MiB of 1.22 MiB charged at bb84^6, 2.81 of 4.38 MiB at bb84^7), and
+    every restart's summary."""
     d = game.alice_dim * cfg.bob_dim * cfg.charlie_dim
     stacks = (len(game.thetas) * len(game.outcomes))**game.rounds * \
         (cfg.bob_dim**2 + cfg.charlie_dim**2)
     return (_block_size(game, cfg) * _restart_bytes(game, cfg)
-            + 16 * 2 * (d * d + stacks) + _win_terms_bytes(game, d * d))
+            + 16 * 2 * (d * d + stacks) + _win_terms_bytes(game, d * d)
+            + _SUMMARY_BYTES * cfg.restarts)
 
 
 def seesaw(game: MonogamyGame, cfg: SeesawConfig, init_povms=None) -> SeesawResult:

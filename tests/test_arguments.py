@@ -55,10 +55,8 @@ COUNTS = {
                                ["n", "q"], DomainError),
     "hamming_q_set": (lambda n=2: games.hamming_q_set(n, 0.5, 0.5), ["n"], DomainError),
     "same_string_q_set": (lambda n=2: games.same_string_q_set(n, 0.5), ["n"], DomainError),
-    "identity_q_set": (lambda size=2: games.identity_q_set(size), ["size"], ValidationError),
     "partial_trace": (lambda d=2, keep=2: linalg.partial_trace(np.eye(4) / 4, (d, 2, 1), [keep]),
                       ["d", "keep"], DimensionError),
-    "cyclic_permutations": (lambda n=3: linalg.cyclic_permutations(n), ["n"], DimensionError),
     "rng_for": (lambda seed=0, stream=1: rand.rng_for(seed, stream), ["seed", "stream"],
                 DomainError),
     "haar_unitary": (lambda dim=2: rand.haar_unitary(dim, rand.rng_for(0)), ["dim"],
@@ -75,8 +73,6 @@ COUNTS = {
     "entangled_soundness_bound_log2": (lambda n=2, log2_d=1:
                                        posver.entangled_soundness_bound_log2(n, log2_d),
                                        ["n", "log2_d"], DomainError),
-    "simulate_pv_round": (lambda n=2, seed=0: posver.simulate_pv_round(
-        SCENARIO, n, posver.HonestProver(), seed), ["n", "seed"], DomainError),
     "simulate_pv_rounds": (lambda n=2, trials=10, seed=0: posver.simulate_pv_rounds(
         SCENARIO, n, posver.HonestProver(), trials, seed), ["n", "trials", "seed"],
                            DomainError),
@@ -112,9 +108,9 @@ REFUSED_BEFORE = {
         ("game_power", "n"), ("product_strategy", "n"), ("xor_permutation_family", "n"),
         ("xor_permutation_family", "q"), ("hamming_q_set", "n"), ("same_string_q_set", "n"),
         ("soundness_bound", "n"), ("entangled_soundness_bound", "n"),
-        ("entangled_soundness_bound", "d"), ("simulate_pv_round", "n"),
-        ("simulate_pv_rounds", "n"), ("simulate_pv_rounds", "trials"), ("QkdParams", "n"),
-        ("QkdParams", "t"), ("QkdParams", "s"), ("QkdParams", "ell"), ("toeplitz_hash", "ell"),
+        ("entangled_soundness_bound", "d"), ("simulate_pv_rounds", "n"),
+        ("simulate_pv_rounds", "trials"), ("QkdParams", "n"), ("QkdParams", "t"),
+        ("QkdParams", "s"), ("QkdParams", "ell"), ("toeplitz_hash", "ell"),
         ("LinearCode", "length"), ("LinearCode", "syndrome_bits"), ("run_eqkd_trials", "trials"),
         ("SeesawConfig", "max_iters"), ("SeesawConfig", "bob_dim"),
         ("SeesawConfig", "charlie_dim"), ("SeesawConfig", "restarts"), ("ur_bound_n", "n"),
@@ -180,6 +176,19 @@ def test_whole_returns_a_python_int_and_names_the_rule():
             whole(value, "k", minimum)
     with pytest.raises(DimensionError):
         whole(0, error=DimensionError)
+
+
+@pytest.mark.parametrize("value", ["0.5", b"0.5", None, [0.5], 10**400],
+                         ids=["str", "bytes", "None", "list", "past-the-float-range"])
+def test_within_refuses_what_is_not_a_real_number(value):
+    # a string once passed, to fail later in a TypeError
+    with pytest.raises(DomainError, match="x must be a real number"):
+        within(value, "x", 0.0, math.inf)
+
+
+def test_a_string_gamma_is_refused_by_the_one_check():
+    with pytest.raises(DomainError, match="gamma must be a real number"):
+        games.hamming_q_set(2, "0.5", 0.5)
 
 
 def test_within_returns_a_float_and_keeps_its_open_ends():

@@ -6,13 +6,21 @@ import csv
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from monogamy.bounds import BB84_ROUND_VALUE
 from monogamy.cli import dispatch
+from monogamy.errors import MEMORY_BUDGET
 from monogamy.fixtures import game_to_json, matrix_to_json
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -506,3 +514,62 @@ def test_ur_check_fixture_file(tmp_path, capsys):
     assert code == 0
     result = json.loads(out)["result"][0]
     assert result["satisfied"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ("seesaw", "--game", "{missing}"),
+    ("posver", "simulate", "--scenario", "{missing}"),
+    ("ur-check", "{missing}"),
+    ("fixtures", "validate", "{missing}"),
+    ("seesaw", "--game", "{directory}"),
+], ids=["seesaw", "posver-simulate", "ur-check", "fixtures-validate", "seesaw-directory"])
+def test_a_fixture_path_that_cannot_be_read_exits_1_with_one_line(tmp_path, capsys, argv):
+    # each once ended in a FileNotFoundError or IsADirectoryError traceback
+    paths = {"missing": str(tmp_path / "missing.json"), "directory": str(tmp_path)}
+    argv = [arg.format(**paths) for arg in argv]
+    code, out, err = run(capsys, *argv, "--deterministic")
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    path = argv[-1]
+    if argv[0] == "fixtures":
+        row = json.loads(out)["result"][0]
+        assert row["ok"] is False and row["error"].startswith(f"{path}: cannot read")
+    else:
+        assert out == ""
+        assert f"{path}: cannot read the file" in err
+
+
+@pytest.mark.parametrize("dims", [[2.5, 2, 2], [-1, 2, 2], [2, 2]])
+def test_an_ur_instance_with_bad_dims_is_invalid(tmp_path, capsys, dims):
+    # [2.5, 2, 2] and [-1, 2, 2] were once reported valid
+    doc = {"kind": "ur_instance", "dims": dims,
+           "rho_abc": matrix_to_json(np.eye(8) / 8),
+           "f0": [matrix_to_json(np.eye(2))], "f1": [matrix_to_json(np.eye(2))]}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "fixtures", "validate", str(path), "--deterministic")
+    assert code == 1
+    row = json.loads(out)["result"][0]
+    assert row["ok"] is False and "subsystem dimension" in row["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("seesaw", "--restarts", "1000000000", "--max-iters", "1"),
+    ("bounds", "--n", "1..100000000"),
+    ("qkd-keylen", "--n", "1..100000000", "--t", "1", "--gamma", "0.01", "--epsilon", "0.05",
+     "--delta-target", "1e-3"),
+    ("posver", "bound", "--n", "1..100000000", "--format", "json"),
+], ids=["seesaw-restarts", "bounds", "qkd-keylen", "posver-bound"])
+def test_an_oversized_request_is_refused_before_it_allocates(argv):
+    # a child whose address space ends 1 GiB past the memory budget: the
+    # per-restart summaries and the listed range once ended in MemoryError
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BUDGET + 2**30,) * 2)
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "monogamy.cli", *argv], capture_output=True,
+                          text=True, timeout=120, preexec_fn=limit, env=env)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "over the memory budget" in proc.stderr

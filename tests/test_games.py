@@ -13,19 +13,18 @@ from monogamy import games, linalg
 from monogamy.bounds import (BB84_ROUND_VALUE, bb84_parallel_value, binary_entropy,
                              imperfect_guessing_bound)
 from monogamy.errors import DimensionError, DomainError, ValidationError
-from monogamy.games import (MonogamyGame, QSet, Strategy, bb84_game, conditional_stack,
-                            conditional_states, constant_guess_povms, game_power,
-                            hamming_q_set, identity_q_set, maximally_entangled_density,
-                            overlap, per_theta_win_terms, power_elements, product_strategy,
-                            pure_strategy, same_string_q_set, win_operator, win_operator_sum,
-                            win_terms, winning_probability, winning_probability_with_q,
+from monogamy.games import (MonogamyGame, QSet, Strategy, _basis_terms, bb84_game,
+                            conditional_stack, conditional_states, constant_guess_povms,
+                            game_power, hamming_q_set, maximally_entangled_density, overlap,
+                            power_elements, product_strategy, pure_strategy,
+                            same_string_q_set, win_operator, win_operator_sum, win_terms,
+                            winning_probability, winning_probability_with_q,
                             xor_permutation_family)
-from monogamy.posver import (BreidbartPair, TimingScenario, simulate_pv_round,
-                             simulate_pv_rounds)
+from monogamy.posver import BreidbartPair, TimingScenario, simulate_pv_rounds
 from monogamy.rand import random_density, random_projective_povm
 from monogamy.seesaw import bb84_optimal_unentangled_strategy
 
-from conftest import basis_factors, dense_product, reorder_systems
+from conftest import basis_factors, dense_product, reorder_systems, schatten_inf_norm
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -47,8 +46,8 @@ def random_strategy(game, d_b, d_c, rng) -> Strategy:
 
 def test_bb84_elements():
     g = bb84_game()
-    np.testing.assert_array_equal(g.element("0", "0"), KET0)
-    np.testing.assert_array_equal(g.element("1", "0"), PLUS)
+    np.testing.assert_array_equal(g.povms["0"][0], KET0)
+    np.testing.assert_array_equal(g.povms["1"][0], PLUS)
 
 
 def test_bb84_povm_completeness():
@@ -133,7 +132,7 @@ def test_game_does_not_alias_label_keyed_input():
     g = MonogamyGame(dim_a=2, thetas=("0",), outcomes=("0", "1"),
                      povms={"0": (ket0, np.eye(2) - ket0)})
     ket0[0, 0] = 0.0
-    np.testing.assert_array_equal(g.element("0", "0"), KET0)
+    np.testing.assert_array_equal(g.povms["0"][0], KET0)
 
 
 def test_game_keeps_a_handed_over_frozen_stack():
@@ -244,8 +243,8 @@ def test_entangled_bob_with_constant_charlie_is_exactly_half():
 def test_per_theta_terms_sum_to_winning_probability(rng):
     g = bb84_game()
     s = random_strategy(g, 2, 2, rng)
-    terms = per_theta_win_terms(g, s)
-    assert sum(terms.values()) / 2 == pytest.approx(winning_probability(g, s),
+    terms = _basis_terms(g, s)
+    assert sum(terms.tolist()) / 2 == pytest.approx(winning_probability(g, s),
                                                     abs=1e-12)
 
 
@@ -258,7 +257,7 @@ def test_winning_probability_bounded_by_operator_norm(rng):
             total = sum(win_operator(g, s.bob, s.charlie, i)
                         for i in range(len(g.basis_labels)))
             assert 0.0 <= value <= 1.0 + 1e-12
-            assert value <= linalg.schatten_inf_norm(total) / 2**n + 1e-9
+            assert value <= schatten_inf_norm(total) / 2**n + 1e-9
 
 
 def _three_basis_qutrit_game(rng) -> MonogamyGame:
@@ -291,7 +290,7 @@ def test_averaged_win_operator_norm_at_most_one(rng):
         s = random_strategy(g, 2, 3, rng)
         total = sum(win_operator(g, s.bob, s.charlie, i)
                     for i in range(len(g.thetas)))
-        assert linalg.schatten_inf_norm(total) / len(g.thetas) <= 1.0 + 1e-10
+        assert schatten_inf_norm(total) / len(g.thetas) <= 1.0 + 1e-10
 
 
 def test_strategy_shape_mismatch_is_rejected(rng):
@@ -312,7 +311,7 @@ def test_cross_term_norm_bound(rng):
                    for i, t in enumerate(g.basis_labels)}
             for ta, tb in itertools.combinations(g.basis_labels, 2):
                 t_dist = sum(a != b for a, b in zip(ta, tb))
-                norm = linalg.schatten_inf_norm(ops[ta] @ ops[tb])
+                norm = schatten_inf_norm(ops[ta] @ ops[tb])
                 assert norm <= 2.0 ** (-t_dist / 2) + 1e-8
 
 
@@ -363,7 +362,7 @@ def test_a_reordered_strategy_is_evaluated_as_the_per_basis_loop(rng):
     shuffled = Strategy(s.rho_abc, s.dims, s.bob[order], s.charlie[order],
                         [g.basis_labels[i] for i in order])
     assert shuffled.thetas != g.basis_labels
-    terms = list(per_theta_win_terms(g, shuffled).values())
+    terms = _basis_terms(g, shuffled).tolist()
     assert np.array_equal(terms, _per_basis_terms(g, s.bob, s.charlie, s.rho_abc))
 
 
@@ -395,7 +394,8 @@ def q_pairs(q: QSet) -> list[tuple[np.ndarray, np.ndarray]]:
 def test_identity_q_set_reduces_to_plain_value(rng):
     g = bb84_game()
     s = random_strategy(g, 2, 2, rng)
-    q = identity_q_set(len(g.outcomes))
+    rows = np.arange(len(g.outcomes))[None]
+    q = QSet(rows, rows)
     assert winning_probability_with_q(g, s, q) == \
         pytest.approx(winning_probability(g, s), abs=1e-12)
 
@@ -607,8 +607,9 @@ def test_product_strategy_refuses_other_q_sets():
     guess = constant_guess_povms(g.thetas, g.outcomes, "0")
     s = product_strategy(Strategy(np.eye(1), (1, 1, 1), guess, dict(guess)), 2)
     assert winning_probability(game_power(g, 2), s) == pytest.approx(1 / 9, abs=1e-15)
+    rows = np.arange(9)[None]
     with pytest.raises(DomainError, match="XOR shifts"):
-        winning_probability_with_q(game_power(g, 2), s, identity_q_set(9))
+        winning_probability_with_q(game_power(g, 2), s, QSet(rows, rows))
     # a Q-set as wide as another round count, and a game of other rounds
     with pytest.raises(DomainError, match="XOR shifts"):
         winning_probability_with_q(g2, s2, hamming_q_set(3, 0.0, 0.0))
@@ -626,7 +627,6 @@ def test_round_counts_must_be_positive_integers(n):
 
 @pytest.mark.parametrize("call", [
     lambda n: simulate_pv_rounds(TimingScenario(0.0, 2.0, 1.0), n, BreidbartPair(), 10),
-    lambda n: simulate_pv_round(TimingScenario(0.0, 2.0, 1.0), n, BreidbartPair()),
     lambda n: hamming_q_set(n, 0.5, 0.5),
     lambda n: same_string_q_set(n, 0.5),
     lambda n: xor_permutation_family(n, 2),
@@ -715,7 +715,7 @@ def test_strategy_basis_order_does_not_change_its_value(rng):
     flipped = Strategy(s.rho_abc, s.dims, {t: s.bob_povms[t] for t in order},
                        {t: s.charlie_povms[t] for t in order})
     assert flipped.thetas == order
-    assert per_theta_win_terms(g, flipped) == per_theta_win_terms(g, s)
+    assert np.array_equal(_basis_terms(g, flipped), _basis_terms(g, s))
     assert winning_probability(g, flipped) == winning_probability(g, s)
     q = hamming_q_set(2, 0.5, 0.5)
     assert winning_probability_with_q(g, flipped, q) == \

@@ -32,8 +32,7 @@ EXPORTED = {
             "max_key_length", "noise_threshold", "run_eqkd_trials", "security_delta",
             "simulate_eqkd", "toeplitz_hash"],
     "posver": ["TimingScenario", "entangled_soundness_bound", "max_entanglement_rate",
-               "noisy_soundness_bound", "simulate_pv_round", "simulate_pv_rounds",
-               "soundness_bound"],
+               "noisy_soundness_bound", "simulate_pv_rounds", "soundness_bound"],
     "seesaw": ["SeesawConfig", "SeesawResult", "bb84_optimal_unentangled_strategy",
                "optimal_povm_step", "optimal_state_step", "seesaw"],
     "uncertainty": ["CqEnsemble", "UrReport", "check_uncertainty_relation",
@@ -72,6 +71,18 @@ def test_posver_simulate_loads_only_its_own_modules():
     assert "monogamy.posver" in loaded
     for name in ("games", "seesaw", "qkd", "uncertainty", "linalg", "fixtures"):
         assert f"monogamy.{name}" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["seesaw", "--game", "bb84", "--n", "2", "--bob-dim", "4", "--charlie-dim", "4",
+     "--restarts", "4", "--seed", "0", "--deterministic"],
+    ["ur-check", "--random", "1", "--deterministic"],
+], ids=["benchmark-seesaw", "ur-check-random"])
+def test_a_command_without_timing_or_keys_loads_neither_posver_nor_qkd(argv):
+    # fixtures once imported posver at module level, for its scenario type
+    loaded = loaded_after(f"from monogamy.cli import dispatch\ndispatch({argv!r})")
+    assert "monogamy.fixtures" in loaded
+    assert not {"monogamy.posver", "monogamy.qkd"} & loaded
 
 
 QKD_SIM = ("from monogamy.cli import dispatch\n"

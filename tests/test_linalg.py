@@ -1,4 +1,4 @@
-"""Core linear algebra: norms, square roots, partial traces, norm inequalities."""
+"""Core linear algebra: square roots, trace distance, partial traces, predicates."""
 
 from __future__ import annotations
 
@@ -18,37 +18,6 @@ KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-# ---------------------------------------------------------------------------
-# schatten_inf_norm
-
-
-def test_norm_of_real_diagonal():
-    assert linalg.schatten_inf_norm(np.diag([3.0, -5.0])) == 5.0
-
-
-def test_norm_of_identity():
-    for d in (1, 2, 7):
-        assert linalg.schatten_inf_norm(np.eye(d)) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_norm_of_nilpotent_block():
-    # singular values of [[0,1],[0,0]] are (1, 0): M^dag M = diag(0, 1)
-    m = np.array([[0, 1], [0, 0]], dtype=complex)
-    assert linalg.schatten_inf_norm(m) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_norm_rejects_non_square():
-    with pytest.raises(DimensionError):
-        linalg.schatten_inf_norm(np.ones((2, 3)))
-
-
-def test_norm_matches_top_eigenvalue_on_psd(rng):
-    for _ in range(25):
-        a = random_psd(5, rng)
-        top = np.linalg.eigvalsh(a)[-1]
-        assert linalg.schatten_inf_norm(a) == pytest.approx(top, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +41,7 @@ def test_sqrt_squares_back(rng):
     for _ in range(30):
         a = random_psd(6, rng, rank=rng.integers(1, 7))
         s = linalg.psd_sqrt(a)
-        assert linalg.is_psd(s)
+        assert linalg.hermitian_psd(s).all()
         assert np.max(np.abs(s @ s - a)) <= 1e-8
 
 
@@ -229,94 +198,14 @@ def test_overlap_of_orthogonal_projectors():
 
 
 # ---------------------------------------------------------------------------
-# norm monotonicity: A^dag A >= B^dag B implies ||AL|| >= ||BL||
-
-
-def test_norm_monotonicity_under_contraction(rng):
-    for _ in range(50):
-        d = int(rng.integers(2, 6))
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        scale = rng.uniform(0.0, 1.0)
-        b = scale * a
-        ell = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        assert linalg.schatten_inf_norm(a @ ell) >= \
-            linalg.schatten_inf_norm(b @ ell) - 1e-9
-
-
-# ---------------------------------------------------------------------------
-# kittaneh_sum_bound
-
-
-def test_sum_bound_single_operator(rng):
-    a = random_psd(4, rng)
-    lhs, rhs = linalg.kittaneh_sum_bound([a], [(0,)])
-    assert lhs == pytest.approx(rhs, rel=1e-12)
-    assert lhs == pytest.approx(linalg.schatten_inf_norm(a), rel=1e-12)
-
-
-def test_sum_bound_equality_for_identical_identities():
-    perms = linalg.cyclic_permutations(2)
-    lhs, rhs = linalg.kittaneh_sum_bound([np.eye(2), np.eye(2)], perms)
-    assert lhs == pytest.approx(2.0, abs=1e-12)
-    assert rhs == pytest.approx(2.0, abs=1e-12)
-
-
-def test_sum_bound_equality_for_unbiased_projectors():
-    # ||KET0 + PLUS|| = 1 + 1/sqrt(2): eigenvalues of the sum are 1 +- 1/sqrt(2)
-    lhs, rhs = linalg.kittaneh_sum_bound([KET0, PLUS], linalg.cyclic_permutations(2))
-    assert lhs == pytest.approx(1.0 + INV_SQRT2, abs=1e-12)
-    assert rhs == pytest.approx(1.0 + INV_SQRT2, abs=1e-12)
-
-
-def test_sum_bound_on_random_tuples(rng):
-    for _ in range(60):
-        n = int(rng.integers(2, 5))
-        dim = int(rng.integers(2, 9))
-        ops = [random_psd(dim, rng, rank=int(rng.integers(1, dim + 1)))
-               for _ in range(n)]
-        lhs, rhs = linalg.kittaneh_sum_bound(ops, linalg.cyclic_permutations(n))
-        assert lhs <= rhs + 1e-9
-
-
-def test_two_operator_special_case(rng):
-    # ||A1 + A2|| <= max(||A1||, ||A2||) + ||sqrt(A1) sqrt(A2)||
-    for _ in range(50):
-        dim = int(rng.integers(2, 7))
-        a1 = random_psd(dim, rng)
-        a2 = random_psd(dim, rng)
-        lhs = linalg.schatten_inf_norm(a1 + a2)
-        cross = linalg.schatten_inf_norm(linalg.psd_sqrt(a1) @ linalg.psd_sqrt(a2))
-        bound = max(linalg.schatten_inf_norm(a1), linalg.schatten_inf_norm(a2)) + cross
-        assert lhs <= bound + 1e-9
-
-
-def test_sum_bound_rejects_non_orthogonal_permutations(rng):
-    ops = [random_psd(3, rng) for _ in range(2)]
-    with pytest.raises(ValidationError):
-        linalg.kittaneh_sum_bound(ops, [(0, 1), (0, 1)])
-
-
-def test_sum_bound_rejects_wrong_permutation_count(rng):
-    ops = [random_psd(3, rng) for _ in range(2)]
-    with pytest.raises(ValidationError):
-        linalg.kittaneh_sum_bound(ops, [(0, 1)])
-
-
-def test_sum_bound_rejects_non_psd():
-    bad = np.diag([1.0, -1.0])
-    with pytest.raises(NotPsdError):
-        linalg.kittaneh_sum_bound([bad, np.eye(2)], linalg.cyclic_permutations(2))
-
-
-# ---------------------------------------------------------------------------
 # predicates
 
 
 def test_hermitian_and_psd_predicates(rng):
-    assert linalg.is_hermitian(PLUS)
-    assert not linalg.is_hermitian(np.array([[0, 1], [0, 0]]))
-    assert linalg.is_psd(PLUS)
-    assert not linalg.is_psd(np.diag([1.0, -1.0]))
+    assert linalg.hermitian_psd(PLUS, psd=False).all()
+    assert not linalg.hermitian_psd(np.array([[0, 1], [0, 0]]), psd=False).all()
+    assert linalg.hermitian_psd(PLUS).all()
+    assert not linalg.hermitian_psd(np.diag([1.0, -1.0])).all()
     assert linalg.is_density(np.eye(2) / 2)
     assert not linalg.is_density(np.eye(2))
 
@@ -333,16 +222,16 @@ def test_predicate_checks_each_matrix_of_a_stack():
     stack = np.array([PLUS, np.diag([1.0, -1.0]), np.array([[0, 1], [0, 0]])], dtype=complex)
     np.testing.assert_array_equal(linalg.hermitian_psd(stack, psd=False), [True, True, False])
     np.testing.assert_array_equal(linalg.hermitian_psd(stack[:2]), [True, False])
-    assert not linalg.is_hermitian(np.ones((2, 3)))
+    assert not linalg.hermitian_psd(np.ones((2, 3)), psd=False).all()
     with pytest.raises(DimensionError):
-        linalg.is_psd(np.ones(3))
+        linalg.hermitian_psd(np.ones(3))
 
 
 def test_predicates_read_their_input_in_place(rng):
     rho = random_density(4, rng)
     before = rho.copy()
     assert linalg.require_density(rho) is rho
-    assert linalg.is_density(rho) and linalg.is_hermitian(rho)
+    assert linalg.is_density(rho) and linalg.hermitian_psd(rho, psd=False).all()
     np.testing.assert_array_equal(rho, before)
     assert rho.flags.writeable
 

@@ -12,8 +12,8 @@ from monogamy.errors import CapacityError, DomainError, ValidationError
 from monogamy.posver import (BREIDBART_SUCCESS, BreidbartPair, HonestProver,
                              SingleAdversary, TimingScenario,
                              entangled_soundness_bound, max_entanglement_rate,
-                             noisy_soundness_bound, simulate_pv_round,
-                             simulate_pv_rounds, soundness_bound)
+                             _sample_batch, noisy_soundness_bound, simulate_pv_rounds,
+                             soundness_bound)
 from monogamy.qkd import noise_threshold
 from monogamy.rand import _words, bernoulli, rng_for
 
@@ -137,44 +137,55 @@ def test_adversary_outside_segment_rejected():
         SingleAdversary(2.5).timing(SCENARIO)
 
 
+def _one_round(prover, n: int, seed: int):
+    """Bit 0 of the challenges x, bases theta and the two responses of
+    ``simulate_pv_rounds(..., n, prover, trials=1, seed=seed)``: the same
+    draws from rng_for(seed, 0), in the same order."""
+    rng = rng_for(seed, 0)
+    x, theta = (_words(rng, n).reshape(n, 1) for _ in range(2))
+    return tuple(a[:, 0] & 1 for a in (x, theta, *prover.respond_batch(x, theta, rng)))
+
+
 def test_single_adversary_rejected_despite_perfect_guess():
     # waiting for both messages anywhere off the claimed position makes one
     # deadline unreachable, deterministically
     for q in (0.2, 0.6, 0.999, 1.001, 1.8):
-        round_ = simulate_pv_round(SCENARIO, 6, SingleAdversary(q), seed=5)
-        np.testing.assert_array_equal(round_.x0_prime, round_.x)
-        assert not round_.accepted
-        assert not (round_.timing_ok_v0 and round_.timing_ok_v1)
-    at_pos = simulate_pv_round(SCENARIO, 6, SingleAdversary(1.0), seed=5)
-    assert at_pos.accepted
+        x, _, x0p, _ = _one_round(SingleAdversary(q), 6, seed=5)
+        np.testing.assert_array_equal(x0p, x)
+        agg = simulate_pv_rounds(SCENARIO, 6, SingleAdversary(q), 1, seed=5)
+        assert agg["accepted"] == 0
+        assert not (agg["timing_ok_v0"] and agg["timing_ok_v1"])
+    at_pos = simulate_pv_rounds(SCENARIO, 6, SingleAdversary(1.0), 1, seed=5)
+    assert at_pos["accepted"] == 1
 
 
 def test_round_accept_consistency():
     for seed in range(10):
-        r = simulate_pv_round(SCENARIO, 4, BreidbartPair(), seed=seed)
-        manual = (r.timing_ok_v0 and r.timing_ok_v1
-                  and np.array_equal(r.x0_prime, r.x)
-                  and np.array_equal(r.x1_prime, r.x))
-        assert r.accepted == manual
+        agg = simulate_pv_rounds(SCENARIO, 4, BreidbartPair(), 1, seed=seed)
+        x, _, x0p, x1p = _one_round(BreidbartPair(), 4, seed)
+        manual = (agg["timing_ok_v0"] and agg["timing_ok_v1"]
+                  and np.array_equal(x0p, x) and np.array_equal(x1p, x))
+        assert agg["accepted"] == int(manual)
 
 
 def test_round_is_deterministic_per_seed():
-    a = simulate_pv_round(SCENARIO, 10, BreidbartPair(), seed=3)
-    b = simulate_pv_round(SCENARIO, 10, BreidbartPair(), seed=3)
-    np.testing.assert_array_equal(a.x, b.x)
-    np.testing.assert_array_equal(a.x0_prime, b.x0_prime)
+    a = _one_round(BreidbartPair(), 10, 3)
+    b = _one_round(BreidbartPair(), 10, 3)
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[2], b[2])
+    assert simulate_pv_rounds(SCENARIO, 10, BreidbartPair(), 1, seed=3) == \
+        simulate_pv_rounds(SCENARIO, 10, BreidbartPair(), 1, seed=3)
 
 
 def test_round_is_batch_zero_of_the_batched_simulation():
-    # the same draws as a one-trial batch: one word per qubit from
-    # rng_for(seed, 0), of which the round is bit 0
+    # the same draws as a batch of a whole word: one word per qubit from
+    # rng_for(seed, 0), of which the one trial is bit 0
     for seed in range(20):
-        r = simulate_pv_round(SCENARIO, 3, BreidbartPair(), seed=seed)
         agg = simulate_pv_rounds(SCENARIO, 3, BreidbartPair(), 1, seed=seed)
-        assert agg["accepted"] == int(r.accepted)
-        np.testing.assert_array_equal(r.x, _words(rng_for(seed, 0), 3) & 1)
-        assert r.x.shape == r.theta.shape == r.x0_prime.shape == (3,)
-        assert r.x.dtype == np.uint8
+        word = _sample_batch(3, BreidbartPair(), 64, rng_for(seed, 0))
+        assert agg["accepted"] == int(word[0])
+        np.testing.assert_array_equal(_one_round(BreidbartPair(), 3, seed)[0],
+                                      _words(rng_for(seed, 0), 3) & 1)
 
 
 def _unpacked_acceptances(n: int, trials: int, seed: int) -> int:

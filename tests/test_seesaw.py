@@ -12,7 +12,7 @@ from monogamy.games import (MonogamyGame, Strategy, bb84_game, game_power,
 from monogamy.seesaw import (SeesawConfig, bb84_optimal_unentangled_strategy,
                              optimal_povm_step, optimal_state_step, seesaw)
 
-from conftest import dense_product
+from conftest import dense_product, schatten_inf_norm
 
 
 def test_state_step_for_constant_guessers():
@@ -275,7 +275,6 @@ def test_optimal_unentangled_strategy_fields():
 def test_sandwich_between_search_and_norm_bound():
     # seesaw value <= closed form <= averaged-operator norm of the optimal
     # product strategy; all three agree at desk scale
-    from monogamy import linalg
     from monogamy.games import game_power, product_strategy, win_operator
     s1 = bb84_optimal_unentangled_strategy()
     for n in (1, 2):
@@ -283,7 +282,7 @@ def test_sandwich_between_search_and_norm_bound():
         sn = dense_product(g, product_strategy(s1, n))
         search = seesaw(g, SeesawConfig(seed=0, restarts=20)).value
         closed = bb84_parallel_value(n)
-        norm = linalg.schatten_inf_norm(
+        norm = schatten_inf_norm(
             sum(win_operator(g, sn.bob, sn.charlie, i)
                 for i in range(len(g.basis_labels)))) / 2**n
         assert search <= closed + 1e-9

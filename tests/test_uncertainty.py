@@ -262,7 +262,7 @@ def test_pgm_is_valid_povm(rng):
         total = sum(povm)
         np.testing.assert_allclose(total, np.eye(3), atol=1e-8)
         for m in povm:
-            assert linalg.is_psd(m)
+            assert linalg.hermitian_psd(m).all()
 
 
 def test_pgm_below_helstrom_on_random_binary(rng):
