@@ -87,8 +87,11 @@ def _emit(command: str, params: dict, result, output: str | None,
     if output is None or output == "-":
         click.echo(text, nl=not text.endswith("\n"))
     else:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"{output}: cannot write the output ({exc.strerror or exc})")
 
 
 def _output_options(command):

@@ -14,9 +14,9 @@ and the structured kinds wrap it:
 A game or strategy holds one round's arrays and the optional round count
 (default 1; written for a strategy only above 1); "theta_parts" is refused.
 
-Loading funnels everything through the package constructors, so structural
-validation and the physical invariants (POVM completeness, density checks)
-are enforced on the way in.
+Loading checks each field's JSON type, then funnels everything through the
+package constructors, so structural validation and the physical invariants
+(POVM completeness, density checks) are enforced on the way in.
 """
 
 from __future__ import annotations
@@ -54,13 +54,33 @@ def matrix_from_json(doc: Mapping[str, Any]) -> np.ndarray:
     return (re + 1j * im).reshape(rows, cols)
 
 
+# the JSON name of each type a parsed document holds
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
+def _field(doc: Mapping[str, Any], name: str, what: str, expected: type):
+    """doc[name], refused unless it is a JSON value of the `expected` type:
+    dict (an object), list (an array) or float (a number, whole or not)."""
+    value = doc[name]
+    if expected is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, expected)
+    if not ok:
+        raise ValidationError(f"{what} field {name!r} must be {_JSON_TYPES[expected]}, "
+                              f"not {_JSON_TYPES.get(type(value), type(value).__name__)}")
+    return value
+
+
 def _povms_to_json(povms) -> dict[str, list]:
     return {theta: [matrix_to_json(e) for e in elems] for theta, elems in povms.items()}
 
 
-def _povms_from_json(doc) -> dict[str, list[np.ndarray]]:
-    return {str(theta): [matrix_from_json(e) for e in elems]
-            for theta, elems in doc.items()}
+def _povms_from_json(doc: Mapping[str, Any], name: str, what: str) -> dict[str, list[np.ndarray]]:
+    povms = _field(doc, name, what, dict)
+    return {str(theta): [matrix_from_json(e) for e in _field(povms, theta, f"{what} {name}", list)]
+            for theta in povms}
 
 
 def game_to_json(game: MonogamyGame) -> dict[str, Any]:
@@ -75,9 +95,9 @@ def game_from_json(doc: Mapping[str, Any]) -> MonogamyGame:
                               'its "rounds"; "theta_parts" is not read')
     try:
         return MonogamyGame(dim_a=doc["dim_a"],
-                            thetas=tuple(doc["thetas"]),
-                            outcomes=tuple(doc["outcomes"]),
-                            povms=_povms_from_json(doc["povms"]),
+                            thetas=tuple(_field(doc, "thetas", "game", list)),
+                            outcomes=tuple(_field(doc, "outcomes", "game", list)),
+                            povms=_povms_from_json(doc, "povms", "game"),
                             rounds=doc.get("rounds", 1))
     except KeyError as exc:
         raise ValidationError(f"game document missing field {exc}")
@@ -94,9 +114,9 @@ def strategy_to_json(strategy: Strategy) -> dict[str, Any]:
 def strategy_from_json(doc: Mapping[str, Any]) -> Strategy:
     try:
         one = Strategy(rho_abc=matrix_from_json(doc["rho_abc"]),
-                       dims=doc["dims"],
-                       bob_povms=_povms_from_json(doc["bob_povms"]),
-                       charlie_povms=_povms_from_json(doc["charlie_povms"]))
+                       dims=_field(doc, "dims", "strategy", list),
+                       bob_povms=_povms_from_json(doc, "bob_povms", "strategy"),
+                       charlie_povms=_povms_from_json(doc, "charlie_povms", "strategy"))
         return product_strategy(one, doc.get("rounds", 1))
     except KeyError as exc:
         raise ValidationError(f"strategy document missing field {exc}")
@@ -113,8 +133,8 @@ def scenario_from_json(doc: Mapping[str, Any]):
     from .posver import TimingScenario
 
     try:
-        return TimingScenario(v0=float(doc["v0"]), v1=float(doc["v1"]),
-                              pos=float(doc["pos"]))
+        return TimingScenario(*(float(_field(doc, name, "scenario", float))
+                                for name in ("v0", "v1", "pos")))
     except KeyError as exc:
         raise ValidationError(f"scenario document missing field {exc}")
 
@@ -123,9 +143,9 @@ def ur_instance_from_json(doc: Mapping[str, Any]):
     """(rho_abc, dims, f0, f1) of an uncertainty-relation check instance."""
     try:
         rho = matrix_from_json(doc["rho_abc"])
-        dims = dimensions(doc["dims"], 3)
-        f0 = [matrix_from_json(e) for e in doc["f0"]]
-        f1 = [matrix_from_json(e) for e in doc["f1"]]
+        dims = dimensions(_field(doc, "dims", "ur_instance", list), 3)
+        f0, f1 = ([matrix_from_json(e) for e in _field(doc, name, "ur_instance", list)]
+                  for name in ("f0", "f1"))
     except KeyError as exc:
         raise ValidationError(f"ur_instance document missing field {exc}")
     return rho, dims, f0, f1

@@ -22,7 +22,7 @@ DimensionError.  This module's device is the classical noise model
 :class:`HonestNoisyDevice`; the exact quantum one is in
 :mod:`monogamy.quantum_device`.  The memory budget of :mod:`monogamy.errors`
 is the only bound on run sizes: one trial with t = 1 and s = ell = 0 is
-charged 29 bytes a round, up to 74,050,734 rounds.  An eavesdropper is never
+charged 21 bytes a round, up to 102,258,191 rounds.  An eavesdropper is never
 simulated; the delta formula is the security claim and is computed exactly.
 """
 
@@ -43,27 +43,37 @@ from .rand import bernoulli, random_bits, rng_for
 
 LOG2_INV_ROUND_VALUE = -math.log2(BB84_ROUND_VALUE)
 
-_TRIAL_BATCH = 4096
+# the bytes a trial batch takes to draw, and a block of its completed rows
+# to post-process
+_BATCH_BYTES = 2**21
 # the widest code chunk, and the most error patterns a leader table lists
 _CHUNK_LEN = 64
 _LEADER_PATTERNS = 2**16
-# the most bytes one block of completed rows takes to post-process
-_POST_BLOCK_BYTES = 2**22
 
-# Byte costs the memory predictions charge, from tracemalloc peaks: a trial
-# batch holds 20.0-20.1 B per (trial, round) entry plus 1 B per sampled round
-# while it draws (the sample order's float keys and argsort, the error flags)
-# and 11 B while its completed rows are post-processed, which takes 14 B per
-# completed row and key round beyond the hash; a Toeplitz hash takes 20-22 B
-# per output row and FFT point, plus its rounded window.
-_TRIAL_ENTRY_BYTES = 21
-_HELD_ENTRY_BYTES = 11
-_POST_ENTRY_BYTES = 14
+# Byte costs the memory predictions charge, from tracemalloc peaks at n >= 16:
+# a trial batch holds 8.0-9.2 B per (trial, round) entry while it draws (its
+# bits, the int32 rounds it shuffles and the sample mask; 11.0 B in a batch
+# of one row, whose unshuffled row is as large) and 4.0-4.1 B while its
+# completed rows are post-processed (its bits and the mask), which takes
+# 2.0-13.0 B per completed row and round beyond the hash, the most at
+# s = n - t (the float32 syndrome pass); a Toeplitz hash takes 20-22 B per
+# output row and FFT point, plus its rounded window.  A one-trial transcript
+# adds 9 B per sampled round (its int64 sample set and bits), within the
+# post-processing charge.  Below n = 16 a batch's per-row rates and flags
+# add up to 14 B per entry more, which no charge covers: at n = 2 a run
+# peaks at 3.7 MiB against 2.8 MiB predicted.
+_TRIAL_ENTRY_BYTES = 11
+_HELD_ENTRY_BYTES = 4
+_POST_ENTRY_BYTES = 13
 _HASH_NFFT_BYTES = 24
 _HASH_OUT_BYTES = 16
-# A code keeps 190-235 B per chunk and a leader table 16 B per syndrome;
-# building a table peaks 65 B per listed pattern above what it keeps.
+# A code keeps 190-235 B per chunk, 5 B per parity-matrix entry (uint8 and
+# float32), 8 B per input column and syndrome row of its shapes with syndrome
+# rows, and a leader table 16 B per syndrome; building a table peaks 65 B per
+# listed pattern above what it keeps.
 _CHUNK_BYTES = 256
+_PARITY_ENTRY_BYTES = 5
+_INDEX_BYTES = 8
 _LEADER_KEPT_BYTES = 16
 _LEADER_BUILD_BYTES = 72
 
@@ -312,16 +322,17 @@ class LinearCode:
     of one shape (width, rows) share one parity matrix, drawn from path
     (seed, code stream, k) with k counting the shapes in sorted order.
     `encode` and `decode` take (rows, length) arrays, a 1-D array being one
-    row; both run one matmul per chunk over the rows.  Decoding is syndrome
-    decoding with coset leaders (MacWilliams and Sloane 1977, ch. 1): each
-    shape's table lists the error patterns of weight 0, 1, 2, ... for as
-    many whole weights as fit in _LEADER_PATTERNS patterns (all of them for
-    chunks of 16 bits or less), and keeps per syndrome its leader, the
-    pattern of lowest weight, ties to the smallest bit string.  A chunk
-    whose syndrome differs from the given one by d is XOR-ed with the leader
-    of d, giving a nearest word with that syndrome among those the table
-    reaches; a d with no leader leaves the chunk as received.  Tables are
-    built on first use, and the memory budget bounds them at construction.
+    row; both run one matmul per chunk shape over the rows.  Decoding is
+    syndrome decoding with coset leaders (MacWilliams and Sloane 1977,
+    ch. 1): each shape's table lists the error patterns of weight 0, 1, 2,
+    ... for as many whole weights as fit in _LEADER_PATTERNS patterns (all
+    of them for chunks of 16 bits or less), and keeps per syndrome its
+    leader, the pattern of lowest weight, ties to the smallest bit string.
+    A chunk whose syndrome differs from the given one by d is XOR-ed with
+    the leader of d, giving a nearest word with that syndrome among those
+    the table reaches; a d with no leader leaves the chunk as received.
+    Tables are built on first use, and the memory budget bounds them at
+    construction.
     """
 
     def __init__(self, length: int, syndrome_bits: int, seed: int):
@@ -344,21 +355,37 @@ class LinearCode:
         self._h = {(width, rows): rng_for(self.seed, _CODE_STREAM, k).integers(
                        0, 2, size=(rows, width), dtype=np.uint8)
                    for k, (width, rows) in enumerate(shapes)}
+        # per shape with syndrome rows: H, its transpose in float32, and the
+        # input columns (chunks, width) and syndrome rows (chunks, rows) of
+        # its chunks; a shape without rows has no syndrome to compute
+        self._shapes = []
+        for (width, rows), h in self._h.items():
+            if rows:
+                firsts = np.array([(a, lo) for a, b, lo, hi in self._chunks
+                                   if (b - a, hi - lo) == (width, rows)])
+                self._shapes.append((h, h.T.astype(np.float32),
+                                     firsts[:, :1] + np.arange(width),
+                                     firsts[:, 1:] + np.arange(rows)))
         self._leaders: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
-    def _chunk_syndromes(self, bits: np.ndarray):
-        """(start, stop, first row, stop row, H, syndrome bits) of each chunk of
-        the rows of `bits`; uint8 sums of at most 64 bits keep their parity."""
-        for a, b, lo, hi in self._chunks:
-            h = self._h[b - a, hi - lo]
-            yield a, b, lo, hi, h, (bits[:, a:b] @ h.T) & 1
+    def _shape_syndromes(self, bits: np.ndarray):
+        """(H, input columns, syndrome rows, syndrome bits) of each chunk shape
+        with syndrome rows, the bits as (rows of `bits`, chunks, rows of H):
+        one float32 matmul per shape, whose sums of at most 64 bits are
+        exact, so their parity is too."""
+        for h, h_t, columns, syndrome_rows in self._shapes:
+            sums = bits[:, columns].astype(np.float32).reshape(-1, h.shape[1]) @ h_t
+            syn = sums.astype(np.uint8).reshape(len(bits), *syndrome_rows.shape)
+            del sums
+            syn &= 1
+            yield h, columns, syndrome_rows, syn
 
     def encode(self, x) -> np.ndarray:
         """The syndrome of each row of x."""
         rows, lead = _bit_rows(x, self.length, "input")
         out = np.empty((len(rows), self.syndrome_bits), dtype=np.uint8)
-        for _, _, lo, hi, _, syn in self._chunk_syndromes(rows):
-            out[:, lo:hi] = syn
+        for _, _, syndrome_rows, syn in self._shape_syndromes(rows):
+            out[:, syndrome_rows] = syn
         return out.reshape(lead + (self.syndrome_bits,))
 
     def _leader_table(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -394,21 +421,22 @@ class LinearCode:
         if lead != syndrome_lead:
             raise DimensionError(f"{lead} received rows but {syndrome_lead} syndromes")
         out = received.copy()
-        for a, b, lo, hi, h, syn in self._chunk_syndromes(received):
-            diff = syn ^ syndrome[:, lo:hi]
-            wrong = np.flatnonzero(diff.any(axis=1))
-            if wrong.size:
+        for h, columns, syndrome_rows, syn in self._shape_syndromes(received):
+            diff = syn ^ syndrome[:, syndrome_rows]
+            row, chunk = np.nonzero(diff.any(axis=2))
+            if row.size:
                 table, leaders = self._leader_table(h)
-                d = _pack(diff[wrong])
+                d = _pack(diff[row, chunk])
                 at = np.minimum(np.searchsorted(table, d), table.size - 1)
                 error = np.where(table[at] == d, leaders[at], np.uint64(0))
-                out[wrong, a:b] ^= _int_to_bits(error, b - a)
+                out[row[:, None], columns[chunk]] ^= _int_to_bits(error, h.shape[1])
         return out.reshape(lead + (self.length,))
 
 
 def _code_bytes(length: int, rows: int) -> int:
     """Peak bytes of a :class:`LinearCode` of `rows` syndrome bits with every
-    leader table built: the chunk bookkeeping, at most three parity matrices,
+    leader table built: the chunk bookkeeping, at most three parity matrices
+    in uint8 and float32, the column and syndrome-row indices of the chunks,
     and the tables of at most two row counts among the full chunks and one
     short last chunk, with the construction of the largest."""
     if length == 0:
@@ -417,7 +445,8 @@ def _code_bytes(length: int, rows: int) -> int:
     chunks = full + (rest > 0)
     listed = [_leader_reach(_CHUNK_LEN)[1]] * min(full, 2) + [_leader_reach(rest)[1]] * (rest > 0)
     leaders = _LEADER_KEPT_BYTES * sum(listed) + _LEADER_BUILD_BYTES * max(listed) if rows else 0
-    return chunks * _CHUNK_BYTES + 3 * _CHUNK_LEN**2 + leaders
+    index = _INDEX_BYTES * (length + rows) if rows else 0
+    return chunks * _CHUNK_BYTES + 3 * _PARITY_ENTRY_BYTES * _CHUNK_LEN**2 + index + leaders
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +500,7 @@ def _admit_run(params: QkdParams, batch_rows: int, what: str) -> None:
     block_rows, row_bytes = _post_rows(params)
     entries = batch_rows * params.n
     require_bytes(_code_bytes(params.n - params.t, params.s)
-                  + max(_TRIAL_ENTRY_BYTES * entries + batch_rows * params.t,
+                  + max(_TRIAL_ENTRY_BYTES * entries,
                         _HELD_ENTRY_BYTES * entries + min(block_rows, batch_rows) * row_bytes),
                   what)
 
@@ -484,11 +513,29 @@ _Batch = namedtuple("_Batch", "theta x y sample aborted violated completed")
 
 def _post_rows(params: QkdParams) -> tuple[int, int]:
     """(completed rows per post-processing block, bytes per row): the block
-    holds its rows' key-round indices, bits, corrected bits and hash seeds,
-    and hashes the sent and the corrected bits of each row in one call."""
+    gathers its rows' key rounds through the sample mask, holds their bits,
+    syndromes, corrected bits and hash seeds, and hashes the sent and the
+    corrected bits of each row in one call."""
     length = params.n - params.t
-    per_row = _POST_ENTRY_BYTES * length + _hash_bytes(length, params.ell, 2)
-    return max(1, _POST_BLOCK_BYTES // per_row), per_row
+    per_row = _POST_ENTRY_BYTES * params.n + _hash_bytes(length, params.ell, 2)
+    return max(1, _BATCH_BYTES // per_row), per_row
+
+
+def _batch_rows(n: int) -> int:
+    """Trials per batch: as many rows of n rounds as draw within _BATCH_BYTES."""
+    return max(1, _BATCH_BYTES // (n * _TRIAL_ENTRY_BYTES))
+
+
+def _sample_mask(rng: np.random.Generator, shape: tuple[int, int], t: int) -> np.ndarray:
+    """A bool mask of `shape` that marks each row's sample set: the first t
+    of its rounds after an exact Fisher-Yates shuffle of the row (Durstenfeld,
+    CACM 7, 420, 1964)."""
+    order = np.empty(shape, dtype=np.int32)
+    order[:] = np.arange(shape[1], dtype=np.int32)
+    rng.permuted(order, axis=1, out=order)
+    mask = np.zeros(shape, dtype=bool)
+    np.put_along_axis(mask, order[:, :t], True, axis=1)
+    return mask
 
 
 def _trial_batch(params: QkdParams, device, code: LinearCode, seed: int,
@@ -498,8 +545,9 @@ def _trial_batch(params: QkdParams, device, code: LinearCode, seed: int,
     block of rows at a time, with one encode, decode and hash call per
     block.  The basis strings come from path (seed, round stream, index);
     the batch generator (seed, batch stream, index) feeds the device, then
-    the sample order, then each block's hash seeds, one row per completed
-    row, in row order."""
+    the sample sets, then each block's hash seeds, one row per completed
+    row, in row order.  A row's key rounds are the rounds outside its
+    sample set, in ascending order."""
     shape = (size, params.n)
     theta = random_bits(rng_for(seed, _ROUND_STREAM, index), shape)
     rng = rng_for(seed, _BATCH_STREAM, index)
@@ -507,23 +555,25 @@ def _trial_batch(params: QkdParams, device, code: LinearCode, seed: int,
     if np.shape(x) != shape or np.shape(y) != shape:
         raise DimensionError(f"device output shapes {np.shape(x)}, {np.shape(y)} != {shape}")
     x, y = (_as_bits(bits) for bits in (x, y))
-    order = np.argsort(rng.random(shape), axis=1)
-    sample = np.sort(order[:, :params.t], axis=1)
-    rest = np.sort(order[:, params.t:], axis=1)
+    sample = _sample_mask(rng, shape, params.t)
     diff = x != y
-    d_sample = np.take_along_axis(diff, sample, axis=1).mean(axis=1)
+    d_sample = np.count_nonzero(diff & sample, axis=1) / params.t
     aborted = d_sample > params.gamma
 
     def completed():
         done = np.flatnonzero(~aborted)
         step = _post_rows(params)[0]
-        seed_bits = rest.shape[1] + params.ell - 1
+        key_shape = (-1, params.n - params.t)
+        seed_bits = params.n - params.t + params.ell - 1
         for lo in range(0, done.size, step):
             rows = done[lo:lo + step]
-            key_rounds = (rows[:, None], rest[rows])
-            x_rest = x[key_rounds]
+            key_rounds = ~sample[rows]
+            x_rest = x[rows][key_rounds].reshape(key_shape)
+            y_rest = y[rows][key_rounds].reshape(key_shape)
+            del key_rounds
             syndrome = code.encode(x_rest)
-            x_hat = code.decode(y[key_rounds], syndrome)
+            x_hat = code.decode(y_rest, syndrome)
+            del y_rest
             hash_seed = random_bits(rng, (rows.size, seed_bits))
             key, key_hat = toeplitz_hash(hash_seed, np.stack([x_rest, x_hat]), params.ell)
             yield _Completed(x_rest, x_hat, syndrome, hash_seed, key, key_hat)
@@ -539,11 +589,11 @@ def simulate_eqkd(params: QkdParams, device, seed: int = 0) -> ProtocolTranscrip
     batch = _trial_batch(params, device, LinearCode(params.n - params.t, params.s, seed=seed),
                          seed, 0, 1)
     done = next(batch.completed, None)  # None: the run aborted
-    batch.completed.close()  # drops the key-round indices before the transcript
+    batch.completed.close()  # drops the block's arrays before the transcript
+    sample_set = np.flatnonzero(batch.sample[0])
     return ProtocolTranscript(
         seed=seed, params=params, theta=batch.theta[0], x=batch.x[0], y=batch.y[0],
-        sample_set=batch.sample[0], x_sample=batch.x[0, batch.sample[0]],
-        aborted=done is None,
+        sample_set=sample_set, x_sample=batch.x[0, sample_set], aborted=done is None,
         **{name: None if done is None else getattr(done, name)[0]
            for name in ("syndrome", "hash_seed", "key", "key_hat")})
 
@@ -557,13 +607,12 @@ def run_eqkd_trials(params: QkdParams, device, trials: int, seed: int = 0) -> di
     leader).  Hoeffding violations count trials whose full error rate
     exceeds the sampled rate by more than epsilon."""
     trials = whole(trials, "trials")
-    _admit_run(params, min(_TRIAL_BATCH, trials),
-               f"run_eqkd_trials(n={params.n}, trials={trials})")
+    step = min(_batch_rows(params.n), trials)
+    _admit_run(params, step, f"run_eqkd_trials(n={params.n}, trials={trials})")
     code = LinearCode(params.n - params.t, params.s, seed=seed)
     aborts = completed = key_matches = decode_failures = unresolved = violations = 0
-    for index, start in enumerate(range(0, trials, _TRIAL_BATCH)):
-        batch = _trial_batch(params, device, code, seed, index,
-                             min(_TRIAL_BATCH, trials - start))
+    for index, start in enumerate(range(0, trials, step)):
+        batch = _trial_batch(params, device, code, seed, index, min(step, trials - start))
         aborts += int(batch.aborted.sum())
         violations += int(batch.violated.sum())
         for done in batch.completed:
@@ -571,6 +620,7 @@ def run_eqkd_trials(params: QkdParams, device, trials: int, seed: int = 0) -> di
             decode_failures += int((done.x_hat != done.x_rest).any(axis=1).sum())
             unresolved += int((code.encode(done.x_hat) != done.syndrome).any(axis=1).sum())
             key_matches += int((done.key == done.key_hat).all(axis=1).sum())
+        del batch  # its arrays go before the next batch draws
     return {
         "trials": trials,
         "seed": seed,

@@ -438,6 +438,37 @@ def test_output_file_option(tmp_path, capsys):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (("bounds", "--n", "1..3"), "No such file or directory"),
+    (("qkd-sim", "--n", "64", "--t", "16", "--gamma", "0.05", "--trials", "10"),
+     "Is a directory")])
+def test_an_output_path_that_cannot_be_opened_exits_1_with_one_line(tmp_path, capsys, argv,
+                                                                     reason):
+    target = tmp_path / "missing" / "rows.csv" if argv[0] == "bounds" else tmp_path
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert code == 1
+    assert out == ""
+    assert err == f"monogamy: error: {target}: cannot write the output ({reason})\n"
+
+
+@pytest.mark.parametrize("command", [("seesaw", "--game"), ("fixtures", "validate")])
+@pytest.mark.parametrize("field, message", [
+    ("povms", "game field 'povms' must be an object, not a number"),
+    ("thetas", "game field 'thetas' must be an array, not a number")])
+def test_a_game_field_of_the_wrong_json_type_exits_1_naming_it(tmp_path, capsys, command,
+                                                               field, message):
+    from monogamy.games import bb84_game
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({**game_to_json(bb84_game()), field: 5}))
+    code, out, err = run(capsys, *command, str(path), "--deterministic")
+    assert code == 1
+    if command[0] == "fixtures":
+        assert json.loads(out)["result"][0]["error"] == message
+        assert err == "monogamy: error: 1 of 1 fixture(s) invalid\n"
+    else:
+        assert err == f"monogamy: error: {message}\n"
+
+
 def test_seesaw_loads_game_fixture(tmp_path, capsys):
     from monogamy.games import bb84_game
     path = tmp_path / "game.json"

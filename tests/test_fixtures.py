@@ -130,3 +130,46 @@ def test_load_fixture_rejects_bad_documents(tmp_path):
     broken.write_text(json.dumps(doc))
     with pytest.raises(ValidationError):
         load_fixture(broken)
+
+
+def _documents():
+    """One valid document of each structured kind."""
+    from monogamy.fixtures import _povms_to_json
+    g = bb84_game()
+    return {
+        "game": game_to_json(g),
+        "strategy": strategy_to_json(bb84_optimal_unentangled_strategy()),
+        "scenario": scenario_to_json(TimingScenario(v0=-1.0, v1=3.0, pos=0.5)),
+        "ur_instance": {"kind": "ur_instance", "dims": [2, 1, 1],
+                        "rho_abc": matrix_to_json(np.eye(2) / 2),
+                        "f0": _povms_to_json({"0": list(g.elements[0])})["0"],
+                        "f1": _povms_to_json({"1": list(g.elements[1])})["1"]},
+    }
+
+
+@pytest.mark.parametrize("kind, field, value, expected", [
+    ("game", "thetas", 5, "an array"), ("game", "outcomes", None, "an array"),
+    ("game", "povms", 5, "an object"), ("game", "povms", [], "an object"),
+    ("strategy", "dims", 2.5, "an array"), ("strategy", "bob_povms", "x", "an object"),
+    ("strategy", "charlie_povms", True, "an object"),
+    ("scenario", "v0", [1.0], "a number"), ("scenario", "pos", True, "a number"),
+    ("scenario", "v1", "3", "a number"),
+    ("ur_instance", "dims", 5, "an array"), ("ur_instance", "f0", {}, "an array")])
+def test_a_field_of_the_wrong_json_type_is_refused_by_name(tmp_path, kind, field, value,
+                                                           expected):
+    docs = _documents()
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(docs[kind]))
+    assert load_fixture(path)[0] == kind
+    path.write_text(json.dumps({**docs[kind], field: value}))
+    with pytest.raises(ValidationError, match=f"{kind} field '{field}' must be {expected}"):
+        load_fixture(path)
+
+
+def test_a_basis_of_a_povm_map_that_is_not_an_array_is_refused_by_name(tmp_path):
+    doc = game_to_json(bb84_game())
+    doc["povms"]["1"] = 5
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="game povms field '1' must be an array"):
+        load_fixture(path)
