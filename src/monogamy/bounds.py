@@ -34,12 +34,15 @@ def binary_entropy(p: float) -> float:
 
 
 def _pow2(exponent: float) -> float:
-    """2^exponent as a float: inf from 2^1024 up, 0.0 from 2^-1074 down."""
+    """2^exponent as a float never below it: inf from 2^1024 up; below
+    2^-1022, where floats are subnormal, rounded up to the next float; and
+    the smallest positive float, never 0.0, from 2^-1074 down."""
     if exponent >= 1024.0:
         return math.inf
     if exponent <= -1074.0:
-        return 0.0
-    return 2.0**exponent
+        return math.ulp(0.0)
+    value = 2.0**exponent
+    return value if value >= sys.float_info.min else math.nextafter(value, math.inf)
 
 
 def _scaled_power(factor, base: float, n: int) -> float:
@@ -64,8 +67,9 @@ def _family_inputs(c: float, theta_count: int, n: int) -> tuple[float, int, int]
 
 
 def bb84_parallel_value(n: int) -> float:
-    """Exact optimal n-round BB84 game value: BB84_ROUND_VALUE ** n."""
-    return BB84_ROUND_VALUE**whole(n)
+    """Exact optimal n-round BB84 game value: BB84_ROUND_VALUE ** n, never
+    rounded to 0 (see :func:`_scaled_power`)."""
+    return _scaled_power(1, BB84_ROUND_VALUE, whole(n))
 
 
 def general_upper_bound(c: float, theta_count: int, q_cardinality: int, n: int) -> float:

@@ -27,6 +27,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from typing import Sequence
@@ -94,11 +95,28 @@ def _emit(command: str, params: dict, result, output: str | None,
             raise ValidationError(f"{output}: cannot write the output ({exc.strerror or exc})")
 
 
+def _writable(ctx, param, output: str | None) -> str | None:
+    """`output`, once a file can be opened for writing there, checked as the
+    options are parsed, before any work.  An existing file is opened to
+    append, so it keeps its contents if the command fails; a new one is
+    removed again."""
+    if output is None or output == "-":
+        return output
+    existed = os.path.lexists(output)
+    try:
+        open(output, "a").close()
+    except OSError as exc:
+        raise ValidationError(f"{output}: cannot write the output ({exc.strerror or exc})")
+    if not existed:
+        os.remove(output)
+    return output
+
+
 def _output_options(command):
     """The `--output` and `--deterministic` options every command takes."""
     command = click.option("--deterministic", is_flag=True,
                            help="Suppress the timestamp field.")(command)
-    return click.option("--output", default=None,
+    return click.option("--output", default=None, callback=_writable,
                         help="Output path (default stdout).")(command)
 
 

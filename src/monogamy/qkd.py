@@ -22,7 +22,7 @@ DimensionError.  This module's device is the classical noise model
 :class:`HonestNoisyDevice`; the exact quantum one is in
 :mod:`monogamy.quantum_device`.  The memory budget of :mod:`monogamy.errors`
 is the only bound on run sizes: one trial with t = 1 and s = ell = 0 is
-charged 21 bytes a round, up to 102,258,191 rounds.  An eavesdropper is never
+charged 21 bytes a round, up to 102,258,189 rounds.  An eavesdropper is never
 simulated; the delta formula is the security claim and is computed exactly.
 """
 
@@ -59,10 +59,14 @@ _LEADER_PATTERNS = 2**16
 # s = n - t (the float32 syndrome pass); a Toeplitz hash takes 20-22 B per
 # output row and FFT point, plus its rounded window.  A one-trial transcript
 # adds 9 B per sampled round (its int64 sample set and bits), within the
-# post-processing charge.  Below n = 16 a batch's per-row rates and flags
-# add up to 14 B per entry more, which no charge covers: at n = 2 a run
-# peaks at 3.7 MiB against 2.8 MiB predicted.
+# post-processing charge.  A batch also holds 25 B per row: its sample error
+# rates, the full rates and slackened sample rates they are compared with
+# (float64 each) and its abort flags, while it draws; its two flag arrays and
+# the int64 indices of its completed rows, fewer, while they are
+# post-processed.  Below n = 8 the entry charges do not cover these: without
+# this one, a full batch at n = 2 peaks at 3.65 MiB against 2.79 MiB.
 _TRIAL_ENTRY_BYTES = 11
+_TRIAL_ROW_BYTES = 25
 _HELD_ENTRY_BYTES = 4
 _POST_ENTRY_BYTES = 13
 _HASH_NFFT_BYTES = 24
@@ -499,7 +503,7 @@ def _admit_run(params: QkdParams, batch_rows: int, what: str) -> None:
     draws or post-processes a block."""
     block_rows, row_bytes = _post_rows(params)
     entries = batch_rows * params.n
-    require_bytes(_code_bytes(params.n - params.t, params.s)
+    require_bytes(_code_bytes(params.n - params.t, params.s) + _TRIAL_ROW_BYTES * batch_rows
                   + max(_TRIAL_ENTRY_BYTES * entries,
                         _HELD_ENTRY_BYTES * entries + min(block_rows, batch_rows) * row_bytes),
                   what)

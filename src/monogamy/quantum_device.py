@@ -1,9 +1,8 @@
 """The exact quantum measuring device of the QKD simulator.
 
-A :class:`TripartiteQuantumDevice` is a state on Alice's n qubits, the
-device's share and an optional third share nobody measures, plus the
-device's (2^n, 2^n, d, d) POVM stack in ``game_power(bb84_game(), n)``
-basis order, the layout of a :class:`monogamy.games.Strategy` guesser.  Its
+A :class:`TripartiteQuantumDevice` plays a :class:`monogamy.games.Strategy`
+for ``game_power(bb84_game(), n)``: Bob's stack is the device, and the
+third share, Charlie's, is traced out (his POVMs are not read).  Its
 construction reads p(x, y | theta) = tr[(F_x^theta ⊗ P_y^theta ⊗ 1) rho]
 from one :func:`monogamy.games.conditional_stack` call and one contraction
 and keeps only the cumulative table, so a trial costs one uniform.  Exact
@@ -13,13 +12,11 @@ evaluation keeps this at n <= MAX_ROUNDS = 5 rounds, checked first.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
-from . import linalg
-from .errors import CapacityError, DimensionError, ValidationError, require_bytes, whole
-from .games import (_povm_stack, _win_terms_bytes, bb84_game, conditional_stack,
+from .errors import CapacityError, DimensionError, require_bytes, whole
+from .games import (Strategy, _aligned, _win_terms_bytes, bb84_game, conditional_stack,
                     game_power, maximally_entangled_density, power_elements)
 from .qkd import _int_to_bits, _pack
 
@@ -34,32 +31,21 @@ def _rounds(n: int) -> int:
 
 
 class TripartiteQuantumDevice:
-    """Measurement device holding a share of a joint quantum state, with one
-    checked POVM per basis string; see the module docstring."""
+    """Measurement device playing Bob's part of a one-round-count BB84
+    strategy; see the module docstring."""
 
-    def __init__(self, state, povms):
-        shape = np.shape(povms)
-        if len(shape) != 4 or shape[0] & (shape[0] - 1):
-            raise DimensionError(f"device POVM stack has shape {shape}, "
-                                 "expected (2^n, 2^n, d, d)")
-        self.n = _rounds(shape[0].bit_length() - 1)
-        if shape[1] != shape[0]:
-            raise ValidationError(f"device POVMs have {shape[1]} elements, expected "
-                                  f"one per outcome string, {shape[0]}")
+    def __init__(self, strategy: Strategy):
+        if strategy.rounds > 1:
+            raise DimensionError("the quantum device takes one dense strategy, "
+                                 f"not a product of {strategy.rounds} rounds")
+        self.n = _rounds(strategy.dims[0].bit_length() - 1)
         game = game_power(bb84_game(), self.n)
-        dim = game.alice_dim * shape[-1]
-        size = math.prod(np.shape(state))
-        if len(np.shape(state)) != 2 or size % dim**2:
-            raise DimensionError(f"state shape {np.shape(state)} does not hold "
-                                 f"2^{self.n} x {shape[-1]} dimensions")
-        # the stack's checked copy, the evaluator's arrays, and the tables
-        require_bytes(16 * math.prod(shape) + _win_terms_bytes(game, size)
-                      + 32 * game.alice_dim**3,
+        _, povms, _ = _aligned(game, strategy)
+        # the evaluator's arrays and the tables
+        require_bytes(_win_terms_bytes(game, strategy.rho_abc.size) + 32 * game.alice_dim**3,
                       f"{type(self).__name__}(n={self.n})")
-        povms = _povm_stack(povms, game.basis_labels, shape[-1], "device:")
-        states = conditional_stack(game, linalg.require_density(state, "device state"))
-        # the third share, of dimension e, traced out in the contraction
-        split = states.shape[:2] + (shape[-1], states.shape[-1] // shape[-1]) * 2
+        states = conditional_stack(game, strategy.rho_abc)
+        split = states.shape[:2] + strategy.dims[1:] * 2
         table = np.einsum("tyij,txjeie->txy", povms, states.reshape(split)).real
         cdf = np.cumsum(np.clip(table, 0.0, None).reshape(len(table), -1), axis=1)
         # in units of 2^-53, the grid rng.random() draws on, with row theta
@@ -81,9 +67,13 @@ class TripartiteQuantumDevice:
 
 def epr_device(n: int) -> TripartiteQuantumDevice:
     """Honest quantum device: maximally entangled pairs, the device measuring
-    its halves in the announced basis, so outcomes match Alice's exactly."""
-    _rounds(n)  # before the 4^n x 4^n state
-    elements = bb84_game().elements
-    povms = [power_elements(elements[list(bases)])
-             for bases in itertools.product(range(2), repeat=n)]
-    return TripartiteQuantumDevice(maximally_entangled_density(2**n), povms)
+    its halves in the announced basis, so outcomes match Alice's exactly;
+    Charlie holds nothing and always names outcome 0."""
+    n = _rounds(n)  # before the 4^n x 4^n state
+    game = game_power(bb84_game(), n)
+    bob = [power_elements(game.elements[list(bases)])
+           for bases in itertools.product(range(2), repeat=n)]
+    charlie = np.zeros((2**n, 2**n, 1, 1))
+    charlie[:, 0] = 1.0
+    return TripartiteQuantumDevice(Strategy(maximally_entangled_density(2**n), (2**n, 2**n, 1),
+                                            bob, charlie, game.basis_labels))

@@ -216,7 +216,9 @@ def pgm_povm(sigmas) -> np.ndarray:
     """Pretty-good measurement for weighted PSD operators.
 
     M_x = S^{-1/2} sigma_x S^{-1/2} with S = sum sigma_x inverted on its
-    support; the kernel of S is assigned to the first outcome.  A final
+    support; the kernel of S is assigned to the first outcome.  Operators
+    that cancel to rounding noise, S's entries all below 1e-10 of their
+    summed absolute entries, leave S all kernel.  A final
     Hermitian-congruence whitening restores completeness exactly while
     keeping every element PSD, so the family is always a valid POVM even for
     nearly singular S.
@@ -225,7 +227,9 @@ def pgm_povm(sigmas) -> np.ndarray:
     ensembles; the POVMs come back as an array of the same shape.
     """
     mats = _hermitian_stack(sigmas)
-    inv_root, kernel = _inverse_root(_outcome_sum(mats))
+    total = _outcome_sum(mats)
+    noise = np.abs(total).max(axis=(-2, -1)) < 1e-10 * np.abs(mats).sum(axis=(-3, -2, -1))
+    inv_root, kernel = _inverse_root(np.where(noise[..., None, None], 0.0, total))
     inv_root = inv_root[..., None, :, :]
     povm = _psd_clip(linalg.hermitianize(inv_root @ mats @ inv_root))
     povm[..., 0, :, :] += kernel

@@ -58,6 +58,18 @@ def bb84_povms(n: int) -> np.ndarray:
     return np.array([power_elements(f) for f in basis_factors(game_power(bb84_game(), n))])
 
 
+def device_strategy(state, povms) -> Strategy:
+    """The n-round BB84 strategy in which Bob holds `povms`, a
+    (2^n, |X|, d, d) stack in basis-label order, and Charlie holds the rest
+    of `state` and always names outcome 0: a quantum device's strategy."""
+    game = game_power(bb84_game(), len(povms).bit_length() - 1)
+    d = np.shape(povms)[-1]
+    extra = len(state) // (game.alice_dim * d)
+    charlie = np.zeros(np.shape(povms)[:2] + (extra, extra))
+    charlie[:, 0] = np.eye(extra)
+    return Strategy(state, (game.alice_dim, d, extra), povms, charlie, game.basis_labels)
+
+
 def dense_product(game: MonogamyGame, strategy: Strategy) -> Strategy:
     """Oracle: a product strategy written out as one dense strategy for
     `game`, which plays as many rounds.  The state is the tensor power of the

@@ -128,6 +128,29 @@ def test_bounds_decay_when_single_round_factor_below_one():
         prev = value
 
 
+def test_pow2_never_rounds_below_the_power():
+    # normal results keep the bits of 2.0**e; below 2^-1022 a subnormal is
+    # rounded up, and below 2^-1074 the smallest positive float stands in
+    for e in (-1022.0, -1000.5, -1.0, 0.0, 0.5, 1023.5):
+        assert bounds._pow2(e) == 2.0**e
+    assert bounds._pow2(1024.0) == math.inf
+    tiny = math.ulp(0.0)
+    for e in (-1074.0, -1e6, -math.inf):
+        assert bounds._pow2(e) == tiny
+    for e in (-1073.9, -1050.25, -1022.5):
+        assert bounds._pow2(e) == math.nextafter(2.0**e, math.inf)
+        assert math.log2(bounds._pow2(e)) >= e
+
+
+@pytest.mark.parametrize("value", [
+    lambda: bounds.bb84_parallel_value(5000),
+    lambda: bounds.general_upper_bound(0.5, 2, 3, 100_000),
+    lambda: bounds.imperfect_guessing_bound(0.5, 2, 100_000, 0.0, 0.0)])
+def test_a_bound_below_the_float_range_stays_positive(value):
+    # 2^-1142 and less: the smallest positive float bounds it, 0.0 does not
+    assert value() == math.ulp(0.0)
+
+
 def test_vacuous_is_one_or_more():
     # the one rule of the game bounds, the soundness bounds and the QKD delta
     assert bounds.vacuous(1.0) and bounds.vacuous(math.inf) and bounds.vacuous(math.nan)

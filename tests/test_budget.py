@@ -34,7 +34,7 @@ from monogamy.qkd import (HonestNoisyDevice, LinearCode, QkdParams, run_eqkd_tri
 from monogamy.quantum_device import TripartiteQuantumDevice
 from monogamy.seesaw import SeesawConfig, _search_bytes, seesaw
 
-from conftest import bb84_povms
+from conftest import bb84_povms, device_strategy
 
 MiB = 2**20
 FLOOR = 8 * MiB
@@ -106,8 +106,8 @@ def _cases():
          lambda p: simulate_eqkd(p, HonestNoisyDevice(0.01), seed=0)),
         # the device reads its whole outcome table at construction
         ("TripartiteQuantumDevice", range(1, 6),
-         lambda n: (maximally_entangled_density(2**n), bb84_povms(n)),
-         lambda a: TripartiteQuantumDevice(*a)),
+         lambda n: device_strategy(maximally_entangled_density(2**n), bb84_povms(n)),
+         TripartiteQuantumDevice),
         ("simulate_pv_rounds", range(1, 65), lambda n: n,
          lambda n: simulate_pv_rounds(line, n, BreidbartPair(), 65536, seed=0)),
         ("hamming_q_set", range(2, 16), lambda n: n,
@@ -207,6 +207,20 @@ def test_prediction_bounds_the_peak(name, predictions):
     assert peak >= 4 * MiB
     assert peak <= predicted + MiB
     assert predicted <= 2 * peak
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_batch_of_short_rows_is_charged_its_per_row_arrays(n, predictions):
+    # a full batch of 2^21 / 11n rows, after a one-trial run: below n = 8
+    # its per-row rates, flags and completed-row indices are most of its
+    # peak beyond the entries.  Its whole peak stays below the 4 MiB the
+    # cases above need, so it is held to its prediction with no slack
+    params = QkdParams(n=n, t=1, s=1, ell=1, gamma=0.3, epsilon=0.05)
+    run_eqkd_trials(params, HonestNoisyDevice(0.05), 1, seed=0)
+    predictions.clear()
+    peak = _traced_peak(lambda: run_eqkd_trials(params, HonestNoisyDevice(0.05), 100_000,
+                                                seed=0))
+    assert peak <= predictions[0] <= 2 * peak
 
 
 @pytest.mark.parametrize("params, noise, trials, limit", [

@@ -357,6 +357,20 @@ def test_a_nan_inf_or_malformed_number_is_refused(capsys, argv, code, name):
     assert name in err
 
 
+@pytest.mark.parametrize("argv, column", [
+    (("bounds", "--n", "5000"), "value"),
+    (("bounds", "--game", "general", "--c", "0.5", "--q", "3", "--n", "100000"), "value"),
+    (("posver", "bound", "--n", "100000", "--gamma", "0.1"), "bound")])
+def test_a_bound_below_the_float_range_prints_the_smallest_positive_float(capsys, argv,
+                                                                          column):
+    # 2^-1142 and less: the row bounds the probability from above, as 0.0
+    # would not, and is not vacuous
+    code, out, err = run(capsys, *argv, "--format", "json", "--deterministic")
+    assert (code, err) == (0, "")
+    row = json.loads(out)["result"][0]
+    assert row[column] == math.ulp(0.0) and row["vacuous"] is False
+
+
 def test_posver_bound_with_a_rate_gives_log2_d_and_never_builds_d(capsys):
     # 2^20000 once failed to print, past Python's 4300-digit limit
     code, out, err = run(capsys, "posver", "bound", "--rate", "0.2", "--n",
@@ -365,7 +379,9 @@ def test_posver_bound_with_a_rate_gives_log2_d_and_never_builds_d(capsys):
     rows = json.loads(out)["result"]
     assert [(r["n"], r["log2_d"]) for r in rows] == [(n, n // 5) for n in
                                                      range(20000, 100001, 20000)]
-    assert "d" not in rows[-1] and rows[-1]["bound"] == 0.0 and not rows[-1]["vacuous"]
+    # 2^-2845 rounds up to the smallest positive float, never down to 0.0
+    assert "d" not in rows[-1] and rows[-1]["bound"] == math.ulp(0.0) \
+        and not rows[-1]["vacuous"]
 
 
 def _no_constant(name):
@@ -451,6 +467,31 @@ def test_an_output_path_that_cannot_be_opened_exits_1_with_one_line(tmp_path, ca
     assert err == f"monogamy: error: {target}: cannot write the output ({reason})\n"
 
 
+def test_an_unwritable_output_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    # a directory as --output: refused as the options are parsed, so a run
+    # of 10^8 trials never starts
+    def sentinel(*args, **kwargs):
+        pytest.fail("the run started before --output was checked")
+
+    monkeypatch.setattr(sys.modules["monogamy.qkd"], "run_eqkd_trials", sentinel)
+    code, out, err = run(capsys, "qkd-sim", "--n", "64", "--t", "16", "--gamma", "0.05",
+                         "--trials", "100000000", "--output", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == f"monogamy: error: {tmp_path}: cannot write the output (Is a directory)\n"
+
+
+def test_a_command_that_fails_leaves_its_output_path_as_it_was(tmp_path, capsys):
+    # the check opens an existing file to append and removes a file it made
+    kept, new = tmp_path / "kept.json", tmp_path / "new.json"
+    kept.write_text("earlier output\n")
+    for target in (kept, new):
+        code, _, err = run(capsys, "qkd-sim", "--n", "64", "--t", "16", "--gamma", "0.05",
+                           "--epsilon", "nan", "--output", str(target))
+        assert code == 1 and "epsilon" in err
+    assert kept.read_text() == "earlier output\n"
+    assert not new.exists()
+
+
 @pytest.mark.parametrize("command", [("seesaw", "--game"), ("fixtures", "validate")])
 @pytest.mark.parametrize("field, message", [
     ("povms", "game field 'povms' must be an object, not a number"),
@@ -492,6 +533,18 @@ def test_seesaw_bounds_a_fixture_of_several_rounds_by_its_round(tmp_path, capsys
     result = json.loads(out)["result"]
     assert result["upper_bound"] == pytest.approx(bb84_parallel_value(4), abs=1e-12)
     assert result["value"] <= result["upper_bound"] + 1e-9
+
+
+def test_a_restart_whose_operators_cancel_to_noise_does_not_end_the_search(capsys):
+    # restart 308's Bob operators for basis 11 are about 1e-19 and sum to
+    # about 1e-35; their measurement once failed its completeness check
+    code, out, err = run(capsys, "seesaw", "--game", "bb84", "--n", "2", "--bob-dim", "2",
+                         "--charlie-dim", "2", "--restarts", "309", "--max-iters", "1",
+                         "--no-include-strategy", "--deterministic")
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert len(result["per_restart"]) == 309
+    assert result["value"] == pytest.approx(0.702501995370279, abs=1e-12)
 
 
 def test_seesaw_runs_eight_rounds_of_bb84(capsys):

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from monogamy import linalg, qkd
-from monogamy.games import bb84_game, conditional_stack, maximally_entangled_density
+from monogamy.games import (Strategy, bb84_game, conditional_stack, game_power,
+                            maximally_entangled_density, product_strategy)
 from monogamy.errors import (CapacityError, DimensionError, DomainError,
                              ValidationError)
 from monogamy.qkd import (HonestNoisyDevice, LinearCode, QkdParams, delta_terms,
@@ -19,9 +20,10 @@ from monogamy.qkd import (HonestNoisyDevice, LinearCode, QkdParams, delta_terms,
                           toeplitz_hash)
 from monogamy.quantum_device import TripartiteQuantumDevice, epr_device
 from monogamy.rand import random_density, random_povm, rng_for
+from monogamy.seesaw import SeesawConfig, seesaw
 from monogamy.uncertainty import CqEnsemble, secdef_gap
 
-from conftest import bb84_povms
+from conftest import bb84_povms, device_strategy
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -707,7 +709,8 @@ def test_quantum_device_with_wrong_basis_povms_errs():
     # half the rounds on average
     n = 3
     # reversed rows: basis string theta gets the POVM of its complement
-    flipped = TripartiteQuantumDevice(maximally_entangled_density(2**n), bb84_povms(n)[::-1])
+    flipped = TripartiteQuantumDevice(device_strategy(maximally_entangled_density(2**n),
+                                                      bb84_povms(n)[::-1]))
     mismatches = 0
     for seed in range(40):
         tr = simulate_eqkd(QkdParams(n=n, t=1, s=0, ell=0, gamma=0.49,
@@ -802,8 +805,13 @@ def test_quantum_device_builds_its_table_with_one_conditional_stack_call(monkeyp
 
 
 def test_quantum_device_rejects_a_povm_of_the_wrong_length():
-    with pytest.raises(ValidationError):
-        TripartiteQuantumDevice(maximally_entangled_density(4), bb84_povms(2)[:, :3])
+    # a valid strategy whose parties name one of three outcomes, not four:
+    # the two-round measurement with its last two outcomes merged
+    povms = bb84_povms(2)
+    merged = np.concatenate([povms[:, :2], povms[:, 2:].sum(axis=1, keepdims=True)], axis=1)
+    strategy = device_strategy(maximally_entangled_density(4), merged)
+    with pytest.raises(ValidationError, match="outcome count"):
+        TripartiteQuantumDevice(strategy)
 
 
 def device_table(device: TripartiteQuantumDevice) -> np.ndarray:
@@ -830,7 +838,7 @@ def test_quantum_device_table_matches_the_dense_trace(n, dim, extra):
     elements = bb84_game().elements
     for _ in range(3):
         state, povms = random_device(n, dim, extra, rng)
-        table = device_table(TripartiteQuantumDevice(state, povms))
+        table = device_table(TripartiteQuantumDevice(device_strategy(state, povms)))
         for theta in range(2**n):
             bits = [(theta >> (n - 1 - i)) & 1 for i in range(n)]
             for x in range(2**n):
@@ -844,7 +852,7 @@ def test_quantum_device_table_matches_the_dense_trace(n, dim, extra):
 def test_quantum_device_samples_its_table():
     # every (basis, x, y) cell of a random two-round device, within 5 sigma
     state, povms = random_device(2, 2, 1, rng_for(8))
-    device = TripartiteQuantumDevice(state, povms)
+    device = TripartiteQuantumDevice(device_strategy(state, povms))
     table = device_table(device)
     rows = 2**18
     theta = rng_for(9).integers(0, 2, size=(rows, 2), dtype=np.uint8)
@@ -865,6 +873,35 @@ def test_epr_device_outcomes_match(n):
     assert abs(x.mean() - 0.5) <= 5 * math.sqrt(0.25 / x.size)
 
 
+def test_a_seesaw_strategy_plays_as_a_device():
+    # the strategy the search returns, unchanged: Bob names Alice's outcome
+    # string at his exact rate, (1/4) sum_theta sum_x tr[(F_x ⊗ P_x ⊗ 1) rho],
+    # over 2^16 rows within 5 sigma
+    game = game_power(bb84_game(), 2)
+    strategy = seesaw(game, SeesawConfig(bob_dim=2, charlie_dim=2, restarts=2)).strategy
+    device = TripartiteQuantumDevice(strategy)
+    states = conditional_stack(game, strategy.rho_abc).reshape(4, 4, 2, 2, 2, 2)
+    exact = np.einsum("txij,txjeie->", strategy.bob, states).real / 4
+    rows = 2**16
+    x, y = device.sample(rng_for(14).integers(0, 2, size=(rows, 2), dtype=np.uint8), rng_for(15))
+    rate = (x == y).all(axis=1).mean()
+    assert abs(rate - exact) <= 5 * math.sqrt(exact * (1 - exact) / rows)
+
+
+def test_quantum_device_reads_a_strategy_in_its_own_basis_order():
+    # the same EPR strategy with its bases listed in reverse plays as epr_device
+    s = device_strategy(maximally_entangled_density(4), bb84_povms(2))
+    reversed_order = Strategy(s.rho_abc, s.dims, s.bob[::-1], s.charlie[::-1], s.thetas[::-1])
+    np.testing.assert_array_equal(device_table(TripartiteQuantumDevice(reversed_order)),
+                                  device_table(epr_device(2)))
+
+
+def test_quantum_device_refuses_a_product_strategy():
+    one_round = device_strategy(maximally_entangled_density(2), bb84_povms(1))
+    with pytest.raises(DimensionError, match="product of 2 rounds"):
+        TripartiteQuantumDevice(product_strategy(one_round, 2))
+
+
 @pytest.mark.parametrize("spoil", ["scaled", "not-psd"])
 def test_quantum_device_refuses_a_stack_that_is_not_a_povm(spoil):
     povms = bb84_povms(2)
@@ -873,7 +910,7 @@ def test_quantum_device_refuses_a_stack_that_is_not_a_povm(spoil):
     else:
         povms[3, 0] *= -1
     with pytest.raises(ValidationError):
-        TripartiteQuantumDevice(maximally_entangled_density(4), povms)
+        TripartiteQuantumDevice(device_strategy(maximally_entangled_density(4), povms))
 
 
 @pytest.mark.parametrize("n, t", [(64, 16), (4096, 512)])

@@ -401,6 +401,19 @@ def test_refined_pgm_is_a_povm_that_guesses_no_worse_than_the_pgm(r, b, k, d, se
     assert (_guessing(stack, refined) >= _guessing(stack, pgm_povm(stack)) - 1e-12).all()
 
 
+def test_operators_that_cancel_to_rounding_noise_still_give_a_povm():
+    # one basis of a seesaw restart's Bob operators: entries near 1e-19 whose
+    # Hermitian parts sum to about 1e-35, noise that a kernel threshold set
+    # from the sum alone once inverted
+    stack = np.zeros((4, 2, 2), dtype=complex)
+    stack[0] = [[8.2980218323323727e-36j, -4.2062966253108834e-20 + 4.2251754532958990e-20j],
+                [0, 8.4125932506217668e-20 + 8.4503509065917979e-20j]]
+    stack[1] = [[7.4498925677452960e-37j, 4.2062966253108828e-20 - 4.2251754532958984e-20j],
+                [0, -8.4125932506217656e-20 - 8.4503509065917967e-20j]]
+    for povm in (pgm_povm(stack), minimum_error_povm(stack)):
+        _validate_povm(povm, "noise")
+
+
 def test_refined_pgm_nears_the_optimum_where_the_pgm_does_not():
     # BB84 states weighted 0.4, 0.1, 0.4, 0.1: guessing only the two heavy
     # states, with orthogonal projectors, gives the optimum 0.4 (1 + 1/sqrt 2)
