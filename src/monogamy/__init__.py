@@ -44,9 +44,8 @@ _EXPORTS = {name: module for module, names in [
     ("errors", ("CapacityError", "DimensionError", "DomainError", "NotPsdError",
                 "ValidationError")),
     ("games", ("MonogamyGame", "QSet", "Strategy", "bb84_game", "game_power",
-               "hamming_q_set", "overlap", "product_strategy", "pure_strategy",
-               "same_string_q_set", "winning_probability", "winning_probability_with_q",
-               "xor_permutation_family")),
+               "hamming_q_set", "overlap", "product_strategy", "same_string_q_set",
+               "winning_probability", "winning_probability_with_q", "xor_permutation_family")),
     ("qkd", ("HonestNoisyDevice", "KeyLengthReport", "QkdParams", "QkdSecurityReport",
              "max_key_length", "noise_threshold", "run_eqkd_trials", "security_delta",
              "simulate_eqkd", "toeplitz_hash")),

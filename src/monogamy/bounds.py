@@ -1,9 +1,10 @@
 """Closed-form upper bounds on monogamy-game winning probabilities.
 
-The single-round BB84 value ``BB84_ROUND_VALUE = 1/2 + 1/(2 sqrt 2)`` is
-computed at full floating precision here and imported everywhere else, so
-the game bounds, the QKD calculator and the position-verification module all
-share one constant.
+The single-round BB84 value ``BB84_ROUND_VALUE = 1/2 + 1/(2 sqrt 2)`` =
+cos^2(pi/8), and its ``LOG2_INV_ROUND_VALUE`` = log2(1/value), are computed
+at full floating precision here and imported everywhere else, so the game
+bounds, the QKD calculator and the position-verification module all share
+one constant.
 
 Bounds are returned unclamped; :func:`vacuous` is the one rule that says
 when a bound (a winning probability, a soundness or a failure bound) bounds
@@ -18,6 +19,7 @@ import sys
 from .errors import whole, within
 
 BB84_ROUND_VALUE = 0.5 + 0.5 / math.sqrt(2.0)
+LOG2_INV_ROUND_VALUE = -math.log2(BB84_ROUND_VALUE)
 
 
 def vacuous(value: float) -> bool:
@@ -43,6 +45,13 @@ def _pow2(exponent: float) -> float:
         return math.ulp(0.0)
     value = 2.0**exponent
     return value if value >= sys.float_info.min else math.nextafter(value, math.inf)
+
+
+def _scaled_exp(factor: float, x: float) -> float:
+    """factor * e^x for a positive factor: the float product where it is a
+    normal float, else 2^(log2 factor + x log2 e), never rounded to 0."""
+    value = factor * math.exp(x)
+    return value if value >= sys.float_info.min else _pow2(math.log2(factor) + x / math.log(2))
 
 
 def _scaled_power(factor, base: float, n: int) -> float:

@@ -70,8 +70,9 @@ def _parse_range(text: str, fmt: str) -> range:
 def _emit(command: str, params: dict, result, output: str | None,
           deterministic: bool, seed: int | None = None, fmt: str = "json") -> None:
     """Write a command's output to `output` (stdout for None or '-'): the JSON
-    document of `result`, or for fmt 'csv' the rows of `result`, a list of
-    flat dicts with the same keys, under a header of those keys."""
+    document of `result`, strict JSON with null for any inf or nan, or for
+    fmt 'csv' the rows of `result`, a list of flat dicts with the same keys,
+    under a header of those keys."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(result[0]))
@@ -84,7 +85,11 @@ def _emit(command: str, params: dict, result, output: str | None,
             doc["seed"] = seed
         if not deterministic:
             doc["generated_at"] = datetime.now(timezone.utc).isoformat()
-        text = json.dumps(doc, indent=2, sort_keys=True)
+        try:
+            text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError:  # strict JSON has no inf or nan: write them as null
+            doc = json.loads(json.dumps(doc), parse_constant=lambda name: None)
+            text = json.dumps(doc, indent=2, sort_keys=True)
     if output is None or output == "-":
         click.echo(text, nl=not text.endswith("\n"))
     else:
@@ -445,8 +450,8 @@ def posver_simulate_cmd(scenario_path, n, prover, position, trials, seed, output
             raise ValidationError(f"{scenario_path}: expected a scenario fixture")
     if prover != "single":
         _reject_unused(f"with --prover {prover}", "position")
-    if prover == "honest":
-        model = posver_mod.HonestProver()
+    if prover == "honest":  # one party at the claimed position answers exactly
+        model = posver_mod.SingleAdversary(scenario.pos)
     elif prover == "breidbart":
         model = posver_mod.BreidbartPair()
     else:

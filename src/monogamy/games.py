@@ -41,22 +41,13 @@ POVM_COMPLETENESS_ATOL = 1e-8
 _TERM_BYTES = 48
 
 
-def _validate_povm(elements: np.ndarray, label: str) -> None:
-    """Check one (|X|, d, d) POVM stack in place: Hermitian PSD elements that
-    sum to the identity."""
-    ok = linalg.hermitian_psd(elements)
-    if not ok.all():
-        raise ValidationError(f"POVM '{label}' element {int(np.argmin(ok))} "
-                              f"is not Hermitian PSD")
-    total = elements.sum(axis=0)
-    if np.max(np.abs(total - np.eye(elements.shape[-1]))) > POVM_COMPLETENESS_ATOL:
-        raise ValidationError(f"POVM '{label}' does not sum to the identity")
-
-
 def _povm_stack(povms, keys: Sequence[str], dim: int, who: str = "") -> np.ndarray:
     """A checked, read-only (|keys|, |X|, dim, dim) stack, rows in `keys`
     order, copied at most once.  A label-keyed mapping must cover exactly
-    `keys`; its one copy is the stack itself."""
+    `keys`; its one copy is the stack itself.  The whole stack is checked at
+    once: Hermitian PSD elements, naming the first element that is not
+    Hermitian, else the first that is not PSD, then every basis summing to
+    the identity, naming the first that does not."""
     if isinstance(povms, Mapping):
         povms = {str(k): v for k, v in povms.items()}
         if set(povms) != set(keys):
@@ -74,8 +65,14 @@ def _povm_stack(povms, keys: Sequence[str], dim: int, who: str = "") -> np.ndarr
     if stack.ndim != 4 or stack.shape[0] != len(keys) or stack.shape[2:] != (dim, dim):
         raise DimensionError(f"{who}POVM stack has shape {stack.shape}, expected "
                              f"({len(keys)}, |X|, {dim}, {dim})")
-    for key, block in zip(keys, stack):
-        _validate_povm(block, f"{who}{key}")
+    ok = linalg.hermitian_psd(stack)
+    if not ok.all():
+        basis, x = np.unravel_index(np.argmin(ok), ok.shape)
+        raise ValidationError(f"POVM '{who}{keys[basis]}' element {x} is not Hermitian PSD")
+    total = stack.sum(axis=1)
+    ok = np.abs(total - np.eye(dim)).max(axis=(-2, -1)) <= POVM_COMPLETENESS_ATOL
+    if not ok.all():
+        raise ValidationError(f"POVM '{who}{keys[np.argmin(ok)]}' does not sum to the identity")
     return stack
 
 
@@ -173,16 +170,6 @@ class Strategy:
         return Strategy, (self.rho_abc, self.dims, self.bob, self.charlie, self.thetas)
 
 
-def pure_strategy(state_vector, dims, bob_povms, charlie_povms) -> Strategy:
-    """Strategy from a pure tripartite state vector."""
-    v = np.asarray(state_vector, dtype=complex).reshape(-1)
-    nrm = np.linalg.norm(v)
-    if nrm == 0:
-        raise ValidationError("state vector must be nonzero")
-    v = v / nrm
-    return Strategy(np.outer(v, v.conj()), tuple(dims), bob_povms, charlie_povms)
-
-
 def constant_guess_povms(thetas: Sequence[str], outcomes: Sequence[str],
                          guess: str, dim: int = 1) -> dict[str, tuple[np.ndarray, ...]]:
     """Basis-independent deterministic guesser: the full identity sits on `guess`."""
@@ -258,15 +245,23 @@ def overlap(game: MonogamyGame) -> float:
     """
     if len(game.thetas) < 2:
         raise DomainError("overlap requires at least two bases")
-    best = max(linalg.overlap_of_pair(a, b)
-               for fa, fb in itertools.combinations(game.elements, 2) for a in fa for b in fb)
+    # the top eigenvalue of the Gram matrix of sqrt(F_x) sqrt(F_x'), for every
+    # element pair of every basis pair at once: no lossy sqrt-then-square
+    roots = linalg.psd_sqrt(game.elements)
+    first, second = np.triu_indices(len(roots), 1)
+    m = roots[first][:, :, None] @ roots[second][:, None, :]
+    gram = np.conj(m).swapaxes(-1, -2) @ m
+    best = max(float(np.linalg.eigvalsh(linalg.hermitianize(gram))[..., -1].max()), 0.0)
     assert 0.0 < best <= 1.0 + 1e-9
     return best**game.rounds
 
 
 def _aligned(game: MonogamyGame, strategy: Strategy) -> tuple:
-    """One round of `game` for a product strategy, else `game`, and the strategy's
-    stacks with rows in that game's `basis_labels` order, reindexed if need be."""
+    """One round of `game` for a product strategy, else `game`; the rows that
+    put the strategy's stacks in that game's `basis_labels` order, a slice
+    that views them when they are in it, else an index list; and the
+    entries that `bob[rows]` and `charlie[rows]` then copy, which the
+    caller charges before it indexes."""
     if strategy.rounds > 1:
         if strategy.rounds != game.rounds:
             raise DimensionError(f"{strategy.rounds} product rounds != {game.rounds} game rounds")
@@ -278,12 +273,13 @@ def _aligned(game: MonogamyGame, strategy: Strategy) -> tuple:
         raise ValidationError("strategy POVMs have the wrong outcome count")
     labels = game.basis_labels
     if strategy.thetas == labels:
-        return game, strategy.bob, strategy.charlie
-    missing = set(labels) - set(strategy.thetas)
+        return game, slice(None), 0
+    # each label's first row, as tuple.index finds it, by one lookup
+    row = {t: i for i, t in reversed(tuple(enumerate(strategy.thetas)))}
+    missing = set(labels) - row.keys()
     if missing:
         raise ValidationError(f"strategy POVMs missing bases {sorted(missing)}")
-    idx = [strategy.thetas.index(t) for t in labels]
-    return game, strategy.bob[idx], strategy.charlie[idx]
+    return game, [row[t] for t in labels], strategy.bob.size + strategy.charlie.size
 
 
 def conditional_states(factors: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
@@ -350,21 +346,19 @@ def win_terms_from_states(bob: np.ndarray, charlie: np.ndarray,
     return np.einsum("...xbq,...xcr,...xqrbc->...", bob, charlie, sigma).real
 
 
-def _win_terms_bytes(game: MonogamyGame, size: int, q: QSet | None = None,
-                     stack_entries: int = 0) -> int:
+def _win_terms_bytes(game: MonogamyGame, size: int, copies: int = 0) -> int:
     """Peak bytes of :func:`win_terms` beyond its inputs, for a state of
-    `size` entries and party stacks of `stack_entries`: conditional_stack's
-    call, then its result and reordered copy, or the result beside
-    np.einsum's iterator buffers (at most numpy's 8192 entries for each of
-    four operands); plus a Q-set's smeared or gathered stacks.  tracemalloc
-    on dense bb84^n strategies read 0.997-1.000 of this at n = 7-10, dims
-    1/1 (12.0 MiB at n = 9, rho 4 MiB) and n = 3, 4, dims 4/4; 0.60-0.80
-    where the buffers dominate (n = 6, dims 1/1; n = 2-4, dims 2/2)."""
+    `size` entries: conditional_stack's call, then its result and reordered
+    copy, or the result beside np.einsum's iterator buffers (at most numpy's
+    8192 entries for each of four operands); plus `copies` entries of party
+    stacks held beside them, reindexed, or a Q-set's smeared or gathered.
+    tracemalloc on dense bb84^n strategies read 0.997-1.000 of this at
+    n = 7-10, dims 1/1 (12.0 MiB at n = 9, rho 4 MiB) and n = 3, 4, dims
+    4/4; 0.60-0.80 where the buffers dominate (n = 6, dims 1/1; n = 2-4,
+    dims 2/2)."""
     states, trace_out = _trace_out_entries(size, len(game.thetas) * len(game.outcomes),
                                            game.dim_a, game.rounds)
-    peak = max(trace_out, 2 * states, states + 4 * min(states, 8192))
-    if q is not None:
-        peak += (2 if q.product else 1) * stack_entries
+    peak = max(trace_out, 2 * states, states + 4 * min(states, 8192)) + copies
     # and 4 KiB for the array objects of its views (tracemalloc: 1.5 KiB)
     return 16 * peak + 4096
 
@@ -385,7 +379,8 @@ def win_terms(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray, rho: np.
     `bob` and `charlie` are (|Theta|, |X|, d, d) stacks over the n-round bases
     and outcomes.  All bases come from one :func:`conditional_stack` call
     and one contraction, without building Pi^theta.  `q` is the Q-set of
-    allowed displacement pairs, None the plain game.
+    allowed displacement pairs, None the plain game.  The caller charges
+    :func:`_win_terms_bytes` first.
     """
     db, dc = bob.shape[-1], charlie.shape[-1]
     if rho.shape[0] != game.alice_dim * db * dc:
@@ -394,7 +389,6 @@ def win_terms(game: MonogamyGame, bob: np.ndarray, charlie: np.ndarray, rho: np.
     if q is not None and q.bob.shape[1] != bob.shape[1]:
         raise ValidationError(f"Q-set rows cover {q.bob.shape[1]} outcomes, "
                               f"the game has {bob.shape[1]}")
-    require_bytes(_win_terms_bytes(game, rho.size, q, bob.size + charlie.size), "win_terms")
     if q is not None and q.product:
         # exact: sum_(k,k') P_k ⊗ Q_k' = (sum_k P_k) ⊗ (sum_k' Q_k'), one pair
         bob, charlie, q = _smeared(bob, q.bob), _smeared(charlie, q.charlie), None
@@ -463,9 +457,10 @@ def _win_operator_sum_entries(game: MonogamyGame, db: int, dc: int) -> int:
 def _basis_terms(game: MonogamyGame, strategy: Strategy) -> np.ndarray:
     """tr(Pi^theta rho) for every n-round basis in `game.basis_labels` order;
     a product's are the kron of its round's."""
-    one, bob, charlie = _aligned(game, strategy)
-    require_bytes(_TERM_BYTES * len(game.thetas)**game.rounds, "the per-basis terms")
-    terms = win_terms(one, bob, charlie, strategy.rho_abc)
+    one, order, copies = _aligned(game, strategy)
+    require_bytes(_TERM_BYTES * len(game.thetas)**game.rounds
+                  + _win_terms_bytes(one, strategy.rho_abc.size, copies), "win_terms")
+    terms = win_terms(one, strategy.bob[order], strategy.charlie[order], strategy.rho_abc)
     return functools.reduce(np.kron, [terms] * strategy.rounds)
 
 
@@ -519,8 +514,12 @@ def winning_probability_with_q(game: MonogamyGame, strategy: Strategy, q: QSet) 
     a win.  A product takes only Q-sets of XOR shifts x -> x ⊕ k of binary
     outcome strings: pair (kb, kc) wins with prod_i T[kb_i, kc_i], T[b, c]
     being one round's value when Bob must name x ⊕ b and Charlie x ⊕ c."""
-    one, bob, charlie = _aligned(game, strategy)
+    one, order, copies = _aligned(game, strategy)
+    entries = strategy.bob.size + strategy.charlie.size
     if strategy.rounds == 1:
+        copies += (2 if q.product else 1) * entries  # smeared or gathered
+        require_bytes(_win_terms_bytes(game, strategy.rho_abc.size, copies), "win_terms")
+        bob, charlie = strategy.bob[order], strategy.charlie[order]
         terms = win_terms(game, bob, charlie, strategy.rho_abc, q)
         return float(sum(terms.tolist()) / len(terms))
     n, points = game.rounds, np.arange(2**game.rounds)
@@ -528,8 +527,14 @@ def winning_probability_with_q(game: MonogamyGame, strategy: Strategy, q: QSet) 
                                           for rows in (q.bob, q.charlie) for row in rows):
         raise DomainError(f"a product strategy takes only Q-sets of XOR shifts "
                           f"x -> x ⊕ k of {n}-bit binary outcome strings")
-    table = np.array([[win_terms(one, bob, charlie, strategy.rho_abc,
-                                 QSet([[b, 1 - b]], [[c, 1 - c]])).mean()
+    # T[b, c] from one round's conditional states, with the outcomes of Bob's
+    # and Charlie's stacks shifted by b and c
+    require_bytes(_win_terms_bytes(one, strategy.rho_abc.size, copies + entries), "win_terms")
+    bob, charlie = strategy.bob[order], strategy.charlie[order]
+    states = conditional_stack(one, strategy.rho_abc)
+    shift = ([0, 1], [1, 0])
+    table = np.array([[win_terms_from_states(bob[:, shift[b]], charlie[:, shift[c]],
+                                             states).mean()
                        for c in (0, 1)] for b in (0, 1)])
     # bit i of each shift, round 1 most significant
     kb, kc = ((rows[:, :1] >> np.arange(n - 1, -1, -1)) & 1 for rows in (q.bob, q.charlie))

@@ -11,9 +11,8 @@ everywhere:
 * one predicate, :func:`hermitian_psd`, decides Hermiticity (entrywise within
   ``HERMITIAN_ATOL``) and positive semi-definiteness (eigenvalue floor
   ``PSD_EIG_FLOOR``) for a single matrix or a (..., d, d) stack; with the
-  unit-trace test (``TRACE_ATOL``) it backs ``is_density`` and
-  ``require_density``, and properties are always checked by it, never
-  assumed,
+  unit-trace test (``TRACE_ATOL``) it backs ``require_density``, and
+  properties are always checked by it, never assumed,
 * no function mutates its inputs.  The predicates read ndarray input in
   place, without a copy; an object that keeps a checked array keeps a
   read-only copy of it made by :func:`frozen`.
@@ -102,12 +101,6 @@ def _unit_trace(a: np.ndarray) -> np.ndarray:
     return np.abs(np.trace(a, axis1=-2, axis2=-1) - 1.0) <= TRACE_ATOL
 
 
-def is_density(m) -> bool:
-    """PSD with unit trace, for a matrix or every matrix of a stack."""
-    a = _numeric(m)
-    return bool(hermitian_psd(a).all() and _unit_trace(a).all())
-
-
 def require_density(m, what: str = "state") -> np.ndarray:
     """`m` as an array, not copied, once it is checked to be a density matrix."""
     a = _numeric(m)
@@ -121,23 +114,26 @@ def require_density(m, what: str = "state") -> np.ndarray:
 
 
 def psd_sqrt(a) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition.
+    """Hermitian PSD square root via eigendecomposition, of a matrix or of
+    each matrix of a (..., d, d) stack.
 
     Idempotent input (a projector) is its own square root and is returned
     unchanged, keeping projective measurements exact.  Eigenvalues in
     [PSD_EIG_FLOOR, 0) are clipped to 0 before square-rooting; anything below
     the floor raises NotPsdError.
     """
-    a = require_square(a)
-    if not hermitian_psd(a, psd=False):
+    a = np.array(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if not hermitian_psd(a, psd=False).all():
         raise ValidationError("psd_sqrt requires Hermitian input")
-    if np.max(np.abs(a @ a - a)) <= 1e-12:
-        return a
-    evals, vecs = np.linalg.eigh(hermitianize(a))
-    if evals.min() < PSD_EIG_FLOOR:
+    rest = np.abs(a @ a - a).max(axis=(-2, -1)) > 1e-12  # not projectors
+    evals, vecs = np.linalg.eigh(hermitianize(a[rest]))
+    if evals.size and evals.min() < PSD_EIG_FLOOR:
         raise NotPsdError(f"eigenvalue {evals.min():g} below PSD floor {PSD_EIG_FLOOR:g}")
     root = np.sqrt(np.clip(evals, 0.0, None))
-    return hermitianize((vecs * root) @ vecs.conj().T)
+    a[rest] = hermitianize((vecs * root[..., None, :]) @ np.conj(vecs).swapaxes(-1, -2))
+    return a
 
 
 def trace_distance(rho, sigma) -> float:
@@ -191,17 +187,6 @@ def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
         tens = np.trace(tens, axis1=j, axis2=j + tens.ndim // 2)
     d_keep = int(np.prod([dims[i] for i in keep]))
     return tens.reshape(d_keep, d_keep)
-
-
-def overlap_of_pair(a, b) -> float:
-    """Squared Schatten infinity norm of sqrt(A) sqrt(B) for PSD A, B.
-
-    Evaluated as the top eigenvalue of the Gram matrix of sqrt(A) sqrt(B),
-    avoiding a lossy sqrt-then-square round trip.
-    """
-    m = psd_sqrt(a) @ psd_sqrt(b)
-    gram = m.conj().T @ m
-    return float(max(np.linalg.eigvalsh(hermitianize(gram))[-1], 0.0))
 
 
 def permutation_rows(a) -> bool:

@@ -9,31 +9,31 @@ instantaneous local computation).
 
 Adversary quantum behaviour is modeled per qubit; the canonical unentangled
 attack measures every qubit in the intermediate basis halfway between the
-two BB84 bases, which succeeds per qubit with probability cos^2(pi/8) and
-meets the n = 1 soundness bound with equality.
+two BB84 bases, which succeeds per qubit with the game's one-round value
+cos^2(pi/8) and meets the n = 1 soundness bound with equality.  The honest
+prover is a :class:`SingleAdversary` at the claimed position.
+
+Every prover's `respond_batch` takes the challenges x and bases theta of a
+batch as bit-packed (n, words) uint64 arrays (see `_sample_batch`) and
+returns its two responses in the same layout.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (BB84_ROUND_VALUE, _pow2, _scaled_power, bb84_parallel_value,
-                     imperfect_guessing_bound)
+from .bounds import (BB84_ROUND_VALUE, LOG2_INV_ROUND_VALUE, _pow2, _scaled_power,
+                     bb84_parallel_value, imperfect_guessing_bound)
 from .errors import ValidationError, require_bytes, whole
 from .rand import _words, bernoulli, rng_for
-
-# per-qubit success of the intermediate-basis measurement; numerically equal
-# to the single-round game value
-BREIDBART_SUCCESS = math.cos(math.pi / 8) ** 2
 
 _ROUND_BATCH = 65536
 # bytes a batch holds per (round, qubit) entry, rounds counted up to a whole
 # word: 2.32 measured with tracemalloc at n = 8..64 for BreidbartPair, whose
 # flips are drawn a byte per entry before they are packed, and 0.75-0.88 for
-# HonestProver
+# an exact SingleAdversary
 _ROUND_ENTRY_BYTES = 3
 
 
@@ -59,13 +59,13 @@ def entangled_soundness_bound_log2(n: int, log2_d: int) -> float:
     n, log2_d = whole(n), whole(log2_d, "log2_d", minimum=0)
     if log2_d < 1024:
         return _scaled_power(2.0**log2_d, BB84_ROUND_VALUE, n)
-    return _pow2(log2_d + n * math.log2(BB84_ROUND_VALUE))
+    return _pow2(log2_d - n * LOG2_INV_ROUND_VALUE)
 
 
 def max_entanglement_rate() -> float:
     """Pre-shared entangled qubits per transmitted qubit below which the
     soundness error still decays exponentially: log2(1/round value)."""
-    return -math.log2(BB84_ROUND_VALUE)
+    return LOG2_INV_ROUND_VALUE
 
 
 def noisy_soundness_bound(n: int, gamma: float, gamma_prime: float) -> float:
@@ -96,23 +96,6 @@ class TimingScenario:
             raise ValidationError(f"{who} at {position} is outside the segment "
                                   f"({self.v0}, {self.v1}) covered by the timing model")
         return float(position)
-
-
-class HonestProver:
-    """Prover at the claimed position measuring in the announced basis:
-    responses are exact and on schedule.
-
-    Every prover's `respond_batch` takes the challenges x and bases theta of
-    a batch as bit-packed (n, words) uint64 arrays (see `_sample_batch`) and
-    returns its two responses in the same layout.
-    """
-
-    def timing(self, scenario: TimingScenario) -> tuple[bool, bool]:
-        return True, True
-
-    def respond_batch(self, x: np.ndarray, theta: np.ndarray,
-                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        return x.copy(), x.copy()
 
 
 class BreidbartPair:
@@ -146,7 +129,7 @@ class BreidbartPair:
 
     def respond_batch(self, x: np.ndarray, theta: np.ndarray,
                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        flips = bernoulli(rng, 1.0 - BREIDBART_SUCCESS, (*x.shape[:-1], 64 * x.shape[-1]))
+        flips = bernoulli(rng, 1.0 - BB84_ROUND_VALUE, (*x.shape[:-1], 64 * x.shape[-1]))
         guess = x ^ np.packbits(flips, axis=-1, bitorder="little").view("<u8")
         return guess, guess.copy()
 

@@ -36,12 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BB84_ROUND_VALUE, _pow2, binary_entropy, vacuous
+from .bounds import LOG2_INV_ROUND_VALUE, _pow2, _scaled_exp, binary_entropy, vacuous
 from .errors import (CapacityError, DimensionError, DomainError, ValidationError,
                      require_bytes, whole, within)
 from .rand import bernoulli, random_bits, rng_for
-
-LOG2_INV_ROUND_VALUE = -math.log2(BB84_ROUND_VALUE)
 
 # the bytes a trial batch takes to draw, and a block of its completed rows
 # to post-process
@@ -145,7 +143,7 @@ def delta_terms(n: float, t: float, s: float, ell: float,
     exactly; the typed entry point is :func:`security_delta`.
     """
     gamma, epsilon = _sampling_inputs(gamma, epsilon)
-    sampling = 5.0 * math.exp(-2.0 * epsilon**2 * t)
+    sampling = _scaled_exp(5.0, -2.0 * epsilon**2 * t)
     budget = (LOG2_INV_ROUND_VALUE * n - binary_entropy(gamma + epsilon) * n
               - ell - t - s + 2.0)
     pa = _pow2(-budget / 2.0)
@@ -637,5 +635,5 @@ def run_eqkd_trials(params: QkdParams, device, trials: int, seed: int = 0) -> di
         "key_match_rate": key_matches / completed if completed else None,
         "hoeffding_violations": violations,
         "hoeffding_violation_rate": violations / trials,
-        "hoeffding_bound": math.exp(-2.0 * params.epsilon**2 * params.t),
+        "hoeffding_bound": _scaled_exp(1.0, -2.0 * params.epsilon**2 * params.t),
     }

@@ -40,10 +40,11 @@ class TripartiteQuantumDevice:
                                  f"not a product of {strategy.rounds} rounds")
         self.n = _rounds(strategy.dims[0].bit_length() - 1)
         game = game_power(bb84_game(), self.n)
-        _, povms, _ = _aligned(game, strategy)
-        # the evaluator's arrays and the tables
-        require_bytes(_win_terms_bytes(game, strategy.rho_abc.size) + 32 * game.alice_dim**3,
-                      f"{type(self).__name__}(n={self.n})")
+        _, order, copies = _aligned(game, strategy)
+        # the evaluator's arrays beside the realigned stacks, and the tables
+        require_bytes(_win_terms_bytes(game, strategy.rho_abc.size, copies)
+                      + 32 * game.alice_dim**3, f"{type(self).__name__}(n={self.n})")
+        povms = strategy.bob[order]
         states = conditional_stack(game, strategy.rho_abc)
         split = states.shape[:2] + strategy.dims[1:] * 2
         table = np.einsum("tyij,txjeie->txy", povms, states.reshape(split)).real

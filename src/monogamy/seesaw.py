@@ -124,36 +124,31 @@ def _joint_guess(states: np.ndarray) -> np.ndarray:
     return guess
 
 
-def _conditional_operators(game: MonogamyGame, rho, fixed: np.ndarray, party: str, *,
-                           states: np.ndarray | None = None) -> np.ndarray:
-    """Per-basis, per-outcome operators on the optimized party's space:
-    partial traces of (F_x ⊗ 1 ⊗ fixed_x) rho over the other two systems, as
-    a (..., |Theta|, |X|, d, d) stack.  They are Hermitian up to rounding;
-    the measurement updates take their Hermitian parts."""
-    if states is None:
-        rho = np.asarray(rho)
-        if not linalg.is_density(rho):
-            raise ValidationError("rho is not a density matrix (Hermitian PSD, unit trace) "
-                                  "within tolerance")
-        states = conditional_stack(game, rho)
+def _conditional_operators(game: MonogamyGame, states: np.ndarray, fixed: np.ndarray,
+                           party: str) -> np.ndarray:
+    """Per-basis, per-outcome operators on the optimized party's space, from
+    the (..., |Theta|, |X|, m, m) :func:`~monogamy.games.conditional_stack`
+    of the state: partial traces of (F_x ⊗ 1 ⊗ fixed_x) rho over the other
+    two systems, as a (..., |Theta|, |X|, d, d) stack.  They are Hermitian
+    up to rounding; the measurement updates take their Hermitian parts."""
     d_fixed = fixed.shape[-1]
     d_opt, rem = divmod(states.shape[-1], d_fixed)
-    if rem or d_opt < 1:
+    rows = (len(game.thetas)**game.rounds, len(game.outcomes)**game.rounds)
+    if rem or d_opt < 1 or states.shape[-4:-2] != rows:
         raise DimensionError("state dimension incompatible with game and fixed POVMs")
     spec, dims = (("...xcr,...xbrsc->...xbs", (d_opt, d_fixed)) if party == "B"
                   else ("...xbq,...xqcbs->...xcs", (d_fixed, d_opt)))
     return np.einsum(spec, fixed, states.reshape(states.shape[:-2] + dims + dims))
 
 
-def optimal_povm_step(game: MonogamyGame, rho, fixed: np.ndarray, party: str, *,
-                      states: np.ndarray | None = None) -> np.ndarray:
+def optimal_povm_step(game: MonogamyGame, states: np.ndarray, fixed: np.ndarray,
+                      party: str) -> np.ndarray:
     """Re-optimize one party's per-basis POVMs with the state and the other
     party's (|Theta|, |X|, d, d) stack `fixed` held; returns the new stack,
-    rows in `game.basis_labels` order.  An (R, D, D) stack of states with
-    (R, |Theta|, |X|, d, d) stacks runs R restarts at once.  `states`, the
-    :func:`~monogamy.games.conditional_stack` of `rho`, saves a cycle's
-    steps computing them again; without it, `rho` is checked to be a
-    density matrix, or a stack of them, first.
+    rows in `game.basis_labels` order.  `states` is the state's
+    :func:`~monogamy.games.conditional_stack`, which a cycle's steps share;
+    an (R, |Theta|, |X|, m, m) stack of them with (R, |Theta|, |X|, d, d)
+    stacks runs R restarts at once.
 
     The measurement is :func:`~monogamy.uncertainty.minimum_error_povm` of
     the party's conditional operators: the Helstrom projector for binary
@@ -163,7 +158,7 @@ def optimal_povm_step(game: MonogamyGame, rho, fixed: np.ndarray, party: str, *,
     """
     if party not in ("B", "C"):
         raise ValidationError(f"party must be 'B' or 'C', got {party!r}")
-    return minimum_error_povm(_conditional_operators(game, rho, fixed, party, states=states))
+    return minimum_error_povm(_conditional_operators(game, states, fixed, party))
 
 
 def bb84_optimal_unentangled_strategy() -> Strategy:
@@ -221,11 +216,11 @@ def _search_block(game: MonogamyGame, cfg: SeesawConfig, restarts: range, init_p
             keep = win_terms_from_states(cand, cand, states).mean(axis=-1) >= value - 1e-12
             bob[keep] = charlie[keep] = cand[keep]
         else:
-            cand = optimal_povm_step(game, rho, charlie, "B", states=states)
+            cand = optimal_povm_step(game, states, charlie, "B")
             cand_value = win_terms_from_states(cand, charlie, states).mean(axis=-1)
             keep = cand_value >= value - 1e-12
             bob[keep], value = cand[keep], np.where(keep, cand_value, value)
-            cand = optimal_povm_step(game, rho, bob, "C", states=states)
+            cand = optimal_povm_step(game, states, bob, "C")
             keep = win_terms_from_states(bob, cand, states).mean(axis=-1) >= value - 1e-12
             charlie[keep] = cand[keep]
         # winning_probability's arithmetic, without building a Strategy

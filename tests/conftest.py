@@ -99,6 +99,17 @@ def schatten_inf_norm(m) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
+def pairwise_overlap(game: MonogamyGame) -> float:
+    """Oracle: :func:`monogamy.games.overlap` one element pair at a time.
+    For each pair of elements of distinct bases, the top eigenvalue of the
+    Gram matrix of sqrt(F_x^theta) sqrt(F_x'^theta'), each root taken alone;
+    the largest, clipped at zero, to the power of the game's rounds."""
+    best = max(float(np.linalg.eigvalsh(linalg.hermitianize(m.conj().T @ m))[-1])
+               for fa, fb in itertools.combinations(game.elements, 2)
+               for m in (linalg.psd_sqrt(a) @ linalg.psd_sqrt(b) for a in fa for b in fb))
+    return max(best, 0.0)**game.rounds
+
+
 def cyclic_permutations(n: int) -> np.ndarray:
     """The n cyclic shifts of [0..n-1] as rows; a mutually orthogonal
     permutation set."""

@@ -74,8 +74,8 @@ COUNTS = {
                                        posver.entangled_soundness_bound_log2(n, log2_d),
                                        ["n", "log2_d"], DomainError),
     "simulate_pv_rounds": (lambda n=2, trials=10, seed=0: posver.simulate_pv_rounds(
-        SCENARIO, n, posver.HonestProver(), trials, seed), ["n", "trials", "seed"],
-                           DomainError),
+        SCENARIO, n, posver.SingleAdversary(SCENARIO.pos), trials, seed),
+                           ["n", "trials", "seed"], DomainError),
     "QkdParams": (lambda n=8, t=2, s=0, ell=0: qkd.QkdParams(n, t, s, ell, 0.1, 0.05),
                   ["n", "t", "s", "ell"], DomainError),
     "toeplitz_hash": (lambda ell=1: qkd.toeplitz_hash(np.ones(4, np.uint8), np.ones(4, np.uint8),

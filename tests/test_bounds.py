@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+from decimal import Context, Decimal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -140,6 +142,20 @@ def test_pow2_never_rounds_below_the_power():
     for e in (-1073.9, -1050.25, -1022.5):
         assert bounds._pow2(e) == math.nextafter(2.0**e, math.inf)
         assert math.log2(bounds._pow2(e)) >= e
+
+
+def test_scaled_exp_never_rounds_below_the_exponential():
+    # a normal product keeps the bits of factor * math.exp(x); below the
+    # normal range it is 2 to the log2 of the product, rounded up, never 0.0
+    for factor, x in ((5.0, -0.08), (1.0, -0.4096), (5.0, -700.0), (1.0, -708.0), (5.0, 0.0)):
+        assert bounds._scaled_exp(factor, x) == factor * math.exp(x)
+    for factor, x in ((5.0, -740.0), (1.0, -720.0), (5.0, -2000.0), (1.0, -829.44)):
+        value = bounds._scaled_exp(factor, x)
+        assert factor * math.exp(x) < sys.float_info.min
+        assert value == bounds._pow2(math.log2(factor) + x / math.log(2)) > 0.0
+        # against 50 digits: not below e^x, and within a few subnormal steps of it
+        exact = Decimal(factor) * Decimal(x).exp(Context(prec=50))
+        assert exact <= Decimal(value) <= exact + 4 * Decimal(math.ulp(0.0))
 
 
 @pytest.mark.parametrize("value", [

@@ -48,6 +48,13 @@ def _entangled_round() -> Strategy:
                     constant_guess_povms(g.thetas, g.outcomes, "0"))
 
 
+def _reversed_epr_strategy(n: int) -> Strategy:
+    """The n-round EPR device strategy with its bases listed in reverse, so
+    that evaluating it realigns, and copies, both party stacks."""
+    s = device_strategy(maximally_entangled_density(2**n), bb84_povms(n))
+    return Strategy(s.rho_abc, s.dims, s.bob[::-1], s.charlie[::-1], s.thetas[::-1])
+
+
 def _build_all_tables(length: int, rows: int) -> LinearCode:
     code = LinearCode(length, rows, seed=0)
     for h in code._h.values():
@@ -83,6 +90,13 @@ def _cases():
         ("product_strategy", range(2, 31),
          lambda n: (game_power(bb84_game(), n), product_strategy(_entangled_round(), n)),
          lambda a: winning_probability(*a)),
+        # a dense strategy with its bases in reverse order, charged for its
+        # realigned stacks before they are copied
+        ("reversed_strategy", range(1, 6),
+         lambda n: (game_power(bb84_game(), n), _reversed_epr_strategy(n)),
+         lambda a: winning_probability(*a)),
+        ("reversed_device_strategy", range(1, 6), _reversed_epr_strategy,
+         TripartiteQuantumDevice),
         # four restarts, which run as one block until the block cap splits them
         ("seesaw", range(2, 33),
          lambda d: (bb84_game(), SeesawConfig(bob_dim=d, charlie_dim=d, restarts=4,

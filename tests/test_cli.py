@@ -29,6 +29,13 @@ def run(capsys, *argv) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def strict_json(text: str):
+    """`text` parsed as strict JSON, which has no NaN or Infinity."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_unknown_command_exits_2(capsys):
     code, _, err = run(capsys, "bogus")
     assert code == 2
@@ -180,9 +187,9 @@ def test_a_bound_past_the_float_range_is_vacuous_not_a_crash(capsys, argv, colum
     # (which bounds nothing), and otherwise the float of log2 `log2_value`
     code, out, err = run(capsys, *argv, "--format", "json", "--deterministic")
     assert (code, err) == (0, "")
-    row = json.loads(out)["result"][0]
+    row = strict_json(out)["result"][0]
     if log2_value is None:
-        assert row[column] == float("inf")
+        assert row[column] is None  # inf, written as null in strict JSON
     else:
         assert math.log2(row[column]) == pytest.approx(log2_value, abs=0.05)
     if column != "noisy_bound":
@@ -283,6 +290,67 @@ def test_posver_simulate_json(capsys):
     assert abs(rate - BB84_ROUND_VALUE) < 0.03
     assert doc["result"]["soundness_bound"] == pytest.approx(BB84_ROUND_VALUE,
                                                              abs=1e-15)
+
+
+def test_posver_simulate_honest_prover_output_is_pinned(capsys):
+    # the honest prover, one party at the claimed position, answers every
+    # round exactly; CI's command, whose 99,999 rounds end in a partial word
+    code, out, _ = run(capsys, "posver", "simulate", "--n", "65", "--prover", "honest",
+                       "--trials", "99999", "--seed", "1", "--deterministic")
+    assert code == 0
+    assert out == """{
+  "command": "posver-simulate",
+  "params": {
+    "n": 65,
+    "position": null,
+    "prover": "honest",
+    "scenario": "default",
+    "trials": 99999
+  },
+  "result": {
+    "acceptance_rate": 1.0,
+    "accepted": 99999,
+    "n": 65,
+    "seed": 1,
+    "soundness_bound": 3.3884023145171987e-05,
+    "timing_ok_v0": true,
+    "timing_ok_v1": true,
+    "trials": 99999
+  },
+  "seed": 1
+}
+"""
+
+
+@pytest.mark.parametrize("argv, nulls", [
+    pytest.param(("qkd-delta", "--n", "1" + "0" * 21, "--t", "10", "--gamma", "0",
+                  "--epsilon", "0.1", "--s", "auto", "--ell", "0"), ["delta", "pa_term"],
+                 id="qkd-delta-n-1e21"),
+    pytest.param(("bounds", "--game", "general", "--c", "0.5", "--q", "1" + "0" * 400,
+                  "--n", "1", "--format", "json"), ["value"], id="bounds-q-1e400"),
+    pytest.param(("posver", "bound", "--n", "1", "--d", "1" + "0" * 400, "--format", "json"),
+                 ["bound"], id="posver-d-1e400"),
+])
+def test_an_infinite_value_is_null_in_strict_json(capsys, argv, nulls):
+    code, out, err = run(capsys, *argv, "--deterministic")
+    assert (code, err) == (0, "")
+    result = strict_json(out)["result"]
+    row = result if isinstance(result, dict) else result[0]
+    assert all(row[k] is None for k in nulls)
+    assert row["vacuous"] is True
+    # CSV, which has no null, still writes inf
+    if "--format" in argv:
+        code, out, _ = run(capsys, *argv[:-2], "--format", "csv")
+        assert code == 0 and ",inf," in out
+
+
+def test_a_sampling_term_below_the_float_range_is_not_zero(capsys):
+    # 5 e^-2000: the smallest positive float stands in for it
+    code, out, _ = run(capsys, "qkd-delta", "--n", "100000000", "--t", "10000000",
+                       "--gamma", "0.001", "--epsilon", "0.01", "--s", "0", "--ell", "1000",
+                       "--deterministic")
+    assert code == 0
+    assert strict_json(out)["result"]["sampling_term"] == math.ulp(0.0)
 
 
 def test_posver_simulate_single_needs_position(capsys):

@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monogamy import linalg
-from monogamy.games import (MonogamyGame, QSet, Strategy, _basis_terms, game_power,
-                            hamming_q_set, power_elements, product_strategy,
+from monogamy.games import (MonogamyGame, QSet, Strategy, _basis_terms, conditional_stack,
+                            game_power, hamming_q_set, power_elements, product_strategy,
                             same_string_q_set, win_operator, win_terms,
                             winning_probability, winning_probability_with_q,
                             xor_permutation_family)
@@ -101,7 +101,8 @@ def test_conditional_operators_match_oracle(case):
     da, db, dc = s.dims
     for party, fixed, keep in (("B", s.charlie_povms, 1), ("C", s.bob_povms, 2)):
         stack = s.charlie if party == "B" else s.bob
-        sigmas = _conditional_operators(game, s.rho_abc, stack, party)
+        sigmas = _conditional_operators(game, conditional_stack(game, s.rho_abc),
+                                        stack, party)
         assert sigmas.shape[:2] == (len(game.thetas), len(game.outcomes))
         for theta, per_theta in zip(game.thetas, sigmas):
             f = game.povms[theta]
@@ -169,7 +170,8 @@ def test_round_by_round_contractions_match_the_dense_oracle(case, with_q):
     labels = game.basis_labels
     assert len(terms) == len(labels) == len(dense)
     dims = (game.alice_dim, bob.shape[-1], charlie.shape[-1])
-    sigmas = {party: _conditional_operators(game, rho, fixed, party)
+    states = conditional_stack(game, rho)
+    sigmas = {party: _conditional_operators(game, states, fixed, party)
               for party, fixed in (("B", charlie), ("C", bob))}
     for i, theta in enumerate(labels):
         op = oracle_win_operator(dense[i], bob[i], charlie[i], pairs)

@@ -16,15 +16,15 @@ from monogamy.errors import DimensionError, DomainError, ValidationError
 from monogamy.games import (MonogamyGame, QSet, Strategy, _basis_terms, bb84_game,
                             conditional_stack, conditional_states, constant_guess_povms,
                             game_power, hamming_q_set, maximally_entangled_density, overlap,
-                            power_elements, product_strategy, pure_strategy,
-                            same_string_q_set, win_operator, win_operator_sum, win_terms,
+                            power_elements, product_strategy, same_string_q_set, win_operator, win_operator_sum, win_terms,
                             winning_probability, winning_probability_with_q,
                             xor_permutation_family)
 from monogamy.posver import BreidbartPair, TimingScenario, simulate_pv_rounds
-from monogamy.rand import random_density, random_projective_povm
+from monogamy.rand import random_density, random_povm, random_projective_povm, rng_for
 from monogamy.seesaw import bb84_optimal_unentangled_strategy
 
-from conftest import basis_factors, dense_product, reorder_systems, schatten_inf_norm
+from conftest import (basis_factors, dense_product, pairwise_overlap, reorder_systems,
+                      schatten_inf_norm)
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -68,6 +68,27 @@ def test_game_rejects_non_psd_element():
     with pytest.raises(ValidationError):
         MonogamyGame(dim_a=2, thetas=("0",), outcomes=("0", "1"),
                      povms={"0": (bad, good)})
+
+
+def test_the_stack_check_reads_positivity_before_completeness():
+    # one check of the whole stack names the first element that is not
+    # Hermitian, else the first that is not PSD, then the first basis that
+    # does not sum to the identity
+    not_psd = np.diag([1.0, -1.0]).astype(complex)
+    skew = np.array([[0, 1], [0, 0]], dtype=complex)
+    fine = [KET0, np.eye(2) - KET0]
+
+    def refusal(stack) -> str:
+        with pytest.raises(ValidationError) as info:
+            MonogamyGame(2, ("a", "b", "c"), ("0", "1"), np.array(stack))
+        return str(info.value)
+
+    assert refusal([[KET0, KET0], [KET0, not_psd], fine]) == \
+        "POVM 'b' element 1 is not Hermitian PSD"
+    assert refusal([[not_psd, np.eye(2) - not_psd], fine, [KET0, skew]]) == \
+        "POVM 'c' element 1 is not Hermitian PSD"
+    assert refusal([fine, [KET0, KET0], [KET0, KET0]]) == \
+        "POVM 'b' does not sum to the identity"
 
 
 def test_game_power_one_is_same_game():
@@ -188,6 +209,22 @@ def test_overlap_of_unsharp_measurements_is_below_one_over_the_alphabet():
     half = np.eye(2) / 2
     g = MonogamyGame(2, ("0", "1"), ("0", "1"), {"0": [half, half], "1": [half, half]})
     assert overlap(g) == pytest.approx(0.25, abs=1e-15)
+
+
+def test_overlap_matches_the_pairwise_oracle_bit_for_bit():
+    # every element pair of every basis pair in one contraction, against one
+    # pair at a time: bb84, and 30 random POVM games of 2-4 bases, outcomes
+    # and dimensions, over one round and two
+    games_ = [bb84_game()]
+    for seed in range(30):
+        rng = rng_for(seed)
+        d, k, t = (int(v) for v in rng.integers(2, 5, 3))
+        labels = tuple(map(str, range(t)))
+        games_.append(MonogamyGame(d, labels, tuple(map(str, range(k))),
+                                   np.array([random_povm(d, k, rng) for _ in labels])))
+    for game in games_:
+        for g in (game, game_power(game, 2)):
+            assert overlap(g) == pairwise_overlap(g)
 
 
 def test_overlap_requires_two_bases():
@@ -664,13 +701,6 @@ def test_eight_round_hamming_set_builds_and_evaluates_in_little_memory():
 # strategies
 
 
-def test_pure_strategy_normalizes():
-    g = bb84_game()
-    guess = constant_guess_povms(g.thetas, g.outcomes, "0", dim=1)
-    s = pure_strategy([2.0, 0.0], (2, 1, 1), guess, dict(guess))
-    assert np.trace(s.rho_abc) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_strategy_rejects_bad_density(rng):
     g = bb84_game()
     guess = constant_guess_povms(g.thetas, g.outcomes, "0", dim=1)
@@ -720,6 +750,36 @@ def test_strategy_basis_order_does_not_change_its_value(rng):
     q = hamming_q_set(2, 0.5, 0.5)
     assert winning_probability_with_q(g, flipped, q) == \
         winning_probability_with_q(g, s, q)
+
+
+def _one_row_table(game, strategy) -> np.ndarray:
+    """Oracle: the 2 x 2 round table T[b, c] of a product of `strategy`, from
+    four evaluations of one-row Q-sets, x -> x ⊕ b for Bob and x -> x ⊕ c for
+    Charlie."""
+    return np.array([[win_terms(game, strategy.bob, strategy.charlie, strategy.rho_abc,
+                                QSet([[b, 1 - b]], [[c, 1 - c]])).mean()
+                      for c in (0, 1)] for b in (0, 1)])
+
+
+def test_the_product_round_table_matches_one_row_q_sets_bit_for_bit():
+    # 50 random one-round strategies, half with their bases listed in
+    # reverse, each against up to three zipped XOR-shift pairs over 2-4 rounds
+    g = bb84_game()
+    for seed in range(50):
+        rng = rng_for(seed)
+        s = random_strategy(g, int(rng.integers(1, 3)), int(rng.integers(1, 3)), rng)
+        n = int(rng.integers(2, 5))
+        shifts = np.unique(rng.integers(0, 2**n, (3, 2)), axis=0)
+        points = np.arange(2**n)
+        q = QSet(points ^ shifts[:, :1], points ^ shifts[:, 1:])
+        bits = (shifts[..., None] >> np.arange(n - 1, -1, -1)) & 1
+        table = _one_row_table(g, s)
+        expected = float(table[bits[:, 0], bits[:, 1]].prod(axis=1).sum())
+        order = g.thetas[::-1] if seed % 2 else g.thetas
+        played = Strategy(s.rho_abc, s.dims, {t: s.bob_povms[t] for t in order},
+                          {t: s.charlie_povms[t] for t in order})
+        assert winning_probability_with_q(game_power(g, n), product_strategy(played, n),
+                                          q) == expected
 
 
 def test_strategy_parties_must_cover_the_same_bases():

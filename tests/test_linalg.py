@@ -9,6 +9,7 @@ import pytest
 
 from monogamy import linalg
 from monogamy.errors import DimensionError, NotPsdError, ValidationError
+from monogamy.games import MonogamyGame, bb84_game, overlap
 from monogamy.rand import random_density, rng_for
 
 from conftest import random_psd, reorder_systems
@@ -182,19 +183,39 @@ def test_reorder_systems_matches_kron_swap(rng):
 
 
 # ---------------------------------------------------------------------------
-# overlap_of_pair
+# measurement overlaps: games.overlap and psd_sqrt of a stack
 
 
 def test_overlap_of_identical_projectors():
-    assert linalg.overlap_of_pair(KET0, KET0) == 1.0
+    game = MonogamyGame(2, ("0", "1"), ("0", "1"), np.array([[KET0, KET1], [KET0, KET1]]))
+    assert overlap(game) == 1.0
 
 
 def test_overlap_of_mutually_unbiased_projectors():
-    assert linalg.overlap_of_pair(KET0, PLUS) == 0.5
+    assert overlap(bb84_game()) == 0.5
 
 
 def test_overlap_of_orthogonal_projectors():
-    assert linalg.overlap_of_pair(KET0, KET1) == pytest.approx(0.0, abs=1e-14)
+    # a projector stack is its own root, and orthogonal roots multiply to 0
+    roots = linalg.psd_sqrt(np.array([KET0, KET1]))
+    np.testing.assert_array_equal(roots, [KET0, KET1])
+    assert np.abs(roots[0] @ roots[1]).max() == pytest.approx(0.0, abs=1e-14)
+
+
+def test_psd_sqrt_of_a_stack_is_each_matrix_root(rng):
+    # projectors are kept, the rest rooted, each bit for bit as alone
+    stack = np.array([[random_psd(3, rng), np.diag([1.0, 0.0, 1.0])],
+                      [random_psd(3, rng, rank=1), np.diag([4.0, 9.0, 0.0])]])
+    roots = linalg.psd_sqrt(stack)
+    for idx in np.ndindex(stack.shape[:2]):
+        np.testing.assert_array_equal(roots[idx], linalg.psd_sqrt(stack[idx]))
+    np.testing.assert_allclose(roots @ roots, stack, atol=1e-12)
+    with pytest.raises(NotPsdError):
+        linalg.psd_sqrt(np.array([np.eye(2), np.diag([1.0, -1e-6])]))
+    with pytest.raises(ValidationError):
+        linalg.psd_sqrt(np.array([np.eye(2), [[0, 1], [0, 0]]]))
+    with pytest.raises(DimensionError):
+        linalg.psd_sqrt(np.ones((2, 2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +227,9 @@ def test_hermitian_and_psd_predicates(rng):
     assert not linalg.hermitian_psd(np.array([[0, 1], [0, 0]]), psd=False).all()
     assert linalg.hermitian_psd(PLUS).all()
     assert not linalg.hermitian_psd(np.diag([1.0, -1.0])).all()
-    assert linalg.is_density(np.eye(2) / 2)
-    assert not linalg.is_density(np.eye(2))
+    assert linalg.require_density(np.eye(2) / 2) is not None
+    with pytest.raises(ValidationError, match="trace"):
+        linalg.require_density(np.eye(2))
 
 
 def test_rng_for_is_reproducible():
@@ -231,7 +253,7 @@ def test_predicates_read_their_input_in_place(rng):
     rho = random_density(4, rng)
     before = rho.copy()
     assert linalg.require_density(rho) is rho
-    assert linalg.is_density(rho) and linalg.hermitian_psd(rho, psd=False).all()
+    assert linalg.hermitian_psd(rho).all()
     np.testing.assert_array_equal(rho, before)
     assert rho.flags.writeable
 

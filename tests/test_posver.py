@@ -9,8 +9,7 @@ import pytest
 
 from monogamy.bounds import BB84_ROUND_VALUE, bb84_parallel_value
 from monogamy.errors import CapacityError, DomainError, ValidationError
-from monogamy.posver import (BREIDBART_SUCCESS, BreidbartPair, HonestProver,
-                             SingleAdversary, TimingScenario,
+from monogamy.posver import (BreidbartPair, SingleAdversary, TimingScenario,
                              entangled_soundness_bound, max_entanglement_rate,
                              _sample_batch, noisy_soundness_bound, simulate_pv_rounds,
                              soundness_bound)
@@ -106,12 +105,8 @@ def test_scenario_requires_position_between_verifiers():
         TimingScenario(v0=0.0, v1=1.0, pos=1.5)
 
 
-def test_breidbart_success_equals_round_value():
-    assert BREIDBART_SUCCESS == pytest.approx(BB84_ROUND_VALUE, abs=1e-15)
-
-
 def test_honest_prover_always_accepted():
-    agg = simulate_pv_rounds(SCENARIO, 8, HonestProver(), 2000, seed=0)
+    agg = simulate_pv_rounds(SCENARIO, 8, SingleAdversary(SCENARIO.pos), 2000, seed=0)
     assert agg["acceptance_rate"] == 1.0
 
 
@@ -199,7 +194,7 @@ def _unpacked_acceptances(n: int, trials: int, seed: int) -> int:
         x = np.unpackbits(_words(rng, n * words).view(np.uint8),
                           bitorder="little").reshape(n, 64 * words)[:, :rounds]
         _words(rng, n * words)  # the bases, which the guess does not read
-        flips = bernoulli(rng, 1.0 - BREIDBART_SUCCESS, (n, 64 * words))[:, :rounds]
+        flips = bernoulli(rng, 1.0 - BB84_ROUND_VALUE, (n, 64 * words))[:, :rounds]
         guess = x ^ flips
         accepted += int(np.all(guess == x, axis=0).sum())
     return accepted
@@ -222,7 +217,7 @@ def test_simulate_refuses_a_trial_count_that_is_not_a_positive_integer(trials):
 @pytest.mark.parametrize("trials", [1, 63, 65, 100, 70001])
 def test_honest_prover_accepts_a_partial_last_word_exactly(trials):
     # bits past the last round are drawn and answered, but never counted
-    agg = simulate_pv_rounds(SCENARIO, 5, HonestProver(), trials, seed=2)
+    agg = simulate_pv_rounds(SCENARIO, 5, SingleAdversary(SCENARIO.pos), trials, seed=2)
     assert agg["accepted"] == trials
     assert agg["acceptance_rate"] == 1.0
 
@@ -256,6 +251,6 @@ def test_simulate_rounds_deterministic_and_capped():
     assert a == b
     with pytest.raises(CapacityError):
         # ten rounds of 2^30 qubits need about 200 GiB
-        simulate_pv_rounds(SCENARIO, 2**30, HonestProver(), 10, seed=0)
+        simulate_pv_rounds(SCENARIO, 2**30, SingleAdversary(SCENARIO.pos), 10, seed=0)
     with pytest.raises(DomainError):
-        simulate_pv_rounds(SCENARIO, 0, HonestProver(), 10, seed=0)
+        simulate_pv_rounds(SCENARIO, 0, SingleAdversary(SCENARIO.pos), 10, seed=0)

@@ -99,6 +99,19 @@ def test_delta_sampling_term_limit_for_tiny_epsilon():
     assert delta >= 5.0 - 1e-9
 
 
+def test_exponential_terms_below_the_float_range_are_not_zero():
+    # 5 e^-2000 and e^-829.44 lie below the smallest positive float, which
+    # stands in for them; a normal term keeps the bits of math.exp
+    assert delta_terms(10**8, 10**7, 0, 1000, 0.001, 0.01)[0] == math.ulp(0.0)
+    far = QkdParams(n=4096, t=2048, s=0, ell=0, gamma=0.0, epsilon=0.45)
+    assert run_eqkd_trials(far, HonestNoisyDevice(0.0), 1, seed=0)["hoeffding_bound"] == \
+        math.ulp(0.0)
+    assert delta_terms(64, 16, 16, 16, 0.05, 0.05)[0] == 5.0 * math.exp(-2.0 * 0.05**2 * 16)
+    near = QkdParams(n=64, t=16, s=16, ell=16, gamma=0.05, epsilon=0.05)
+    assert run_eqkd_trials(near, HonestNoisyDevice(0.01), 10, seed=0)["hoeffding_bound"] == \
+        math.exp(-2.0 * 0.05**2 * 16)
+
+
 def test_delta_budget_zero_gives_unit_pa_term():
     n, t, s, gamma, epsilon = 10**5, 10**3, 2000, 0.01, 0.002
     _, budget0, _, _ = delta_terms(n, t, s, 0.0, gamma, epsilon)

@@ -7,7 +7,7 @@ import pytest
 
 from monogamy.bounds import BB84_ROUND_VALUE, bb84_parallel_value
 from monogamy.errors import CapacityError, DimensionError, DomainError, ValidationError
-from monogamy.games import (MonogamyGame, Strategy, bb84_game, game_power,
+from monogamy.games import (MonogamyGame, Strategy, bb84_game, conditional_stack, game_power,
                             product_strategy, winning_probability)
 from monogamy.seesaw import (SeesawConfig, bb84_optimal_unentangled_strategy,
                              optimal_povm_step, optimal_state_step, seesaw)
@@ -50,7 +50,7 @@ def test_state_step_value_never_exceeds_one(rng):
 def test_povm_step_returns_constant_guess_for_optimal_state():
     g = bb84_game()
     s = bb84_optimal_unentangled_strategy()
-    new_bob = optimal_povm_step(g, s.rho_abc, s.charlie, "B")
+    new_bob = optimal_povm_step(g, conditional_stack(g, s.rho_abc), s.charlie, "B")
     assert new_bob.shape == (len(g.thetas), 2, 1, 1)
     for povm in new_bob:
         np.testing.assert_allclose(povm[0], np.eye(1), atol=1e-12)
@@ -61,16 +61,15 @@ def test_povm_step_rejects_bad_party():
     g = bb84_game()
     s = bb84_optimal_unentangled_strategy()
     with pytest.raises(ValueError):
-        optimal_povm_step(g, s.rho_abc, s.charlie, "D")
+        optimal_povm_step(g, conditional_stack(g, s.rho_abc), s.charlie, "D")
 
 
-@pytest.mark.parametrize("rho", [np.diag([1.5, -0.5]), np.eye(2) / 4],
-                         ids=["not-psd", "trace-one-half"])
-def test_povm_step_rejects_a_state_that_is_not_a_density(rho):
+def test_povm_step_rejects_the_states_of_another_game():
+    # one round's conditional states, given for a two-round game
     g = bb84_game()
     s = bb84_optimal_unentangled_strategy()
-    with pytest.raises(ValidationError):
-        optimal_povm_step(g, rho.astype(complex), s.charlie, "B")
+    with pytest.raises(DimensionError):
+        optimal_povm_step(game_power(g, 2), conditional_stack(g, s.rho_abc), s.charlie, "B")
 
 
 def test_a_nan_stops_the_search_in_its_first_cycle(monkeypatch):

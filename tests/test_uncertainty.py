@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from monogamy import games, linalg
 from monogamy.errors import DimensionError, DomainError, ValidationError
-from monogamy.games import (MonogamyGame, _validate_povm, bb84_game,
+from monogamy.games import (MonogamyGame, _povm_stack, bb84_game,
                             maximally_entangled_density, overlap)
 from monogamy.rand import haar_unitary, random_density, random_povm, rng_for
 from monogamy.uncertainty import (CqEnsemble, _inverse_root, _outcome_sum, _psd_clip,
@@ -113,7 +113,7 @@ def test_joint_density_shape_and_trace():
     joint = e.joint_density()
     assert joint.shape == (4, 4)
     assert np.trace(joint) == pytest.approx(1.0, abs=1e-12)
-    assert linalg.is_density(joint)
+    linalg.require_density(joint)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +344,7 @@ def test_guessing_probability_of_the_trine_and_the_bb84_states():
     trine = CqEnsemble(("a", "b", "c"), np.ones(3) / 3, _trine_states())
     value, povm = guessing_probability(trine)
     assert value == pytest.approx(2 / 3, abs=1e-12)
-    _validate_povm(povm, "trine")
+    _povm_stack(povm[None], ("trine",), 2)
     bb84 = CqEnsemble(("0", "1", "+", "-"), np.ones(4) / 4, np.array([*F0, *F1]))
     assert guessing_probability(bb84)[0] == pytest.approx(0.5, abs=1e-12)
 
@@ -396,8 +396,7 @@ def test_refined_pgm_is_a_povm_that_guesses_no_worse_than_the_pgm(r, b, k, d, se
     stack *= 10.0**-rng_for(seed, 1).uniform(0.0, spread, (r, b, k, 1, 1))
     refined = minimum_error_povm(stack)
     assert refined.shape == stack.shape
-    for idx in np.ndindex(r, b):
-        _validate_povm(refined[idx], "refined")
+    _povm_stack(refined.reshape(r * b, k, d, d), [f"refined{i}" for i in range(r * b)], d)
     assert (_guessing(stack, refined) >= _guessing(stack, pgm_povm(stack)) - 1e-12).all()
 
 
@@ -411,7 +410,7 @@ def test_operators_that_cancel_to_rounding_noise_still_give_a_povm():
     stack[1] = [[7.4498925677452960e-37j, 4.2062966253108828e-20 - 4.2251754532958984e-20j],
                 [0, -8.4125932506217656e-20 - 8.4503509065917967e-20j]]
     for povm in (pgm_povm(stack), minimum_error_povm(stack)):
-        _validate_povm(povm, "noise")
+        _povm_stack(povm[None], ("noise",), 2)
 
 
 def test_refined_pgm_nears_the_optimum_where_the_pgm_does_not():
