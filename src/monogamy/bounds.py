@@ -47,6 +47,16 @@ def _pow2(exponent: float) -> float:
     return value if value >= sys.float_info.min else math.nextafter(value, math.inf)
 
 
+def _exact(f, *args):
+    """f(*args) in floats, or in exact Fractions of the same numbers once an
+    int among them lies past the float range."""
+    try:
+        return f(*args)
+    except OverflowError:
+        from fractions import Fraction  # loaded on first use, not with the package
+        return f(*map(Fraction, args))
+
+
 def _scaled_exp(factor: float, x: float) -> float:
     """factor * e^x for a positive factor: the float product where it is a
     normal float, else 2^(log2 factor + x log2 e), never rounded to 0."""
@@ -57,14 +67,15 @@ def _scaled_exp(factor: float, x: float) -> float:
 def _scaled_power(factor, base: float, n: int) -> float:
     """factor * base^n for a positive factor (an int of any size) and base:
     the float product where both terms and it are normal floats, else
-    2^(log2 factor + n log2 base), inf past the float range."""
+    2^(log2 factor + n log2 base), inf past the float range; an n past the
+    float range counts as the largest float, where that power saturates."""
     try:
         scale, power = float(factor), base**n
     except OverflowError:  # a term past the float range
         scale = power = math.inf
     if all(sys.float_info.min <= v < math.inf for v in (scale, power, scale * power)):
         return scale * power
-    return _pow2(math.log2(factor) + n * math.log2(base))
+    return _pow2(math.log2(factor) + min(n, sys.float_info.max) * math.log2(base))
 
 
 def _family_inputs(c: float, theta_count: int, n: int) -> tuple[float, int, int]:

@@ -350,7 +350,7 @@ def qkd_keylen_cmd(n_range, t_text, gamma, epsilon, s_text, delta_target, fmt,
 @click.option("--noise", type=float, default=0.0, show_default=True,
               help="Flip probability of the classical device model.")
 @click.option("--device", type=click.Choice(["honest", "epr"]), default="honest",
-              show_default=True, help="'epr' runs the exact quantum device (n <= 5).")
+              show_default=True, help="'epr' runs the exact quantum device.")
 @click.option("--trials", type=int, default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_output_options
@@ -361,12 +361,11 @@ def qkd_sim_cmd(n, t, s, ell, gamma, epsilon, noise, device, trials, seed,
 
     if device == "epr":
         _reject_unused("with --device epr", "noise")
-    params = qkd_mod.QkdParams(n=n, t=t, s=s, ell=ell, gamma=gamma, epsilon=epsilon)
-    if device == "epr":
         from .quantum_device import epr_device
         dev = epr_device(n)
     else:
         dev = qkd_mod.HonestNoisyDevice(noise)
+    params = qkd_mod.QkdParams(n=n, t=t, s=s, ell=ell, gamma=gamma, epsilon=epsilon)
     agg = qkd_mod.run_eqkd_trials(params, dev, trials, seed=seed)
     _emit("qkd-sim",
           {"n": n, "t": t, "s": s, "ell": ell, "gamma": gamma,
@@ -406,11 +405,12 @@ def posver_bound_cmd(n_range, d, rate, gamma, gamma_prime, fmt, output,
     for n in _parse_range(n_range, fmt):
         if rate is None:
             row = {"n": n, "d": d, "bound": posver_mod.entangled_soundness_bound(n, d)}
-        elif math.isfinite(rate * n):  # from log2 d, so that 2^log2_d is never built
-            log2_d = math.ceil(rate * n)
+        elif math.isfinite(rate) and (n > sys.float_info.max or math.isfinite(rate * n)):
+            # from log2 d, so that 2^log2_d is never built; exact past the float range
+            log2_d = math.ceil(bounds_mod._exact(lambda r, n: r * n, rate, n))
             row = {"n": n, "log2_d": log2_d,
                    "bound": posver_mod.entangled_soundness_bound_log2(n, log2_d)}
-        else:  # nan, inf, or past the float range at this n
+        else:  # nan, inf, or a product past the float range at this n
             raise click.BadParameter(f"{rate} times n = {n} is not finite", param_hint="'--rate'")
         row["vacuous"] = bounds_mod.vacuous(row["bound"])
         if gamma is not None or gamma_prime is not None:

@@ -35,7 +35,7 @@ class DomainError(ValueError):
 class CapacityError(ValueError):
     """A request exceeds a fixed capacity: the bytes it would allocate exceed
     `MEMORY_BUDGET` (raised by `require_bytes` before anything is
-    allocated), or a device supports no more rounds."""
+    allocated)."""
 
 
 def require_bytes(nbytes: int, what: str) -> None:
@@ -47,6 +47,12 @@ def require_bytes(nbytes: int, what: str) -> None:
         size = f"{nbytes:,} bytes" if nbytes.bit_length() <= 64 else "over 2^64 bytes"
         raise CapacityError(f"{what} needs {size}, over the memory budget of "
                             f"{MEMORY_BUDGET:,} bytes")
+
+
+def capped_power(base: int, exponent: int) -> int:
+    """base**exponent for non-negative ints, or 2**65, over every budget,
+    once it could pass 2**64: a tensor power's size, never written out."""
+    return 2**65 if base > 1 and exponent * (base.bit_length() - 1) > 64 else base**exponent
 
 
 def whole(n, name: str = "n", minimum: int | None = 1, error: type = DomainError) -> int:

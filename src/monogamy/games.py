@@ -31,8 +31,8 @@ import numpy as np
 
 from . import linalg
 from .bounds import binary_entropy
-from .errors import (DimensionError, DomainError, ValidationError, require_bytes, whole,
-                     within)
+from .errors import (DimensionError, DomainError, ValidationError, capped_power,
+                     require_bytes, whole, within)
 
 POVM_COMPLETENESS_ATOL = 1e-8
 
@@ -202,21 +202,6 @@ def bb84_game() -> MonogamyGame:
     elements = np.array([[[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
                          [[[0.5, 0.5], [0.5, 0.5]], [[0.5, -0.5], [-0.5, 0.5]]]])
     return MonogamyGame(dim_a=2, thetas=("0", "1"), outcomes=("0", "1"), povms=elements)
-
-
-def power_elements(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Every n-fold tensor product of per-round element stacks.
-
-    Factor i is a stack E_i[x, a, a'].  Row (x_1, ..., x_n) of the result is
-    E_1[x_1] ⊗ ... ⊗ E_n[x_n]; rows run lexicographically, round 1 most
-    significant.
-    """
-    out = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        f = np.asarray(f, dtype=complex)
-        k, d = out.shape[0] * f.shape[0], out.shape[1] * f.shape[1]
-        out = (out[:, None, :, None, :, None] * f[None, :, None, :, None, :]).reshape(k, d, d)
-    return out
 
 
 def _with_rounds(obj, rounds: int):
@@ -458,7 +443,7 @@ def _basis_terms(game: MonogamyGame, strategy: Strategy) -> np.ndarray:
     """tr(Pi^theta rho) for every n-round basis in `game.basis_labels` order;
     a product's are the kron of its round's."""
     one, order, copies = _aligned(game, strategy)
-    require_bytes(_TERM_BYTES * len(game.thetas)**game.rounds
+    require_bytes(_TERM_BYTES * capped_power(len(game.thetas), game.rounds)
                   + _win_terms_bytes(one, strategy.rho_abc.size, copies), "win_terms")
     terms = win_terms(one, strategy.bob[order], strategy.charlie[order], strategy.rho_abc)
     return functools.reduce(np.kron, [terms] * strategy.rounds)

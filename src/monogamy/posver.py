@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (BB84_ROUND_VALUE, LOG2_INV_ROUND_VALUE, _pow2, _scaled_power,
+from .bounds import (BB84_ROUND_VALUE, LOG2_INV_ROUND_VALUE, _exact, _pow2, _scaled_power,
                      bb84_parallel_value, imperfect_guessing_bound)
 from .errors import ValidationError, require_bytes, whole
 from .rand import _words, bernoulli, rng_for
@@ -59,7 +59,7 @@ def entangled_soundness_bound_log2(n: int, log2_d: int) -> float:
     n, log2_d = whole(n), whole(log2_d, "log2_d", minimum=0)
     if log2_d < 1024:
         return _scaled_power(2.0**log2_d, BB84_ROUND_VALUE, n)
-    return _pow2(log2_d - n * LOG2_INV_ROUND_VALUE)
+    return _pow2(_exact(lambda d, n, b: d - n * b, log2_d, n, LOG2_INV_ROUND_VALUE))
 
 
 def max_entanglement_rate() -> float:

@@ -19,10 +19,10 @@ device is any object with `sample(theta, rng) -> (x, y)` that takes a
 (trials, n) array of basis bits and returns Alice's and its own outcome bits
 in that shape, drawn from `rng` only; one built for another n raises
 DimensionError.  This module's device is the classical noise model
-:class:`HonestNoisyDevice`; the exact quantum one is in
-:mod:`monogamy.quantum_device`.  The memory budget of :mod:`monogamy.errors`
-is the only bound on run sizes: one trial with t = 1 and s = ell = 0 is
-charged 21 bytes a round, up to 102,258,189 rounds.  An eavesdropper is never
+:class:`HonestNoisyDevice`; the exact quantum one, which plays a strategy
+block by block, is in :mod:`monogamy.quantum_device`.  The memory budget is
+the only bound on run sizes: one trial with t = 1 and s = ell = 0 is charged
+21 bytes a round, up to 102,258,189 rounds.  An eavesdropper is never
 simulated; the delta formula is the security claim and is computed exactly.
 """
 
@@ -31,12 +31,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import LOG2_INV_ROUND_VALUE, _pow2, _scaled_exp, binary_entropy, vacuous
+from .bounds import LOG2_INV_ROUND_VALUE, _exact, _pow2, _scaled_exp, binary_entropy, vacuous
 from .errors import (CapacityError, DimensionError, DomainError, ValidationError,
                      require_bytes, whole, within)
 from .rand import bernoulli, random_bits, rng_for
@@ -137,16 +138,18 @@ class QkdSecurityReport:
 
 def delta_terms(n: float, t: float, s: float, ell: float,
                 gamma: float, epsilon: float) -> tuple[float, float, float, float]:
-    """(sampling_term, exponent_budget, pa_term, delta) of the failure bound.
+    """(sampling_term, exponent_budget, pa_term, delta) of the failure bound;
+    a budget past the float range is an exact Fraction.
 
     Numeric core: accepts real-valued arguments so budgets can be probed
     exactly; the typed entry point is :func:`security_delta`.
     """
     gamma, epsilon = _sampling_inputs(gamma, epsilon)
-    sampling = _scaled_exp(5.0, -2.0 * epsilon**2 * t)
-    budget = (LOG2_INV_ROUND_VALUE * n - binary_entropy(gamma + epsilon) * n
-              - ell - t - s + 2.0)
-    pa = _pow2(-budget / 2.0)
+    # a t past the float range counts as the largest float: the term saturates
+    sampling = _scaled_exp(5.0, -2.0 * epsilon**2 * min(t, sys.float_info.max))
+    budget = _exact(lambda n, t, s, ell, b, h: b * n - h * n - ell - t - s + 2,
+                    n, t, s, ell, LOG2_INV_ROUND_VALUE, binary_entropy(gamma + epsilon))
+    pa = _pow2(-budget / 2)
     return sampling, budget, pa, sampling + pa
 
 
@@ -155,8 +158,10 @@ def security_delta(params: QkdParams) -> QkdSecurityReport:
     sampling, budget, pa, delta = delta_terms(params.n, params.t, params.s,
                                               params.ell, params.gamma,
                                               params.epsilon)
+    if abs(budget) > sys.float_info.max:  # exact, past the float range
+        budget = math.inf if budget > 0 else -math.inf
     return QkdSecurityReport(delta=delta, sampling_term=sampling, pa_term=pa,
-                             exponent_budget=budget)
+                             exponent_budget=float(budget))
 
 
 @dataclass(frozen=True)
@@ -188,8 +193,8 @@ def max_key_length(n: int, t: int, s: int, gamma: float, epsilon: float,
     if delta0 > delta_target:
         return KeyLengthReport(False, 0, math.nan,
                                "bound exceeds the target even at ell = 0")
-    # closed-form inversion, then float-safe adjustment by +-1
-    ell = int(math.floor(budget0 + 2.0 * math.log2(delta_target - sampling)))
+    # closed-form inversion, exact past the float range, then adjusted by +-1
+    ell = math.floor(budget0 + type(budget0)(2.0 * math.log2(delta_target - sampling)))
     ell = max(ell, 0)
     while delta_terms(n, t, s, ell + 1, gamma, epsilon)[3] <= delta_target:
         ell += 1
@@ -221,7 +226,7 @@ def suggested_syndrome_length(n: int, t: int, gamma: float, epsilon: float) -> i
     """ceil((n - t) h(gamma + epsilon)): a reasonable preset, not a mandate.
     Arguments that :class:`QkdParams` refuses raise its error."""
     QkdParams(n, t, 0, 0, gamma, epsilon)
-    return int(math.ceil((n - t) * binary_entropy(gamma + epsilon)))
+    return math.ceil(_exact(lambda m, h: m * h, n - t, binary_entropy(gamma + epsilon)))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, ValidationError, require_bytes, whole, within
+from .errors import DimensionError, ValidationError, capped_power, require_bytes, whole, within
 from .games import (MonogamyGame, Strategy, _trace_out_entries, _win_operator_sum_entries,
                     _win_terms_bytes, conditional_stack, constant_guess_povms,
                     win_operator_sum, win_terms_from_states, winning_probability)
@@ -282,13 +282,16 @@ def _search_bytes(game: MonogamyGame, cfg: SeesawConfig) -> int:
     stacks, the final evaluation, which holds the conditional states of
     every basis (tracemalloc, one restart of two cycles at dims 1/1: 0.72
     MiB of 1.22 MiB charged at bb84^6, 2.81 of 4.38 MiB at bb84^7), and
-    every restart's summary."""
-    d = game.alice_dim * cfg.bob_dim * cfg.charlie_dim
-    stacks = (len(game.thetas) * len(game.outcomes))**game.rounds * \
+    every restart's summary.  Over 2^64 bytes the two strategies, counted
+    from capped powers, are the charge: the rest takes a step a round."""
+    d = capped_power(game.dim_a, game.rounds) * cfg.bob_dim * cfg.charlie_dim
+    stacks = capped_power(len(game.thetas) * len(game.outcomes), game.rounds) * \
         (cfg.bob_dim**2 + cfg.charlie_dim**2)
-    return (_block_size(game, cfg) * _restart_bytes(game, cfg)
-            + 16 * 2 * (d * d + stacks) + _win_terms_bytes(game, d * d)
-            + _SUMMARY_BYTES * cfg.restarts)
+    held = 16 * 2 * (d * d + stacks)
+    if held > 2**64:
+        return held
+    return (_block_size(game, cfg) * _restart_bytes(game, cfg) + held
+            + _win_terms_bytes(game, d * d) + _SUMMARY_BYTES * cfg.restarts)
 
 
 def seesaw(game: MonogamyGame, cfg: SeesawConfig, init_povms=None) -> SeesawResult:
@@ -303,8 +306,8 @@ def seesaw(game: MonogamyGame, cfg: SeesawConfig, init_povms=None) -> SeesawResu
     and evaluated exactly; the best is returned, ties going to the lowest
     restart index, with every restart's summary.
     """
-    total_dim = game.alice_dim * cfg.bob_dim * cfg.charlie_dim
-    require_bytes(_search_bytes(game, cfg), f"seesaw at total dimension {total_dim}")
+    require_bytes(_search_bytes(game, cfg), f"seesaw at total dimension {game.dim_a}^"
+                  f"{game.rounds} x {cfg.bob_dim} x {cfg.charlie_dim}")
     dims = (game.alice_dim, cfg.bob_dim, cfg.charlie_dim)
     summaries: list[RestartSummary | None] = [None] * cfg.restarts
     best = None

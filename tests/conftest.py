@@ -15,7 +15,7 @@ import pytest
 
 from monogamy import linalg
 from monogamy.errors import DimensionError, NotPsdError, ValidationError
-from monogamy.games import MonogamyGame, Strategy, bb84_game, game_power, power_elements
+from monogamy.games import MonogamyGame, Strategy, bb84_game, game_power
 from monogamy.rand import rng_for
 
 
@@ -42,6 +42,21 @@ def reorder_systems(m: np.ndarray, dims: Sequence[int], order: Sequence[int]) ->
     d = math.prod(dims)
     axes = list(order) + [i + n for i in order]
     return np.asarray(m).reshape(tuple(dims) * 2).transpose(axes).reshape(d, d)
+
+
+def power_elements(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Oracle: every n-fold tensor product of per-round element stacks.
+
+    Factor i is a stack E_i[x, a, a'].  Row (x_1, ..., x_n) of the result is
+    E_1[x_1] ⊗ ... ⊗ E_n[x_n]; rows run lexicographically, round 1 most
+    significant.
+    """
+    out = np.asarray(factors[0], dtype=complex)
+    for f in factors[1:]:
+        f = np.asarray(f, dtype=complex)
+        k, d = out.shape[0] * f.shape[0], out.shape[1] * f.shape[1]
+        out = (out[:, None, :, None, :, None] * f[None, :, None, :, None, :]).reshape(k, d, d)
+    return out
 
 
 def basis_factors(game: MonogamyGame) -> list[np.ndarray]:

@@ -118,8 +118,6 @@ REFUSED_BEFORE = {
     # a shape check downstream refuses these
     "MonogamyGame-dim_a-dim_a-nan", "MonogamyGame-dim_a-dim_a-inf",
     "MonogamyGame-dim_a-dim_a-2.5",
-    # and the capacity check these, with CapacityError
-    "epr_device-n-nan", "epr_device-n-inf",
 }
 
 COUNT_CASES = [pytest.param(call, name, value, error, id=f"{entry}-{name}-{value}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -31,7 +32,7 @@ from monogamy.games import (QSet, Strategy, bb84_game, constant_guess_povms, gam
 from monogamy.posver import BreidbartPair, TimingScenario, simulate_pv_rounds
 from monogamy.qkd import (HonestNoisyDevice, LinearCode, QkdParams, run_eqkd_trials,
                           simulate_eqkd, toeplitz_hash)
-from monogamy.quantum_device import TripartiteQuantumDevice
+from monogamy.quantum_device import TripartiteQuantumDevice, epr_device
 from monogamy.seesaw import SeesawConfig, _search_bytes, seesaw
 
 from conftest import bb84_povms, device_strategy
@@ -110,6 +111,12 @@ def _cases():
         ("run_eqkd_trials", [2**k for k in range(17, 23)],
          lambda n: QkdParams(n=n, t=n // 8, s=n // 8, ell=0, gamma=0.05, epsilon=0.05),
          lambda p: run_eqkd_trials(p, HonestNoisyDevice(0.01), 3, seed=0)),
+        # the EPR device, one round's table played in every round, a chunk of
+        # rounds drawn at a time within the batch's per-entry charge
+        ("run_eqkd_trials_epr", [2**k for k in range(17, 23)],
+         lambda n: (QkdParams(n=n, t=n // 8, s=n // 8, ell=0, gamma=0.05, epsilon=0.05),
+                    epr_device(n)),
+         lambda a: run_eqkd_trials(*a, 3, seed=0)),
         # one trial, charged as a batch of one row
         ("simulate_eqkd", [2**k for k in range(8, 23)],
          lambda n: QkdParams(n=n, t=n // 8, s=0, ell=0, gamma=0.05, epsilon=0.05),
@@ -284,6 +291,32 @@ def test_hamming_q_set_refuses_before_building_pairs(monkeypatch):
         hamming_q_set(14, 0.5, 0.5)
     with pytest.raises(pytest.fail.Exception, match="oversized request"):
         hamming_q_set(13, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("n", [20000, 10**6, pytest.param(10**400, id="10^400")])
+def test_cli_seesaw_refuses_rounds_past_any_budget_at_once(n, capsys):
+    # the state's dimension 2^n is never written out, in digits or in
+    # bytes: the refusal takes one line, well under a second and a MiB
+    argv = ["seesaw", "--game", "bb84", "--n", str(n)]
+    assert dispatch(argv) == 1  # loads the modules outside the traced call
+    capsys.readouterr()
+    codes = []
+    start = time.perf_counter()
+    peak = _traced_peak(lambda: codes.append(dispatch(argv)))
+    assert time.perf_counter() - start < 1.0
+    assert codes == [1] and peak < MiB
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "memory budget" in err
+
+
+def test_a_product_of_rounds_past_any_budget_is_refused_at_once():
+    # 2^(10^400) per-basis terms: charged from a capped power, never built
+    n = 10**400
+    game, strategy = game_power(bb84_game(), n), product_strategy(_entangled_round(), n)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="over 2\\^64 bytes"):
+        winning_probability(game, strategy)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cli_seesaw_refuses_twelve_rounds(monkeypatch, capsys):

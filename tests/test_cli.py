@@ -439,6 +439,57 @@ def test_a_bound_below_the_float_range_prints_the_smallest_positive_float(capsys
     assert row[column] == math.ulp(0.0) and row["vacuous"] is False
 
 
+BIG = str(10**400)
+
+
+@pytest.mark.parametrize("argv, column, value", [
+    pytest.param(("bounds", "--n", BIG), "value", math.ulp(0.0), id="bounds"),
+    pytest.param(("bounds", "--n", BIG, "--game", "general", "--c", "0.5"), "value",
+                 math.ulp(0.0), id="bounds-general"),
+    pytest.param(("bounds", "--n", BIG, "--gamma", "0.1"), "value", None,
+                 id="bounds-imperfect-guessing"),
+    pytest.param(("posver", "bound", "--n", BIG), "bound", math.ulp(0.0), id="posver-bound"),
+    pytest.param(("posver", "bound", "--n", BIG, "--rate", "0.1"), "bound", math.ulp(0.0),
+                 id="posver-bound-rate"),
+    pytest.param(("posver", "bound", "--n", BIG, "--gamma", "0.1"), "noisy_bound", None,
+                 id="posver-bound-noisy"),
+    pytest.param(("qkd-keylen", "--n", BIG, "--t", "10", "--gamma", "0.01", "--epsilon", "0.01",
+                  "--delta-target", "1e-9", "--format", "json"), "delta", None, id="qkd-keylen"),
+    pytest.param(("qkd-delta", "--n", BIG, "--t", "10", "--gamma", "0", "--epsilon", "0.1",
+                  "--s", "0", "--ell", "0"), "delta", None, id="qkd-delta"),
+])
+def test_a_round_count_past_the_float_range_gives_a_bound(capsys, argv, column, value):
+    # 10^400 rounds: each row still bounds a probability, by the smallest
+    # positive float or by inf (null in strict JSON), which bounds nothing;
+    # the key-length row is infeasible, with a null delta
+    if argv[0] in ("bounds", "posver"):
+        argv += ("--format", "json")
+    code, out, err = run(capsys, *argv, "--deterministic")
+    assert (code, err) == (0, "")
+    result = strict_json(out)["result"]
+    row = result[0] if isinstance(result, list) else result
+    assert row[column] == value
+    if "vacuous" in row and column != "noisy_bound":
+        assert row["vacuous"] is (value is None)
+
+
+def test_a_key_length_past_the_float_range_is_exact(capsys):
+    # t = n/100 of 10^400 rounds: the exponent budget is worked out exactly,
+    # and the key length is the largest whose bound meets the target
+    from fractions import Fraction
+
+    from monogamy.bounds import binary_entropy
+    from monogamy.qkd import delta_terms
+    n, t = 10**400, 10**398
+    code, out, err = run(capsys, "qkd-keylen", "--n", str(n), "--t", str(t), "--gamma", "0",
+                         "--epsilon", "0.001", "--delta-target", "1e-9", "--format", "json")
+    assert (code, err) == (0, "")
+    row = strict_json(out)["result"][0]
+    assert row["feasible"] and row["s"] == math.ceil((n - t) * Fraction(binary_entropy(0.001)))
+    assert delta_terms(n, t, row["s"], row["ell"], 0.0, 0.001)[3] == row["delta"] <= 1e-9
+    assert delta_terms(n, t, row["s"], row["ell"] + 1, 0.0, 0.001)[3] > 1e-9
+
+
 def test_posver_bound_with_a_rate_gives_log2_d_and_never_builds_d(capsys):
     # 2^20000 once failed to print, past Python's 4300-digit limit
     code, out, err = run(capsys, "posver", "bound", "--rate", "0.2", "--n",

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from monogamy import linalg
 from monogamy.games import (MonogamyGame, QSet, Strategy, _basis_terms, conditional_stack,
-                            game_power, hamming_q_set, power_elements, product_strategy,
+                            game_power, hamming_q_set, product_strategy,
                             same_string_q_set, win_operator, win_terms,
                             winning_probability, winning_probability_with_q,
                             xor_permutation_family)
@@ -28,7 +28,7 @@ from monogamy.rand import random_density, random_povm, rng_for
 from monogamy.seesaw import _conditional_operators
 from monogamy.uncertainty import post_measurement_state
 
-from conftest import basis_factors, dense_product
+from conftest import basis_factors, dense_product, power_elements
 
 ATOL = 1e-12
 

@@ -16,15 +16,15 @@ from monogamy.errors import DimensionError, DomainError, ValidationError
 from monogamy.games import (MonogamyGame, QSet, Strategy, _basis_terms, bb84_game,
                             conditional_stack, conditional_states, constant_guess_povms,
                             game_power, hamming_q_set, maximally_entangled_density, overlap,
-                            power_elements, product_strategy, same_string_q_set, win_operator, win_operator_sum, win_terms,
-                            winning_probability, winning_probability_with_q,
-                            xor_permutation_family)
+                            product_strategy, same_string_q_set, win_operator,
+                            win_operator_sum, win_terms, winning_probability,
+                            winning_probability_with_q, xor_permutation_family)
 from monogamy.posver import BreidbartPair, TimingScenario, simulate_pv_rounds
 from monogamy.rand import random_density, random_povm, random_projective_povm, rng_for
 from monogamy.seesaw import bb84_optimal_unentangled_strategy
 
-from conftest import (basis_factors, dense_product, pairwise_overlap, reorder_systems,
-                      schatten_inf_norm)
+from conftest import (basis_factors, dense_product, pairwise_overlap, power_elements,
+                      reorder_systems, schatten_inf_norm)
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)

@@ -3,13 +3,16 @@ protocol simulator."""
 
 from __future__ import annotations
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from monogamy import linalg, qkd
+from monogamy.bounds import BB84_ROUND_VALUE
 from monogamy.games import (Strategy, bb84_game, conditional_stack, game_power,
                             maximally_entangled_density, product_strategy)
 from monogamy.errors import (CapacityError, DimensionError, DomainError,
@@ -20,7 +23,7 @@ from monogamy.qkd import (HonestNoisyDevice, LinearCode, QkdParams, delta_terms,
                           toeplitz_hash)
 from monogamy.quantum_device import TripartiteQuantumDevice, epr_device
 from monogamy.rand import random_density, random_povm, rng_for
-from monogamy.seesaw import SeesawConfig, seesaw
+from monogamy.seesaw import SeesawConfig, bb84_optimal_unentangled_strategy, seesaw
 from monogamy.uncertainty import CqEnsemble, secdef_gap
 
 from conftest import bb84_povms, device_strategy
@@ -683,17 +686,20 @@ def test_the_memory_budget_is_the_only_round_cap():
     assert simulate_eqkd(params, HonestNoisyDevice(0.01), seed=0).x.size == params.n
 
 
-def test_epr_device_checks_rounds_before_building_its_state():
-    # six rounds would first build a 4096 x 4096 state (256 MiB)
-    import tracemalloc
+def test_epr_device_plays_a_million_rounds_in_little_memory():
+    # the one-round strategy played a million times builds no 2^n state,
+    # and sampling two rows holds little beyond the bits it returns
+    theta = rng_for(3).integers(0, 2, size=(2, 10**6), dtype=np.uint8)
     tracemalloc.start()
     try:
-        with pytest.raises(CapacityError):
-            epr_device(6)
+        device = epr_device(10**6)
+        x, y = device.sample(theta, rng_for(4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**20
+    assert peak < x.nbytes + y.nbytes + 2**20
+    np.testing.assert_array_equal(x, y)
+    assert x.shape == theta.shape
 
 
 def test_simulate_device_length_mismatch():
@@ -809,12 +815,12 @@ def test_quantum_device_builds_its_table_with_one_conditional_stack_call(monkeyp
 
     monkeypatch.setattr(quantum_device, "conditional_stack", counting)
     device = epr_device(3)
-    assert calls == [3]
+    assert calls == [1]  # one round's table serves every round
     theta = rng_for(5).integers(0, 2, size=(64, 3), dtype=np.uint8)
     x, y = device.sample(theta, rng_for(6))
     np.testing.assert_array_equal(x, y)
     assert x.shape == theta.shape
-    assert calls == [3]
+    assert calls == [1]
 
 
 def test_quantum_device_rejects_a_povm_of_the_wrong_length():
@@ -828,9 +834,9 @@ def test_quantum_device_rejects_a_povm_of_the_wrong_length():
 
 
 def device_table(device: TripartiteQuantumDevice) -> np.ndarray:
-    """p(x, y | theta) as a (2^n, 2^n, 2^n) array, read back from the
-    device's cumulative rows."""
-    size = 2**device.n
+    """One block's p(x, y | theta) as a (2^m, 2^m, 2^m) array, read back
+    from the device's cumulative rows."""
+    size = 2**device.block
     cdf = device._cdf.reshape(size, -1) - (np.arange(size, dtype=np.int64) << 53)[:, None]
     return np.diff(cdf, axis=1, prepend=0).reshape(size, size, size) / 2.0**53
 
@@ -902,17 +908,64 @@ def test_a_seesaw_strategy_plays_as_a_device():
 
 
 def test_quantum_device_reads_a_strategy_in_its_own_basis_order():
-    # the same EPR strategy with its bases listed in reverse plays as epr_device
+    # the same EPR strategy with its bases listed in reverse plays as the
+    # strategy in basis-label order
     s = device_strategy(maximally_entangled_density(4), bb84_povms(2))
     reversed_order = Strategy(s.rho_abc, s.dims, s.bob[::-1], s.charlie[::-1], s.thetas[::-1])
     np.testing.assert_array_equal(device_table(TripartiteQuantumDevice(reversed_order)),
-                                  device_table(epr_device(2)))
+                                  device_table(TripartiteQuantumDevice(s)))
 
 
-def test_quantum_device_refuses_a_product_strategy():
-    one_round = device_strategy(maximally_entangled_density(2), bb84_povms(1))
-    with pytest.raises(DimensionError, match="product of 2 rounds"):
-        TripartiteQuantumDevice(product_strategy(one_round, 2))
+def test_quantum_device_plays_a_product_round_by_round_with_its_round_table():
+    # a product of three copies of a random one-round strategy: the one
+    # round's table, and every round a block drawn from it in row order
+    state, povms = random_device(1, 2, 2, rng_for(18))
+    one_round = device_strategy(state, povms)
+    single = TripartiteQuantumDevice(one_round)
+    product = TripartiteQuantumDevice(product_strategy(one_round, 3))
+    assert (product.n, product.block) == (3, 1)
+    np.testing.assert_array_equal(device_table(product), device_table(single))
+    theta = rng_for(19).integers(0, 2, size=(5000, 3), dtype=np.uint8)
+    x, y = product.sample(theta, rng_for(20))
+    x1, y1 = single.sample(theta.reshape(-1, 1), rng_for(20))
+    np.testing.assert_array_equal(x, x1.reshape(theta.shape))
+    np.testing.assert_array_equal(y, y1.reshape(theta.shape))
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+def test_an_unentangled_product_wins_each_round_at_the_game_value(n):
+    # the optimal strategy without quantum memory, played in every round:
+    # Bob names Alice's outcome in each round at the one-round BB84 value,
+    # over 2^18 rounds within 5 sigma
+    device = TripartiteQuantumDevice(product_strategy(bb84_optimal_unentangled_strategy(), n))
+    theta = rng_for(21, n).integers(0, 2, size=(2**18 // n, n), dtype=np.uint8)
+    x, y = device.sample(theta, rng_for(22, n))
+    rate = (x == y).mean()
+    sigma = math.sqrt(BB84_ROUND_VALUE * (1 - BB84_ROUND_VALUE) / x.size)
+    assert abs(rate - BB84_ROUND_VALUE) <= 5 * sigma
+
+
+def test_a_dense_device_draw_is_pinned():
+    # a random two-round device on more rows than one chunk of draws: the
+    # outcomes drawn a chunk at a time are those of one draw for every row
+    rng = rng_for(8)
+    state = random_density(8, rng)
+    povms = np.array([random_povm(2, 4, rng) for _ in range(4)])
+    device = TripartiteQuantumDevice(device_strategy(state, povms))
+    theta = rng_for(16).integers(0, 2, size=(2**15 + 3, 2), dtype=np.uint8)
+    x, y = device.sample(theta, rng_for(17))
+    assert (int(qkd._pack(x).sum()), int(qkd._pack(y).sum()),
+            int((x == y).all(axis=1).sum())) == (42040, 48324, 8860)
+    assert hashlib.sha256(x.tobytes() + y.tobytes()).hexdigest() == \
+        "16d17b0b26515da31983abdb9cf62d788dc595ac6f43a99dc25a247616670a7d"
+
+
+def test_epr_device_runs_the_long_benchmark_parameters():
+    # 50 trials of 4,096 rounds: every round's outcomes agree, so every
+    # trial completes, decodes and agrees on its key
+    params = QkdParams(n=4096, t=512, s=869, ell=1024, gamma=0.02, epsilon=0.02)
+    agg = run_eqkd_trials(params, epr_device(4096), 50, seed=1)
+    assert (agg["completed"], agg["key_matches"], agg["decode_failures"]) == (50, 50, 0)
 
 
 @pytest.mark.parametrize("spoil", ["scaled", "not-psd"])
