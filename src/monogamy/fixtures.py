@@ -1,8 +1,12 @@
 """JSON fixture formats for matrices, games, strategies and scenarios.
 
-A complex matrix is stored row-major as
+A matrix is stored row-major as
 
     {"rows": r, "cols": c, "re": [...], "im": [...]}
+
+where "im" is left out when no entry has an imaginary part, and a missing
+"im" reads as zeros: a real matrix loads as float64, one with "im" as
+complex128.
 
 and the structured kinds wrap it:
 
@@ -29,29 +33,33 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError, whole
 from .games import MonogamyGame, Strategy, product_strategy
-from .linalg import dimensions
+from .linalg import dimensions, scalar_type
 
 
 def matrix_to_json(m) -> dict[str, Any]:
-    a = np.asarray(m, dtype=complex)
+    a = np.asarray(m)
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]),
-            "re": [float(v) for v in a.real.reshape(-1)],
-            "im": [float(v) for v in a.imag.reshape(-1)]}
+    doc = {"rows": int(a.shape[0]), "cols": int(a.shape[1]),
+           "re": a.real.astype(float).ravel().tolist()}
+    if scalar_type(a) is complex:
+        doc["im"] = a.imag.ravel().tolist()
+    return doc
 
 
 def matrix_from_json(doc: Mapping[str, Any]) -> np.ndarray:
     try:
         rows, cols = (whole(doc[key], key, error=DimensionError) for key in ("rows", "cols"))
         re = np.asarray(doc["re"], dtype=float)
-        im = np.asarray(doc["im"], dtype=float)
+        parts = {"re": re}
+        if "im" in doc:
+            parts["im"] = np.asarray(doc["im"], dtype=float)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed matrix document: {exc}")
-    if re.size != rows * cols or im.size != rows * cols:
-        raise DimensionError(f"entry count mismatch: expected {rows * cols}, "
-                             f"got re={re.size}, im={im.size}")
-    return (re + 1j * im).reshape(rows, cols)
+    if any(part.size != rows * cols for part in parts.values()):
+        raise DimensionError(f"entry count mismatch: expected {rows * cols}, got "
+                             + ", ".join(f"{key}={part.size}" for key, part in parts.items()))
+    return (re + 1j * parts["im"] if "im" in parts else re).reshape(rows, cols)
 
 
 # the JSON name of each type a parsed document holds

@@ -43,11 +43,13 @@ _TERM_BYTES = 48
 
 def _povm_stack(povms, keys: Sequence[str], dim: int, who: str = "") -> np.ndarray:
     """A checked, read-only (|keys|, |X|, dim, dim) stack, rows in `keys`
-    order, copied at most once.  A label-keyed mapping must cover exactly
-    `keys`; its one copy is the stack itself.  The whole stack is checked at
-    once: Hermitian PSD elements, naming the first element that is not
-    Hermitian, else the first that is not PSD, then every basis summing to
-    the identity, naming the first that does not."""
+    order, copied at most once, and once more to float64 when it is complex
+    with no imaginary part: a real family is stored real.  A label-keyed
+    mapping must cover exactly `keys`; its one copy is the stack itself.
+    The whole stack is checked at once: Hermitian PSD elements, naming the
+    first element that is not Hermitian, else the first that is not PSD,
+    then every basis summing to the identity, naming the first that does
+    not."""
     if isinstance(povms, Mapping):
         povms = {str(k): v for k, v in povms.items()}
         if set(povms) != set(keys):
@@ -62,6 +64,8 @@ def _povm_stack(povms, keys: Sequence[str], dim: int, who: str = "") -> np.ndarr
                                          f"{np.shape(e)}, expected ({dim}, {dim})")
         povms = [povms[k] for k in keys]
     stack = linalg.frozen(povms)
+    if stack.dtype.kind == "c" and linalg.scalar_type(stack) is float:
+        stack = linalg.frozen(stack.real)
     if stack.ndim != 4 or stack.shape[0] != len(keys) or stack.shape[2:] != (dim, dim):
         raise DimensionError(f"{who}POVM stack has shape {stack.shape}, expected "
                              f"({len(keys)}, |X|, {dim}, {dim})")
@@ -175,8 +179,8 @@ def constant_guess_povms(thetas: Sequence[str], outcomes: Sequence[str],
     """Basis-independent deterministic guesser: the full identity sits on `guess`."""
     if guess not in outcomes:
         raise ValidationError(f"guess '{guess}' not among outcomes {tuple(outcomes)}")
-    eye = np.eye(dim, dtype=complex)
-    zero = np.zeros((dim, dim), dtype=complex)
+    eye = np.eye(dim)
+    zero = np.zeros((dim, dim))
     elems = tuple(eye if x == guess else zero for x in outcomes)
     return {str(t): elems for t in thetas}
 
@@ -187,7 +191,7 @@ def maximally_entangled_density(d: int) -> np.ndarray:
     Entries are written as 1/d directly, so powers of two stay exact.
     """
     d = whole(d, "d", error=DimensionError)
-    rho = np.zeros((d * d, d * d), dtype=complex)
+    rho = np.zeros((d * d, d * d))
     diagonal = np.arange(d) * (d + 1)  # the index of |ii>
     rho[np.ix_(diagonal, diagonal)] = 1.0 / d
     return rho
@@ -241,16 +245,29 @@ def overlap(game: MonogamyGame) -> float:
     return best**game.rounds
 
 
+def _block_rounds(dim_a: int, alice_dim: int) -> int:
+    """The least m >= 1 with dim_a^m >= alice_dim: the game rounds that a
+    strategy of Alice dimension alice_dim plays as one block, when that
+    power is equal, which the caller checks."""
+    m = 1
+    while dim_a > 1 and dim_a**m < alice_dim:
+        m += 1
+    return m
+
+
 def _aligned(game: MonogamyGame, strategy: Strategy) -> tuple:
-    """One round of `game` for a product strategy, else `game`; the rows that
-    put the strategy's stacks in that game's `basis_labels` order, a slice
-    that views them when they are in it, else an index list; and the
+    """The strategy's block of `game` for a product strategy, the m rounds
+    with dim_a^m = d_A that each of its rounds plays, else `game`; the rows
+    that put the strategy's stacks in that game's `basis_labels` order, a
+    slice that views them when they are in it, else an index list; and the
     entries that `bob[rows]` and `charlie[rows]` then copy, which the
     caller charges before it indexes."""
     if strategy.rounds > 1:
-        if strategy.rounds != game.rounds:
-            raise DimensionError(f"{strategy.rounds} product rounds != {game.rounds} game rounds")
-        game = _with_rounds(game, 1)
+        block = _block_rounds(game.dim_a, strategy.dims[0])
+        if strategy.rounds * block != game.rounds:
+            raise DimensionError(f"{strategy.rounds} product rounds of {block} game rounds "
+                                 f"!= {game.rounds} game rounds")
+        game = _with_rounds(game, block)
     if strategy.dims[0] != game.alice_dim:
         raise DimensionError(f"strategy Alice dimension {strategy.dims[0]} != "
                              f"game dimension {game.alice_dim}")
@@ -331,12 +348,20 @@ def win_terms_from_states(bob: np.ndarray, charlie: np.ndarray,
     return np.einsum("...xbq,...xcr,...xqrbc->...", bob, charlie, sigma).real
 
 
-def _win_terms_bytes(game: MonogamyGame, size: int, copies: int = 0) -> int:
+def _itemsize(game: MonogamyGame, strategy: Strategy) -> int:
+    """Bytes an entry of the evaluator's arrays takes for `strategy` on
+    `game`: 8 when all of their arrays are real, else 16."""
+    return np.result_type(game.elements, strategy.rho_abc, strategy.bob,
+                          strategy.charlie).itemsize
+
+
+def _win_terms_bytes(game: MonogamyGame, size: int, itemsize: int, copies: int = 0) -> int:
     """Peak bytes of :func:`win_terms` beyond its inputs, for a state of
-    `size` entries: conditional_stack's call, then its result and reordered
-    copy, or the result beside np.einsum's iterator buffers (at most numpy's
-    8192 entries for each of four operands); plus `copies` entries of party
-    stacks held beside them, reindexed, or a Q-set's smeared or gathered.
+    `size` entries of `itemsize` bytes: conditional_stack's call, then its
+    result and reordered copy, or the result beside np.einsum's iterator
+    buffers (at most numpy's 8192 entries for each of four operands); plus
+    `copies` entries of party stacks held beside them, reindexed, or a
+    Q-set's smeared or gathered.
     tracemalloc on dense bb84^n strategies read 0.997-1.000 of this at
     n = 7-10, dims 1/1 (12.0 MiB at n = 9, rho 4 MiB) and n = 3, 4, dims
     4/4; 0.60-0.80 where the buffers dominate (n = 6, dims 1/1; n = 2-4,
@@ -345,7 +370,7 @@ def _win_terms_bytes(game: MonogamyGame, size: int, copies: int = 0) -> int:
                                            game.dim_a, game.rounds)
     peak = max(trace_out, 2 * states, states + 4 * min(states, 8192)) + copies
     # and 4 KiB for the array objects of its views (tracemalloc: 1.5 KiB)
-    return 16 * peak + 4096
+    return itemsize * peak + 4096
 
 
 def _smeared(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -444,7 +469,8 @@ def _basis_terms(game: MonogamyGame, strategy: Strategy) -> np.ndarray:
     a product's are the kron of its round's."""
     one, order, copies = _aligned(game, strategy)
     require_bytes(_TERM_BYTES * capped_power(len(game.thetas), game.rounds)
-                  + _win_terms_bytes(one, strategy.rho_abc.size, copies), "win_terms")
+                  + _win_terms_bytes(one, strategy.rho_abc.size, _itemsize(game, strategy),
+                                     copies), "win_terms")
     terms = win_terms(one, strategy.bob[order], strategy.charlie[order], strategy.rho_abc)
     return functools.reduce(np.kron, [terms] * strategy.rounds)
 
@@ -498,12 +524,15 @@ def winning_probability_with_q(game: MonogamyGame, strategy: Strategy, q: QSet) 
     """Winning probability when any displacement pair in the Q-set counts as
     a win.  A product takes only Q-sets of XOR shifts x -> x ⊕ k of binary
     outcome strings: pair (kb, kc) wins with prod_i T[kb_i, kc_i], T[b, c]
-    being one round's value when Bob must name x ⊕ b and Charlie x ⊕ c."""
+    being one block's value when Bob must name x ⊕ b and Charlie x ⊕ c, and
+    kb_i, kc_i the shifts' bits of block i."""
     one, order, copies = _aligned(game, strategy)
     entries = strategy.bob.size + strategy.charlie.size
+    itemsize = _itemsize(game, strategy)
     if strategy.rounds == 1:
         copies += (2 if q.product else 1) * entries  # smeared or gathered
-        require_bytes(_win_terms_bytes(game, strategy.rho_abc.size, copies), "win_terms")
+        require_bytes(_win_terms_bytes(game, strategy.rho_abc.size, itemsize, copies),
+                      "win_terms")
         bob, charlie = strategy.bob[order], strategy.charlie[order]
         terms = win_terms(game, bob, charlie, strategy.rho_abc, q)
         return float(sum(terms.tolist()) / len(terms))
@@ -512,23 +541,25 @@ def winning_probability_with_q(game: MonogamyGame, strategy: Strategy, q: QSet) 
                                           for rows in (q.bob, q.charlie) for row in rows):
         raise DomainError(f"a product strategy takes only Q-sets of XOR shifts "
                           f"x -> x ⊕ k of {n}-bit binary outcome strings")
-    # T[b, c] from one round's conditional states, with the outcomes of Bob's
+    # T[b, c] from one block's conditional states, with the outcomes of Bob's
     # and Charlie's stacks shifted by b and c
-    require_bytes(_win_terms_bytes(one, strategy.rho_abc.size, copies + entries), "win_terms")
+    require_bytes(_win_terms_bytes(one, strategy.rho_abc.size, itemsize, copies + entries),
+                  "win_terms")
     bob, charlie = strategy.bob[order], strategy.charlie[order]
     states = conditional_stack(one, strategy.rho_abc)
-    shift = ([0, 1], [1, 0])
-    table = np.array([[win_terms_from_states(bob[:, shift[b]], charlie[:, shift[c]],
+    shift = np.arange(2**one.rounds)
+    table = np.array([[win_terms_from_states(bob[:, shift ^ b], charlie[:, shift ^ c],
                                              states).mean()
-                       for c in (0, 1)] for b in (0, 1)])
-    # bit i of each shift, round 1 most significant
-    kb, kc = ((rows[:, :1] >> np.arange(n - 1, -1, -1)) & 1 for rows in (q.bob, q.charlie))
+                       for c in shift] for b in shift])
+    # block i's bits of each shift, block 1 most significant
+    blocks = one.rounds * np.arange(strategy.rounds - 1, -1, -1)
+    kb, kc = ((rows[:, :1] >> blocks) & shift[-1] for rows in (q.bob, q.charlie))
     if not q.product:
         return float(table[kb, kc].prod(axis=1).sum())
-    # T applied round by round to Charlie's shift indicator, read at Bob's shifts
-    v = np.zeros((2,) * n)
+    # T applied block by block to Charlie's shift indicator, read at Bob's shifts
+    v = np.zeros((len(shift),) * strategy.rounds)
     v[tuple(kc.T)] = 1.0
-    for i in range(n):
+    for i in range(strategy.rounds):
         v = np.moveaxis(np.tensordot(table, v, axes=(1, i)), 0, i)
     return float(v[tuple(kb.T)].sum())
 

@@ -1,7 +1,8 @@
-"""Dense complex linear algebra for states and POVMs.
+"""Dense linear algebra for states and POVMs.
 
-Matrices are plain complex ``numpy`` arrays.  Conventions fixed once and used
-everywhere:
+Matrices are plain ``numpy`` arrays, float64 or complex128: a real array
+stays real, so a real game is searched, stored and written in real
+arithmetic.  Conventions fixed once and used everywhere:
 
 * row-major storage, 0-based indexing; in tensor products factor 0 is the
   leftmost factor,
@@ -47,10 +48,19 @@ def require_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def frozen(a, dtype=complex) -> np.ndarray:
-    """`a` as a read-only array of `dtype`.  One that already is read-only
-    and owns its data is kept as it is; anything else is copied once, so the
-    caller's array stays writable and is never aliased."""
+def scalar_type(*arrays) -> type:
+    """float when no entry of any of `arrays` has an imaginary part, else
+    complex: the type in which arithmetic on them loses nothing."""
+    return complex if any(np.iscomplexobj(a) and np.any(np.imag(a)) for a in arrays) else float
+
+
+def frozen(a, dtype=None) -> np.ndarray:
+    """`a` as a read-only array of `dtype`; None keeps a complex array
+    complex128 and makes any other float64.  One that already is read-only,
+    owns its data and has that dtype is kept as it is; anything else is
+    copied once, so the caller's array stays writable and is never aliased."""
+    if dtype is None:
+        dtype = complex if np.iscomplexobj(a) else float
     if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.owndata
             and not a.flags.writeable):
         a = np.array(a, dtype=dtype)
@@ -65,10 +75,10 @@ def hermitianize(m: np.ndarray) -> np.ndarray:
 
 def _numeric(m) -> np.ndarray:
     """`m` as an array of at least two dimensions; a floating or complex
-    ndarray is returned as it is."""
+    ndarray is returned as it is, anything else as float64."""
     a = np.asarray(m)
     if a.dtype.kind not in "fc":
-        a = a.astype(complex)
+        a = a.astype(float)
     if a.ndim < 2:
         raise DimensionError(f"expected a matrix or a stack of matrices, got ndim={a.ndim}")
     return a

@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, require_bytes, whole
-from .games import (Strategy, _aligned, _win_terms_bytes, bb84_game, conditional_stack,
-                    constant_guess_povms, game_power, maximally_entangled_density,
-                    product_strategy)
+from .games import (Strategy, _aligned, _block_rounds, _itemsize, _win_terms_bytes,
+                    bb84_game, conditional_stack, constant_guess_povms, game_power,
+                    maximally_entangled_density, product_strategy)
 from .qkd import _int_to_bits, _pack
 
 _UNIT = 2.0**53
@@ -27,11 +27,13 @@ class TripartiteQuantumDevice:
     module docstring."""
 
     def __init__(self, strategy: Strategy):
-        self.block = strategy.dims[0].bit_length() - 1
+        bb84 = bb84_game()
+        self.block = _block_rounds(bb84.dim_a, strategy.dims[0])
         self.n = self.block * strategy.rounds
-        game, order, copies = _aligned(game_power(bb84_game(), self.n), strategy)
+        game, order, copies = _aligned(game_power(bb84, self.n), strategy)
         # the evaluator's arrays beside the realigned stacks, and the tables
-        require_bytes(_win_terms_bytes(game, strategy.rho_abc.size, copies)
+        require_bytes(_win_terms_bytes(game, strategy.rho_abc.size, _itemsize(game, strategy),
+                                       copies)
                       + 32 * game.alice_dim**3, f"{type(self).__name__}(n={self.n})")
         states = conditional_stack(game, strategy.rho_abc)
         split = states.shape[:2] + strategy.dims[1:] * 2

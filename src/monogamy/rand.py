@@ -63,12 +63,17 @@ def bernoulli(rng: np.random.Generator, p: float, shape) -> np.ndarray:
     return out.reshape(shape)
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+def haar_unitary(dim: int, rng: np.random.Generator, dtype=complex) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Gaussian matrix, or for
+    a real `dtype` a Haar-distributed orthogonal matrix via QR of a real one
+    (Mezzadri, Notices AMS 54, 592, 2007)."""
     dim = whole(dim, "dim", error=DimensionError)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g = rng.standard_normal((dim, dim))
+    if np.dtype(dtype).kind == "c":
+        g = g + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
-    # fix the phase ambiguity of QR so the distribution is Haar
+    # fix the phase (for a real matrix, the sign) ambiguity of QR so the
+    # distribution is Haar
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
@@ -82,16 +87,17 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
     return rho / np.trace(rho).real
 
 
-def random_projective_povm(dim: int, outcomes: int,
-                           rng: np.random.Generator) -> np.ndarray:
+def random_projective_povm(dim: int, outcomes: int, rng: np.random.Generator,
+                           dtype=complex) -> np.ndarray:
     """Projective POVM with `outcomes` elements on a `dim`-dimensional space,
-    as an (outcomes, dim, dim) stack.
+    as an (outcomes, dim, dim) stack of `dtype`.
 
-    Columns of a Haar unitary are dealt to outcomes as evenly as possible with
-    a random rotation and shuffle; when dim < outcomes some elements are zero.
+    Columns of a Haar unitary (orthogonal matrix, for a real `dtype`) are
+    dealt to outcomes as evenly as possible with a random rotation and
+    shuffle; when dim < outcomes some elements are zero.
     """
     outcomes = whole(outcomes, "outcomes", error=DimensionError)
-    u = haar_unitary(dim, rng)
+    u = haar_unitary(dim, rng, dtype)
     slots = (np.arange(dim) + rng.integers(outcomes)) % outcomes
     rng.shuffle(slots)
     povm = np.zeros((outcomes, dim, dim), dtype=u.dtype)

@@ -9,10 +9,14 @@ conditional operators: the Helstrom projector for binary alphabets (exact),
 otherwise the refined pretty-good measurement (feasible).  Every
 measurement step is guarded so the trajectory never decreases.  A cycle's
 steps share one batch of conditional states for all restarts and bases,
-from the exact evaluator of :mod:`monogamy.games`.  Every value the search
-reports is the exactly evaluated winning probability of a valid strategy,
-hence a true lower bound on the optimal game value.  Matching upper bounds
-come from :mod:`monogamy.bounds`.
+from the exact evaluator of :mod:`monogamy.games`.  The search runs in
+float64 when the game's elements and any initial POVMs have no imaginary
+part, else in complex128.  Every value the search reports is the exactly
+evaluated winning probability of a valid strategy, hence a true lower bound
+on the optimal game value; a real strategy is a complex one too, though at
+equal dimensions a real search may miss a complex optimum (McKague, Mosca
+and Gisin, PRL 102, 020505, 2009).  Matching upper bounds come from
+:mod:`monogamy.bounds`.
 """
 
 from __future__ import annotations
@@ -119,7 +123,7 @@ def _joint_guess(states: np.ndarray) -> np.ndarray:
     only together: both name Alice's likeliest outcome in every basis, ties
     going to the lowest outcome."""
     probs = states.real.reshape(states.shape[:-2])
-    guess = np.zeros(states.shape, dtype=complex)
+    guess = np.zeros(states.shape, dtype=states.dtype)
     np.put_along_axis(guess, probs.argmax(axis=-1)[..., None, None, None], 1.0, axis=-3)
     return guess
 
@@ -164,19 +168,20 @@ def optimal_povm_step(game: MonogamyGame, states: np.ndarray, fixed: np.ndarray,
 def bb84_optimal_unentangled_strategy() -> Strategy:
     """The optimal classical-memory BB84 strategy: send
     cos(pi/8)|0> + sin(pi/8)|1> and always guess outcome 0."""
-    phi = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)], dtype=complex)
-    rho = np.kron(np.outer(phi, phi.conj()), np.eye(1, dtype=complex))
+    phi = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)])
+    rho = np.kron(np.outer(phi, phi), np.eye(1))
     guess = constant_guess_povms(("0", "1"), ("0", "1"), "0", dim=1)
     return Strategy(rho, (2, 1, 1), guess, dict(guess))
 
 
 def _initial_povms(game: MonogamyGame, cfg: SeesawConfig, restarts: range,
-                   init_povms) -> tuple[np.ndarray, np.ndarray]:
-    """The block's starting (R, |Theta|, |X|, d, d) stacks: restart r draws
-    Bob's and then Charlie's random projective POVMs from rng_for(seed, r),
-    unless it is restart 0 and `init_povms` replaces them."""
+                   init_povms, dtype: type) -> tuple[np.ndarray, np.ndarray]:
+    """The block's starting (R, |Theta|, |X|, d, d) stacks of `dtype`:
+    restart r draws Bob's and then Charlie's random projective POVMs from
+    rng_for(seed, r), unless it is restart 0 and `init_povms` replaces
+    them."""
     n_bases, n_out = len(game.thetas)**game.rounds, len(game.outcomes)**game.rounds
-    stacks = [np.empty((len(restarts), n_bases, n_out, d, d), dtype=complex)
+    stacks = [np.empty((len(restarts), n_bases, n_out, d, d), dtype=dtype)
               for d in (cfg.bob_dim, cfg.charlie_dim)]
     for j, r in enumerate(restarts):
         if r == 0 and init_povms is not None:
@@ -184,25 +189,27 @@ def _initial_povms(game: MonogamyGame, cfg: SeesawConfig, restarts: range,
                 if np.shape(given) != stack.shape[1:]:
                     raise DimensionError(f"initial POVMs have shape {np.shape(given)}, "
                                          f"expected {stack.shape[1:]}")
-                stack[j] = given
+                # a real search's POVMs have no imaginary part to drop
+                stack[j] = given if dtype is complex else np.real(given)
             continue
         rng = rng_for(cfg.seed, r)
         for stack in stacks:
-            stack[j] = [random_projective_povm(stack.shape[-1], n_out, rng)
+            stack[j] = [random_projective_povm(stack.shape[-1], n_out, rng, dtype)
                         for _ in range(n_bases)]
     return stacks[0], stacks[1]
 
 
-def _search_block(game: MonogamyGame, cfg: SeesawConfig, restarts: range, init_povms):
-    """Run a block of restarts as one batch, each on its own row of every
-    stack, and yield (restart, rho, bob, charlie, trajectory, stop) for each
-    restart as it stops, rho and the stacks as views into the batch.  A
+def _search_block(game: MonogamyGame, cfg: SeesawConfig, restarts: range, init_povms,
+                  dtype: type):
+    """Run a block of restarts as one batch of `dtype`, each on its own row
+    of every stack, and yield (restart, rho, bob, charlie, trajectory, stop)
+    for each restart as it stops, rho and the stacks as views into the batch.  A
     cycle takes the state step, then, for guessers without quantum memory,
     their joint step, else Bob's and then Charlie's step, each kept only
     when it does not lower the value; all of them share the cycle's
     conditional states."""
     n_bases = len(game.thetas)**game.rounds
-    bob, charlie = _initial_povms(game, cfg, restarts, init_povms)
+    bob, charlie = _initial_povms(game, cfg, restarts, init_povms, dtype)
     live = list(restarts)  # the restart on each row
     trajectories = {r: [] for r in restarts}
     prev = np.full(len(live), -np.inf)
@@ -240,13 +247,13 @@ def _search_block(game: MonogamyGame, cfg: SeesawConfig, restarts: range, init_p
             return
 
 
-def _restart_bytes(game: MonogamyGame, cfg: SeesawConfig) -> int:
+def _restart_bytes(game: MonogamyGame, cfg: SeesawConfig, dtype: type) -> int:
     """Peak bytes each restart of a block adds, beside its party stacks and
     one candidate, from D = d_A d_B d_C, the S entries of its conditional
-    states over all bases and the entries of one party's stack.  The
-    largest of three phases:
+    states over all bases and the entries of one party's stack, each entry
+    of the search's `dtype`.  The largest of three phases:
 
-    - the state step: 4.5 D x D complex arrays (the averaged win operator
+    - the state step: 4.5 D x D arrays (the averaged win operator
       with hermitianize's temporaries, or the operator, its eigenvectors and
       the new state), or win_operator_sum's two largest rounds;
     - the conditional states: the state, and conditional_states' rounds
@@ -268,30 +275,32 @@ def _restart_bytes(game: MonogamyGame, cfg: SeesawConfig) -> int:
                                                                cfg.charlie_dim))
     measure = d * d + states + (11 if max(cfg.bob_dim, cfg.charlie_dim) > 1 else 2) * party
     phases = (state_step, d * d + max(trace_out, 2 * states), measure)
-    return 16 * (max(phases) + 2 * stacks)
+    return np.dtype(dtype).itemsize * (max(phases) + 2 * stacks)
 
 
-def _block_size(game: MonogamyGame, cfg: SeesawConfig) -> int:
+def _block_size(game: MonogamyGame, cfg: SeesawConfig, dtype: type) -> int:
     """Restarts per block: as many as fit in _BLOCK_BYTES, at least one."""
-    return max(1, min(cfg.restarts, _BLOCK_BYTES // _restart_bytes(game, cfg)))
+    return max(1, min(cfg.restarts, _BLOCK_BYTES // _restart_bytes(game, cfg, dtype)))
 
 
-def _search_bytes(game: MonogamyGame, cfg: SeesawConfig) -> int:
+def _search_bytes(game: MonogamyGame, cfg: SeesawConfig, dtype: type) -> int:
     """Peak bytes of a search: one block of restarts, and beside it the best
     restart's strategy and a stopping restart's, each a state and its party
     stacks, the final evaluation, which holds the conditional states of
     every basis (tracemalloc, one restart of two cycles at dims 1/1: 0.72
     MiB of 1.22 MiB charged at bb84^6, 2.81 of 4.38 MiB at bb84^7), and
-    every restart's summary.  Over 2^64 bytes the two strategies, counted
-    from capped powers, are the charge: the rest takes a step a round."""
+    every restart's summary, all in the search's `dtype`.  Over 2^64 bytes
+    the two strategies, counted from capped powers, are the charge: the rest
+    takes a step a round."""
+    itemsize = np.dtype(dtype).itemsize
     d = capped_power(game.dim_a, game.rounds) * cfg.bob_dim * cfg.charlie_dim
     stacks = capped_power(len(game.thetas) * len(game.outcomes), game.rounds) * \
         (cfg.bob_dim**2 + cfg.charlie_dim**2)
-    held = 16 * 2 * (d * d + stacks)
+    held = itemsize * 2 * (d * d + stacks)
     if held > 2**64:
         return held
-    return (_block_size(game, cfg) * _restart_bytes(game, cfg) + held
-            + _win_terms_bytes(game, d * d) + _SUMMARY_BYTES * cfg.restarts)
+    return (_block_size(game, cfg, dtype) * _restart_bytes(game, cfg, dtype) + held
+            + _win_terms_bytes(game, d * d, itemsize) + _SUMMARY_BYTES * cfg.restarts)
 
 
 def seesaw(game: MonogamyGame, cfg: SeesawConfig, init_povms=None) -> SeesawResult:
@@ -299,23 +308,27 @@ def seesaw(game: MonogamyGame, cfg: SeesawConfig, init_povms=None) -> SeesawResu
 
     `init_povms`, when given as (bob, charlie) stacks whose rows follow
     `game.basis_labels`, replaces the random initialization of restart 0;
-    remaining restarts stay random.
+    remaining restarts stay random.  Every array of the search is float64
+    when neither the game's elements nor `init_povms` have an imaginary
+    part, else complex128; random starts are then Haar orthogonal, else Haar
+    unitary.
     Restarts run in blocks of as many as fit in `_BLOCK_BYTES`, each block as
     one batch along a leading axis of every state and stack, and a restart
     leaves its batch when it stops.  Each restart's last strategy is built
     and evaluated exactly; the best is returned, ties going to the lowest
     restart index, with every restart's summary.
     """
-    require_bytes(_search_bytes(game, cfg), f"seesaw at total dimension {game.dim_a}^"
+    dtype = linalg.scalar_type(game.elements, *(() if init_povms is None else init_povms))
+    require_bytes(_search_bytes(game, cfg, dtype), f"seesaw at total dimension {game.dim_a}^"
                   f"{game.rounds} x {cfg.bob_dim} x {cfg.charlie_dim}")
     dims = (game.alice_dim, cfg.bob_dim, cfg.charlie_dim)
     summaries: list[RestartSummary | None] = [None] * cfg.restarts
     best = None
-    block = _block_size(game, cfg)
+    block = _block_size(game, cfg, dtype)
     for start in range(0, cfg.restarts, block):
         restarts = range(start, min(start + block, cfg.restarts))
         for r, rho, bob, charlie, trajectory, stop in _search_block(game, cfg, restarts,
-                                                                    init_povms):
+                                                                    init_povms, dtype):
             # a read-only copy, which the strategy keeps without a second one
             rho = rho.copy()
             rho.setflags(write=False)

@@ -266,7 +266,7 @@ def minimum_error_povm(sigmas) -> np.ndarray:
     if mats.shape[-3] == 2:
         evals, vecs = np.linalg.eigh(mats[..., 0, :, :] - mats[..., 1, :, :])
         p0 = _projector(vecs, evals >= 0.0)
-        return np.stack([p0, np.eye(mats.shape[-1], dtype=complex) - p0], axis=-3)
+        return np.stack([p0, np.eye(mats.shape[-1], dtype=mats.dtype) - p0], axis=-3)
     pgm = pgm_povm(mats)
     povm = pgm
     for _ in range(_REFINE_STEPS):

@@ -274,10 +274,10 @@ def _sentinel(*args, **kwargs):
 
 def test_seesaw_refuses_twelve_rounds_of_bb84(monkeypatch):
     # D = 2^12 with classical guessers, one restart per block: 6.5 D^2
-    # complex entries, plus 2^12 x 2^12 guesses per party held four times,
+    # real entries, plus 2^12 x 2^12 guesses per party held four times,
     # over 2 GiB; eleven rounds fit
     cfg = SeesawConfig()
-    assert _search_bytes(game_power(bb84_game(), 11), cfg) <= errors.MEMORY_BUDGET
+    assert _search_bytes(game_power(bb84_game(), 11), cfg, float) <= errors.MEMORY_BUDGET
     monkeypatch.setattr(sys.modules["monogamy.seesaw"], "_search_block", _sentinel)
     with pytest.raises(CapacityError):
         seesaw(game_power(bb84_game(), 12), cfg)

@@ -654,16 +654,31 @@ def test_seesaw_bounds_a_fixture_of_several_rounds_by_its_round(tmp_path, capsys
     assert result["value"] <= result["upper_bound"] + 1e-9
 
 
-def test_a_restart_whose_operators_cancel_to_noise_does_not_end_the_search(capsys):
-    # restart 308's Bob operators for basis 11 are about 1e-19 and sum to
-    # about 1e-35; their measurement once failed its completeness check
+def test_a_restart_whose_operators_cancel_to_noise_does_not_end_the_search(capsys,
+                                                                            monkeypatch):
+    # restart 545's Bob operators for basis 3 cancel to rounding noise, so
+    # the pretty-good measurement takes its noise branch and treats S as all
+    # kernel; such a measurement once failed its completeness check
+    import monogamy.uncertainty as uncertainty
+    pgm, cancelled = uncertainty.pgm_povm, []
+
+    def spy(sigmas):
+        # pgm_povm's own test: S's entries all below 1e-10 of the summed
+        # absolute entries of its operators
+        total = np.abs(uncertainty._outcome_sum(sigmas)).max(axis=(-2, -1))
+        noise = total < 1e-10 * np.abs(sigmas).sum(axis=(-3, -2, -1))
+        cancelled.extend(np.argwhere(noise).tolist())
+        return pgm(sigmas)
+
+    monkeypatch.setattr(uncertainty, "pgm_povm", spy)
     code, out, err = run(capsys, "seesaw", "--game", "bb84", "--n", "2", "--bob-dim", "2",
-                         "--charlie-dim", "2", "--restarts", "309", "--max-iters", "1",
+                         "--charlie-dim", "2", "--restarts", "546", "--max-iters", "1",
                          "--no-include-strategy", "--deterministic")
     assert (code, err) == (0, "")
+    assert cancelled == [[545, 3]]
     result = json.loads(out)["result"]
-    assert len(result["per_restart"]) == 309
-    assert result["value"] == pytest.approx(0.702501995370279, abs=1e-12)
+    assert len(result["per_restart"]) == 546
+    assert result["value"] == pytest.approx(0.7138994445864968, abs=1e-12)
 
 
 def test_seesaw_runs_eight_rounds_of_bb84(capsys):

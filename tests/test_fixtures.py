@@ -25,9 +25,39 @@ def test_matrix_round_trip(rng):
     np.testing.assert_allclose(matrix_from_json(doc), m, atol=0)
 
 
+def test_a_real_matrix_is_written_without_im(rng):
+    m = rng.standard_normal((3, 2))
+    doc = json.loads(json.dumps(matrix_to_json(m)))
+    assert sorted(doc) == ["cols", "re", "rows"]
+    back = matrix_from_json(doc)
+    assert back.dtype == np.float64
+    np.testing.assert_array_equal(back, m)
+    # a complex-typed matrix with no imaginary part is written the same way
+    assert matrix_to_json(m.astype(complex)) == matrix_to_json(m)
+
+
+def test_a_document_with_im_loads_as_before():
+    # a real game as documents carried it when every matrix had "im": it
+    # loads with the same entries, and is stored real
+    doc = game_to_json(bb84_game())
+    for elems in doc["povms"].values():
+        for e in elems:
+            e["im"] = [0.0] * len(e["re"])
+    m = matrix_from_json(doc["povms"]["1"][0])
+    assert m.dtype == np.complex128
+    np.testing.assert_array_equal(m, bb84_game().povms["1"][0])
+    back = game_from_json(doc)
+    assert back.elements.dtype == np.float64
+    np.testing.assert_array_equal(back.elements, bb84_game().elements)
+
+
 def test_matrix_rejects_entry_count_mismatch():
     with pytest.raises(DimensionError):
         matrix_from_json({"rows": 2, "cols": 2, "re": [1, 2, 3], "im": [0, 0, 0]})
+    with pytest.raises(DimensionError, match=r"got re=3$"):
+        matrix_from_json({"rows": 2, "cols": 2, "re": [1, 2, 3]})
+    with pytest.raises(DimensionError, match="re=4, im=3"):
+        matrix_from_json({"rows": 2, "cols": 2, "re": [1, 2, 3, 4], "im": [0, 0, 0]})
 
 
 def test_matrix_rejects_malformed_document():

@@ -21,7 +21,7 @@ from monogamy.games import (MonogamyGame, QSet, Strategy, _basis_terms, bb84_gam
                             winning_probability_with_q, xor_permutation_family)
 from monogamy.posver import BreidbartPair, TimingScenario, simulate_pv_rounds
 from monogamy.rand import random_density, random_povm, random_projective_povm, rng_for
-from monogamy.seesaw import bb84_optimal_unentangled_strategy
+from monogamy.seesaw import SeesawConfig, bb84_optimal_unentangled_strategy, seesaw
 
 from conftest import (basis_factors, dense_product, pairwise_overlap, power_elements,
                       reorder_systems, schatten_inf_norm)
@@ -820,6 +820,32 @@ def test_product_strategy_follows_an_unsorted_basis_order():
         pytest.approx(winning_probability(g2, oracle), abs=1e-12)
 
 
+def test_a_product_of_a_two_round_strategy_plays_its_own_blocks():
+    # the seesaw's dense bb84^2 strategy, played three times over six
+    # rounds: each of its product rounds is a block of two game rounds
+    g2 = game_power(bb84_game(), 2)
+    s = seesaw(g2, SeesawConfig(bob_dim=4, charlie_dim=4, restarts=4)).strategy
+    value = winning_probability(game_power(bb84_game(), 6), product_strategy(s, 3))
+    assert value == pytest.approx(winning_probability(g2, s)**3, abs=1e-12)
+    with pytest.raises(DimensionError, match="3 product rounds of 2 game rounds != 5"):
+        winning_probability(game_power(bb84_game(), 5), product_strategy(s, 3))
+
+
+def test_a_product_of_two_round_blocks_takes_xor_q_sets_block_by_block(rng):
+    # a random round played four times, once as such and once as two
+    # blocks of its dense two-round product: every XOR-shift Q-set values
+    # both alike
+    g = bb84_game()
+    s1 = random_strategy(g, 2, 1, rng)
+    s2 = dense_product(game_power(g, 2), product_strategy(s1, 2))
+    g4 = game_power(g, 4)
+    points = np.arange(16)
+    for q in (hamming_q_set(4, 0.25, 0.5), same_string_q_set(4, 0.5),
+              QSet(points ^ np.array([[0], [6], [13]]), points ^ np.array([[9], [6], [0]]))):
+        assert winning_probability_with_q(g4, product_strategy(s2, 2), q) == pytest.approx(
+            winning_probability_with_q(g4, product_strategy(s1, 4), q), abs=1e-12)
+
+
 def test_product_strategy_of_entangled_round(rng):
     # product of a basis-matching entangled round keeps its per-round value
     g = bb84_game()
@@ -856,15 +882,15 @@ def test_product_strategy_state_is_the_regrouped_tensor_power(rng):
 
 
 def test_product_strategy_shares_its_round_arrays():
-    # the entangled (2, 2, 1) BB84 round: written out at n = 5, its state and
-    # Bob's stack would hold 16 MiB each; the product keeps the round's own
-    # read-only arrays at any round count
+    # the entangled (2, 2, 1) BB84 round: written out at n = 5, its real
+    # state and Bob's real stack would hold 8 MiB each; the product keeps the
+    # round's own read-only arrays at any round count
     import tracemalloc
     g = bb84_game()
     s1 = Strategy(maximally_entangled_density(2), (2, 2, 1), g.povms,
                   constant_guess_povms(g.thetas, g.outcomes, "0"))
     dense = dense_product(game_power(g, 5), product_strategy(s1, 5))
-    assert dense.rho_abc.nbytes == dense.bob.nbytes == 16 * 2**20
+    assert dense.rho_abc.nbytes == dense.bob.nbytes == 8 * 2**20
     product_strategy(s1, 2)  # one-time allocations of numpy and the package
     tracemalloc.start()
     try:

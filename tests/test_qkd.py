@@ -907,6 +907,22 @@ def test_a_seesaw_strategy_plays_as_a_device():
     assert abs(rate - exact) <= 5 * math.sqrt(exact * (1 - exact) / rows)
 
 
+def test_quantum_device_plays_a_product_of_a_two_round_strategy_block_by_block():
+    # the seesaw's dense bb84^2 strategy played three times: six rounds in
+    # blocks of two, each drawn from the dense strategy's own table
+    dense = seesaw(game_power(bb84_game(), 2), SeesawConfig(bob_dim=4, charlie_dim=4,
+                                                            restarts=4)).strategy
+    single = TripartiteQuantumDevice(dense)
+    product = TripartiteQuantumDevice(product_strategy(dense, 3))
+    assert (product.n, product.block) == (6, 2)
+    np.testing.assert_array_equal(device_table(product), device_table(single))
+    theta = rng_for(23).integers(0, 2, size=(5000, 6), dtype=np.uint8)
+    x, y = product.sample(theta, rng_for(24))
+    x1, y1 = single.sample(theta.reshape(-1, 2), rng_for(24))
+    np.testing.assert_array_equal(x, x1.reshape(theta.shape))
+    np.testing.assert_array_equal(y, y1.reshape(theta.shape))
+
+
 def test_quantum_device_reads_a_strategy_in_its_own_basis_order():
     # the same EPR strategy with its bases listed in reverse plays as the
     # strategy in basis-label order

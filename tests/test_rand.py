@@ -4,6 +4,7 @@ and the random projective measurements that start a seesaw."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -114,3 +115,40 @@ def test_random_projective_povm_is_its_definition(dim, outcomes):
         assert povm.dtype == expected.dtype
         np.testing.assert_array_equal(povm, expected)
         assert np.array_equal(np.signbit(povm.view(float)), np.signbit(expected.view(float)))
+
+
+def test_complex_haar_draws_are_pinned():
+    # the complex stream that starts a complex seesaw, as it was drawn
+    # before real games got real starts
+    rng = rng_for(7, 1)
+    draws = [haar_unitary(d, rng) for d in (1, 2, 3, 4, 8)]
+    draws += [random_projective_povm(4, 2, rng), random_projective_povm(3, 4, rng)]
+    assert all(a.dtype == np.complex128 for a in draws)
+    assert hashlib.sha256(b"".join(a.tobytes() for a in draws)).hexdigest() == \
+        "dea60d49d9460b7d0711ec3094de14580d858df54265ef9b05d8fffd1fba554f"
+
+
+@pytest.mark.parametrize("dim, outcomes", [(1, 2), (2, 2), (3, 4), (4, 4), (4, 64), (8, 3)])
+def test_real_projective_povms_are_real_symmetric_projectors_summing_to_one(dim, outcomes):
+    for seed in range(5):
+        povm = random_projective_povm(dim, outcomes, rng_for(seed, dim, outcomes), float)
+        assert povm.dtype == np.float64 and povm.shape == (outcomes, dim, dim)
+        np.testing.assert_array_equal(povm, povm.swapaxes(-1, -2))
+        np.testing.assert_allclose(povm @ povm, povm, atol=1e-12)
+        np.testing.assert_allclose(povm.sum(axis=0), np.eye(dim), atol=1e-12)
+        # the columns are dealt as evenly as possible
+        ranks = np.rint(np.trace(povm, axis1=1, axis2=2)).astype(int)
+        assert ranks.sum() == dim and ranks.max() - ranks.min() <= 1
+
+
+def test_real_haar_draws_have_the_moments_of_haar_o4():
+    # an entry q of a Haar O(d) matrix has E q = 0, E q^2 = 1/d and
+    # E q^4 = 3 / (d (d + 2)); QR alone, without the sign fix, gives
+    # q_00 of one sign
+    draws, d = 20_000, 4
+    rng = rng_for(41)
+    q = np.array([haar_unitary(d, rng, float)[0, 0] for _ in range(draws)])
+    second, fourth = 1 / d, 3 / (d * (d + 2))
+    assert abs(q.mean()) <= 5 * math.sqrt(second / draws)
+    assert abs((q**2).mean() - second) <= 5 * math.sqrt((fourth - second**2) / draws)
+

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from monogamy.bounds import BB84_ROUND_VALUE, bb84_parallel_value
 from monogamy.errors import CapacityError, DimensionError, DomainError, ValidationError
+from monogamy.fixtures import load_fixture
 from monogamy.games import (MonogamyGame, Strategy, bb84_game, conditional_stack, game_power,
                             product_strategy, winning_probability)
 from monogamy.seesaw import (SeesawConfig, bb84_optimal_unentangled_strategy,
@@ -122,12 +126,13 @@ def test_seesaw_trajectory_monotone_and_value_consistent(rng):
         assert result.value <= bb84_parallel_value(2) + 1e-9
 
 
-# Taken with the refined measurement step, for bb84^2:
-# (bob_dim, charlie_dim, seed) -> per-restart iterations, best restart, value
+# Taken with the refined measurement step and real (Haar orthogonal) starts,
+# for bb84^2: (bob_dim, charlie_dim, seed) -> per-restart iterations, best
+# restart, value
 PINNED = {
-    (4, 4, 0): ([7, 7, 12, 11], 2, 0.7285533905932755),
-    (4, 4, 1): ([24, 35, 5, 21], 3, 0.7285533905932743),
-    (2, 2, 5): ([25, 13, 7, 8], 3, 0.728553390593275),
+    (4, 4, 0): ([6, 7, 6, 5], 0, 0.7285533905932751),
+    (4, 4, 1): ([8, 7, 9, 8], 1, 0.7285533905932753),
+    (2, 2, 5): ([7, 6, 14, 10], 0, 0.7285533905932753),
 }
 
 
@@ -144,19 +149,53 @@ def test_batched_restarts_follow_the_pinned_one_at_a_time_search(dims_seed):
     assert result.value == pytest.approx(value, abs=1e-12)
 
 
+def test_a_real_game_is_searched_in_real_arithmetic():
+    # every array of the bb84 search is float64, down to the strategy
+    result = seesaw(game_power(bb84_game(), 2), SeesawConfig(seed=0, restarts=2, bob_dim=2,
+                                                             charlie_dim=2))
+    s = result.strategy
+    assert s.rho_abc.dtype == s.bob.dtype == s.charlie.dtype == np.float64
+    # complex-typed initial stacks with no imaginary part start a real search
+    one = bb84_optimal_unentangled_strategy()
+    result = seesaw(bb84_game(), SeesawConfig(restarts=1),
+                    init_povms=(one.bob.astype(complex), one.charlie.astype(complex)))
+    assert result.strategy.rho_abc.dtype == np.float64
+    assert result.value == pytest.approx(BB84_ROUND_VALUE, abs=1e-12)
+
+
+# Z, X and Y bases on a qubit; the Y basis has imaginary entries
+SIX_STATE = Path(__file__).resolve().parent / "six_state_game.json"
+
+
+def test_the_six_state_game_searches_in_complex_arithmetic_as_it_did():
+    # the complex path: pinned where every game was searched in complex128
+    _, game = load_fixture(SIX_STATE)
+    assert game.elements.dtype == np.complex128
+    one = seesaw(game, SeesawConfig(seed=0, restarts=10))
+    assert one.value == pytest.approx(0.7886751345948128, abs=1e-12)
+    assert one.value == pytest.approx((1 + 1 / math.sqrt(3)) / 2, abs=1e-12)
+    two = seesaw(game_power(game, 2), SeesawConfig(seed=0, restarts=10, bob_dim=2,
+                                                   charlie_dim=2))
+    assert two.value == pytest.approx(0.6220084679281473, abs=1e-12)
+    assert [s.iterations for s in two.per_restart] == [8, 22, 7, 10, 19, 34, 10, 9, 7, 10]
+    for result in (one, two):
+        assert result.strategy.rho_abc.dtype == np.complex128
+    assert two.strategy.bob.dtype == two.strategy.charlie.dtype == np.complex128
+
+
 def test_batched_classical_guessers_follow_the_pinned_search():
     result = seesaw(game_power(bb84_game(), 3), SeesawConfig(seed=0, restarts=20))
-    assert result.restart == 4
-    assert result.value == pytest.approx(0.6218592167691147, abs=1e-12)
+    assert result.restart == 8
+    assert result.value == pytest.approx(0.6218592167691152, abs=1e-12)
 
 
 def test_per_restart_summary_names_each_stop():
-    # restart 0 of bb84^3 at dims 2/2 takes 26 cycles to settle, so it stops
-    # at a cap of 20
+    # restart 0 of bb84^3 at dims 2/2, seed 7, takes 17 cycles to settle,
+    # so it stops at a cap of 10
     result = seesaw(game_power(bb84_game(), 3),
-                    SeesawConfig(seed=0, restarts=2, bob_dim=2, charlie_dim=2, max_iters=20))
+                    SeesawConfig(seed=7, restarts=2, bob_dim=2, charlie_dim=2, max_iters=10))
     first, second = result.per_restart
-    assert (first.iterations, first.stop) == (20, "max_iters")
+    assert (first.iterations, first.stop) == (10, "max_iters")
     assert (second.iterations, second.stop) == (3, "tol")
     assert result.restart == 1
     assert (second.value, second.iterations) == (result.value, result.iterations)
@@ -171,9 +210,9 @@ def test_block_size_does_not_change_the_search(monkeypatch):
     g2 = game_power(bb84_game(), 2)
     cfg = SeesawConfig(seed=5, restarts=4, bob_dim=2, charlie_dim=2)
     batched = seesaw(g2, cfg)
-    assert sys.modules["monogamy.seesaw"]._block_size(g2, cfg) == 4
+    assert sys.modules["monogamy.seesaw"]._block_size(g2, cfg, float) == 4
     monkeypatch.setattr(sys.modules["monogamy.seesaw"], "_BLOCK_BYTES", 1)
-    assert sys.modules["monogamy.seesaw"]._block_size(g2, cfg) == 1
+    assert sys.modules["monogamy.seesaw"]._block_size(g2, cfg, float) == 1
     alone = seesaw(g2, cfg)
     assert alone.per_restart == batched.per_restart
     assert (alone.restart, alone.trajectory) == (batched.restart, batched.trajectory)
@@ -227,7 +266,8 @@ def test_seesaw_checks_one_strategy_per_restart(monkeypatch):
 
 def test_seesaw_peak_memory():
     # bob 16 x charlie 8 on a qubit, D = 256: the state, the averaged win
-    # operator and its temporaries stay within 4.5 D x D complex arrays
+    # operator and its temporaries stay within 4.5 D x D arrays, real for
+    # the real bb84 game
     import tracemalloc
     d = 256
     # one-time allocations of numpy and the package, untraced
@@ -238,7 +278,7 @@ def test_seesaw_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * d * d * 16 + 2**20
+    assert peak <= 4.5 * d * d * 8 + 2**20
 
 
 def test_seesaw_capacity_guard():
