@@ -43,9 +43,9 @@ _TERM_BYTES = 48
 
 def _povm_stack(povms, keys: Sequence[str], dim: int, who: str = "") -> np.ndarray:
     """A checked, read-only (|keys|, |X|, dim, dim) stack, rows in `keys`
-    order, copied at most once, and once more to float64 when it is complex
-    with no imaginary part: a real family is stored real.  A label-keyed
-    mapping must cover exactly `keys`; its one copy is the stack itself.
+    order, made by :func:`linalg.frozen`, so a family with no imaginary
+    part is stored in float64.  A label-keyed mapping must cover exactly
+    `keys`; its one copy is the stack itself.
     The whole stack is checked at once: Hermitian PSD elements, naming the
     first element that is not Hermitian, else the first that is not PSD,
     then every basis summing to the identity, naming the first that does
@@ -64,8 +64,6 @@ def _povm_stack(povms, keys: Sequence[str], dim: int, who: str = "") -> np.ndarr
                                          f"{np.shape(e)}, expected ({dim}, {dim})")
         povms = [povms[k] for k in keys]
     stack = linalg.frozen(povms)
-    if stack.dtype.kind == "c" and linalg.scalar_type(stack) is float:
-        stack = linalg.frozen(stack.real)
     if stack.ndim != 4 or stack.shape[0] != len(keys) or stack.shape[2:] != (dim, dim):
         raise DimensionError(f"{who}POVM stack has shape {stack.shape}, expected "
                              f"({len(keys)}, |X|, {dim}, {dim})")

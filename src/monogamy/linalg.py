@@ -1,8 +1,11 @@
 """Dense linear algebra for states and POVMs.
 
-Matrices are plain ``numpy`` arrays, float64 or complex128: a real array
-stays real, so a real game is searched, stored and written in real
-arithmetic.  Conventions fixed once and used everywhere:
+Matrices are plain ``numpy`` arrays, float64 or complex128, by one rule
+that :func:`frozen` decides for every array the package stores: float64
+unless some entry has a nonzero imaginary part.  Every function that
+computes keeps its input's dtype, so a real game, strategy or ensemble is
+searched, stored and written in real arithmetic.  Conventions fixed once
+and used everywhere:
 
 * row-major storage, 0-based indexing; in tensor products factor 0 is the
   leftmost factor,
@@ -21,6 +24,7 @@ arithmetic.  Conventions fixed once and used everywhere:
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,21 +37,6 @@ PSD_EIG_FLOOR = -1e-8
 TRACE_ATOL = 1e-8
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce input to a 2-d complex array (copies, so results are safe to keep)."""
-    a = np.array(m, dtype=complex)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    return a
-
-
-def require_square(m: np.ndarray) -> np.ndarray:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
 def scalar_type(*arrays) -> type:
     """float when no entry of any of `arrays` has an imaginary part, else
     complex: the type in which arithmetic on them loses nothing."""
@@ -55,17 +44,22 @@ def scalar_type(*arrays) -> type:
 
 
 def frozen(a, dtype=None) -> np.ndarray:
-    """`a` as a read-only array of `dtype`; None keeps a complex array
-    complex128 and makes any other float64.  One that already is read-only,
-    owns its data and has that dtype is kept as it is; anything else is
-    copied once, so the caller's array stays writable and is never aliased."""
+    """`a` as a read-only array of `dtype`.  With no `dtype`, the package's
+    one dtype rule: float64 unless some entry has a nonzero imaginary part
+    (:func:`scalar_type`), else complex128; an all-zero imaginary part is
+    dropped with ``.real``.  One that already is read-only, owns its data
+    and has that dtype is kept as it is; anything else is converted once,
+    so the caller's array stays writable and is never aliased."""
+    b = np.asarray(a)
     if dtype is None:
-        dtype = complex if np.iscomplexobj(a) else float
-    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.owndata
-            and not a.flags.writeable):
-        a = np.array(a, dtype=dtype)
-        a.setflags(write=False)
-    return a
+        if b.dtype.kind == "c" and scalar_type(b) is float:
+            b = b.real
+        dtype = complex if b.dtype.kind == "c" else float
+    if not (b is a and b.dtype == dtype and b.flags.owndata and not b.flags.writeable):
+        # an array np.asarray made from a list is seen by no caller: not copied
+        b = b.astype(dtype, copy=b is a or not b.flags.owndata)
+        b.setflags(write=False)
+    return b
 
 
 def hermitianize(m: np.ndarray) -> np.ndarray:
@@ -132,8 +126,8 @@ def psd_sqrt(a) -> np.ndarray:
     [PSD_EIG_FLOOR, 0) are clipped to 0 before square-rooting; anything below
     the floor raises NotPsdError.
     """
-    a = np.array(a, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+    a = np.array(_numeric(a))  # the roots overwrite this copy
+    if a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if not hermitian_psd(a, psd=False).all():
         raise ValidationError("psd_sqrt requires Hermitian input")
@@ -157,13 +151,14 @@ def trace_distance(rho, sigma) -> float:
 
 
 def tensor(*mats) -> np.ndarray:
-    """Kronecker product of one or more matrices, leftmost factor first."""
+    """Kronecker product of one or more matrices, leftmost factor first, as
+    a new array of their common dtype."""
     if not mats:
         raise DimensionError("tensor() needs at least one matrix")
-    out = as_matrix(mats[0])
-    for m in mats[1:]:
-        out = np.kron(out, as_matrix(m))
-    return out
+    mats = [_numeric(m) for m in mats]
+    if any(m.ndim != 2 for m in mats):
+        raise DimensionError(f"expected 2-d matrices, got shapes {[m.shape for m in mats]}")
+    return functools.reduce(np.kron, mats[1:], mats[0].copy())
 
 
 def dimensions(dims: Sequence[int], count: int | None = None) -> tuple[int, ...]:
@@ -181,7 +176,9 @@ def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     `dims` lists the subsystem dimensions left to right; kept factors stay in
     their original order.  An empty `keep` returns the 1x1 matrix [[tr m]].
     """
-    m = require_square(m)
+    m = _numeric(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     dims = dimensions(dims)
     if m.shape[0] != int(np.prod(dims)):
         raise DimensionError(f"matrix dimension {m.shape[0]} != product of dims {dims}")
@@ -190,13 +187,13 @@ def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     if keep and keep[-1] >= n:
         raise DimensionError(f"keep indices {keep} out of range for {n} factors")
     if not keep:
-        return np.array([[np.trace(m)]], dtype=complex)
+        return np.array([[np.trace(m)]])
     tens = m.reshape(dims + dims)
     # contract bra/ket axis pairs of the traced factors
     for j in reversed([i for i in range(n) if i not in keep]):
         tens = np.trace(tens, axis1=j, axis2=j + tens.ndim // 2)
     d_keep = int(np.prod([dims[i] for i in keep]))
-    return tens.reshape(d_keep, d_keep)
+    return tens.reshape(d_keep, d_keep) if len(keep) < n else m.copy()
 
 
 def permutation_rows(a) -> bool:

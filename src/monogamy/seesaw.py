@@ -175,7 +175,7 @@ def bb84_optimal_unentangled_strategy() -> Strategy:
 
 
 def _initial_povms(game: MonogamyGame, cfg: SeesawConfig, restarts: range,
-                   init_povms, dtype: type) -> tuple[np.ndarray, np.ndarray]:
+                   init_povms, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     """The block's starting (R, |Theta|, |X|, d, d) stacks of `dtype`:
     restart r draws Bob's and then Charlie's random projective POVMs from
     rng_for(seed, r), unless it is restart 0 and `init_povms` replaces
@@ -189,8 +189,7 @@ def _initial_povms(game: MonogamyGame, cfg: SeesawConfig, restarts: range,
                 if np.shape(given) != stack.shape[1:]:
                     raise DimensionError(f"initial POVMs have shape {np.shape(given)}, "
                                          f"expected {stack.shape[1:]}")
-                # a real search's POVMs have no imaginary part to drop
-                stack[j] = given if dtype is complex else np.real(given)
+                stack[j] = given
             continue
         rng = rng_for(cfg.seed, r)
         for stack in stacks:
@@ -200,7 +199,7 @@ def _initial_povms(game: MonogamyGame, cfg: SeesawConfig, restarts: range,
 
 
 def _search_block(game: MonogamyGame, cfg: SeesawConfig, restarts: range, init_povms,
-                  dtype: type):
+                  dtype: np.dtype):
     """Run a block of restarts as one batch of `dtype`, each on its own row
     of every stack, and yield (restart, rho, bob, charlie, trajectory, stop)
     for each restart as it stops, rho and the stacks as views into the batch.  A
@@ -247,7 +246,7 @@ def _search_block(game: MonogamyGame, cfg: SeesawConfig, restarts: range, init_p
             return
 
 
-def _restart_bytes(game: MonogamyGame, cfg: SeesawConfig, dtype: type) -> int:
+def _restart_bytes(game: MonogamyGame, cfg: SeesawConfig, dtype: np.dtype) -> int:
     """Peak bytes each restart of a block adds, beside its party stacks and
     one candidate, from D = d_A d_B d_C, the S entries of its conditional
     states over all bases and the entries of one party's stack, each entry
@@ -278,12 +277,12 @@ def _restart_bytes(game: MonogamyGame, cfg: SeesawConfig, dtype: type) -> int:
     return np.dtype(dtype).itemsize * (max(phases) + 2 * stacks)
 
 
-def _block_size(game: MonogamyGame, cfg: SeesawConfig, dtype: type) -> int:
+def _block_size(game: MonogamyGame, cfg: SeesawConfig, dtype: np.dtype) -> int:
     """Restarts per block: as many as fit in _BLOCK_BYTES, at least one."""
     return max(1, min(cfg.restarts, _BLOCK_BYTES // _restart_bytes(game, cfg, dtype)))
 
 
-def _search_bytes(game: MonogamyGame, cfg: SeesawConfig, dtype: type) -> int:
+def _search_bytes(game: MonogamyGame, cfg: SeesawConfig, dtype: np.dtype) -> int:
     """Peak bytes of a search: one block of restarts, and beside it the best
     restart's strategy and a stopping restart's, each a state and its party
     stacks, the final evaluation, which holds the conditional states of
@@ -318,7 +317,8 @@ def seesaw(game: MonogamyGame, cfg: SeesawConfig, init_povms=None) -> SeesawResu
     and evaluated exactly; the best is returned, ties going to the lowest
     restart index, with every restart's summary.
     """
-    dtype = linalg.scalar_type(game.elements, *(() if init_povms is None else init_povms))
+    init_povms = None if init_povms is None else tuple(map(linalg.frozen, init_povms))
+    dtype = np.result_type(game.elements, *(init_povms or ()))
     require_bytes(_search_bytes(game, cfg, dtype), f"seesaw at total dimension {game.dim_a}^"
                   f"{game.rounds} x {cfg.bob_dim} x {cfg.charlie_dim}")
     dims = (game.alice_dim, cfg.bob_dim, cfg.charlie_dim)
@@ -329,9 +329,6 @@ def seesaw(game: MonogamyGame, cfg: SeesawConfig, init_povms=None) -> SeesawResu
         restarts = range(start, min(start + block, cfg.restarts))
         for r, rho, bob, charlie, trajectory, stop in _search_block(game, cfg, restarts,
                                                                     init_povms, dtype):
-            # a read-only copy, which the strategy keeps without a second one
-            rho = rho.copy()
-            rho.setflags(write=False)
             strategy = Strategy(rho, dims, bob, charlie, game.basis_labels)
             value = winning_probability(game, strategy)
             summaries[r] = RestartSummary(value, len(trajectory), stop)

@@ -114,7 +114,7 @@ class CqEnsemble:
     def joint_density(self) -> np.ndarray:
         """The full CQ density sum_x p_x |x><x| ⊗ rho^x."""
         k, d = len(self.alphabet), self.dim
-        out = np.zeros((k, d, k, d), dtype=complex)
+        out = np.zeros((k, d, k, d), dtype=self.states.dtype)
         out[np.arange(k), :, np.arange(k)] = self.weighted_conditionals()
         return out.reshape(k * d, k * d)
 
@@ -137,7 +137,7 @@ def secdef_gap(rho: CqEnsemble, rho_tilde: CqEnsemble,
         raise DimensionError("the two CQ states must share the side-information dimension")
     k = len(rho.alphabet)
     if tau_x is None:
-        tau_x = np.eye(k, dtype=complex) / k
+        tau_x = np.eye(k) / k
     tau_x = linalg.require_density(tau_x, "tau_x")
     if tau_x.shape[0] != k:
         raise DimensionError("tau_x must match the alphabet size")
@@ -343,7 +343,7 @@ def post_measurement_state(rho_abc, dims: Sequence[int], f0, f1):
                                   (c_out, np.einsum("xbcbr->xcr", sigma), dc)):
             conds = np.where(seen, linalg.hermitianize(marginals)
                              / np.where(seen, p[:, None, None], 1.0),
-                             np.eye(d, dtype=complex) / d)
+                             np.eye(d) / d)
             conds.setflags(write=False)
             out[theta] = CqEnsemble(alphabet, w, conds)
     return b_out, c_out

@@ -104,11 +104,19 @@ def dense_product(game: MonogamyGame, strategy: Strategy) -> Strategy:
     return Strategy(rho, tuple(d**n for d in strategy.dims), bob, charlie, game.basis_labels)
 
 
+def _square(m) -> np.ndarray:
+    """`m` as an array, once it is checked to be a square matrix."""
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
 def schatten_inf_norm(m) -> float:
     """Oracle: the largest singular value, as the square root of the top
     eigenvalue of M^dagger M, clipped at zero.  For Hermitian PSD input it
     is the largest eigenvalue."""
-    m = linalg.require_square(m)
+    m = _square(m)
     gram = m.conj().T @ m
     top = float(np.linalg.eigvalsh(linalg.hermitianize(gram))[-1])
     return float(np.sqrt(max(top, 0.0)))
@@ -144,7 +152,7 @@ def kittaneh_sum_bound(ops: Sequence[np.ndarray],
     """
     if not ops:
         raise DimensionError("need at least one operator")
-    mats = [linalg.require_square(a) for a in ops]
+    mats = [_square(a) for a in ops]
     dim = mats[0].shape[0]
     for a in mats:
         if a.shape[0] != dim:

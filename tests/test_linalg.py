@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from monogamy import linalg
+from monogamy import games, linalg
 from monogamy.errors import DimensionError, NotPsdError, ValidationError
-from monogamy.games import MonogamyGame, bb84_game, overlap
+from monogamy.fixtures import load_fixture
+from monogamy.games import MonogamyGame, Strategy, bb84_game, constant_guess_povms, overlap
 from monogamy.rand import random_density, rng_for
+from monogamy.uncertainty import CqEnsemble, post_measurement_state
 
 from conftest import random_psd, reorder_systems
 
@@ -279,3 +282,66 @@ def test_hermitianize_takes_the_hermitian_part_of_each_matrix(rng):
     out = linalg.hermitianize(stack)
     for m, h in zip(stack, out):
         np.testing.assert_array_equal(h, (m + m.conj().T) / 2)
+
+
+# ---------------------------------------------------------------------------
+# the dtype rule: float64 unless an entry is complex
+
+GHZ = Path(__file__).resolve().parent / "bb84_ur_instance.json"
+
+
+def _projector(*amplitudes) -> np.ndarray:
+    """|psi><psi| for the normalized `amplitudes`, complex-typed."""
+    psi = np.array(amplitudes, dtype=complex) / np.linalg.norm(amplitudes)
+    return np.outer(psi, psi.conj())
+
+
+def _ghz_ensembles(phase) -> list:
+    """post_measurement_state on the GHZ fixture with B and C each turned
+    by [[1, -conj(phase)], [phase, 1]] / sqrt(2), which is real for phase 1:
+    the arrays of both parties' ensembles in the Z basis.  (In the X basis
+    each party is left maximally mixed, whatever the phase.)"""
+    _, (rho, dims, f0, f1) = load_fixture(GHZ)
+    u = np.array([[1, -np.conj(phase)], [phase, 1]]) / math.sqrt(2)
+    turn = linalg.tensor(np.eye(2), u, u)
+    ensembles = post_measurement_state(turn @ rho @ turn.conj().T, dims, f0, f1)
+    return [a for party in ensembles for a in (party[0].states, party[0].joint_density())]
+
+
+def _strategy(phase) -> list:
+    s = Strategy(_projector(1, 0, 0, phase), (2, 2, 1), bb84_game().elements,
+                 constant_guess_povms("01", "01", "0"), "01")
+    return [s.rho_abc, games._itemsize(bb84_game(), s)]
+
+
+def _ensemble(phase) -> list:
+    e = CqEnsemble("01", [0.5, 0.5], [_projector(1, phase), np.eye(2, dtype=complex) / 2])
+    return [e.states, e.joint_density()]
+
+
+# each case builds arrays from entries with phase 1, or with the phase 1j,
+# which gives some entries an imaginary part.  A constructor that stores is
+# handed complex-typed arrays; a function that computes, float64 input
+# (np.real_if_close) for phase 1.  An int is an entry's size in bytes.
+DTYPE_CASES = {
+    "strategy": _strategy,
+    "ensemble": _ensemble,
+    "psd_sqrt": lambda phase: [
+        linalg.psd_sqrt(np.real_if_close(m))
+        for m in (_projector(1, phase), _projector(1, phase) + np.eye(2))],
+    "tensor": lambda phase: [linalg.tensor(np.real_if_close(_projector(1, phase)), np.eye(2))],
+    "partial_trace": lambda phase: [
+        linalg.partial_trace(np.real_if_close(_projector(1, 0, 0, phase)), (2, 2), keep)
+        for keep in ([], [1])],
+    "post_measurement_state": _ghz_ensembles,
+}
+
+
+@pytest.mark.parametrize("phase, dtype", [(1, np.float64), (1j, np.complex128)])
+@pytest.mark.parametrize("case", sorted(DTYPE_CASES))
+def test_an_array_is_float64_unless_an_entry_is_complex(case, phase, dtype):
+    for out in DTYPE_CASES[case](phase):
+        if isinstance(out, int):
+            assert out == np.dtype(dtype).itemsize
+        else:
+            assert out.dtype == dtype

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from monogamy import games, linalg
 from monogamy.errors import DimensionError, DomainError, ValidationError
+from monogamy.fixtures import load_fixture
 from monogamy.games import (MonogamyGame, _povm_stack, bb84_game,
                             maximally_entangled_density, overlap)
 from monogamy.rand import haar_unitary, random_density, random_povm, rng_for
@@ -28,6 +30,8 @@ PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 BB84 = bb84_game()
 F0 = BB84.povms["0"]
 F1 = BB84.povms["1"]
+
+GHZ = Path(__file__).resolve().parent / "bb84_ur_instance.json"
 
 # frozen oracle values
 UR_BOUND_HALF_1 = 0.45689339367277604
@@ -539,6 +543,18 @@ def test_relation_vacuous_for_identical_povms():
     assert rep.bound == pytest.approx(2.0, abs=1e-12)
     assert rep.sum == pytest.approx(2.0, abs=1e-10)
     assert rep.satisfied
+
+
+def test_the_ghz_fixture_reads_its_pinned_report_in_real_arithmetic():
+    # BB84's Z and X bases on A of (|000> + |111>)/sqrt(2): each observer
+    # guesses Z surely and X with probability 1/2; the report reads as it
+    # did in complex128, to the bit
+    _, (rho, dims, f0, f1) = load_fixture(GHZ)
+    rep = check_uncertainty_relation(rho, dims, f0, f1)
+    assert (rep.c, rep.pguess_b, rep.pguess_c, rep.sum) == (0.5, 0.75, 0.75, 1.5)
+    assert rep.bound == 1.7071067811865475
+    for party in post_measurement_state(rho, dims, f0, f1):
+        assert all(e.states.dtype == np.float64 for e in party.values())
 
 
 def test_relation_on_random_instances(rng):
