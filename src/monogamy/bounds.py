@@ -1,14 +1,16 @@
-"""Closed-form upper bounds on monogamy-game winning probabilities.
+"""Closed-form upper bounds on monogamy-game winning probabilities, and the
+soundness bounds of position verification that follow from them.
 
 The single-round BB84 value ``BB84_ROUND_VALUE = 1/2 + 1/(2 sqrt 2)`` =
 cos^2(pi/8), and its ``LOG2_INV_ROUND_VALUE`` = log2(1/value), are computed
 at full floating precision here and imported everywhere else, so the game
-bounds, the QKD calculator and the position-verification module all share
-one constant.
+bounds, the QKD calculator (:mod:`monogamy.finite_key`) and the
+position-verification bounds all share one constant.
 
 Bounds are returned unclamped; :func:`vacuous` is the one rule that says
 when a bound (a winning probability, a soundness or a failure bound) bounds
-nothing.
+nothing.  This module uses the standard library only, so `bounds` and
+`posver bound` never load numpy.
 """
 
 from __future__ import annotations
@@ -119,3 +121,39 @@ def same_string_bound(c: float, theta_count: int, n: int, gamma: float) -> float
     """Variant of the imperfect-guessing bound when both parties must produce
     the same (approximately correct) string: single entropy factor."""
     return imperfect_guessing_bound(c, theta_count, n, gamma, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# position-verification soundness
+
+
+def soundness_bound(n: int) -> float:
+    """Acceptance probability bound for unentangled adversary pairs."""
+    return bb84_parallel_value(n)
+
+
+def entangled_soundness_bound(n: int, d: int) -> float:
+    """Bound d * (single-round value)^n for adversaries pre-sharing a
+    d-dimensional state; unclamped, so it may be vacuous (:func:`vacuous`)."""
+    return _scaled_power(whole(d, "d"), BB84_ROUND_VALUE, whole(n))
+
+
+def entangled_soundness_bound_log2(n: int, log2_d: int) -> float:
+    """:func:`entangled_soundness_bound` at d = 2^log2_d, without building
+    2^log2_d: the same float wherever 2^log2_d is a normal float."""
+    n, log2_d = whole(n), whole(log2_d, "log2_d", minimum=0)
+    if log2_d < 1024:
+        return _scaled_power(2.0**log2_d, BB84_ROUND_VALUE, n)
+    return _pow2(_exact(lambda d, n, b: d - n * b, log2_d, n, LOG2_INV_ROUND_VALUE))
+
+
+def max_entanglement_rate() -> float:
+    """Pre-shared entangled qubits per transmitted qubit below which the
+    soundness error still decays exponentially: log2(1/round value)."""
+    return LOG2_INV_ROUND_VALUE
+
+
+def noisy_soundness_bound(n: int, gamma: float, gamma_prime: float) -> float:
+    """Soundness when responses may differ from the challenge string in at
+    most a gamma (resp. gamma') fraction of positions."""
+    return imperfect_guessing_bound(0.5, 2, n, gamma, gamma_prime)

@@ -18,7 +18,10 @@ give byte-identical output (`--deterministic` suppresses the one timestamp
 field).  Computation and validation failures exit 1, usage errors exit 2.
 
 Each command imports the package modules it runs, when it runs, so a
-command loads (and, without a bytecode cache, compiles) no other.
+command loads (and, without a bytecode cache, compiles) no other.  The
+closed-form commands (`bounds`, `qkd-delta`, `qkd-keylen`, `posver bound`)
+import only :mod:`monogamy.bounds` and :mod:`monogamy.finite_key`, so they
+never load numpy.
 """
 
 from __future__ import annotations
@@ -269,9 +272,9 @@ def seesaw_cmd(game, n, bob_dim, charlie_dim, restarts, seed, tol, max_iters,
 
 def _resolve_syndrome(s_text: str, n: int, t: int, gamma: float, epsilon: float) -> int:
     if s_text == "auto":
-        from . import qkd as qkd_mod
+        from .finite_key import suggested_syndrome_length
 
-        return qkd_mod.suggested_syndrome_length(n, t, gamma, epsilon)
+        return suggested_syndrome_length(n, t, gamma, epsilon)
     try:
         return int(s_text)
     except ValueError:
@@ -289,11 +292,11 @@ def _resolve_syndrome(s_text: str, n: int, t: int, gamma: float, epsilon: float)
 @_output_options
 def qkd_delta_cmd(n, t, gamma, epsilon, s_text, ell, output, deterministic):
     """Finite-key security failure bound for one parameter set."""
-    from . import qkd as qkd_mod
+    from .finite_key import QkdParams, security_delta
 
     s = _resolve_syndrome(s_text, n, t, gamma, epsilon)
-    params = qkd_mod.QkdParams(n=n, t=t, s=s, ell=ell, gamma=gamma, epsilon=epsilon)
-    report = qkd_mod.security_delta(params)
+    params = QkdParams(n=n, t=t, s=s, ell=ell, gamma=gamma, epsilon=epsilon)
+    report = security_delta(params)
     _emit("qkd-delta",
           {"n": n, "t": t, "s": s, "ell": ell, "gamma": gamma, "epsilon": epsilon},
           report.to_dict(), output, deterministic)
@@ -313,7 +316,7 @@ def qkd_delta_cmd(n, t, gamma, epsilon, s_text, ell, output, deterministic):
 def qkd_keylen_cmd(n_range, t_text, gamma, epsilon, s_text, delta_target, fmt,
                    output, deterministic):
     """Maximal key length within a failure-bound target, swept over n."""
-    from . import qkd as qkd_mod
+    from .finite_key import max_key_length
 
     kind, colon, number = t_text.partition(":")
     try:
@@ -330,7 +333,7 @@ def qkd_keylen_cmd(n_range, t_text, gamma, epsilon, s_text, delta_target, fmt,
         except OverflowError:  # t is refused either way, as not below n
             raise DomainError(f"--t {t_text} gives a t past the float range at n={n}")
         s = _resolve_syndrome(s_text, n, t, gamma, epsilon)
-        rep = qkd_mod.max_key_length(n, t, s, gamma, epsilon, delta_target)
+        rep = max_key_length(n, t, s, gamma, epsilon, delta_target)
         rows.append({"n": n, "t": t, "s": s, "gamma": gamma, "epsilon": epsilon,
                      "delta_target": delta_target, "feasible": rep.feasible,
                      "ell": rep.ell, "rate": rep.ell / n if rep.feasible else None,
@@ -358,6 +361,7 @@ def qkd_sim_cmd(n, t, s, ell, gamma, epsilon, noise, device, trials, seed,
                 output, deterministic):
     """Monte-Carlo protocol runs: abort rate, key agreement, sampling statistics."""
     from . import qkd as qkd_mod
+    from .finite_key import QkdParams
 
     if device == "epr":
         _reject_unused("with --device epr", "noise")
@@ -365,7 +369,7 @@ def qkd_sim_cmd(n, t, s, ell, gamma, epsilon, noise, device, trials, seed,
         dev = epr_device(n)
     else:
         dev = qkd_mod.HonestNoisyDevice(noise)
-    params = qkd_mod.QkdParams(n=n, t=t, s=s, ell=ell, gamma=gamma, epsilon=epsilon)
+    params = QkdParams(n=n, t=t, s=s, ell=ell, gamma=gamma, epsilon=epsilon)
     agg = qkd_mod.run_eqkd_trials(params, dev, trials, seed=seed)
     _emit("qkd-sim",
           {"n": n, "t": t, "s": s, "ell": ell, "gamma": gamma,
@@ -397,29 +401,28 @@ def posver_bound_cmd(n_range, d, rate, gamma, gamma_prime, fmt, output,
                      deterministic):
     """Soundness bounds over a sweep of qubit counts."""
     from . import bounds as bounds_mod
-    from . import posver as posver_mod
 
     if rate is not None:
         _reject_unused("with --rate", "d")
     rows = []
     for n in _parse_range(n_range, fmt):
         if rate is None:
-            row = {"n": n, "d": d, "bound": posver_mod.entangled_soundness_bound(n, d)}
+            row = {"n": n, "d": d, "bound": bounds_mod.entangled_soundness_bound(n, d)}
         elif math.isfinite(rate) and (n > sys.float_info.max or math.isfinite(rate * n)):
             # from log2 d, so that 2^log2_d is never built; exact past the float range
             log2_d = math.ceil(bounds_mod._exact(lambda r, n: r * n, rate, n))
             row = {"n": n, "log2_d": log2_d,
-                   "bound": posver_mod.entangled_soundness_bound_log2(n, log2_d)}
+                   "bound": bounds_mod.entangled_soundness_bound_log2(n, log2_d)}
         else:  # nan, inf, or a product past the float range at this n
             raise click.BadParameter(f"{rate} times n = {n} is not finite", param_hint="'--rate'")
         row["vacuous"] = bounds_mod.vacuous(row["bound"])
         if gamma is not None or gamma_prime is not None:
-            row["noisy_bound"] = posver_mod.noisy_soundness_bound(
+            row["noisy_bound"] = bounds_mod.noisy_soundness_bound(
                 n, gamma or 0.0, gamma_prime or 0.0)
         rows.append(row)
     _emit("posver-bound", {"n": n_range, "d": d, "rate": rate, "gamma": gamma,
                            "gamma_prime": gamma_prime,
-                           "max_entanglement_rate": posver_mod.max_entanglement_rate()},
+                           "max_entanglement_rate": bounds_mod.max_entanglement_rate()},
           rows, output, deterministic, fmt=fmt)
 
 

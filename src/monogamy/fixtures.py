@@ -29,8 +29,7 @@ import json
 from pathlib import Path
 from typing import Any, Mapping
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DimensionError, ValidationError, whole
 from .games import MonogamyGame, Strategy, product_strategy
 from .linalg import dimensions, scalar_type

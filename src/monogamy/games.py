@@ -27,9 +27,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from . import linalg
+from ._numpy import np
 from .bounds import binary_entropy
 from .errors import (DimensionError, DomainError, ValidationError, capped_power,
                      require_bytes, whole, within)

@@ -27,8 +27,7 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DimensionError, NotPsdError, ValidationError, whole
 
 # Tolerances, documented here once and reused across the package.

@@ -1,5 +1,6 @@
-"""One-round position verification on a line: soundness calculators and a
-timing-model Monte-Carlo simulator.
+"""One-round position verification on a line: a timing-model Monte-Carlo
+simulator.  The soundness bounds it is checked against are in
+:mod:`monogamy.bounds`.
 
 Two verifiers bracket a claimed position; one sends n qubits prepared in
 random BB84 states, the other the basis string, timed to meet at the claimed
@@ -22,10 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .bounds import (BB84_ROUND_VALUE, LOG2_INV_ROUND_VALUE, _exact, _pow2, _scaled_power,
-                     bb84_parallel_value, imperfect_guessing_bound)
+from ._numpy import np
+from .bounds import BB84_ROUND_VALUE, soundness_bound
 from .errors import ValidationError, require_bytes, whole
 from .rand import _words, bernoulli, rng_for
 
@@ -35,43 +34,6 @@ _ROUND_BATCH = 65536
 # flips are drawn a byte per entry before they are packed, and 0.75-0.88 for
 # an exact SingleAdversary
 _ROUND_ENTRY_BYTES = 3
-
-
-# ---------------------------------------------------------------------------
-# closed-form soundness
-
-
-def soundness_bound(n: int) -> float:
-    """Acceptance probability bound for unentangled adversary pairs."""
-    return bb84_parallel_value(n)
-
-
-def entangled_soundness_bound(n: int, d: int) -> float:
-    """Bound d * (single-round value)^n for adversaries pre-sharing a
-    d-dimensional state; unclamped, so it may be vacuous
-    (:func:`monogamy.bounds.vacuous`)."""
-    return _scaled_power(whole(d, "d"), BB84_ROUND_VALUE, whole(n))
-
-
-def entangled_soundness_bound_log2(n: int, log2_d: int) -> float:
-    """:func:`entangled_soundness_bound` at d = 2^log2_d, without building
-    2^log2_d: the same float wherever 2^log2_d is a normal float."""
-    n, log2_d = whole(n), whole(log2_d, "log2_d", minimum=0)
-    if log2_d < 1024:
-        return _scaled_power(2.0**log2_d, BB84_ROUND_VALUE, n)
-    return _pow2(_exact(lambda d, n, b: d - n * b, log2_d, n, LOG2_INV_ROUND_VALUE))
-
-
-def max_entanglement_rate() -> float:
-    """Pre-shared entangled qubits per transmitted qubit below which the
-    soundness error still decays exponentially: log2(1/round value)."""
-    return LOG2_INV_ROUND_VALUE
-
-
-def noisy_soundness_bound(n: int, gamma: float, gamma_prime: float) -> float:
-    """Soundness when responses may differ from the challenge string in at
-    most a gamma (resp. gamma') fraction of positions."""
-    return imperfect_guessing_bound(0.5, 2, n, gamma, gamma_prime)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ cumulative table is kept, so a block costs one uniform.
 
 from __future__ import annotations
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DimensionError, require_bytes, whole
 from .games import (Strategy, _aligned, _block_rounds, _itemsize, _win_terms_bytes,
                     bb84_game, conditional_stack, constant_guess_povms, game_power,

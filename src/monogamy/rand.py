@@ -14,8 +14,7 @@ quantized threshold.
 
 from __future__ import annotations
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DimensionError, whole, within
 
 

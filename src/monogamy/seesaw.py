@@ -26,9 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from . import linalg
+from ._numpy import np
 from .errors import DimensionError, ValidationError, capped_power, require_bytes, whole, within
 from .games import (MonogamyGame, Strategy, _trace_out_entries, _win_operator_sum_entries,
                     _win_terms_bytes, conditional_stack, constant_guess_povms,

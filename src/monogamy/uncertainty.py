@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from . import linalg
+from ._numpy import np
 from .errors import DimensionError, DomainError, ValidationError, whole, within
 from .games import MonogamyGame, conditional_stack, overlap
 

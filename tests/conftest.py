@@ -9,7 +9,7 @@ from typing import Sequence
 
 # before numpy, so the test process runs BLAS on the package's one thread and
 # seeded seesaw pins do not depend on the host's core count
-import monogamy  # noqa: F401
+import monogamy._numpy  # noqa: F401
 import numpy as np
 import pytest
 

@@ -19,16 +19,15 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from monogamy.bounds import (BB84_ROUND_VALUE, bb84_parallel_value,
-                             binary_entropy)
+from monogamy.bounds import (BB84_ROUND_VALUE, bb84_parallel_value, binary_entropy,
+                             entangled_soundness_bound, max_entanglement_rate,
+                             soundness_bound)
+from monogamy.finite_key import QkdParams, max_key_length, noise_threshold
 from monogamy.games import (Strategy, bb84_game, constant_guess_povms,
                             game_power, maximally_entangled_density, overlap,
                             product_strategy, win_operator, winning_probability)
-from monogamy.posver import (BreidbartPair, TimingScenario,
-                             entangled_soundness_bound, max_entanglement_rate,
-                             simulate_pv_rounds, soundness_bound)
-from monogamy.qkd import (HonestNoisyDevice, QkdParams, max_key_length,
-                          noise_threshold, run_eqkd_trials)
+from monogamy.posver import BreidbartPair, TimingScenario, simulate_pv_rounds
+from monogamy.qkd import HonestNoisyDevice, run_eqkd_trials
 from monogamy.rand import (random_density, random_povm,
                            random_projective_povm, rng_for)
 from monogamy.seesaw import SeesawConfig, seesaw

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from monogamy import bounds, fixtures, games, linalg, posver, qkd, rand, uncertainty
+from monogamy import bounds, finite_key, fixtures, games, linalg, posver, qkd, rand, uncertainty
 from monogamy.errors import (DimensionError, DomainError, ValidationError, whole,
                              within)
 from monogamy.quantum_device import epr_device
@@ -67,26 +67,26 @@ COUNTS = {
         dim, outcomes, rand.rng_for(0)), ["dim", "outcomes"], DimensionError),
     "random_povm": (lambda dim=2, outcomes=2: rand.random_povm(dim, outcomes, rand.rng_for(0)),
                     ["dim", "outcomes"], DimensionError),
-    "soundness_bound": (lambda n=2: posver.soundness_bound(n), ["n"], DomainError),
-    "entangled_soundness_bound": (lambda n=2, d=2: posver.entangled_soundness_bound(n, d),
+    "soundness_bound": (lambda n=2: bounds.soundness_bound(n), ["n"], DomainError),
+    "entangled_soundness_bound": (lambda n=2, d=2: bounds.entangled_soundness_bound(n, d),
                                   ["n", "d"], DomainError),
     "entangled_soundness_bound_log2": (lambda n=2, log2_d=1:
-                                       posver.entangled_soundness_bound_log2(n, log2_d),
+                                       bounds.entangled_soundness_bound_log2(n, log2_d),
                                        ["n", "log2_d"], DomainError),
     "simulate_pv_rounds": (lambda n=2, trials=10, seed=0: posver.simulate_pv_rounds(
         SCENARIO, n, posver.SingleAdversary(SCENARIO.pos), trials, seed),
                            ["n", "trials", "seed"], DomainError),
-    "QkdParams": (lambda n=8, t=2, s=0, ell=0: qkd.QkdParams(n, t, s, ell, 0.1, 0.05),
+    "QkdParams": (lambda n=8, t=2, s=0, ell=0: finite_key.QkdParams(n, t, s, ell, 0.1, 0.05),
                   ["n", "t", "s", "ell"], DomainError),
     "toeplitz_hash": (lambda ell=1: qkd.toeplitz_hash(np.ones(4, np.uint8), np.ones(4, np.uint8),
                                                       ell), ["ell"], DomainError),
     "LinearCode": (lambda length=8, syndrome_bits=2, seed=0: qkd.LinearCode(
         length, syndrome_bits, seed), ["length", "syndrome_bits", "seed"], DomainError),
     "run_eqkd_trials": (lambda trials=1, seed=0: qkd.run_eqkd_trials(
-        qkd.QkdParams(**PARAMS), qkd.HonestNoisyDevice(0.0), trials, seed),
+        finite_key.QkdParams(**PARAMS), qkd.HonestNoisyDevice(0.0), trials, seed),
                         ["trials", "seed"], DomainError),
     "simulate_eqkd": (lambda seed=0: qkd.simulate_eqkd(
-        qkd.QkdParams(**PARAMS), qkd.HonestNoisyDevice(0.0), seed), ["seed"], DomainError),
+        finite_key.QkdParams(**PARAMS), qkd.HonestNoisyDevice(0.0), seed), ["seed"], DomainError),
     "SeesawConfig": (lambda **kw: SeesawConfig(**kw),
                      ["max_iters", "seed", "bob_dim", "charlie_dim", "restarts"], DomainError),
     "post_measurement_state": (lambda a=2, b=2, c=2: uncertainty.post_measurement_state(
@@ -138,9 +138,9 @@ def test_a_count_dimension_or_seed_that_is_not_an_integer_is_refused(call, name,
 # class).  The other interval checks refused nan before, and their tests cover
 # the out-of-range values.
 REALS = {
-    "QkdParams": (lambda epsilon=0.05: qkd.QkdParams(8, 2, 0, 0, 0.1, epsilon),
+    "QkdParams": (lambda epsilon=0.05: finite_key.QkdParams(8, 2, 0, 0, 0.1, epsilon),
                   {"epsilon": [NAN]}, DomainError),
-    "max_key_length": (lambda delta_target=0.5: qkd.max_key_length(
+    "max_key_length": (lambda delta_target=0.5: finite_key.max_key_length(
         100, 10, 0, 0.01, 0.05, delta_target), {"delta_target": [NAN, INF]}, DomainError),
     "SeesawConfig": (lambda tol=1e-9: SeesawConfig(tol=tol), {"tol": [NAN, INF]},
                      DomainError),

@@ -1,6 +1,6 @@
-"""BLAS thread policy: importing monogamy loads OpenBLAS on one thread unless
-the user chose a count, and seeded seesaw output does not depend on how many
-CPUs the process may use.
+"""BLAS thread policy: a package module that computes loads OpenBLAS on one
+thread unless the user chose a count, the package alone loads no numpy, and
+seeded seesaw output does not depend on how many CPUs the process may use.
 
 Every check runs in a child interpreter, because OpenBLAS reads its thread
 count once, when numpy loads it.
@@ -72,23 +72,33 @@ def probe(imports: str, **extra: str) -> dict:
     return report
 
 
+# every module that computes with numpy; whichever loads first loads it
 @needs_two_cpus
-def test_import_runs_blas_on_one_thread():
-    assert probe("import monogamy")["threads"] == 1
+@pytest.mark.parametrize("module", ["fixtures", "games", "linalg", "posver", "qkd",
+                                    "quantum_device", "rand", "seesaw", "uncertainty"])
+def test_import_runs_blas_on_one_thread(module):
+    assert probe(f"import monogamy.{module}")["threads"] == 1
 
 
 @needs_two_cpus
 @pytest.mark.parametrize("var", THREAD_VARS)
 def test_user_thread_count_wins(var):
-    assert probe("import monogamy", **{var: "2"})["threads"] == 2
+    assert probe("import monogamy.linalg", **{var: "2"})["threads"] == 2
 
 
 def test_import_leaves_environ_unchanged():
-    assert probe("import monogamy")["environ_unchanged"] is True
+    assert probe("import monogamy.linalg")["environ_unchanged"] is True
 
 
 def test_numpy_loaded_first_keeps_its_default():
-    assert (probe("import numpy\nimport monogamy")["threads"]
+    assert (probe("import numpy\nimport monogamy.linalg")["threads"]
+            == probe("import numpy")["threads"])
+
+
+def test_the_package_alone_leaves_the_users_numpy_at_its_default():
+    # `import monogamy` loads no numpy, so a numpy the user imports next is
+    # loaded as if the package were absent
+    assert (probe("import monogamy\nimport numpy")["threads"]
             == probe("import numpy")["threads"])
 
 

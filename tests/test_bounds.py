@@ -174,7 +174,7 @@ def test_vacuous_is_one_or_more():
 
 
 def test_non_integer_counts_are_refused_not_truncated():
-    from monogamy import posver, uncertainty
+    from monogamy import uncertainty
 
     calls = {
         "bb84_parallel_value n": lambda: bounds.bb84_parallel_value(2.5),
@@ -184,10 +184,10 @@ def test_non_integer_counts_are_refused_not_truncated():
         "imperfect_guessing_bound theta_count":
             lambda: bounds.imperfect_guessing_bound(0.5, 2.5, 1, 0.0, 0.0),
         "imperfect_guessing_bound n": lambda: bounds.imperfect_guessing_bound(0.5, 2, 2.5, 0.0, 0.0),
-        "soundness_bound n": lambda: posver.soundness_bound(2.5),
+        "soundness_bound n": lambda: bounds.soundness_bound(2.5),
         "ur_bound_n n": lambda: uncertainty.ur_bound_n(0.5, 2.5),
-        "entangled_soundness_bound n": lambda: posver.entangled_soundness_bound(2.5, 3),
-        "entangled_soundness_bound d": lambda: posver.entangled_soundness_bound(3, 2.5),
+        "entangled_soundness_bound n": lambda: bounds.entangled_soundness_bound(2.5, 3),
+        "entangled_soundness_bound d": lambda: bounds.entangled_soundness_bound(3, 2.5),
     }
     for what, call in calls.items():
         with pytest.raises(DomainError, match=f"{what.split()[1]} must be a positive integer"):

@@ -25,13 +25,14 @@ import pytest
 from monogamy import errors
 from monogamy.cli import dispatch
 from monogamy.errors import CapacityError
+from monogamy.finite_key import QkdParams
 from monogamy.games import (QSet, Strategy, bb84_game, constant_guess_povms, game_power,
                             hamming_q_set, maximally_entangled_density, product_strategy,
                             same_string_q_set, winning_probability,
                             winning_probability_with_q, xor_permutation_family)
 from monogamy.posver import BreidbartPair, TimingScenario, simulate_pv_rounds
-from monogamy.qkd import (HonestNoisyDevice, LinearCode, QkdParams, run_eqkd_trials,
-                          simulate_eqkd, toeplitz_hash)
+from monogamy.qkd import (HonestNoisyDevice, LinearCode, run_eqkd_trials, simulate_eqkd,
+                          toeplitz_hash)
 from monogamy.quantum_device import TripartiteQuantumDevice, epr_device
 from monogamy.seesaw import SeesawConfig, _search_bytes, seesaw
 

@@ -479,7 +479,7 @@ def test_a_key_length_past_the_float_range_is_exact(capsys):
     from fractions import Fraction
 
     from monogamy.bounds import binary_entropy
-    from monogamy.qkd import delta_terms
+    from monogamy.finite_key import delta_terms
     n, t = 10**400, 10**398
     code, out, err = run(capsys, "qkd-keylen", "--n", str(n), "--t", str(t), "--gamma", "0",
                          "--epsilon", "0.001", "--delta-target", "1e-9", "--format", "json")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,17 +23,18 @@ ROOT = Path(__file__).resolve().parent.parent
 # the public names of the package, by defining module
 EXPORTED = {
     "bounds": ["BB84_ROUND_VALUE", "bb84_parallel_value", "binary_entropy",
-               "general_upper_bound", "imperfect_guessing_bound", "same_string_bound"],
+               "entangled_soundness_bound", "general_upper_bound", "imperfect_guessing_bound",
+               "max_entanglement_rate", "noisy_soundness_bound", "same_string_bound",
+               "soundness_bound"],
     "errors": ["CapacityError", "DimensionError", "DomainError", "NotPsdError",
                "ValidationError"],
+    "finite_key": ["KeyLengthReport", "QkdParams", "QkdSecurityReport", "max_key_length",
+                   "noise_threshold", "security_delta"],
     "games": ["MonogamyGame", "QSet", "Strategy", "bb84_game", "game_power", "hamming_q_set",
               "overlap", "product_strategy", "same_string_q_set",
               "winning_probability", "winning_probability_with_q", "xor_permutation_family"],
-    "qkd": ["HonestNoisyDevice", "KeyLengthReport", "QkdParams", "QkdSecurityReport",
-            "max_key_length", "noise_threshold", "run_eqkd_trials", "security_delta",
-            "simulate_eqkd", "toeplitz_hash"],
-    "posver": ["TimingScenario", "entangled_soundness_bound", "max_entanglement_rate",
-               "noisy_soundness_bound", "simulate_pv_rounds", "soundness_bound"],
+    "qkd": ["HonestNoisyDevice", "run_eqkd_trials", "simulate_eqkd", "toeplitz_hash"],
+    "posver": ["TimingScenario", "simulate_pv_rounds"],
     "seesaw": ["SeesawConfig", "SeesawResult", "bb84_optimal_unentangled_strategy",
                "optimal_povm_step", "optimal_state_step", "seesaw"],
     "uncertainty": ["CqEnsemble", "UrReport", "check_uncertainty_relation",
@@ -64,6 +66,34 @@ def test_importing_the_cli_loads_no_command_module():
         {"monogamy", "monogamy.cli", "monogamy.errors"}
 
 
+# the calculators and the package's entry points: each loads the CLI's
+# modules and the closed forms at most, and never numpy
+@pytest.mark.parametrize("code", [
+    "import monogamy",
+    "import monogamy.cli",
+    "from monogamy.cli import dispatch\nassert dispatch(['--help']) == 0",
+    "from monogamy.cli import dispatch\n"
+    "assert dispatch(['bounds', '--n', '1..10', '--deterministic']) == 0",
+    "from monogamy.cli import dispatch\n"
+    "assert dispatch(['qkd-delta', '--n', '100000', '--t', '10000', '--gamma', '0.005', "
+    "'--epsilon', '0.005', '--s', 'auto', '--ell', '1000', '--deterministic']) == 0",
+    "from monogamy.cli import dispatch\n"
+    "assert dispatch(['qkd-keylen', '--n', '10000000..20000000..10000000', '--t', "
+    "'frac:0.05', '--gamma', '0.005', '--epsilon', '0.005', '--s', 'auto', "
+    "'--delta-target', '1e-9', '--deterministic']) == 0",
+    "from monogamy.cli import dispatch\n"
+    "assert dispatch(['posver', 'bound', '--n', '10..300..10', '--rate', '0.2', "
+    "'--gamma', '0.1', '--deterministic']) == 0",
+], ids=["import-package", "import-cli", "help", "bounds", "qkd-delta", "qkd-keylen",
+        "posver-bound"])
+def test_a_calculator_loads_no_numpy(code):
+    out = run_child(f"{code}\nimport sys\nprint('numpy' in sys.modules)\n{LOADED}")
+    numpy_loaded, modules = out.splitlines()[-2:]
+    assert numpy_loaded == "False"
+    assert set(json.loads(modules)) <= {"monogamy", "monogamy.cli", "monogamy.errors",
+                                        "monogamy.bounds", "monogamy.finite_key"}
+
+
 def test_posver_simulate_loads_only_its_own_modules():
     loaded = loaded_after("from monogamy.cli import dispatch\n"
                           "dispatch(['posver', 'simulate', '--n', '3', '--trials', '100', "
@@ -93,7 +123,7 @@ QKD_SIM = ("from monogamy.cli import dispatch\n"
 def test_classical_qkd_sim_loads_only_its_own_modules():
     assert loaded_after(QKD_SIM.format("")) == \
         {"monogamy", "monogamy.cli", "monogamy.errors", "monogamy.qkd", "monogamy.bounds",
-         "monogamy.rand"}
+         "monogamy.finite_key", "monogamy.rand", "monogamy._numpy"}
 
 
 def test_qkd_sim_with_the_epr_device_loads_the_device_module():
@@ -137,9 +167,13 @@ def test_the_readme_quick_start_runs():
     readme = (ROOT / "README.md").read_text()
     block = readme.split("## Python quick start", 1)[1].split("```python\n", 1)[1]
     block = block.split("```", 1)[0]
+    # the simulator call is shown with the count it returns
+    trials, shown = re.search(r'^(run_eqkd_trials\(.*?\["key_matches"\]) +# (\d+)$', block,
+                              re.DOTALL | re.MULTILINE).groups()
     out = run_child(block + "\nimport json\n"
                     "print(json.dumps([winning_probability(game, strategy), result.value,"
-                    " bb84_parallel_value(2)]))")
-    one_round, searched, optimum = json.loads(out.splitlines()[-1])
+                    f" bb84_parallel_value(2), {trials}]))")
+    one_round, searched, optimum, key_matches = json.loads(out.splitlines()[-1])
     assert one_round == pytest.approx(0.8535533905932737, abs=1e-15)
     assert optimum - 1e-9 <= searched <= optimum + 1e-9
+    assert key_matches == int(shown)

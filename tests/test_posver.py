@@ -7,13 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from monogamy.bounds import BB84_ROUND_VALUE, bb84_parallel_value
+from monogamy.bounds import (BB84_ROUND_VALUE, bb84_parallel_value, entangled_soundness_bound,
+                             max_entanglement_rate, noisy_soundness_bound, soundness_bound)
 from monogamy.errors import CapacityError, DomainError, ValidationError
-from monogamy.posver import (BreidbartPair, SingleAdversary, TimingScenario,
-                             entangled_soundness_bound, max_entanglement_rate,
-                             _sample_batch, noisy_soundness_bound, simulate_pv_rounds,
-                             soundness_bound)
-from monogamy.qkd import noise_threshold
+from monogamy.finite_key import noise_threshold
+from monogamy.posver import (BreidbartPair, SingleAdversary, TimingScenario, _sample_batch,
+                             simulate_pv_rounds)
 from monogamy.rand import _words, bernoulli, rng_for
 
 # frozen oracle values

@@ -17,9 +17,9 @@ from monogamy.games import (Strategy, bb84_game, conditional_stack, game_power,
                             maximally_entangled_density, product_strategy)
 from monogamy.errors import (CapacityError, DimensionError, DomainError,
                              ValidationError)
-from monogamy.qkd import (HonestNoisyDevice, LinearCode, QkdParams, delta_terms,
-                          max_key_length, noise_threshold, run_eqkd_trials,
-                          security_delta, simulate_eqkd, suggested_syndrome_length,
+from monogamy.finite_key import (QkdParams, delta_terms, max_key_length, noise_threshold,
+                                 security_delta, suggested_syndrome_length)
+from monogamy.qkd import (HonestNoisyDevice, LinearCode, run_eqkd_trials, simulate_eqkd,
                           toeplitz_hash)
 from monogamy.quantum_device import TripartiteQuantumDevice, epr_device
 from monogamy.rand import random_density, random_povm, rng_for
