@@ -15,28 +15,29 @@ Every command writes through `_emit`: a JSON document, or for the three
 sweeps (`bounds`, `qkd-keylen`, `posver bound`) by default the same rows as
 CSV.  Stochastic commands record their seed in the output; identical inputs
 give byte-identical output (`--deterministic` suppresses the one timestamp
-field).  Computation and validation failures exit 1, usage errors exit 2.
+field).  Computation and validation failures exit 1, usage errors exit 2,
+each with one line on stderr, `monogamy: error: <message>`.
 
-Each command imports the package modules it runs, when it runs, so a
-command loads (and, without a bytecode cache, compiles) no other.  The
-closed-form commands (`bounds`, `qkd-delta`, `qkd-keylen`, `posver bound`)
-import only :mod:`monogamy.bounds` and :mod:`monogamy.finite_key`, so they
-never load numpy.
+The parser is the standard library's :mod:`argparse`, so the executable
+needs no package beyond numpy.  Each command imports the package modules it
+runs, when it runs, so a command loads (and, without a bytecode cache,
+compiles) no other.  The closed-form commands (`bounds`, `qkd-delta`,
+`qkd-keylen`, `posver bound`) import only :mod:`monogamy.bounds` and
+:mod:`monogamy.finite_key`, so they never load numpy.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
 import math
 import os
+import re
 import sys
 from datetime import datetime, timezone
 from typing import Sequence
-
-import click
-from click.core import ParameterSource
 
 from .errors import DomainError, ValidationError, require_bytes
 
@@ -48,6 +49,48 @@ PROG = "monogamy"
 _ROW_BYTES = {"csv": 1024, "json": 3072}
 
 
+class UsageError(Exception):
+    """A command line that cannot run as typed: exit 2."""
+
+
+class _Given(argparse.Action):
+    """argparse's store, which also adds an option, as typed, to the
+    namespace's `given`."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        if option_string is not None:  # None for a positional argument
+            namespace.given = getattr(namespace, "given", frozenset()) | {option_string}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that raises UsageError where argparse would print
+    its usage and exit, takes no abbreviated option, and records each option
+    typed with a value through `_Given`."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.register("action", None, _Given)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+        # a value such as -1e-3 or -inf is a negative number, not an option
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _at_least(kind, minimum):
+    """An argparse type: the `kind` of the text, refused below `minimum`."""
+    def convert(text: str):
+        value = kind(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={minimum}")
+        return value
+
+    convert.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return convert
+
+
 def _parse_range(text: str, fmt: str) -> range:
     """'7' -> [7]; '1..10' -> 1..10; '10..100..10' -> arithmetic sweep, once
     its rows written in `fmt` fit the memory budget.  A range is non-empty
@@ -57,15 +100,15 @@ def _parse_range(text: str, fmt: str) -> range:
     except ValueError:
         parts = []
     if not 1 <= len(parts) <= 3:
-        raise click.UsageError(f"cannot parse range {text!r}; use N, A..B or A..B..STEP")
+        raise UsageError(f"cannot parse range {text!r}; use N, A..B or A..B..STEP")
     if len(parts) == 1:
         parts.append(parts[0])
     if len(parts) == 2:
         parts.append(1)
     a, b, step = parts
     if a > b or step < 1:
-        raise click.UsageError(f"range {text!r} is empty or descending; a range "
-                               "A..B..STEP needs A <= B and STEP >= 1")
+        raise UsageError(f"range {text!r} is empty or descending; a range "
+                         "A..B..STEP needs A <= B and STEP >= 1")
     require_bytes(_ROW_BYTES[fmt] * ((b - a) // step + 1), f"a sweep over --n {text}")
     return range(a, b + 1, step)
 
@@ -93,23 +136,27 @@ def _emit(command: str, params: dict, result, output: str | None,
         except ValueError:  # strict JSON has no inf or nan: write them as null
             doc = json.loads(json.dumps(doc), parse_constant=lambda name: None)
             text = json.dumps(doc, indent=2, sort_keys=True)
-    if output is None or output == "-":
-        click.echo(text, nl=not text.endswith("\n"))
-    else:
-        try:
+    to_stdout = output is None or output == "-"
+    try:
+        if to_stdout:
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            sys.stdout.flush()
+        else:
             with open(output, "w") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise ValidationError(f"{output}: cannot write the output ({exc.strerror or exc})")
+    except BrokenPipeError:  # the reader has gone: dispatch exits 1 and says nothing
+        raise
+    except OSError as exc:
+        raise ValidationError(f"{'stdout' if to_stdout else output}: cannot write the "
+                              f"output ({exc.strerror or exc})")
 
 
-def _writable(ctx, param, output: str | None) -> str | None:
-    """`output`, once a file can be opened for writing there, checked as the
-    options are parsed, before any work.  An existing file is opened to
-    append, so it keeps its contents if the command fails; a new one is
-    removed again."""
+def _writable(output: str | None) -> None:
+    """Refuse `output` unless a file can be opened for writing there, before
+    any work.  An existing file is opened to append, so it keeps its
+    contents if the command fails; a new one is removed again."""
     if output is None or output == "-":
-        return output
+        return
     existed = os.path.lexists(output)
     try:
         open(output, "a").close()
@@ -117,30 +164,48 @@ def _writable(ctx, param, output: str | None) -> str | None:
         raise ValidationError(f"{output}: cannot write the output ({exc.strerror or exc})")
     if not existed:
         os.remove(output)
-    return output
 
 
-def _output_options(command):
-    """The `--output` and `--deterministic` options every command takes."""
-    command = click.option("--deterministic", is_flag=True,
-                           help="Suppress the timestamp field.")(command)
-    return click.option("--output", default=None, callback=_writable,
-                        help="Output path (default stdout).")(command)
+def _opt(*flags: str, **kwargs):
+    """One option: the arguments of an `add_argument` call."""
+    return flags, kwargs
 
 
-# the `--format` option of the three sweeps, which print the same rows either way
-_format_option = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-                              default="csv", show_default=True)
+# the options every command takes, and the `--format` of the three sweeps,
+# which print the same rows either way
+_OUTPUT_OPTIONS = (_opt("--output", default=None, help="Output path (default stdout)."),
+                   _opt("--deterministic", action="store_true",
+                        help="Suppress the timestamp field."))
+_FORMAT = _opt("--format", dest="fmt", choices=["json", "csv"], default="csv")
 
 
-def _reject_unused(reason: str, *names: str) -> None:
-    """A usage error for the first of the named options the user gave,
-    which `reason` leaves unused; an option left at its default passes."""
-    ctx = click.get_current_context()
-    for param in ctx.command.params:
-        if param.name in names and \
-                ctx.get_parameter_source(param.name) is not ParameterSource.DEFAULT:
-            raise click.UsageError(f"{param.opts[0]} has no effect {reason}", ctx)
+def _command(group, name: str, *options):
+    """Register the decorated function as the subcommand `name` of `group`
+    (its docstring's first line is the help), taking `options` and the
+    output options.  Each option's help shows its default, unless that is
+    None or a flag's False.  `dispatch` calls the function with the set of
+    options typed, then each option's value by name."""
+    def register(func):
+        parser = group.add_parser(name, help=func.__doc__.splitlines()[0],
+                                  description=func.__doc__)
+        for flags, kwargs in (*options, *_OUTPUT_OPTIONS):
+            action = parser.add_argument(*flags, **kwargs)
+            shown = action.help or ""
+            if action.default is not None and action.default is not False \
+                    and "%(default)" not in shown:
+                action.help = f"{shown} (default: %(default)s)".lstrip()
+        parser.set_defaults(run=func)
+        return func
+    return register
+
+
+def _reject_unused(given: frozenset, reason: str, *flags: str) -> None:
+    """A usage error for the first of `flags` in `given`, the options typed,
+    which `reason` leaves without effect; an option typed at its default
+    value counts."""
+    for flag in flags:
+        if flag in given:
+            raise UsageError(f"{flag} has no effect {reason}")
 
 
 def _load_game(name: str):
@@ -155,51 +220,52 @@ def _load_game(name: str):
     return obj
 
 
-@click.group()
-def cli() -> None:
-    """Monogamy-game calculators and simulators."""
+def _group(parser: argparse.ArgumentParser):
+    """The subcommands of `parser`."""
+    return parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+
+cli = _Parser(prog=PROG, description="Monogamy-game calculators and simulators.")
+_commands = _group(cli)
 
 
 # ---------------------------------------------------------------------------
 
 
-@cli.command("bounds")
-@click.option("--game", default="bb84", show_default=True,
-              help="'bb84' or 'general' (general requires --c).")
-@click.option("--c", "c_value", type=float, default=None,
-              help="Measurement overlap for a general game.")
-@click.option("--theta-count", type=int, default=2, show_default=True)
-@click.option("--q", "q_cardinality", type=int, default=1, show_default=True,
-              help="Cardinality of the allowed displacement set.")
-@click.option("--n", "n_range", default="1", show_default=True,
-              help="Round count: N, A..B or A..B..STEP.")
-@click.option("--gamma", type=float, default=None,
-              help="Error fraction for the first guesser (imperfect guessing).")
-@click.option("--gamma-prime", type=float, default=None,
-              help="Error fraction for the second guesser.")
-@click.option("--same-string", is_flag=True,
-              help="Require both guessers to produce the same string.")
-@_format_option
-@_output_options
-def bounds_cmd(game, c_value, theta_count, q_cardinality, n_range, gamma,
+@_command(_commands, "bounds",
+          _opt("--game", default="bb84", help="'bb84' or 'general' (general requires --c)."),
+          _opt("--c", dest="c_value", type=float, default=None,
+               help="Measurement overlap for a general game."),
+          _opt("--theta-count", type=int, default=2),
+          _opt("--q", dest="q_cardinality", type=int, default=1,
+               help="Cardinality of the allowed displacement set."),
+          _opt("--n", dest="n_range", default="1", help="Round count: N, A..B or A..B..STEP."),
+          _opt("--gamma", type=float, default=None,
+               help="Error fraction for the first guesser (imperfect guessing)."),
+          _opt("--gamma-prime", type=float, default=None,
+               help="Error fraction for the second guesser."),
+          _opt("--same-string", action="store_true",
+               help="Require both guessers to produce the same string."),
+          _FORMAT)
+def bounds_cmd(given, game, c_value, theta_count, q_cardinality, n_range, gamma,
                gamma_prime, same_string, fmt, output, deterministic):
     """Closed-form upper bounds on the n-round winning probability."""
     from . import bounds as bounds_mod
 
     if game == "bb84":
-        _reject_unused("with --game bb84", "c_value", "theta_count")
+        _reject_unused(given, "with --game bb84", "--c", "--theta-count")
         c_value, theta_count = 0.5, 2
     elif game == "general":
         if c_value is None:
-            raise click.UsageError("--c is required for --game general")
+            raise UsageError("--c is required for --game general")
     else:
-        raise click.UsageError(f"unknown game {game!r}; use 'bb84' or 'general'")
+        raise UsageError(f"unknown game {game!r}; use 'bb84' or 'general'")
     if same_string:
-        _reject_unused("with --same-string", "q_cardinality", "gamma_prime")
+        _reject_unused(given, "with --same-string", "--q", "--gamma-prime")
         if gamma is None:
-            raise click.UsageError("--same-string requires --gamma")
+            raise UsageError("--same-string requires --gamma")
     elif gamma is not None or gamma_prime is not None:
-        _reject_unused("with --gamma or --gamma-prime", "q_cardinality")
+        _reject_unused(given, "with --gamma or --gamma-prime", "--q")
     rows = []
     for n in _parse_range(n_range, fmt):
         if same_string:
@@ -226,21 +292,18 @@ def bounds_cmd(game, c_value, theta_count, q_cardinality, n_range, gamma,
 # ---------------------------------------------------------------------------
 
 
-@cli.command("seesaw")
-@click.option("--game", default="bb84", show_default=True,
-              help="'bb84' or the path of a game fixture.")
-@click.option("--n", type=int, default=1, show_default=True,
-              help="Parallel repetitions of the game.")
-@click.option("--bob-dim", type=int, default=1, show_default=True)
-@click.option("--charlie-dim", type=int, default=1, show_default=True)
-@click.option("--restarts", type=int, default=20, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
-@click.option("--max-iters", type=int, default=200, show_default=True)
-@click.option("--include-strategy/--no-include-strategy", default=True,
-              show_default=True, help="Embed the winning strategy as matrix JSON.")
-@_output_options
-def seesaw_cmd(game, n, bob_dim, charlie_dim, restarts, seed, tol, max_iters,
+@_command(_commands, "seesaw",
+          _opt("--game", default="bb84", help="'bb84' or the path of a game fixture."),
+          _opt("--n", type=int, default=1, help="Parallel repetitions of the game."),
+          _opt("--bob-dim", type=int, default=1),
+          _opt("--charlie-dim", type=int, default=1),
+          _opt("--restarts", type=int, default=20),
+          _opt("--seed", type=int, default=0),
+          _opt("--tol", type=float, default=1e-9),
+          _opt("--max-iters", type=int, default=200),
+          _opt("--include-strategy", action=argparse.BooleanOptionalAction, default=True,
+               help="Embed the winning strategy as matrix JSON."))
+def seesaw_cmd(given, game, n, bob_dim, charlie_dim, restarts, seed, tol, max_iters,
                include_strategy, output, deterministic):
     """Search for a high-value strategy; the value is a certified lower bound."""
     from . import bounds as bounds_mod
@@ -278,19 +341,18 @@ def _resolve_syndrome(s_text: str, n: int, t: int, gamma: float, epsilon: float)
     try:
         return int(s_text)
     except ValueError:
-        raise click.UsageError(f"--s must be an integer or 'auto', got {s_text!r}")
+        raise UsageError(f"--s must be an integer or 'auto', got {s_text!r}")
 
 
-@cli.command("qkd-delta")
-@click.option("--n", type=int, required=True, help="Rounds exchanged.")
-@click.option("--t", type=int, required=True, help="Sampled rounds.")
-@click.option("--gamma", type=float, required=True, help="Tolerated error rate.")
-@click.option("--epsilon", type=float, required=True, help="Sampling slack.")
-@click.option("--s", "s_text", default="auto", show_default=True,
-              help="Syndrome bits, or 'auto' for ceil((n-t) h(gamma+epsilon)).")
-@click.option("--ell", type=int, required=True, help="Key length in bits.")
-@_output_options
-def qkd_delta_cmd(n, t, gamma, epsilon, s_text, ell, output, deterministic):
+@_command(_commands, "qkd-delta",
+          _opt("--n", type=int, required=True, help="Rounds exchanged."),
+          _opt("--t", type=int, required=True, help="Sampled rounds."),
+          _opt("--gamma", type=float, required=True, help="Tolerated error rate."),
+          _opt("--epsilon", type=float, required=True, help="Sampling slack."),
+          _opt("--s", dest="s_text", default="auto",
+               help="Syndrome bits, or 'auto' for ceil((n-t) h(gamma+epsilon))."),
+          _opt("--ell", type=int, required=True, help="Key length in bits."))
+def qkd_delta_cmd(given, n, t, gamma, epsilon, s_text, ell, output, deterministic):
     """Finite-key security failure bound for one parameter set."""
     from .finite_key import QkdParams, security_delta
 
@@ -302,18 +364,17 @@ def qkd_delta_cmd(n, t, gamma, epsilon, s_text, ell, output, deterministic):
           report.to_dict(), output, deterministic)
 
 
-@cli.command("qkd-keylen")
-@click.option("--n", "n_range", required=True, help="Rounds: N, A..B or A..B..STEP.")
-@click.option("--t", "t_text", required=True,
-              help="Sampled rounds: an integer, 'frac:F' for ceil(F n), or "
-                   "'pow:P' for ceil(n^P).")
-@click.option("--gamma", type=float, required=True)
-@click.option("--epsilon", type=float, required=True)
-@click.option("--s", "s_text", default="auto", show_default=True)
-@click.option("--delta-target", type=float, required=True)
-@_format_option
-@_output_options
-def qkd_keylen_cmd(n_range, t_text, gamma, epsilon, s_text, delta_target, fmt,
+@_command(_commands, "qkd-keylen",
+          _opt("--n", dest="n_range", required=True, help="Rounds: N, A..B or A..B..STEP."),
+          _opt("--t", dest="t_text", required=True,
+               help="Sampled rounds: an integer, 'frac:F' for ceil(F n), or "
+                    "'pow:P' for ceil(n^P)."),
+          _opt("--gamma", type=float, required=True),
+          _opt("--epsilon", type=float, required=True),
+          _opt("--s", dest="s_text", default="auto"),
+          _opt("--delta-target", type=float, required=True),
+          _FORMAT)
+def qkd_keylen_cmd(given, n_range, t_text, gamma, epsilon, s_text, delta_target, fmt,
                    output, deterministic):
     """Maximal key length within a failure-bound target, swept over n."""
     from .finite_key import max_key_length
@@ -324,8 +385,8 @@ def qkd_keylen_cmd(n_range, t_text, gamma, epsilon, s_text, delta_target, fmt,
     except ValueError:
         value = math.nan
     if not -math.inf < value < math.inf:
-        raise click.UsageError(f"cannot parse --t {t_text!r}; use an integer, frac:F or "
-                               "pow:P with a finite number")
+        raise UsageError(f"cannot parse --t {t_text!r}; use an integer, frac:F or "
+                         "pow:P with a finite number")
     rows = []
     for n in _parse_range(n_range, fmt):
         try:
@@ -343,28 +404,27 @@ def qkd_keylen_cmd(n_range, t_text, gamma, epsilon, s_text, delta_target, fmt,
           rows, output, deterministic, fmt=fmt)
 
 
-@cli.command("qkd-sim")
-@click.option("--n", type=int, required=True)
-@click.option("--t", type=int, required=True)
-@click.option("--s", type=int, default=0, show_default=True)
-@click.option("--ell", type=int, default=0, show_default=True)
-@click.option("--gamma", type=float, required=True)
-@click.option("--epsilon", type=float, default=0.05, show_default=True)
-@click.option("--noise", type=float, default=0.0, show_default=True,
-              help="Flip probability of the classical device model.")
-@click.option("--device", type=click.Choice(["honest", "epr"]), default="honest",
-              show_default=True, help="'epr' runs the exact quantum device.")
-@click.option("--trials", type=int, default=1000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@_output_options
-def qkd_sim_cmd(n, t, s, ell, gamma, epsilon, noise, device, trials, seed,
+@_command(_commands, "qkd-sim",
+          _opt("--n", type=int, required=True),
+          _opt("--t", type=int, required=True),
+          _opt("--s", type=int, default=0),
+          _opt("--ell", type=int, default=0),
+          _opt("--gamma", type=float, required=True),
+          _opt("--epsilon", type=float, default=0.05),
+          _opt("--noise", type=float, default=0.0,
+               help="Flip probability of the classical device model."),
+          _opt("--device", choices=["honest", "epr"], default="honest",
+               help="'epr' runs the exact quantum device."),
+          _opt("--trials", type=int, default=1000),
+          _opt("--seed", type=int, default=0))
+def qkd_sim_cmd(given, n, t, s, ell, gamma, epsilon, noise, device, trials, seed,
                 output, deterministic):
     """Monte-Carlo protocol runs: abort rate, key agreement, sampling statistics."""
     from . import qkd as qkd_mod
     from .finite_key import QkdParams
 
     if device == "epr":
-        _reject_unused("with --device epr", "noise")
+        _reject_unused(given, "with --device epr", "--noise")
         from .quantum_device import epr_device
         dev = epr_device(n)
     else:
@@ -381,29 +441,27 @@ def qkd_sim_cmd(n, t, s, ell, gamma, epsilon, noise, device, trials, seed,
 # ---------------------------------------------------------------------------
 
 
-@cli.group("posver")
-def posver_group() -> None:
-    """Position-verification soundness bounds and timing simulation."""
+_POSVER = "Position-verification soundness bounds and timing simulation."
+_posver = _group(_commands.add_parser("posver", help=_POSVER, description=_POSVER))
 
 
-@posver_group.command("bound")
-@click.option("--n", "n_range", default="1", show_default=True)
-@click.option("--d", type=int, default=1, show_default=True,
-              help="Dimension of the adversaries' pre-shared state.")
-@click.option("--rate", type=click.FloatRange(min=0), default=None,
-              help="Entanglement rate: rows give log2_d = ceil(rate n) in place of --d.")
-@click.option("--gamma", type=float, default=None,
-              help="Allowed error fraction (noise-tolerant variant).")
-@click.option("--gamma-prime", type=float, default=None)
-@_format_option
-@_output_options
-def posver_bound_cmd(n_range, d, rate, gamma, gamma_prime, fmt, output,
+@_command(_posver, "bound",
+          _opt("--n", dest="n_range", default="1"),
+          _opt("--d", type=int, default=1,
+               help="Dimension of the adversaries' pre-shared state."),
+          _opt("--rate", type=_at_least(float, 0), default=None,
+               help="Entanglement rate: rows give log2_d = ceil(rate n) in place of --d."),
+          _opt("--gamma", type=float, default=None,
+               help="Allowed error fraction (noise-tolerant variant)."),
+          _opt("--gamma-prime", type=float, default=None),
+          _FORMAT)
+def posver_bound_cmd(given, n_range, d, rate, gamma, gamma_prime, fmt, output,
                      deterministic):
     """Soundness bounds over a sweep of qubit counts."""
     from . import bounds as bounds_mod
 
     if rate is not None:
-        _reject_unused("with --rate", "d")
+        _reject_unused(given, "with --rate", "--d")
     rows = []
     for n in _parse_range(n_range, fmt):
         if rate is None:
@@ -414,7 +472,7 @@ def posver_bound_cmd(n_range, d, rate, gamma, gamma_prime, fmt, output,
             row = {"n": n, "log2_d": log2_d,
                    "bound": bounds_mod.entangled_soundness_bound_log2(n, log2_d)}
         else:  # nan, inf, or a product past the float range at this n
-            raise click.BadParameter(f"{rate} times n = {n} is not finite", param_hint="'--rate'")
+            raise UsageError(f"argument --rate: {rate} times n = {n} is not finite")
         row["vacuous"] = bounds_mod.vacuous(row["bound"])
         if gamma is not None or gamma_prime is not None:
             row["noisy_bound"] = bounds_mod.noisy_soundness_bound(
@@ -426,19 +484,17 @@ def posver_bound_cmd(n_range, d, rate, gamma, gamma_prime, fmt, output,
           rows, output, deterministic, fmt=fmt)
 
 
-@posver_group.command("simulate")
-@click.option("--scenario", "scenario_path", default=None,
-              help="Scenario fixture path; defaults to verifiers at 0 and 2, "
-                   "claimed position 1.")
-@click.option("--n", type=int, default=1, show_default=True)
-@click.option("--prover", type=click.Choice(["honest", "breidbart", "single"]),
-              default="breidbart", show_default=True)
-@click.option("--position", type=float, default=None,
-              help="Adversary position for --prover single.")
-@click.option("--trials", type=int, default=100000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@_output_options
-def posver_simulate_cmd(scenario_path, n, prover, position, trials, seed, output,
+@_command(_posver, "simulate",
+          _opt("--scenario", dest="scenario_path", default=None,
+               help="Scenario fixture path; defaults to verifiers at 0 and 2, "
+                    "claimed position 1."),
+          _opt("--n", type=int, default=1),
+          _opt("--prover", choices=["honest", "breidbart", "single"], default="breidbart"),
+          _opt("--position", type=float, default=None,
+               help="Adversary position for --prover single."),
+          _opt("--trials", type=int, default=100000),
+          _opt("--seed", type=int, default=0))
+def posver_simulate_cmd(given, scenario_path, n, prover, position, trials, seed, output,
                         deterministic):
     """Monte-Carlo acceptance statistics for a prover model."""
     from . import posver as posver_mod
@@ -452,14 +508,14 @@ def posver_simulate_cmd(scenario_path, n, prover, position, trials, seed, output
         if kind != "scenario":
             raise ValidationError(f"{scenario_path}: expected a scenario fixture")
     if prover != "single":
-        _reject_unused(f"with --prover {prover}", "position")
+        _reject_unused(given, f"with --prover {prover}", "--position")
     if prover == "honest":  # one party at the claimed position answers exactly
         model = posver_mod.SingleAdversary(scenario.pos)
     elif prover == "breidbart":
         model = posver_mod.BreidbartPair()
     else:
         if position is None:
-            raise click.UsageError("--prover single requires --position")
+            raise UsageError("--prover single requires --position")
         model = posver_mod.SingleAdversary(position)
     agg = posver_mod.simulate_pv_rounds(scenario, n, model, trials, seed=seed)
     _emit("posver-simulate",
@@ -471,13 +527,12 @@ def posver_simulate_cmd(scenario_path, n, prover, position, trials, seed, output
 # ---------------------------------------------------------------------------
 
 
-@cli.command("ur-check")
-@click.argument("fixture", required=False)
-@click.option("--random", "random_count", type=click.IntRange(min=1), default=None,
-              help="Check this many random tripartite qubit instances instead.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@_output_options
-def ur_check_cmd(fixture, random_count, seed, output, deterministic):
+@_command(_commands, "ur-check",
+          _opt("fixture", nargs="?", default=None, metavar="FIXTURE"),
+          _opt("--random", dest="random_count", type=_at_least(int, 1), default=None,
+               help="Check this many random tripartite qubit instances instead."),
+          _opt("--seed", type=int, default=0))
+def ur_check_cmd(given, fixture, random_count, seed, output, deterministic):
     """Check the two-observer guessing tradeoff for a fixture or random states."""
     from . import fixtures as fixtures_mod
     from . import uncertainty as ur_mod
@@ -485,7 +540,7 @@ def ur_check_cmd(fixture, random_count, seed, output, deterministic):
 
     rows = []
     if fixture is not None:
-        _reject_unused("with a fixture", "random_count", "seed")
+        _reject_unused(given, "with a fixture", "--random", "--seed")
         kind, obj = fixtures_mod.load_fixture(fixture)
         if kind != "ur_instance":
             raise ValidationError(f"{fixture}: expected an ur_instance fixture")
@@ -500,7 +555,7 @@ def ur_check_cmd(fixture, random_count, seed, output, deterministic):
             rows.append(ur_mod.check_uncertainty_relation(
                 rho, (2, 2, 2), f0, f1).to_dict())
     else:
-        raise click.UsageError("provide a fixture path or --random K")
+        raise UsageError("provide a fixture path or --random K")
     _emit("ur-check", {"fixture": fixture, "random": random_count},
           rows, output, deterministic,
           seed=seed if random_count is not None else None)
@@ -509,15 +564,12 @@ def ur_check_cmd(fixture, random_count, seed, output, deterministic):
 # ---------------------------------------------------------------------------
 
 
-@cli.group("fixtures")
-def fixtures_group() -> None:
-    """Fixture-file utilities."""
+_FIXTURES = "Fixture-file utilities."
+_fixtures = _group(_commands.add_parser("fixtures", help=_FIXTURES, description=_FIXTURES))
 
 
-@fixtures_group.command("validate")
-@click.argument("paths", nargs=-1, required=True)
-@_output_options
-def fixtures_validate_cmd(paths, output, deterministic):
+@_command(_fixtures, "validate", _opt("paths", nargs="+", metavar="PATHS"))
+def fixtures_validate_cmd(given, paths, output, deterministic):
     """Validate fixture files; exits 1 if any file is invalid."""
     from . import fixtures as fixtures_mod
 
@@ -539,21 +591,29 @@ def fixtures_validate_cmd(paths, output, deterministic):
 
 
 def dispatch(argv: Sequence[str] | None = None) -> int:
-    """Run the CLI programmatically; returns the process exit code."""
+    """Run the CLI programmatically; returns the process exit code.  Output
+    goes to the `sys.stdout` of the call, and an error to one line of
+    stderr."""
     try:
-        cli.main(args=list(argv) if argv is not None else None, prog_name=PROG,
-                 standalone_mode=False)
+        try:
+            options = vars(cli.parse_args(argv))
+        except SystemExit as exc:  # --help, printed
+            return exc.code
+        run = options.pop("run")
+        _writable(options["output"])
+        run(options.pop("given", frozenset()), **options)
         return 0
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
-    except click.UsageError as exc:
-        exc.show()
-        return 2
-    except click.Abort:
-        return 1
+    except UsageError as exc:
+        message, code = exc, 2
     except ValueError as exc:
-        click.echo(f"{PROG}: error: {exc}", err=True)
+        message, code = exc, 1
+    except BrokenPipeError:  # the reader has gone, and has nothing to be told
         return 1
+    except KeyboardInterrupt:
+        print(file=sys.stderr)  # ends the line the terminal's ^C began
+        return 1
+    print(f"{PROG}: error: {message}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -27,6 +28,15 @@ def run(capsys, *argv) -> tuple[int, str, str]:
     code = dispatch(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(argv, **kwargs) -> subprocess.CompletedProcess:
+    """The CLI run with `argv` in a child interpreter; stderr captured as text."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "monogamy.cli", *argv], stderr=subprocess.PIPE,
+                          text=True, timeout=120, env=env, **kwargs)
 
 
 def strict_json(text: str):
@@ -385,12 +395,119 @@ def test_posver_simulate_single_needs_position(capsys):
                  id="--d-argv10"),
     pytest.param("--noise", ("qkd-sim", "--n", "2", "--t", "1", "--gamma", "0", "--device",
                              "epr", "--noise", "0.01", "--trials", "3"), id="--noise-epr"),
+    # typed, at its default value
+    pytest.param("--noise", ("qkd-sim", "--n", "2", "--t", "1", "--gamma", "0", "--device",
+                             "epr", "--noise", "0", "--trials", "3"), id="--noise-0-epr"),
 ])
 def test_an_option_the_command_would_ignore_is_a_usage_error(capsys, flag, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert f"{flag} has no effect" in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("bogus",), id="unknown-command"),
+    pytest.param(("posver",), id="no-subcommand"),
+    pytest.param(("qkd-delta", "--n", "100"), id="missing-required-option"),
+    pytest.param(("seesaw", "--restarts", "two"), id="bad-int"),
+    pytest.param(("qkd-sim", "--n", "2", "--t", "1", "--gamma", "0", "--device", "quantum"),
+                 id="bad-choice"),
+    pytest.param(("bounds", "--bogus", "1"), id="unknown-option"),
+    # an option is named in full: a prefix of it is an unknown option
+    pytest.param(("bounds", "--determ"), id="abbreviated-flag"),
+    pytest.param(("seesaw", "--rest", "2"), id="abbreviated-option"),
+    pytest.param(("ur-check", "--random", "0"), id="random-below-1"),
+    pytest.param(("posver", "bound", "--rate", "-1"), id="negative-rate"),
+    pytest.param(("posver", "bound", "--d", "8", "--rate", "0.5"), id="unused-option"),
+    pytest.param(("bounds", "--n", "5..1"), id="empty-range"),
+])
+def test_a_usage_error_exits_2_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("monogamy: error: ")
+
+
+# every leaf command's options, each with the default its help shows (None:
+# no default shown); each also takes --output and --deterministic
+HELP = {
+    ("bounds",): {"--game": "bb84", "--c": None, "--theta-count": "2", "--q": "1",
+                  "--n": "1", "--gamma": None, "--gamma-prime": None, "--same-string": None,
+                  "--format": "csv"},
+    ("seesaw",): {"--game": "bb84", "--n": "1", "--bob-dim": "1", "--charlie-dim": "1",
+                  "--restarts": "20", "--seed": "0", "--tol": "1e-09", "--max-iters": "200",
+                  "--include-strategy": "True"},
+    ("qkd-delta",): {"--n": None, "--t": None, "--gamma": None, "--epsilon": None,
+                     "--s": "auto", "--ell": None},
+    ("qkd-keylen",): {"--n": None, "--t": None, "--gamma": None, "--epsilon": None,
+                      "--s": "auto", "--delta-target": None, "--format": "csv"},
+    ("qkd-sim",): {"--n": None, "--t": None, "--s": "0", "--ell": "0", "--gamma": None,
+                   "--epsilon": "0.05", "--noise": "0.0", "--device": "honest",
+                   "--trials": "1000", "--seed": "0"},
+    ("posver", "bound"): {"--n": "1", "--d": "1", "--rate": None, "--gamma": None,
+                          "--gamma-prime": None, "--format": "csv"},
+    ("posver", "simulate"): {"--scenario": None, "--n": "1", "--prover": "breidbart",
+                             "--position": None, "--trials": "100000", "--seed": "0"},
+    ("ur-check",): {"--random": None, "--seed": "0"},
+    ("fixtures", "validate"): {},
+}
+
+
+def help_entries(text: str) -> dict[str, str]:
+    """The option entries of a help text by first option string, each on one
+    line, as help wraps them at the terminal width."""
+    entries, name = {}, None
+    for line in text.split("options:", 1)[1].splitlines():
+        if line.startswith("  -"):
+            name = line.split()[0].rstrip(",")
+            entries[name] = ""
+        if name:
+            entries[name] += " " + line
+    return {name: " ".join(entry.split()) for name, entry in entries.items()}
+
+
+@pytest.mark.parametrize("command", HELP, ids=" ".join)
+def test_every_command_help_names_its_options_and_their_defaults(capsys, command):
+    code, out, err = run(capsys, *command, "--help")
+    assert (code, err) == (0, "")
+    entries = help_entries(out)
+    options = {**HELP[command], "--output": None, "--deterministic": None, "--help": None}
+    assert set(entries) == set(options)
+    for option, default in options.items():
+        shown = re.findall(r"\(default: (.*?)\)", entries[option])
+        assert shown == ([] if default is None else [default]), option
+    assert "--no-include-strategy" in entries.get("--include-strategy", "--no-include-strategy")
+    assert {"ur-check": "[FIXTURE]", "fixtures": "PATHS"}.get(command[0], "") in out
+
+
+def test_ctrl_c_exits_1_with_no_traceback(capsys, monkeypatch):
+    def interrupt(n):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(sys.modules["monogamy.bounds"], "bb84_parallel_value", interrupt)
+    assert run(capsys, "bounds", "--n", "3") == (1, "", "\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+@pytest.mark.parametrize("argv", [("bounds", "--n", "1..3"), ("seesaw", "--restarts", "1")],
+                         ids=["bounds", "seesaw"])
+def test_a_stdout_that_cannot_be_written_exits_1_with_one_line(argv):
+    # each once ended in an OSError traceback
+    with open("/dev/full", "w") as full:
+        proc = run_child(argv, stdout=full)
+    assert proc.returncode == 1
+    assert proc.stderr == "monogamy: error: stdout: cannot write the output " \
+                          "(No space left on device)\n"
+
+
+def test_a_reader_that_closed_its_pipe_ends_the_command_quietly():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_child(("bounds", "--n", "1..3"), stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_posver_bound_refuses_a_negative_rate(capsys):
@@ -784,10 +901,7 @@ def test_an_oversized_request_is_refused_before_it_allocates(argv):
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BUDGET + 2**30,) * 2)
 
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "monogamy.cli", *argv], capture_output=True,
-                          text=True, timeout=120, preexec_fn=limit, env=env)
+    proc = run_child(argv, preexec_fn=limit)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert len(proc.stderr.splitlines()) == 1
     assert "over the memory budget" in proc.stderr

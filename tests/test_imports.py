@@ -67,7 +67,8 @@ def test_importing_the_cli_loads_no_command_module():
 
 
 # the calculators and the package's entry points: each loads the CLI's
-# modules and the closed forms at most, and never numpy
+# modules and the closed forms at most, never numpy, and beside the package
+# nothing but the standard library
 @pytest.mark.parametrize("code", [
     "import monogamy",
     "import monogamy.cli",
@@ -87,9 +88,16 @@ def test_importing_the_cli_loads_no_command_module():
 ], ids=["import-package", "import-cli", "help", "bounds", "qkd-delta", "qkd-keylen",
         "posver-bound"])
 def test_a_calculator_loads_no_numpy(code):
-    out = run_child(f"{code}\nimport sys\nprint('numpy' in sys.modules)\n{LOADED}")
-    numpy_loaded, modules = out.splitlines()[-2:]
+    # the modules the interpreter's start-up loaded (site's .pth files may
+    # load third-party ones) are left out of the third-party check
+    out = run_child(f"import sys\nstarted = set(sys.modules)\n{code}\n"
+                    "print('numpy' in sys.modules)\n"
+                    "print(sorted({m.split('.')[0] for m in set(sys.modules) - started}"
+                    " - set(sys.stdlib_module_names) - {'monogamy'}))\n"
+                    f"{LOADED}")
+    numpy_loaded, third_party, modules = out.splitlines()[-3:]
     assert numpy_loaded == "False"
+    assert third_party == "[]"
     assert set(json.loads(modules)) <= {"monogamy", "monogamy.cli", "monogamy.errors",
                                         "monogamy.bounds", "monogamy.finite_key"}
 
