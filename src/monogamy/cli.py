@@ -65,15 +65,32 @@ class _Given(argparse.Action):
 
 class _Parser(argparse.ArgumentParser):
     """An argparse parser that raises UsageError where argparse would print
-    its usage and exit, takes no abbreviated option, and records each option
-    typed with a value through `_Given`."""
+    its usage and exit, takes no abbreviated option, records each option
+    typed with a value through `_Given`, shows each option's default in its
+    help, and writes that help as a command writes its output."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, add_help=False, **kwargs)
         self.register("action", None, _Given)
         self.add_argument("--help", action="help", help="Show this message and exit.")
-        # a value such as -1e-3 or -inf is a negative number, not an option
+        # a value such as -1e-3 or -inf is a negative number, not an option;
+        # argparse reads this pattern from its undocumented attribute
+        # `_negative_number_matcher`, which test_cli.py's negative-value
+        # cases pin
         self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
+
+    def add_argument(self, *args, **kwargs):
+        """argparse's add_argument, with the default in the help unless it
+        is None or a flag's False."""
+        action = super().add_argument(*args, **kwargs)
+        shown = action.help or ""
+        if action.default not in (None, argparse.SUPPRESS) and action.default is not False \
+                and "%(default)" not in shown:
+            action.help = f"{shown} (default: %(default)s)".lstrip()
+        return action
+
+    def print_help(self, file=None):
+        _write_stdout(self.format_help())
 
     def error(self, message):
         raise UsageError(message)
@@ -136,19 +153,38 @@ def _emit(command: str, params: dict, result, output: str | None,
         except ValueError:  # strict JSON has no inf or nan: write them as null
             doc = json.loads(json.dumps(doc), parse_constant=lambda name: None)
             text = json.dumps(doc, indent=2, sort_keys=True)
-    to_stdout = output is None or output == "-"
+    if output is None or output == "-":
+        _write_stdout(text if text.endswith("\n") else text + "\n")
+        return
     try:
-        if to_stdout:
-            sys.stdout.write(text if text.endswith("\n") else text + "\n")
-            sys.stdout.flush()
-        else:
-            with open(output, "w") as fh:
-                fh.write(text)
-    except BrokenPipeError:  # the reader has gone: dispatch exits 1 and says nothing
-        raise
+        with open(output, "w") as fh:
+            fh.write(text)
     except OSError as exc:
-        raise ValidationError(f"{'stdout' if to_stdout else output}: cannot write the "
-                              f"output ({exc.strerror or exc})")
+        raise ValidationError(f"{output}: cannot write the output ({exc.strerror or exc})")
+
+
+def _write_stdout(text: str) -> None:
+    """Write `text` to the `sys.stdout` of the call, and flush it.  If that
+    fails, stdout is pointed at os.devnull, so that the interpreter's own
+    flush at exit drops what is left buffered instead of failing on it again
+    (exit 120, 'Exception ignored').  A reader that has gone raises
+    BrokenPipeError, which `dispatch` ends quietly; any other failure is a
+    ValidationError."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # an in-process stream, such as a StringIO
+            fd = None
+        if fd is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            raise
+        raise ValidationError(f"stdout: cannot write the output ({exc.strerror or exc})")
 
 
 def _writable(output: str | None) -> None:
@@ -166,37 +202,18 @@ def _writable(output: str | None) -> None:
         os.remove(output)
 
 
-def _opt(*flags: str, **kwargs):
-    """One option: the arguments of an `add_argument` call."""
-    return flags, kwargs
+# every leaf command's parser, each given the output options after its own
+_LEAVES = []
 
 
-# the options every command takes, and the `--format` of the three sweeps,
-# which print the same rows either way
-_OUTPUT_OPTIONS = (_opt("--output", default=None, help="Output path (default stdout)."),
-                   _opt("--deterministic", action="store_true",
-                        help="Suppress the timestamp field."))
-_FORMAT = _opt("--format", dest="fmt", choices=["json", "csv"], default="csv")
-
-
-def _command(group, name: str, *options):
-    """Register the decorated function as the subcommand `name` of `group`
-    (its docstring's first line is the help), taking `options` and the
-    output options.  Each option's help shows its default, unless that is
-    None or a flag's False.  `dispatch` calls the function with the set of
-    options typed, then each option's value by name."""
-    def register(func):
-        parser = group.add_parser(name, help=func.__doc__.splitlines()[0],
-                                  description=func.__doc__)
-        for flags, kwargs in (*options, *_OUTPUT_OPTIONS):
-            action = parser.add_argument(*flags, **kwargs)
-            shown = action.help or ""
-            if action.default is not None and action.default is not False \
-                    and "%(default)" not in shown:
-                action.help = f"{shown} (default: %(default)s)".lstrip()
-        parser.set_defaults(run=func)
-        return func
-    return register
+def _command(group, name: str, run) -> _Parser:
+    """The parser of the subcommand `name` of `group`, which runs `run` (its
+    docstring's first line is the help).  `dispatch` calls `run` with the
+    set of options typed, then each option's value by name."""
+    parser = group.add_parser(name, help=run.__doc__.splitlines()[0], description=run.__doc__)
+    parser.set_defaults(run=run)
+    _LEAVES.append(parser)
+    return parser
 
 
 def _reject_unused(given: frozenset, reason: str, *flags: str) -> None:
@@ -232,21 +249,6 @@ _commands = _group(cli)
 # ---------------------------------------------------------------------------
 
 
-@_command(_commands, "bounds",
-          _opt("--game", default="bb84", help="'bb84' or 'general' (general requires --c)."),
-          _opt("--c", dest="c_value", type=float, default=None,
-               help="Measurement overlap for a general game."),
-          _opt("--theta-count", type=int, default=2),
-          _opt("--q", dest="q_cardinality", type=int, default=1,
-               help="Cardinality of the allowed displacement set."),
-          _opt("--n", dest="n_range", default="1", help="Round count: N, A..B or A..B..STEP."),
-          _opt("--gamma", type=float, default=None,
-               help="Error fraction for the first guesser (imperfect guessing)."),
-          _opt("--gamma-prime", type=float, default=None,
-               help="Error fraction for the second guesser."),
-          _opt("--same-string", action="store_true",
-               help="Require both guessers to produce the same string."),
-          _FORMAT)
 def bounds_cmd(given, game, c_value, theta_count, q_cardinality, n_range, gamma,
                gamma_prime, same_string, fmt, output, deterministic):
     """Closed-form upper bounds on the n-round winning probability."""
@@ -289,20 +291,27 @@ def bounds_cmd(given, game, c_value, theta_count, q_cardinality, n_range, gamma,
     _emit("bounds", {"game": game, "n": n_range}, rows, output, deterministic, fmt=fmt)
 
 
+_parser = _command(_commands, "bounds", bounds_cmd)
+_parser.add_argument("--game", default="bb84", help="'bb84' or 'general' (general requires --c).")
+_parser.add_argument("--c", dest="c_value", type=float, default=None,
+                     help="Measurement overlap for a general game.")
+_parser.add_argument("--theta-count", type=int, default=2)
+_parser.add_argument("--q", dest="q_cardinality", type=int, default=1,
+                     help="Cardinality of the allowed displacement set.")
+_parser.add_argument("--n", dest="n_range", default="1",
+                     help="Round count: N, A..B or A..B..STEP.")
+_parser.add_argument("--gamma", type=float, default=None,
+                     help="Error fraction for the first guesser (imperfect guessing).")
+_parser.add_argument("--gamma-prime", type=float, default=None,
+                     help="Error fraction for the second guesser.")
+_parser.add_argument("--same-string", action="store_true",
+                     help="Require both guessers to produce the same string.")
+_parser.add_argument("--format", dest="fmt", choices=["json", "csv"], default="csv")
+
+
 # ---------------------------------------------------------------------------
 
 
-@_command(_commands, "seesaw",
-          _opt("--game", default="bb84", help="'bb84' or the path of a game fixture."),
-          _opt("--n", type=int, default=1, help="Parallel repetitions of the game."),
-          _opt("--bob-dim", type=int, default=1),
-          _opt("--charlie-dim", type=int, default=1),
-          _opt("--restarts", type=int, default=20),
-          _opt("--seed", type=int, default=0),
-          _opt("--tol", type=float, default=1e-9),
-          _opt("--max-iters", type=int, default=200),
-          _opt("--include-strategy", action=argparse.BooleanOptionalAction, default=True,
-               help="Embed the winning strategy as matrix JSON."))
 def seesaw_cmd(given, game, n, bob_dim, charlie_dim, restarts, seed, tol, max_iters,
                include_strategy, output, deterministic):
     """Search for a high-value strategy; the value is a certified lower bound."""
@@ -330,6 +339,19 @@ def seesaw_cmd(given, game, n, bob_dim, charlie_dim, restarts, seed, tol, max_it
           payload, output, deterministic, seed=seed)
 
 
+_parser = _command(_commands, "seesaw", seesaw_cmd)
+_parser.add_argument("--game", default="bb84", help="'bb84' or the path of a game fixture.")
+_parser.add_argument("--n", type=int, default=1, help="Parallel repetitions of the game.")
+_parser.add_argument("--bob-dim", type=int, default=1)
+_parser.add_argument("--charlie-dim", type=int, default=1)
+_parser.add_argument("--restarts", type=int, default=20)
+_parser.add_argument("--seed", type=int, default=0)
+_parser.add_argument("--tol", type=float, default=1e-9)
+_parser.add_argument("--max-iters", type=int, default=200)
+_parser.add_argument("--include-strategy", action=argparse.BooleanOptionalAction, default=True,
+                     help="Embed the winning strategy as matrix JSON.")
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -344,14 +366,6 @@ def _resolve_syndrome(s_text: str, n: int, t: int, gamma: float, epsilon: float)
         raise UsageError(f"--s must be an integer or 'auto', got {s_text!r}")
 
 
-@_command(_commands, "qkd-delta",
-          _opt("--n", type=int, required=True, help="Rounds exchanged."),
-          _opt("--t", type=int, required=True, help="Sampled rounds."),
-          _opt("--gamma", type=float, required=True, help="Tolerated error rate."),
-          _opt("--epsilon", type=float, required=True, help="Sampling slack."),
-          _opt("--s", dest="s_text", default="auto",
-               help="Syndrome bits, or 'auto' for ceil((n-t) h(gamma+epsilon))."),
-          _opt("--ell", type=int, required=True, help="Key length in bits."))
 def qkd_delta_cmd(given, n, t, gamma, epsilon, s_text, ell, output, deterministic):
     """Finite-key security failure bound for one parameter set."""
     from .finite_key import QkdParams, security_delta
@@ -364,16 +378,16 @@ def qkd_delta_cmd(given, n, t, gamma, epsilon, s_text, ell, output, deterministi
           report.to_dict(), output, deterministic)
 
 
-@_command(_commands, "qkd-keylen",
-          _opt("--n", dest="n_range", required=True, help="Rounds: N, A..B or A..B..STEP."),
-          _opt("--t", dest="t_text", required=True,
-               help="Sampled rounds: an integer, 'frac:F' for ceil(F n), or "
-                    "'pow:P' for ceil(n^P)."),
-          _opt("--gamma", type=float, required=True),
-          _opt("--epsilon", type=float, required=True),
-          _opt("--s", dest="s_text", default="auto"),
-          _opt("--delta-target", type=float, required=True),
-          _FORMAT)
+_parser = _command(_commands, "qkd-delta", qkd_delta_cmd)
+_parser.add_argument("--n", type=int, required=True, help="Rounds exchanged.")
+_parser.add_argument("--t", type=int, required=True, help="Sampled rounds.")
+_parser.add_argument("--gamma", type=float, required=True, help="Tolerated error rate.")
+_parser.add_argument("--epsilon", type=float, required=True, help="Sampling slack.")
+_parser.add_argument("--s", dest="s_text", default="auto",
+                     help="Syndrome bits, or 'auto' for ceil((n-t) h(gamma+epsilon)).")
+_parser.add_argument("--ell", type=int, required=True, help="Key length in bits.")
+
+
 def qkd_keylen_cmd(given, n_range, t_text, gamma, epsilon, s_text, delta_target, fmt,
                    output, deterministic):
     """Maximal key length within a failure-bound target, swept over n."""
@@ -404,19 +418,18 @@ def qkd_keylen_cmd(given, n_range, t_text, gamma, epsilon, s_text, delta_target,
           rows, output, deterministic, fmt=fmt)
 
 
-@_command(_commands, "qkd-sim",
-          _opt("--n", type=int, required=True),
-          _opt("--t", type=int, required=True),
-          _opt("--s", type=int, default=0),
-          _opt("--ell", type=int, default=0),
-          _opt("--gamma", type=float, required=True),
-          _opt("--epsilon", type=float, default=0.05),
-          _opt("--noise", type=float, default=0.0,
-               help="Flip probability of the classical device model."),
-          _opt("--device", choices=["honest", "epr"], default="honest",
-               help="'epr' runs the exact quantum device."),
-          _opt("--trials", type=int, default=1000),
-          _opt("--seed", type=int, default=0))
+_parser = _command(_commands, "qkd-keylen", qkd_keylen_cmd)
+_parser.add_argument("--n", dest="n_range", required=True, help="Rounds: N, A..B or A..B..STEP.")
+_parser.add_argument("--t", dest="t_text", required=True,
+                     help="Sampled rounds: an integer, 'frac:F' for ceil(F n), or "
+                          "'pow:P' for ceil(n^P).")
+_parser.add_argument("--gamma", type=float, required=True)
+_parser.add_argument("--epsilon", type=float, required=True)
+_parser.add_argument("--s", dest="s_text", default="auto")
+_parser.add_argument("--delta-target", type=float, required=True)
+_parser.add_argument("--format", dest="fmt", choices=["json", "csv"], default="csv")
+
+
 def qkd_sim_cmd(given, n, t, s, ell, gamma, epsilon, noise, device, trials, seed,
                 output, deterministic):
     """Monte-Carlo protocol runs: abort rate, key agreement, sampling statistics."""
@@ -438,6 +451,21 @@ def qkd_sim_cmd(given, n, t, s, ell, gamma, epsilon, noise, device, trials, seed
           agg, output, deterministic, seed=seed)
 
 
+_parser = _command(_commands, "qkd-sim", qkd_sim_cmd)
+_parser.add_argument("--n", type=int, required=True)
+_parser.add_argument("--t", type=int, required=True)
+_parser.add_argument("--s", type=int, default=0)
+_parser.add_argument("--ell", type=int, default=0)
+_parser.add_argument("--gamma", type=float, required=True)
+_parser.add_argument("--epsilon", type=float, default=0.05)
+_parser.add_argument("--noise", type=float, default=0.0,
+                     help="Flip probability of the classical device model.")
+_parser.add_argument("--device", choices=["honest", "epr"], default="honest",
+                     help="'epr' runs the exact quantum device.")
+_parser.add_argument("--trials", type=int, default=1000)
+_parser.add_argument("--seed", type=int, default=0)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -445,16 +473,6 @@ _POSVER = "Position-verification soundness bounds and timing simulation."
 _posver = _group(_commands.add_parser("posver", help=_POSVER, description=_POSVER))
 
 
-@_command(_posver, "bound",
-          _opt("--n", dest="n_range", default="1"),
-          _opt("--d", type=int, default=1,
-               help="Dimension of the adversaries' pre-shared state."),
-          _opt("--rate", type=_at_least(float, 0), default=None,
-               help="Entanglement rate: rows give log2_d = ceil(rate n) in place of --d."),
-          _opt("--gamma", type=float, default=None,
-               help="Allowed error fraction (noise-tolerant variant)."),
-          _opt("--gamma-prime", type=float, default=None),
-          _FORMAT)
 def posver_bound_cmd(given, n_range, d, rate, gamma, gamma_prime, fmt, output,
                      deterministic):
     """Soundness bounds over a sweep of qubit counts."""
@@ -484,16 +502,18 @@ def posver_bound_cmd(given, n_range, d, rate, gamma, gamma_prime, fmt, output,
           rows, output, deterministic, fmt=fmt)
 
 
-@_command(_posver, "simulate",
-          _opt("--scenario", dest="scenario_path", default=None,
-               help="Scenario fixture path; defaults to verifiers at 0 and 2, "
-                    "claimed position 1."),
-          _opt("--n", type=int, default=1),
-          _opt("--prover", choices=["honest", "breidbart", "single"], default="breidbart"),
-          _opt("--position", type=float, default=None,
-               help="Adversary position for --prover single."),
-          _opt("--trials", type=int, default=100000),
-          _opt("--seed", type=int, default=0))
+_parser = _command(_posver, "bound", posver_bound_cmd)
+_parser.add_argument("--n", dest="n_range", default="1")
+_parser.add_argument("--d", type=int, default=1,
+                     help="Dimension of the adversaries' pre-shared state.")
+_parser.add_argument("--rate", type=_at_least(float, 0), default=None,
+                     help="Entanglement rate: rows give log2_d = ceil(rate n) in place of --d.")
+_parser.add_argument("--gamma", type=float, default=None,
+                     help="Allowed error fraction (noise-tolerant variant).")
+_parser.add_argument("--gamma-prime", type=float, default=None)
+_parser.add_argument("--format", dest="fmt", choices=["json", "csv"], default="csv")
+
+
 def posver_simulate_cmd(given, scenario_path, n, prover, position, trials, seed, output,
                         deterministic):
     """Monte-Carlo acceptance statistics for a prover model."""
@@ -524,14 +544,21 @@ def posver_simulate_cmd(given, scenario_path, n, prover, position, trials, seed,
           agg, output, deterministic, seed=seed)
 
 
+_parser = _command(_posver, "simulate", posver_simulate_cmd)
+_parser.add_argument("--scenario", dest="scenario_path", default=None,
+                     help="Scenario fixture path; defaults to verifiers at 0 and 2, "
+                          "claimed position 1.")
+_parser.add_argument("--n", type=int, default=1)
+_parser.add_argument("--prover", choices=["honest", "breidbart", "single"], default="breidbart")
+_parser.add_argument("--position", type=float, default=None,
+                     help="Adversary position for --prover single.")
+_parser.add_argument("--trials", type=int, default=100000)
+_parser.add_argument("--seed", type=int, default=0)
+
+
 # ---------------------------------------------------------------------------
 
 
-@_command(_commands, "ur-check",
-          _opt("fixture", nargs="?", default=None, metavar="FIXTURE"),
-          _opt("--random", dest="random_count", type=_at_least(int, 1), default=None,
-               help="Check this many random tripartite qubit instances instead."),
-          _opt("--seed", type=int, default=0))
 def ur_check_cmd(given, fixture, random_count, seed, output, deterministic):
     """Check the two-observer guessing tradeoff for a fixture or random states."""
     from . import fixtures as fixtures_mod
@@ -561,6 +588,13 @@ def ur_check_cmd(given, fixture, random_count, seed, output, deterministic):
           seed=seed if random_count is not None else None)
 
 
+_parser = _command(_commands, "ur-check", ur_check_cmd)
+_parser.add_argument("fixture", nargs="?", default=None, metavar="FIXTURE")
+_parser.add_argument("--random", dest="random_count", type=_at_least(int, 1), default=None,
+                     help="Check this many random tripartite qubit instances instead.")
+_parser.add_argument("--seed", type=int, default=0)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -568,7 +602,6 @@ _FIXTURES = "Fixture-file utilities."
 _fixtures = _group(_commands.add_parser("fixtures", help=_FIXTURES, description=_FIXTURES))
 
 
-@_command(_fixtures, "validate", _opt("paths", nargs="+", metavar="PATHS"))
 def fixtures_validate_cmd(given, paths, output, deterministic):
     """Validate fixture files; exits 1 if any file is invalid."""
     from . import fixtures as fixtures_mod
@@ -587,6 +620,15 @@ def fixtures_validate_cmd(given, paths, output, deterministic):
         raise ValidationError(f"{failures} of {len(paths)} fixture(s) invalid")
 
 
+_parser = _command(_fixtures, "validate", fixtures_validate_cmd)
+_parser.add_argument("paths", nargs="+", metavar="PATHS")
+
+for _parser in _LEAVES:
+    _parser.add_argument("--output", default=None, help="Output path (default stdout).")
+    _parser.add_argument("--deterministic", action="store_true",
+                         help="Suppress the timestamp field.")
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -596,9 +638,14 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     stderr."""
     try:
         try:
-            options = vars(cli.parse_args(argv))
+            options, extra = cli.parse_known_args(argv)
         except SystemExit as exc:  # --help, printed
             return exc.code
+        if options.run is fixtures_validate_cmd and not any(a.startswith("-") for a in extra):
+            options.paths += extra  # paths may stand on both sides of an option
+        elif extra:
+            raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
+        options = vars(options)
         run = options.pop("run")
         _writable(options["output"])
         run(options.pop("given", frozenset()), **options)

@@ -488,11 +488,18 @@ def test_ctrl_c_exits_1_with_no_traceback(capsys, monkeypatch):
     assert run(capsys, "bounds", "--n", "3") == (1, "", "\n")
 
 
+# a child's stdout is buffered, which leaves the output a failed write could
+# not send in the buffer for the interpreter's flush at exit, or unbuffered
+UNBUFFERED = pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
-@pytest.mark.parametrize("argv", [("bounds", "--n", "1..3"), ("seesaw", "--restarts", "1")],
-                         ids=["bounds", "seesaw"])
-def test_a_stdout_that_cannot_be_written_exits_1_with_one_line(argv):
+@UNBUFFERED
+@pytest.mark.parametrize("argv", [("bounds", "--n", "1..3"), ("seesaw", "--restarts", "1"),
+                                  ("bounds", "--help")], ids=["bounds", "seesaw", "help"])
+def test_a_stdout_that_cannot_be_written_exits_1_with_one_line(monkeypatch, argv, unbuffered):
     # each once ended in an OSError traceback
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
     with open("/dev/full", "w") as full:
         proc = run_child(argv, stdout=full)
     assert proc.returncode == 1
@@ -500,14 +507,34 @@ def test_a_stdout_that_cannot_be_written_exits_1_with_one_line(argv):
                           "(No space left on device)\n"
 
 
-def test_a_reader_that_closed_its_pipe_ends_the_command_quietly():
+@UNBUFFERED
+@pytest.mark.parametrize("argv", [("bounds", "--n", "1..3"), ("bounds", "--n", "1..100000")],
+                         ids=["short", "past-the-pipe-buffer"])
+def test_a_reader_that_closed_its_pipe_ends_the_command_quietly(monkeypatch, argv, unbuffered):
+    # buffered, the flush at exit once failed again: exit 120, 'Exception ignored'
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
     read, write = os.pipe()
     os.close(read)
     try:
-        proc = run_child(("bounds", "--n", "1..3"), stdout=write)
+        proc = run_child(argv, stdout=write)
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (1, "")
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    pytest.param(("bounds", "--game", "general", "--c", "0.5", "--gamma", "-1e-3"), 1,
+                 "gamma must lie in [0, 0.5], got -0.001", id="gamma-exponent"),
+    pytest.param(("bounds", "--game", "general", "--c", "0.5", "--gamma", "-inf"), 1,
+                 "gamma must lie in [0, 0.5], got -inf", id="gamma-inf"),
+    pytest.param(("posver", "bound", "--rate", "-inf"), 2,
+                 "argument --rate: -inf is not in the range x>=0", id="rate-inf"),
+    pytest.param(("posver", "bound", "--rate", "-.5"), 2,
+                 "argument --rate: -0.5 is not in the range x>=0", id="rate-point"),
+])
+def test_a_negative_number_is_a_value_not_an_option(capsys, argv, code, message):
+    # argparse would read each as an unknown option, 'expected one argument'
+    assert run(capsys, *argv) == (code, "", f"monogamy: error: {message}\n")
 
 
 def test_posver_bound_refuses_a_negative_rate(capsys):
@@ -886,6 +913,16 @@ def test_an_ur_instance_with_bad_dims_is_invalid(tmp_path, capsys, dims):
     assert code == 1
     row = json.loads(out)["result"][0]
     assert row["ok"] is False and "subsystem dimension" in row["error"]
+
+
+def test_fixtures_validate_takes_paths_on_both_sides_of_an_option(capsys):
+    paths = [str(Path(__file__).parent / name)
+             for name in ("six_state_game.json", "bb84_ur_instance.json")]
+    code, out, err = run(capsys, "fixtures", "validate", paths[0], "--deterministic", paths[1])
+    assert (code, err) == (0, "")
+    assert [row["path"] for row in json.loads(out)["result"]] == paths
+    assert run(capsys, "fixtures", "validate", paths[0], "--deterministic", "--bogus") == \
+        (2, "", "monogamy: error: unrecognized arguments: --bogus\n")
 
 
 @pytest.mark.parametrize("argv", [
